@@ -1,10 +1,9 @@
 // A3 -- Solver ablation: the same core-COP Ising instances handed to every
 // solver in the library (bSB, dSB, SA, SimCIM, and DOCH on the Ising
 // model -- all registry-built on the unified engine layer -- plus
-// alternating minimization, annealing, branch-and-bound on the COP, and
-// the portfolio meta-solver racing the Ising engines). Reports solution
-// quality and time, separating the contribution of the Ising
-// *formulation* from the bSB *search*.
+// alternating minimization, annealing, and branch-and-bound on the COP).
+// Reports solution quality and time, separating the contribution of the
+// Ising *formulation* from the bSB *search*.
 //
 // Observability: --telemetry/--trace/--report <file> write the same JSON
 // artifacts as adsd_cli (see tools/trace_summary).
@@ -68,8 +67,6 @@ int main(int argc, char** argv) {
                  "sequential spin updates");
   run_cop_solver("SimCIM", "simcim", "pump-ramp mean field");
   run_cop_solver("DOCH", "doch", "difference-of-convex, momentum");
-  run_cop_solver("portfolio (race)", "portfolio",
-                 "prop|simcim|doch, anchor-committed");
   run_cop_solver("alternating min", "alt", "Lloyd-style");
   run_cop_solver("BA anneal", "ba", "setting-level SA");
   run_cop_solver("greedy (DALTA)", "dalta", "one-shot");

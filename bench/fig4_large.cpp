@@ -14,11 +14,9 @@
 // writes per-benchmark MED/time records as a schema-v2 bench report for
 // tools/bench_diff; --threads sets the worker-pool width; --pack <K>
 // additionally runs the proposed solver with multi-instance packing
-// (prop,pack=K -- bit-identical MED, fig4/<name>/prop_pack_* records);
-// --portfolio additionally races the portfolio meta-solver over the same
-// suite (fig4/<name>/portfolio_* records plus the derived
-// fig4/portfolio_vs_prop_med_ratio, direction min, which CI gates so the
-// race can never lose QoR to plain bSB).
+// (prop,pack=K -- fig4/<name>/prop_pack_* records). The packed MED must
+// equal looped prop's bit for bit; any divergence is reported and makes
+// the run exit with status 2.
 
 #include <fstream>
 #include <iostream>
@@ -59,14 +57,6 @@ int main(int argc, char** argv) {
   const auto prop_pack =
       pack > 0 ? bench::make_solver("prop", n, 0.0, replicas, pack)
                : std::unique_ptr<CoreCopSolver>();
-  // --portfolio: the racing meta-solver (prop|simcim|doch, prop anchored)
-  // on the same suite. Per-COP the committed objective can never be worse
-  // than the anchor's, so the end-to-end MED should track prop's or beat
-  // it; the derived ratio record makes CI enforce that.
-  const bool use_portfolio = args.has("portfolio");
-  const auto portfolio =
-      use_portfolio ? bench::make_solver("portfolio", n, 0.0, replicas)
-                    : std::unique_ptr<CoreCopSolver>();
   // One context across the whole suite: with --trace/--report the recorder
   // captures every benchmark's solves on a single timeline (streams are
   // keyed, so sharing the context does not perturb any run).
@@ -78,7 +68,7 @@ int main(int argc, char** argv) {
   std::vector<double> med_ratios;
   std::vector<double> time_ratios;
   std::vector<double> pack_time_ratios;
-  std::vector<double> portfolio_med_ratios;
+  int pack_divergences = 0;
   bench::BenchReport report("fig4_large");
   report.set_run_id(ctx.run_id());
 
@@ -107,19 +97,10 @@ int main(int argc, char** argv) {
       report.add_time("fig4/" + bench_case.name + "/prop_pack_seconds",
                       packed.seconds);
       if (packed.med != ours.med) {
-        std::cerr << "WARNING: packed MED diverged on " << bench_case.name
+        ++pack_divergences;
+        std::cerr << "ERROR: packed MED diverged on " << bench_case.name
                   << " (" << packed.med << " vs " << ours.med << ")\n";
       }
-    }
-    if (portfolio) {
-      const auto raced = run_dalta(exact, dist, params, *portfolio, ctx);
-      portfolio_med_ratios.push_back(
-          ours.med > 0.0 ? raced.med / ours.med
-                         : (raced.med > 0.0 ? 1e9 : 1.0));
-      report.add_qor("fig4/" + bench_case.name + "/portfolio_med",
-                     raced.med);
-      report.add_time("fig4/" + bench_case.name + "/portfolio_seconds",
-                      raced.seconds);
     }
     table.add_row(
         {bench_case.name, Table::num(base.med), Table::num(base.seconds, 3),
@@ -162,19 +143,8 @@ int main(int argc, char** argv) {
               << " (< 1 means packing wins; MED is bit-identical by "
                  "construction).\n";
   }
-  if (!portfolio_med_ratios.empty()) {
-    std::cout << "portfolio vs prop: average MED ratio "
-              << Table::num(mean_of(portfolio_med_ratios), 3)
-              << " (<= 1 means the race never lost QoR to its anchor).\n";
-  }
   if (args.has("json")) {
     report.add_qor("fig4/avg_med_ratio", avg_med_ratio, "ratio");
-    if (!portfolio_med_ratios.empty()) {
-      report.add_derived("fig4/portfolio_vs_prop_med_ratio",
-                         mean_of(portfolio_med_ratios), "min", true,
-                         "avg per-benchmark MED ratio portfolio/prop; the "
-                         "anchor guarantee keeps this at or below 1");
-    }
     const std::string path = args.get_string("json", "fig4.json");
     std::ofstream f(path);
     if (!f) {
@@ -185,5 +155,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << path << "\n";
   }
   bench::write_run_artifacts(args, ctx);
+  if (pack_divergences > 0) {
+    std::cerr << "ERROR: packed MED differs from looped prop on "
+              << pack_divergences << " benchmark(s)\n";
+    return 2;
+  }
   return 0;
 }

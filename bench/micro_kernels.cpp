@@ -349,7 +349,7 @@ BENCHMARK(BM_TinySolveLooped)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TinySolvePacked(benchmark::State& state) {
-  // The same K solves through one BsbPackEngine run (slot layout at R = 1):
+  // The same K solves through one BsbPackEngine run (R = 1):
   // engine construction included, since building the per-slot planes is
   // part of the packed path's real cost. Results are bit-identical to the
   // looped runs above (tests/test_bsb_pack.cpp), so the ratio is pure
@@ -409,7 +409,7 @@ void BM_TinySolveSharedPacked(benchmark::State& state) {
   for (std::size_t m = 0; m < k; ++m) {
     members.push_back({&model, 900 + m, {}});
   }
-  const PackEngineOptions options{PackLayout::kAuto, 0, /*share_j=*/true};
+  const PackEngineOptions options{.share_j = true};
   for (auto _ : state) {
     BsbPackEngine engine(members, params, 1, options);
     const auto results = engine.run();
@@ -425,7 +425,7 @@ void BM_EngineSolve(benchmark::State& state, const char* spec) {
   // per engine of the unified layer at the same ensemble size: what a
   // DALTA inner call costs under each dynamics. Single thread, so the
   // captured times are valid on any host (--json maps them to the
-  // engine_solve_us_* records).
+  // engine_solve_s_* records).
   const auto cop = make_cop(9, 4, 3);
   const auto solver = SolverRegistry::global().make_from_spec(spec);
   for (auto _ : state) {
@@ -754,48 +754,20 @@ int main(int argc, char** argv) {
                            "of one 64-spin instance");
       }
     }
-    // Named full-solve records for the unified engine layer (microsecond-
-    // scale solves; the value is seconds like every time record). Single
-    // thread, so valid on any host.
+    // Named full-solve records for the unified engine layer, in seconds
+    // like every time record. Single thread, so valid on any host.
     for (const auto& [tag, label] : {
              std::pair<const char*, const char*>{"prop",
-                                                 "engine_solve_us_prop"},
+                                                 "engine_solve_s_prop"},
              std::pair<const char*, const char*>{"simcim",
-                                                 "engine_solve_us_simcim"},
+                                                 "engine_solve_s_simcim"},
              std::pair<const char*, const char*>{"doch",
-                                                 "engine_solve_us_doch"}}) {
+                                                 "engine_solve_s_doch"}}) {
       const auto it = secs.find(std::string("BM_EngineSolve/") + tag);
       if (it != secs.end()) {
         report.add_time(label, it->second, true,
                         "single-thread registry solve, n=9 core COP, R=8");
       }
-    }
-    // Portfolio-vs-anchor QoR on fixed-seed core COPs: the racing
-    // meta-solver's committed objective against plain bSB on the same
-    // seeds, as a ratio with direction "max" so the bench_diff gate fails
-    // if the portfolio ever loses quality to its anchor. The strict-less
-    // commit rule makes the ratio >= 1.0 by construction; a regression
-    // here means the anchor guarantee broke.
-    {
-      const auto& reg = SolverRegistry::global();
-      const auto portfolio = reg.make_from_spec("portfolio,n=9");
-      const auto anchor = reg.make_from_spec("prop,n=9");
-      double anchor_sum = 0.0;
-      double race_sum = 0.0;
-      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        const auto qor_cop = make_cop(9, 4, 200 + seed);
-        CoreSolveStats anchor_stats;
-        CoreSolveStats race_stats;
-        (void)anchor->solve(qor_cop, seed, &anchor_stats);
-        (void)portfolio->solve(qor_cop, seed, &race_stats);
-        anchor_sum += anchor_stats.objective;
-        race_sum += race_stats.objective;
-      }
-      report.add_derived(
-          "portfolio_vs_prop_qor", anchor_sum / std::max(race_sum, 1e-12),
-          "max", true,
-          "objective ratio vs the bSB anchor on 6 fixed-seed n=9 core "
-          "COPs; >= 1 by the anchor guarantee");
     }
     const std::string path = args.get_string("json", "");
     std::ofstream f(path);

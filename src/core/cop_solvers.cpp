@@ -343,9 +343,24 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
   return best;
 }
 
-/// One packed chunk of the batched solve: up to `pack` same-n instances
-/// through one BsbPackEngine per restart attempt. Every member replicates
-/// the standalone ising_core_solve state machine — same warm start, same
+/// The slot gate: whether a pack of `members` instances of at most `n_max`
+/// spins is worth forming (DESIGN.md §4.7). The engine streams per-slot
+/// union-pattern coupling rows — at most n_max^2 doubles per slot, the
+/// conservative bound known before the union exists — every force pass,
+/// so their working set must stay near cache size; a shared-J pack has no
+/// per-slot rows at all. Its kernels vectorize across slots, which pays
+/// only while each slot carries few replicas. Instances past the gate are
+/// solved standalone, which costs the same CPU and fans out over the pool.
+bool passes_slot_gate(std::size_t n_max, std::size_t members,
+                      std::size_t replicas, bool share_j) {
+  constexpr std::size_t kSlotPlaneDoubles = (4u << 20) / sizeof(double);
+  return replicas <= 8 &&
+         (share_j || n_max * n_max * members <= kSlotPlaneDoubles);
+}
+
+/// One packed chunk of the batched solve: 2 or more instances through one
+/// BsbPackEngine per restart attempt. Every member replicates the
+/// standalone ising_core_solve state machine — same warm start, same
 /// per-attempt seeds, same Theorem-3 closure per member, same polish and
 /// best-selection — so packed results are bit-identical per instance.
 void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
@@ -356,13 +371,6 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
                         const IsingCoreSolver::Options& options,
                         const PackEngineOptions& engine_opts) {
   const std::size_t M = members.size();
-  if (M == 1) {
-    const std::size_t idx = members[0];
-    out[idx] = ising_core_solve(cops[idx], ctx, seeds[idx], &stats[idx],
-                                options);
-    return;
-  }
-
   struct MemberState {
     std::optional<IsingModel> model;
     SbBatchPlaneHook hook;
@@ -457,7 +465,7 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
 ColumnSetting ising_core_solve_shared_restarts(
     const ColumnCop& cop, const RunContext& ctx, std::uint64_t seed,
     CoreSolveStats* stats, const IsingCoreSolver::Options& options,
-    PackEngineOptions engine_opts) {
+    std::size_t tile) {
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
   const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
   const IsingModel model = cop.to_ising();
@@ -489,8 +497,8 @@ ColumnSetting ising_core_solve_shared_restarts(
       pack[attempt].initial_positions = warm.positions;
     }
   }
-  engine_opts.share_j = true;
-  BsbPackEngine engine(pack, options.sb, replicas, engine_opts);
+  BsbPackEngine engine(pack, options.sb, replicas,
+                       PackEngineOptions{.tile = tile, .share_j = true});
   engine.set_context(&ctx);
   const std::vector<IsingSolveResult> results = engine.run(pack_hook);
 
@@ -635,10 +643,13 @@ ColumnSetting PackedCoreCopSolver::do_solve(const ColumnCop& cop,
                                             std::uint64_t seed,
                                             CoreSolveStats* stats) const {
   // Shared-J restart packing: even a lone instance has restarts to pack.
-  if (options_.share_j && std::max<std::size_t>(1, options_.core.restarts) > 1) {
-    return ising_core_solve_shared_restarts(
-        cop, ctx, seed, stats, options_.core,
-        PackEngineOptions{options_.layout, options_.tile, true});
+  const std::size_t restarts = std::max<std::size_t>(1, options_.core.restarts);
+  if (options_.share_j && restarts > 1 &&
+      passes_slot_gate(cop.num_spins(), restarts,
+                       std::max<std::size_t>(1, options_.core.replicas),
+                       /*share_j=*/true)) {
+    return ising_core_solve_shared_restarts(cop, ctx, seed, stats,
+                                            options_.core, options_.tile);
   }
   // A lone instance takes the standalone path — bit-identical to
   // IsingCoreSolver with the same core options, no packing overhead.
@@ -650,30 +661,6 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
                                          std::span<const std::uint64_t> seeds,
                                          std::span<ColumnSetting> out,
                                          std::span<CoreSolveStats> stats) const {
-  // Shared-J restart packing: members of one pack must share a model, so
-  // each instance becomes its own pack of restart attempts; the pool then
-  // parallelizes across instances exactly as it would across chunks.
-  if (options_.share_j &&
-      std::max<std::size_t>(1, options_.core.restarts) > 1) {
-    const PackEngineOptions engine_opts{options_.layout, options_.tile, true};
-    auto run_one = [&](std::size_t i) {
-      out[i] = ising_core_solve_shared_restarts(cops[i], ctx, seeds[i],
-                                                &stats[i], options_.core,
-                                                engine_opts);
-    };
-    if (ctx.parallel() && cops.size() > 1) {
-      ThreadPool& pool = ctx.pool();
-      if (pool.thread_count() > 1) {
-        pool.parallel_for(cops.size(), run_one);
-        return;
-      }
-    }
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      run_one(i);
-    }
-    return;
-  }
-
   // Sort instances by num_spins (stable, so same-shape batches — the
   // DALTA case, where all P candidates share the r x c shape — keep input
   // order), then carve chunks of at most `pack` members. Sizes may mix
@@ -690,12 +677,21 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
                      return cops[a].num_spins() < cops[b].num_spins();
                    });
 
-  const std::size_t pack = std::max<std::size_t>(1, options_.pack);
-  struct Chunk {
+  // Under shared-J restart packing the members of one pack must share a
+  // model, so every instance is its own unit and do_solve packs its
+  // restart attempts instead.
+  const std::size_t replicas = std::max<std::size_t>(1, options_.core.replicas);
+  const std::size_t pack =
+      options_.share_j && std::max<std::size_t>(1, options_.core.restarts) > 1
+          ? 1
+          : std::max<std::size_t>(1, options_.pack);
+  // Work units: packed chunks, plus single instances solved on their own —
+  // leftovers and every member of a chunk that fails the slot gate.
+  struct Unit {
     std::size_t begin;
     std::size_t end;
   };
-  std::vector<Chunk> chunks;
+  std::vector<Unit> units;
   for (std::size_t i = 0; i < order.size();) {
     std::size_t j = i;
     std::size_t own_volume = 0;
@@ -709,32 +705,45 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
       own_volume = own;
       ++j;
     }
-    chunks.push_back({i, j});
+    if (j - i > 1 && !passes_slot_gate(cops[order[j - 1]].num_spins(), j - i,
+                                       replicas, /*share_j=*/false)) {
+      for (std::size_t k = i; k < j; ++k) {
+        units.push_back({k, k + 1});
+      }
+    } else {
+      units.push_back({i, j});
+    }
     i = j;
   }
 
-  const PackEngineOptions engine_opts{options_.layout, options_.tile, false};
-  auto run_chunk = [&](std::size_t c) {
-    const Chunk& chunk = chunks[c];
+  const PackEngineOptions engine_opts{.tile = options_.tile};
+  auto run_unit = [&](std::size_t u) {
+    const Unit& unit = units[u];
+    if (unit.end - unit.begin == 1) {
+      const std::size_t i = order[unit.begin];
+      out[i] = do_solve(cops[i], ctx, seeds[i], &stats[i]);
+      return;
+    }
     solve_packed_chunk(cops, ctx, seeds, out, stats,
-                       std::span<const std::size_t>(order.data() + chunk.begin,
-                                                    chunk.end - chunk.begin),
+                       std::span<const std::size_t>(order.data() + unit.begin,
+                                                    unit.end - unit.begin),
                        options_.core, engine_opts);
   };
 
-  // Parallelism across whole packs: each chunk's engine run is serial
-  // (members are tiny; SIMD across members does the intra-pack work), so
-  // chunks are the natural unit for the pool. A nested call from inside a
-  // caller's parallel_for runs inline via the pool's nesting guard.
-  if (ctx.parallel() && chunks.size() > 1) {
+  // Parallelism across units: each chunk's engine run is serial (members
+  // are tiny; SIMD across members does the intra-pack work), so packs and
+  // standalone solves are the natural units for the pool — the same
+  // fan-out looped solves get. A nested call from inside a caller's
+  // parallel_for runs inline via the pool's nesting guard.
+  if (ctx.parallel() && units.size() > 1) {
     ThreadPool& pool = ctx.pool();
     if (pool.thread_count() > 1) {
-      pool.parallel_for(chunks.size(), run_chunk);
+      pool.parallel_for(units.size(), run_unit);
       return;
     }
   }
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    run_chunk(c);
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    run_unit(u);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include "core/column_cop.hpp"
 #include "ising/bsb.hpp"
-#include "ising/bsb_pack.hpp"
 #include "ising/doch.hpp"
 #include "ising/sa.hpp"
 #include "ising/simcim.hpp"
@@ -195,11 +194,16 @@ class IsingCoreSolver final : public CoreCopSolver {
 /// them into chunks of at most `pack` members; neighboring sizes share a
 /// chunk (the engine pads smaller members with inert spins) as long as the
 /// padded volume stays within 25% of the members' own sum of n^2, so a
-/// straggler size no longer forces its own under-filled pack. When the
-/// context allows parallelism, whole chunks are distributed over
-/// ctx.pool(): parallelism across packs, SIMD across members, replicas
-/// inside the engine. Under `share_j` with restarts > 1, each instance
-/// instead becomes its own shared-model pack of restart attempts.
+/// straggler size no longer forces its own under-filled pack. It is also
+/// the one place that decides whether a chunk is packed at all: a chunk
+/// whose per-slot planes would outgrow the slot gate (n_max^2 * members >
+/// 4 MiB of doubles) or that runs more than 8 replicas is solved member by
+/// member through the standalone solve instead. When the context allows
+/// parallelism, packed chunks and unpacked members are distributed over
+/// ctx.pool() together: parallelism across packs and solves, SIMD across
+/// members, replicas inside the engine. Under `share_j` with restarts > 1,
+/// each instance instead becomes its own shared-model pack of restart
+/// attempts (while at most 8 replicas run).
 class PackedCoreCopSolver final : public CoreCopSolver {
  public:
   struct Options {
@@ -210,9 +214,6 @@ class PackedCoreCopSolver final : public CoreCopSolver {
 
     /// Maximum members per packed engine run (the K of `pack=K`).
     std::size_t pack = 16;
-
-    /// Engine layout; kAuto picks slots at replicas <= 2, blocks above.
-    PackLayout layout = PackLayout::kAuto;
 
     /// Slot-tile width forwarded to the engine (`pack-tile=K`; 0 = auto,
     /// the engine's measured working-set model).

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <stdexcept>
 
-#include "core/portfolio_solver.hpp"
 #include "ising/kernels/force_kernels.hpp"
 
 namespace adsd {
@@ -206,7 +205,7 @@ const SolverRegistry& SolverRegistry::global() {
            {"n", "replicas", "restarts", "theorem3", "anti-collapse",
             "polish", "seed-init", "max-iter", "dt", "discrete", "kernel",
             "stop", "stop-interval", "stop-window", "stop-epsilon", "pack",
-            "pack-layout", "pack-tile", "pack-share-j"},
+            "pack-tile", "pack-share-j"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
@@ -239,10 +238,8 @@ const SolverRegistry& SolverRegistry::global() {
                PackedCoreCopSolver::Options packed;
                packed.core = options;
                packed.pack = pack;
-               packed.layout = parse_pack_layout(
-                   c.get_string("pack-layout", "auto"));
-               // pack-tile=auto|<slots>: slot-tile width of the slot
-               // layout (0 = the engine's measured working-set model).
+               // pack-tile=auto|<slots>: slot-tile width of the pack
+               // engine (0 = its measured working-set model).
                const std::string tile = c.get_string("pack-tile", "auto");
                if (tile != "auto") {
                  std::size_t width = 0;
@@ -260,8 +257,7 @@ const SolverRegistry& SolverRegistry::global() {
                packed.share_j = c.get_bool("pack-share-j", false);
                return std::make_unique<PackedCoreCopSolver>(packed);
              }
-             for (const char* key :
-                  {"pack-layout", "pack-tile", "pack-share-j"}) {
+             for (const char* key : {"pack-tile", "pack-share-j"}) {
                if (c.has(key)) {
                  throw std::invalid_argument("solver 'prop': '" +
                                              std::string(key) +
@@ -378,76 +374,6 @@ const SolverRegistry& SolverRegistry::global() {
                  c.get_string("kernel", "auto"));
              apply_stop_keys(c, options.doch.stop, options.sb.stop);
              return std::make_unique<IsingCoreSolver>(options);
-           }});
-
-    r.add({"portfolio",
-           "Racing meta-solver: members race on the same seed, strictly "
-           "best objective wins (ties to the anchor)",
-           {},
-           {"members", "budget-ms", "mode", "min-trials", "prune-below",
-            "n", "replicas", "kernel"},
-           [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
-             PortfolioCoreSolver::Options opt;
-             opt.member_specs.clear();
-             const std::string members =
-                 c.get_string("members", "prop|simcim|doch");
-             // The registry is fully built by the time factories run, so
-             // nested lookups (member validation, shared-key forwarding)
-             // are safe here.
-             const SolverRegistry& reg = SolverRegistry::global();
-             std::size_t start = 0;
-             while (start <= members.size()) {
-               const std::size_t bar = members.find('|', start);
-               const std::string m =
-                   members.substr(start, bar == std::string::npos
-                                             ? std::string::npos
-                                             : bar - start);
-               if (!m.empty()) {
-                 const SolverRegistry::Entry* member_entry = reg.find(m);
-                 if (member_entry == nullptr) {
-                   // Route through make() for the enumerating error text.
-                   (void)reg.make(m);
-                 }
-                 // Forward the shared shape/tuning keys to every member
-                 // that takes them, so "portfolio,n=9,replicas=4" sizes
-                 // the whole roster consistently.
-                 std::string spec = m;
-                 for (const char* key : {"n", "replicas", "kernel"}) {
-                   if (c.has(key) &&
-                       std::find(member_entry->keys.begin(),
-                                 member_entry->keys.end(),
-                                 key) != member_entry->keys.end()) {
-                     spec += std::string(",") + key + "=" +
-                             c.get_string(key, "");
-                   }
-                 }
-                 opt.member_specs.push_back(std::move(spec));
-               }
-               if (bar == std::string::npos) {
-                 break;
-               }
-               start = bar + 1;
-             }
-             if (opt.member_specs.empty()) {
-               throw std::invalid_argument(
-                   "solver 'portfolio': 'members' must name at least one "
-                   "solver ('a|b|c')");
-             }
-             opt.budget_ms = c.get_double("budget-ms", 0.0);
-             const std::string mode = c.get_string("mode", "race");
-             if (mode == "race") {
-               opt.mode = PortfolioCoreSolver::Mode::kRace;
-             } else if (mode == "adapt") {
-               opt.mode = PortfolioCoreSolver::Mode::kAdapt;
-             } else {
-               throw std::invalid_argument(
-                   "solver 'portfolio': mode '" + mode +
-                   "' is not one of race, adapt");
-             }
-             opt.min_trials = c.get_size("min-trials", opt.min_trials);
-             opt.prune_below =
-                 c.get_double("prune-below", opt.prune_below);
-             return std::make_unique<PortfolioCoreSolver>(opt);
            }});
 
     r.add({"dalta",

@@ -14,35 +14,6 @@
 
 namespace adsd {
 
-const char* pack_layout_name(PackLayout layout) {
-  switch (layout) {
-    case PackLayout::kAuto:
-      return "auto";
-    case PackLayout::kSlots:
-      return "slots";
-    case PackLayout::kBlocks:
-      return "blocks";
-  }
-  return "auto";
-}
-
-PackLayout parse_pack_layout(const std::string& name) {
-  for (PackLayout layout :
-       {PackLayout::kAuto, PackLayout::kSlots, PackLayout::kBlocks}) {
-    if (name == pack_layout_name(layout)) {
-      return layout;
-    }
-  }
-  throw std::invalid_argument("unknown pack layout '" + name +
-                              "' (valid: auto, slots, blocks)");
-}
-
-BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
-                             const SbParams& params, std::size_t replicas,
-                             PackLayout layout)
-    : BsbPackEngine(members, params, replicas,
-                    PackEngineOptions{layout, 0, false}) {}
-
 BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
                              const SbParams& params, std::size_t replicas,
                              const PackEngineOptions& options)
@@ -93,30 +64,11 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
     }
   }
 
-  // Auto policy: the slot layout streams per-slot union-pattern coupling
-  // rows (at most n*n doubles per slot; the gate uses that conservative
-  // bound, computed before the union exists) every force pass, so it is
-  // gated on that working set staying near cache size; tiling (below)
-  // keeps each tile's share L2-resident across a sampling block, and
-  // shared-J drops the per-slot planes entirely, so a shared pack always
-  // takes the slot layout. Past the gate the composite-CSR layout wins:
-  // no cross-member pattern union, memory linear in the members' own
-  // edge counts.
-  constexpr std::size_t kSlotPlaneDoubles = (4u << 20) / sizeof(double);
-  layout_ = options.layout == PackLayout::kAuto
-                ? ((share_j_ || n_ * n_ * S_ <= kSlotPlaneDoubles) && R_ <= 8
-                       ? PackLayout::kSlots
-                       : PackLayout::kBlocks)
-                : options.layout;
-  if (share_j_ && layout_ != PackLayout::kSlots) {
-    throw std::invalid_argument(
-        "BsbPackEngine: share_j requires the slots layout");
-  }
-
   // Per-member c0 from the member's own coupling RMS and spin count — the
   // exact standalone expression, so a packed member integrates with the
-  // same coupling strength it would alone.
-  c0_.resize(M);
+  // same coupling strength it would alone. Slot m starts out holding
+  // member m; retirement swaps c0 along with the rest of the slot state.
+  c0_slot_.resize(M);
   for (std::size_t m = 0; m < M; ++m) {
     double c0 = params_.c0;
     if (c0 <= 0.0) {
@@ -126,200 +78,139 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
                      (rms * std::sqrt(static_cast<double>(nspins_[m])))
                : 1.0;
     }
-    c0_[m] = c0;
+    c0_slot_[m] = c0;
   }
 
-  if (layout_ == PackLayout::kSlots) {
-    // Union sparsity pattern across the members (ascending columns per
-    // row): the weight planes and the pack kernels cover only the columns
-    // SOME member actually couples, so columns that are structural zeros
-    // in every slot cost neither bandwidth nor flops. DALTA packs carve
-    // same-template instances, whose union is ~one member's edge count —
-    // half the dense plane on the K = 64 bench point. Dropping a column
-    // that is zero in every slot removes only +-0.0 addends from the
-    // h-seeded accumulators, and the surviving edges keep their ascending
-    // order, so every partial sum — and therefore every trajectory — is
-    // bit-identical to the dense iteration. One bitset sweep per row
-    // (finalize() stores neighbors ascending; extraction re-sorts anyway).
-    const std::size_t words = (n_ + 63) / 64;
-    std::vector<std::uint64_t> rowbits(words);
-    urow_start_.assign(n_ + 1, 0);
-    ucols_.clear();
-    const std::size_t scan = share_j_ ? 1 : M;
+  // Union sparsity pattern across the members (ascending columns per
+  // row): the weight planes and the pack kernels cover only the columns
+  // SOME member actually couples, so columns that are structural zeros
+  // in every slot cost neither bandwidth nor flops. DALTA packs carve
+  // same-template instances, whose union is ~one member's edge count —
+  // half the dense plane on the K = 64 bench point. Dropping a column
+  // that is zero in every slot removes only +-0.0 addends from the
+  // h-seeded accumulators, and the surviving edges keep their ascending
+  // order, so every partial sum — and therefore every trajectory — is
+  // bit-identical to the dense iteration. One bitset sweep per row
+  // (finalize() stores neighbors ascending; extraction re-sorts anyway).
+  const std::size_t words = (n_ + 63) / 64;
+  std::vector<std::uint64_t> rowbits(words);
+  urow_start_.assign(n_ + 1, 0);
+  ucols_.clear();
+  const std::size_t scan = share_j_ ? 1 : M;
+  for (std::size_t i = 0; i < n_; ++i) {
+    std::fill(rowbits.begin(), rowbits.end(), 0);
+    for (std::size_t m = 0; m < scan; ++m) {
+      if (i >= nspins_[m]) {
+        continue;
+      }
+      for (const auto& [j, w] : members_[m].model->neighbors(i)) {
+        rowbits[static_cast<std::size_t>(j) >> 6] |=
+            std::uint64_t{1} << (static_cast<std::size_t>(j) & 63);
+      }
+    }
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = rowbits[w];
+      while (bits != 0) {
+        ucols_.push_back(static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+        bits &= bits - 1;
+      }
+    }
+    urow_start_[i + 1] = static_cast<std::uint32_t>(ucols_.size());
+  }
+  uedges_ = ucols_.size();
+
+  // Slot-tile width: explicit request wins; auto sizes each tile so its
+  // per-slot coupling rows (uedges * tile doubles) fit in ~1 MB — half
+  // a typical L2 — leaving room for the tile's state planes. Measured
+  // on this host class (K = 64, n = 64): contiguous 1 MB tiles advanced
+  // a whole sampling block at a time run the force+Euler loop ~2.4x
+  // faster than a monolithic 2 MB plane, which is L1-fill-bound when
+  // streamed every step. Under shared-J there is no per-slot coupling
+  // plane, so the tile defaults to the whole pack.
+  if (options.tile > 0) {
+    tile_ = std::min(options.tile, S_);
+  } else if (share_j_) {
+    tile_ = S_;
+  } else {
+    constexpr std::size_t kTileTargetDoubles = (1u << 20) / sizeof(double);
+    std::size_t t = kTileTargetDoubles / std::max<std::size_t>(uedges_, 1);
+    t = std::max<std::size_t>(t - t % 8, 8);
+    tile_ = std::min(t, S_);
+  }
+  tiles_ = (S_ + tile_ - 1) / tile_;
+  xstride_ = n_ * R_ * tile_;
+  hstride_ = n_ * tile_;
+  wstride_ = uedges_ * tile_;
+  x_.assign(tiles_ * xstride_, 0.0);
+  y_.assign(tiles_ * xstride_, 0.0);
+  force_.assign(tiles_ * xstride_, 0.0);
+
+  // Per-slot union weight/bias planes, tile-major: wp[wpos(e, s)] is
+  // slot s's weight on union edge e, 0.0 where that slot lacks the edge
+  // (or where the edge's row is a padded row of a smaller member).
+  // Under shared-J one weight per union edge replaces them all.
+  hp_.assign(tiles_ * hstride_, 0.0);
+  if (share_j_) {
+    // The union of one model IS its own pattern, so the shared weights
+    // are the model's CSR values in edge order.
+    wj_.assign(uedges_, 0.0);
+    const IsingModel& model = *members_[0].model;
+    std::size_t e = 0;
     for (std::size_t i = 0; i < n_; ++i) {
-      std::fill(rowbits.begin(), rowbits.end(), 0);
-      for (std::size_t m = 0; m < scan; ++m) {
-        if (i >= nspins_[m]) {
-          continue;
-        }
-        for (const auto& [j, w] : members_[m].model->neighbors(i)) {
-          rowbits[static_cast<std::size_t>(j) >> 6] |=
-              std::uint64_t{1} << (static_cast<std::size_t>(j) & 63);
-        }
+      for (const auto& [j, w] : model.neighbors(i)) {
+        wj_[e++] = w;
       }
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = rowbits[w];
-        while (bits != 0) {
-          ucols_.push_back(static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
-          bits &= bits - 1;
-        }
-      }
-      urow_start_[i + 1] = static_cast<std::uint32_t>(ucols_.size());
     }
-    uedges_ = ucols_.size();
-
-    // Slot-tile width: explicit request wins; auto sizes each tile so its
-    // per-slot coupling rows (uedges * tile doubles) fit in ~1 MB — half
-    // a typical L2 — leaving room for the tile's state planes. Measured
-    // on this host class (K = 64, n = 64): contiguous 1 MB tiles advanced
-    // a whole sampling block at a time run the force+Euler loop ~2.4x
-    // faster than a monolithic 2 MB plane, which is L1-fill-bound when
-    // streamed every step. Under shared-J there is no per-slot coupling
-    // plane, so the tile defaults to the whole pack.
-    if (options.tile > 0) {
-      tile_ = std::min(options.tile, S_);
-    } else if (share_j_) {
-      tile_ = S_;
-    } else {
-      constexpr std::size_t kTileTargetDoubles = (1u << 20) / sizeof(double);
-      std::size_t t = kTileTargetDoubles / std::max<std::size_t>(uedges_, 1);
-      t = std::max<std::size_t>(t - t % 8, 8);
-      tile_ = std::min(t, S_);
+  } else {
+    wp_.assign(tiles_ * wstride_, 0.0);
+  }
+  slot_of_member_.resize(M);
+  member_of_slot_.resize(M);
+  for (std::size_t m = 0; m < M; ++m) {
+    slot_of_member_[m] = m;
+    member_of_slot_[m] = m;
+    const IsingModel& model = *members_[m].model;
+    double* hm = hp_.data() + (m / tile_) * hstride_ + m % tile_;
+    for (std::size_t i = 0; i < nspins_[m]; ++i) {
+      hm[i * tile_] = model.bias(i);
     }
-    tiles_ = (S_ + tile_ - 1) / tile_;
-    xstride_ = n_ * R_ * tile_;
-    hstride_ = n_ * tile_;
-    wstride_ = uedges_ * tile_;
-    x_.assign(tiles_ * xstride_, 0.0);
-    y_.assign(tiles_ * xstride_, 0.0);
-    force_.assign(tiles_ * xstride_, 0.0);
-
-    // Per-slot union weight/bias planes, tile-major: wp[wpos(e, s)] is
-    // slot s's weight on union edge e, 0.0 where that slot lacks the edge
-    // (or where the edge's row is a padded row of a smaller member).
-    // Under shared-J one weight per union edge replaces them all.
-    hp_.assign(tiles_ * hstride_, 0.0);
-    if (share_j_) {
-      // The union of one model IS its own pattern, so the shared weights
-      // are the model's CSR values in edge order.
-      wj_.assign(uedges_, 0.0);
-      const IsingModel& model = *members_[0].model;
-      std::size_t e = 0;
+  }
+  // Weight-plane fill, row-outer/slot-inner: all slots of a tile write
+  // row i's union block while it is hot, instead of each member
+  // streaming the whole multi-MB plane with partial-line writes. Plane
+  // construction is on the packed path's critical path — the engine is
+  // rebuilt per restart attempt. The member's ascending neighbors merge
+  // into the ascending union slice with one forward cursor per slot.
+  if (!share_j_) {
+    for (std::size_t t = 0; t < tiles_; ++t) {
+      const std::size_t base = t * tile_;
+      const std::size_t at = std::min(tile_, S_ - base);
+      double* wt = wp_.data() + t * wstride_;
       for (std::size_t i = 0; i < n_; ++i) {
-        for (const auto& [j, w] : model.neighbors(i)) {
-          wj_[e++] = w;
-        }
-      }
-    } else {
-      wp_.assign(tiles_ * wstride_, 0.0);
-    }
-    slot_of_member_.resize(M);
-    member_of_slot_.resize(M);
-    c0_slot_.resize(M);
-    for (std::size_t m = 0; m < M; ++m) {
-      slot_of_member_[m] = m;
-      member_of_slot_[m] = m;
-      c0_slot_[m] = c0_[m];
-      const IsingModel& model = *members_[m].model;
-      double* hm = hp_.data() + (m / tile_) * hstride_ + m % tile_;
-      for (std::size_t i = 0; i < nspins_[m]; ++i) {
-        hm[i * tile_] = model.bias(i);
-      }
-    }
-    // Weight-plane fill, row-outer/slot-inner: all slots of a tile write
-    // row i's union block while it is hot, instead of each member
-    // streaming the whole multi-MB plane with partial-line writes. Plane
-    // construction is on the packed path's critical path — the engine is
-    // rebuilt per restart attempt. The member's ascending neighbors merge
-    // into the ascending union slice with one forward cursor per slot.
-    if (!share_j_) {
-      for (std::size_t t = 0; t < tiles_; ++t) {
-        const std::size_t base = t * tile_;
-        const std::size_t at = std::min(tile_, S_ - base);
-        double* wt = wp_.data() + t * wstride_;
-        for (std::size_t i = 0; i < n_; ++i) {
-          double* wrow = wt + static_cast<std::size_t>(urow_start_[i]) * tile_;
-          for (std::size_t u = 0; u < at; ++u) {
-            const std::size_t m = base + u;
-            if (i >= nspins_[m]) {
-              continue;
-            }
-            std::size_t e = urow_start_[i];
-            for (const auto& [j, w] : members_[m].model->neighbors(i)) {
-              while (ucols_[e] != static_cast<std::uint32_t>(j)) {
-                ++e;
-              }
-              wrow[(e - urow_start_[i]) * tile_ + u] = w;
+        double* wrow = wt + static_cast<std::size_t>(urow_start_[i]) * tile_;
+        for (std::size_t u = 0; u < at; ++u) {
+          const std::size_t m = base + u;
+          if (i >= nspins_[m]) {
+            continue;
+          }
+          std::size_t e = urow_start_[i];
+          for (const auto& [j, w] : members_[m].model->neighbors(i)) {
+            while (ucols_[e] != static_cast<std::uint32_t>(j)) {
               ++e;
             }
+            wrow[(e - urow_start_[i]) * tile_ + u] = w;
+            ++e;
           }
         }
       }
     }
-    pack_kernel_ = kernels::select_pack_force_kernel(params_.kernel,
-                                                     cpu_features(), share_j_);
-    pack_fn_ = params_.discrete ? pack_kernel_.discrete
-                                : pack_kernel_.continuous;
-    kernel_name_ = pack_kernel_.name;
-  } else {
-    // Composite block-diagonal CSR: member m occupies rows/cols
-    // [row_base_[m], row_base_[m + 1]) — the spin-count prefix, so
-    // mixed-n members stack without padding — in the standard
-    // replica-contiguous layout; the existing per-instance force kernels
-    // run one active block's row range at a time, unchanged. The dense
-    // axis is unavailable (no composite dense plane), so a kDense request
-    // falls to the widest CSR ISA — still bit-identical.
-    row_base_.assign(M + 1, 0);
-    for (std::size_t m = 0; m < M; ++m) {
-      row_base_[m + 1] = row_base_[m] + nspins_[m];
-    }
-    const std::size_t rows = row_base_[M];
-    x_.assign(rows * R_, 0.0);
-    y_.assign(rows * R_, 0.0);
-    force_.assign(rows * R_, 0.0);
-    row_start_.assign(rows + 1, 0);
-    std::size_t nnz = 0;
-    for (std::size_t m = 0; m < M; ++m) {
-      const IsingModel& model = *members_[m].model;
-      for (std::size_t i = 0; i < nspins_[m]; ++i) {
-        nnz += model.neighbors(i).size();
-        row_start_[row_base_[m] + i + 1] = nnz;
-      }
-    }
-    cols_.resize(nnz);
-    weights_.resize(nnz);
-    h_.resize(rows);
-    for (std::size_t m = 0; m < M; ++m) {
-      const IsingModel& model = *members_[m].model;
-      const std::uint32_t col_base = static_cast<std::uint32_t>(row_base_[m]);
-      for (std::size_t i = 0; i < nspins_[m]; ++i) {
-        h_[row_base_[m] + i] = model.bias(i);
-        std::size_t e = row_start_[row_base_[m] + i];
-        for (const auto& [j, w] : model.neighbors(i)) {
-          cols_[e] = col_base + j;
-          weights_[e] = w;
-          ++e;
-        }
-      }
-    }
-    block_active_.assign(M, 1);
-    block_kernel_ = kernels::select_force_kernel(params_.kernel,
-                                                 cpu_features(),
-                                                 /*dense_available=*/false);
-    force_fn_ = params_.discrete ? block_kernel_.discrete
-                                 : block_kernel_.continuous;
-    kernel_name_ = block_kernel_.name;
-    planes_ = kernels::ForcePlanes{};
-    planes_.x = x_.data();
-    planes_.force = force_.data();
-    planes_.h = h_.data();
-    planes_.row_start = row_start_.data();
-    planes_.cols = cols_.data();
-    planes_.weights = weights_.data();
-    planes_.n = rows;
-    planes_.replicas = R_;
   }
+  pack_kernel_ = kernels::select_pack_force_kernel(params_.kernel,
+                                                   cpu_features(), share_j_);
+  pack_fn_ = params_.discrete ? pack_kernel_.discrete
+                              : pack_kernel_.continuous;
+  kernel_name_ = pack_kernel_.name;
 
   // Standalone replica seeding per member: Rng(seed + r * 0x9e3779b9),
   // x from initial_positions first, then the momenta sweep over the
@@ -333,21 +224,11 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
       Rng rng(member.seed + 0x9e3779b9u * r);
       if (!member.initial_positions.empty()) {
         for (std::size_t i = 0; i < nm; ++i) {
-          const double xi = member.initial_positions[i];
-          if (layout_ == PackLayout::kSlots) {
-            x_[xpos(i * R_ + r, m)] = xi;
-          } else {
-            x_[(row_base_[m] + i) * R_ + r] = xi;
-          }
+          x_[xpos(i * R_ + r, m)] = member.initial_positions[i];
         }
       }
       for (std::size_t i = 0; i < nm; ++i) {
-        const double yi = rng.next_double(-0.1, 0.1);
-        if (layout_ == PackLayout::kSlots) {
-          y_[xpos(i * R_ + r, m)] = yi;
-        } else {
-          y_[(row_base_[m] + i) * R_ + r] = yi;
-        }
+        y_[xpos(i * R_ + r, m)] = rng.next_double(-0.1, 0.1);
       }
     }
   }
@@ -374,10 +255,7 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
 }
 
 double BsbPackEngine::member_x(std::size_t m, std::size_t lane) const {
-  if (layout_ == PackLayout::kSlots) {
-    return x_[xpos(lane, slot_of_member_[m])];
-  }
-  return x_[row_base_[m] * R_ + lane];
+  return x_[xpos(lane, slot_of_member_[m])];
 }
 
 void BsbPackEngine::gather_member(std::size_t m, std::vector<double>& x_out,
@@ -401,113 +279,66 @@ void BsbPackEngine::scatter_member(std::size_t m,
   }
 }
 
+kernels::PackForcePlanes BsbPackEngine::tile_planes(std::size_t t) {
+  kernels::PackForcePlanes pp;
+  pp.x = x_.data() + t * xstride_;
+  pp.force = force_.data() + t * xstride_;
+  pp.hp = hp_.data() + t * hstride_;
+  pp.wp = share_j_ ? nullptr : wp_.data() + t * wstride_;
+  pp.wj = share_j_ ? wj_.data() : nullptr;
+  pp.urow_start = urow_start_.data();
+  pp.ucols = ucols_.data();
+  pp.n = n_;
+  pp.replicas = R_;
+  pp.slots = tile_;
+  pp.active = std::min(tile_, active_ - t * tile_);
+  return pp;
+}
+
 void BsbPackEngine::compute_forces() {
   // No pool sharding here: members are tiny by design and callers
   // parallelize across whole packs instead (PackedCoreCopSolver).
-  if (layout_ == PackLayout::kSlots) {
-    for (std::size_t t = 0; t < tiles_; ++t) {
-      const std::size_t base = t * tile_;
-      if (base >= active_) {
-        break;
-      }
-      kernels::PackForcePlanes pp;
-      pp.x = x_.data() + t * xstride_;
-      pp.force = force_.data() + t * xstride_;
-      pp.hp = hp_.data() + t * hstride_;
-      pp.wp = share_j_ ? nullptr : wp_.data() + t * wstride_;
-      pp.wj = share_j_ ? wj_.data() : nullptr;
-      pp.urow_start = urow_start_.data();
-      pp.ucols = ucols_.data();
-      pp.n = n_;
-      pp.replicas = R_;
-      pp.slots = tile_;
-      pp.active = std::min(tile_, active_ - base);
-      pack_fn_(pp, 0, n_);
-    }
-    return;
-  }
-  for (std::size_t m = 0; m < members_.size(); ++m) {
-    if (block_active_[m] != 0) {
-      force_fn_(planes_, row_base_[m], row_base_[m + 1]);
-    }
+  for (std::size_t t = 0; t * tile_ < active_; ++t) {
+    pack_fn_(tile_planes(t), 0, n_);
   }
 }
 
 void BsbPackEngine::advance(std::size_t steps) {
-  // Time-blocked tile advance: each tile (kSlots) or member block
-  // (kBlocks) runs the whole inter-sampling block of steps before the
-  // next one starts, so its coupling planes stay cache-resident across
-  // the block instead of being streamed once per step. Members only
-  // interact with shared engine state at sampling points — there is none
-  // inside a block — and the pump ramp depends only on the step index,
-  // so the tile-outer order is bit-identical to the step-outer order.
+  // Time-blocked tile advance: each tile runs the whole inter-sampling
+  // block of steps before the next one starts, so its coupling planes
+  // stay cache-resident across the block instead of being streamed once
+  // per step. Members only interact with shared engine state at sampling
+  // points — there is none inside a block — and the pump ramp depends
+  // only on the step index, so the tile-outer order is bit-identical to
+  // the step-outer order.
   const auto total = static_cast<double>(params_.max_iterations);
   const double dt = params_.dt;
   const double detuning = params_.detuning;
-  if (layout_ == PackLayout::kSlots) {
-    for (std::size_t t = 0; t < tiles_; ++t) {
-      const std::size_t base = t * tile_;
-      if (base >= active_) {
-        break;
-      }
-      const std::size_t at = std::min(tile_, active_ - base);
-      kernels::PackForcePlanes pp;
-      pp.x = x_.data() + t * xstride_;
-      pp.force = force_.data() + t * xstride_;
-      pp.hp = hp_.data() + t * hstride_;
-      pp.wp = share_j_ ? nullptr : wp_.data() + t * wstride_;
-      pp.wj = share_j_ ? wj_.data() : nullptr;
-      pp.urow_start = urow_start_.data();
-      pp.ucols = ucols_.data();
-      pp.n = n_;
-      pp.replicas = R_;
-      pp.slots = tile_;
-      pp.active = at;
-      double* xt = x_.data() + t * xstride_;
-      double* yt = y_.data() + t * xstride_;
-      const double* ft = force_.data() + t * xstride_;
-      const double* c0t = c0_slot_.data() + base;
-      for (std::size_t b = 0; b < steps; ++b) {
-        const double a = params_.detuning *
-                         (static_cast<double>(step_ + b) + 1.0) / total;
-        const double stiffness = detuning - a;
-        pack_fn_(pp, 0, n_);
-        for (std::size_t g = 0; g < n_ * R_; ++g) {
-          double* yg = yt + g * tile_;
-          double* xg = xt + g * tile_;
-          const double* fg = ft + g * tile_;
-          for (std::size_t u = 0; u < at; ++u) {
-            // Standalone expression tree per lane, with the slot's own c0.
-            yg[u] += dt * (-stiffness * xg[u] + c0t[u] * fg[u]);
-            const double xk = xg[u] + dt * detuning * yg[u];
-            const double lo = xk < -1.0 ? -1.0 : xk;
-            const double clamped = lo > 1.0 ? 1.0 : lo;
-            yg[u] = clamped == xk ? yg[u] : 0.0;
-            xg[u] = clamped;
-          }
-        }
-      }
-    }
-  } else {
-    for (std::size_t m = 0; m < members_.size(); ++m) {
-      if (block_active_[m] == 0) {
-        continue;
-      }
-      const double c0 = c0_[m];
-      const std::size_t lane_begin = row_base_[m] * R_;
-      const std::size_t lane_end = row_base_[m + 1] * R_;
-      for (std::size_t b = 0; b < steps; ++b) {
-        const double a = params_.detuning *
-                         (static_cast<double>(step_ + b) + 1.0) / total;
-        const double stiffness = detuning - a;
-        force_fn_(planes_, row_base_[m], row_base_[m + 1]);
-        for (std::size_t k = lane_begin; k < lane_end; ++k) {
-          y_[k] += dt * (-stiffness * x_[k] + c0 * force_[k]);
-          const double xk = x_[k] + dt * detuning * y_[k];
+  for (std::size_t t = 0; t * tile_ < active_; ++t) {
+    const std::size_t base = t * tile_;
+    const kernels::PackForcePlanes pp = tile_planes(t);
+    const std::size_t at = pp.active;
+    double* xt = x_.data() + t * xstride_;
+    double* yt = y_.data() + t * xstride_;
+    const double* ft = force_.data() + t * xstride_;
+    const double* c0t = c0_slot_.data() + base;
+    for (std::size_t b = 0; b < steps; ++b) {
+      const double a = params_.detuning *
+                       (static_cast<double>(step_ + b) + 1.0) / total;
+      const double stiffness = detuning - a;
+      pack_fn_(pp, 0, n_);
+      for (std::size_t g = 0; g < n_ * R_; ++g) {
+        double* yg = yt + g * tile_;
+        double* xg = xt + g * tile_;
+        const double* fg = ft + g * tile_;
+        for (std::size_t u = 0; u < at; ++u) {
+          // Standalone expression tree per lane, with the slot's own c0.
+          yg[u] += dt * (-stiffness * xg[u] + c0t[u] * fg[u]);
+          const double xk = xg[u] + dt * detuning * yg[u];
           const double lo = xk < -1.0 ? -1.0 : xk;
           const double clamped = lo > 1.0 ? 1.0 : lo;
-          y_[k] = clamped == xk ? y_[k] : 0.0;
-          x_[k] = clamped;
+          yg[u] = clamped == xk ? yg[u] : 0.0;
+          xg[u] = clamped;
         }
       }
     }
@@ -540,19 +371,11 @@ void BsbPackEngine::sample(std::size_t m) {
   // One base-pointer resolution per member, not one xpos() div/mod per
   // element: sampling runs once per member per sampling point and was
   // measurable against the time-blocked integration at K = 64.
-  const double* xm;
-  std::size_t stride;
-  if (layout_ == PackLayout::kSlots) {
-    const std::size_t s = slot_of_member_[m];
-    xm = x_.data() + (s / tile_) * xstride_ + s % tile_;
-    stride = tile_;
-  } else {
-    xm = x_.data() + row_base_[m] * R_;
-    stride = 1;
-  }
+  const std::size_t s = slot_of_member_[m];
+  const double* xm = x_.data() + (s / tile_) * xstride_ + s % tile_;
   for (std::size_t i = 0; i < nspins_[m]; ++i) {
     for (std::size_t r = 0; r < R_; ++r) {
-      const double xv = xm[(i * R_ + r) * stride];
+      const double xv = xm[(i * R_ + r) * tile_];
       const std::int8_t ns = xv >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
       if (ns != spins_[m * n_ * R_ + i * R_ + r]) {
         flip(m, i, r, ns);
@@ -696,12 +519,7 @@ std::vector<IsingSolveResult> BsbPackEngine::run(
     if (tracer != nullptr) {
       tracer->end(member_spans[m]);
     }
-    if (layout_ == PackLayout::kSlots) {
-      retire_slot(m);
-    } else {
-      block_active_[m] = 0;
-      --active_;
-    }
+    retire_slot(m);
   };
 
   // Deadline-at-entry: a pack started after the deadline expired (e.g. a
@@ -728,21 +546,12 @@ std::vector<IsingSolveResult> BsbPackEngine::run(
           continue;
         }
         if (plane_hook) {
-          if (layout_ == PackLayout::kBlocks) {
-            plane_hook(m,
-                       std::span<double>(x_.data() + row_base_[m] * R_,
-                                         nspins_[m] * R_),
-                       std::span<double>(y_.data() + row_base_[m] * R_,
-                                         nspins_[m] * R_),
-                       R_);
-          } else {
-            gather_member(m, scratch_x_, scratch_y_);
-            plane_hook(m,
-                       std::span<double>(scratch_x_.data(), nspins_[m] * R_),
-                       std::span<double>(scratch_y_.data(), nspins_[m] * R_),
-                       R_);
-            scatter_member(m, scratch_x_, scratch_y_);
-          }
+          gather_member(m, scratch_x_, scratch_y_);
+          plane_hook(m,
+                     std::span<double>(scratch_x_.data(), nspins_[m] * R_),
+                     std::span<double>(scratch_y_.data(), nspins_[m] * R_),
+                     R_);
+          scatter_member(m, scratch_x_, scratch_y_);
         }
         sample(m);
         const double best_now = consider_all(m, results[m]);

@@ -15,45 +15,25 @@ namespace adsd {
 
 class RunContext;
 
-/// How BsbPackEngine lays out the packed instances (DESIGN.md §4.7).
+/// BsbPackEngine's layout (DESIGN.md §4.7): slot-minor SoA — oscillator i
+/// of replica r of the instance in slot s at x[(i * R + r) * T + s % T] of
+/// slot tile s / T — with a per-slot weight plane over the UNION sparsity
+/// pattern of the members, advanced by the dedicated pack force kernels
+/// that vectorize ACROSS INSTANCES. This is the fast path for small replica
+/// counts (the DALTA hot path runs R = 1, where the per-instance kernels
+/// degenerate to scalar lanes); the union plane costs flops only for
+/// columns some member actually couples — DALTA packs share one template
+/// pattern, so the union is ~one member's edge count — which the
+/// full-width SIMD pays back many times over at R <= 2. Slots are grouped
+/// into contiguous cache-sized TILES of T slots each (see
+/// PackEngineOptions::tile), and each tile is advanced through a whole
+/// inter-sampling block of steps before the next tile runs, so its weight
+/// planes stay cache-resident across the block instead of being streamed
+/// once per step.
 ///
-///  - kSlots:  slot-minor SoA — oscillator i of replica r of the instance
-///             in slot s at x[(i * R + r) * T + s % T] of slot tile
-///             s / T — with a per-slot weight plane over the UNION
-///             sparsity pattern of the members, advanced by the dedicated
-///             pack force kernels that vectorize ACROSS INSTANCES. This is
-///             the fast path for small replica counts (the DALTA hot path
-///             runs R = 1, where the per-instance kernels degenerate to
-///             scalar lanes); the union plane costs flops only for columns
-///             some member actually couples — DALTA packs share one
-///             template pattern, so the union is ~one member's edge count
-///             — which the full-width SIMD pays back many times over at
-///             R <= 2. Slots are grouped into
-///             contiguous cache-sized TILES of T slots each (see
-///             PackEngineOptions::tile), and each tile is advanced through
-///             a whole inter-sampling block of steps before the next tile
-///             runs, so its weight planes stay cache-resident across the
-///             block instead of being streamed once per step.
-///  - kBlocks: one composite block-diagonal CSR — member m occupies the
-///             rows/columns [base_m, base_m + n_m) where base_m is the
-///             running spin-count prefix — in the standard
-///             replica-contiguous layout, advanced by the existing
-///             per-instance force kernels one active block's row range at
-///             a time. At R > 2 those kernels already fill the vector
-///             width across replicas, so the composite CSR keeps their
-///             flop count while amortizing per-solve overhead.
-///  - kAuto:   kSlots while the per-slot dense weight planes stay near
-///             cache size (n * n * slots <= 4 MB of doubles, R <= 8) or
-///             the pack shares one coupling matrix (no per-slot planes at
-///             all), else kBlocks.
-///
-/// Both layouts produce bit-identical results (every kernel tier shares
-/// the per-lane accumulation-order contract), so the choice is purely a
-/// throughput decision.
-enum class PackLayout { kAuto, kSlots, kBlocks };
-
-const char* pack_layout_name(PackLayout layout);
-PackLayout parse_pack_layout(const std::string& name);
+/// The engine packs whatever it is given; deciding whether a batch is worth
+/// packing at all (the per-slot planes' working set, the replica count) is
+/// PackedCoreCopSolver's job, which solves the rest member by member.
 
 /// One instance of a packed solve. The model must be finalized and
 /// outlive the engine; members may have DIFFERENT num_spins() — smaller
@@ -68,15 +48,12 @@ struct PackMember {
   std::span<const double> initial_positions = {};
 };
 
-/// Engine shape knobs beyond the layout (registry keys `pack-tile` and
-/// `pack-share-j`).
+/// Engine shape knobs (registry keys `pack-tile` and `pack-share-j`).
 struct PackEngineOptions {
-  PackLayout layout = PackLayout::kAuto;
-
-  /// Slot-tile width of the kSlots layout: the slot axis is carved into
-  /// contiguous tiles of this many slots, each with its own contiguous
-  /// x/y/force/hp/wp planes, and each tile is advanced through a whole
-  /// inter-sampling block of steps before the next tile runs. 0 = auto:
+  /// Slot-tile width: the slot axis is carved into contiguous tiles of
+  /// this many slots, each with its own contiguous x/y/force/hp/wp planes,
+  /// and each tile is advanced through a whole inter-sampling block of
+  /// steps before the next tile runs. 0 = auto:
   /// the measured working-set model picks the widest multiple of 8 whose
   /// per-tile coupling planes (union-edges * tile doubles) fit in ~1 MB —
   /// half this host class's L2 — so a tile's weights are loaded from
@@ -91,19 +68,18 @@ struct PackEngineOptions {
   /// (packed restart attempts / screening repeats of one instance). The
   /// engine then stores one weight per union edge instead of a per-slot
   /// plane and runs the broadcast-weight pack kernels — slots x less
-  /// weight traffic per force pass. kSlots only (auto layout always picks
-  /// kSlots when set); results stay bit-identical to non-shared packs.
+  /// weight traffic per force pass. Results stay bit-identical to
+  /// non-shared packs.
   bool share_j = false;
 };
 
 /// Per-member intervention hook: called at every sampling point for each
 /// live member with its state in the STANDALONE layout (element i of
 /// replica r at index i * replicas + r, n = the member's own spin count) —
-/// the same planes an SbBatchPlaneHook sees, plus the member index. In the
-/// kBlocks layout the spans alias engine storage (zero copy); in kSlots
-/// the engine gathers into a scratch plane before the call and scatters
+/// the same planes an SbBatchPlaneHook sees, plus the member index. The
+/// engine gathers into a scratch plane before the call and scatters
 /// mutations back, so hooks written against BsbBatchEngine (the Theorem-3
-/// reset) work unchanged and see bit-identical values either way.
+/// reset) work unchanged and see bit-identical values.
 using PackPlaneHook = std::function<void(
     std::size_t member, std::span<double> x, std::span<double> y,
     std::size_t replicas)>;
@@ -134,11 +110,10 @@ using PackPlaneHook = std::function<void(
 ///
 /// A member whose variance window closes (or whose context deadline has
 /// expired — retirement points double as the deadline checks for tiny
-/// solves) is retired immediately: in kSlots its slot is swap-compacted
-/// out of the active prefix (across tiles when needed) so the force
-/// kernels touch only live instances; in kBlocks its row range is simply
-/// skipped. The engine run ends when every member has retired or the
-/// shared pump ramp completes.
+/// solves) is retired immediately: its slot is swap-compacted out of the
+/// active prefix (across tiles when needed) so the force kernels touch
+/// only live instances. The engine run ends when every member has retired
+/// or the shared pump ramp completes.
 ///
 /// The shared SbParams supplies everything except seed/initial_positions,
 /// which come from each PackMember (SbParams.seed and
@@ -155,9 +130,7 @@ using PackPlaneHook = std::function<void(
 class BsbPackEngine {
  public:
   BsbPackEngine(std::span<const PackMember> members, const SbParams& params,
-                std::size_t replicas, PackLayout layout = PackLayout::kAuto);
-  BsbPackEngine(std::span<const PackMember> members, const SbParams& params,
-                std::size_t replicas, const PackEngineOptions& options);
+                std::size_t replicas, const PackEngineOptions& options = {});
 
   /// Attaches an execution context (must outlive the engine; nullptr
   /// detaches): deadline checks at retirement points, ising/pack/*
@@ -172,19 +145,15 @@ class BsbPackEngine {
   std::size_t replicas() const { return R_; }
   std::size_t steps_done() const { return step_; }
 
-  /// Resolved layout (never kAuto).
-  PackLayout layout() const { return layout_; }
-
-  /// Resolved slot-tile width (kSlots; equals the slot capacity when
-  /// tiling is moot, e.g. under shared-J or small packs).
+  /// Resolved slot-tile width (equals the slot capacity when tiling is
+  /// moot, e.g. under shared-J or small packs).
   std::size_t tile() const { return tile_; }
 
   /// True when the shared-J fast path is active.
   bool shared_j() const { return share_j_; }
 
   /// Resolved force-kernel name: "pack-scalar|pack-avx2|pack-avx512"
-  /// ("...-sharedj" under shared-J) in kSlots, the per-instance CSR
-  /// kernel name in kBlocks.
+  /// ("...-sharedj" under shared-J).
   const char* kernel_name() const { return kernel_name_; }
 
   /// One Euler step for every replica of every live member.
@@ -202,7 +171,7 @@ class BsbPackEngine {
   std::vector<IsingSolveResult> run(const PackPlaneHook& plane_hook = nullptr);
 
  private:
-  // kSlots tile-major plane offsets for global slot s (tile s / tile_,
+  // Tile-major plane offsets for global slot s (tile s / tile_,
   // in-tile index s % tile_). Group g of the state planes is (i * R + r).
   std::size_t xpos(std::size_t g, std::size_t s) const {
     return (s / tile_) * xstride_ + g * tile_ + s % tile_;
@@ -214,6 +183,8 @@ class BsbPackEngine {
     return (s / tile_) * wstride_ + k * tile_ + s % tile_;
   }
 
+  /// Kernel view of tile t's planes over its live slots.
+  kernels::PackForcePlanes tile_planes(std::size_t t);
   void advance(std::size_t steps);
   double member_x(std::size_t m, std::size_t lane) const;
   void gather_member(std::size_t m, std::vector<double>& x_out,
@@ -231,7 +202,6 @@ class BsbPackEngine {
   std::vector<PackMember> members_;
   SbParams params_;
   const RunContext* ctx_ = nullptr;
-  PackLayout layout_;
   bool share_j_ = false;
   std::size_t n_;                    // max member spin count (pack width)
   std::vector<std::size_t> nspins_;  // per member
@@ -241,9 +211,7 @@ class BsbPackEngine {
   std::size_t step_ = 0;
   const char* kernel_name_ = "pack-scalar";
 
-  std::vector<double> c0_;  // per member
-
-  // kSlots planes, tile-major: `tiles_` tiles of `tile_` slots each, every
+  // Planes, tile-major: `tiles_` tiles of `tile_` slots each, every
   // tile's planes contiguous (x/y/force: n * R * tile doubles; hp:
   // n * tile; wp: uedges * tile). A strided tile slice of one monolithic
   // plane reads only part of each cache line, so tiles are first-class
@@ -269,20 +237,7 @@ class BsbPackEngine {
   kernels::SelectedPackForceKernel pack_kernel_;
   kernels::PackForceRowsFn pack_fn_ = nullptr;
 
-  // kBlocks planes: composite block-diagonal CSR in the standard layout,
-  // member m at rows/cols [row_base_[m], row_base_[m + 1]).
-  std::vector<std::size_t> row_base_;   // S + 1 spin-count prefix
-  std::vector<std::size_t> row_start_;  // row_base_[S] + 1
-  AlignedVector<std::uint32_t> cols_;
-  AlignedVector<double> weights_;
-  AlignedVector<double> h_;
-  std::vector<std::uint8_t> block_active_;  // per member
-  kernels::SelectedForceKernel block_kernel_;
-  kernels::ForceRowsFn force_fn_ = nullptr;
-  kernels::ForcePlanes planes_;
-
-  // State planes (kSlots: tile-major slot-minor, tiles * xstride doubles;
-  // kBlocks: member-major standalone layout, row_base_[S] * R doubles).
+  // State planes, tile-major slot-minor: tiles * xstride doubles.
   AlignedVector<double> x_;
   AlignedVector<double> y_;
   AlignedVector<double> force_;
@@ -293,7 +248,7 @@ class BsbPackEngine {
   std::vector<double> energies_;      // M * R
   std::vector<std::uint8_t> dirty_;   // M * R
   std::vector<std::int8_t> scratch_spins_;  // member n
-  std::vector<double> scratch_x_;     // n * R hook gather plane (kSlots)
+  std::vector<double> scratch_x_;     // n * R hook gather plane
   std::vector<double> scratch_y_;
 };
 

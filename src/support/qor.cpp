@@ -214,38 +214,4 @@ std::string QorRecorder::to_json() const {
   return out.str();
 }
 
-void WinRateTable::record(std::string_view family, std::string_view member,
-                          bool won) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stat& s = stats_[{std::string(family), std::string(member)}];
-  ++s.trials;
-  if (won) {
-    ++s.wins;
-  }
-}
-
-WinRateTable::Stat WinRateTable::stat(std::string_view family,
-                                      std::string_view member) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = stats_.find({std::string(family), std::string(member)});
-  return it != stats_.end() ? it->second : Stat{};
-}
-
-double WinRateTable::win_rate(std::string_view family,
-                              std::string_view member) const {
-  const Stat s = stat(family, member);
-  return s.trials == 0 ? 1.0
-                       : static_cast<double>(s.wins) /
-                             static_cast<double>(s.trials);
-}
-
-std::uint64_t WinRateTable::total_trials() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [key, s] : stats_) {
-    total += s.trials;
-  }
-  return total;
-}
-
 }  // namespace adsd

@@ -145,40 +145,6 @@ class QorRecorder {
   std::vector<Final> finals_;
 };
 
-/// Cross-run win-rate accumulator for the portfolio meta-solver's adapt
-/// mode (DESIGN.md §4.8): counts, per (instance family, member) pair, how
-/// many races the member entered and how many it won. Families are short
-/// keys like "r5c12" (core-COP shape), so the table learns per-function-
-/// family which engines pay off and the portfolio can reorder/prune
-/// members on later rounds. Thread-safe (DALTA races from pool workers);
-/// lives for the solver's lifetime, independent of any RunContext, so the
-/// accumulated records span every run the solver serves.
-class WinRateTable {
- public:
-  struct Stat {
-    std::uint64_t trials = 0;
-    std::uint64_t wins = 0;
-  };
-
-  /// Records one race entry for `member` on `family`; `won` marks the race
-  /// winner (ties go to the configured anchor, so at most one win per race).
-  void record(std::string_view family, std::string_view member, bool won);
-
-  /// Totals for one (family, member) pair; zeros when never raced.
-  Stat stat(std::string_view family, std::string_view member) const;
-
-  /// Empirical win rate in [0, 1]; optimistic 1.0 when the pair has no
-  /// trials yet, so unexplored members sort ahead of known losers.
-  double win_rate(std::string_view family, std::string_view member) const;
-
-  /// Total race entries recorded across all pairs.
-  std::uint64_t total_trials() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::pair<std::string, std::string>, Stat> stats_;
-};
-
 /// Null-safe helpers mirroring trace_instant/trace_counter: sites record
 /// unconditionally and a disarmed recorder costs one pointer test. Callers
 /// that would pay to *build* the recorded value (string concatenation,

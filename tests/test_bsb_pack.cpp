@@ -57,7 +57,7 @@ IsingSolveResult standalone(const IsingModel& model, SbParams params,
 
 // ------------------------------------------------------- member bit parity
 
-TEST(BsbPackParity, MembersMatchStandaloneAcrossLayoutsAndReplicas) {
+TEST(BsbPackParity, MembersMatchStandaloneAcrossReplicas) {
   const auto models = member_models(5, 12, 101);
   SbParams params;
   params.max_iterations = 300;
@@ -66,26 +66,21 @@ TEST(BsbPackParity, MembersMatchStandaloneAcrossLayoutsAndReplicas) {
   params.stop.sample_interval = 5;
   params.stop.window = 6;
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    for (const std::size_t replicas :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      std::vector<PackMember> members;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        members.push_back({&models[m], 1000 + 7 * m, {}});
-      }
-      BsbPackEngine engine(members, params, replicas, layout);
-      const auto packed = engine.run();
-      ASSERT_EQ(packed.size(), models.size());
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto ref =
-            standalone(models[m], params, members[m].seed, replicas);
-        EXPECT_EQ(ref.energy, packed[m].energy)
-            << pack_layout_name(layout) << " R=" << replicas << " m=" << m;
-        EXPECT_EQ(ref.spins, packed[m].spins)
-            << pack_layout_name(layout) << " R=" << replicas << " m=" << m;
-        EXPECT_EQ(ref.iterations, packed[m].iterations);
-        EXPECT_EQ(ref.stopped_early, packed[m].stopped_early);
-      }
+  for (const std::size_t replicas :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::vector<PackMember> members;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      members.push_back({&models[m], 1000 + 7 * m, {}});
+    }
+    BsbPackEngine engine(members, params, replicas);
+    const auto packed = engine.run();
+    ASSERT_EQ(packed.size(), models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const auto ref = standalone(models[m], params, members[m].seed, replicas);
+      EXPECT_EQ(ref.energy, packed[m].energy) << "R=" << replicas << " m=" << m;
+      EXPECT_EQ(ref.spins, packed[m].spins) << "R=" << replicas << " m=" << m;
+      EXPECT_EQ(ref.iterations, packed[m].iterations);
+      EXPECT_EQ(ref.stopped_early, packed[m].stopped_early);
     }
   }
 }
@@ -104,22 +99,18 @@ TEST(BsbPackParity, MembersMatchStandaloneAtEveryKernelRequest) {
     params.stop.sample_interval = 10;
     params.stop.window = 5;
 
-    for (const PackLayout layout :
-         {PackLayout::kSlots, PackLayout::kBlocks}) {
-      std::vector<PackMember> members;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        members.push_back({&models[m], 31 + m, {}});
-      }
-      BsbPackEngine engine(members, params, 2, layout);
-      const auto packed = engine.run();
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto ref = standalone(models[m], params, members[m].seed, 2);
-        EXPECT_EQ(ref.energy, packed[m].energy)
-            << kernels::force_kernel_name(kernel) << " "
-            << pack_layout_name(layout) << " m=" << m;
-        EXPECT_EQ(ref.spins, packed[m].spins);
-        EXPECT_EQ(ref.iterations, packed[m].iterations);
-      }
+    std::vector<PackMember> members;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      members.push_back({&models[m], 31 + m, {}});
+    }
+    BsbPackEngine engine(members, params, 2);
+    const auto packed = engine.run();
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const auto ref = standalone(models[m], params, members[m].seed, 2);
+      EXPECT_EQ(ref.energy, packed[m].energy)
+          << kernels::force_kernel_name(kernel) << " m=" << m;
+      EXPECT_EQ(ref.spins, packed[m].spins);
+      EXPECT_EQ(ref.iterations, packed[m].iterations);
     }
   }
 }
@@ -133,14 +124,12 @@ TEST(BsbPackParity, DiscreteVariantMatchesStandalone) {
   for (std::size_t m = 0; m < models.size(); ++m) {
     members.push_back({&models[m], 71 + m, {}});
   }
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    BsbPackEngine engine(members, params, 1, layout);
-    const auto packed = engine.run();
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      const auto ref = standalone(models[m], params, members[m].seed, 1);
-      EXPECT_EQ(ref.energy, packed[m].energy);
-      EXPECT_EQ(ref.spins, packed[m].spins);
-    }
+  BsbPackEngine engine(members, params, 1);
+  const auto packed = engine.run();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto ref = standalone(models[m], params, members[m].seed, 1);
+    EXPECT_EQ(ref.energy, packed[m].energy);
+    EXPECT_EQ(ref.spins, packed[m].spins);
   }
 }
 
@@ -158,16 +147,14 @@ TEST(BsbPackParity, InitialPositionsWarmStartMatchesStandalone) {
     }
     members.push_back({&models[m], 5 + m, warm[m]});
   }
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    BsbPackEngine engine(members, params, 2, layout);
-    const auto packed = engine.run();
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      SbParams p = params;
-      p.initial_positions = warm[m];
-      const auto ref = standalone(models[m], p, members[m].seed, 2);
-      EXPECT_EQ(ref.energy, packed[m].energy);
-      EXPECT_EQ(ref.spins, packed[m].spins);
-    }
+  BsbPackEngine engine(members, params, 2);
+  const auto packed = engine.run();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    SbParams p = params;
+    p.initial_positions = warm[m];
+    const auto ref = standalone(models[m], p, members[m].seed, 2);
+    EXPECT_EQ(ref.energy, packed[m].energy);
+    EXPECT_EQ(ref.spins, packed[m].spins);
   }
 }
 
@@ -175,8 +162,8 @@ TEST(BsbPackParity, InitialPositionsWarmStartMatchesStandalone) {
 
 TEST(BsbPackRetirement, MembersRetireAtDifferentIterationsAndStayExact) {
   // A loose variance window makes each member's dynamic stop fire at its
-  // own step; the packed run must retire them one by one (slot compaction
-  // in kSlots) without disturbing the survivors.
+  // own step; the packed run must retire them one by one (slot compaction)
+  // without disturbing the survivors.
   const auto models = member_models(6, 10, 505);
   SbParams params;
   params.max_iterations = 4000;
@@ -185,26 +172,23 @@ TEST(BsbPackRetirement, MembersRetireAtDifferentIterationsAndStayExact) {
   params.stop.sample_interval = 5;
   params.stop.window = 4;
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 900 + 13 * m, {}});
-    }
-    BsbPackEngine engine(members, params, 1, layout);
-    const auto packed = engine.run();
-    std::set<std::size_t> distinct;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      const auto ref = standalone(models[m], params, members[m].seed, 1);
-      EXPECT_EQ(ref.energy, packed[m].energy)
-          << pack_layout_name(layout) << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins);
-      EXPECT_EQ(ref.iterations, packed[m].iterations);
-      EXPECT_TRUE(packed[m].stopped_early) << "m=" << m;
-      distinct.insert(packed[m].iterations);
-    }
-    // The point of the test: retirement actually happened at unequal steps.
-    EXPECT_GT(distinct.size(), 1u) << pack_layout_name(layout);
+  std::vector<PackMember> members;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    members.push_back({&models[m], 900 + 13 * m, {}});
   }
+  BsbPackEngine engine(members, params, 1);
+  const auto packed = engine.run();
+  std::set<std::size_t> distinct;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto ref = standalone(models[m], params, members[m].seed, 1);
+    EXPECT_EQ(ref.energy, packed[m].energy) << "m=" << m;
+    EXPECT_EQ(ref.spins, packed[m].spins);
+    EXPECT_EQ(ref.iterations, packed[m].iterations);
+    EXPECT_TRUE(packed[m].stopped_early) << "m=" << m;
+    distinct.insert(packed[m].iterations);
+  }
+  // The point of the test: retirement actually happened at unequal steps.
+  EXPECT_GT(distinct.size(), 1u);
 }
 
 // ----------------------------------------------------- intervention hooks
@@ -227,24 +211,21 @@ TEST(BsbPackHook, PlaneHookSeesStandaloneLayoutAndStaysExact) {
     }
   };
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 40 + m, {}});
-    }
-    BsbPackEngine engine(members, params, replicas, layout);
-    const auto packed = engine.run(pin);
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      SbParams p = params;
-      p.seed = members[m].seed;
-      BsbBatchEngine ref_engine(models[m], p, replicas);
-      const auto ref = ref_engine.run(
-          nullptr, [&](std::span<double> x, std::span<double> y,
-                       std::size_t reps) { pin(m, x, y, reps); });
-      EXPECT_EQ(ref.energy, packed[m].energy)
-          << pack_layout_name(layout) << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins);
-    }
+  std::vector<PackMember> members;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    members.push_back({&models[m], 40 + m, {}});
+  }
+  BsbPackEngine engine(members, params, replicas);
+  const auto packed = engine.run(pin);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    SbParams p = params;
+    p.seed = members[m].seed;
+    BsbBatchEngine ref_engine(models[m], p, replicas);
+    const auto ref = ref_engine.run(
+        nullptr, [&](std::span<double> x, std::span<double> y,
+                     std::size_t reps) { pin(m, x, y, reps); });
+    EXPECT_EQ(ref.energy, packed[m].energy) << "m=" << m;
+    EXPECT_EQ(ref.spins, packed[m].spins);
   }
 }
 
@@ -270,7 +251,6 @@ TEST(BsbPackParity, TileWidthsAreBitIdentical) {
       members.push_back({&models[m], 4000 + 11 * m, {}});
     }
     PackEngineOptions o;
-    o.layout = PackLayout::kSlots;
     o.tile = tile;
     BsbPackEngine engine(members, params, 1, o);
     EXPECT_GE(engine.tile(), 1u);
@@ -309,12 +289,11 @@ TEST(BsbPackParity, SharedJMatchesStandaloneAndPerSlotPlanes) {
     shared.share_j = true;
     BsbPackEngine engine(members, params, 2, shared);
     EXPECT_TRUE(engine.shared_j());
-    EXPECT_EQ(engine.layout(), PackLayout::kSlots);
     EXPECT_NE(std::string(engine.kernel_name()).find("sharedj"),
               std::string::npos);
     const auto packed = engine.run();
 
-    BsbPackEngine per_slot(members, params, 2, PackLayout::kSlots);
+    BsbPackEngine per_slot(members, params, 2);
     const auto plain = per_slot.run();
     for (std::size_t m = 0; m < members.size(); ++m) {
       const auto ref = standalone(model, params, members[m].seed, 2);
@@ -347,25 +326,21 @@ TEST(BsbPackParity, MixedSpinCountsMatchStandalone) {
   params.stop.sample_interval = 5;
   params.stop.window = 5;
 
-  for (const PackLayout layout : {PackLayout::kSlots, PackLayout::kBlocks}) {
-    for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
-      std::vector<PackMember> members;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        members.push_back({&models[m], 7000 + 31 * m, {}});
-      }
-      BsbPackEngine engine(members, params, replicas, layout);
-      EXPECT_EQ(engine.num_spins(), 12u);
-      EXPECT_EQ(engine.member_spins(0), 6u);
-      const auto packed = engine.run();
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto ref =
-            standalone(models[m], params, members[m].seed, replicas);
-        EXPECT_EQ(ref.energy, packed[m].energy)
-            << pack_layout_name(layout) << " R=" << replicas << " m=" << m;
-        EXPECT_EQ(ref.spins, packed[m].spins);
-        EXPECT_EQ(ref.iterations, packed[m].iterations);
-        ASSERT_EQ(packed[m].spins.size(), models[m].num_spins());
-      }
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    std::vector<PackMember> members;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      members.push_back({&models[m], 7000 + 31 * m, {}});
+    }
+    BsbPackEngine engine(members, params, replicas);
+    EXPECT_EQ(engine.num_spins(), 12u);
+    EXPECT_EQ(engine.member_spins(0), 6u);
+    const auto packed = engine.run();
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const auto ref = standalone(models[m], params, members[m].seed, replicas);
+      EXPECT_EQ(ref.energy, packed[m].energy) << "R=" << replicas << " m=" << m;
+      EXPECT_EQ(ref.spins, packed[m].spins);
+      EXPECT_EQ(ref.iterations, packed[m].iterations);
+      ASSERT_EQ(packed[m].spins.size(), models[m].num_spins());
     }
   }
 }
@@ -394,49 +369,41 @@ TEST(BsbPackDeadline, ExpiredContextRetiresEveryMemberImmediately) {
   }
 }
 
-TEST(BsbPackDeadline, BlocksLayoutCompactsMidSolveOnDeadline) {
+TEST(BsbPackDeadline, SlotsCompactMidSolveOnDeadline) {
   // A deadline that expires in the middle of a run must retire members at
-  // their next sampling point without disturbing the survivors' blocks.
+  // their next sampling point without disturbing the survivors' slots.
   // Member 2's hook burns the whole budget at the first sampling point
   // (step 10): members 0 and 1 passed their deadline check before it ran,
-  // so they survive to step 20, while members 2..5 retire at step 10.
+  // so they survive to step 20, while members 2..5 retire at step 10 and
+  // are compacted out of the active prefix.
   const auto models = member_models(6, 8, 1212);
   SbParams params;
   params.max_iterations = 20;
   params.stop.sample_interval = 10;
 
-  auto run_layout = [&](PackLayout layout) {
-    RunContext::Options opts;
-    opts.time_budget_s = 0.25;
-    const RunContext ctx(opts);
-    auto burn = [&](std::size_t member, std::span<double>, std::span<double>,
-                    std::size_t) {
-      if (member == 2) {
-        while (!ctx.expired()) {
-        }
+  RunContext::Options opts;
+  opts.time_budget_s = 0.25;
+  const RunContext ctx(opts);
+  auto burn = [&](std::size_t member, std::span<double>, std::span<double>,
+                  std::size_t) {
+    if (member == 2) {
+      while (!ctx.expired()) {
       }
-    };
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      members.push_back({&models[m], 50 + m, {}});
     }
-    BsbPackEngine engine(members, params, 1, layout);
-    engine.set_context(&ctx);
-    return engine.run(burn);
   };
-
-  const auto blocks = run_layout(PackLayout::kBlocks);
-  const auto slots = run_layout(PackLayout::kSlots);
+  std::vector<PackMember> members;
   for (std::size_t m = 0; m < models.size(); ++m) {
-    EXPECT_EQ(blocks[m].iterations, m < 2 ? 20u : 10u) << "m=" << m;
-    EXPECT_TRUE(blocks[m].stopped_early) << "m=" << m;
-    // The two layouts follow the same retirement schedule, so the whole
-    // result set must agree bit for bit.
-    EXPECT_EQ(blocks[m].energy, slots[m].energy) << "m=" << m;
-    EXPECT_EQ(blocks[m].spins, slots[m].spins) << "m=" << m;
-    EXPECT_EQ(blocks[m].iterations, slots[m].iterations) << "m=" << m;
+    members.push_back({&models[m], 50 + m, {}});
+  }
+  BsbPackEngine engine(members, params, 1);
+  engine.set_context(&ctx);
+  const auto packed = engine.run(burn);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    EXPECT_EQ(packed[m].iterations, m < 2 ? 20u : 10u) << "m=" << m;
+    EXPECT_TRUE(packed[m].stopped_early) << "m=" << m;
     // Results stay internally consistent after mid-solve compaction.
-    EXPECT_EQ(blocks[m].energy, models[m].energy(blocks[m].spins)) << "m=" << m;
+    EXPECT_EQ(packed[m].energy, models[m].energy(packed[m].spins))
+        << "m=" << m;
   }
 }
 
@@ -472,31 +439,24 @@ TEST(BsbPack, RejectsBadArguments) {
     shared.share_j = true;
     EXPECT_THROW(BsbPackEngine(mixed, params, 1, shared),
                  std::invalid_argument);
-    // shared-J is a slot-layout fast path; the block layout has no shared
-    // plane to use.
-    const std::vector<PackMember> same = {{&a, 1, {}}, {&a, 2, {}}};
-    shared.layout = PackLayout::kBlocks;
-    EXPECT_THROW(BsbPackEngine(same, params, 1, shared),
-                 std::invalid_argument);
   }
   {
     IsingModel unfinalized(6);
     const std::vector<PackMember> raw = {{&unfinalized, 1, {}}};
     EXPECT_THROW(BsbPackEngine(raw, params, 1), std::invalid_argument);
   }
-  EXPECT_THROW(parse_pack_layout("bogus"), std::invalid_argument);
-  EXPECT_EQ(parse_pack_layout("slots"), PackLayout::kSlots);
-  EXPECT_EQ(parse_pack_layout("blocks"), PackLayout::kBlocks);
-  EXPECT_EQ(parse_pack_layout("auto"), PackLayout::kAuto);
 }
 
 // ------------------------------------------------- packed core COP solver
 
-ColumnCop benchmark_cop(unsigned output, unsigned shift = 0) {
-  const TruthTable tt = make_benchmark_table("exp", 9, 7);
-  const InputDistribution dist = InputDistribution::uniform(9);
+/// Separate-mode core COP of `exp` over a random (free, n - free) split:
+/// 2 * 2^free + 2^(n - free) spins, 64 at the default n = 9.
+ColumnCop benchmark_cop(unsigned output, unsigned shift = 0, unsigned n = 9,
+                        unsigned free = 4) {
+  const TruthTable tt = make_benchmark_table("exp", n, 7);
+  const InputDistribution dist = InputDistribution::uniform(n);
   Rng rng(77 + shift);
-  const InputPartition w = InputPartition::random(9, 4, rng);
+  const InputPartition w = InputPartition::random(n, free, rng);
   const BooleanMatrix matrix = BooleanMatrix::from_function(tt, output, w);
   const std::vector<double> probs = matrix_probs(dist, w);
   return ColumnCop::separate(matrix, probs);
@@ -526,8 +486,7 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
   for (std::size_t i = 0; i < cops.size(); ++i) {
     seeds.push_back(1000 + 17 * i);
   }
-  // Theorem-3 + dynamic stop are on by default; replicas=1 lands in the
-  // slot layout, replicas=4 in the block layout, restarts=2 exercises the
+  // Theorem-3 + dynamic stop are on by default; restarts=2 exercises the
   // per-attempt reseed, pack=3 forces multiple chunks per batch. The
   // pack-* keys exist only on the packed side (they change nothing about
   // per-member results); `plain` is the key set the reference sees.
@@ -538,7 +497,7 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
   for (const Config& cfg :
        {Config{"", ""}, Config{",replicas=4", ",replicas=4"},
         Config{",restarts=2", ",restarts=2"},
-        Config{",pack-layout=blocks", ""}, Config{",pack-tile=2", ""},
+        Config{",pack-tile=2", ""},
         Config{",restarts=3,pack-share-j=1", ",restarts=3"}}) {
     const std::string& extra = cfg.packed;
     const auto plain =
@@ -559,6 +518,56 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
       EXPECT_EQ(ref_stats.objective, packed_stats[i].objective);
       EXPECT_EQ(ref_stats.iterations, packed_stats[i].iterations);
       EXPECT_EQ(ref_stats.stopped_early, packed_stats[i].stopped_early);
+    }
+  }
+}
+
+TEST(PackedCoreCopSolver, ChunksPastTheSlotGateRunAsLoopedSolves) {
+  // A chunk fails the slot gate when it runs more than 8 replicas or when
+  // its per-slot planes (n_max^2 * members doubles) outgrow 4 MiB; its
+  // members are then solved one by one through the standalone solve, so no
+  // pack engine runs and every result matches IsingCoreSolver bit for bit.
+  std::vector<ColumnCop> small;  // 64 spins each
+  std::vector<ColumnCop> large;  // 384 spins: 3 * 384^2 doubles fit, 4 don't
+  for (unsigned k = 0; k < 4; ++k) {
+    small.push_back(benchmark_cop(k, k));
+    large.push_back(benchmark_cop(k, k, 14, 6));
+  }
+  ASSERT_EQ(large[0].num_spins(), 384u);
+  const std::vector<std::uint64_t> seeds = {11, 12, 13, 14};
+
+  struct Case {
+    std::string keys;  // on both sides
+    std::string pack;  // packed side only
+    const std::vector<ColumnCop>* cops;
+    bool packs;
+  };
+  for (const Case& c :
+       {Case{",replicas=9", ",pack=4", &small, false},
+        Case{",max-iter=300", ",pack=4", &large, false},
+        // Control: the same large COPs in chunks of 3 pass the gate.
+        Case{",max-iter=300", ",pack=3", &large, true}}) {
+    const std::string label = c.keys + c.pack;
+    const auto plain =
+        SolverRegistry::global().make_from_spec("prop,n=9" + c.keys);
+    const auto packed = SolverRegistry::global().make_from_spec(
+        "prop,n=9" + c.keys + c.pack);
+    const RunContext ctx(std::uint64_t{5});
+    std::vector<CoreSolveStats> stats;
+    const auto batch = packed->solve_batch(*c.cops, ctx, seeds, &stats);
+    EXPECT_EQ(ctx.telemetry().counter("ising/pack/runs") > 0, c.packs)
+        << label;
+    const RunContext ref_ctx(std::uint64_t{5});
+    for (std::size_t i = 0; i < c.cops->size(); ++i) {
+      CoreSolveStats ref_stats;
+      const ColumnSetting ref =
+          plain->solve((*c.cops)[i], ref_ctx, seeds[i], &ref_stats);
+      EXPECT_TRUE(ref.v1 == batch[i].v1 && ref.v2 == batch[i].v2 &&
+                  ref.t == batch[i].t)
+          << label << " instance " << i;
+      EXPECT_EQ(ref_stats.objective, stats[i].objective) << label;
+      EXPECT_EQ(ref_stats.iterations, stats[i].iterations) << label;
+      EXPECT_EQ(ref_stats.stopped_early, stats[i].stopped_early) << label;
     }
   }
 }
@@ -598,16 +607,10 @@ TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
   EXPECT_FALSE(plain->batched());
   // pack-* keys without pack are configuration errors; bogus values too.
   EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack-layout=slots"),
-      std::invalid_argument);
-  EXPECT_THROW(
       SolverRegistry::global().make_from_spec("prop,pack-tile=4"),
       std::invalid_argument);
   EXPECT_THROW(
       SolverRegistry::global().make_from_spec("prop,pack-share-j=1"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack=4,pack-layout=x"),
       std::invalid_argument);
   // Malformed pack-tile enumerates the accepted values in the message.
   try {

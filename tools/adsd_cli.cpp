@@ -224,8 +224,6 @@ int cmd_list_solvers() {
       std::string shown = k;
       if (k == "pack") {
         shown = "pack=<K>";
-      } else if (k == "pack-layout") {
-        shown = "pack-layout=auto|slots|blocks";
       } else if (k == "pack-tile") {
         shown = "pack-tile=auto|<slots>";
       } else if (k == "pack-share-j") {

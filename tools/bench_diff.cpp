@@ -16,8 +16,10 @@
 // are skipped — that is the 1-CPU caveat machinery: a speedup measured on
 // a single-hardware-thread host says nothing. Records present in only one
 // file are reported but do not fail the gate (new metrics appear, old ones
-// retire). Exit status: 0 = no regression, 1 = usage/IO/parse error,
-// 2 = at least one regression.
+// retire, and ISA-specific records are absent on hosts without that ISA);
+// baseline records missing from the current report are printed even under
+// --check, so a shrinking gate shows in the log. Exit status: 0 = no
+// regression, 1 = usage/IO/parse error, 2 = at least one regression.
 
 #include <algorithm>
 #include <cmath>
@@ -185,10 +187,10 @@ int main(int argc, char** argv) {
       const auto it = cur.find(name);
       if (it == cur.end()) {
         ++only_one;
-        if (!check) {
-          std::printf("%-44s %12s %12s %9s  %s\n", name.c_str(),
-                      fmt(b.value).c_str(), "-", "-", "missing in current");
-        }
+        // Printed even under --check, like the invalid skips below: a
+        // record that silently stops being produced is coverage lost.
+        std::printf("%-44s %12s %12s %9s  %s\n", name.c_str(),
+                    fmt(b.value).c_str(), "-", "-", "missing in current");
         continue;
       }
       const Record& c = it->second;
