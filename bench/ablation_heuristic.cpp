@@ -4,8 +4,8 @@
 // compare the achieved objectives. The final decode-time polish is also
 // ablated separately to isolate the in-search feedback effect.
 //
-// Observability: --telemetry/--trace/--report <file> write the same JSON
-// artifacts as adsd_cli (see tools/trace_summary).
+// Observability: --trace/--report <file> write the same JSON artifacts as
+// adsd_cli (see tools/trace_summary).
 
 #include <iostream>
 

@@ -5,8 +5,8 @@
 // Reports solution quality and time, separating the contribution of the
 // Ising *formulation* from the bSB *search*.
 //
-// Observability: --telemetry/--trace/--report <file> write the same JSON
-// artifacts as adsd_cli (see tools/trace_summary).
+// Observability: --trace/--report <file> write the same JSON artifacts as
+// adsd_cli (see tools/trace_summary).
 
 #include <iostream>
 

@@ -139,9 +139,9 @@ inline bool is_harness_flag(std::string_view token) {
       token.substr(2, token.find('=') == std::string_view::npos
                           ? std::string_view::npos
                           : token.find('=') - 2);
-  return name == "telemetry" || name == "trace" || name == "report" ||
-         name == "threads" || name == "seed" || name == "qor" ||
-         name == "json" || name == "metrics" || name == "metrics-format" ||
+  return name == "trace" || name == "report" || name == "threads" ||
+         name == "seed" || name == "qor" || name == "json" ||
+         name == "metrics" || name == "metrics-format" ||
          name == "log-level" || name == "log-file" || name == "obs-dir";
 }
 
@@ -272,14 +272,13 @@ class BenchReport {
   std::vector<json::Value> records_;
 };
 
-/// Writes the artifacts requested via --telemetry / --trace / --report /
-/// --qor / --metrics to the given files, in exactly the formats adsd_cli
-/// emits (telemetry report, Chrome trace_event timeline, run report,
-/// qor.json, Prometheus text or adsd-metrics-v1 JSON per --metrics-format)
-/// — tools/trace_summary reads and validates the first three,
-/// tools/bench_diff compares qor.json files, tools/metrics_summary
-/// validates the metrics exposition. With --obs-dir, the full bundle
-/// (telemetry.json, trace.json, report.json, qor.json, metrics.prom,
+/// Writes the artifacts requested via --trace / --report / --qor /
+/// --metrics to the given files, in exactly the formats adsd_cli emits
+/// (Chrome trace_event timeline, run report, qor.json, Prometheus text or
+/// adsd-metrics-v1 JSON per --metrics-format) — tools/trace_summary reads
+/// and validates the first two, tools/bench_diff compares qor.json files,
+/// tools/metrics_summary validates the metrics exposition. With --obs-dir,
+/// the full bundle (trace.json, report.json, qor.json, metrics.prom,
 /// metrics.json, flight.json — next to the logger's log.jsonl) lands under
 /// <obs-dir>/<run_id>/ regardless of the per-artifact flags, each artifact
 /// stamped with the same run_id.
@@ -294,17 +293,13 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
     std::cout << "wrote " << path << "\n";
     return f;
   };
-  if (args.has("telemetry")) {
-    auto f = open("telemetry");
-    ctx.telemetry().write_json(f);
-  }
   if (args.has("trace")) {
     auto f = open("trace");
     ctx.tracer()->write_chrome_json(f);
   }
   if (args.has("report")) {
     auto f = open("report");
-    ctx.tracer()->write_report_json(f, &ctx.telemetry());
+    ctx.tracer()->write_report_json(f);
   }
   if (args.has("qor")) {
     auto f = open("qor");
@@ -345,16 +340,12 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
     return f;
   };
   {
-    auto f = open_in("telemetry.json");
-    ctx.telemetry().write_json(f);
-  }
-  {
     auto f = open_in("trace.json");
     ctx.tracer()->write_chrome_json(f);
   }
   {
     auto f = open_in("report.json");
-    ctx.tracer()->write_report_json(f, &ctx.telemetry());
+    ctx.tracer()->write_report_json(f);
   }
   {
     auto f = open_in("qor.json");

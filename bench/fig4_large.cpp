@@ -9,8 +9,8 @@
 // about a minute; pass --n 16 --p 20 --rounds 2 (or more) for closer-to-
 // paper scale.
 //
-// Observability: --telemetry/--trace/--report/--qor <file> write the same
-// JSON artifacts as adsd_cli (see tools/trace_summary); --json <file>
+// Observability: --trace/--report/--qor <file> write the same JSON
+// artifacts as adsd_cli (see tools/trace_summary); --json <file>
 // writes per-benchmark MED/time records as a schema-v2 bench report for
 // tools/bench_diff; --threads sets the worker-pool width; --pack <K>
 // additionally runs the proposed solver with multi-instance packing

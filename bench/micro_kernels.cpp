@@ -4,10 +4,9 @@
 // paper's two quantization schemes (n = 9: 16x32 matrices, 64 spins;
 // n = 16: 128x512 matrices, 768 spins).
 //
-// Observability: --telemetry/--trace/--report/--qor <file> follow the
-// benchmark run with an instrumented reference pass (the proposed bSB
-// solver on the n = 9 core COP) and write the same JSON artifacts as
-// adsd_cli; --json <file> writes the measured times as a schema-v2 bench
+// Observability: --trace/--report/--qor <file> follow the benchmark run
+// with an instrumented reference pass (the proposed bSB solver on the
+// n = 9 core COP) and write the same JSON artifacts as adsd_cli; --json <file> writes the measured times as a schema-v2 bench
 // report for tools/bench_diff, with derived records for the sharding
 // speedups (force_shard_speedup_*, flagged invalid on 1-CPU hosts) and the
 // explicit-SIMD / dense force-kernel speedups (force_kernel_speedup_*,
@@ -663,9 +662,9 @@ int main(int argc, char** argv) {
   // every benchmark — including the off-path probes — has finished), so the
   // --json report below can carry its run_id in the host block.
   std::string run_id;
-  if (args.has("telemetry") || args.has("trace") || args.has("report") ||
-      args.has("qor") || args.has("metrics") || args.has("log-level") ||
-      args.has("log-file") || args.has("obs-dir")) {
+  if (args.has("trace") || args.has("report") || args.has("qor") ||
+      args.has("metrics") || args.has("log-level") || args.has("log-file") ||
+      args.has("obs-dir")) {
     const RunContext ctx(bench::context_options(args));
     run_id = ctx.run_id();
     const auto solver = bench::make_solver("prop", 9, 0.0, 8);

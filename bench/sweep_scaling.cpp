@@ -4,8 +4,8 @@
 // Reports, per n: spins, couplings, and per-solver average time on matched
 // instances.
 //
-// Observability: --telemetry/--trace/--report <file> write the same JSON
-// artifacts as adsd_cli (see tools/trace_summary).
+// Observability: --trace/--report <file> write the same JSON artifacts as
+// adsd_cli (see tools/trace_summary).
 
 #include <iostream>
 

@@ -118,7 +118,6 @@ SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
              std::size_t replicas) mutable {
     cop.reset_optimal_t_planes(x, y, replicas, cost_scratch,
                                anti_collapse ? &degenerate : nullptr);
-    ctx.telemetry().add("ising/theorem3/resets", replicas);
     qor_add(ctx.qor(), "ising/theorem3/resets",
             static_cast<double>(replicas));
     if (MetricsRegistry* m = ctx.metrics()) {
@@ -137,7 +136,6 @@ SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
       }
     }
     if (intervened > 0) {
-      ctx.telemetry().add("ising/theorem3/anti_collapse", intervened);
       qor_add(ctx.qor(), "ising/theorem3/anti_collapse",
               static_cast<double>(intervened));
       if (MetricsRegistry* m = ctx.metrics()) {
@@ -534,17 +532,9 @@ ColumnSetting CoreCopSolver::solve(const ColumnCop& cop, const RunContext& ctx,
                                    CoreSolveStats* stats) const {
   CoreSolveStats local;
   CoreSolveStats* out = stats != nullptr ? stats : &local;
-  TelemetrySink& sink = ctx.telemetry();
-  const std::string span_path = "core/solve/" + name();
-  const auto span = sink.span(span_path);
-  const TraceSpan trace_span(ctx.tracer(), span_path);
+  const TraceSpan trace_span(ctx.tracer(), "core/solve/" + name());
   const Timer solve_timer;
   ColumnSetting s = do_solve(cop, ctx, seed, out);
-  sink.add("core/solves");
-  sink.add("core/iterations", out->iterations);
-  if (out->stopped_early) {
-    sink.add("core/early_stops");
-  }
   if (MetricsRegistry* m = ctx.metrics()) {
     // Solver-level latency (restarts + polish included, unlike the
     // per-engine-run solve_latency_us) and the cross-solve cadence.
@@ -582,22 +572,28 @@ std::vector<ColumnSetting> CoreCopSolver::solve_batch(
       out[i] = solve(cops[i], ctx, seeds[i], &local[i]);
     }
   } else if (!cops.empty()) {
-    TelemetrySink& sink = ctx.telemetry();
-    const std::string span_path = "core/solve_batch/" + name();
-    const auto span = sink.span(span_path);
-    const TraceSpan trace_span(ctx.tracer(), span_path);
+    const TraceSpan trace_span(ctx.tracer(), "core/solve_batch/" + name());
     do_solve_batch(cops, ctx, seeds, out, local);
-    sink.add("core/solves", cops.size());
-    sink.add("core/batch_solves");
-    QorRecorder* q = ctx.qor();
-    const std::string qor_name =
-        q != nullptr ? "core/objective/" + name() : std::string{};
-    for (const CoreSolveStats& s : local) {
-      sink.add("core/iterations", s.iterations);
-      if (s.stopped_early) {
-        sink.add("core/early_stops");
+    // The same per-member counters solve() records; members are not timed
+    // one by one, so there is no latency sample.
+    if (MetricsRegistry* m = ctx.metrics()) {
+      std::size_t iterations = 0;
+      std::size_t early_stops = 0;
+      for (const CoreSolveStats& s : local) {
+        iterations += s.iterations;
+        early_stops += s.stopped_early ? 1 : 0;
       }
-      if (q != nullptr) {
+      m->counter("core_solves_total", {{"solver", name()}}).add(cops.size());
+      m->counter("core_iterations_total", {{"solver", name()}})
+          .add(iterations);
+      if (early_stops > 0) {
+        m->counter("core_early_stops_total", {{"solver", name()}})
+            .add(early_stops);
+      }
+    }
+    if (QorRecorder* q = ctx.qor()) {
+      const std::string qor_name = "core/objective/" + name();
+      for (const CoreSolveStats& s : local) {
         q->sample(qor_name, s.objective);
       }
     }

@@ -18,8 +18,8 @@
 namespace adsd {
 
 /// Flat per-solve counters, kept for call sites that aggregate by hand;
-/// the context's TelemetrySink supersedes them for reporting (every solve
-/// records a span under "core/solve/<name>" plus iteration counters).
+/// the context's recorders supersede them for reporting (every solve
+/// records a trace span under "core/solve/<name>" plus the core_* metrics).
 struct CoreSolveStats {
   double objective = 0.0;
   std::size_t iterations = 0;   // solver-specific unit (Euler steps, sweeps, nodes)
@@ -32,7 +32,7 @@ struct CoreSolveStats {
 /// safe to call concurrently from multiple threads on distinct COPs.
 ///
 /// Non-virtual interface: callers use solve(), which threads the
-/// RunContext down and wraps every solve in a telemetry span; subclasses
+/// RunContext down and wraps every solve in a trace span; subclasses
 /// implement do_solve(). The context-free overload runs under the
 /// process-wide RunContext::fallback() with identical semantics, so
 /// results never depend on which overload was called.
@@ -58,7 +58,7 @@ class CoreCopSolver {
   /// Solves `cops.size()` independent instances; `seeds[i]` is instance
   /// i's solve seed (same contract as solve()). Results and stats come
   /// back in input order. The default path loops solve() — identical
-  /// telemetry and results to a caller-side loop — while batched()
+  /// recording and results to a caller-side loop — while batched()
   /// solvers override do_solve_batch and get one "core/solve_batch/<name>"
   /// span around the whole batch plus the usual per-solve counters.
   std::vector<ColumnSetting> solve_batch(

@@ -66,8 +66,6 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
   }
 
   Timer timer;
-  TelemetrySink& sink = ctx.telemetry();
-  const auto run_span = sink.span("dalta/run");
   TraceRecorder* tracer = ctx.tracer();
   const TraceSpan run_trace(tracer, "dalta/run");
   const std::uint64_t patterns = exact.num_patterns();
@@ -117,12 +115,10 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
             InputPartition::random(n, params.free_size, part_rng));
       }
       if (oversample > params.num_partitions) {
-        const auto screen_span = sink.span("dalta/screen");
         const TraceSpan screen_trace(tracer, "dalta/screen");
         const PartitionScreener screener(exact.output(k), n);
         candidates_w =
             screener.screen(std::move(candidates_w), params.num_partitions);
-        sink.add("dalta/screened", oversample - params.num_partitions);
         qor_add(ctx.qor(), "dalta/partitions_screened",
                 static_cast<double>(oversample - params.num_partitions));
         if (MetricsRegistry* met = ctx.metrics()) {
@@ -291,9 +287,6 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
   result.med = mean_error_distance(exact, result.approx, dist);
   result.error_rate = error_rate(exact, result.approx, dist);
   result.seconds = timer.seconds();
-  sink.add("dalta/cop_solves", result.cop_solves);
-  sink.add("dalta/outputs", m);
-  sink.add("dalta/rounds", params.rounds);
   if (MetricsRegistry* met = ctx.metrics()) {
     met->counter("dalta_runs_total", {{"stage", "dalta"}}).add();
     met->counter("dalta_rounds_total").add(params.rounds);

@@ -66,7 +66,7 @@ struct DaltaResult {
 ///
 /// The context overload is the primary entry point: ctx supplies the seed
 /// (params.seed is superseded), the thread pool, the deadline, and the
-/// telemetry sink (spans under "dalta/", per-solve spans under "core/").
+/// recorders (trace spans under "dalta/", per-solve spans under "core/").
 /// Parallel evaluation requires both ctx.parallel() and params.parallel.
 DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
                       const DaltaParams& params, const CoreCopSolver& solver,

@@ -69,8 +69,6 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
   }
 
   Timer timer;
-  TelemetrySink& sink = ctx.telemetry();
-  const auto run_span = sink.span("dalta_nd/run");
   TraceRecorder* tracer = ctx.tracer();
   const TraceSpan run_trace(tracer, "dalta_nd/run");
   const std::uint64_t patterns = exact.num_patterns();
@@ -287,8 +285,6 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
   result.med = mean_error_distance(exact, result.approx, dist);
   result.error_rate = error_rate(exact, result.approx, dist);
   result.seconds = timer.seconds();
-  sink.add("dalta_nd/cop_solves", result.cop_solves);
-  sink.add("dalta_nd/outputs", m);
   if (MetricsRegistry* met = ctx.metrics()) {
     met->counter("dalta_runs_total", {{"stage", "dalta_nd"}}).add();
     met->counter("dalta_rounds_total").add(params.rounds);

@@ -50,7 +50,7 @@ struct NdDaltaResult {
 /// input patterns.
 ///
 /// The context overload is the primary entry point (ctx supplies the seed,
-/// pool, deadline, and telemetry; params.seed is superseded). Slice 0
+/// pool, deadline, and recorders; params.seed is superseded). Slice 0
 /// shares run_dalta's candidate seed stream, so shared_size == 0
 /// reproduces the disjoint flow exactly under the same seed.
 NdDaltaResult run_dalta_nd(const TruthTable& exact,

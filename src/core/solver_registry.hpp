@@ -44,7 +44,7 @@ class SolverConfig {
 /// Canonical names follow the CLI convention (prop / dalta / dalta-lit /
 /// ilp / ba / alt / exhaustive); each entry also accepts the class
 /// `name()` string as an alias (ising-bsb, dalta-greedy, ilp-bnb,
-/// ba-anneal, alternating), so telemetry paths and registry lookups agree.
+/// ba-anneal, alternating), so trace paths and registry lookups agree.
 class SolverRegistry {
  public:
   using Factory =

@@ -68,7 +68,7 @@ class RunContext;
 /// Returns the best solution seen at any sampling point or at termination.
 /// Delegates to the batched lockstep engine (ising/bsb_batch.hpp) with a
 /// single replica; bit-identical to solve_sb_scalar() for the same seed.
-/// A non-null `ctx` enables deadline checks and telemetry counters.
+/// A non-null `ctx` enables deadline checks and the armed recorders.
 IsingSolveResult solve_sb(const IsingModel& model, const SbParams& params,
                           const SbSampleHook& hook = nullptr,
                           const RunContext* ctx = nullptr);

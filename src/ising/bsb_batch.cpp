@@ -6,7 +6,6 @@
 
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 
 namespace adsd {
 
@@ -79,13 +78,6 @@ std::string BsbBatchEngine::curve_name() const {
 
 std::size_t BsbBatchEngine::sample_interval() const {
   return params_.stop.sample_interval > 0 ? params_.stop.sample_interval : 10;
-}
-
-void BsbBatchEngine::record_totals(TelemetrySink& sink, std::size_t iterations,
-                                   std::size_t energy_samples) const {
-  sink.add("ising/sb/steps", iterations);
-  sink.add("ising/sb/replica_steps", iterations * R_);
-  sink.add("ising/sb/energy_samples", energy_samples);
 }
 
 IsingSolveResult solve_sb_batch(const IsingModel& model, const SbParams& params,

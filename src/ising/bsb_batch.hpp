@@ -30,7 +30,7 @@ class RunContext;
 /// model materialized a dense J plane, a blocked dense matrix x
 /// replica-plane kernel with no index gather — selected at construction
 /// from SbParams::kernel (kAuto by default) and reported via
-/// kernel_name() and the "ising/sb/kernel/<name>" telemetry counter.
+/// kernel_name() and the kernel_invocations_total{kernel} metric.
 /// Every variant is bit-identical by construction.
 ///
 /// Replica r reproduces the scalar reference solve_sb_scalar() with seed
@@ -61,8 +61,6 @@ class BsbBatchEngine final : public EnsembleEngineBase {
     params_.max_iterations = max_iterations;
   }
   void advance(std::size_t /*iter*/) override { step(); }
-  void record_totals(TelemetrySink& sink, std::size_t iterations,
-                     std::size_t energy_samples) const override;
 
  private:
   SbParams params_;
@@ -77,7 +75,7 @@ class BsbBatchEngine final : public EnsembleEngineBase {
 /// strided view (no copies); `plane_hook` (if any) runs once per sampling
 /// point over the whole ensemble before the per-replica hook. A non-null
 /// `ctx` enables row-sharded force evaluation over ctx->pool(), deadline
-/// checks, and step counters in ctx->telemetry().
+/// checks, and the engine_* metrics when ctx->metrics() is armed.
 IsingSolveResult solve_sb_batch(const IsingModel& model, const SbParams& params,
                                 std::size_t replicas,
                                 const SbBatchHook& hook = nullptr,

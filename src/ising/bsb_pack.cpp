@@ -480,22 +480,15 @@ std::vector<IsingSolveResult> BsbPackEngine::run(
     }
   }
 
-  QorRecorder* qor = ctx_ != nullptr ? ctx_->qor() : nullptr;
-  if (ctx_ != nullptr) {
-    ctx_->telemetry().add("ising/pack/runs");
-    ctx_->telemetry().add("ising/pack/members", M);
-    const std::string kernel_counter =
-        std::string("ising/pack/kernel/") + kernel_name_;
-    ctx_->telemetry().add(kernel_counter);
-    if (qor != nullptr) {
-      qor->add(kernel_counter);
-    }
-    if (MetricsRegistry* metrics = ctx_->metrics()) {
-      metrics->counter("pack_runs_total").add();
-      metrics->counter("pack_members_total").add(M);
-      metrics->counter("kernel_invocations_total", {{"kernel", kernel_name_}})
-          .add();
-    }
+  if (QorRecorder* qor = ctx_ != nullptr ? ctx_->qor() : nullptr) {
+    qor->add(std::string("ising/pack/kernel/") + kernel_name_);
+  }
+  MetricsRegistry* metrics = ctx_ != nullptr ? ctx_->metrics() : nullptr;
+  if (metrics != nullptr) {
+    metrics->counter("pack_runs_total").add();
+    metrics->counter("pack_members_total").add(M);
+    metrics->counter("kernel_invocations_total", {{"kernel", kernel_name_}})
+        .add();
   }
 
   std::vector<std::uint8_t> live(M, 1);
@@ -506,10 +499,6 @@ std::vector<IsingSolveResult> BsbPackEngine::run(
     results[m].iterations = step_;
     results[m].stopped_early = true;
     ++retired_early;
-    if (ctx_ != nullptr) {
-      ctx_->telemetry().add(variance ? "ising/pack/dynamic_stops"
-                                     : "ising/pack/deadline_hits");
-    }
     trace_instant(tracer, variance ? "ising/pack/dynamic_stop"
                                    : "ising/pack/deadline_hit");
     ADSD_LOG_DEBUG("ising/pack",
@@ -582,17 +571,13 @@ std::vector<IsingSolveResult> BsbPackEngine::run(
     }
   }
 
-  if (ctx_ != nullptr) {
+  if (metrics != nullptr) {
     std::size_t member_steps = 0;
     for (std::size_t m = 0; m < M; ++m) {
       member_steps += results[m].iterations;
     }
-    ctx_->telemetry().add("ising/pack/steps", member_steps);
-    ctx_->telemetry().add("ising/pack/retired", retired_early);
-    if (MetricsRegistry* metrics = ctx_->metrics()) {
-      metrics->counter("pack_member_steps_total").add(member_steps);
-      metrics->counter("pack_retired_total").add(retired_early);
-    }
+    metrics->counter("pack_member_steps_total").add(member_steps);
+    metrics->counter("pack_retired_total").add(retired_early);
   }
   return results;
 }

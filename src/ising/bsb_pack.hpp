@@ -133,8 +133,8 @@ class BsbPackEngine {
                 std::size_t replicas, const PackEngineOptions& options = {});
 
   /// Attaches an execution context (must outlive the engine; nullptr
-  /// detaches): deadline checks at retirement points, ising/pack/*
-  /// telemetry, per-member trace spans.
+  /// detaches): deadline checks at retirement points, pack_* metrics,
+  /// per-member trace spans.
   void set_context(const RunContext* ctx) { ctx_ = ctx; }
 
   std::size_t num_members() const { return members_.size(); }

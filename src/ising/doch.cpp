@@ -7,7 +7,6 @@
 
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 
 namespace adsd {
 
@@ -89,13 +88,6 @@ std::string DochEngine::curve_name() const {
 
 std::size_t DochEngine::sample_interval() const {
   return params_.stop.sample_interval > 0 ? params_.stop.sample_interval : 10;
-}
-
-void DochEngine::record_totals(TelemetrySink& sink, std::size_t iterations,
-                               std::size_t energy_samples) const {
-  sink.add("ising/doch/steps", iterations);
-  sink.add("ising/doch/replica_steps", iterations * R_);
-  sink.add("ising/doch/energy_samples", energy_samples);
 }
 
 IsingSolveResult solve_doch(const IsingModel& model, const DochParams& params,

@@ -82,8 +82,6 @@ class DochEngine final : public EnsembleEngineBase {
     params_.max_iterations = max_iterations;
   }
   void advance(std::size_t iter) override;
-  void record_totals(TelemetrySink& sink, std::size_t iterations,
-                     std::size_t energy_samples) const override;
 
  private:
   DochParams params_;

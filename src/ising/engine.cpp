@@ -23,8 +23,8 @@ namespace {
 // dominate (the batched kernel streams ~2.6 G lanes/s single-threaded).
 constexpr std::size_t kForceShardMinLanes = 8192;
 
-// Metrics `engine=` label: the tail of the telemetry prefix ("ising/sb" ->
-// "sb"), so the metric dimension matches the counter namespace.
+// Metrics `engine=` label: the tail of the counter prefix ("ising/sb" ->
+// "sb"), so the metric dimension matches the QoR counter namespace.
 const char* engine_label(const char* telemetry_prefix) {
   const char* label = telemetry_prefix;
   for (const char* p = telemetry_prefix; *p != '\0'; ++p) {
@@ -177,7 +177,6 @@ IsingSolveResult run_engine(IsingEngine& engine) {
   // Returns the initial state, flagged as an early stop.
   if (ctx != nullptr && ctx->expired()) {
     result.stopped_early = true;
-    ctx->telemetry().add(std::string(tprefix) + "/deadline_hits");
     trace_instant(ctx->tracer(), std::string(trprefix) + "/deadline_hit");
     if (MetricsRegistry* m = ctx->metrics()) {
       m->counter("engine_deadline_hits_total",
@@ -260,10 +259,6 @@ IsingSolveResult run_engine(IsingEngine& engine) {
                              {{"engine", engine_label(tprefix)}})
                       .add();
                 }
-                ctx->telemetry().add(std::string(tprefix) +
-                                     "/budget_rescales");
-                ctx->telemetry().add(
-                    std::string(tprefix) + "/budget_rescaled_steps", dropped);
                 if (qor != nullptr) {
                   qor->add(std::string(tprefix) + "/budget_rescales");
                   qor->sample(
@@ -290,16 +285,11 @@ IsingSolveResult run_engine(IsingEngine& engine) {
       if (variance_stop || deadline_stop) {
         result.stopped_early = true;
         ++iter;
-        if (ctx != nullptr) {
-          ctx->telemetry().add(std::string(tprefix) +
-                               (variance_stop ? "/dynamic_stops"
-                                              : "/deadline_hits"));
-          if (MetricsRegistry* m = ctx->metrics()) {
-            m->counter(variance_stop ? "engine_dynamic_stops_total"
-                                     : "engine_deadline_hits_total",
-                       {{"engine", engine_label(tprefix)}})
-                .add();
-          }
+        if (MetricsRegistry* m = ctx != nullptr ? ctx->metrics() : nullptr) {
+          m->counter(variance_stop ? "engine_dynamic_stops_total"
+                                   : "engine_deadline_hits_total",
+                     {{"engine", engine_label(tprefix)}})
+              .add();
         }
         trace_instant(tracer, std::string(trprefix) +
                                   (variance_stop ? "/dynamic_stop"
@@ -322,28 +312,25 @@ IsingSolveResult run_engine(IsingEngine& engine) {
 
   engine.finish(result);
   result.iterations = iter;
-  if (ctx != nullptr) {
-    engine.record_totals(ctx->telemetry(), iter, energy_samples);
-    if (MetricsRegistry* m = ctx->metrics()) {
-      // Per-engine run cadence plus the scrape-facing latency/quality
-      // distributions: how long one engine run takes (split by the
-      // resolved kernel tier) and how much energy the run recovered from
-      // its initial state. Reads of finished state only — armed runs stay
-      // bit-identical to disarmed ones.
-      const char* engine_name = engine_label(tprefix);
-      m->counter("engine_runs_total", {{"engine", engine_name}}).add();
-      m->counter("engine_iterations_total", {{"engine", engine_name}})
-          .add(iter);
-      m->counter("engine_energy_samples_total", {{"engine", engine_name}})
-          .add(energy_samples);
-      // The exemplar joins this scrape-facing series to the run that
-      // produced its latest observation (see DESIGN.md §4.10 provenance).
-      m->histogram("solve_latency_us", {{"engine", engine_name},
-                                        {"kernel", engine.kernel_label()}})
-          .record(run_timer.seconds() * 1e6, ctx->run_id());
-      m->histogram("engine_energy_improvement", {{"engine", engine_name}})
-          .record(initial_energy - result.energy);
-    }
+  if (MetricsRegistry* m = ctx != nullptr ? ctx->metrics() : nullptr) {
+    // Per-engine run cadence plus the scrape-facing latency/quality
+    // distributions: how long one engine run takes (split by the resolved
+    // kernel tier) and how much energy the run recovered from its initial
+    // state. Reads of finished state only — armed runs stay bit-identical
+    // to disarmed ones.
+    const char* engine_name = engine_label(tprefix);
+    m->counter("engine_runs_total", {{"engine", engine_name}}).add();
+    m->counter("engine_iterations_total", {{"engine", engine_name}})
+        .add(iter);
+    m->counter("engine_energy_samples_total", {{"engine", engine_name}})
+        .add(energy_samples);
+    // The exemplar joins this scrape-facing series to the run that
+    // produced its latest observation (see DESIGN.md §4.10 provenance).
+    m->histogram("solve_latency_us", {{"engine", engine_name},
+                                      {"kernel", engine.kernel_label()}})
+        .record(run_timer.seconds() * 1e6, ctx->run_id());
+    m->histogram("engine_energy_improvement", {{"engine", engine_name}})
+        .record(initial_energy - result.energy);
   }
   return result;
 }
@@ -419,13 +406,10 @@ void EnsembleEngineBase::begin(IsingSolveResult& result) {
 }
 
 void EnsembleEngineBase::on_run_start() {
-  // Report which force kernel dispatch resolved to, so run reports and QoR
-  // records show whether the SIMD / dense fast path was actually taken.
-  const std::string kernel_counter =
-      std::string(telemetry_prefix()) + "/kernel/" + kernel_.name;
-  ctx_->telemetry().add(kernel_counter);
+  // Report which force kernel dispatch resolved to, so QoR records and
+  // metrics show whether the SIMD / dense fast path was actually taken.
   if (QorRecorder* qor = ctx_->qor()) {
-    qor->add(kernel_counter);
+    qor->add(std::string(telemetry_prefix()) + "/kernel/" + kernel_.name);
   }
   if (MetricsRegistry* m = ctx_->metrics()) {
     m->counter("kernel_invocations_total", {{"kernel", kernel_.name}}).add();

@@ -14,7 +14,6 @@
 namespace adsd {
 
 class RunContext;
-class TelemetrySink;
 
 /// Mutable view of one replica inside an SoA ensemble engine's
 /// replica-contiguous state: element i of the replica lives at offset
@@ -124,23 +123,24 @@ class EnsembleEnergyTracker {
 /// The sweep driver run_engine() owns the scaffolding that bSB, SA, and
 /// every new engine used to reimplement — the entry deadline check,
 /// sampling points, the dynamic-stop window, the budget-aware iteration
-/// rescale, best-solution tracking, and telemetry/trace/QoR emission —
+/// rescale, best-solution tracking, and metrics/trace/QoR emission —
 /// while the engine contributes only its dynamics (advance) and its
 /// sampling-point measurement (observe). Counter/span names are composed
 /// from telemetry_prefix()/trace_prefix(), so the rehosted engines keep
-/// their historical names ("ising/sb/*" counters, "ising/bsb/*" traces)
-/// bit-for-bit.
+/// their historical names ("ising/sb/*" QoR counters, "ising/bsb/*"
+/// traces) bit-for-bit.
 class IsingEngine {
  public:
   virtual ~IsingEngine() = default;
 
   /// Attaches an execution context (must outlive the engine; nullptr
   /// detaches). With a context the driver honors the deadline, emits
-  /// telemetry/trace/QoR, and engines may shard work over ctx->pool().
+  /// metrics/trace/QoR, and engines may shard work over ctx->pool().
   void set_context(const RunContext* ctx) { ctx_ = ctx; }
   const RunContext* context() const { return ctx_; }
 
-  /// Telemetry counter namespace ("ising/sb", "ising/sa", ...).
+  /// Counter namespace ("ising/sb", "ising/sa", ...): QoR counter names and
+  /// the metrics `engine=` label derive from it.
   virtual const char* telemetry_prefix() const = 0;
 
   /// Trace span/instant namespace ("ising/bsb" keeps the historical bSB
@@ -187,11 +187,6 @@ class IsingEngine {
   /// Final sampling pass after the loop exits.
   virtual void finish(IsingSolveResult& /*result*/) {}
 
-  /// End-of-run totals ("ising/sb/steps", "ising/sa/sweeps", ...); only
-  /// called with a context attached.
-  virtual void record_totals(TelemetrySink& sink, std::size_t iterations,
-                             std::size_t energy_samples) const = 0;
-
  protected:
   const RunContext* ctx_ = nullptr;
 };
@@ -199,7 +194,7 @@ class IsingEngine {
 /// The shared sweep driver: integration loop, sampling points, dynamic
 /// stop, deadline checks (at entry and at sampling points), one-time
 /// budget-aware iteration rescale, convergence trace/QoR curve, and the
-/// end-of-run totals — extracted verbatim from the pre-refactor
+/// end-of-run metrics — extracted verbatim from the pre-refactor
 /// BsbBatchEngine::run() so the rehosted engines stay bit-identical.
 IsingSolveResult run_engine(IsingEngine& engine);
 

@@ -26,7 +26,7 @@ namespace adsd::kernels {
 /// A request the host cannot honor falls down the chain
 /// (dense -> SIMD CSR -> scalar; avx512 -> avx2 -> scalar) instead of
 /// failing, and the resolved choice is reported by name through
-/// engine telemetry/QoR ("ising/sb/kernel/<name>").
+/// engine metrics/QoR ("ising/sb/kernel/<name>").
 enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kDense };
 
 /// Pointer bundle over the engine's flattened planes: replica-contiguous
@@ -55,7 +55,7 @@ using ForceRowsFn = void (*)(const ForcePlanes& planes, std::size_t row_begin,
 
 /// A resolved dispatch decision: the continuous (bSB) and discrete (dSB)
 /// entry points of one variant, the resolved kind (never kAuto), and the
-/// name reported through telemetry ("scalar", "avx2", "avx512",
+/// name reported through metrics ("scalar", "avx2", "avx512",
 /// "dense-scalar", "dense-avx2", "dense-avx512").
 struct SelectedForceKernel {
   ForceRowsFn continuous = nullptr;

@@ -116,9 +116,6 @@ IsingSolveResult solve_sb_poly(const PolyIsingModel& model,
 
   consider(x);
   result.iterations = iter;
-  if (ctx != nullptr) {
-    ctx->telemetry().add("ising/sb_poly/steps", iter);
-  }
   return result;
 }
 
@@ -173,9 +170,6 @@ IsingSolveResult solve_sa_poly(const PolyIsingModel& model,
   }
 
   result.iterations = sweep;
-  if (ctx != nullptr) {
-    ctx->telemetry().add("ising/sa_poly/sweeps", sweep);
-  }
   return result;
 }
 

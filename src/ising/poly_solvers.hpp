@@ -12,7 +12,7 @@ class RunContext;
 /// APEX 2022, the paper's ref. [19]): identical oscillator dynamics to
 /// solve_sb(), with the mean-field force generalized to the polynomial
 /// gradient -dE/dx. Shares SbParams and the sampling-hook contract. A
-/// non-null `ctx` enables deadline checks and telemetry counters.
+/// non-null `ctx` enables deadline checks.
 IsingSolveResult solve_sb_poly(const PolyIsingModel& model,
                                const SbParams& params,
                                const SbSampleHook& hook = nullptr,

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 
 namespace adsd {
 
@@ -69,11 +68,6 @@ double SaEngine::observe(IsingSolveResult& result) {
   // historical solver did: a plateaued random walk stops even when the best
   // was found long ago.
   return energy_;
-}
-
-void SaEngine::record_totals(TelemetrySink& sink, std::size_t iterations,
-                             std::size_t /*energy_samples*/) const {
-  sink.add("ising/sa/sweeps", iterations);
 }
 
 IsingSolveResult solve_sa(const IsingModel& model, const SaParams& params,

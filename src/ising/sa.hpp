@@ -55,8 +55,6 @@ class SaEngine final : public IsingEngine {
   void begin(IsingSolveResult& result) override;
   void advance(std::size_t iter) override;
   double observe(IsingSolveResult& result) override;
-  void record_totals(TelemetrySink& sink, std::size_t iterations,
-                     std::size_t energy_samples) const override;
 
  private:
   const IsingModel& model_;
@@ -71,7 +69,7 @@ class SaEngine final : public IsingEngine {
 
 /// Metropolis simulated annealing on a finalized model. Returns the best
 /// assignment visited. `iterations` counts executed sweeps. A non-null
-/// `ctx` enables per-sweep deadline checks and telemetry counters.
+/// `ctx` enables per-sweep deadline checks and the armed recorders.
 IsingSolveResult solve_sa(const IsingModel& model, const SaParams& params,
                           const RunContext* ctx = nullptr);
 

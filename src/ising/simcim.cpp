@@ -5,7 +5,6 @@
 #include <string>
 
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 
 namespace adsd {
 
@@ -78,13 +77,6 @@ std::string SimcimEngine::curve_name() const {
 
 std::size_t SimcimEngine::sample_interval() const {
   return params_.stop.sample_interval > 0 ? params_.stop.sample_interval : 10;
-}
-
-void SimcimEngine::record_totals(TelemetrySink& sink, std::size_t iterations,
-                                 std::size_t energy_samples) const {
-  sink.add("ising/simcim/steps", iterations);
-  sink.add("ising/simcim/replica_steps", iterations * R_);
-  sink.add("ising/simcim/energy_samples", energy_samples);
 }
 
 IsingSolveResult solve_simcim(const IsingModel& model,

@@ -11,8 +11,8 @@
 namespace adsd::json {
 
 /// Minimal read-only JSON document model: just enough to load and validate
-/// the observability artifacts this repo emits (telemetry reports, Chrome
-/// trace_event files, run reports) without an external dependency. Parsing
+/// the observability artifacts this repo emits (Chrome trace_event files,
+/// run reports, metrics snapshots) without an external dependency. Parsing
 /// is strict RFC-8259 except that it accepts (and ignores) a UTF-8 BOM; on
 /// malformed input parse() throws std::runtime_error with a byte offset.
 class Value {

@@ -304,6 +304,7 @@ void Logger::close() {
   // The Impl (and its rings) is leaked on purpose: a producer that loaded
   // armed() just before the close may still be completing one log() call.
   // Bounded by arm cycles per process, each a few KiB.
+  closed_.push_back(impl);
 }
 
 Logger::ThreadBuffer& Logger::buffer_for_thread(Impl& impl) {

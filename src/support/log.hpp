@@ -258,6 +258,9 @@ class Logger {
   // Atomic because producers that loaded armed() race the closing disarm;
   // the pointed-to Impl is leaked on purpose (see close()).
   std::atomic<Impl*> impl_{nullptr};
+  // Every closed Impl, so the deliberate leak stays reachable from the
+  // never-freed Logger. Appended by close() under the arm mutex.
+  std::vector<Impl*> closed_;
 };
 
 }  // namespace adsd

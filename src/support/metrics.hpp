@@ -61,11 +61,10 @@ struct HistogramData {
 /// with metrics on or off.
 ///
 /// Hot path: metric slots live in a fixed open-addressed table of atomic
-/// pointers (the TelemetrySink scheme) — claimed once by CAS, never
-/// rehashed or removed, every update a relaxed atomic op. Table saturation
-/// is counted in dropped() (and self-exported as metrics_dropped_total);
-/// saturated lookups return a process-wide sink metric so call sites never
-/// branch on failure.
+/// pointers — claimed once by CAS, never rehashed or removed, every update
+/// a relaxed atomic op. Table saturation is counted in dropped() (and
+/// self-exported as metrics_dropped_total); saturated lookups return a
+/// process-wide sink metric so call sites never branch on failure.
 class MetricsRegistry {
  public:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -13,13 +13,13 @@ namespace adsd {
 
 /// Quality-of-result recorder for one solve run.
 ///
-/// Complements the TelemetrySink/TraceRecorder pair: where those observe how
-/// long the solver took and where the time went, the QorRecorder observes
-/// what the solver *achieved* — per-output error rate of the committed
-/// decompositions, accepted-vs-tried candidate partitions, the objective
-/// distribution per core solver, bSB best-energy-vs-iteration convergence
-/// curves, Theorem-3 polish deltas, and the final LUT-bit cost against the
-/// exact 2^n baseline. These are the axes decomposition / Ising-machine
+/// Complements the MetricsRegistry/TraceRecorder pair: where those observe
+/// how long the solver took and where the time went, the QorRecorder
+/// observes what the solver *achieved* — per-output error rate of the
+/// committed decompositions, accepted-vs-tried candidate partitions, the
+/// objective distribution per core solver, bSB best-energy-vs-iteration
+/// convergence curves, Theorem-3 polish deltas, and the final LUT-bit cost
+/// against the exact 2^n baseline. These are the axes decomposition / Ising-machine
 /// papers evaluate on, exported machine-readable so tools/bench_diff can
 /// gate regressions in CI.
 ///

@@ -29,7 +29,6 @@ std::uint64_t fnv1a(std::string_view s) {
 RunContext::RunContext(Options options)
     : options_(std::move(options)),
       deadline_(options_.time_budget_s),
-      telemetry_(std::make_unique<TelemetrySink>()),
       trace_(options_.trace
                  ? std::make_unique<TraceRecorder>(options_.trace_capacity)
                  : nullptr),
@@ -42,7 +41,6 @@ RunContext::RunContext(Options options)
   if (options_.run_id.empty()) {
     options_.run_id = Logger::mint_run_id();
   }
-  telemetry_->set_run(options_.run_id, options_.parent_id);
   if (trace_ != nullptr) {
     trace_->set_run(options_.run_id, options_.parent_id);
   }
@@ -91,8 +89,6 @@ void RunContext::flush_drop_metrics() const {
       metrics_->counter(name).add(now - previous);
     }
   };
-  export_delta(exported_telemetry_drops_, telemetry_->dropped(),
-               "telemetry_dropped_total");
   if (trace_ != nullptr) {
     export_delta(exported_trace_drops_, trace_->dropped(),
                  "trace_dropped_total");

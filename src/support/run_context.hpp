@@ -10,7 +10,6 @@
 #include "support/metrics.hpp"
 #include "support/qor.hpp"
 #include "support/rng.hpp"
-#include "support/telemetry.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -20,7 +19,7 @@ class ThreadPool;
 
 /// Shared execution context for one solve run, threaded through the whole
 /// stack (run_dalta / run_dalta_nd -> partition screening -> core COP
-/// solvers -> the Ising engines). It owns the four cross-cutting concerns
+/// solvers -> the Ising engines). It owns the three cross-cutting concerns
 /// every layer used to wire up separately:
 ///
 ///  - the ThreadPool handle (process-wide shared pool by default, or a
@@ -29,11 +28,9 @@ class ThreadPool;
 ///    yields the same stream for the same (seed, tag, indices) regardless
 ///    of call order or thread count, replacing ad-hoc `seed + offset`
 ///    arithmetic,
-///  - a wall-clock deadline/budget for anytime solvers,
-///  - a hierarchical TelemetrySink aggregating per-solve spans and
-///    counters lock-free into one JSON-serializable report.
+///  - a wall-clock deadline/budget for anytime solvers.
 ///
-/// The context is handed around as `const RunContext&`; telemetry and pool
+/// The context is handed around as `const RunContext&`; recorder and pool
 /// access are const because both are internally synchronized.
 class RunContext {
  public:
@@ -88,9 +85,9 @@ class RunContext {
     bool metrics = false;
 
     /// Run provenance: the correlation ID stamped into every artifact this
-    /// context produces — telemetry report, trace metadata, adsd-qor-v1
-    /// header, metrics exemplars, flight records, and every log line — so
-    /// one request can be joined across all observability pillars. Empty =
+    /// context produces — trace metadata, adsd-qor-v1 header, metrics
+    /// exemplars, flight records, and every log line — so one request can
+    /// be joined across all observability pillars. Empty =
     /// minted at construction (16 hex chars); a caller-supplied value (the
     /// future daemon's request ID) is taken verbatim.
     std::string run_id;
@@ -161,8 +158,6 @@ class RunContext {
   const Deadline& deadline() const { return deadline_; }
   bool expired() const { return deadline_.expired(); }
 
-  TelemetrySink& telemetry() const { return *telemetry_; }
-
   /// Event tracer, or nullptr when Options::trace was off. Pass the pointer
   /// straight to TraceSpan / trace_instant / trace_counter — all of them
   /// no-op on nullptr.
@@ -177,18 +172,16 @@ class RunContext {
   /// was off. Sites test the pointer and record through it directly.
   MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Re-exports this context's recorder drop counts (telemetry slot
-  /// saturation, trace whole-span drops, QoR curve-point drops) into the
-  /// metrics registry as *_dropped_total counters, so saturation is
-  /// visible in a scrape, not just in per-run JSON. Delta-tracked and
-  /// idempotent; called automatically at context destruction, and
-  /// explicitly by exposition writers that scrape mid-run. No-op without
-  /// metrics armed.
+  /// Re-exports this context's recorder drop counts (trace whole-span
+  /// drops, QoR curve-point drops) into the metrics registry as
+  /// *_dropped_total counters, so saturation is visible in a scrape, not
+  /// just in per-run JSON. Delta-tracked and idempotent; called
+  /// automatically at context destruction, and explicitly by exposition
+  /// writers that scrape mid-run. No-op without metrics armed.
   void flush_drop_metrics() const;
 
   /// Process-wide fallback context used by convenience overloads that take
-  /// no explicit context (seed 42, shared pool, no deadline). Its telemetry
-  /// sink aggregates across all such calls.
+  /// no explicit context (seed 42, shared pool, no deadline).
   static const RunContext& fallback();
 
  private:
@@ -200,13 +193,11 @@ class RunContext {
 
   Options options_;
   Deadline deadline_;
-  std::unique_ptr<TelemetrySink> telemetry_;
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<QorRecorder> qor_;
   MetricsRegistry* metrics_ = nullptr;
   bool log_armed_ = false;  // this context holds one Logger::arm reference
   // Last drop counts already exported, so repeated flushes add deltas.
-  mutable std::atomic<std::uint64_t> exported_telemetry_drops_{0};
   mutable std::atomic<std::uint64_t> exported_trace_drops_{0};
   mutable std::atomic<std::uint64_t> exported_qor_drops_{0};
   mutable std::unique_ptr<ThreadPool> owned_pool_;

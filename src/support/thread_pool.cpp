@@ -96,8 +96,11 @@ void ThreadPool::run_job(Job& job) {
     }
   }
   g_active_participants.fetch_sub(1, std::memory_order_relaxed);
-  if (job.done.fetch_add(1) + 1 == job.tasks) {
-    std::lock_guard<std::mutex> lock(job.done_mutex);
+  // Check in under done_mutex: once the caller's wait predicate sees the
+  // final count it returns and ends the stack Job, so no participant may
+  // touch the job after it releases the lock.
+  std::lock_guard<std::mutex> lock(job.done_mutex);
+  if (++job.done == job.tasks) {
     job.done_cv.notify_all();
   }
 }
@@ -159,7 +162,7 @@ void ThreadPool::parallel_for_chunks(
 
   {
     std::unique_lock<std::mutex> lock(job.done_mutex);
-    job.done_cv.wait(lock, [&] { return job.done.load() == job.tasks; });
+    job.done_cv.wait(lock, [&] { return job.done == job.tasks; });
   }
   if (job.error) {
     std::rethrow_exception(job.error);

@@ -79,11 +79,11 @@ class ThreadPool {
     std::size_t grain = 1;
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
     std::size_t tasks = 0;
     std::exception_ptr error;
     std::mutex error_mutex;
     std::mutex done_mutex;
+    std::size_t done = 0;  // participants checked in; guarded by done_mutex
     std::condition_variable done_cv;
   };
 

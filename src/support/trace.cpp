@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "support/telemetry.hpp"
 
 namespace adsd {
 
@@ -219,8 +218,7 @@ double TraceRecorder::quantile_sorted(
   return sorted_ascending[rank - 1];
 }
 
-void TraceRecorder::write_report_json(std::ostream& out,
-                                      const TelemetrySink* telemetry) const {
+void TraceRecorder::write_report_json(std::ostream& out) const {
   struct CounterStats {
     std::size_t samples = 0;
     double first = 0.0;
@@ -377,17 +375,7 @@ void TraceRecorder::write_report_json(std::ostream& out,
         << ", \"busy_s\": " << to_seconds(t.busy_ns) << ", \"utilization\": "
         << (span_ns > 0 ? to_seconds(t.busy_ns) / duration_s : 0.0) << "}";
   }
-  out << (first ? "]" : "\n]");
-
-  if (telemetry != nullptr) {
-    std::string sink_json = telemetry->to_json();
-    while (!sink_json.empty() &&
-           (sink_json.back() == '\n' || sink_json.back() == ' ')) {
-      sink_json.pop_back();
-    }
-    out << ",\n\"telemetry\": " << sink_json;
-  }
-  out << "\n}\n";
+  out << (first ? "]" : "\n]") << "\n}\n";
 }
 
 std::string TraceRecorder::chrome_json() const {
@@ -396,9 +384,9 @@ std::string TraceRecorder::chrome_json() const {
   return out.str();
 }
 
-std::string TraceRecorder::report_json(const TelemetrySink* telemetry) const {
+std::string TraceRecorder::report_json() const {
   std::ostringstream out;
-  write_report_json(out, telemetry);
+  write_report_json(out);
   return out.str();
 }
 

@@ -14,15 +14,13 @@
 
 namespace adsd {
 
-class TelemetrySink;
-
 /// Per-thread, lock-free event tracer for one solve run.
 ///
-/// Complements the aggregating TelemetrySink: where the sink answers "how
-/// much / how many" with per-path totals, the recorder keeps the *timeline*
-/// — which thread did what, when — so a whole run_dalta is one navigable
-/// flame graph and bSB convergence (energy trajectory, stop variance,
-/// Theorem-3 interventions) can be read off per sampling point.
+/// Complements the aggregating MetricsRegistry: where the registry answers
+/// "how much / how many" with per-series totals, the recorder keeps the
+/// *timeline* — which thread did what, when — so a whole run_dalta is one
+/// navigable flame graph and bSB convergence (energy trajectory, stop
+/// variance, Theorem-3 interventions) can be read off per sampling point.
 ///
 /// Design:
 ///  - Every recording thread owns a private ThreadBuffer (events + interned
@@ -47,8 +45,7 @@ class TelemetrySink;
 ///    C counter events, i instants, M thread-name metadata).
 ///  - write_report_json(): compact run report — per span path the count,
 ///    total/mean/min/max and p50/p95/p99 latencies (nearest-rank), counter
-///    series summaries, per-thread event counts and utilization, plus the
-///    TelemetrySink report embedded when a sink is supplied.
+///    series summaries, per-thread event counts and utilization.
 class TraceRecorder {
  public:
   enum class EventType : std::uint8_t {
@@ -128,12 +125,11 @@ class TraceRecorder {
   /// Chrome trace_event JSON: {"traceEvents": [...], ...}.
   void write_chrome_json(std::ostream& out) const;
 
-  /// Compact run report; embeds `telemetry`'s report when non-null.
-  void write_report_json(std::ostream& out,
-                         const TelemetrySink* telemetry = nullptr) const;
+  /// Compact run report (see the class comment).
+  void write_report_json(std::ostream& out) const;
 
   std::string chrome_json() const;
-  std::string report_json(const TelemetrySink* telemetry = nullptr) const;
+  std::string report_json() const;
 
   /// Nearest-rank quantile of an ascending-sorted sample vector: the
   /// ceil(q*N)-th smallest value (q in (0,1]; N >= 1). Exposed so tests can

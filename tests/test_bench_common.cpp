@@ -34,9 +34,9 @@ std::vector<std::string> strip(std::vector<std::string> tokens) {
 
 TEST(HarnessFlags, RecognizesAllHarnessFlags) {
   for (const char* flag :
-       {"--telemetry", "--trace", "--report", "--threads", "--seed", "--qor",
-        "--json", "--metrics", "--metrics-format", "--log-level",
-        "--log-file", "--obs-dir"}) {
+       {"--trace", "--report", "--threads", "--seed", "--qor", "--json",
+        "--metrics", "--metrics-format", "--log-level", "--log-file",
+        "--obs-dir"}) {
     EXPECT_TRUE(bench::is_harness_flag(flag)) << flag;
     EXPECT_TRUE(bench::is_harness_flag(std::string(flag) + "=x")) << flag;
   }

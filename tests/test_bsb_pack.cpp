@@ -15,6 +15,7 @@
 #include "ising/bsb_batch.hpp"
 #include "ising/bsb_pack.hpp"
 #include "ising/model.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
 
@@ -552,11 +553,16 @@ TEST(PackedCoreCopSolver, ChunksPastTheSlotGateRunAsLoopedSolves) {
         SolverRegistry::global().make_from_spec("prop,n=9" + c.keys);
     const auto packed = SolverRegistry::global().make_from_spec(
         "prop,n=9" + c.keys + c.pack);
-    const RunContext ctx(std::uint64_t{5});
+    MetricsRegistry::Counter& pack_runs =
+        MetricsRegistry::global().counter("pack_runs_total");
+    const std::uint64_t runs_before = pack_runs.value();
+    RunContext::Options opts;
+    opts.seed = 5;
+    opts.metrics = true;
+    const RunContext ctx(opts);
     std::vector<CoreSolveStats> stats;
     const auto batch = packed->solve_batch(*c.cops, ctx, seeds, &stats);
-    EXPECT_EQ(ctx.telemetry().counter("ising/pack/runs") > 0, c.packs)
-        << label;
+    EXPECT_EQ(pack_runs.value() > runs_before, c.packs) << label;
     const RunContext ref_ctx(std::uint64_t{5});
     for (std::size_t i = 0; i < c.cops->size(); ++i) {
       CoreSolveStats ref_stats;

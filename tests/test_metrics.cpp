@@ -327,36 +327,36 @@ TEST(MetricsExposition, JsonSnapshotRoundTripsThroughParser) {
 }
 
 // ---------------------------------------------------------------------------
-// Drop re-export through RunContext (telemetry saturation visible in the
+// Drop re-export through RunContext (trace saturation visible in the
 // Prometheus exposition, not just per-run JSON).
 
-TEST(MetricsDropExport, TelemetrySaturationShowsUpInExposition) {
+TEST(MetricsDropExport, TraceSaturationShowsUpInExposition) {
   const std::uint64_t before =
-      MetricsRegistry::global().counter("telemetry_dropped_total").value();
+      MetricsRegistry::global().counter("trace_dropped_total").value();
   RunContext::Options opts;
   opts.metrics = true;
+  opts.trace = true;
+  opts.trace_capacity = 16;
   const RunContext ctx(opts);
-  // TelemetrySink has a fixed slot table (1024); far more distinct
-  // counters saturate it and count drops.
-  for (int i = 0; i < 3000; ++i) {
-    ctx.telemetry().add("sat/" + std::to_string(i));
+  // Far more events than the per-thread buffer holds saturate it and
+  // count drops.
+  for (int i = 0; i < 100; ++i) {
+    ctx.tracer()->instant("sat");
   }
-  ASSERT_GT(ctx.telemetry().dropped(), 0u);
+  ASSERT_GT(ctx.tracer()->dropped(), 0u);
   ctx.flush_drop_metrics();
   const std::uint64_t after =
-      MetricsRegistry::global().counter("telemetry_dropped_total").value();
-  EXPECT_EQ(after - before, ctx.telemetry().dropped());
+      MetricsRegistry::global().counter("trace_dropped_total").value();
+  EXPECT_EQ(after - before, ctx.tracer()->dropped());
 
   // Flushing again must not double-count (delta tracking).
   ctx.flush_drop_metrics();
-  EXPECT_EQ(
-      MetricsRegistry::global().counter("telemetry_dropped_total").value(),
-      after);
+  EXPECT_EQ(MetricsRegistry::global().counter("trace_dropped_total").value(),
+            after);
 
   std::ostringstream out;
   MetricsRegistry::global().write_prometheus(out);
-  EXPECT_NE(out.str().find("adsd_telemetry_dropped_total"),
-            std::string::npos);
+  EXPECT_NE(out.str().find("adsd_trace_dropped_total"), std::string::npos);
 }
 
 TEST(MetricsDropExport, ArmedFollowsContextLifetime) {

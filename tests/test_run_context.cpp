@@ -2,87 +2,19 @@
 
 #include <atomic>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/dalta.hpp"
 #include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
+#include "support/json.hpp"
+#include "support/metrics.hpp"
 #include "support/run_context.hpp"
-#include "support/telemetry.hpp"
 #include "support/thread_pool.hpp"
 
 namespace adsd {
 namespace {
-
-// ------------------------------------------------------------- telemetry
-
-TEST(Telemetry, CountersAggregate) {
-  TelemetrySink sink;
-  sink.add("a/b");
-  sink.add("a/b", 4);
-  sink.add("a/c", 2);
-  EXPECT_EQ(sink.counter("a/b"), 5u);
-  EXPECT_EQ(sink.counter("a/c"), 2u);
-  EXPECT_EQ(sink.counter("missing"), 0u);
-}
-
-TEST(Telemetry, SpansRecordDurationAggregates) {
-  TelemetrySink sink;
-  sink.record_ns("s", 100);
-  sink.record_ns("s", 300);
-  const auto snap = sink.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].path, "s");
-  EXPECT_TRUE(snap[0].is_span);
-  EXPECT_EQ(snap[0].count, 2u);
-  EXPECT_EQ(snap[0].total_ns, 400u);
-  EXPECT_EQ(snap[0].min_ns, 100u);
-  EXPECT_EQ(snap[0].max_ns, 300u);
-}
-
-TEST(Telemetry, RaiiSpanClosesOnDestruction) {
-  TelemetrySink sink;
-  { const auto s = sink.span("scope"); }
-  const auto snap = sink.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].count, 1u);
-  EXPECT_TRUE(snap[0].is_span);
-}
-
-TEST(Telemetry, ConcurrentUpdatesAreLossless) {
-  TelemetrySink sink;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink] {
-      for (int i = 0; i < kPerThread; ++i) {
-        sink.add("hot", 1);
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(sink.counter("hot"),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(Telemetry, JsonReportIsStableAndSorted) {
-  TelemetrySink sink;
-  sink.add("z/counter", 7);
-  sink.add("a/counter", 3);
-  sink.record_ns("m/span", 1000000);
-  const std::string a = sink.to_json();
-  const std::string b = sink.to_json();
-  EXPECT_EQ(a, b);
-  EXPECT_LT(a.find("\"a/counter\": 3"), a.find("\"z/counter\": 7"));
-  EXPECT_NE(a.find("\"counters\""), std::string::npos);
-  EXPECT_NE(a.find("\"spans\""), std::string::npos);
-  EXPECT_NE(a.find("\"m/span\""), std::string::npos);
-}
 
 // ----------------------------------------------------------- RNG streams
 
@@ -236,30 +168,55 @@ TEST(RunContext, ContextOverloadMatchesLegacyOverload) {
   EXPECT_EQ(legacy.med, modern.med);
 }
 
-TEST(RunContext, TelemetryCapturesSolveHierarchy) {
+// Every core solve of a DALTA run reaches the core_* metrics and the trace
+// report, whether the candidates are solved one by one (a core/solve span
+// each) or handed to a packed solver as one batch per round (a
+// core/solve_batch span each).
+TEST(RunContext, MetricsAndTraceCaptureSolveHierarchy) {
   const auto exact = make_benchmark_table("exp", 6, 4);
   const auto dist = InputDistribution::uniform(6);
   DaltaParams params;
   params.free_size = 3;
   params.num_partitions = 4;
   params.rounds = 1;
-  const auto solver = SolverRegistry::global().make_from_spec("prop,n=6");
 
-  const RunContext ctx(std::uint64_t{3});
-  const auto res = run_dalta(exact, dist, params, *solver, ctx);
-  const TelemetrySink& sink = ctx.telemetry();
-  EXPECT_EQ(sink.counter("dalta/cop_solves"), res.cop_solves);
-  EXPECT_EQ(sink.counter("core/solves"), res.cop_solves);
-  EXPECT_EQ(sink.counter("core/iterations"), res.solver_iterations);
+  struct Case {
+    const char* spec;
+    const char* solver;
+    const char* span;
+  };
+  for (const Case& c :
+       {Case{"prop,n=6", "ising-bsb", "core/solve/ising-bsb"},
+        Case{"prop,n=6,pack=4", "ising-bsb-pack",
+             "core/solve_batch/ising-bsb-pack"}}) {
+    SCOPED_TRACE(c.spec);
+    const auto solver = SolverRegistry::global().make_from_spec(c.spec);
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    MetricsRegistry::Counter& dalta_solves =
+        metrics.counter("dalta_cop_solves_total");
+    MetricsRegistry::Counter& core_solves =
+        metrics.counter("core_solves_total", {{"solver", c.solver}});
+    MetricsRegistry::Counter& core_iterations =
+        metrics.counter("core_iterations_total", {{"solver", c.solver}});
+    const std::uint64_t dalta_before = dalta_solves.value();
+    const std::uint64_t solves_before = core_solves.value();
+    const std::uint64_t iterations_before = core_iterations.value();
 
-  bool found_solve_span = false;
-  bool found_run_span = false;
-  for (const auto& m : sink.snapshot()) {
-    found_solve_span |= m.path == "core/solve/ising-bsb" && m.is_span;
-    found_run_span |= m.path == "dalta/run" && m.is_span;
+    RunContext::Options opts;
+    opts.seed = 3;
+    opts.trace = true;
+    opts.metrics = true;
+    const RunContext ctx(opts);
+    const auto res = run_dalta(exact, dist, params, *solver, ctx);
+    EXPECT_EQ(dalta_solves.value() - dalta_before, res.cop_solves);
+    EXPECT_EQ(core_solves.value() - solves_before, res.cop_solves);
+    EXPECT_EQ(core_iterations.value() - iterations_before,
+              res.solver_iterations);
+
+    const json::Value report = json::parse(ctx.tracer()->report_json());
+    EXPECT_TRUE(report.at("spans").contains("dalta/run"));
+    EXPECT_TRUE(report.at("spans").contains(c.span));
   }
-  EXPECT_TRUE(found_solve_span);
-  EXPECT_TRUE(found_run_span);
 }
 
 }  // namespace

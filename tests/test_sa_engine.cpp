@@ -12,6 +12,7 @@
 #include "core/solver_registry.hpp"
 #include "ising/model.hpp"
 #include "ising/sa.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
 
@@ -155,12 +156,17 @@ TEST(SaEngine, RegistryAliasAndSpinFlipKeysAreWired) {
 
 // An already-expired deadline must stop the solve at the entry check: the
 // initial assignment comes back, marked stopped_early, with zero executed
-// sweeps and the deadline-hit telemetry counter bumped.
+// sweeps and the deadline-hit metric bumped.
 TEST(SaEngine, ExpiredDeadlineStopsBeforeFirstSweep) {
   Rng model_rng(3);
   const auto m = random_model(10, 0.5, model_rng);
+  MetricsRegistry::Counter& deadline_hits =
+      MetricsRegistry::global().counter("engine_deadline_hits_total",
+                                        {{"engine", "sa"}});
+  const std::uint64_t hits_before = deadline_hits.value();
   RunContext::Options opts;
   opts.time_budget_s = 1e-9;
+  opts.metrics = true;
   const RunContext ctx(opts);
   while (!ctx.expired()) {
     std::this_thread::yield();
@@ -171,7 +177,7 @@ TEST(SaEngine, ExpiredDeadlineStopsBeforeFirstSweep) {
   EXPECT_TRUE(res.stopped_early);
   EXPECT_EQ(res.iterations, 0u);
   EXPECT_NEAR(m.energy(res.spins), res.energy, 1e-9);
-  EXPECT_GE(ctx.telemetry().counter("ising/sa/deadline_hits"), 1u);
+  EXPECT_GE(deadline_hits.value() - hits_before, 1u);
 }
 
 // A deadline that expires mid-run stops within one sweep of it firing and

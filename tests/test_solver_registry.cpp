@@ -36,7 +36,7 @@ TEST(SolverRegistry, AllCanonicalNamesBuild) {
 TEST(SolverRegistry, AliasesResolveToTheSameEntryAsTheClassName) {
   const SolverRegistry& r = SolverRegistry::global();
   // Aliases are the CoreCopSolver::name() strings, so registry lookups and
-  // telemetry paths ("core/solve/<name>") agree.
+  // trace paths ("core/solve/<name>") agree.
   const std::pair<const char*, const char*> pairs[] = {
       {"prop", "ising-bsb"},     {"dalta", "dalta-greedy"},
       {"ilp", "ilp-bnb"},        {"ba", "ba-anneal"},

@@ -30,14 +30,13 @@
 //                           key; results are bit-identical to unpacked)
 //         --threads <t>     worker threads for the partition fan-out
 //                           (>= 1; default: hardware concurrency)
-//         --telemetry <file>  write the run's telemetry report as JSON
 //         --trace <file>    write a Chrome trace_event JSON timeline of the
 //                           whole solve (load in chrome://tracing or
 //                           Perfetto; per-thread spans, bSB energy/variance
 //                           counters)
 //         --report <file>   write the compact run report JSON (per-span
 //                           p50/p95/p99 latencies, counter summaries,
-//                           per-thread utilization, embedded telemetry)
+//                           per-thread utilization)
 //         --qor <file>      write the quality-of-result record as JSON
 //                           (schema adsd-qor-v1: per-output error rates,
 //                           partition accept/try counts, bSB convergence
@@ -63,9 +62,9 @@
 //         --log-file <file> structured-log destination (default: stderr)
 //         --obs-dir <dir>   unified observability bundle: mint a run_id,
 //                           arm every recorder, and write log.jsonl,
-//                           telemetry.json, trace.json, report.json,
-//                           qor.json, metrics.prom, metrics.json, and
-//                           flight.json under <dir>/<run_id>/ — every
+//                           trace.json, report.json, qor.json,
+//                           metrics.prom, metrics.json, and flight.json
+//                           under <dir>/<run_id>/ — every
 //                           artifact stamped with the same run_id
 //                           (validate the join with tools/log_summary
 //                           --expect-run-id et al.)

@@ -2,8 +2,8 @@
 # join gate — the bundle must land under exactly one run_id directory, every
 # artifact must exist, and each must pass its validator with
 # --expect-run-id <run_id> (log_summary for the JSONL stream, trace_summary
-# for trace/report/telemetry/qor, metrics_summary for both metrics
-# expositions and the flight dump).
+# for trace/report/qor, metrics_summary for both metrics expositions and the
+# flight dump).
 
 set(OBS obs_bundle_test)
 file(REMOVE_RECURSE ${OBS})
@@ -24,8 +24,8 @@ endif()
 list(GET runs 0 RID)
 set(DIR ${OBS}/${RID})
 
-foreach(artifact log.jsonl telemetry.json trace.json report.json qor.json
-        metrics.prom metrics.json flight.json)
+foreach(artifact log.jsonl trace.json report.json qor.json metrics.prom
+        metrics.json flight.json)
   if(NOT EXISTS ${DIR}/${artifact})
     message(FATAL_ERROR "obs bundle missing ${artifact} under ${DIR}")
   endif()
@@ -35,7 +35,6 @@ foreach(pair
     "${LOG_SUMMARY};log.jsonl"
     "${TRACE_SUMMARY};trace.json"
     "${TRACE_SUMMARY};report.json"
-    "${TRACE_SUMMARY};telemetry.json"
     "${TRACE_SUMMARY};qor.json"
     "${METRICS_SUMMARY};metrics.prom"
     "${METRICS_SUMMARY};metrics.json"

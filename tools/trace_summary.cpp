@@ -10,8 +10,6 @@
 //   - Run report (adsd_cli --report): "meta" + "spans". Validates the
 //     schema (quantile fields present, counts consistent) and prints the
 //     latency and counter tables.
-//   - Telemetry report (adsd_cli --telemetry): "counters" + "spans".
-//     Validates and prints both sections.
 //   - QoR record (adsd_cli --qor, schema "adsd-qor-v1"): validates the
 //     counters/samples/decisions/curves/finals sections and prints the
 //     final quality summary.
@@ -247,45 +245,6 @@ int summarize_report(const Value& doc, const SummaryOptions& opts) {
   return 0;
 }
 
-int summarize_telemetry(const Value& doc, const SummaryOptions& opts) {
-  const bool check_only = opts.check_only;
-  check_run_id(opts, optional_run_id(doc), "telemetry run_id");
-  const Value& counters = doc.at("counters");
-  const Value& spans = doc.at("spans");
-  require(counters.is_object() && spans.is_object(),
-          "telemetry counters/spans must be objects");
-  require(doc.at("dropped").is_number(), "telemetry missing dropped");
-  for (const auto& [path, s] : spans.as_object()) {
-    for (const char* key : {"count", "total_s", "mean_s", "min_s", "max_s"}) {
-      require(s.find(key) != nullptr && s.at(key).is_number(),
-              "telemetry span '" + path + "' missing " + key);
-    }
-  }
-  if (check_only) {
-    std::cout << "telemetry OK: " << counters.as_object().size()
-              << " counters, " << spans.as_object().size() << " spans\n";
-    return 0;
-  }
-  Table counter_table({"counter", "total"});
-  for (const auto& [path, v] : counters.as_object()) {
-    counter_table.add_row(
-        {path,
-         std::to_string(static_cast<long long>(v.as_number()))});
-  }
-  counter_table.print(std::cout);
-  std::cout << "\n";
-  Table span_table({"span", "count", "total ms", "mean ms"});
-  for (const auto& [path, s] : spans.as_object()) {
-    span_table.add_row(
-        {path,
-         std::to_string(static_cast<std::size_t>(s.at("count").as_number())),
-         Table::num(s.at("total_s").as_number() * 1e3, 3),
-         Table::num(s.at("mean_s").as_number() * 1e3, 3)});
-  }
-  span_table.print(std::cout);
-  return 0;
-}
-
 int summarize_qor(const Value& doc, const SummaryOptions& opts) {
   check_run_id(opts, optional_run_id(doc), "qor run_id");
   require(doc.at("counters").is_object(), "qor counters must be an object");
@@ -345,11 +304,8 @@ int main(int argc, char** argv) {
         if (doc.contains("meta") && doc.contains("spans")) {
           return summarize_report(doc, opts);
         }
-        if (doc.contains("counters") && doc.contains("spans")) {
-          return summarize_telemetry(doc, opts);
-        }
         throw std::runtime_error(
             "unrecognized JSON document (expected a Chrome trace, run "
-            "report, telemetry report, or adsd-qor-v1 record)");
+            "report, or adsd-qor-v1 record)");
       });
 }
