@@ -219,7 +219,7 @@ void run_force_variant(benchmark::State& state, const IsingModel& model,
   // structural zeros it streams through.
   const auto replicas = static_cast<std::size_t>(state.range(0));
   if (kernels::select_force_kernel(kind, cpu_features(),
-                                   model.has_dense_plane())
+                                   model.has_dense_plane(), replicas)
           .kind != kind) {
     state.SkipWithError("kernel variant not selectable on this host");
     return;
@@ -284,6 +284,35 @@ BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, avx512,
 BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, dense,
                   kernels::ForceKernel::kDense)->Arg(8)->Arg(32);
 
+void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
+  // One R = 1 force pass -- the paper's single trajectory per core COP --
+  // on the column-COP models (arg = n: 64 spins at n = 9, 768 at n = 16).
+  // csr is the widest CSR tier the host runs (the avx512 request walks the
+  // fallback chain), rowblock the row-block layout auto resolves to at
+  // R = 1, at the same ISA; their n = 16 ratio is the
+  // force_kernel_speedup_rowblock_r1 record.
+  const auto n = static_cast<unsigned>(state.range(0));
+  const IsingModel model = make_cop(n, n == 16 ? 7 : 4, 31).to_ising();
+  SbParams params;
+  params.seed = 41;
+  params.kernel = kind;
+  BsbBatchEngine engine(model, params, 1);
+  Rng rng(41);
+  for (double& v : engine.positions()) {
+    v = rng.next_double(-1.0, 1.0);
+  }
+  for (auto _ : state) {
+    engine.compute_forces();
+    benchmark::DoNotOptimize(engine.forces().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * model.num_couplings()));
+}
+BENCHMARK_CAPTURE(BM_ForceKernelR1, csr, kernels::ForceKernel::kAvx512)
+    ->Arg(9)->Arg(16);
+BENCHMARK_CAPTURE(BM_ForceKernelR1, rowblock, kernels::ForceKernel::kAuto)
+    ->Arg(9)->Arg(16);
+
 void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   // Full batched solve (8 replicas, 100 steps) on the n = 16 core-COP
   // model per kernel variant -- what the force-kernel speedups translate
@@ -291,7 +320,7 @@ void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   const auto cop = make_cop(16, 7, 29);
   const IsingModel model = cop.to_ising();
   if (kernels::select_force_kernel(kind, cpu_features(),
-                                   model.has_dense_plane())
+                                   model.has_dense_plane(), 8)
           .kind != kind) {
     state.SkipWithError("kernel variant not selectable on this host");
     return;
@@ -724,6 +753,20 @@ int main(int argc, char** argv) {
                        "force_kernel_speedup_avx512");
     add_kernel_speedup("BM_ForceKernelDenseModel", "dense",
                        "force_kernel_speedup_dense");
+    // Row-block layout over the widest CSR tier at R = 1 on the n = 16
+    // column-COP model: the single-trajectory force pass looped `prop`
+    // runs. Single-thread ratio, valid anywhere.
+    {
+      const auto csr = secs.find("BM_ForceKernelR1/csr/16");
+      const auto rowblock = secs.find("BM_ForceKernelR1/rowblock/16");
+      if (csr != secs.end() && rowblock != secs.end() &&
+          rowblock->second > 0.0) {
+        report.add_derived("force_kernel_speedup_rowblock_r1",
+                           csr->second / rowblock->second, "max", true,
+                           "single-thread ratio vs the widest CSR kernel, "
+                           "R=1, n=16 column COP");
+      }
+    }
     // Packed-vs-looped tiny-solve speedups (single thread, R = 1, 64-spin
     // instances): one BsbPackEngine run against K sequential BsbBatchEngine
     // solves of the same instances. Single-thread ratios, valid anywhere.

@@ -44,9 +44,10 @@ struct SbParams {
   bool discrete = false;
 
   /// Force-kernel variant for the batched engine (registry key `kernel=`,
-  /// CLI `--kernel`). kAuto picks the dense fast path when the model
-  /// materialized a dense plane and otherwise the widest explicit-SIMD
-  /// CSR kernel the CPU supports; every variant is bit-identical (see
+  /// CLI `--kernel`). kAuto picks the row-block layout at one replica;
+  /// past one, the dense fast path when the model materialized a dense
+  /// plane and otherwise the widest explicit-SIMD CSR kernel the CPU
+  /// supports. Every variant is bit-identical (see
   /// ising/kernels/force_kernels.hpp).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 
@@ -90,8 +91,9 @@ IsingSolveResult solve_sb_scalar(const IsingModel& model,
 /// is returned. `iterations` sums Euler steps across replicas. The dynamic
 /// stop is evaluated on the ensemble-best energy. Force evaluation goes
 /// through the dispatched kernel layer of ising/kernels/force_kernels.hpp
-/// (portable / AVX2 / AVX-512 / dense fast path, selected per CPU and
-/// model at engine construction; override via SbParams::kernel). The hook
+/// (portable / AVX2 / AVX-512 tiers of the CSR, dense and R = 1 row-block
+/// layouts, selected per CPU, model and replica count at engine
+/// construction; override via SbParams::kernel). The hook
 /// (if any) is applied to each replica at sampling points through a legacy
 /// gather/scatter adapter — prefer solve_sb_batch() and its strided
 /// SbBatchHook for new code, which avoids the per-sample copies.

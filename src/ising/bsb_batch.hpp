@@ -26,12 +26,13 @@ class RunContext;
 /// (no interleaved pairs) and all planes are 64-byte aligned. Force
 /// evaluation dispatches through the kernel layer of
 /// ising/kernels/force_kernels.hpp: a cpuid-probed explicit-SIMD CSR
-/// kernel (AVX2 / AVX-512, portable lane-blocked fallback) or, when the
-/// model materialized a dense J plane, a blocked dense matrix x
-/// replica-plane kernel with no index gather — selected at construction
-/// from SbParams::kernel (kAuto by default) and reported via
-/// kernel_name() and the kernel_invocations_total{kernel} metric.
-/// Every variant is bit-identical by construction.
+/// kernel (AVX2 / AVX-512, portable lane-blocked fallback), a blocked
+/// dense matrix x replica-plane kernel with no index gather when the model
+/// materialized a dense J plane, or at R = 1 the row-block kernel that
+/// vectorizes across rows — selected at construction from SbParams::kernel
+/// (kAuto by default) and reported via kernel_name() and the
+/// kernel_invocations_total{kernel} metric. Every variant is bit-identical
+/// by construction.
 ///
 /// Replica r reproduces the scalar reference solve_sb_scalar() with seed
 /// params.seed + r * 0x9e3779b9 bit-for-bit: the per-replica arithmetic uses

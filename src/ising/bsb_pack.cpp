@@ -86,12 +86,13 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
   // SOME member actually couples, so columns that are structural zeros
   // in every slot cost neither bandwidth nor flops. DALTA packs carve
   // same-template instances, whose union is ~one member's edge count —
-  // half the dense plane on the K = 64 bench point. Dropping a column
-  // that is zero in every slot removes only +-0.0 addends from the
-  // h-seeded accumulators, and the surviving edges keep their ascending
-  // order, so every partial sum — and therefore every trajectory — is
-  // bit-identical to the dense iteration. One bitset sweep per row
-  // (finalize() stores neighbors ascending; extraction re-sorts anyway).
+  // half the dense plane on the K = 64 bench point. A union column a
+  // member lacks adds only +-0.0 to that member's h-seeded accumulator,
+  // which is never -0.0 (IsingModel stores biases canonically), and the
+  // member's own edges keep their ascending order, so every partial sum —
+  // and therefore every trajectory — is bit-identical to the member's
+  // standalone CSR iteration. One bitset sweep per row (finalize() stores
+  // neighbors ascending; extraction re-sorts anyway).
   const std::size_t words = (n_ + 63) / 64;
   std::vector<std::uint64_t> rowbits(words);
   urow_start_.assign(n_ + 1, 0);

@@ -103,7 +103,8 @@ using PackPlaneHook = std::function<void(
 ///  - members of a mixed-n pack are padded to the pack maximum with inert
 ///    spins: padded rows have zero bias and coupling, so their positions
 ///    and momenta stay exactly 0.0 and contribute only +-0.0 addends that
-///    cannot perturb any h-seeded accumulator,
+///    cannot perturb any h-seeded accumulator (IsingModel stores biases
+///    canonically, so no accumulator starts at -0.0),
 ///  - sampling, the flip telescope, the best-energy slack filter, and the
 ///    variance-stop/deadline ordering replicate BsbBatchEngine::run()
 ///    per member.

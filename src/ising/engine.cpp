@@ -350,26 +350,28 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
 
   csr_ = flatten_csr(model);
 
-  // Resolve the force kernel once: cpuid-probed ISA tier, dense fast path
-  // when the model materialized a plane, explicit override via the
-  // engine's kernel parameter. The dispatch never fails — unsupported
-  // requests walk the fallback chain (avx512 -> avx2 -> scalar,
-  // dense -> CSR).
-  kernel_ =
-      kernels::select_force_kernel(requested, cpu_features(),
-                                   model.has_dense_plane());
+  // Resolve the force kernel once: cpuid-probed ISA tier, the row-block
+  // layout at R = 1, the dense fast path when the model materialized a
+  // plane, explicit override via the engine's kernel parameter. The
+  // dispatch never fails — unsupported requests walk the fallback chain
+  // (avx512 -> avx2 -> scalar, dense -> CSR).
+  kernel_ = kernels::select_force_kernel(requested, cpu_features(),
+                                         model.has_dense_plane(), R_);
   force_fn_ = discrete ? kernel_.discrete : kernel_.continuous;
   planes_ = kernels::ForcePlanes{};
   planes_.h = csr_.h.data();
   planes_.row_start = csr_.row_start.data();
   planes_.cols = csr_.cols.data();
   planes_.weights = csr_.weights.data();
+  planes_.n = n_;
+  planes_.replicas = R_;
   if (kernel_.kind == kernels::ForceKernel::kDense) {
     planes_.dense = model.dense_plane().data();
     planes_.dense_stride = model.dense_stride();
+  } else if (kernel_.kind == kernels::ForceKernel::kRowBlock) {
+    row_blocks_ = kernels::build_row_blocks(planes_);
+    row_blocks_.bind(planes_);
   }
-  planes_.n = n_;
-  planes_.replicas = R_;
 
   x_.assign(n_ * R_, 0.0);
   y_.assign(n_ * R_, 0.0);
@@ -390,9 +392,16 @@ void EnsembleEngineBase::compute_forces() {
     if (pool.thread_count() > 1) {
       // A nested call from inside DALTA's parallel_for runs inline via the
       // pool's nesting guard — same code path, no oversubscription.
+      // Row-block kernels store whole blocks, so their chunks are counted
+      // in blocks: a chunk boundary inside a block would have two workers
+      // store the same rows.
+      const std::size_t unit = kernel_.kind == kernels::ForceKernel::kRowBlock
+                                   ? kernels::kRowBlockRows
+                                   : 1;
       pool.parallel_for_chunks(
-          n_, 0, [this](std::size_t begin, std::size_t end) {
-            force_fn_(planes_, begin, end);
+          (n_ + unit - 1) / unit, 0,
+          [this, unit](std::size_t begin, std::size_t end) {
+            force_fn_(planes_, begin * unit, std::min(end * unit, n_));
           });
       return;
     }

@@ -200,19 +200,21 @@ IsingSolveResult run_engine(IsingEngine& engine);
 
 /// Shared chassis of the SoA lockstep ensemble engines (bSB, SimCIM,
 /// DOCH): replica-contiguous position/secondary/force planes, the
-/// flattened CSR adjacency, a dispatched force kernel (with row sharding
-/// over the context pool), incremental energy tracking, and the
-/// sampling-point hook application. Derived engines implement the
-/// dynamics (advance) over the shared planes and their parameter plumbing;
-/// everything else — begin/observe/finish, hook dispatch, kernel
-/// reporting — is inherited.
+/// flattened CSR adjacency (plus the row-block layout at R = 1), a
+/// dispatched force kernel (with row sharding over the context pool,
+/// whole blocks per chunk for the row-block kernels), incremental energy
+/// tracking, and the sampling-point hook application. Derived engines
+/// implement the dynamics (advance) over the shared planes and their
+/// parameter plumbing; everything else — begin/observe/finish, hook
+/// dispatch, kernel reporting — is inherited.
 class EnsembleEngineBase : public IsingEngine {
  public:
   std::size_t num_spins() const { return n_; }
   std::size_t replicas() const { return R_; }
 
   /// Resolved force-kernel name ("scalar", "avx2", "avx512",
-  /// "dense-avx512", ...) after dispatch walked the fallback chain.
+  /// "dense-avx512", "rowblock-avx512", ...) after dispatch walked the
+  /// fallback chain.
   const char* kernel_name() const { return kernel_.name; }
   const char* kernel_label() const override { return kernel_.name; }
 
@@ -261,8 +263,10 @@ class EnsembleEngineBase : public IsingEngine {
 
  protected:
   /// Flattens the model, resolves the force kernel (honoring `requested`
-  /// against CPU features and dense-plane availability), and allocates the
-  /// zero-filled x/y/force planes. `label` prefixes validation messages.
+  /// against CPU features, dense-plane availability and the replica
+  /// count), builds the row-block layout when that kernel won, and
+  /// allocates the zero-filled x/y/force planes. `label` prefixes
+  /// validation messages.
   EnsembleEngineBase(const IsingModel& model, std::size_t replicas,
                      kernels::ForceKernel requested, bool discrete,
                      const char* label);
@@ -279,6 +283,7 @@ class EnsembleEngineBase : public IsingEngine {
   std::size_t n_;
   std::size_t R_;
   CsrPlanes csr_;
+  kernels::RowBlockLayout row_blocks_;  // built only for kRowBlock
   kernels::SelectedForceKernel kernel_;
   kernels::ForceRowsFn force_fn_ = nullptr;  // continuous or discrete entry
   kernels::ForcePlanes planes_;

@@ -9,7 +9,8 @@
 // Each lane's per-edge accumulation order is therefore identical to the
 // scalar reference -- and the arithmetic is mul-then-add (never FMA; the
 // build also pins -ffp-contract=off), so results are bit-exact against
-// every other kernel tier.
+// every other kernel tier. The R = 1 row-block kernel vectorizes across
+// the 8 rows of a block instead, under the same contract.
 
 #include "ising/kernels/force_kernels_detail.hpp"
 
@@ -296,6 +297,43 @@ void pack_force_shared(const PackForcePlanes& p, std::size_t row_begin,
   }
 }
 
+// Row-block kernel (R = 1): two ymm hold the 8 row accumulators of a
+// block (rows 0-3 and 4-7); each union column broadcasts its position (or
+// sign) against the block's contiguous weight column. The tail block
+// stores through lane masks, so rows past n are never written.
+template <bool Discrete>
+void rowblock_force(const ForcePlanes& p, std::size_t row_begin,
+                    std::size_t row_end) {
+  constexpr std::size_t B = kRowBlockRows;
+  for (std::size_t row0 = row_begin; row0 < row_end; row0 += B) {
+    const std::size_t b = row0 / B;
+    __m256d acc0 = _mm256_loadu_pd(p.block_h + row0);
+    __m256d acc1 = _mm256_loadu_pd(p.block_h + row0 + 4);
+    const std::uint32_t e_end = p.block_start[b + 1];
+    for (std::uint32_t e = p.block_start[b]; e < e_end; ++e) {
+      const double* we = p.block_weights + static_cast<std::size_t>(e) * B;
+      const double xj = p.x[p.block_cols[e]];
+      const __m256d v =
+          _mm256_set1_pd(Discrete ? (xj >= 0.0 ? 1.0 : -1.0) : xj);
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(we), v));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(we + 4), v));
+    }
+    double* fb = p.force + row0;
+    const std::size_t rows = row_end - row0;
+    if (rows >= B) {
+      _mm256_storeu_pd(fb, acc0);
+      _mm256_storeu_pd(fb + 4, acc1);
+    } else {
+      const __m256i live = _mm256_set1_epi64x(static_cast<long long>(rows));
+      _mm256_maskstore_pd(
+          fb, _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(0, 1, 2, 3)), acc0);
+      _mm256_maskstore_pd(
+          fb + 4, _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(4, 5, 6, 7)),
+          acc1);
+    }
+  }
+}
+
 }  // namespace
 
 void csr_force_avx2(const ForcePlanes& p, std::size_t row_begin,
@@ -313,6 +351,14 @@ void dense_force_avx2(const ForcePlanes& p, std::size_t row_begin,
 void dense_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
                         std::size_t row_end) {
   dense_force<true>(p, row_begin, row_end);
+}
+void rowblock_force_avx2(const ForcePlanes& p, std::size_t row_begin,
+                         std::size_t row_end) {
+  rowblock_force<false>(p, row_begin, row_end);
+}
+void rowblock_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
+                           std::size_t row_end) {
+  rowblock_force<true>(p, row_begin, row_end);
 }
 void pack_force_avx2(const PackForcePlanes& p, std::size_t row_begin,
                      std::size_t row_end) {

@@ -2,7 +2,8 @@
 // AVX2 file, same lane-across-replicas vectorization, same mul-then-add
 // bit-exactness contract (no FMA, -ffp-contract=off). Lane blocks of 16
 // (two zmm accumulators) / 8 are peeled, with an AVX2-free scalar tail so
-// the file depends on -mavx512f alone. Only reached after the runtime
+// the file depends on -mavx512f alone; the R = 1 row-block kernel holds
+// the 8 rows of a block in one zmm. Only reached after the runtime
 // CPUID + XCR0 probe confirms OS zmm state support.
 
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -287,6 +288,36 @@ void pack_force_shared(const PackForcePlanes& p, std::size_t row_begin,
   }
 }
 
+// Row-block kernel (R = 1): one zmm holds the 8 row accumulators of a
+// block; each union column broadcasts its position (or sign) against the
+// block's contiguous weight column. The tail block stores through a lane
+// mask, so rows past n are never written.
+template <bool Discrete>
+void rowblock_force(const ForcePlanes& p, std::size_t row_begin,
+                    std::size_t row_end) {
+  constexpr std::size_t B = kRowBlockRows;
+  for (std::size_t row0 = row_begin; row0 < row_end; row0 += B) {
+    const std::size_t b = row0 / B;
+    __m512d acc = _mm512_loadu_pd(p.block_h + row0);
+    const std::uint32_t e_end = p.block_start[b + 1];
+    for (std::uint32_t e = p.block_start[b]; e < e_end; ++e) {
+      const __m512d w =
+          _mm512_loadu_pd(p.block_weights + static_cast<std::size_t>(e) * B);
+      const double xj = p.x[p.block_cols[e]];
+      const __m512d v =
+          _mm512_set1_pd(Discrete ? (xj >= 0.0 ? 1.0 : -1.0) : xj);
+      acc = _mm512_add_pd(acc, _mm512_mul_pd(w, v));
+    }
+    const std::size_t rows = row_end - row0;
+    if (rows >= B) {
+      _mm512_storeu_pd(p.force + row0, acc);
+    } else {
+      _mm512_mask_storeu_pd(p.force + row0,
+                            static_cast<__mmask8>((1u << rows) - 1u), acc);
+    }
+  }
+}
+
 }  // namespace
 
 void csr_force_avx512(const ForcePlanes& p, std::size_t row_begin,
@@ -304,6 +335,14 @@ void dense_force_avx512(const ForcePlanes& p, std::size_t row_begin,
 void dense_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
                           std::size_t row_end) {
   dense_force<true>(p, row_begin, row_end);
+}
+void rowblock_force_avx512(const ForcePlanes& p, std::size_t row_begin,
+                           std::size_t row_end) {
+  rowblock_force<false>(p, row_begin, row_end);
+}
+void rowblock_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
+                             std::size_t row_end) {
+  rowblock_force<true>(p, row_begin, row_end);
 }
 void pack_force_avx512(const PackForcePlanes& p, std::size_t row_begin,
                        std::size_t row_end) {

@@ -1,5 +1,6 @@
 #include "ising/kernels/force_kernels.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -78,7 +79,9 @@ void csr_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
 // contribute w * x = +-0.0, which leaves every accumulator bit-identical
 // to the CSR traversal (finalize() stores no explicit zero couplings, and
 // a +-0.0 addend only matters against a -0.0 accumulator, which the
-// h-seeded accumulation cannot produce from finite inputs).
+// h-seeded accumulation never holds: IsingModel stores biases as
+// value + 0.0, never -0.0, and a finite sum is -0.0 only when both
+// addends are).
 template <int W, bool Discrete>
 void dense_lanes(const ForcePlanes& p, std::size_t lane0,
                  std::size_t row_begin, std::size_t row_end) {
@@ -130,6 +133,50 @@ void dense_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
   if (lane < R) {
     dense_lanes<1, Discrete>(p, lane, row_begin, row_end);
   }
+}
+
+// ----------------------------------------------------- portable row-block tier
+//
+// R = 1 kernel over RowBlockLayout: the register file holds the 8 rows of
+// one block instead of 8 replicas of one row, and each union column
+// broadcasts one position (its sign for dSB) against the block's weight
+// column. Each row sees h, then its own terms in ascending column order,
+// with +-0.0 addends for the union columns it lacks -- the same arithmetic
+// as the CSR reference.
+
+template <bool Discrete>
+void rowblock_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
+                                std::size_t row_end) {
+  constexpr std::size_t B = kRowBlockRows;
+  for (std::size_t row0 = row_begin; row0 < row_end; row0 += B) {
+    const std::size_t b = row0 / B;
+    double acc[B];
+    for (std::size_t t = 0; t < B; ++t) {
+      acc[t] = p.block_h[row0 + t];
+    }
+    const std::uint32_t e_end = p.block_start[b + 1];
+    for (std::uint32_t e = p.block_start[b]; e < e_end; ++e) {
+      const double xj = p.x[p.block_cols[e]];
+      const double v = Discrete ? (xj >= 0.0 ? 1.0 : -1.0) : xj;
+      const double* we = p.block_weights + static_cast<std::size_t>(e) * B;
+      for (std::size_t t = 0; t < B; ++t) {
+        acc[t] += we[t] * v;
+      }
+    }
+    const std::size_t rows = std::min(B, row_end - row0);
+    for (std::size_t t = 0; t < rows; ++t) {
+      p.force[row0 + t] = acc[t];
+    }
+  }
+}
+
+void rowblock_force_scalar(const ForcePlanes& p, std::size_t b,
+                           std::size_t e) {
+  rowblock_force_scalar_impl<false>(p, b, e);
+}
+void rowblock_force_scalar_d(const ForcePlanes& p, std::size_t b,
+                             std::size_t e) {
+  rowblock_force_scalar_impl<true>(p, b, e);
 }
 
 // ----------------------------------------------------- portable pack tier
@@ -304,25 +351,36 @@ struct Tier {
   ForceRowsFn csr_d;
   ForceRowsFn dense_c;
   ForceRowsFn dense_d;
+  ForceRowsFn rowblock_c;
+  ForceRowsFn rowblock_d;
   const char* csr_name;
   const char* dense_name;
+  const char* rowblock_name;
 };
 
-constexpr Tier kScalarTier = {csr_force_scalar, csr_force_scalar_d,
-                              dense_force_scalar, dense_force_scalar_d,
-                              "scalar", "dense-scalar"};
+constexpr Tier kScalarTier = {
+    csr_force_scalar,      csr_force_scalar_d,
+    dense_force_scalar,    dense_force_scalar_d,
+    rowblock_force_scalar, rowblock_force_scalar_d,
+    "scalar",              "dense-scalar",
+    "rowblock-scalar"};
 
 #ifdef ADSD_HAVE_AVX2
-constexpr Tier kAvx2Tier = {detail::csr_force_avx2, detail::csr_force_avx2_d,
-                            detail::dense_force_avx2,
-                            detail::dense_force_avx2_d, "avx2", "dense-avx2"};
+constexpr Tier kAvx2Tier = {
+    detail::csr_force_avx2,      detail::csr_force_avx2_d,
+    detail::dense_force_avx2,    detail::dense_force_avx2_d,
+    detail::rowblock_force_avx2, detail::rowblock_force_avx2_d,
+    "avx2",                      "dense-avx2",
+    "rowblock-avx2"};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
 constexpr Tier kAvx512Tier = {
-    detail::csr_force_avx512, detail::csr_force_avx512_d,
-    detail::dense_force_avx512, detail::dense_force_avx512_d, "avx512",
-    "dense-avx512"};
+    detail::csr_force_avx512,      detail::csr_force_avx512_d,
+    detail::dense_force_avx512,    detail::dense_force_avx512_d,
+    detail::rowblock_force_avx512, detail::rowblock_force_avx512_d,
+    "avx512",                      "dense-avx512",
+    "rowblock-avx512"};
 #endif
 
 const Tier& tier_for(ForceKernel isa) {
@@ -408,6 +466,8 @@ const char* force_kernel_name(ForceKernel kind) {
       return "avx512";
     case ForceKernel::kDense:
       return "dense";
+    case ForceKernel::kRowBlock:
+      return "rowblock";
   }
   return "auto";
 }
@@ -460,12 +520,16 @@ bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features) {
 
 SelectedForceKernel select_force_kernel(ForceKernel requested,
                                         const CpuFeatures& features,
-                                        bool dense_available) {
-  // Resolve the dense axis first: dense needs a materialized plane, and
+                                        bool dense_available,
+                                        std::size_t replicas) {
+  // Resolve the layout axis first. At R = 1 every replica-lane kernel
+  // (dense included) runs one scalar chain per row, so auto means the
+  // row-block layout. Past R = 1, dense needs a materialized plane, and
   // auto prefers it when present (finalize() only materializes one past
   // the measured near-complete crossover; see DESIGN.md §4.6).
+  const bool use_rowblock = replicas == 1 && requested == ForceKernel::kAuto;
   const bool use_dense =
-      dense_available &&
+      !use_rowblock && dense_available &&
       (requested == ForceKernel::kAuto || requested == ForceKernel::kDense);
 
   // Resolve the ISA axis with the fallback chain avx512 -> avx2 -> scalar.
@@ -486,7 +550,12 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
 
   const Tier& tier = tier_for(isa);
   SelectedForceKernel out;
-  if (use_dense) {
+  if (use_rowblock) {
+    out.continuous = tier.rowblock_c;
+    out.discrete = tier.rowblock_d;
+    out.kind = ForceKernel::kRowBlock;
+    out.name = tier.rowblock_name;
+  } else if (use_dense) {
     out.continuous = tier.dense_c;
     out.discrete = tier.dense_d;
     out.kind = ForceKernel::kDense;
@@ -511,6 +580,60 @@ std::vector<ForceKernel> selectable_force_kernels(bool dense_available) {
   }
   if (dense_available) {
     out.push_back(ForceKernel::kDense);
+  }
+  return out;
+}
+
+void RowBlockLayout::bind(ForcePlanes& planes) const {
+  planes.block_start = block_start.data();
+  planes.block_cols = cols.data();
+  planes.block_weights = weights.data();
+  planes.block_h = h.data();
+}
+
+RowBlockLayout build_row_blocks(const ForcePlanes& csr) {
+  constexpr std::size_t B = kRowBlockRows;
+  const std::size_t n = csr.n;
+  const std::size_t blocks = (n + B - 1) / B;
+  RowBlockLayout out;
+  out.block_start.assign(blocks + 1, 0);
+  out.h.assign(blocks * B, 0.0);
+  std::copy(csr.h, csr.h + n, out.h.begin());
+
+  // Pass 1: each block's ascending column union (stamp marks the columns
+  // the current block has already collected).
+  constexpr std::uint32_t kUnseen = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> stamp(n, kUnseen);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t u0 = out.cols.size();
+    for (std::size_t i = b * B; i < std::min(b * B + B, n); ++i) {
+      for (std::size_t e = csr.row_start[i]; e < csr.row_start[i + 1]; ++e) {
+        const std::uint32_t j = csr.cols[e];
+        if (stamp[j] != b) {
+          stamp[j] = static_cast<std::uint32_t>(b);
+          out.cols.push_back(j);
+        }
+      }
+    }
+    std::sort(out.cols.begin() + static_cast<std::ptrdiff_t>(u0),
+              out.cols.end());
+    out.block_start[b + 1] = static_cast<std::uint32_t>(out.cols.size());
+  }
+
+  // Pass 2: scatter each row's weights into its lane of the block's
+  // column-major tile (pos maps a column to its union index).
+  out.weights.assign(out.cols.size() * B, 0.0);
+  std::vector<std::uint32_t> pos(n, 0);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::uint32_t u = out.block_start[b]; u < out.block_start[b + 1];
+         ++u) {
+      pos[out.cols[u]] = u;
+    }
+    for (std::size_t i = b * B; i < std::min(b * B + B, n); ++i) {
+      for (std::size_t e = csr.row_start[i]; e < csr.row_start[i + 1]; ++e) {
+        out.weights[pos[csr.cols[e]] * B + (i - b * B)] = csr.weights[e];
+      }
+    }
   }
   return out;
 }

@@ -5,29 +5,41 @@
 #include <string>
 #include <vector>
 
+#include "support/aligned.hpp"
 #include "support/cpu_features.hpp"
 
 namespace adsd::kernels {
 
 /// Force-kernel variants of the batched bSB engine (DESIGN.md §4.6).
 ///
-///  - kAuto:   dense plane when the model materialized one, otherwise the
-///             widest explicit-SIMD CSR kernel the CPU supports.
-///  - kScalar: the portable lane-blocked kernel (compile-time register
-///             file, auto-vectorizes at whatever width the build targets).
+///  - kAuto:     at R = 1 the row-block layout at the widest ISA; at R > 1
+///               the dense plane when the model materialized one, otherwise
+///               the widest explicit-SIMD CSR kernel the CPU supports.
+///  - kScalar:   the portable lane-blocked kernel (compile-time register
+///               file, auto-vectorizes at whatever width the build targets).
 ///  - kAvx2 /
-///    kAvx512: hand-vectorized CSR kernels; vectorization runs across the
-///             replica-contiguous lanes, so each lane's per-edge
-///             accumulation order -- and therefore bit-exact parity with
-///             solve_sb_scalar() -- is preserved.
-///  - kDense:  blocked dense matrix x replica-plane kernel over the padded
-///             J plane from IsingModel::finalize(); no index gather at all.
+///    kAvx512:   hand-vectorized CSR kernels; vectorization runs across the
+///               replica-contiguous lanes, so each lane's per-edge
+///               accumulation order -- and therefore bit-exact parity with
+///               solve_sb_scalar() -- is preserved.
+///  - kDense:    blocked dense matrix x replica-plane kernel over the padded
+///               J plane from IsingModel::finalize(); no index gather at all.
+///  - kRowBlock: what kAuto resolves to at R = 1 (never requested by
+///               name). Vectorizes across ROWS instead of replicas:
+///               blocks of kRowBlockRows rows walk the union of their
+///               columns (RowBlockLayout), one vector accumulator lane per
+///               row. The replica-lane kernels degenerate to one dependent
+///               scalar chain per row at R = 1.
 ///
 /// A request the host cannot honor falls down the chain
 /// (dense -> SIMD CSR -> scalar; avx512 -> avx2 -> scalar) instead of
-/// failing, and the resolved choice is reported by name through
-/// engine metrics/QoR ("ising/sb/kernel/<name>").
-enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kDense };
+/// failing, and the resolved choice is reported by name through engine
+/// metrics/QoR ("ising/sb/kernel/<name>").
+enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kDense, kRowBlock };
+
+/// Rows per block of the row-block layout: one zmm, two ymm, or the
+/// portable tier's double[8] register file.
+inline constexpr std::size_t kRowBlockRows = 8;
 
 /// Pointer bundle over the engine's flattened planes: replica-contiguous
 /// SoA positions/forces (element i of replica r at index i * replicas + r),
@@ -43,20 +55,54 @@ struct ForcePlanes {
   const double* weights = nullptr;      // CSR coupling weights
   const double* dense = nullptr;        // n x dense_stride row-major J plane
   std::size_t dense_stride = 0;         // padded row length (multiple of 8)
+  const std::uint32_t* block_start = nullptr;  // blocks + 1 union offsets
+  const std::uint32_t* block_cols = nullptr;   // union columns per block
+  const double* block_weights = nullptr;  // union edges x 8, column-major
+  const double* block_h = nullptr;        // blocks x 8 zero-padded biases
   std::size_t n = 0;                    // spins
   std::size_t replicas = 0;             // lanes per spin
 };
 
+/// Row-block layout of one model (R = 1 only; DESIGN.md §4.6). Rows are
+/// grouped in blocks of kRowBlockRows; block b keeps the ascending union
+/// of its rows' CSR columns, cols[block_start[b] .. block_start[b + 1]),
+/// and a column-major weight tile: weights[e * 8 + t] is row 8b + t's
+/// coupling on union column e, 0.0 where that row lacks the column. h
+/// holds the biases zero-padded to whole blocks.
+///
+/// Bit-exactness: a row still accumulates h then its own terms in
+/// ascending column order, one rounding per multiply and one per add. The
+/// union columns it lacks add 0.0 * x = +-0.0, which leaves any
+/// accumulator that is not -0.0 unchanged, and an h-seeded accumulator
+/// never is: IsingModel stores biases canonically (never -0.0), and a sum
+/// of finite doubles is -0.0 only when both addends are.
+struct RowBlockLayout {
+  std::vector<std::uint32_t> block_start;
+  AlignedVector<std::uint32_t> cols;
+  AlignedVector<double> weights;
+  AlignedVector<double> h;
+
+  /// Points the planes' block_* fields at this layout.
+  void bind(ForcePlanes& planes) const;
+};
+
+/// Builds the row-block layout from the CSR fields of `csr` (n,
+/// row_start, cols, weights, h; columns ascending per row, as
+/// IsingModel::finalize() stores them).
+RowBlockLayout build_row_blocks(const ForcePlanes& csr);
+
 /// One kernel entry point: fill force rows [row_begin, row_end) for every
 /// replica lane. Rows are independent, so a sharded caller splitting
 /// [0, n) across threads gets bit-identical planes in any interleaving.
+/// Row-block kernels store whole blocks, so their ranges must start on a
+/// block boundary and end on one or at n.
 using ForceRowsFn = void (*)(const ForcePlanes& planes, std::size_t row_begin,
                              std::size_t row_end);
 
 /// A resolved dispatch decision: the continuous (bSB) and discrete (dSB)
 /// entry points of one variant, the resolved kind (never kAuto), and the
 /// name reported through metrics ("scalar", "avx2", "avx512",
-/// "dense-scalar", "dense-avx2", "dense-avx512").
+/// "dense-<isa>", "rowblock-<isa>" with <isa> one of those three).
 struct SelectedForceKernel {
   ForceRowsFn continuous = nullptr;
   ForceRowsFn discrete = nullptr;
@@ -65,8 +111,9 @@ struct SelectedForceKernel {
 };
 
 /// Canonical spelling of a kernel kind ("auto", "scalar", "avx2",
-/// "avx512", "dense") -- the values accepted by the registry `kernel=` key
-/// and the CLI `--kernel` flag.
+/// "avx512", "dense" -- the values accepted by the registry `kernel=` key
+/// and the CLI `--kernel` flag -- and "rowblock" for the resolved-only
+/// kRowBlock).
 const char* force_kernel_name(ForceKernel kind);
 
 /// Parses a kernel name; throws std::invalid_argument listing the valid
@@ -78,20 +125,27 @@ ForceKernel parse_force_kernel(const std::string& name);
 bool force_kernel_compiled(ForceKernel kind);
 
 /// True when the variant is compiled in AND the given CPU can execute it.
-/// kAuto/kScalar/kDense are always supported (kDense additionally needs a
-/// model with a dense plane, which selection checks separately).
+/// kAuto/kScalar/kDense/kRowBlock are always supported (kDense
+/// additionally needs a model with a dense plane and kRowBlock R = 1,
+/// which selection checks separately).
 bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features);
 
-/// Resolves a request against CPU features and dense-plane availability,
-/// walking the fallback chain when the request cannot be honored. Never
-/// fails; the result's fn pointers are always callable.
+/// Resolves a request against CPU features, dense-plane availability and
+/// the replica count, walking the fallback chain when the request cannot
+/// be honored. At R = 1, kAuto resolves to the row-block layout at the
+/// widest ISA, even when a dense plane exists; explicit requests keep
+/// their CSR or dense layout. `replicas` defaults to the paper's single
+/// trajectory per solve. Never fails; the result's fn pointers are always
+/// callable.
 SelectedForceKernel select_force_kernel(ForceKernel requested,
                                         const CpuFeatures& features,
-                                        bool dense_available);
+                                        bool dense_available,
+                                        std::size_t replicas = 1);
 
-/// The kernels that resolve to themselves on this host (with `cpu_features()`
-/// and the given dense availability) -- what the parity tests and the
-/// micro-benchmarks enumerate. Always contains kScalar.
+/// The kernels that resolve to themselves on this host (with
+/// `cpu_features()` and the given dense availability) -- what the parity
+/// tests and the micro-benchmarks enumerate. Always contains kScalar; the
+/// row-block layout is reached through kAuto at R = 1.
 std::vector<ForceKernel> selectable_force_kernels(bool dense_available);
 
 /// Pointer bundle of the multi-instance packed bSB engine (DESIGN.md §4.7):
@@ -112,10 +166,11 @@ std::vector<ForceKernel> selectable_force_kernels(bool dense_available);
 /// template pattern this halves weight traffic and flops versus a dense
 /// plane, and a fully-dense union degenerates to the dense iteration.
 /// Dropping the all-zero columns is bit-exact: they contributed +-0.0
-/// addends to h-seeded accumulators, which never change the partial sums,
-/// and the surviving edges keep their ascending-j order. Retired
-/// instances are swap-compacted to the tail, so kernels touch only the
-/// first `active` slots of every group.
+/// addends to h-seeded accumulators, which never change the partial sums
+/// (such an accumulator is never -0.0; see RowBlockLayout), and the
+/// surviving edges keep their ascending-j order. Retired instances are
+/// swap-compacted to the tail, so kernels touch only the first `active`
+/// slots of every group.
 ///
 /// Shared-J variant: when every slot solves the same coupling matrix
 /// (e.g. packed restart attempts of one instance), `wj` holds ONE weight

@@ -10,12 +10,17 @@
 // replica lanes; *_d variants are the discrete (sign-of-x) dSB flavor.
 //
 // Bit-exactness contract shared by every implementation: lane t of row i
-// accumulates h[i] then w_e * x_e terms in CSR edge order (dense kernels:
-// ascending column order, which matches CSR order because finalize()
-// stores neighbors ascending) with one rounding per multiply and one per
-// add -- no FMA contraction (the build pins -ffp-contract=off) and no
-// cross-edge reassociation. Vector code vectorizes across lanes only, so
-// each lane's scalar accumulation order is untouched.
+// accumulates h[i] then w_e * x_e terms in CSR edge order (dense and
+// row-block kernels: ascending column order, which matches CSR order
+// because finalize() stores neighbors ascending) with one rounding per
+// multiply and one per add -- no FMA contraction (the build pins
+// -ffp-contract=off) and no cross-edge reassociation. Vector code
+// vectorizes across lanes (replicas, or rows of one block) only, so each
+// row's scalar accumulation order is untouched. The extra columns the
+// dense and row-block kernels walk add 0.0 * x = +-0.0, which cannot
+// change an h-seeded accumulator: IsingModel stores biases canonically,
+// so h[i] is never -0.0, and a finite sum is -0.0 only when both addends
+// are.
 
 namespace adsd::kernels::detail {
 
@@ -28,6 +33,13 @@ void dense_force_avx2(const ForcePlanes& p, std::size_t row_begin,
 void dense_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
                         std::size_t row_end);
 
+// Row-block kernels (R = 1): row_begin must be a block boundary and
+// row_end a block boundary or n; the tail block's store is masked.
+void rowblock_force_avx2(const ForcePlanes& p, std::size_t row_begin,
+                         std::size_t row_end);
+void rowblock_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
+                           std::size_t row_end);
+
 void csr_force_avx512(const ForcePlanes& p, std::size_t row_begin,
                       std::size_t row_end);
 void csr_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
@@ -36,6 +48,10 @@ void dense_force_avx512(const ForcePlanes& p, std::size_t row_begin,
                         std::size_t row_end);
 void dense_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
                           std::size_t row_end);
+void rowblock_force_avx512(const ForcePlanes& p, std::size_t row_begin,
+                           std::size_t row_end);
+void rowblock_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
+                             std::size_t row_end);
 
 // Pack kernels (DESIGN.md §4.7): same contract per (instance, replica)
 // lane, but the vector axis is the slot axis -- `active` consecutive

@@ -33,12 +33,16 @@ IsingModel::IsingModel(std::size_t num_spins) : n_(num_spins), h_(num_spins) {
   }
 }
 
+// Biases are stored as value + 0.0: that maps -0.0 to +0.0 and leaves
+// every other double unchanged, so no h-seeded force accumulator starts at
+// -0.0 -- the premise of the +-0.0 argument that keeps the dense,
+// row-block and pack kernels bit-identical to CSR (DESIGN.md §4.6).
 void IsingModel::set_bias(std::size_t i, double h) {
-  h_.at(i) = h;
+  h_.at(i) = h + 0.0;
 }
 
 void IsingModel::add_bias(std::size_t i, double dh) {
-  h_.at(i) += dh;
+  h_.at(i) = (h_.at(i) + dh) + 0.0;
 }
 
 void IsingModel::add_coupling(std::size_t i, std::size_t j, double j_value) {

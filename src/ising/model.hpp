@@ -28,6 +28,8 @@ class IsingModel {
 
   std::size_t num_spins() const { return n_; }
 
+  /// Biases are stored canonically: a -0.0 result is stored as +0.0, so
+  /// every force kernel's h-seeded accumulator starts off -0.0.
   void set_bias(std::size_t i, double h);
   void add_bias(std::size_t i, double dh);
   double bias(std::size_t i) const { return h_[i]; }

@@ -99,6 +99,25 @@ TEST(Simcim, KernelChoiceDoesNotChangeTheTrajectory) {
   EXPECT_EQ(a.spins, b.spins);
 }
 
+TEST(Simcim, RowBlockKernelMatchesCsrAtOneReplica) {
+  // The paper's single-trajectory shape: auto resolves to the row-block
+  // layout, whose trajectory must equal the scalar CSR reference.
+  Rng rng(19);
+  const auto m = random_model(21, 0.5, rng);
+  SimcimParams scalar;
+  scalar.seed = 7;
+  scalar.kernel = kernels::ForceKernel::kScalar;
+  const auto ref = solve_simcim(m, scalar, 1);
+  SimcimParams params = scalar;
+  params.kernel = kernels::ForceKernel::kAuto;
+  EXPECT_EQ(SimcimEngine(m, params, 1).kernel_kind(),
+            kernels::ForceKernel::kRowBlock);
+  const auto got = solve_simcim(m, params, 1);
+  EXPECT_EQ(got.energy, ref.energy);
+  EXPECT_EQ(got.spins, ref.spins);
+  EXPECT_EQ(got.iterations, ref.iterations);
+}
+
 TEST(Simcim, WarmStartAndValidation) {
   Rng rng(19);
   const auto m = random_model(6, 0.8, rng);
@@ -192,6 +211,25 @@ TEST(Doch, KernelChoiceDoesNotChangeTheTrajectory) {
   const auto b = solve_doch(m, autok, 4);
   EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.spins, b.spins);
+}
+
+TEST(Doch, RowBlockKernelMatchesCsrAtOneReplica) {
+  // DOCH evaluates the force at its lookahead plane (set_force_input), so
+  // the row-block kernel must read that plane, not the positions.
+  Rng rng(37);
+  const auto m = random_model(21, 0.5, rng);
+  DochParams scalar;
+  scalar.seed = 9;
+  scalar.kernel = kernels::ForceKernel::kScalar;
+  const auto ref = solve_doch(m, scalar, 1);
+  DochParams params = scalar;
+  params.kernel = kernels::ForceKernel::kAuto;
+  EXPECT_EQ(DochEngine(m, params, 1).kernel_kind(),
+            kernels::ForceKernel::kRowBlock);
+  const auto got = solve_doch(m, params, 1);
+  EXPECT_EQ(got.energy, ref.energy);
+  EXPECT_EQ(got.spins, ref.spins);
+  EXPECT_EQ(got.iterations, ref.iterations);
 }
 
 TEST(Doch, Validation) {

@@ -1,9 +1,10 @@
 // Tests for the dispatched force-kernel layer (DESIGN.md §4.6): cpuid
-// dispatch and its fallback chain on masked feature sets, registry/CLI
-// kernel selection, the dense-plane materialization in
-// IsingModel::finalize(), and the layer's central contract — every
-// dispatched variant (explicit-SIMD CSR and dense fast path alike)
-// produces bit-identical force planes, solve results, and DALTA runs.
+// dispatch and its fallback chain on masked feature sets (at R = 1 and
+// past it), registry/CLI kernel selection, the dense-plane
+// materialization in IsingModel::finalize(), and the layer's central
+// contract — every dispatched variant (explicit-SIMD CSR, dense fast path
+// and R = 1 row-block layout alike) produces bit-identical force planes,
+// solve results, and DALTA runs, sharded or not.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,12 @@
 #include "funcs/continuous.hpp"
 #include "ising/bsb.hpp"
 #include "ising/bsb_batch.hpp"
+#include "ising/engine.hpp"
 #include "ising/kernels/force_kernels.hpp"
 #include "ising/model.hpp"
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
+#include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
@@ -43,14 +46,17 @@ IsingModel random_model(std::size_t n, double density, Rng& rng) {
   return m;
 }
 
-/// The n = 9 column-COP Ising model of the paper: near-half dense, which
-/// sits far below the measured dense-path crossover (~0.95), so no dense
-/// plane is materialized and auto-dispatch stays on the CSR kernels.
-IsingModel column_cop_model() {
-  const auto exact = make_continuous_table(continuous_spec("exp"), 9, 9);
-  const auto w = InputPartition::trivial(9, 4);
+/// A joint-mode column-COP Ising model over the trivial (free, n - free)
+/// partition: 2^free matrix rows, so V1/V2/T spins start at 0, 2^free and
+/// 2^(free+1). The default is the paper's n = 9 model: near-half dense,
+/// which sits far below the measured dense-path crossover (~0.95), so no
+/// dense plane is materialized and replica-lane auto-dispatch stays on the
+/// CSR kernels.
+IsingModel column_cop_model(unsigned n = 9, unsigned free_size = 4) {
+  const auto exact = make_continuous_table(continuous_spec("exp"), n, n);
+  const auto w = InputPartition::trivial(n, free_size);
   const auto m = BooleanMatrix::from_function(exact, 0, w);
-  const auto dist = InputDistribution::uniform(9);
+  const auto dist = InputDistribution::uniform(n);
   const auto probs = matrix_probs(dist, w);
   Rng rng(17);
   std::vector<double> d(m.rows() * m.cols());
@@ -59,6 +65,40 @@ IsingModel column_cop_model() {
   }
   const auto cop = ColumnCop::joint(m, probs, d, 2.0);
   return cop.to_ising();
+}
+
+/// A separate-mode n = 9 column COP whose matrix row 0 has probability
+/// zero: every gain of that row is +-0.0, so ColumnCop::to_ising() sets
+/// the bias of V1[0] and V2[0] to -(+0.0) / 4 = -0.0 and adds no coupling
+/// to either -- the COP path to a signed-zero bias.
+IsingModel zero_row_column_cop_model() {
+  const auto exact = make_continuous_table(continuous_spec("exp"), 9, 9);
+  const auto w = InputPartition::trivial(9, 4);
+  Rng rng(19);
+  std::vector<double> weights(std::size_t{1} << 9);
+  for (std::uint64_t x = 0; x < weights.size(); ++x) {
+    weights[x] = w.row_of(x) == 0 ? 0.0 : rng.next_double(0.5, 1.5);
+  }
+  const auto dist = InputDistribution::from_weights(weights);
+  const auto m = BooleanMatrix::from_function(exact, 4, w);
+  return ColumnCop::separate(m, matrix_probs(dist, w)).to_ising();
+}
+
+/// A complete 48-spin model plus one uncoupled spin whose bias is set to
+/// -0.0: dense enough (47/49) that finalize() materializes the plane, so
+/// the dense kernel walks 48 zero columns in the uncoupled row.
+IsingModel signed_zero_dense_model() {
+  Rng rng(53);
+  IsingModel m(49);
+  for (std::size_t i = 0; i < 48; ++i) {
+    m.set_bias(i, rng.next_double(-1.0, 1.0));
+    for (std::size_t j = i + 1; j < 48; ++j) {
+      m.add_coupling(i, j, rng.next_double(-1.0, 1.0));
+    }
+  }
+  m.set_bias(48, -0.0);
+  m.finalize();
+  return m;
 }
 
 SbParams quick_params(std::uint64_t seed) {
@@ -83,6 +123,10 @@ CpuFeatures avx512_features() {
   return f;
 }
 
+// Replica count of the dispatch tests that pin the replica-lane (R > 1)
+// branch; the R = 1 branch has its own tests below.
+constexpr std::size_t kLanes = 8;
+
 // ------------------------------------------------------------ name parsing
 
 TEST(ForceKernelNames, RoundTrip) {
@@ -91,6 +135,15 @@ TEST(ForceKernelNames, RoundTrip) {
         ForceKernel::kAvx512, ForceKernel::kDense}) {
     EXPECT_EQ(kernels::parse_force_kernel(kernels::force_kernel_name(k)), k);
   }
+}
+
+TEST(ForceKernelNames, RowBlockIsResolvedNotRequested) {
+  // The row-block layout is what auto means at R = 1; it has a name for
+  // reporting but is not a value of the kernel= key.
+  EXPECT_STREQ(kernels::force_kernel_name(ForceKernel::kRowBlock),
+               "rowblock");
+  EXPECT_THROW(kernels::parse_force_kernel("rowblock"),
+               std::invalid_argument);
 }
 
 TEST(ForceKernelNames, UnknownNameThrowsListingValidNames) {
@@ -108,8 +161,8 @@ TEST(ForceKernelNames, UnknownNameThrowsListingValidNames) {
 // ---------------------------------------------------------------- dispatch
 
 TEST(ForceKernelDispatch, NoFeaturesResolvesScalar) {
-  const auto sel =
-      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), false);
+  const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
+                                                no_features(), false, kLanes);
   EXPECT_EQ(sel.kind, ForceKernel::kScalar);
   EXPECT_STREQ(sel.name, "scalar");
   ASSERT_NE(sel.continuous, nullptr);
@@ -138,14 +191,14 @@ TEST(ForceKernelDispatch, Avx512RequestFallsBackToAvx2) {
 
 TEST(ForceKernelDispatch, AutoPicksWidestSupportedIsa) {
   if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                  avx512_features(), false);
+    const auto sel = kernels::select_force_kernel(
+        ForceKernel::kAuto, avx512_features(), false, kLanes);
     EXPECT_EQ(sel.kind, ForceKernel::kAvx512);
     EXPECT_STREQ(sel.name, "avx512");
   }
   if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                  avx2_features(), false);
+    const auto sel = kernels::select_force_kernel(
+        ForceKernel::kAuto, avx2_features(), false, kLanes);
     EXPECT_EQ(sel.kind, ForceKernel::kAvx2);
     EXPECT_STREQ(sel.name, "avx2");
   }
@@ -162,8 +215,8 @@ TEST(ForceKernelDispatch, Avx2NeedsFmaToo) {
 }
 
 TEST(ForceKernelDispatch, AutoPrefersDenseWhenPlaneAvailable) {
-  const auto sel =
-      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), true);
+  const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
+                                                no_features(), true, kLanes);
   EXPECT_EQ(sel.kind, ForceKernel::kDense);
   EXPECT_STREQ(sel.name, "dense-scalar");
 }
@@ -198,10 +251,62 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
     ASSERT_FALSE(kinds.empty());
     EXPECT_EQ(kinds.front(), ForceKernel::kScalar);
     for (ForceKernel k : kinds) {
-      const auto sel = kernels::select_force_kernel(k, cpu_features(), dense);
+      const auto sel =
+          kernels::select_force_kernel(k, cpu_features(), dense, 1);
       EXPECT_EQ(sel.kind, k) << kernels::force_kernel_name(k);
     }
   }
+}
+
+// ------------------------------------------------------- dispatch at R = 1
+
+TEST(ForceKernelDispatch, OneReplicaResolvesRowBlockAtWidestIsa) {
+  // auto at R = 1 takes the row-block layout at the widest tier the
+  // masked "CPU" runs, through the same chain as CSR.
+  CpuFeatures no_fma;
+  no_fma.avx2 = true;
+  const auto scalar =
+      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), false, 1);
+  EXPECT_EQ(scalar.kind, ForceKernel::kRowBlock);
+  EXPECT_STREQ(scalar.name, "rowblock-scalar");
+  ASSERT_NE(scalar.continuous, nullptr);
+  ASSERT_NE(scalar.discrete, nullptr);
+  EXPECT_STREQ(
+      kernels::select_force_kernel(ForceKernel::kAuto, no_fma, false, 1).name,
+      "rowblock-scalar");
+  if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
+                                                  avx2_features(), false, 1);
+    EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
+    EXPECT_STREQ(sel.name, "rowblock-avx2");
+  }
+  if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
+                                                  avx512_features(), false, 1);
+    EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
+    EXPECT_STREQ(sel.name, "rowblock-avx512");
+  }
+}
+
+TEST(ForceKernelDispatch, AutoAtOneReplicaPrefersRowBlockOverDensePlane) {
+  // The dense kernel's lane loop is one scalar chain per row at R = 1 too.
+  const auto sel =
+      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), true, 1);
+  EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
+  EXPECT_STREQ(sel.name, "rowblock-scalar");
+}
+
+TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
+  // The CSR tiers stay selectable at R = 1 as the parity reference, and an
+  // explicit dense request is honored when the plane exists.
+  const auto scalar = kernels::select_force_kernel(ForceKernel::kScalar,
+                                                   avx512_features(), true, 1);
+  EXPECT_EQ(scalar.kind, ForceKernel::kScalar);
+  EXPECT_STREQ(scalar.name, "scalar");
+  const auto dense = kernels::select_force_kernel(ForceKernel::kDense,
+                                                  no_features(), true, 1);
+  EXPECT_EQ(dense.kind, ForceKernel::kDense);
+  EXPECT_STREQ(dense.name, "dense-scalar");
 }
 
 // ---------------------------------------------------------------- registry
@@ -277,7 +382,16 @@ TEST(DensePlane, RefinalizeRebuildsPlane) {
 
 // ------------------------------------------------- force-plane bit parity
 
-/// Runs compute_forces() once per selectable kernel on identical positions
+/// The requests the parity suites compare: every kernel that resolves to
+/// itself, then auto -- the row-block layout at R = 1, the widest CSR or
+/// the dense tier past it.
+std::vector<ForceKernel> parity_kernels(bool dense_available) {
+  auto kinds = kernels::selectable_force_kernels(dense_available);
+  kinds.push_back(ForceKernel::kAuto);
+  return kinds;
+}
+
+/// Runs compute_forces() once per parity kernel on identical positions
 /// and expects bit-identical force planes.
 void expect_force_parity(const IsingModel& model, bool discrete,
                          std::size_t replicas, std::uint64_t seed) {
@@ -285,8 +399,7 @@ void expect_force_parity(const IsingModel& model, bool discrete,
   params.discrete = discrete;
 
   std::vector<double> reference;
-  for (ForceKernel k :
-       kernels::selectable_force_kernels(model.has_dense_plane())) {
+  for (ForceKernel k : parity_kernels(model.has_dense_plane())) {
     params.kernel = k;
     BsbBatchEngine engine(model, params, replicas);
     Rng rng(seed);
@@ -324,18 +437,106 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
     expect_force_parity(model, false, replicas, 700 + replicas);
     expect_force_parity(model, true, replicas, 700 + replicas);
   }
+
+  // Two matrix rows: row block 0 holds V1[0..1], V2[0..1] and T[0..3],
+  // and the 68-spin model ends in a 4-row tail block with a masked store.
+  const auto straddling = column_cop_model(7, 1);
+  ASSERT_EQ(straddling.num_spins(), 68u);
+
+  // V1[0] and V2[0] are uncoupled with a requested bias of -0.0, and the
+  // row-block layout adds +-0.0 terms to their accumulators: exact only
+  // because the model stores that bias as +0.0.
+  const auto zero_row = zero_row_column_cop_model();
+  ASSERT_TRUE(zero_row.neighbors(0).empty());
+  ASSERT_TRUE(zero_row.neighbors(16).empty());
+  EXPECT_FALSE(std::signbit(zero_row.bias(0)));
+  EXPECT_FALSE(std::signbit(zero_row.bias(16)));
+
+  for (const IsingModel* m : {&straddling, &zero_row}) {
+    for (std::size_t replicas : {1u, 2u, 8u}) {
+      expect_force_parity(*m, false, replicas, 600 + replicas);
+      expect_force_parity(*m, true, replicas, 600 + replicas);
+    }
+  }
 }
 
 TEST(ForceKernelParity, ForcePlanesBitIdenticalDenseModel) {
-  // Near-complete model: the dense plane is materialized, so the parity
-  // sweep includes the dense kernel at the host's widest ISA tier.
+  // Near-complete models: the dense plane is materialized, so the parity
+  // sweep includes the dense kernel at the host's widest ISA tier. In the
+  // second, the dense kernel walks 48 zero columns in an uncoupled row
+  // whose bias was set to -0.0; with a -0.0 accumulator those +-0.0 terms
+  // flipped the sign of its force against CSR at every replica count.
   Rng rng(43);
   const auto model = random_model(48, 1.0, rng);
-  ASSERT_TRUE(model.has_dense_plane());
-  for (std::size_t replicas : {1u, 2u, 8u, 13u}) {
-    expect_force_parity(model, false, replicas, 800 + replicas);
-    expect_force_parity(model, true, replicas, 800 + replicas);
+  const auto signed_zero = signed_zero_dense_model();
+  ASSERT_TRUE(signed_zero.neighbors(48).empty());
+  for (const IsingModel* m : {&model, &signed_zero}) {
+    ASSERT_TRUE(m->has_dense_plane());
+    for (std::size_t replicas : {1u, 2u, 8u, 13u}) {
+      expect_force_parity(*m, false, replicas, 800 + replicas);
+      expect_force_parity(*m, true, replicas, 800 + replicas);
+    }
   }
+}
+
+TEST(ForceKernelParity, RowBlockTiersBitIdenticalToScalarCsr) {
+  // Engines run only the host's widest row-block tier, so this drives each
+  // tier the host can execute (portable, AVX2, AVX-512) directly on the
+  // row-block layout and compares it with the scalar CSR kernel. The
+  // 33- and 68-spin models end in masked tail blocks of 1 and 4 rows.
+  Rng rng(45);
+  const IsingModel models[] = {random_model(33, 0.3, rng),
+                               column_cop_model(7, 1),
+                               zero_row_column_cop_model()};
+  const auto reference =
+      kernels::select_force_kernel(ForceKernel::kScalar, no_features(), false);
+  int tiers = 0;
+  for (const CpuFeatures& f :
+       {no_features(), avx2_features(), avx512_features()}) {
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto, f,
+                                                  false, 1);
+    ASSERT_EQ(sel.kind, ForceKernel::kRowBlock);
+    if ((f.avx2 && !kernels::force_kernel_supported(ForceKernel::kAvx2,
+                                                    cpu_features())) ||
+        (f.avx512f && !kernels::force_kernel_supported(ForceKernel::kAvx512,
+                                                       cpu_features()))) {
+      continue;  // this host (or build) cannot execute the tier
+    }
+    ++tiers;
+    for (const IsingModel& model : models) {
+      const CsrPlanes csr = flatten_csr(model);
+      kernels::ForcePlanes planes;
+      planes.h = csr.h.data();
+      planes.row_start = csr.row_start.data();
+      planes.cols = csr.cols.data();
+      planes.weights = csr.weights.data();
+      planes.n = model.num_spins();
+      planes.replicas = 1;
+      const auto blocks = kernels::build_row_blocks(planes);
+      blocks.bind(planes);
+      std::vector<double> x(planes.n);
+      Rng xr(83);
+      for (double& v : x) {
+        v = xr.next_double(-1.0, 1.0);
+      }
+      planes.x = x.data();
+      for (bool discrete : {false, true}) {
+        std::vector<double> want(planes.n);
+        planes.force = want.data();
+        (discrete ? reference.discrete : reference.continuous)(planes, 0,
+                                                               planes.n);
+        std::vector<double> got(planes.n);
+        planes.force = got.data();
+        (discrete ? sel.discrete : sel.continuous)(planes, 0, planes.n);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              planes.n * sizeof(double)),
+                  0)
+            << sel.name << " n=" << planes.n
+            << (discrete ? " discrete" : " continuous");
+      }
+    }
+  }
+  EXPECT_GE(tiers, 1);
 }
 
 // ------------------------------------------------- full-solve bit parity
@@ -352,8 +553,7 @@ TEST(ForceKernelParity, SolveBitIdenticalAcrossKernels) {
         params.discrete = discrete;
         params.kernel = ForceKernel::kScalar;
         const auto reference = solve_sb_batch(model, params, replicas);
-        for (ForceKernel k :
-             kernels::selectable_force_kernels(model.has_dense_plane())) {
+        for (ForceKernel k : parity_kernels(model.has_dense_plane())) {
           params.kernel = k;
           const auto got = solve_sb_batch(model, params, replicas);
           EXPECT_EQ(got.energy, reference.energy)
@@ -380,8 +580,79 @@ TEST(ForceKernelParity, EngineReportsResolvedKernelName) {
   BsbBatchEngine auto_engine(model, params, 2);
   EXPECT_EQ(auto_engine.kernel_kind(),
             kernels::select_force_kernel(ForceKernel::kAuto, cpu_features(),
-                                         model.has_dense_plane())
+                                         model.has_dense_plane(),
+                                         auto_engine.replicas())
                 .kind);
+
+  // R = 1: auto takes the row-block layout and reports its ISA tier.
+  BsbBatchEngine single_engine(model, params, 1);
+  const auto single = kernels::select_force_kernel(
+      ForceKernel::kAuto, cpu_features(), model.has_dense_plane(), 1);
+  EXPECT_EQ(single_engine.kernel_kind(), ForceKernel::kRowBlock);
+  EXPECT_STREQ(single_engine.kernel_name(), single.name);
+  EXPECT_EQ(std::string(single_engine.kernel_name()).rfind("rowblock-", 0),
+            0u);
+}
+
+/// A sparse model past the engine's sharding threshold at R = 1 (8192
+/// lanes): ~4 random couplings per spin, and 8300 spins so the last block
+/// has 4 rows and the pool's default row grain on 4 workers (8300 / 16 =
+/// 518 rows) would split blocks if the engine handed out rows.
+IsingModel large_sparse_model() {
+  constexpr std::size_t n = 8300;
+  Rng rng(61);
+  IsingModel m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.set_bias(i, rng.next_double(-1.0, 1.0));
+    for (int k = 0; k < 2; ++k) {
+      const std::size_t j = rng.next_below(n);
+      if (j != i) {
+        m.add_coupling(i, j, rng.next_double(-1.0, 1.0));
+      }
+    }
+  }
+  m.finalize();
+  return m;
+}
+
+TEST(ForceKernelParity, ShardedRowBlockForcePlaneBitIdentical) {
+  // Four workers each take whole blocks of the row-block plane; the result
+  // must equal the unsharded pass and the scalar CSR reference bit for bit.
+  const auto model = large_sparse_model();
+  RunContext::Options opts;
+  opts.threads = 4;
+  const RunContext ctx(opts);
+  for (bool discrete : {false, true}) {
+    SbParams params = quick_params(71);
+    params.discrete = discrete;
+    std::vector<std::vector<double>> planes;
+    for (const auto& [kind, sharded] :
+         {std::pair{ForceKernel::kScalar, false},
+          std::pair{ForceKernel::kAuto, false},
+          std::pair{ForceKernel::kAuto, true}}) {
+      params.kernel = kind;
+      BsbBatchEngine engine(model, params, 1);
+      ASSERT_EQ(engine.kernel_kind(), kind == ForceKernel::kAuto
+                                          ? ForceKernel::kRowBlock
+                                          : ForceKernel::kScalar);
+      if (sharded) {
+        engine.set_context(&ctx);
+      }
+      Rng rng(73);
+      for (double& v : engine.positions()) {
+        v = rng.next_double(-1.0, 1.0);
+      }
+      engine.compute_forces();
+      planes.emplace_back(engine.forces().begin(), engine.forces().end());
+    }
+    for (std::size_t k = 1; k < planes.size(); ++k) {
+      ASSERT_EQ(planes[k].size(), planes[0].size());
+      EXPECT_EQ(std::memcmp(planes[k].data(), planes[0].data(),
+                            planes[0].size() * sizeof(double)),
+                0)
+          << "plane " << k << (discrete ? " discrete" : " continuous");
+    }
+  }
 }
 
 // -------------------------------------------------- DALTA-level bit parity
@@ -400,7 +671,7 @@ TEST(ForceKernelParity, DaltaResultBitIdenticalAcrossKernels) {
       SolverRegistry::global().make_from_spec("prop,n=7,kernel=scalar");
   const auto reference = run_dalta(exact, dist, params, *reference_solver);
 
-  for (ForceKernel k : kernels::selectable_force_kernels(true)) {
+  for (ForceKernel k : parity_kernels(true)) {
     const auto solver = SolverRegistry::global().make_from_spec(
         std::string("prop,n=7,kernel=") + kernels::force_kernel_name(k));
     const auto got = run_dalta(exact, dist, params, *solver);

@@ -57,6 +57,22 @@ TEST(IsingModel, BiasTermSign) {
   EXPECT_DOUBLE_EQ(m.energy(spins_from_bits(0, 1)), 2.0);
 }
 
+TEST(IsingModel, BiasesNeverStoredAsNegativeZero) {
+  // -0.0 is stored as +0.0 (the force kernels' +-0.0 argument needs an
+  // h-seeded accumulator that is never -0.0); every other value is kept.
+  IsingModel m(4);
+  m.set_bias(0, -0.0);
+  m.add_bias(1, -0.0);
+  m.set_bias(2, -1.5);
+  m.add_bias(2, 1.5);
+  m.set_bias(3, -2.25);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(m.bias(i), 0.0) << i;
+    EXPECT_FALSE(std::signbit(m.bias(i))) << i;
+  }
+  EXPECT_EQ(m.bias(3), -2.25);
+}
+
 TEST(IsingModel, ConstantShiftsEnergy) {
   IsingModel m(1);
   m.set_constant(5.0);

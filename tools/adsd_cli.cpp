@@ -199,16 +199,23 @@ int cmd_info() {
 }
 
 int cmd_list_solvers() {
-  // The auto-resolution is host-global: one decision for CSR models and one
-  // for models that materialized a dense plane. Per-entry, the kernel
+  // The auto-resolution is host-global: one decision for single-replica
+  // solves (the default replicas=1) and, past R = 1, one for CSR models and
+  // one for models that materialized a dense plane. Per-entry, the kernel
   // column shows what `kernel=auto` (the default) means here and now.
   const CpuFeatures& features = cpu_features();
+  const kernels::SelectedForceKernel single =
+      kernels::select_force_kernel(kernels::ForceKernel::kAuto, features,
+                                   /*dense_available=*/false,
+                                   /*replicas=*/1);
   const kernels::SelectedForceKernel csr =
       kernels::select_force_kernel(kernels::ForceKernel::kAuto, features,
-                                   /*dense_available=*/false);
+                                   /*dense_available=*/false,
+                                   /*replicas=*/2);
   const kernels::SelectedForceKernel dense =
       kernels::select_force_kernel(kernels::ForceKernel::kAuto, features,
-                                   /*dense_available=*/true);
+                                   /*dense_available=*/true,
+                                   /*replicas=*/2);
 
   Table solvers({"name", "aliases", "kernel (auto)", "config keys"});
   for (const auto& entry : SolverRegistry::global().entries()) {
@@ -234,13 +241,14 @@ int cmd_list_solvers() {
         std::find(entry.keys.begin(), entry.keys.end(), "kernel") !=
         entry.keys.end();
     solvers.add_row({entry.name, aliases.empty() ? "-" : aliases,
-                     takes_kernel ? csr.name : "-",
+                     takes_kernel ? single.name : "-",
                      keys.empty() ? "-" : keys});
   }
   solvers.print(std::cout);
 
-  std::cout << "\nforce kernels on this host: auto -> " << csr.name
-            << " (csr), " << dense.name << " (dense); selectable:";
+  std::cout << "\nforce kernels on this host: auto -> " << single.name
+            << " (R = 1), " << csr.name << " (csr, R > 1), " << dense.name
+            << " (dense, R > 1); selectable:";
   for (const kernels::ForceKernel k :
        kernels::selectable_force_kernels(/*dense_available=*/true)) {
     std::cout << " " << kernels::force_kernel_name(k);
