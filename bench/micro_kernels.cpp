@@ -9,7 +9,7 @@
 // n = 9 core COP) and write the same JSON artifacts as adsd_cli; --json <file> writes the measured times as a schema-v2 bench
 // report for tools/bench_diff, with derived records for the sharding
 // speedups (force_shard_speedup_*, flagged invalid on 1-CPU hosts) and the
-// explicit-SIMD / dense force-kernel speedups (force_kernel_speedup_*,
+// explicit-SIMD force-kernel speedups (force_kernel_speedup_*,
 // single-thread ratios, valid everywhere); all other flags pass through to
 // google-benchmark.
 
@@ -113,7 +113,7 @@ void BM_BsbEnsembleVsRestarts(benchmark::State& state) {
   params.seed = 5;
   for (auto _ : state) {
     if (ensemble) {
-      benchmark::DoNotOptimize(solve_sb_ensemble(model, params, 8));
+      benchmark::DoNotOptimize(solve_sb_batch(model, params, 8));
     } else {
       double best = 1e300;
       for (std::size_t r = 0; r < 8; ++r) {
@@ -215,12 +215,10 @@ BENCHMARK(BM_ForceKernelSharded)->Arg(0)->Arg(2)->Arg(8)
 void run_force_variant(benchmark::State& state, const IsingModel& model,
                        kernels::ForceKernel kind) {
   // Items processed counts CSR edge-lane updates for every variant, so
-  // rates are directly comparable: the dense kernel's edges/s includes the
-  // structural zeros it streams through.
+  // rates are directly comparable.
   const auto replicas = static_cast<std::size_t>(state.range(0));
-  if (kernels::select_force_kernel(kind, cpu_features(),
-                                   model.has_dense_plane(), replicas)
-          .kind != kind) {
+  if (kernels::select_force_kernel(kind, cpu_features(), replicas).kind !=
+      kind) {
     state.SkipWithError("kernel variant not selectable on this host");
     return;
   }
@@ -245,8 +243,7 @@ void run_force_variant(benchmark::State& state, const IsingModel& model,
 void BM_ForceKernelVariant(benchmark::State& state,
                            kernels::ForceKernel kind) {
   // Dispatched force-kernel variants on the n = 16 core-COP model (768
-  // spins, ~45% dense -- below the dense-path crossover, so no plane and
-  // the CSR kernels carry the paper's models). Arg = replicas.
+  // spins, ~45% of the possible couplings present). Arg = replicas.
   const auto cop = make_cop(16, 7, 31);
   run_force_variant(state, cop.to_ising(), kind);
 }
@@ -259,11 +256,9 @@ BENCHMARK_CAPTURE(BM_ForceKernelVariant, avx512, kernels::ForceKernel::kAvx512)
 
 void BM_ForceKernelDenseModel(benchmark::State& state,
                               kernels::ForceKernel kind) {
-  // The dense fast path on its home turf: a near-complete random model
-  // (256 spins, ~every coupling present) where finalize() materializes the
-  // J plane. Scalar/avx512 captures run the CSR kernels on the same model,
-  // so the derived ratios isolate what dropping the index stream buys once
-  // there are no structural zeros left to waste bandwidth on.
+  // The CSR kernels on a near-complete random model (256 spins, ~98% of
+  // the couplings present): what such models cost at R > 1 on the
+  // portable and the widest explicit-SIMD tier.
   Rng rng(59);
   IsingModel model(256);
   for (std::size_t i = 0; i < 256; ++i) {
@@ -281,8 +276,6 @@ BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, scalar,
                   kernels::ForceKernel::kScalar)->Arg(8)->Arg(32);
 BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, avx512,
                   kernels::ForceKernel::kAvx512)->Arg(8)->Arg(32);
-BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, dense,
-                  kernels::ForceKernel::kDense)->Arg(8)->Arg(32);
 
 void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
   // One R = 1 force pass -- the paper's single trajectory per core COP --
@@ -319,9 +312,7 @@ void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   // to end to end, with integration/sampling overhead included.
   const auto cop = make_cop(16, 7, 29);
   const IsingModel model = cop.to_ising();
-  if (kernels::select_force_kernel(kind, cpu_features(),
-                                   model.has_dense_plane(), 8)
-          .kind != kind) {
+  if (kernels::select_force_kernel(kind, cpu_features(), 8).kind != kind) {
     state.SkipWithError("kernel variant not selectable on this host");
     return;
   }
@@ -400,53 +391,6 @@ void BM_TinySolvePacked(benchmark::State& state) {
 }
 BENCHMARK(BM_TinySolvePacked)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TinySolveSharedLooped(benchmark::State& state) {
-  // K restart attempts of ONE tiny instance the pre-packing way: K
-  // sequential BsbBatchEngine solves with distinct seeds (the restart
-  // loop of the core-COP solver before pack-share-j).
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const IsingModel model = make_cop(9, 4, 100).to_ising();
-  SbParams params;
-  params.max_iterations = 200;
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t m = 0; m < k; ++m) {
-      SbParams p = params;
-      p.seed = 900 + m;
-      BsbBatchEngine engine(model, p, 1);
-      acc += engine.run().energy;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(k) * 200);
-}
-BENCHMARK(BM_TinySolveSharedLooped)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_TinySolveSharedPacked(benchmark::State& state) {
-  // The same K attempts as one shared-J pack: every slot references the
-  // same IsingModel, so the engine stores one weight per union edge and
-  // runs the broadcast-weight kernels. Attempt results stay bit-identical
-  // to the looped solves above.
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const IsingModel model = make_cop(9, 4, 100).to_ising();
-  SbParams params;
-  params.max_iterations = 200;
-  std::vector<PackMember> members;
-  for (std::size_t m = 0; m < k; ++m) {
-    members.push_back({&model, 900 + m, {}});
-  }
-  const PackEngineOptions options{.share_j = true};
-  for (auto _ : state) {
-    BsbPackEngine engine(members, params, 1, options);
-    const auto results = engine.run();
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(k) * 200);
-}
-BENCHMARK(BM_TinySolveSharedPacked)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_EngineSolve(benchmark::State& state, const char* spec) {
   // Full registry-built COP solves on the n = 9 core COP (64 spins), one
@@ -731,28 +675,21 @@ int main(int argc, char** argv) {
                            note);
       }
     }
-    // Derived explicit-SIMD / dense-path speedups over the portable
-    // (auto-vectorized) kernel at R = 32 on the same model: the SIMD CSR
-    // ratios on the column-COP model, the dense ratio on the near-complete
-    // model where the plane is actually materialized. These are
-    // single-thread ratios, so they are valid on any host -- including
-    // 1-CPU containers where the sharding records above are not; a variant
-    // that was skipped as unsupported produced no record and is absent.
-    auto add_kernel_speedup = [&](const char* bench, const char* variant,
-                                  const char* label) {
-      const auto base = secs.find(std::string(bench) + "/scalar/32");
-      const auto it = secs.find(std::string(bench) + "/" + variant + "/32");
-      if (base != secs.end() && it != secs.end() && it->second > 0.0) {
-        report.add_derived(label, base->second / it->second, "max", true,
+    // Derived explicit-SIMD speedups over the portable (auto-vectorized)
+    // kernel at R = 32 on the column-COP model. These are single-thread
+    // ratios, so they are valid on any host -- including 1-CPU containers
+    // where the sharding records above are not; a variant that was skipped
+    // as unsupported produced no record and is absent.
+    for (const char* variant : {"avx2", "avx512"}) {
+      const auto scalar = secs.find("BM_ForceKernelVariant/scalar/32");
+      const auto it =
+          secs.find(std::string("BM_ForceKernelVariant/") + variant + "/32");
+      if (scalar != secs.end() && it != secs.end() && it->second > 0.0) {
+        report.add_derived(std::string("force_kernel_speedup_") + variant,
+                           scalar->second / it->second, "max", true,
                            "single-thread ratio vs the portable kernel");
       }
-    };
-    add_kernel_speedup("BM_ForceKernelVariant", "avx2",
-                       "force_kernel_speedup_avx2");
-    add_kernel_speedup("BM_ForceKernelVariant", "avx512",
-                       "force_kernel_speedup_avx512");
-    add_kernel_speedup("BM_ForceKernelDenseModel", "dense",
-                       "force_kernel_speedup_dense");
+    }
     // Row-block layout over the widest CSR tier at R = 1 on the n = 16
     // column-COP model: the single-trajectory force pass looped `prop`
     // runs. Single-thread ratio, valid anywhere.
@@ -780,20 +717,6 @@ int main(int argc, char** argv) {
         report.add_derived(std::string("packed_solve_speedup_k") + k,
                            looped->second / packed->second, "max", true,
                            "single-thread ratio, R=1, 64-spin instances");
-      }
-    }
-    // Shared-J packed restart speedup: 64 restart attempts of ONE 64-spin
-    // instance as a broadcast-weight pack vs the looped standalone solves
-    // of the same seeds. Single-thread ratio, valid anywhere.
-    {
-      const auto looped = secs.find("BM_TinySolveSharedLooped/64");
-      const auto packed = secs.find("BM_TinySolveSharedPacked/64");
-      if (looped != secs.end() && packed != secs.end() &&
-          packed->second > 0.0) {
-        report.add_derived("packed_shared_j_speedup_k64",
-                           looped->second / packed->second, "max", true,
-                           "single-thread ratio, R=1, 64 restart attempts "
-                           "of one 64-spin instance");
       }
     }
     // Named full-solve records for the unified engine layer, in seconds

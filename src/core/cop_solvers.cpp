@@ -345,15 +345,14 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
 /// spins is worth forming (DESIGN.md §4.7). The engine streams per-slot
 /// union-pattern coupling rows — at most n_max^2 doubles per slot, the
 /// conservative bound known before the union exists — every force pass,
-/// so their working set must stay near cache size; a shared-J pack has no
-/// per-slot rows at all. Its kernels vectorize across slots, which pays
-/// only while each slot carries few replicas. Instances past the gate are
-/// solved standalone, which costs the same CPU and fans out over the pool.
+/// so their working set must stay near cache size. Its kernels vectorize
+/// across slots, which pays only while each slot carries few replicas.
+/// Instances past the gate are solved standalone, which costs the same CPU
+/// and fans out over the pool.
 bool passes_slot_gate(std::size_t n_max, std::size_t members,
-                      std::size_t replicas, bool share_j) {
+                      std::size_t replicas) {
   constexpr std::size_t kSlotPlaneDoubles = (4u << 20) / sizeof(double);
-  return replicas <= 8 &&
-         (share_j || n_max * n_max * members <= kSlotPlaneDoubles);
+  return replicas <= 8 && n_max * n_max * members <= kSlotPlaneDoubles;
 }
 
 /// One packed chunk of the batched solve: 2 or more instances through one
@@ -366,8 +365,7 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
                         std::span<ColumnSetting> out,
                         std::span<CoreSolveStats> stats,
                         std::span<const std::size_t> members,
-                        const IsingCoreSolver::Options& options,
-                        const PackEngineOptions& engine_opts) {
+                        const IsingCoreSolver::Options& options) {
   const std::size_t M = members.size();
   struct MemberState {
     std::optional<IsingModel> model;
@@ -413,7 +411,7 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
         pack[m].initial_positions = ms[m].warm.positions;
       }
     }
-    BsbPackEngine engine(pack, options.sb, replicas, engine_opts);
+    BsbPackEngine engine(pack, options.sb, replicas);
     engine.set_context(&ctx);
     const std::vector<IsingSolveResult> results = engine.run(pack_hook);
 
@@ -447,82 +445,6 @@ void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
     stats[idx].stopped_early = ms[m].any_early;
     stats[idx].proven_optimal = false;
   }
-}
-
-/// Shared-J restart packing (Options::share_j): the `restarts` attempts of
-/// ONE instance run as members of a single shared-model pack on the
-/// broadcast-weight kernels — one n x n coupling plane instead of one per
-/// attempt. Bit-identical to the sequential restart loop of
-/// ising_core_solve: same per-attempt seeds (seed + attempt * 0x9e3779b9),
-/// warm start on attempt 0 only, one shared Theorem-3 closure (its
-/// captures are pure per-call scratch), ascending-attempt strict-less best
-/// selection. One intentional difference: the sequential loop skips the
-/// remaining restarts once the deadline expires mid-sequence, while the
-/// packed attempts run concurrently and all retire at the deadline — more
-/// attempts finish, and the best objective can only improve.
-ColumnSetting ising_core_solve_shared_restarts(
-    const ColumnCop& cop, const RunContext& ctx, std::uint64_t seed,
-    CoreSolveStats* stats, const IsingCoreSolver::Options& options,
-    std::size_t tile) {
-  const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
-  const IsingModel model = cop.to_ising();
-
-  SbBatchPlaneHook hook;
-  PackPlaneHook pack_hook;
-  if (options.use_theorem3) {
-    hook = make_theorem3_hook(cop, ctx, options.anti_collapse);
-    pack_hook = [&hook](std::size_t, std::span<double> x, std::span<double> y,
-                        std::size_t reps) { hook(x, y, reps); };
-  }
-
-  ColumnSetting best;
-  double best_obj = 0.0;
-  bool have_best = false;
-  WarmStart warm;
-  if (options.column_seed_init) {
-    warm = column_seed_warm_start(cop);
-    best = std::move(warm.incumbent);
-    best_obj = warm.objective;
-    have_best = true;
-  }
-
-  std::vector<PackMember> pack(restarts);
-  for (std::size_t attempt = 0; attempt < restarts; ++attempt) {
-    pack[attempt].model = &model;
-    pack[attempt].seed = seed + 0x9e3779b9u * attempt;
-    if (attempt == 0 && !warm.positions.empty()) {
-      pack[attempt].initial_positions = warm.positions;
-    }
-  }
-  BsbPackEngine engine(pack, options.sb, replicas,
-                       PackEngineOptions{.tile = tile, .share_j = true});
-  engine.set_context(&ctx);
-  const std::vector<IsingSolveResult> results = engine.run(pack_hook);
-
-  std::size_t total_iters = 0;
-  bool any_early = false;
-  for (std::size_t attempt = 0; attempt < restarts; ++attempt) {
-    const IsingSolveResult& res = results[attempt];
-    // solve_sb_batch scales iterations by the replica count; mirror it.
-    total_iters += res.iterations * replicas;
-    any_early = any_early || res.stopped_early;
-    ColumnSetting s = cop.decode(res.spins);
-    const double obj = polish_and_score(cop, ctx, s, options.final_polish);
-    if (!have_best || obj < best_obj) {
-      best = std::move(s);
-      best_obj = obj;
-      have_best = true;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->objective = best_obj;
-    stats->iterations = total_iters;
-    stats->stopped_early = any_early;
-    stats->proven_optimal = false;
-  }
-  return best;
 }
 
 }  // namespace
@@ -638,15 +560,6 @@ ColumnSetting PackedCoreCopSolver::do_solve(const ColumnCop& cop,
                                             const RunContext& ctx,
                                             std::uint64_t seed,
                                             CoreSolveStats* stats) const {
-  // Shared-J restart packing: even a lone instance has restarts to pack.
-  const std::size_t restarts = std::max<std::size_t>(1, options_.core.restarts);
-  if (options_.share_j && restarts > 1 &&
-      passes_slot_gate(cop.num_spins(), restarts,
-                       std::max<std::size_t>(1, options_.core.replicas),
-                       /*share_j=*/true)) {
-    return ising_core_solve_shared_restarts(cop, ctx, seed, stats,
-                                            options_.core, options_.tile);
-  }
   // A lone instance takes the standalone path — bit-identical to
   // IsingCoreSolver with the same core options, no packing overhead.
   return ising_core_solve(cop, ctx, seed, stats, options_.core);
@@ -673,14 +586,8 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
                      return cops[a].num_spins() < cops[b].num_spins();
                    });
 
-  // Under shared-J restart packing the members of one pack must share a
-  // model, so every instance is its own unit and do_solve packs its
-  // restart attempts instead.
   const std::size_t replicas = std::max<std::size_t>(1, options_.core.replicas);
-  const std::size_t pack =
-      options_.share_j && std::max<std::size_t>(1, options_.core.restarts) > 1
-          ? 1
-          : std::max<std::size_t>(1, options_.pack);
+  const std::size_t pack = std::max<std::size_t>(1, options_.pack);
   // Work units: packed chunks, plus single instances solved on their own —
   // leftovers and every member of a chunk that fails the slot gate.
   struct Unit {
@@ -701,8 +608,8 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
       own_volume = own;
       ++j;
     }
-    if (j - i > 1 && !passes_slot_gate(cops[order[j - 1]].num_spins(), j - i,
-                                       replicas, /*share_j=*/false)) {
+    if (j - i > 1 &&
+        !passes_slot_gate(cops[order[j - 1]].num_spins(), j - i, replicas)) {
       for (std::size_t k = i; k < j; ++k) {
         units.push_back({k, k + 1});
       }
@@ -712,7 +619,6 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
     i = j;
   }
 
-  const PackEngineOptions engine_opts{.tile = options_.tile};
   auto run_unit = [&](std::size_t u) {
     const Unit& unit = units[u];
     if (unit.end - unit.begin == 1) {
@@ -723,7 +629,7 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
     solve_packed_chunk(cops, ctx, seeds, out, stats,
                        std::span<const std::size_t>(order.data() + unit.begin,
                                                     unit.end - unit.begin),
-                       options_.core, engine_opts);
+                       options_.core);
   };
 
   // Parallelism across units: each chunk's engine run is serial (members

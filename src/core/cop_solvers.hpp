@@ -201,9 +201,7 @@ class IsingCoreSolver final : public CoreCopSolver {
 /// member through the standalone solve instead. When the context allows
 /// parallelism, packed chunks and unpacked members are distributed over
 /// ctx.pool() together: parallelism across packs and solves, SIMD across
-/// members, replicas inside the engine. Under `share_j` with restarts > 1,
-/// each instance instead becomes its own shared-model pack of restart
-/// attempts (while at most 8 replicas run).
+/// members, replicas inside the engine.
 class PackedCoreCopSolver final : public CoreCopSolver {
  public:
   struct Options {
@@ -214,20 +212,6 @@ class PackedCoreCopSolver final : public CoreCopSolver {
 
     /// Maximum members per packed engine run (the K of `pack=K`).
     std::size_t pack = 16;
-
-    /// Slot-tile width forwarded to the engine (`pack-tile=K`; 0 = auto,
-    /// the engine's measured working-set model).
-    std::size_t tile = 0;
-
-    /// Shared-J restart packing (`pack-share-j=1`): solve each instance's
-    /// `restarts` attempts as members of ONE shared-model pack on the
-    /// broadcast-weight kernels, instead of sequential engine runs. Same
-    /// per-attempt seeds, warm start on attempt 0 only, ascending-attempt
-    /// strict-less best selection — bit-identical to the sequential loop
-    /// for deadline-less contexts (an expired deadline retires the
-    /// concurrent attempts instead of skipping the later ones). No-op at
-    /// restarts <= 1.
-    bool share_j = false;
   };
 
   explicit PackedCoreCopSolver(Options options) : options_(options) {

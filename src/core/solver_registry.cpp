@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "ising/kernels/force_kernels.hpp"
@@ -60,18 +61,19 @@ double SolverConfig::get_double(const std::string& key,
     return fallback;
   }
   const std::string& v = it->second;
+  // std::stod also accepts "nan" and "inf", which no key means: a NaN dt
+  // or stop epsilon runs to completion on garbage instead of failing.
+  double out = 0.0;
+  std::size_t used = 0;
   try {
-    std::size_t used = 0;
-    const double out = std::stod(v, &used);
-    if (used != v.size()) {
-      bad_value(key, v, "number");
-    }
-    return out;
-  } catch (const std::invalid_argument&) {
-    bad_value(key, v, "number");
-  } catch (const std::out_of_range&) {
-    bad_value(key, v, "number");
+    out = std::stod(v, &used);
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    bad_value(key, v, "finite number");
   }
+  if (used != v.size() || !std::isfinite(out)) {
+    bad_value(key, v, "finite number");
+  }
+  return out;
 }
 
 std::string SolverConfig::get_string(const std::string& key,
@@ -204,8 +206,7 @@ const SolverRegistry& SolverRegistry::global() {
            {"ising-bsb"},
            {"n", "replicas", "restarts", "theorem3", "anti-collapse",
             "polish", "seed-init", "max-iter", "dt", "discrete", "kernel",
-            "stop", "stop-interval", "stop-window", "stop-epsilon", "pack",
-            "pack-tile", "pack-share-j"},
+            "stop", "stop-interval", "stop-window", "stop-epsilon", "pack"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
@@ -238,31 +239,7 @@ const SolverRegistry& SolverRegistry::global() {
                PackedCoreCopSolver::Options packed;
                packed.core = options;
                packed.pack = pack;
-               // pack-tile=auto|<slots>: slot-tile width of the pack
-               // engine (0 = its measured working-set model).
-               const std::string tile = c.get_string("pack-tile", "auto");
-               if (tile != "auto") {
-                 std::size_t width = 0;
-                 const auto [ptr, ec] = std::from_chars(
-                     tile.data(), tile.data() + tile.size(), width);
-                 if (ec != std::errc{} ||
-                     ptr != tile.data() + tile.size() || width == 0) {
-                   throw std::invalid_argument(
-                       "solver 'prop': bad value '" + tile +
-                       "' for 'pack-tile' (expected auto or a positive "
-                       "slot count)");
-                 }
-                 packed.tile = width;
-               }
-               packed.share_j = c.get_bool("pack-share-j", false);
                return std::make_unique<PackedCoreCopSolver>(packed);
-             }
-             for (const char* key : {"pack-tile", "pack-share-j"}) {
-               if (c.has(key)) {
-                 throw std::invalid_argument("solver 'prop': '" +
-                                             std::string(key) +
-                                             "' requires 'pack' > 0");
-               }
              }
              return std::make_unique<IsingCoreSolver>(options);
            }});

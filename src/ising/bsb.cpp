@@ -152,49 +152,4 @@ IsingSolveResult solve_sb(const IsingModel& model, const SbParams& params,
   return engine.run(batch_hook);
 }
 
-IsingSolveResult solve_sb_ensemble(const IsingModel& model,
-                                   const SbParams& params,
-                                   std::size_t replicas,
-                                   const SbSampleHook& hook,
-                                   const RunContext* ctx) {
-  if (!model.finalized()) {
-    throw std::invalid_argument("solve_sb_ensemble: model must be finalized");
-  }
-  if (replicas == 0) {
-    throw std::invalid_argument("solve_sb_ensemble: need >= 1 replica");
-  }
-  if (params.max_iterations == 0 || params.dt <= 0.0 ||
-      params.detuning <= 0.0) {
-    throw std::invalid_argument("solve_sb_ensemble: bad parameters");
-  }
-  if (!params.initial_positions.empty() &&
-      params.initial_positions.size() != model.num_spins()) {
-    throw std::invalid_argument("solve_sb_ensemble: initial_positions");
-  }
-
-  SbBatchHook batch_hook;
-  std::vector<double> xr;
-  std::vector<double> yr;
-  if (hook) {
-    // Legacy contiguous-span hook: gather/scatter one replica at a time.
-    // New code should pass a strided SbBatchHook to solve_sb_batch instead.
-    const std::size_t n = model.num_spins();
-    xr.resize(n);
-    yr.resize(n);
-    batch_hook = [&hook, &xr, &yr](std::size_t, ReplicaView view) {
-      const std::size_t n_spins = view.size();
-      for (std::size_t i = 0; i < n_spins; ++i) {
-        xr[i] = view.x(i);
-        yr[i] = view.y(i);
-      }
-      hook(std::span<double>(xr), std::span<double>(yr));
-      for (std::size_t i = 0; i < n_spins; ++i) {
-        view.x(i) = xr[i];
-        view.y(i) = yr[i];
-      }
-    };
-  }
-  return solve_sb_batch(model, params, replicas, batch_hook, nullptr, ctx);
-}
-
 }  // namespace adsd

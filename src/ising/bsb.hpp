@@ -44,11 +44,9 @@ struct SbParams {
   bool discrete = false;
 
   /// Force-kernel variant for the batched engine (registry key `kernel=`,
-  /// CLI `--kernel`). kAuto picks the row-block layout at one replica;
-  /// past one, the dense fast path when the model materialized a dense
-  /// plane and otherwise the widest explicit-SIMD CSR kernel the CPU
-  /// supports. Every variant is bit-identical (see
-  /// ising/kernels/force_kernels.hpp).
+  /// CLI `--kernel`). kAuto picks the row-block layout at one replica and
+  /// the widest explicit-SIMD CSR kernel the CPU supports past one. Every
+  /// variant is bit-identical (see ising/kernels/force_kernels.hpp).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 
   /// Dynamic stop criterion (Sec. 3.3.1). When disabled the solver still
@@ -81,26 +79,5 @@ IsingSolveResult solve_sb(const IsingModel& model, const SbParams& params,
 IsingSolveResult solve_sb_scalar(const IsingModel& model,
                                  const SbParams& params,
                                  const SbSampleHook& hook = nullptr);
-
-/// `replicas` independent SB trajectories integrated in lockstep: the CSR
-/// coupling structure is traversed once per step with a replica-contiguous
-/// inner loop, which is markedly faster than sequential restarts on models
-/// with many couplings (SB's massive parallelism, Sec. 2.1, realized as
-/// SIMD-friendly batching). Replica r reproduces solve_sb with seed
-/// params.seed + r * 0x9e3779b9 exactly; the best replica's best solution
-/// is returned. `iterations` sums Euler steps across replicas. The dynamic
-/// stop is evaluated on the ensemble-best energy. Force evaluation goes
-/// through the dispatched kernel layer of ising/kernels/force_kernels.hpp
-/// (portable / AVX2 / AVX-512 tiers of the CSR, dense and R = 1 row-block
-/// layouts, selected per CPU, model and replica count at engine
-/// construction; override via SbParams::kernel). The hook
-/// (if any) is applied to each replica at sampling points through a legacy
-/// gather/scatter adapter — prefer solve_sb_batch() and its strided
-/// SbBatchHook for new code, which avoids the per-sample copies.
-IsingSolveResult solve_sb_ensemble(const IsingModel& model,
-                                   const SbParams& params,
-                                   std::size_t replicas,
-                                   const SbSampleHook& hook = nullptr,
-                                   const RunContext* ctx = nullptr);
 
 }  // namespace adsd

@@ -26,10 +26,9 @@ class RunContext;
 /// (no interleaved pairs) and all planes are 64-byte aligned. Force
 /// evaluation dispatches through the kernel layer of
 /// ising/kernels/force_kernels.hpp: a cpuid-probed explicit-SIMD CSR
-/// kernel (AVX2 / AVX-512, portable lane-blocked fallback), a blocked
-/// dense matrix x replica-plane kernel with no index gather when the model
-/// materialized a dense J plane, or at R = 1 the row-block kernel that
-/// vectorizes across rows — selected at construction from SbParams::kernel
+/// kernel (AVX2 / AVX-512, portable lane-blocked fallback), or at R = 1
+/// the row-block kernel that vectorizes across rows — selected at
+/// construction from SbParams::kernel
 /// (kAuto by default) and reported via kernel_name() and the
 /// kernel_invocations_total{kernel} metric. Every variant is bit-identical
 /// by construction.
@@ -69,9 +68,12 @@ class BsbBatchEngine final : public EnsembleEngineBase {
   std::size_t step_ = 0;
 };
 
-/// Batched counterpart of solve_sb_ensemble() built on BsbBatchEngine: R
-/// replicas in lockstep, best replica's best solution returned, dynamic stop
-/// on the ensemble-best energy, `iterations` summed over replicas. The hook
+/// `replicas` independent SB trajectories integrated in lockstep on
+/// BsbBatchEngine (SB's massive parallelism, Sec. 2.1, realized as
+/// SIMD-friendly batching): replica r reproduces solve_sb with seed
+/// params.seed + r * 0x9e3779b9 exactly, the best replica's best solution
+/// is returned, the dynamic stop is evaluated on the ensemble-best energy,
+/// and `iterations` sums Euler steps over replicas. The hook
 /// (if any) is applied to every replica at each sampling point through a
 /// strided view (no copies); `plane_hook` (if any) runs once per sampling
 /// point over the whole ensemble before the per-replica hook. A non-null

@@ -15,11 +15,9 @@
 namespace adsd {
 
 BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
-                             const SbParams& params, std::size_t replicas,
-                             const PackEngineOptions& options)
+                             const SbParams& params, std::size_t replicas)
     : members_(members.begin(), members.end()),
       params_(params),
-      share_j_(options.share_j),
       R_(replicas),
       S_(members.size()),
       active_(members.size()) {
@@ -54,16 +52,6 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
       throw std::invalid_argument("BsbPackEngine: initial_positions size");
     }
   }
-  if (share_j_) {
-    for (const PackMember& m : members_) {
-      if (m.model != members_[0].model) {
-        throw std::invalid_argument(
-            "BsbPackEngine: share_j requires every member to reference the "
-            "same IsingModel");
-      }
-    }
-  }
-
   // Per-member c0 from the member's own coupling RMS and spin count — the
   // exact standalone expression, so a packed member integrates with the
   // same coupling strength it would alone. Slot m starts out holding
@@ -86,7 +74,7 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
   // SOME member actually couples, so columns that are structural zeros
   // in every slot cost neither bandwidth nor flops. DALTA packs carve
   // same-template instances, whose union is ~one member's edge count —
-  // half the dense plane on the K = 64 bench point. A union column a
+  // half an n x n plane on the K = 64 bench point. A union column a
   // member lacks adds only +-0.0 to that member's h-seeded accumulator,
   // which is never -0.0 (IsingModel stores biases canonically), and the
   // member's own edges keep their ascending order, so every partial sum —
@@ -97,10 +85,9 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
   std::vector<std::uint64_t> rowbits(words);
   urow_start_.assign(n_ + 1, 0);
   ucols_.clear();
-  const std::size_t scan = share_j_ ? 1 : M;
   for (std::size_t i = 0; i < n_; ++i) {
     std::fill(rowbits.begin(), rowbits.end(), 0);
-    for (std::size_t m = 0; m < scan; ++m) {
+    for (std::size_t m = 0; m < M; ++m) {
       if (i >= nspins_[m]) {
         continue;
       }
@@ -121,24 +108,17 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
   }
   uedges_ = ucols_.size();
 
-  // Slot-tile width: explicit request wins; auto sizes each tile so its
-  // per-slot coupling rows (uedges * tile doubles) fit in ~1 MB — half
-  // a typical L2 — leaving room for the tile's state planes. Measured
-  // on this host class (K = 64, n = 64): contiguous 1 MB tiles advanced
-  // a whole sampling block at a time run the force+Euler loop ~2.4x
-  // faster than a monolithic 2 MB plane, which is L1-fill-bound when
-  // streamed every step. Under shared-J there is no per-slot coupling
-  // plane, so the tile defaults to the whole pack.
-  if (options.tile > 0) {
-    tile_ = std::min(options.tile, S_);
-  } else if (share_j_) {
-    tile_ = S_;
-  } else {
-    constexpr std::size_t kTileTargetDoubles = (1u << 20) / sizeof(double);
-    std::size_t t = kTileTargetDoubles / std::max<std::size_t>(uedges_, 1);
-    t = std::max<std::size_t>(t - t % 8, 8);
-    tile_ = std::min(t, S_);
-  }
+  // Slot-tile width: each tile's per-slot coupling rows (uedges * tile
+  // doubles) fit in ~1 MB — half a typical L2 — leaving room for the
+  // tile's state planes; the widest multiple of 8 slots that fits, at
+  // least 8. Measured on this host class (K = 64, n = 64): contiguous
+  // 1 MB tiles advanced a whole sampling block at a time run the
+  // force+Euler loop ~2.4x faster than a monolithic 2 MB plane, which is
+  // L1-fill-bound when streamed every step.
+  constexpr std::size_t kTileTargetDoubles = (1u << 20) / sizeof(double);
+  std::size_t t = kTileTargetDoubles / std::max<std::size_t>(uedges_, 1);
+  t = std::max<std::size_t>(t - t % 8, 8);
+  tile_ = std::min(t, S_);
   tiles_ = (S_ + tile_ - 1) / tile_;
   xstride_ = n_ * R_ * tile_;
   hstride_ = n_ * tile_;
@@ -150,22 +130,8 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
   // Per-slot union weight/bias planes, tile-major: wp[wpos(e, s)] is
   // slot s's weight on union edge e, 0.0 where that slot lacks the edge
   // (or where the edge's row is a padded row of a smaller member).
-  // Under shared-J one weight per union edge replaces them all.
   hp_.assign(tiles_ * hstride_, 0.0);
-  if (share_j_) {
-    // The union of one model IS its own pattern, so the shared weights
-    // are the model's CSR values in edge order.
-    wj_.assign(uedges_, 0.0);
-    const IsingModel& model = *members_[0].model;
-    std::size_t e = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (const auto& [j, w] : model.neighbors(i)) {
-        wj_[e++] = w;
-      }
-    }
-  } else {
-    wp_.assign(tiles_ * wstride_, 0.0);
-  }
+  wp_.assign(tiles_ * wstride_, 0.0);
   slot_of_member_.resize(M);
   member_of_slot_.resize(M);
   for (std::size_t m = 0; m < M; ++m) {
@@ -183,32 +149,30 @@ BsbPackEngine::BsbPackEngine(std::span<const PackMember> members,
   // construction is on the packed path's critical path — the engine is
   // rebuilt per restart attempt. The member's ascending neighbors merge
   // into the ascending union slice with one forward cursor per slot.
-  if (!share_j_) {
-    for (std::size_t t = 0; t < tiles_; ++t) {
-      const std::size_t base = t * tile_;
-      const std::size_t at = std::min(tile_, S_ - base);
-      double* wt = wp_.data() + t * wstride_;
-      for (std::size_t i = 0; i < n_; ++i) {
-        double* wrow = wt + static_cast<std::size_t>(urow_start_[i]) * tile_;
-        for (std::size_t u = 0; u < at; ++u) {
-          const std::size_t m = base + u;
-          if (i >= nspins_[m]) {
-            continue;
-          }
-          std::size_t e = urow_start_[i];
-          for (const auto& [j, w] : members_[m].model->neighbors(i)) {
-            while (ucols_[e] != static_cast<std::uint32_t>(j)) {
-              ++e;
-            }
-            wrow[(e - urow_start_[i]) * tile_ + u] = w;
+  for (std::size_t t = 0; t < tiles_; ++t) {
+    const std::size_t base = t * tile_;
+    const std::size_t at = std::min(tile_, S_ - base);
+    double* wt = wp_.data() + t * wstride_;
+    for (std::size_t i = 0; i < n_; ++i) {
+      double* wrow = wt + static_cast<std::size_t>(urow_start_[i]) * tile_;
+      for (std::size_t u = 0; u < at; ++u) {
+        const std::size_t m = base + u;
+        if (i >= nspins_[m]) {
+          continue;
+        }
+        std::size_t e = urow_start_[i];
+        for (const auto& [j, w] : members_[m].model->neighbors(i)) {
+          while (ucols_[e] != static_cast<std::uint32_t>(j)) {
             ++e;
           }
+          wrow[(e - urow_start_[i]) * tile_ + u] = w;
+          ++e;
         }
       }
     }
   }
-  pack_kernel_ = kernels::select_pack_force_kernel(params_.kernel,
-                                                   cpu_features(), share_j_);
+  pack_kernel_ =
+      kernels::select_pack_force_kernel(params_.kernel, cpu_features());
   pack_fn_ = params_.discrete ? pack_kernel_.discrete
                               : pack_kernel_.continuous;
   kernel_name_ = pack_kernel_.name;
@@ -285,8 +249,7 @@ kernels::PackForcePlanes BsbPackEngine::tile_planes(std::size_t t) {
   pp.x = x_.data() + t * xstride_;
   pp.force = force_.data() + t * xstride_;
   pp.hp = hp_.data() + t * hstride_;
-  pp.wp = share_j_ ? nullptr : wp_.data() + t * wstride_;
-  pp.wj = share_j_ ? wj_.data() : nullptr;
+  pp.wp = wp_.data() + t * wstride_;
   pp.urow_start = urow_start_.data();
   pp.ucols = ucols_.data();
   pp.n = n_;
@@ -438,10 +401,8 @@ void BsbPackEngine::retire_slot(std::size_t m) {
     for (std::size_t g = 0; g < n_; ++g) {
       std::swap(hp_[hpos(g, s)], hp_[hpos(g, last)]);
     }
-    if (!share_j_) {
-      for (std::size_t g = 0; g < uedges_; ++g) {
-        std::swap(wp_[wpos(g, s)], wp_[wpos(g, last)]);
-      }
+    for (std::size_t g = 0; g < uedges_; ++g) {
+      std::swap(wp_[wpos(g, s)], wp_[wpos(g, last)]);
     }
     std::swap(c0_slot_[s], c0_slot_[last]);
     const std::size_t other = member_of_slot_[last];

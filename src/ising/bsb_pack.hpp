@@ -25,11 +25,10 @@ class RunContext;
 /// columns some member actually couples — DALTA packs share one template
 /// pattern, so the union is ~one member's edge count — which the
 /// full-width SIMD pays back many times over at R <= 2. Slots are grouped
-/// into contiguous cache-sized TILES of T slots each (see
-/// PackEngineOptions::tile), and each tile is advanced through a whole
-/// inter-sampling block of steps before the next tile runs, so its weight
-/// planes stay cache-resident across the block instead of being streamed
-/// once per step.
+/// into contiguous cache-sized TILES of T slots each (see tile()), and each
+/// tile is advanced through a whole inter-sampling block of steps before
+/// the next tile runs, so its weight planes stay cache-resident across the
+/// block instead of being streamed once per step.
 ///
 /// The engine packs whatever it is given; deciding whether a batch is worth
 /// packing at all (the per-slot planes' working set, the replica count) is
@@ -46,31 +45,6 @@ struct PackMember {
   const IsingModel* model = nullptr;
   std::uint64_t seed = 1;
   std::span<const double> initial_positions = {};
-};
-
-/// Engine shape knobs (registry keys `pack-tile` and `pack-share-j`).
-struct PackEngineOptions {
-  /// Slot-tile width: the slot axis is carved into contiguous tiles of
-  /// this many slots, each with its own contiguous x/y/force/hp/wp planes,
-  /// and each tile is advanced through a whole inter-sampling block of
-  /// steps before the next tile runs. 0 = auto:
-  /// the measured working-set model picks the widest multiple of 8 whose
-  /// per-tile coupling planes (union-edges * tile doubles) fit in ~1 MB —
-  /// half this host class's L2 — so a tile's weights are loaded from
-  /// memory once per block instead of once per step (measured ~2.4x on
-  /// the K = 64 x 64-spin point vs the monolithic plane). Members only
-  /// interact with shared engine state at sampling points and the pump
-  /// ramp depends only on the step index, so any tile width is
-  /// bit-identical to any other.
-  std::size_t tile = 0;
-
-  /// Shared-J fast path: every member must reference the SAME IsingModel
-  /// (packed restart attempts / screening repeats of one instance). The
-  /// engine then stores one weight per union edge instead of a per-slot
-  /// plane and runs the broadcast-weight pack kernels — slots x less
-  /// weight traffic per force pass. Results stay bit-identical to
-  /// non-shared packs.
-  bool share_j = false;
 };
 
 /// Per-member intervention hook: called at every sampling point for each
@@ -131,7 +105,7 @@ using PackPlaneHook = std::function<void(
 class BsbPackEngine {
  public:
   BsbPackEngine(std::span<const PackMember> members, const SbParams& params,
-                std::size_t replicas, const PackEngineOptions& options = {});
+                std::size_t replicas);
 
   /// Attaches an execution context (must outlive the engine; nullptr
   /// detaches): deadline checks at retirement points, pack_* metrics,
@@ -146,15 +120,21 @@ class BsbPackEngine {
   std::size_t replicas() const { return R_; }
   std::size_t steps_done() const { return step_; }
 
-  /// Resolved slot-tile width (equals the slot capacity when tiling is
-  /// moot, e.g. under shared-J or small packs).
+  /// Resolved slot-tile width. The slot axis is carved into contiguous
+  /// tiles of this many slots, each with its own contiguous
+  /// x/y/force/hp/wp planes, and each tile is advanced through a whole
+  /// inter-sampling block of steps before the next tile runs. The width is
+  /// the widest multiple of 8 whose per-tile coupling planes (union-edges
+  /// * tile doubles) fit in ~1 MB — half this host class's L2 — so a
+  /// tile's weights are loaded from memory once per block instead of once
+  /// per step (measured ~2.4x on the K = 64 x 64-spin point vs the
+  /// monolithic plane); it equals the slot capacity for small packs.
+  /// Members only interact with shared engine state at sampling points
+  /// and the pump ramp depends only on the step index, so any tile width
+  /// is bit-identical to any other.
   std::size_t tile() const { return tile_; }
 
-  /// True when the shared-J fast path is active.
-  bool shared_j() const { return share_j_; }
-
-  /// Resolved force-kernel name: "pack-scalar|pack-avx2|pack-avx512"
-  /// ("...-sharedj" under shared-J).
+  /// Resolved force-kernel name: "pack-scalar|pack-avx2|pack-avx512".
   const char* kernel_name() const { return kernel_name_; }
 
   /// One Euler step for every replica of every live member.
@@ -203,7 +183,6 @@ class BsbPackEngine {
   std::vector<PackMember> members_;
   SbParams params_;
   const RunContext* ctx_ = nullptr;
-  bool share_j_ = false;
   std::size_t n_;                    // max member spin count (pack width)
   std::vector<std::size_t> nspins_;  // per member
   std::size_t R_;
@@ -230,8 +209,7 @@ class BsbPackEngine {
   AlignedVector<std::uint32_t> urow_start_;  // n + 1 union row offsets
   AlignedVector<std::uint32_t> ucols_;       // uedges ascending columns
   AlignedVector<double> hp_;  // tiles * hstride
-  AlignedVector<double> wp_;  // tiles * wstride (empty under shared-J)
-  AlignedVector<double> wj_;  // uedges shared weights (shared-J only)
+  AlignedVector<double> wp_;  // tiles * wstride
   std::vector<double> c0_slot_;          // per slot, compacted with the state
   std::vector<std::size_t> slot_of_member_;
   std::vector<std::size_t> member_of_slot_;

@@ -351,12 +351,11 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
   csr_ = flatten_csr(model);
 
   // Resolve the force kernel once: cpuid-probed ISA tier, the row-block
-  // layout at R = 1, the dense fast path when the model materialized a
-  // plane, explicit override via the engine's kernel parameter. The
-  // dispatch never fails — unsupported requests walk the fallback chain
-  // (avx512 -> avx2 -> scalar, dense -> CSR).
-  kernel_ = kernels::select_force_kernel(requested, cpu_features(),
-                                         model.has_dense_plane(), R_);
+  // layout at R = 1, explicit override via the engine's kernel parameter.
+  // The dispatch never fails — unsupported requests walk the fallback
+  // chain (avx512 -> avx2 -> scalar). R_ >= 1 here: the check above
+  // rejects 0 replicas before a kernel is selected.
+  kernel_ = kernels::select_force_kernel(requested, cpu_features(), R_);
   force_fn_ = discrete ? kernel_.discrete : kernel_.continuous;
   planes_ = kernels::ForcePlanes{};
   planes_.h = csr_.h.data();
@@ -365,10 +364,7 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
   planes_.weights = csr_.weights.data();
   planes_.n = n_;
   planes_.replicas = R_;
-  if (kernel_.kind == kernels::ForceKernel::kDense) {
-    planes_.dense = model.dense_plane().data();
-    planes_.dense_stride = model.dense_stride();
-  } else if (kernel_.kind == kernels::ForceKernel::kRowBlock) {
+  if (kernel_.kind == kernels::ForceKernel::kRowBlock) {
     row_blocks_ = kernels::build_row_blocks(planes_);
     row_blocks_.bind(planes_);
   }
@@ -416,7 +412,7 @@ void EnsembleEngineBase::begin(IsingSolveResult& result) {
 
 void EnsembleEngineBase::on_run_start() {
   // Report which force kernel dispatch resolved to, so QoR records and
-  // metrics show whether the SIMD / dense fast path was actually taken.
+  // metrics show whether the SIMD / row-block path was actually taken.
   if (QorRecorder* qor = ctx_->qor()) {
     qor->add(std::string(telemetry_prefix()) + "/kernel/" + kernel_.name);
   }

@@ -151,8 +151,8 @@ class IsingEngine {
   virtual std::string curve_name() const = 0;
 
   /// Resolved force-kernel label for the metrics `kernel=` dimension
-  /// ("scalar", "avx2", "dense-avx512", ...); "none" for engines without a
-  /// dispatched kernel (the scalar-sweep SA engine).
+  /// ("scalar", "avx2", "rowblock-avx512", ...); "none" for engines
+  /// without a dispatched kernel (the scalar-sweep SA engine).
   virtual const char* kernel_label() const { return "none"; }
 
   /// Iteration cap; re-read by the driver every iteration because the
@@ -213,8 +213,7 @@ class EnsembleEngineBase : public IsingEngine {
   std::size_t replicas() const { return R_; }
 
   /// Resolved force-kernel name ("scalar", "avx2", "avx512",
-  /// "dense-avx512", "rowblock-avx512", ...) after dispatch walked the
-  /// fallback chain.
+  /// "rowblock-avx512", ...) after dispatch walked the fallback chain.
   const char* kernel_name() const { return kernel_.name; }
   const char* kernel_label() const override { return kernel_.name; }
 
@@ -263,10 +262,9 @@ class EnsembleEngineBase : public IsingEngine {
 
  protected:
   /// Flattens the model, resolves the force kernel (honoring `requested`
-  /// against CPU features, dense-plane availability and the replica
-  /// count), builds the row-block layout when that kernel won, and
-  /// allocates the zero-filled x/y/force planes. `label` prefixes
-  /// validation messages.
+  /// against CPU features and the replica count), builds the row-block
+  /// layout when that kernel won, and allocates the zero-filled
+  /// x/y/force planes. `label` prefixes validation messages.
   EnsembleEngineBase(const IsingModel& model, std::size_t replicas,
                      kernels::ForceKernel requested, bool discrete,
                      const char* label);

@@ -103,51 +103,6 @@ void csr_force(const ForcePlanes& p, std::size_t row_begin,
   }
 }
 
-template <bool Discrete>
-void dense_force(const ForcePlanes& p, std::size_t row_begin,
-                 std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t n = p.n;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* ji = p.dense + i * p.dense_stride;
-    const double hi = p.h[i];
-    double* fi = p.force + i * R;
-    std::size_t lane = 0;
-    for (; lane + 8 <= R; lane += 8) {
-      __m256d acc0 = _mm256_set1_pd(hi);
-      __m256d acc1 = acc0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const __m256d w = _mm256_set1_pd(ji[j]);
-        const double* xj = p.x + j * R + lane;
-        acc0 = _mm256_add_pd(acc0,
-                             edge_term<Discrete>(w, _mm256_loadu_pd(xj)));
-        acc1 = _mm256_add_pd(
-            acc1, edge_term<Discrete>(w, _mm256_loadu_pd(xj + 4)));
-      }
-      _mm256_storeu_pd(fi + lane, acc0);
-      _mm256_storeu_pd(fi + lane + 4, acc1);
-    }
-    if (lane + 4 <= R) {
-      __m256d acc = _mm256_set1_pd(hi);
-      for (std::size_t j = 0; j < n; ++j) {
-        const __m256d w = _mm256_set1_pd(ji[j]);
-        const double* xj = p.x + j * R + lane;
-        acc =
-            _mm256_add_pd(acc, edge_term<Discrete>(w, _mm256_loadu_pd(xj)));
-      }
-      _mm256_storeu_pd(fi + lane, acc);
-      lane += 4;
-    }
-    for (; lane < R; ++lane) {
-      double acc = hi;
-      for (std::size_t j = 0; j < n; ++j) {
-        acc += edge_term_scalar<Discrete>(ji[j], p.x[j * R + lane]);
-      }
-      fi[lane] = acc;
-    }
-  }
-}
-
 // Slot-packed kernel (DESIGN.md §4.7): the vector axis is the slot axis,
 // so both the weight and the position are vector loads (each slot solves a
 // different instance -- no broadcastable scalar weight). The column loop
@@ -226,77 +181,6 @@ void pack_force(const PackForcePlanes& p, std::size_t row_begin,
   }
 }
 
-// Shared-J pack kernel: every slot solves the same coupling matrix, so the
-// weight is one broadcast per union edge (like the dense per-instance
-// kernel broadcasts across replica lanes) and only the position is a
-// vector load. The broadcast value equals the per-slot load the
-// non-shared kernel would issue, keeping bit-exactness; the weight
-// traffic drops from uedges*S to uedges doubles per force pass.
-template <bool Discrete>
-void pack_force_shared(const PackForcePlanes& p, std::size_t row_begin,
-                       std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::size_t A = p.active;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* hi = p.hp + i * S;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      const double* xr = p.x + r * S;
-      double* fi = p.force + (i * R + r) * S;
-      std::size_t s = 0;
-      for (; s + 8 <= A; s += 8) {
-        __m256d acc0 = _mm256_loadu_pd(hi + s);
-        __m256d acc1 = _mm256_loadu_pd(hi + s + 4);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          const __m256d w = _mm256_set1_pd(p.wj[e]);
-          const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S + s;
-          acc0 = _mm256_add_pd(acc0,
-                               edge_term<Discrete>(w, _mm256_loadu_pd(xj)));
-          acc1 = _mm256_add_pd(
-              acc1, edge_term<Discrete>(w, _mm256_loadu_pd(xj + 4)));
-        }
-        _mm256_storeu_pd(fi + s, acc0);
-        _mm256_storeu_pd(fi + s + 4, acc1);
-      }
-      if (s + 4 <= A) {
-        __m256d acc = _mm256_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm256_add_pd(
-              acc, edge_term<Discrete>(
-                       _mm256_set1_pd(p.wj[e]),
-                       _mm256_loadu_pd(
-                           xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm256_storeu_pd(fi + s, acc);
-        s += 4;
-      }
-      if (s + 2 <= A) {
-        __m128d acc = _mm_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm_add_pd(
-              acc, edge_term_128<Discrete>(
-                       _mm_set1_pd(p.wj[e]),
-                       _mm_loadu_pd(
-                           xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm_storeu_pd(fi + s, acc);
-        s += 2;
-      }
-      for (; s < A; ++s) {
-        double acc = hi[s];
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc += edge_term_scalar<Discrete>(
-              p.wj[e], xr[static_cast<std::size_t>(cs[e]) * R * S + s]);
-        }
-        fi[s] = acc;
-      }
-    }
-  }
-}
-
 // Row-block kernel (R = 1): two ymm hold the 8 row accumulators of a
 // block (rows 0-3 and 4-7); each union column broadcasts its position (or
 // sign) against the block's contiguous weight column. The tail block
@@ -344,14 +228,6 @@ void csr_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
                       std::size_t row_end) {
   csr_force<true>(p, row_begin, row_end);
 }
-void dense_force_avx2(const ForcePlanes& p, std::size_t row_begin,
-                      std::size_t row_end) {
-  dense_force<false>(p, row_begin, row_end);
-}
-void dense_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
-                        std::size_t row_end) {
-  dense_force<true>(p, row_begin, row_end);
-}
 void rowblock_force_avx2(const ForcePlanes& p, std::size_t row_begin,
                          std::size_t row_end) {
   rowblock_force<false>(p, row_begin, row_end);
@@ -367,14 +243,6 @@ void pack_force_avx2(const PackForcePlanes& p, std::size_t row_begin,
 void pack_force_avx2_d(const PackForcePlanes& p, std::size_t row_begin,
                        std::size_t row_end) {
   pack_force<true>(p, row_begin, row_end);
-}
-void pack_force_shared_avx2(const PackForcePlanes& p, std::size_t row_begin,
-                            std::size_t row_end) {
-  pack_force_shared<false>(p, row_begin, row_end);
-}
-void pack_force_shared_avx2_d(const PackForcePlanes& p, std::size_t row_begin,
-                              std::size_t row_end) {
-  pack_force_shared<true>(p, row_begin, row_end);
 }
 
 }  // namespace adsd::kernels::detail

@@ -96,51 +96,6 @@ void csr_force(const ForcePlanes& p, std::size_t row_begin,
   }
 }
 
-template <bool Discrete>
-void dense_force(const ForcePlanes& p, std::size_t row_begin,
-                 std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t n = p.n;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* ji = p.dense + i * p.dense_stride;
-    const double hi = p.h[i];
-    double* fi = p.force + i * R;
-    std::size_t lane = 0;
-    for (; lane + 16 <= R; lane += 16) {
-      __m512d acc0 = _mm512_set1_pd(hi);
-      __m512d acc1 = acc0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const __m512d w = _mm512_set1_pd(ji[j]);
-        const double* xj = p.x + j * R + lane;
-        acc0 = _mm512_add_pd(acc0,
-                             edge_term<Discrete>(w, _mm512_loadu_pd(xj)));
-        acc1 = _mm512_add_pd(
-            acc1, edge_term<Discrete>(w, _mm512_loadu_pd(xj + 8)));
-      }
-      _mm512_storeu_pd(fi + lane, acc0);
-      _mm512_storeu_pd(fi + lane + 8, acc1);
-    }
-    if (lane + 8 <= R) {
-      __m512d acc = _mm512_set1_pd(hi);
-      for (std::size_t j = 0; j < n; ++j) {
-        const __m512d w = _mm512_set1_pd(ji[j]);
-        const double* xj = p.x + j * R + lane;
-        acc =
-            _mm512_add_pd(acc, edge_term<Discrete>(w, _mm512_loadu_pd(xj)));
-      }
-      _mm512_storeu_pd(fi + lane, acc);
-      lane += 8;
-    }
-    for (; lane < R; ++lane) {
-      double acc = hi;
-      for (std::size_t j = 0; j < n; ++j) {
-        acc += edge_term_scalar<Discrete>(ji[j], p.x[j * R + lane]);
-      }
-      fi[lane] = acc;
-    }
-  }
-}
-
 // Slot-packed kernel: zmm sibling of the AVX2 pack kernel, slot blocks of
 // 16 (two zmm accumulators) / 8 peeled over the active prefix with an
 // AVX-512-only scalar tail. Weights and positions are both vector loads
@@ -218,76 +173,6 @@ void pack_force(const PackForcePlanes& p, std::size_t row_begin,
   }
 }
 
-// Shared-J pack kernel: one broadcast weight per union edge (the zmm
-// sibling of the AVX2 shared kernel), positions as slot vectors. Weight
-// traffic collapses from uedges*S to uedges doubles per pass — measured
-// ~5.9x on the n = 64, S = 64 force pass on this host — and the broadcast
-// value equals the per-slot load, so bit-exactness holds.
-template <bool Discrete>
-void pack_force_shared(const PackForcePlanes& p, std::size_t row_begin,
-                       std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::size_t A = p.active;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* hi = p.hp + i * S;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      const double* xr = p.x + r * S;
-      double* fi = p.force + (i * R + r) * S;
-      std::size_t s = 0;
-      for (; s + 16 <= A; s += 16) {
-        __m512d acc0 = _mm512_loadu_pd(hi + s);
-        __m512d acc1 = _mm512_loadu_pd(hi + s + 8);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          const __m512d w = _mm512_set1_pd(p.wj[e]);
-          const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S + s;
-          acc0 = _mm512_add_pd(acc0,
-                               edge_term<Discrete>(w, _mm512_loadu_pd(xj)));
-          acc1 = _mm512_add_pd(
-              acc1, edge_term<Discrete>(w, _mm512_loadu_pd(xj + 8)));
-        }
-        _mm512_storeu_pd(fi + s, acc0);
-        _mm512_storeu_pd(fi + s + 8, acc1);
-      }
-      if (s + 8 <= A) {
-        __m512d acc = _mm512_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm512_add_pd(
-              acc, edge_term<Discrete>(
-                       _mm512_set1_pd(p.wj[e]),
-                       _mm512_loadu_pd(
-                           xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm512_storeu_pd(fi + s, acc);
-        s += 8;
-      }
-      if (s + 4 <= A) {
-        __m256d acc = _mm256_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm256_add_pd(
-              acc, edge_term_256<Discrete>(
-                       _mm256_set1_pd(p.wj[e]),
-                       _mm256_loadu_pd(
-                           xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm256_storeu_pd(fi + s, acc);
-        s += 4;
-      }
-      for (; s < A; ++s) {
-        double acc = hi[s];
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc += edge_term_scalar<Discrete>(
-              p.wj[e], xr[static_cast<std::size_t>(cs[e]) * R * S + s]);
-        }
-        fi[s] = acc;
-      }
-    }
-  }
-}
-
 // Row-block kernel (R = 1): one zmm holds the 8 row accumulators of a
 // block; each union column broadcasts its position (or sign) against the
 // block's contiguous weight column. The tail block stores through a lane
@@ -328,14 +213,6 @@ void csr_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
                         std::size_t row_end) {
   csr_force<true>(p, row_begin, row_end);
 }
-void dense_force_avx512(const ForcePlanes& p, std::size_t row_begin,
-                        std::size_t row_end) {
-  dense_force<false>(p, row_begin, row_end);
-}
-void dense_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
-                          std::size_t row_end) {
-  dense_force<true>(p, row_begin, row_end);
-}
 void rowblock_force_avx512(const ForcePlanes& p, std::size_t row_begin,
                            std::size_t row_end) {
   rowblock_force<false>(p, row_begin, row_end);
@@ -351,14 +228,6 @@ void pack_force_avx512(const PackForcePlanes& p, std::size_t row_begin,
 void pack_force_avx512_d(const PackForcePlanes& p, std::size_t row_begin,
                          std::size_t row_end) {
   pack_force<true>(p, row_begin, row_end);
-}
-void pack_force_shared_avx512(const PackForcePlanes& p, std::size_t row_begin,
-                              std::size_t row_end) {
-  pack_force_shared<false>(p, row_begin, row_end);
-}
-void pack_force_shared_avx512_d(const PackForcePlanes& p,
-                                std::size_t row_begin, std::size_t row_end) {
-  pack_force_shared<true>(p, row_begin, row_end);
 }
 
 }  // namespace adsd::kernels::detail

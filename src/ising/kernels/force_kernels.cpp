@@ -73,68 +73,6 @@ void csr_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
   }
 }
 
-// Dense counterpart: the edge loop walks every column of the padded J
-// plane instead of the CSR index list -- sequential weight streaming, no
-// index gather. Structurally-absent entries hold exactly 0.0 and
-// contribute w * x = +-0.0, which leaves every accumulator bit-identical
-// to the CSR traversal (finalize() stores no explicit zero couplings, and
-// a +-0.0 addend only matters against a -0.0 accumulator, which the
-// h-seeded accumulation never holds: IsingModel stores biases as
-// value + 0.0, never -0.0, and a finite sum is -0.0 only when both
-// addends are).
-template <int W, bool Discrete>
-void dense_lanes(const ForcePlanes& p, std::size_t lane0,
-                 std::size_t row_begin, std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t n = p.n;
-  const double* x = p.x + lane0;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    double acc[W];
-    const double hi = p.h[i];
-    for (int t = 0; t < W; ++t) {
-      acc[t] = hi;
-    }
-    const double* ji = p.dense + i * p.dense_stride;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double w = ji[j];
-      const double* xj = x + j * R;
-      for (int t = 0; t < W; ++t) {
-        if constexpr (Discrete) {
-          acc[t] += w * (xj[t] >= 0.0 ? 1.0 : -1.0);
-        } else {
-          acc[t] += w * xj[t];
-        }
-      }
-    }
-    double* fi = p.force + i * R + lane0;
-    for (int t = 0; t < W; ++t) {
-      fi[t] = acc[t];
-    }
-  }
-}
-
-template <bool Discrete>
-void dense_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
-                             std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  std::size_t lane = 0;
-  while (lane + 8 <= R) {
-    dense_lanes<8, Discrete>(p, lane, row_begin, row_end);
-    lane += 8;
-  }
-  if (lane + 4 <= R) {
-    dense_lanes<4, Discrete>(p, lane, row_begin, row_end);
-    lane += 4;
-  }
-  if (lane + 2 <= R) {
-    dense_lanes<2, Discrete>(p, lane, row_begin, row_end);
-    lane += 2;
-  }
-  if (lane < R) {
-    dense_lanes<1, Discrete>(p, lane, row_begin, row_end);
-  }
-}
-
 // ----------------------------------------------------- portable row-block tier
 //
 // R = 1 kernel over RowBlockLayout: the register file holds the 8 rows of
@@ -181,7 +119,7 @@ void rowblock_force_scalar_d(const ForcePlanes& p, std::size_t b,
 
 // ----------------------------------------------------- portable pack tier
 //
-// Slot-packed counterpart of dense_lanes: the lane-block walks `active`
+// Slot-packed counterpart of csr_lanes: the lane-block walks `active`
 // consecutive SLOTS (independent instances) of one (row, replica) group
 // instead of consecutive replicas of one instance, and both the weight and
 // the position are per-slot loads (each slot is a different J matrix, so
@@ -258,90 +196,11 @@ void pack_force_scalar_d(const PackForcePlanes& p, std::size_t b,
   pack_force_scalar_impl<true>(p, b, e);
 }
 
-// Shared-J portable tier: every slot solves the same coupling matrix, so
-// the weight is one scalar broadcast per union edge, wj[e] — exactly the
-// value the per-slot kernel would load — and only the position is a
-// per-slot vector. Surviving edges keep their ascending-j order, so
-// shared-J packs stay bit-identical to standalone solves.
-
-template <int W, bool Discrete>
-void pack_shared_lanes(const PackForcePlanes& p, std::size_t slot0,
-                       std::size_t row_begin, std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* hi = p.hp + i * S + slot0;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      double acc[W];
-      for (int t = 0; t < W; ++t) {
-        acc[t] = hi[t];
-      }
-      const double* xr = p.x + r * S + slot0;
-      for (std::uint32_t e = e0; e < e1; ++e) {
-        const double w = p.wj[e];
-        const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S;
-        for (int t = 0; t < W; ++t) {
-          if constexpr (Discrete) {
-            acc[t] += w * (xj[t] >= 0.0 ? 1.0 : -1.0);
-          } else {
-            acc[t] += w * xj[t];
-          }
-        }
-      }
-      double* fi = p.force + (i * R + r) * S + slot0;
-      for (int t = 0; t < W; ++t) {
-        fi[t] = acc[t];
-      }
-    }
-  }
-}
-
-template <bool Discrete>
-void pack_force_shared_scalar_impl(const PackForcePlanes& p,
-                                   std::size_t row_begin,
-                                   std::size_t row_end) {
-  const std::size_t A = p.active;
-  std::size_t s = 0;
-  while (s + 8 <= A) {
-    pack_shared_lanes<8, Discrete>(p, s, row_begin, row_end);
-    s += 8;
-  }
-  if (s + 4 <= A) {
-    pack_shared_lanes<4, Discrete>(p, s, row_begin, row_end);
-    s += 4;
-  }
-  if (s + 2 <= A) {
-    pack_shared_lanes<2, Discrete>(p, s, row_begin, row_end);
-    s += 2;
-  }
-  if (s < A) {
-    pack_shared_lanes<1, Discrete>(p, s, row_begin, row_end);
-  }
-}
-
-void pack_force_shared_scalar(const PackForcePlanes& p, std::size_t b,
-                              std::size_t e) {
-  pack_force_shared_scalar_impl<false>(p, b, e);
-}
-void pack_force_shared_scalar_d(const PackForcePlanes& p, std::size_t b,
-                                std::size_t e) {
-  pack_force_shared_scalar_impl<true>(p, b, e);
-}
-
 void csr_force_scalar(const ForcePlanes& p, std::size_t b, std::size_t e) {
   csr_force_scalar_impl<false>(p, b, e);
 }
 void csr_force_scalar_d(const ForcePlanes& p, std::size_t b, std::size_t e) {
   csr_force_scalar_impl<true>(p, b, e);
-}
-void dense_force_scalar(const ForcePlanes& p, std::size_t b, std::size_t e) {
-  dense_force_scalar_impl<false>(p, b, e);
-}
-void dense_force_scalar_d(const ForcePlanes& p, std::size_t b, std::size_t e) {
-  dense_force_scalar_impl<true>(p, b, e);
 }
 
 // ----------------------------------------------------- dispatch tables
@@ -349,38 +208,28 @@ void dense_force_scalar_d(const ForcePlanes& p, std::size_t b, std::size_t e) {
 struct Tier {
   ForceRowsFn csr_c;
   ForceRowsFn csr_d;
-  ForceRowsFn dense_c;
-  ForceRowsFn dense_d;
   ForceRowsFn rowblock_c;
   ForceRowsFn rowblock_d;
   const char* csr_name;
-  const char* dense_name;
   const char* rowblock_name;
 };
 
-constexpr Tier kScalarTier = {
-    csr_force_scalar,      csr_force_scalar_d,
-    dense_force_scalar,    dense_force_scalar_d,
-    rowblock_force_scalar, rowblock_force_scalar_d,
-    "scalar",              "dense-scalar",
-    "rowblock-scalar"};
+constexpr Tier kScalarTier = {csr_force_scalar,      csr_force_scalar_d,
+                              rowblock_force_scalar, rowblock_force_scalar_d,
+                              "scalar",              "rowblock-scalar"};
 
 #ifdef ADSD_HAVE_AVX2
 constexpr Tier kAvx2Tier = {
     detail::csr_force_avx2,      detail::csr_force_avx2_d,
-    detail::dense_force_avx2,    detail::dense_force_avx2_d,
     detail::rowblock_force_avx2, detail::rowblock_force_avx2_d,
-    "avx2",                      "dense-avx2",
-    "rowblock-avx2"};
+    "avx2",                      "rowblock-avx2"};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
 constexpr Tier kAvx512Tier = {
     detail::csr_force_avx512,      detail::csr_force_avx512_d,
-    detail::dense_force_avx512,    detail::dense_force_avx512_d,
     detail::rowblock_force_avx512, detail::rowblock_force_avx512_d,
-    "avx512",                      "dense-avx512",
-    "rowblock-avx512"};
+    "avx512",                      "rowblock-avx512"};
 #endif
 
 const Tier& tier_for(ForceKernel isa) {
@@ -401,29 +250,20 @@ const Tier& tier_for(ForceKernel isa) {
 struct PackTier {
   PackForceRowsFn c;
   PackForceRowsFn d;
-  PackForceRowsFn shared_c;
-  PackForceRowsFn shared_d;
   const char* name;
-  const char* shared_name;
 };
 
-constexpr PackTier kPackScalarTier = {
-    pack_force_scalar,        pack_force_scalar_d,
-    pack_force_shared_scalar, pack_force_shared_scalar_d,
-    "pack-scalar",            "pack-scalar-sharedj"};
+constexpr PackTier kPackScalarTier = {pack_force_scalar, pack_force_scalar_d,
+                                      "pack-scalar"};
 
 #ifdef ADSD_HAVE_AVX2
-constexpr PackTier kPackAvx2Tier = {
-    detail::pack_force_avx2,        detail::pack_force_avx2_d,
-    detail::pack_force_shared_avx2, detail::pack_force_shared_avx2_d,
-    "pack-avx2",                    "pack-avx2-sharedj"};
+constexpr PackTier kPackAvx2Tier = {detail::pack_force_avx2,
+                                    detail::pack_force_avx2_d, "pack-avx2"};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
 constexpr PackTier kPackAvx512Tier = {
-    detail::pack_force_avx512,        detail::pack_force_avx512_d,
-    detail::pack_force_shared_avx512, detail::pack_force_shared_avx512_d,
-    "pack-avx512",                    "pack-avx512-sharedj"};
+    detail::pack_force_avx512, detail::pack_force_avx512_d, "pack-avx512"};
 #endif
 
 const PackTier& pack_tier_for(ForceKernel isa) {
@@ -441,15 +281,24 @@ const PackTier& pack_tier_for(ForceKernel isa) {
   }
 }
 
-/// Widest supported explicit-SIMD ISA, or scalar.
-ForceKernel best_isa(const CpuFeatures& f) {
-  if (force_kernel_supported(ForceKernel::kAvx512, f)) {
-    return ForceKernel::kAvx512;
+/// The ISA tier a request resolves to: kAuto means the widest supported
+/// one; explicit requests walk the fallback chain avx512 -> avx2 ->
+/// scalar.
+ForceKernel resolve_isa(ForceKernel requested, const CpuFeatures& f) {
+  const bool avx512 = force_kernel_supported(ForceKernel::kAvx512, f);
+  const bool avx2 = force_kernel_supported(ForceKernel::kAvx2, f);
+  switch (requested) {
+    case ForceKernel::kAuto:
+    case ForceKernel::kAvx512:
+      if (avx512) {
+        return ForceKernel::kAvx512;
+      }
+      [[fallthrough]];
+    case ForceKernel::kAvx2:
+      return avx2 ? ForceKernel::kAvx2 : ForceKernel::kScalar;
+    default:
+      return ForceKernel::kScalar;
   }
-  if (force_kernel_supported(ForceKernel::kAvx2, f)) {
-    return ForceKernel::kAvx2;
-  }
-  return ForceKernel::kScalar;
 }
 
 }  // namespace
@@ -464,8 +313,6 @@ const char* force_kernel_name(ForceKernel kind) {
       return "avx2";
     case ForceKernel::kAvx512:
       return "avx512";
-    case ForceKernel::kDense:
-      return "dense";
     case ForceKernel::kRowBlock:
       return "rowblock";
   }
@@ -475,13 +322,13 @@ const char* force_kernel_name(ForceKernel kind) {
 ForceKernel parse_force_kernel(const std::string& name) {
   for (ForceKernel kind :
        {ForceKernel::kAuto, ForceKernel::kScalar, ForceKernel::kAvx2,
-        ForceKernel::kAvx512, ForceKernel::kDense}) {
+        ForceKernel::kAvx512}) {
     if (name == force_kernel_name(kind)) {
       return kind;
     }
   }
   throw std::invalid_argument("unknown force kernel '" + name +
-                              "' (valid: auto, scalar, avx2, avx512, dense)");
+                              "' (valid: auto, scalar, avx2, avx512)");
 }
 
 bool force_kernel_compiled(ForceKernel kind) {
@@ -520,34 +367,13 @@ bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features) {
 
 SelectedForceKernel select_force_kernel(ForceKernel requested,
                                         const CpuFeatures& features,
-                                        bool dense_available,
                                         std::size_t replicas) {
-  // Resolve the layout axis first. At R = 1 every replica-lane kernel
-  // (dense included) runs one scalar chain per row, so auto means the
-  // row-block layout. Past R = 1, dense needs a materialized plane, and
-  // auto prefers it when present (finalize() only materializes one past
-  // the measured near-complete crossover; see DESIGN.md §4.6).
-  const bool use_rowblock = replicas == 1 && requested == ForceKernel::kAuto;
-  const bool use_dense =
-      !use_rowblock && dense_available &&
-      (requested == ForceKernel::kAuto || requested == ForceKernel::kDense);
-
-  // Resolve the ISA axis with the fallback chain avx512 -> avx2 -> scalar.
-  ForceKernel isa = ForceKernel::kScalar;
-  if (requested == ForceKernel::kAuto || requested == ForceKernel::kDense) {
-    isa = best_isa(features);
-  } else if (requested == ForceKernel::kAvx512) {
-    if (force_kernel_supported(ForceKernel::kAvx512, features)) {
-      isa = ForceKernel::kAvx512;
-    } else if (force_kernel_supported(ForceKernel::kAvx2, features)) {
-      isa = ForceKernel::kAvx2;
-    }
-  } else if (requested == ForceKernel::kAvx2) {
-    if (force_kernel_supported(ForceKernel::kAvx2, features)) {
-      isa = ForceKernel::kAvx2;
-    }
-  }
-
+  // At R = 1 every replica-lane kernel runs one scalar chain per row, so
+  // auto means the row-block layout. `<= 1` rather than `== 1`: engines
+  // reject 0 replicas before they select a kernel, so R = 0 only reaches
+  // here from callers that just want the R = 1 choice.
+  const bool use_rowblock = replicas <= 1 && requested == ForceKernel::kAuto;
+  const ForceKernel isa = resolve_isa(requested, features);
   const Tier& tier = tier_for(isa);
   SelectedForceKernel out;
   if (use_rowblock) {
@@ -555,11 +381,6 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
     out.discrete = tier.rowblock_d;
     out.kind = ForceKernel::kRowBlock;
     out.name = tier.rowblock_name;
-  } else if (use_dense) {
-    out.continuous = tier.dense_c;
-    out.discrete = tier.dense_d;
-    out.kind = ForceKernel::kDense;
-    out.name = tier.dense_name;
   } else {
     out.continuous = tier.csr_c;
     out.discrete = tier.csr_d;
@@ -569,7 +390,7 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
   return out;
 }
 
-std::vector<ForceKernel> selectable_force_kernels(bool dense_available) {
+std::vector<ForceKernel> selectable_force_kernels() {
   std::vector<ForceKernel> out{ForceKernel::kScalar};
   const CpuFeatures& f = cpu_features();
   if (force_kernel_supported(ForceKernel::kAvx2, f)) {
@@ -577,9 +398,6 @@ std::vector<ForceKernel> selectable_force_kernels(bool dense_available) {
   }
   if (force_kernel_supported(ForceKernel::kAvx512, f)) {
     out.push_back(ForceKernel::kAvx512);
-  }
-  if (dense_available) {
-    out.push_back(ForceKernel::kDense);
   }
   return out;
 }
@@ -639,32 +457,14 @@ RowBlockLayout build_row_blocks(const ForcePlanes& csr) {
 }
 
 SelectedPackForceKernel select_pack_force_kernel(ForceKernel requested,
-                                                 const CpuFeatures& features,
-                                                 bool shared_j) {
-  // Pack planes are dense per construction, so the dense axis collapses:
-  // kAuto and kDense both mean "widest ISA". Explicit ISA requests walk
-  // the same avx512 -> avx2 -> scalar chain as select_force_kernel().
-  ForceKernel isa = ForceKernel::kScalar;
-  if (requested == ForceKernel::kAuto || requested == ForceKernel::kDense) {
-    isa = best_isa(features);
-  } else if (requested == ForceKernel::kAvx512) {
-    if (force_kernel_supported(ForceKernel::kAvx512, features)) {
-      isa = ForceKernel::kAvx512;
-    } else if (force_kernel_supported(ForceKernel::kAvx2, features)) {
-      isa = ForceKernel::kAvx2;
-    }
-  } else if (requested == ForceKernel::kAvx2) {
-    if (force_kernel_supported(ForceKernel::kAvx2, features)) {
-      isa = ForceKernel::kAvx2;
-    }
-  }
-
+                                                 const CpuFeatures& features) {
+  const ForceKernel isa = resolve_isa(requested, features);
   const PackTier& tier = pack_tier_for(isa);
   SelectedPackForceKernel out;
-  out.continuous = shared_j ? tier.shared_c : tier.c;
-  out.discrete = shared_j ? tier.shared_d : tier.d;
+  out.continuous = tier.c;
+  out.discrete = tier.d;
   out.kind = isa;
-  out.name = shared_j ? tier.shared_name : tier.name;
+  out.name = tier.name;
   return out;
 }
 

@@ -4,28 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "support/log.hpp"
-
 namespace adsd {
-
-namespace {
-
-// Dense fast-path materialization gates (DESIGN.md §4.6). The threshold is
-// the measured single-thread crossover of the dense vs the same-ISA CSR
-// force kernels (random models, n in {64, 256, 768}, R in {8, 32}, AVX-512
-// tier): because the batched kernels amortize each index/weight load over R
-// replica lanes, the CSR "gather" is nearly free and the dense kernel --
-// which must stream the structural zeros to keep the per-lane accumulation
-// order bit-exact -- only reaches parity at ~0.93-0.97 density and wins up
-// to ~12% beyond it. The paper's column-COP instances (~0.45 dense at
-// n = 16, ~0.52 at n = 9) therefore do NOT qualify, contrary to the initial
-// hypothesis; only near-complete graphs do. The spin cap bounds the O(n^2)
-// plane to 128 MiB (a graph that clears 0.95 density at that size carries a
-// CSR image ~3x larger anyway).
-constexpr double kDenseMinDensity = 0.95;
-constexpr std::size_t kDenseMaxSpins = 4096;
-
-}  // namespace
 
 IsingModel::IsingModel(std::size_t num_spins) : n_(num_spins), h_(num_spins) {
   if (num_spins == 0) {
@@ -35,8 +14,8 @@ IsingModel::IsingModel(std::size_t num_spins) : n_(num_spins), h_(num_spins) {
 
 // Biases are stored as value + 0.0: that maps -0.0 to +0.0 and leaves
 // every other double unchanged, so no h-seeded force accumulator starts at
-// -0.0 -- the premise of the +-0.0 argument that keeps the dense,
-// row-block and pack kernels bit-identical to CSR (DESIGN.md §4.6).
+// -0.0 -- the premise of the +-0.0 argument that keeps the row-block and
+// pack kernels bit-identical to CSR (DESIGN.md §4.6).
 void IsingModel::set_bias(std::size_t i, double h) {
   h_.at(i) = h + 0.0;
 }
@@ -105,36 +84,6 @@ void IsingModel::finalize() {
     entries_[cursor[t.j]++] = {t.i, t.value};
   }
   finalized_ = true;
-
-  // Dense fast-path plane. Stride padded to a multiple of 8 doubles keeps
-  // every row 64-byte aligned; the padding columns stay exactly 0.0.
-  dense_.clear();
-  dense_stride_ = 0;
-  if (n_ >= 2 && n_ <= kDenseMaxSpins && edge_density() >= kDenseMinDensity) {
-    dense_stride_ = (n_ + 7) / 8 * 8;
-    dense_.assign(n_ * dense_stride_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
-        dense_[i * dense_stride_ + entries_[e].first] = entries_[e].second;
-      }
-    }
-    ADSD_LOG_DEBUG("ising/model", "dense force plane materialized",
-                   {"spins", n_}, {"density", edge_density()},
-                   {"stride", dense_stride_});
-  }
-}
-
-double IsingModel::edge_density() const {
-  if (!finalized_) {
-    throw std::logic_error("IsingModel: finalize() before edge_density()");
-  }
-  if (n_ < 2) {
-    return 0.0;
-  }
-  // entries_ stores each unordered pair twice, matching the n * (n - 1)
-  // ordered-pair denominator.
-  return static_cast<double>(entries_.size()) /
-         (static_cast<double>(n_) * static_cast<double>(n_ - 1));
 }
 
 std::size_t IsingModel::num_couplings() const {

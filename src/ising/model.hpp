@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "support/aligned.hpp"
-
 namespace adsd {
 
 /// Second-order Ising model
@@ -72,22 +70,6 @@ class IsingModel {
   std::span<const std::pair<std::uint32_t, double>> neighbors(
       std::size_t i) const;
 
-  /// Fraction of the n * (n - 1) possible couplings that are present
-  /// (requires finalize()). Zero for a single spin.
-  double edge_density() const;
-
-  /// Dense fast path: when the edge density clears the measured crossover
-  /// threshold (near-complete graphs only -- the lane-batched CSR kernels
-  /// amortize the index gather over replicas, see DESIGN.md §4.6) and the
-  /// model is small enough for an O(n^2) plane, finalize() additionally
-  /// materializes a 64-byte-aligned padded row-major J plane -- row i lives
-  /// at dense_plane()[i * dense_stride()], columns beyond n are zero
-  /// padding -- so the bSB force kernels can run a blocked dense matrix x
-  /// replica-plane product with no index lookups at all.
-  bool has_dense_plane() const { return dense_stride_ != 0; }
-  std::span<const double> dense_plane() const { return dense_; }
-  std::size_t dense_stride() const { return dense_stride_; }
-
  private:
   std::size_t n_;
   std::vector<double> h_;
@@ -103,10 +85,6 @@ class IsingModel {
   bool finalized_ = false;
   std::vector<std::size_t> row_start_;                     // n_+1 entries
   std::vector<std::pair<std::uint32_t, double>> entries_;  // both directions
-
-  // Dense fast-path plane (empty unless the density threshold was met).
-  AlignedVector<double> dense_;  // n_ * dense_stride_, row-major, padded
-  std::size_t dense_stride_ = 0;
 };
 
 /// Result common to all Ising solvers.

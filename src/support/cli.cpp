@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace adsd {
@@ -93,7 +94,24 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   if (!v || v->empty()) {
     return fallback;
   }
-  return std::stod(*v);
+  // Whole value, finite: std::stod alone would read "5x" as 5, accept
+  // "nan"/"inf", and fail "abc" with the bare message "stod".
+  const auto bad = [&]() {
+    return std::invalid_argument("--" + name +
+                                 ": expected a finite number, got '" + *v +
+                                 "'");
+  };
+  double parsed = 0.0;
+  std::size_t used = 0;
+  try {
+    parsed = std::stod(*v, &used);
+  } catch (const std::logic_error&) {
+    throw bad();
+  }
+  if (used != v->size() || !std::isfinite(parsed)) {
+    throw bad();
+  }
+  return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

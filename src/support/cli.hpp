@@ -29,6 +29,9 @@ class CliArgs {
   /// silently falling back.
   std::size_t get_positive_size(const std::string& name,
                                 std::size_t fallback) const;
+
+  /// The whole value must parse as a finite number; "5x", "nan", "inf"
+  /// and "abc" throw std::invalid_argument naming the flag.
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

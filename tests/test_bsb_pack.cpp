@@ -90,8 +90,7 @@ TEST(BsbPackParity, MembersMatchStandaloneAtEveryKernelRequest) {
   const auto models = member_models(4, 10, 202);
   for (const kernels::ForceKernel kernel :
        {kernels::ForceKernel::kScalar, kernels::ForceKernel::kAvx2,
-        kernels::ForceKernel::kAvx512, kernels::ForceKernel::kDense,
-        kernels::ForceKernel::kAuto}) {
+        kernels::ForceKernel::kAvx512, kernels::ForceKernel::kAuto}) {
     SbParams params;
     params.max_iterations = 250;
     params.kernel = kernel;
@@ -233,78 +232,48 @@ TEST(BsbPackHook, PlaneHookSeesStandaloneLayoutAndStaysExact) {
 // ------------------------------------------------- tile-width bit parity
 
 TEST(BsbPackParity, TileWidthsAreBitIdentical) {
-  // Any slot-tile width must reproduce the standalone trajectories: tiles
+  // A multi-tile pack must reproduce the standalone trajectories: tiles
   // only change which slots advance together between sampling points, and
-  // members never interact between sampling points.
-  const auto models = member_models(7, 10, 808);
+  // members never interact between sampling points. 20 near-complete
+  // 96-spin members have a 96 * 95 = 9120-edge union, so the ~1 MB tile
+  // holds 8 slots and the pack runs tiles of 8, 8 and 4; members retire at
+  // different steps, so compaction crosses tile boundaries.
+  const auto models = [] {
+    Rng rng(808);
+    std::vector<IsingModel> out;
+    for (std::size_t m = 0; m < 20; ++m) {
+      out.push_back(random_model(96, 0.98, rng));
+    }
+    return out;
+  }();
   SbParams params;
   params.max_iterations = 200;
   params.stop.enabled = true;
-  params.stop.epsilon = 1e-6;
+  params.stop.epsilon = 1e-3;
   params.stop.sample_interval = 5;
-  params.stop.window = 5;
+  params.stop.window = 4;
 
-  for (const std::size_t tile :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{64}}) {
+  for (const bool discrete : {false, true}) {
+    params.discrete = discrete;
     std::vector<PackMember> members;
     for (std::size_t m = 0; m < models.size(); ++m) {
       members.push_back({&models[m], 4000 + 11 * m, {}});
     }
-    PackEngineOptions o;
-    o.tile = tile;
-    BsbPackEngine engine(members, params, 1, o);
-    EXPECT_GE(engine.tile(), 1u);
-    EXPECT_LE(engine.tile(), members.size());
+    BsbPackEngine engine(members, params, 1);
+    EXPECT_EQ(engine.tile(), 8u);
+    EXPECT_LT(engine.tile(), engine.num_members());
     const auto packed = engine.run();
+    std::set<std::size_t> distinct;
     for (std::size_t m = 0; m < models.size(); ++m) {
       const auto ref = standalone(models[m], params, members[m].seed, 1);
-      EXPECT_EQ(ref.energy, packed[m].energy) << "tile=" << tile << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins) << "tile=" << tile << " m=" << m;
-      EXPECT_EQ(ref.iterations, packed[m].iterations);
-    }
-  }
-}
-
-// --------------------------------------------------- shared-J bit parity
-
-TEST(BsbPackParity, SharedJMatchesStandaloneAndPerSlotPlanes) {
-  // Restart-style packs: every member references the same model with its
-  // own seed. The broadcast-weight kernels must match both the standalone
-  // solves and the per-slot-plane pack bit for bit.
-  Rng rng(909);
-  const IsingModel model = random_model(12, 0.4, rng);
-  for (const bool discrete : {false, true}) {
-    SbParams params;
-    params.max_iterations = 180;
-    params.discrete = discrete;
-    params.stop.enabled = true;
-    params.stop.epsilon = 1e-6;
-    params.stop.sample_interval = 5;
-    params.stop.window = 5;
-    std::vector<PackMember> members;
-    for (std::size_t m = 0; m < 9; ++m) {
-      members.push_back({&model, 6000 + 23 * m, {}});
-    }
-    PackEngineOptions shared;
-    shared.share_j = true;
-    BsbPackEngine engine(members, params, 2, shared);
-    EXPECT_TRUE(engine.shared_j());
-    EXPECT_NE(std::string(engine.kernel_name()).find("sharedj"),
-              std::string::npos);
-    const auto packed = engine.run();
-
-    BsbPackEngine per_slot(members, params, 2);
-    const auto plain = per_slot.run();
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const auto ref = standalone(model, params, members[m].seed, 2);
       EXPECT_EQ(ref.energy, packed[m].energy)
           << "discrete=" << discrete << " m=" << m;
-      EXPECT_EQ(ref.spins, packed[m].spins);
+      EXPECT_EQ(ref.spins, packed[m].spins)
+          << "discrete=" << discrete << " m=" << m;
       EXPECT_EQ(ref.iterations, packed[m].iterations);
-      EXPECT_EQ(plain[m].energy, packed[m].energy);
-      EXPECT_EQ(plain[m].spins, packed[m].spins);
+      distinct.insert(packed[m].iterations);
     }
+    EXPECT_GT(distinct.size(), 1u) << "discrete=" << discrete;
   }
 }
 
@@ -432,14 +401,10 @@ TEST(BsbPack, RejectsBadArguments) {
   SbParams params;
   EXPECT_THROW(BsbPackEngine({}, params, 1), std::invalid_argument);
   {
-    // Mixed spin counts are legal (padded), but shared-J demands one model.
+    // Mixed spin counts are legal (padded).
     const std::vector<PackMember> mixed = {{&a, 1, {}}, {&b, 2, {}}};
     BsbPackEngine ok(mixed, params, 1);
     EXPECT_EQ(ok.num_spins(), 7u);
-    PackEngineOptions shared;
-    shared.share_j = true;
-    EXPECT_THROW(BsbPackEngine(mixed, params, 1, shared),
-                 std::invalid_argument);
   }
   {
     IsingModel unfinalized(6);
@@ -488,21 +453,10 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
     seeds.push_back(1000 + 17 * i);
   }
   // Theorem-3 + dynamic stop are on by default; restarts=2 exercises the
-  // per-attempt reseed, pack=3 forces multiple chunks per batch. The
-  // pack-* keys exist only on the packed side (they change nothing about
-  // per-member results); `plain` is the key set the reference sees.
-  struct Config {
-    std::string packed;
-    std::string plain;
-  };
-  for (const Config& cfg :
-       {Config{"", ""}, Config{",replicas=4", ",replicas=4"},
-        Config{",restarts=2", ",restarts=2"},
-        Config{",pack-tile=2", ""},
-        Config{",restarts=3,pack-share-j=1", ",restarts=3"}}) {
-    const std::string& extra = cfg.packed;
+  // per-attempt reseed, pack=3 forces multiple chunks per batch.
+  for (const std::string extra : {"", ",replicas=4", ",restarts=2"}) {
     const auto plain =
-        SolverRegistry::global().make_from_spec("prop,n=9" + cfg.plain);
+        SolverRegistry::global().make_from_spec("prop,n=9" + extra);
     const auto packed = SolverRegistry::global().make_from_spec(
         "prop,n=9,pack=3" + extra);
     const RunContext ctx(std::uint64_t{7});
@@ -611,29 +565,6 @@ TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
   const auto plain = SolverRegistry::global().make_from_spec("prop");
   EXPECT_EQ(plain->name(), "ising-bsb");
   EXPECT_FALSE(plain->batched());
-  // pack-* keys without pack are configuration errors; bogus values too.
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack-tile=4"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack-share-j=1"),
-      std::invalid_argument);
-  // Malformed pack-tile enumerates the accepted values in the message.
-  try {
-    SolverRegistry::global().make_from_spec("prop,pack=4,pack-tile=huge");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("pack-tile"), std::string::npos);
-    EXPECT_NE(what.find("auto"), std::string::npos);
-    EXPECT_NE(what.find("positive"), std::string::npos);
-  }
-  EXPECT_THROW(
-      SolverRegistry::global().make_from_spec("prop,pack=4,pack-tile=0"),
-      std::invalid_argument);
-  const auto tiled = SolverRegistry::global().make_from_spec(
-      "prop,pack=16,pack-tile=8,pack-share-j=1");
-  EXPECT_EQ(tiled->name(), "ising-bsb-pack");
 }
 
 // --------------------------------------------------- end-to-end DALTA runs

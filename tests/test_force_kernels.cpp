@@ -1,10 +1,9 @@
 // Tests for the dispatched force-kernel layer (DESIGN.md §4.6): cpuid
 // dispatch and its fallback chain on masked feature sets (at R = 1 and
-// past it), registry/CLI kernel selection, the dense-plane
-// materialization in IsingModel::finalize(), and the layer's central
-// contract — every dispatched variant (explicit-SIMD CSR, dense fast path
-// and R = 1 row-block layout alike) produces bit-identical force planes,
-// solve results, and DALTA runs, sharded or not.
+// past it), registry/CLI kernel selection, and the layer's central
+// contract — every dispatched variant (explicit-SIMD CSR and the R = 1
+// row-block layout alike) produces bit-identical force planes, solve
+// results, and DALTA runs, sharded or not.
 
 #include <gtest/gtest.h>
 
@@ -48,10 +47,8 @@ IsingModel random_model(std::size_t n, double density, Rng& rng) {
 
 /// A joint-mode column-COP Ising model over the trivial (free, n - free)
 /// partition: 2^free matrix rows, so V1/V2/T spins start at 0, 2^free and
-/// 2^(free+1). The default is the paper's n = 9 model: near-half dense,
-/// which sits far below the measured dense-path crossover (~0.95), so no
-/// dense plane is materialized and replica-lane auto-dispatch stays on the
-/// CSR kernels.
+/// 2^(free+1). The default is the paper's n = 9 model, about half of
+/// whose possible couplings are present.
 IsingModel column_cop_model(unsigned n = 9, unsigned free_size = 4) {
   const auto exact = make_continuous_table(continuous_spec("exp"), n, n);
   const auto w = InputPartition::trivial(n, free_size);
@@ -85,8 +82,8 @@ IsingModel zero_row_column_cop_model() {
 }
 
 /// A complete 48-spin model plus one uncoupled spin whose bias is set to
-/// -0.0: dense enough (47/49) that finalize() materializes the plane, so
-/// the dense kernel walks 48 zero columns in the uncoupled row.
+/// -0.0, which the model stores as +0.0: every tier must give that row a
+/// +0.0 force, at every replica count.
 IsingModel signed_zero_dense_model() {
   Rng rng(53);
   IsingModel m(49);
@@ -130,9 +127,8 @@ constexpr std::size_t kLanes = 8;
 // ------------------------------------------------------------ name parsing
 
 TEST(ForceKernelNames, RoundTrip) {
-  for (ForceKernel k :
-       {ForceKernel::kAuto, ForceKernel::kScalar, ForceKernel::kAvx2,
-        ForceKernel::kAvx512, ForceKernel::kDense}) {
+  for (ForceKernel k : {ForceKernel::kAuto, ForceKernel::kScalar,
+                        ForceKernel::kAvx2, ForceKernel::kAvx512}) {
     EXPECT_EQ(kernels::parse_force_kernel(kernels::force_kernel_name(k)), k);
   }
 }
@@ -147,22 +143,26 @@ TEST(ForceKernelNames, RowBlockIsResolvedNotRequested) {
 }
 
 TEST(ForceKernelNames, UnknownNameThrowsListingValidNames) {
-  try {
-    kernels::parse_force_kernel("sse9");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("sse9"), std::string::npos);
-    EXPECT_NE(what.find("avx2"), std::string::npos);
-    EXPECT_NE(what.find("dense"), std::string::npos);
+  // A layout name the layer does not have ("dense") fails like a typo.
+  for (const char* name : {"sse9", "dense"}) {
+    try {
+      kernels::parse_force_kernel(name);
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + name + "'"), std::string::npos);
+      EXPECT_NE(what.find("(valid: auto, scalar, avx2, avx512)"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
 // ---------------------------------------------------------------- dispatch
 
 TEST(ForceKernelDispatch, NoFeaturesResolvesScalar) {
-  const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                no_features(), false, kLanes);
+  const auto sel =
+      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), kLanes);
   EXPECT_EQ(sel.kind, ForceKernel::kScalar);
   EXPECT_STREQ(sel.name, "scalar");
   ASSERT_NE(sel.continuous, nullptr);
@@ -173,7 +173,7 @@ TEST(ForceKernelDispatch, SimdRequestsFallBackToScalarWithoutFeatures) {
   // A masked feature set must walk the whole chain down to scalar even when
   // the SIMD code is compiled in: the OS/CPU probe is the authority.
   for (ForceKernel k : {ForceKernel::kAvx2, ForceKernel::kAvx512}) {
-    const auto sel = kernels::select_force_kernel(k, no_features(), false);
+    const auto sel = kernels::select_force_kernel(k, no_features());
     EXPECT_EQ(sel.kind, ForceKernel::kScalar);
     EXPECT_STREQ(sel.name, "scalar");
   }
@@ -183,22 +183,22 @@ TEST(ForceKernelDispatch, Avx512RequestFallsBackToAvx2) {
   if (!kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
     GTEST_SKIP() << "AVX2 kernels not compiled into this binary";
   }
-  const auto sel = kernels::select_force_kernel(ForceKernel::kAvx512,
-                                                avx2_features(), false);
+  const auto sel =
+      kernels::select_force_kernel(ForceKernel::kAvx512, avx2_features());
   EXPECT_EQ(sel.kind, ForceKernel::kAvx2);
   EXPECT_STREQ(sel.name, "avx2");
 }
 
 TEST(ForceKernelDispatch, AutoPicksWidestSupportedIsa) {
   if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
-    const auto sel = kernels::select_force_kernel(
-        ForceKernel::kAuto, avx512_features(), false, kLanes);
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
+                                                  avx512_features(), kLanes);
     EXPECT_EQ(sel.kind, ForceKernel::kAvx512);
     EXPECT_STREQ(sel.name, "avx512");
   }
   if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    const auto sel = kernels::select_force_kernel(
-        ForceKernel::kAuto, avx2_features(), false, kLanes);
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
+                                                  avx2_features(), kLanes);
     EXPECT_EQ(sel.kind, ForceKernel::kAvx2);
     EXPECT_STREQ(sel.name, "avx2");
   }
@@ -210,49 +210,19 @@ TEST(ForceKernelDispatch, Avx2NeedsFmaToo) {
   CpuFeatures f;
   f.avx2 = true;
   f.fma = false;
-  const auto sel = kernels::select_force_kernel(ForceKernel::kAvx2, f, false);
+  const auto sel = kernels::select_force_kernel(ForceKernel::kAvx2, f);
   EXPECT_EQ(sel.kind, ForceKernel::kScalar);
-}
-
-TEST(ForceKernelDispatch, AutoPrefersDenseWhenPlaneAvailable) {
-  const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                no_features(), true, kLanes);
-  EXPECT_EQ(sel.kind, ForceKernel::kDense);
-  EXPECT_STREQ(sel.name, "dense-scalar");
-}
-
-TEST(ForceKernelDispatch, DenseNameCarriesIsaTier) {
-  if (!kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    GTEST_SKIP() << "AVX2 kernels not compiled into this binary";
-  }
-  const auto sel = kernels::select_force_kernel(ForceKernel::kDense,
-                                                avx2_features(), true);
-  EXPECT_EQ(sel.kind, ForceKernel::kDense);
-  EXPECT_STREQ(sel.name, "dense-avx2");
-}
-
-TEST(ForceKernelDispatch, DenseRequestWithoutPlaneFallsBackToCsr) {
-  const auto sel = kernels::select_force_kernel(ForceKernel::kDense,
-                                                no_features(), false);
-  EXPECT_EQ(sel.kind, ForceKernel::kScalar);
-  EXPECT_STREQ(sel.name, "scalar");
-}
-
-TEST(ForceKernelDispatch, ExplicitCsrRequestIgnoresDensePlane) {
-  const auto sel = kernels::select_force_kernel(ForceKernel::kScalar,
-                                                avx512_features(), true);
-  EXPECT_EQ(sel.kind, ForceKernel::kScalar);
-  EXPECT_STREQ(sel.name, "scalar");
 }
 
 TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
-  for (bool dense : {false, true}) {
-    const auto kinds = kernels::selectable_force_kernels(dense);
-    ASSERT_FALSE(kinds.empty());
-    EXPECT_EQ(kinds.front(), ForceKernel::kScalar);
-    for (ForceKernel k : kinds) {
+  // Explicit requests keep the CSR layout on both sides of R = 1.
+  const auto kinds = kernels::selectable_force_kernels();
+  ASSERT_FALSE(kinds.empty());
+  EXPECT_EQ(kinds.front(), ForceKernel::kScalar);
+  for (ForceKernel k : kinds) {
+    for (std::size_t replicas : {std::size_t{1}, kLanes}) {
       const auto sel =
-          kernels::select_force_kernel(k, cpu_features(), dense, 1);
+          kernels::select_force_kernel(k, cpu_features(), replicas);
       EXPECT_EQ(sel.kind, k) << kernels::force_kernel_name(k);
     }
   }
@@ -266,127 +236,69 @@ TEST(ForceKernelDispatch, OneReplicaResolvesRowBlockAtWidestIsa) {
   CpuFeatures no_fma;
   no_fma.avx2 = true;
   const auto scalar =
-      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), false, 1);
+      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), 1);
   EXPECT_EQ(scalar.kind, ForceKernel::kRowBlock);
   EXPECT_STREQ(scalar.name, "rowblock-scalar");
   ASSERT_NE(scalar.continuous, nullptr);
   ASSERT_NE(scalar.discrete, nullptr);
   EXPECT_STREQ(
-      kernels::select_force_kernel(ForceKernel::kAuto, no_fma, false, 1).name,
+      kernels::select_force_kernel(ForceKernel::kAuto, no_fma, 1).name,
       "rowblock-scalar");
   if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                  avx2_features(), false, 1);
+    const auto sel =
+        kernels::select_force_kernel(ForceKernel::kAuto, avx2_features(), 1);
     EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
     EXPECT_STREQ(sel.name, "rowblock-avx2");
   }
   if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                  avx512_features(), false, 1);
+    const auto sel =
+        kernels::select_force_kernel(ForceKernel::kAuto, avx512_features(), 1);
     EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
     EXPECT_STREQ(sel.name, "rowblock-avx512");
   }
-}
-
-TEST(ForceKernelDispatch, AutoAtOneReplicaPrefersRowBlockOverDensePlane) {
-  // The dense kernel's lane loop is one scalar chain per row at R = 1 too.
-  const auto sel =
-      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), true, 1);
-  EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
-  EXPECT_STREQ(sel.name, "rowblock-scalar");
+  // Engines reject 0 replicas before they select, so replicas = 0 only
+  // comes from callers asking for the single-trajectory choice: it
+  // resolves exactly like R = 1.
+  for (const CpuFeatures& f :
+       {no_features(), avx2_features(), avx512_features()}) {
+    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 0).name,
+                 kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name);
+  }
 }
 
 TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
-  // The CSR tiers stay selectable at R = 1 as the parity reference, and an
-  // explicit dense request is honored when the plane exists.
-  const auto scalar = kernels::select_force_kernel(ForceKernel::kScalar,
-                                                   avx512_features(), true, 1);
+  // The CSR tiers stay selectable at R = 1 as the parity reference.
+  const auto scalar =
+      kernels::select_force_kernel(ForceKernel::kScalar, avx512_features(), 1);
   EXPECT_EQ(scalar.kind, ForceKernel::kScalar);
   EXPECT_STREQ(scalar.name, "scalar");
-  const auto dense = kernels::select_force_kernel(ForceKernel::kDense,
-                                                  no_features(), true, 1);
-  EXPECT_EQ(dense.kind, ForceKernel::kDense);
-  EXPECT_STREQ(dense.name, "dense-scalar");
 }
 
 // ---------------------------------------------------------------- registry
 
 TEST(ForceKernelRegistry, PropAcceptsKernelKey) {
-  for (const char* name : {"auto", "scalar", "avx2", "avx512", "dense"}) {
+  for (const char* name : {"auto", "scalar", "avx2", "avx512"}) {
     EXPECT_NO_THROW(SolverRegistry::global().make_from_spec(
         std::string("prop,kernel=") + name));
   }
 }
 
 TEST(ForceKernelRegistry, PropRejectsBogusKernel) {
-  EXPECT_THROW(SolverRegistry::global().make_from_spec("prop,kernel=sse9"),
-               std::invalid_argument);
-}
-
-// ------------------------------------------------------------- dense plane
-
-TEST(DensePlane, MaterializedAboveThresholdAndMatchesCsr) {
-  Rng rng(31);
-  const auto model = random_model(40, 0.98, rng);
-  ASSERT_TRUE(model.has_dense_plane());
-  const std::size_t stride = model.dense_stride();
-  EXPECT_GE(stride, model.num_spins());
-  EXPECT_EQ(stride % 8, 0u);
-  const auto plane = model.dense_plane();
-  ASSERT_EQ(plane.size(), model.num_spins() * stride);
-  for (std::size_t i = 0; i < model.num_spins(); ++i) {
-    std::vector<double> row(stride, 0.0);
-    for (const auto& [j, w] : model.neighbors(i)) {
-      row[j] = w;
-    }
-    for (std::size_t j = 0; j < stride; ++j) {
-      EXPECT_EQ(plane[i * stride + j], row[j]) << i << "," << j;
-    }
+  for (const char* name : {"sse9", "dense"}) {
+    EXPECT_THROW(SolverRegistry::global().make_from_spec(
+                     std::string("prop,kernel=") + name),
+                 std::invalid_argument)
+        << name;
   }
-}
-
-TEST(DensePlane, NotMaterializedBelowThreshold) {
-  // A ring is ~2/n dense; far below any sensible threshold at n = 64.
-  IsingModel m(64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    m.add_coupling(i, (i + 1) % 64, 1.0);
-  }
-  m.finalize();
-  EXPECT_LT(m.edge_density(), 0.05);
-  EXPECT_FALSE(m.has_dense_plane());
-  EXPECT_EQ(m.dense_stride(), 0u);
-  EXPECT_TRUE(m.dense_plane().empty());
-}
-
-TEST(DensePlane, ColumnCopModelStaysBelowMeasuredCrossover) {
-  // The paper's column-COP models are near-half dense -- well short of the
-  // measured ~0.95 crossover where the dense kernel stops losing to the
-  // lane-batched CSR kernels (DESIGN.md §4.6) -- so finalize() must not
-  // spend O(n^2) memory on a plane auto-dispatch would never profit from.
-  const auto model = column_cop_model();
-  EXPECT_GT(model.edge_density(), 0.10);
-  EXPECT_LT(model.edge_density(), 0.95);
-  EXPECT_FALSE(model.has_dense_plane());
-}
-
-TEST(DensePlane, RefinalizeRebuildsPlane) {
-  Rng rng(32);
-  IsingModel m = random_model(16, 1.0, rng);
-  ASSERT_TRUE(m.has_dense_plane());
-  m.add_coupling(0, 15, 2.5);
-  m.finalize();
-  ASSERT_TRUE(m.has_dense_plane());
-  EXPECT_EQ(m.dense_plane()[0 * m.dense_stride() + 15],
-            m.dense_plane()[15 * m.dense_stride() + 0]);
 }
 
 // ------------------------------------------------- force-plane bit parity
 
 /// The requests the parity suites compare: every kernel that resolves to
-/// itself, then auto -- the row-block layout at R = 1, the widest CSR or
-/// the dense tier past it.
-std::vector<ForceKernel> parity_kernels(bool dense_available) {
-  auto kinds = kernels::selectable_force_kernels(dense_available);
+/// itself, then auto -- the row-block layout at R = 1, the widest CSR
+/// tier past it.
+std::vector<ForceKernel> parity_kernels() {
+  auto kinds = kernels::selectable_force_kernels();
   kinds.push_back(ForceKernel::kAuto);
   return kinds;
 }
@@ -399,7 +311,7 @@ void expect_force_parity(const IsingModel& model, bool discrete,
   params.discrete = discrete;
 
   std::vector<double> reference;
-  for (ForceKernel k : parity_kernels(model.has_dense_plane())) {
+  for (ForceKernel k : parity_kernels()) {
     params.kernel = k;
     BsbBatchEngine engine(model, params, replicas);
     Rng rng(seed);
@@ -461,17 +373,15 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
 }
 
 TEST(ForceKernelParity, ForcePlanesBitIdenticalDenseModel) {
-  // Near-complete models: the dense plane is materialized, so the parity
-  // sweep includes the dense kernel at the host's widest ISA tier. In the
-  // second, the dense kernel walks 48 zero columns in an uncoupled row
-  // whose bias was set to -0.0; with a -0.0 accumulator those +-0.0 terms
-  // flipped the sign of its force against CSR at every replica count.
+  // Near-complete models through the remaining layouts: every CSR tier at
+  // each replica count, and the row-block layout through auto at R = 1.
+  // In the second model the uncoupled row's bias was set to -0.0.
   Rng rng(43);
   const auto model = random_model(48, 1.0, rng);
   const auto signed_zero = signed_zero_dense_model();
   ASSERT_TRUE(signed_zero.neighbors(48).empty());
+  EXPECT_FALSE(std::signbit(signed_zero.bias(48)));
   for (const IsingModel* m : {&model, &signed_zero}) {
-    ASSERT_TRUE(m->has_dense_plane());
     for (std::size_t replicas : {1u, 2u, 8u, 13u}) {
       expect_force_parity(*m, false, replicas, 800 + replicas);
       expect_force_parity(*m, true, replicas, 800 + replicas);
@@ -489,12 +399,11 @@ TEST(ForceKernelParity, RowBlockTiersBitIdenticalToScalarCsr) {
                                column_cop_model(7, 1),
                                zero_row_column_cop_model()};
   const auto reference =
-      kernels::select_force_kernel(ForceKernel::kScalar, no_features(), false);
+      kernels::select_force_kernel(ForceKernel::kScalar, no_features());
   int tiers = 0;
   for (const CpuFeatures& f :
        {no_features(), avx2_features(), avx512_features()}) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto, f,
-                                                  false, 1);
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto, f, 1);
     ASSERT_EQ(sel.kind, ForceKernel::kRowBlock);
     if ((f.avx2 && !kernels::force_kernel_supported(ForceKernel::kAvx2,
                                                     cpu_features())) ||
@@ -545,7 +454,6 @@ TEST(ForceKernelParity, SolveBitIdenticalAcrossKernels) {
   Rng rng(47);
   const IsingModel models[] = {column_cop_model(),
                                random_model(48, 1.0, rng)};
-  ASSERT_TRUE(models[1].has_dense_plane());
   for (const IsingModel& model : models) {
     for (bool discrete : {false, true}) {
       for (std::size_t replicas : {1u, 2u, 8u}) {
@@ -553,7 +461,7 @@ TEST(ForceKernelParity, SolveBitIdenticalAcrossKernels) {
         params.discrete = discrete;
         params.kernel = ForceKernel::kScalar;
         const auto reference = solve_sb_batch(model, params, replicas);
-        for (ForceKernel k : parity_kernels(model.has_dense_plane())) {
+        for (ForceKernel k : parity_kernels()) {
           params.kernel = k;
           const auto got = solve_sb_batch(model, params, replicas);
           EXPECT_EQ(got.energy, reference.energy)
@@ -580,14 +488,13 @@ TEST(ForceKernelParity, EngineReportsResolvedKernelName) {
   BsbBatchEngine auto_engine(model, params, 2);
   EXPECT_EQ(auto_engine.kernel_kind(),
             kernels::select_force_kernel(ForceKernel::kAuto, cpu_features(),
-                                         model.has_dense_plane(),
                                          auto_engine.replicas())
                 .kind);
 
   // R = 1: auto takes the row-block layout and reports its ISA tier.
   BsbBatchEngine single_engine(model, params, 1);
-  const auto single = kernels::select_force_kernel(
-      ForceKernel::kAuto, cpu_features(), model.has_dense_plane(), 1);
+  const auto single =
+      kernels::select_force_kernel(ForceKernel::kAuto, cpu_features(), 1);
   EXPECT_EQ(single_engine.kernel_kind(), ForceKernel::kRowBlock);
   EXPECT_STREQ(single_engine.kernel_name(), single.name);
   EXPECT_EQ(std::string(single_engine.kernel_name()).rfind("rowblock-", 0),
@@ -671,7 +578,7 @@ TEST(ForceKernelParity, DaltaResultBitIdenticalAcrossKernels) {
       SolverRegistry::global().make_from_spec("prop,n=7,kernel=scalar");
   const auto reference = run_dalta(exact, dist, params, *reference_solver);
 
-  for (ForceKernel k : parity_kernels(true)) {
+  for (ForceKernel k : parity_kernels()) {
     const auto solver = SolverRegistry::global().make_from_spec(
         std::string("prop,n=7,kernel=") + kernels::force_kernel_name(k));
     const auto got = run_dalta(exact, dist, params, *solver);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ising/bsb.hpp"
+#include "ising/bsb_batch.hpp"
 #include "ising/exhaustive.hpp"
 #include "ising/model.hpp"
 #include "ising/qubo.hpp"
@@ -385,36 +386,10 @@ TEST(Bsb, EnergyReportedMatchesSpins) {
 }
 
 // ---------------------------------------------------------- Ensemble bSB
-
-TEST(BsbEnsemble, SingleReplicaReproducesSolveSb) {
-  Rng rng(41);
-  const auto m = random_model(12, 0.5, rng);
-  SbParams p;
-  p.max_iterations = 400;
-  p.seed = 9;
-  const auto solo = solve_sb(m, p);
-  const auto ens = solve_sb_ensemble(m, p, 1);
-  EXPECT_EQ(ens.energy, solo.energy);
-  EXPECT_EQ(ens.spins, solo.spins);
-}
-
-TEST(BsbEnsemble, MatchesBestOfIndependentRestarts) {
-  Rng rng(43);
-  const auto m = random_model(10, 0.6, rng);
-  SbParams p;
-  p.max_iterations = 300;
-  p.seed = 17;
-  const std::size_t k = 4;
-  double best = 1e300;
-  for (std::size_t r = 0; r < k; ++r) {
-    SbParams pr = p;
-    pr.seed = p.seed + 0x9e3779b9u * r;
-    best = std::min(best, solve_sb(m, pr).energy);
-  }
-  const auto ens = solve_sb_ensemble(m, p, k);
-  EXPECT_DOUBLE_EQ(ens.energy, best);
-  EXPECT_EQ(ens.iterations, 300u * k);
-}
+//
+// solve_sb_batch runs R replicas as one ensemble. Its replica parity,
+// best-of-replicas selection and argument checks are pinned in
+// test_bsb_batch.cpp; these two check what the ensemble adds on top.
 
 TEST(BsbEnsemble, MoreReplicasNeverWorse) {
   Rng rng(47);
@@ -422,8 +397,8 @@ TEST(BsbEnsemble, MoreReplicasNeverWorse) {
   SbParams p;
   p.max_iterations = 300;
   p.seed = 3;
-  const auto one = solve_sb_ensemble(m, p, 1);
-  const auto eight = solve_sb_ensemble(m, p, 8);
+  const auto one = solve_sb_batch(m, p, 1);
+  const auto eight = solve_sb_batch(m, p, 8);
   EXPECT_LE(eight.energy, one.energy);
 }
 
@@ -437,24 +412,13 @@ TEST(BsbEnsemble, HookAppliedPerReplica) {
   p.c0 = 1e-9;
   p.seed = 1;
   int calls = 0;
-  const auto res = solve_sb_ensemble(
-      m, p, 3, [&](std::span<double> x, std::span<double> y) {
-        ++calls;
-        x[3] = -1.0;
-        y[3] = 0.0;
-      });
+  const auto res = solve_sb_batch(m, p, 3, [&](std::size_t, ReplicaView v) {
+    ++calls;
+    v.x(3) = -1.0;
+    v.y(3) = 0.0;
+  });
   EXPECT_EQ(calls, (20 / 5) * 3);
   EXPECT_DOUBLE_EQ(res.energy, -5.0);
-}
-
-TEST(BsbEnsemble, Validation) {
-  IsingModel m(2);
-  m.finalize();
-  SbParams p;
-  EXPECT_THROW((void)solve_sb_ensemble(m, p, 0), std::invalid_argument);
-  IsingModel unfinalized(2);
-  EXPECT_THROW((void)solve_sb_ensemble(unfinalized, p, 2),
-               std::invalid_argument);
 }
 
 // -------------------------------------------------------------------- SA

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "boolean/boolean_matrix.hpp"
 #include "core/column_cop.hpp"
@@ -147,15 +149,22 @@ TEST(SolverRegistry, UnknownKeyErrorEnumeratesDeclaredKeys) {
 // unknown solver. The key is spelled in two adjacent literals so that a
 // search of the sources for it finds no live use.
 TEST(SolverRegistry, RemovedLayoutKeyAndPortfolioAreRejected) {
-  try {
-    (void)SolverRegistry::global().make_from_spec(
-        "prop,pack=4,pack-" "layout=slots");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "solver 'prop' does not take key 'pack-" "layout'"),
-              std::string::npos)
-        << e.what();
+  // Retired pack keys fail as unknown keys, with or without pack > 0.
+  for (const char* key : {"layout", "tile", "share-j"}) {
+    for (const char* pack : {"", "pack=4,"}) {
+      const std::string spec =
+          std::string("prop,") + pack + "pack-" + key + "=1";
+      try {
+        (void)SolverRegistry::global().make_from_spec(spec);
+        FAIL() << "expected invalid_argument for " << spec;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      std::string("solver 'prop' does not take key 'pack-") +
+                      key + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
   try {
     (void)SolverRegistry::global().make_from_spec("portfolio");
@@ -176,6 +185,25 @@ TEST(SolverRegistry, MalformedValuesThrow) {
   config2.set("theorem3", "maybe");
   EXPECT_THROW((void)SolverRegistry::global().make("prop", config2),
                std::invalid_argument);
+  // Numbers must be finite and whole: NaN/inf parse under std::stod but
+  // mean nothing to any key, so each fails naming the key.
+  for (const auto& [name, key, value] :
+       {std::tuple{"prop", "dt", "nan"}, std::tuple{"prop", "dt", "inf"},
+        std::tuple{"prop", "dt", "0.5x"},
+        std::tuple{"prop", "stop-epsilon", "nan"},
+        std::tuple{"simcim", "noise", "nan"}}) {
+    SolverConfig bad;
+    bad.set(key, value);
+    try {
+      (void)SolverRegistry::global().make(name, bad);
+      FAIL() << "expected invalid_argument for " << name << "," << key << "="
+             << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SolverRegistry, SpecParsing) {

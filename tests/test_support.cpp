@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "support/bitvec.hpp"
 #include "support/cli.hpp"
@@ -491,6 +492,29 @@ TEST(CliArgs, NegativeSizeThrows) {
   const char* argv[] = {"prog", "--n=-3"};
   CliArgs args(2, argv);
   EXPECT_THROW((void)args.get_size("n", 0), std::invalid_argument);
+}
+
+TEST(CliArgs, MalformedOrNonFiniteDoubleThrowsNamingTheFlag) {
+  // Trailing characters, NaN/inf and non-numbers all fail with a message
+  // that names the flag and echoes the value.
+  for (const char* value : {"5x", "nan", "inf", "abc"}) {
+    const std::string arg = std::string("--budget=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    CliArgs args(2, argv);
+    try {
+      (void)args.get_double("budget", 0.0);
+      FAIL() << "expected invalid_argument for " << value;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--budget"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + value + "'"), std::string::npos)
+          << what;
+    }
+  }
+  const char* argv[] = {"prog", "--budget=0.25", "--scale=-1e-3"};
+  CliArgs args(3, argv);
+  EXPECT_DOUBLE_EQ(args.get_double("budget", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(args.get_double("scale", 0.0), -1e-3);
 }
 
 // ----------------------------------------------------------------- Table

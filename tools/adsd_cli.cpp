@@ -23,8 +23,8 @@
 //         --replicas <r>    lockstep bSB replicas for the prop solver
 //                           (>= 1; shorthand for the replicas config key)
 //         --kernel <k>      force kernel for the prop solver:
-//                           auto|scalar|avx2|avx512|dense (shorthand for
-//                           the kernel config key; default auto)
+//                           auto|scalar|avx2|avx512 (shorthand for the
+//                           kernel config key; default auto)
 //         --pack <K>        pack up to K candidate solves per force pass
 //                           (prop solver; shorthand for the pack config
 //                           key; results are bit-identical to unpacked)
@@ -200,22 +200,14 @@ int cmd_info() {
 
 int cmd_list_solvers() {
   // The auto-resolution is host-global: one decision for single-replica
-  // solves (the default replicas=1) and, past R = 1, one for CSR models and
-  // one for models that materialized a dense plane. Per-entry, the kernel
-  // column shows what `kernel=auto` (the default) means here and now.
+  // solves (the default replicas=1) and one past R = 1. Per-entry, the
+  // kernel column shows what `kernel=auto` (the default) means here and
+  // now.
   const CpuFeatures& features = cpu_features();
-  const kernels::SelectedForceKernel single =
-      kernels::select_force_kernel(kernels::ForceKernel::kAuto, features,
-                                   /*dense_available=*/false,
-                                   /*replicas=*/1);
-  const kernels::SelectedForceKernel csr =
-      kernels::select_force_kernel(kernels::ForceKernel::kAuto, features,
-                                   /*dense_available=*/false,
-                                   /*replicas=*/2);
-  const kernels::SelectedForceKernel dense =
-      kernels::select_force_kernel(kernels::ForceKernel::kAuto, features,
-                                   /*dense_available=*/true,
-                                   /*replicas=*/2);
+  const kernels::SelectedForceKernel single = kernels::select_force_kernel(
+      kernels::ForceKernel::kAuto, features, /*replicas=*/1);
+  const kernels::SelectedForceKernel csr = kernels::select_force_kernel(
+      kernels::ForceKernel::kAuto, features, /*replicas=*/2);
 
   Table solvers({"name", "aliases", "kernel (auto)", "config keys"});
   for (const auto& entry : SolverRegistry::global().entries()) {
@@ -225,16 +217,9 @@ int cmd_list_solvers() {
     }
     std::string keys;
     for (const auto& k : entry.keys) {
-      // The pack-family keys take constrained values; spell them out here
-      // so `list-solvers` is enough to write a valid spec.
-      std::string shown = k;
-      if (k == "pack") {
-        shown = "pack=<K>";
-      } else if (k == "pack-tile") {
-        shown = "pack-tile=auto|<slots>";
-      } else if (k == "pack-share-j") {
-        shown = "pack-share-j=0|1";
-      }
+      // The pack key takes a constrained value; spell it out here so
+      // `list-solvers` is enough to write a valid spec.
+      const std::string shown = k == "pack" ? "pack=<K>" : k;
       keys += keys.empty() ? shown : ", " + shown;
     }
     const bool takes_kernel =
@@ -247,10 +232,8 @@ int cmd_list_solvers() {
   solvers.print(std::cout);
 
   std::cout << "\nforce kernels on this host: auto -> " << single.name
-            << " (R = 1), " << csr.name << " (csr, R > 1), " << dense.name
-            << " (dense, R > 1); selectable:";
-  for (const kernels::ForceKernel k :
-       kernels::selectable_force_kernels(/*dense_available=*/true)) {
+            << " (R = 1), " << csr.name << " (R > 1); selectable:";
+  for (const kernels::ForceKernel k : kernels::selectable_force_kernels()) {
     std::cout << " " << kernels::force_kernel_name(k);
   }
   std::cout << "\n";
@@ -391,8 +374,10 @@ int cmd_decompose(const CliArgs& args) {
                      "bits saved"});
     for (std::size_t k = 0; k < fin.outputs.size(); ++k) {
       const auto& out = fin.outputs[k];
+      // std::string("y"), not "y": GCC 12 at -O3 misreads the inlined
+      // literal + std::string as an overlapping copy (-Wrestrict).
       qor_table.add_row(
-          {"y" + std::to_string(k), Table::num(out.error_rate, 6),
+          {std::string("y") + std::to_string(k), Table::num(out.error_rate, 6),
            std::to_string(out.lut_bits), std::to_string(out.flat_bits),
            std::to_string(static_cast<std::int64_t>(out.flat_bits) -
                           static_cast<std::int64_t>(out.lut_bits))});
