@@ -281,9 +281,9 @@ void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
   // One R = 1 force pass -- the paper's single trajectory per core COP --
   // on the column-COP models (arg = n: 64 spins at n = 9, 768 at n = 16).
   // csr is the widest CSR tier the host runs (the avx512 request walks the
-  // fallback chain), rowblock the row-block layout auto resolves to at
-  // R = 1, at the same ISA; their n = 16 ratio is the
-  // force_kernel_speedup_rowblock_r1 record.
+  // fallback chain), bipartite the layout auto resolves to at R = 1 on a
+  // column COP, at the same ISA; their n = 16 ratio is the
+  // force_kernel_speedup_bipartite_r1 record.
   const auto n = static_cast<unsigned>(state.range(0));
   const IsingModel model = make_cop(n, n == 16 ? 7 : 4, 31).to_ising();
   SbParams params;
@@ -303,7 +303,7 @@ void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
 }
 BENCHMARK_CAPTURE(BM_ForceKernelR1, csr, kernels::ForceKernel::kAvx512)
     ->Arg(9)->Arg(16);
-BENCHMARK_CAPTURE(BM_ForceKernelR1, rowblock, kernels::ForceKernel::kAuto)
+BENCHMARK_CAPTURE(BM_ForceKernelR1, bipartite, kernels::ForceKernel::kAuto)
     ->Arg(9)->Arg(16);
 
 void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
@@ -554,20 +554,21 @@ void BM_IsingEnergy(benchmark::State& state) {
 BENCHMARK(BM_IsingEnergy)->Arg(9)->Arg(16);
 
 void BM_Theorem3Reset(benchmark::State& state) {
+  // The plane reset a looped R = 1 solve runs at every sampling point:
+  // optimal T for the current V signs, written into the oscillator planes.
   const auto n = static_cast<unsigned>(state.range(0));
   const auto cop = make_cop(n, n == 16 ? 7 : 4, 13);
   Rng rng(17);
-  ColumnSetting s;
-  s.v1 = BitVec(cop.rows());
-  s.v2 = BitVec(cop.rows());
-  s.t = BitVec(cop.cols());
-  for (std::size_t i = 0; i < cop.rows(); ++i) {
-    s.v1.set(i, rng.next_bool());
-    s.v2.set(i, rng.next_bool());
+  std::vector<double> x(cop.num_spins());
+  std::vector<double> y(cop.num_spins(), 0.0);
+  for (double& v : x) {
+    v = rng.next_double(-1.0, 1.0);
   }
+  std::vector<double> scratch;
+  std::vector<std::uint8_t> degenerate;
   for (auto _ : state) {
-    cop.reset_optimal_t(s);
-    benchmark::DoNotOptimize(s);
+    cop.reset_optimal_t_planes(x, y, 1, scratch, &degenerate);
+    benchmark::DoNotOptimize(x.data());
   }
 }
 BENCHMARK(BM_Theorem3Reset)->Arg(9)->Arg(16);
@@ -690,16 +691,16 @@ int main(int argc, char** argv) {
                            "single-thread ratio vs the portable kernel");
       }
     }
-    // Row-block layout over the widest CSR tier at R = 1 on the n = 16
+    // Bipartite layout over the widest CSR tier at R = 1 on the n = 16
     // column-COP model: the single-trajectory force pass looped `prop`
     // runs. Single-thread ratio, valid anywhere.
     {
       const auto csr = secs.find("BM_ForceKernelR1/csr/16");
-      const auto rowblock = secs.find("BM_ForceKernelR1/rowblock/16");
-      if (csr != secs.end() && rowblock != secs.end() &&
-          rowblock->second > 0.0) {
-        report.add_derived("force_kernel_speedup_rowblock_r1",
-                           csr->second / rowblock->second, "max", true,
+      const auto bipartite = secs.find("BM_ForceKernelR1/bipartite/16");
+      if (csr != secs.end() && bipartite != secs.end() &&
+          bipartite->second > 0.0) {
+        report.add_derived("force_kernel_speedup_bipartite_r1",
+                           csr->second / bipartite->second, "max", true,
                            "single-thread ratio vs the widest CSR kernel, "
                            "R=1, n=16 column COP");
       }

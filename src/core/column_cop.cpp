@@ -123,6 +123,10 @@ IsingModel ColumnCop::to_ising() const {
   // Matching E = -sum h s - sum_{pairs} J s s gives h = -(linear coeff) and
   // J = -(pair coeff).
   IsingModel m(num_spins());
+  m.declare_bipartite({rows_, cols_});
+  // Every V1 coupling, then every V2 coupling: the triplets arrive in the
+  // canonical ascending order finalize() would sort them into, so it
+  // skips the sort and merge.
   double constant = 0.0;
   for (std::size_t i = 0; i < rows_; ++i) {
     double row_gain = 0.0;
@@ -133,11 +137,18 @@ IsingModel ColumnCop::to_ising() const {
       const double quarter = gain_[idx] / 4.0;
       if (quarter != 0.0) {
         m.add_coupling(v1_spin(i), t_spin(j), quarter);
-        m.add_coupling(v2_spin(i), t_spin(j), -quarter);
       }
     }
     m.set_bias(v1_spin(i), -row_gain / 4.0);
     m.set_bias(v2_spin(i), -row_gain / 4.0);
+  }
+  for (std::size_t i = 0; i < rows_; ++i) {
+    for (std::size_t j = 0; j < cols_; ++j) {
+      const double quarter = gain_[i * cols_ + j] / 4.0;
+      if (quarter != 0.0) {
+        m.add_coupling(v2_spin(i), t_spin(j), -quarter);
+      }
+    }
   }
   m.set_constant(constant);
   m.finalize();
@@ -203,9 +214,11 @@ void ColumnCop::reset_optimal_t_planes(std::span<double> x,
   if (x.size() != num_spins() * R || y.size() != x.size()) {
     throw std::invalid_argument("reset_optimal_t_planes: plane size");
   }
-  cost_scratch.assign(2 * R, 0.0);
+  // cost1[r * cols + j] / cost2[r * cols + j]: replica r's column-j cost
+  // of pattern 1 / pattern 2.
+  cost_scratch.assign(2 * cols_ * R, 0.0);
   double* cost1 = cost_scratch.data();
-  double* cost2 = cost_scratch.data() + R;
+  double* cost2 = cost_scratch.data() + cols_ * R;
 
   // Degeneracy bookkeeping shares the plane sweeps: V1 == V2 folds over the
   // row loop once (independent of columns), pattern-2 counts fold over the
@@ -227,27 +240,33 @@ void ColumnCop::reset_optimal_t_planes(std::span<double> x,
   }
 
   // Same comparison as reset_optimal_t (base terms cancel; ties pick
-  // pattern 1), with the i/r loops replica-contiguous: per (j, i) pair the
-  // inner loop streams R consecutive doubles of each plane, which
-  // auto-vectorizes, instead of R strided per-replica passes.
-  for (std::size_t j = 0; j < cols_; ++j) {
-    std::fill(cost1, cost1 + R, 0.0);
-    std::fill(cost2, cost2 + R, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const double g = gain_[i * cols_ + j];
-      const double* x1 = &x[v1_spin(i) * R];
-      const double* x2 = &x[v2_spin(i) * R];
-      for (std::size_t r = 0; r < R; ++r) {
-        cost1[r] += x1[r] >= 0.0 ? g : 0.0;
+  // pattern 1), with the row loop outermost: a row whose V1 (V2) sign is
+  // set adds its whole gain row, one contiguous stream, into the replica's
+  // pattern-1 (pattern-2) costs. Every (j, r) cost still sums its rows in
+  // ascending i, and an unset sign adds nothing, as in reset_optimal_t.
+  const auto add_row = [this](double* cost, const double* g) {
+    for (std::size_t j = 0; j < cols_; ++j) {
+      cost[j] += g[j];
+    }
+  };
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const double* g = &gain_[i * cols_];
+    const double* x1 = &x[v1_spin(i) * R];
+    const double* x2 = &x[v2_spin(i) * R];
+    for (std::size_t r = 0; r < R; ++r) {
+      if (x1[r] >= 0.0) {
+        add_row(cost1 + r * cols_, g);
       }
-      for (std::size_t r = 0; r < R; ++r) {
-        cost2[r] += x2[r] >= 0.0 ? g : 0.0;
+      if (x2[r] >= 0.0) {
+        add_row(cost2 + r * cols_, g);
       }
     }
+  }
+  for (std::size_t j = 0; j < cols_; ++j) {
     double* xt = &x[t_spin(j) * R];
     double* yt = &y[t_spin(j) * R];
     for (std::size_t r = 0; r < R; ++r) {
-      const bool pattern2 = cost2[r] < cost1[r];
+      const bool pattern2 = cost2[r * cols_ + j] < cost1[r * cols_ + j];
       xt[r] = pattern2 ? 1.0 : -1.0;
       yt[r] = 0.0;
       if (degenerate != nullptr) {

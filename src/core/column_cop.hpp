@@ -75,7 +75,9 @@ class ColumnCop {
   }
 
   /// Second-order Ising formulation (Eq. 9 / Eq. 16), finalized, with the
-  /// constant chosen so energies equal objective values.
+  /// constant chosen so energies equal objective values. The model declares
+  /// its bipartite shape (rows(), cols()), which selects the engines'
+  /// bipartite force layout at one replica.
   IsingModel to_ising() const;
 
   /// Decodes a spin vector (layout above) into a setting.
@@ -93,10 +95,12 @@ class ColumnCop {
   /// as num_spins()): for every replica at once, reads the V1/V2 signs,
   /// computes the per-column optimal T choice, and writes the T oscillators
   /// (+-1 positions, zeroed momenta). Equivalent to decoding each replica,
-  /// calling reset_optimal_t(), and re-encoding T — but with
-  /// replica-contiguous inner loops and no per-replica O(rows * cols) pass.
+  /// calling reset_optimal_t(), and re-encoding T, bit for bit: the row
+  /// loop is outermost and streams each gain row contiguously, and every
+  /// (column, replica) cost still sums its rows in ascending order.
   ///
-  /// `cost_scratch` is resized to 2 * replicas and reused across calls.
+  /// `cost_scratch` is resized to 2 * cols() * replicas and reused across
+  /// calls.
   /// When `degenerate` is non-null it is resized to `replicas` and flags
   /// the replicas whose reset landed in a collapsed state (all columns on
   /// one pattern, or V1 == V2) — the anti-collapse intervention handles

@@ -44,8 +44,9 @@ struct SbParams {
   bool discrete = false;
 
   /// Force-kernel variant for the batched engine (registry key `kernel=`,
-  /// CLI `--kernel`). kAuto picks the row-block layout at one replica and
-  /// the widest explicit-SIMD CSR kernel the CPU supports past one. Every
+  /// CLI `--kernel`); the Euler step runs at the same ISA tier. kAuto
+  /// picks the bipartite layout at one replica on a column-COP model and
+  /// the widest explicit-SIMD CSR kernel the CPU supports otherwise. Every
   /// variant is bit-identical (see ising/kernels/force_kernels.hpp).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 

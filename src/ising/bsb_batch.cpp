@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
 
@@ -13,7 +14,8 @@ BsbBatchEngine::BsbBatchEngine(const IsingModel& model, const SbParams& params,
                                std::size_t replicas)
     : EnsembleEngineBase(model, replicas, params.kernel, params.discrete,
                          "BsbBatchEngine"),
-      params_(params) {
+      params_(params),
+      step_fn_(kernels::select_bsb_step(params.kernel, cpu_features())) {
   if (params.max_iterations == 0 || params.dt <= 0.0 ||
       params.detuning <= 0.0) {
     throw std::invalid_argument("BsbBatchEngine: bad parameters");
@@ -55,20 +57,19 @@ void BsbBatchEngine::step() {
 
   compute_forces();
 
-  const double dt = params_.dt;
-  const double detuning = params_.detuning;
-  const std::size_t total_lanes = n_ * R_;
-  for (std::size_t k = 0; k < total_lanes; ++k) {
-    y_[k] += dt * (-stiffness * x_[k] + c0_ * force_[k]);
-    const double xk = x_[k] + dt * detuning * y_[k];
-    // Branchless inelastic walls: clamp x to [-1, 1] and zero the momentum
-    // of any lane that hit a wall (select, not branch, so the loop
-    // vectorizes).
-    const double lo = xk < -1.0 ? -1.0 : xk;
-    const double clamped = lo > 1.0 ? 1.0 : lo;
-    y_[k] = clamped == xk ? y_[k] : 0.0;
-    x_[k] = clamped;
-  }
+  // The step runs at the host's vector width through the same cpuid
+  // dispatch as the force kernel; every tier keeps the portable loop's
+  // expression order, bit for bit.
+  kernels::BsbStepPlanes planes;
+  planes.x = x_.data();
+  planes.y = y_.data();
+  planes.force = force_.data();
+  planes.lanes = n_ * R_;
+  planes.neg_stiffness = -stiffness;
+  planes.dt = params_.dt;
+  planes.c0 = c0_;
+  planes.dt_detuning = params_.dt * params_.detuning;
+  step_fn_(planes);
   ++step_;
 }
 

@@ -27,11 +27,11 @@ class RunContext;
 /// evaluation dispatches through the kernel layer of
 /// ising/kernels/force_kernels.hpp: a cpuid-probed explicit-SIMD CSR
 /// kernel (AVX2 / AVX-512, portable lane-blocked fallback), or at R = 1
-/// the row-block kernel that vectorizes across rows — selected at
-/// construction from SbParams::kernel
-/// (kAuto by default) and reported via kernel_name() and the
-/// kernel_invocations_total{kernel} metric. Every variant is bit-identical
-/// by construction.
+/// on a column-COP model the bipartite kernel that vectorizes across rows
+/// — selected at construction from SbParams::kernel (kAuto by default) and
+/// reported via kernel_name() and the kernel_invocations_total{kernel}
+/// metric. The Euler step dispatches to the same ISA tier. Every variant
+/// is bit-identical by construction.
 ///
 /// Replica r reproduces the scalar reference solve_sb_scalar() with seed
 /// params.seed + r * 0x9e3779b9 bit-for-bit: the per-replica arithmetic uses
@@ -64,6 +64,7 @@ class BsbBatchEngine final : public EnsembleEngineBase {
 
  private:
   SbParams params_;
+  kernels::BsbStepFn step_fn_;
   double c0_;
   std::size_t step_ = 0;
 };

@@ -350,12 +350,16 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
 
   csr_ = flatten_csr(model);
 
-  // Resolve the force kernel once: cpuid-probed ISA tier, the row-block
-  // layout at R = 1, explicit override via the engine's kernel parameter.
-  // The dispatch never fails — unsupported requests walk the fallback
-  // chain (avx512 -> avx2 -> scalar). R_ >= 1 here: the check above
-  // rejects 0 replicas before a kernel is selected.
-  kernel_ = kernels::select_force_kernel(requested, cpu_features(), R_);
+  // Resolve the force kernel once: cpuid-probed ISA tier, the bipartite
+  // layout at R = 1 on a model that declares the column-COP shape,
+  // explicit override via the engine's kernel parameter. The dispatch
+  // never fails — unsupported requests walk the fallback chain (avx512 ->
+  // avx2 -> scalar). R_ >= 1 here: the check above rejects 0 replicas
+  // before a kernel is selected.
+  const std::optional<BipartiteShape>& shape = model.bipartite_shape();
+  kernel_ = kernels::select_force_kernel(
+      requested, cpu_features(), R_,
+      shape ? kernels::ModelShape::kBipartite : kernels::ModelShape::kGeneric);
   force_fn_ = discrete ? kernel_.discrete : kernel_.continuous;
   planes_ = kernels::ForcePlanes{};
   planes_.h = csr_.h.data();
@@ -364,9 +368,9 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
   planes_.weights = csr_.weights.data();
   planes_.n = n_;
   planes_.replicas = R_;
-  if (kernel_.kind == kernels::ForceKernel::kRowBlock) {
-    row_blocks_ = kernels::build_row_blocks(planes_);
-    row_blocks_.bind(planes_);
+  if (kernel_.kind == kernels::ForceKernel::kBipartite) {
+    bipartite_ = kernels::build_bipartite(planes_, shape->rows, shape->cols);
+    bipartite_.bind(planes_);
   }
 
   x_.assign(n_ * R_, 0.0);
@@ -383,22 +387,18 @@ void EnsembleEngineBase::compute_forces() {
   // kernel preserves the per-lane per-edge accumulation order of the
   // scalar reference (see ising/kernels/force_kernels.hpp), which is what
   // keeps replica trajectories bit-identical to the scalar references.
-  if (ctx_ != nullptr && ctx_->parallel() && n_ * R_ >= kForceShardMinLanes) {
+  // The bipartite layout is one call per pass: DALTA already runs each
+  // R = 1 solve on one pool worker, where a nested shard would run inline.
+  if (ctx_ != nullptr && ctx_->parallel() && n_ * R_ >= kForceShardMinLanes &&
+      kernel_.kind != kernels::ForceKernel::kBipartite) {
     ThreadPool& pool = ctx_->pool();
     if (pool.thread_count() > 1) {
       // A nested call from inside DALTA's parallel_for runs inline via the
       // pool's nesting guard — same code path, no oversubscription.
-      // Row-block kernels store whole blocks, so their chunks are counted
-      // in blocks: a chunk boundary inside a block would have two workers
-      // store the same rows.
-      const std::size_t unit = kernel_.kind == kernels::ForceKernel::kRowBlock
-                                   ? kernels::kRowBlockRows
-                                   : 1;
-      pool.parallel_for_chunks(
-          (n_ + unit - 1) / unit, 0,
-          [this, unit](std::size_t begin, std::size_t end) {
-            force_fn_(planes_, begin * unit, std::min(end * unit, n_));
-          });
+      pool.parallel_for_chunks(n_, 0, [this](std::size_t begin,
+                                             std::size_t end) {
+        force_fn_(planes_, begin, end);
+      });
       return;
     }
   }
@@ -412,7 +412,7 @@ void EnsembleEngineBase::begin(IsingSolveResult& result) {
 
 void EnsembleEngineBase::on_run_start() {
   // Report which force kernel dispatch resolved to, so QoR records and
-  // metrics show whether the SIMD / row-block path was actually taken.
+  // metrics show whether the SIMD / bipartite path was actually taken.
   if (QorRecorder* qor = ctx_->qor()) {
     qor->add(std::string(telemetry_prefix()) + "/kernel/" + kernel_.name);
   }

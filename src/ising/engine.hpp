@@ -151,7 +151,7 @@ class IsingEngine {
   virtual std::string curve_name() const = 0;
 
   /// Resolved force-kernel label for the metrics `kernel=` dimension
-  /// ("scalar", "avx2", "rowblock-avx512", ...); "none" for engines
+  /// ("scalar", "avx2", "bipartite-avx512", ...); "none" for engines
   /// without a dispatched kernel (the scalar-sweep SA engine).
   virtual const char* kernel_label() const { return "none"; }
 
@@ -200,10 +200,10 @@ IsingSolveResult run_engine(IsingEngine& engine);
 
 /// Shared chassis of the SoA lockstep ensemble engines (bSB, SimCIM,
 /// DOCH): replica-contiguous position/secondary/force planes, the
-/// flattened CSR adjacency (plus the row-block layout at R = 1), a
-/// dispatched force kernel (with row sharding over the context pool,
-/// whole blocks per chunk for the row-block kernels), incremental energy
-/// tracking, and the sampling-point hook application. Derived engines
+/// flattened CSR adjacency (plus the bipartite layout at R = 1 on a
+/// column-COP model), a dispatched force kernel (CSR passes row-sharded
+/// over the context pool), incremental energy tracking, and the
+/// sampling-point hook application. Derived engines
 /// implement the dynamics (advance) over the shared planes and their
 /// parameter plumbing; everything else — begin/observe/finish, hook
 /// dispatch, kernel reporting — is inherited.
@@ -213,7 +213,7 @@ class EnsembleEngineBase : public IsingEngine {
   std::size_t replicas() const { return R_; }
 
   /// Resolved force-kernel name ("scalar", "avx2", "avx512",
-  /// "rowblock-avx512", ...) after dispatch walked the fallback chain.
+  /// "bipartite-avx512", ...) after dispatch walked the fallback chain.
   const char* kernel_name() const { return kernel_.name; }
   const char* kernel_label() const override { return kernel_.name; }
 
@@ -262,9 +262,10 @@ class EnsembleEngineBase : public IsingEngine {
 
  protected:
   /// Flattens the model, resolves the force kernel (honoring `requested`
-  /// against CPU features and the replica count), builds the row-block
-  /// layout when that kernel won, and allocates the zero-filled
-  /// x/y/force planes. `label` prefixes validation messages.
+  /// against CPU features, the replica count and the model's declared
+  /// shape), builds the bipartite layout when that kernel won, and
+  /// allocates the zero-filled x/y/force planes. `label` prefixes
+  /// validation messages.
   EnsembleEngineBase(const IsingModel& model, std::size_t replicas,
                      kernels::ForceKernel requested, bool discrete,
                      const char* label);
@@ -281,7 +282,7 @@ class EnsembleEngineBase : public IsingEngine {
   std::size_t n_;
   std::size_t R_;
   CsrPlanes csr_;
-  kernels::RowBlockLayout row_blocks_;  // built only for kRowBlock
+  kernels::BipartiteLayout bipartite_;  // built only for kBipartite
   kernels::SelectedForceKernel kernel_;
   kernels::ForceRowsFn force_fn_ = nullptr;  // continuous or discrete entry
   kernels::ForcePlanes planes_;

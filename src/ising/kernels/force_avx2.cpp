@@ -9,14 +9,17 @@
 // Each lane's per-edge accumulation order is therefore identical to the
 // scalar reference -- and the arithmetic is mul-then-add (never FMA; the
 // build also pins -ffp-contract=off), so results are bit-exact against
-// every other kernel tier. The R = 1 row-block kernel vectorizes across
-// the 8 rows of a block instead, under the same contract.
+// every other kernel tier. The R = 1 bipartite kernel vectorizes across
+// the rows of a block instead, and the bSB step across four lanes, under
+// the same contract.
 
 #include "ising/kernels/force_kernels_detail.hpp"
 
 #ifdef __AVX2__
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace adsd::kernels::detail {
 
@@ -181,39 +184,82 @@ void pack_force(const PackForcePlanes& p, std::size_t row_begin,
   }
 }
 
-// Row-block kernel (R = 1): two ymm hold the 8 row accumulators of a
-// block (rows 0-3 and 4-7); each union column broadcasts its position (or
-// sign) against the block's contiguous weight column. The tail block
-// stores through lane masks, so rows past n are never written.
+/// Lane mask (all-ones lanes) of lanes base .. base + 3 below `live`.
+inline __m256i lanes_below(std::size_t live, long long base) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(live)),
+                            _mm256_setr_epi64x(base, base + 1, base + 2,
+                                               base + 3));
+}
+
 template <bool Discrete>
-void rowblock_force(const ForcePlanes& p, std::size_t row_begin,
-                    std::size_t row_end) {
-  constexpr std::size_t B = kRowBlockRows;
-  for (std::size_t row0 = row_begin; row0 < row_end; row0 += B) {
-    const std::size_t b = row0 / B;
-    __m256d acc0 = _mm256_loadu_pd(p.block_h + row0);
-    __m256d acc1 = _mm256_loadu_pd(p.block_h + row0 + 4);
-    const std::uint32_t e_end = p.block_start[b + 1];
-    for (std::uint32_t e = p.block_start[b]; e < e_end; ++e) {
-      const double* we = p.block_weights + static_cast<std::size_t>(e) * B;
-      const double xj = p.x[p.block_cols[e]];
-      const __m256d v =
-          _mm256_set1_pd(Discrete ? (xj >= 0.0 ? 1.0 : -1.0) : xj);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(we), v));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(we + 4), v));
+inline __m256d broadcast_drive(double x) {
+  return _mm256_set1_pd(Discrete ? (x >= 0.0 ? 1.0 : -1.0) : x);
+}
+
+// Bipartite kernel (R = 1, BipartiteLayout): the AVX-512 kernel's blocks
+// in four-lane registers. A V block keeps 16 V1 and 16 V2 accumulators in
+// eight ymm and shares each column's product between the two sides; a T
+// block keeps 32 accumulators in eight ymm and walks its tile over the V1
+// spins (+), then the V2 spins (-). Biases load and forces store through
+// lane masks, so padding lanes are never read from h or written.
+template <bool Discrete>
+void bipartite_force(const ForcePlanes& p, std::size_t, std::size_t) {
+  constexpr std::size_t VB = kBipartiteVRows;
+  constexpr std::size_t TB = kBipartiteTRows;
+  const std::size_t r = p.bip_rows;
+  const std::size_t c = p.bip_cols;
+  const double* xt = p.x + 2 * r;
+  for (std::size_t row0 = 0; row0 < r; row0 += VB) {
+    const std::size_t live = std::min(VB, r - row0);
+    __m256i m[4];
+    __m256d acc1[4];
+    __m256d acc2[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      m[q] = lanes_below(live, static_cast<long long>(4 * q));
+      acc1[q] = _mm256_maskload_pd(p.h + row0 + 4 * q, m[q]);
+      acc2[q] = _mm256_maskload_pd(p.h + r + row0 + 4 * q, m[q]);
     }
-    double* fb = p.force + row0;
-    const std::size_t rows = row_end - row0;
-    if (rows >= B) {
-      _mm256_storeu_pd(fb, acc0);
-      _mm256_storeu_pd(fb + 4, acc1);
-    } else {
-      const __m256i live = _mm256_set1_epi64x(static_cast<long long>(rows));
-      _mm256_maskstore_pd(
-          fb, _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(0, 1, 2, 3)), acc0);
-      _mm256_maskstore_pd(
-          fb + 4, _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(4, 5, 6, 7)),
-          acc1);
+    const double* w = p.v_tiles + row0 * c;
+    for (std::size_t j = 0; j < c; ++j, w += VB) {
+      const __m256d v = broadcast_drive<Discrete>(xt[j]);
+      for (std::size_t q = 0; q < 4; ++q) {
+        const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(w + 4 * q), v);
+        acc1[q] = _mm256_add_pd(acc1[q], prod);
+        acc2[q] = _mm256_sub_pd(acc2[q], prod);
+      }
+    }
+    for (std::size_t q = 0; q < 4; ++q) {
+      _mm256_maskstore_pd(p.force + row0 + 4 * q, m[q], acc1[q]);
+      _mm256_maskstore_pd(p.force + r + row0 + 4 * q, m[q], acc2[q]);
+    }
+  }
+  for (std::size_t col0 = 0; col0 < c; col0 += TB) {
+    const std::size_t live = std::min(TB, c - col0);
+    __m256i m[8];
+    __m256d acc[8];
+    for (std::size_t q = 0; q < 8; ++q) {
+      m[q] = lanes_below(live, static_cast<long long>(4 * q));
+      acc[q] = _mm256_maskload_pd(p.h + 2 * r + col0 + 4 * q, m[q]);
+    }
+    const double* tile = p.t_tiles + col0 * r;
+    const double* w = tile;
+    for (std::size_t i = 0; i < r; ++i, w += TB) {
+      const __m256d v = broadcast_drive<Discrete>(p.x[i]);
+      for (std::size_t q = 0; q < 8; ++q) {
+        acc[q] = _mm256_add_pd(acc[q],
+                               _mm256_mul_pd(_mm256_loadu_pd(w + 4 * q), v));
+      }
+    }
+    w = tile;
+    for (std::size_t i = 0; i < r; ++i, w += TB) {
+      const __m256d v = broadcast_drive<Discrete>(p.x[r + i]);
+      for (std::size_t q = 0; q < 8; ++q) {
+        acc[q] = _mm256_sub_pd(acc[q],
+                               _mm256_mul_pd(_mm256_loadu_pd(w + 4 * q), v));
+      }
+    }
+    for (std::size_t q = 0; q < 8; ++q) {
+      _mm256_maskstore_pd(p.force + 2 * r + col0 + 4 * q, m[q], acc[q]);
     }
   }
 }
@@ -228,13 +274,50 @@ void csr_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
                       std::size_t row_end) {
   csr_force<true>(p, row_begin, row_end);
 }
-void rowblock_force_avx2(const ForcePlanes& p, std::size_t row_begin,
-                         std::size_t row_end) {
-  rowblock_force<false>(p, row_begin, row_end);
+void bipartite_force_avx2(const ForcePlanes& p, std::size_t row_begin,
+                          std::size_t row_end) {
+  bipartite_force<false>(p, row_begin, row_end);
 }
-void rowblock_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
-                           std::size_t row_end) {
-  rowblock_force<true>(p, row_begin, row_end);
+void bipartite_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
+                            std::size_t row_end) {
+  bipartite_force<true>(p, row_begin, row_end);
+}
+
+// bSB step, four lanes per ymm: the portable loop's expression tree, with
+// the walls as compare + blend (a NaN x' keeps its value and zeroes its
+// momentum, as the scalar selects do) and the portable loop as the tail.
+void bsb_step_avx2(const BsbStepPlanes& s) {
+  const __m256d neg_stiffness = _mm256_set1_pd(s.neg_stiffness);
+  const __m256d c0 = _mm256_set1_pd(s.c0);
+  const __m256d dt = _mm256_set1_pd(s.dt);
+  const __m256d dt_detuning = _mm256_set1_pd(s.dt_detuning);
+  const __m256d lo_wall = _mm256_set1_pd(-1.0);
+  const __m256d hi_wall = _mm256_set1_pd(1.0);
+  std::size_t k = 0;
+  for (; k + 4 <= s.lanes; k += 4) {
+    const __m256d x = _mm256_loadu_pd(s.x + k);
+    const __m256d drive =
+        _mm256_add_pd(_mm256_mul_pd(neg_stiffness, x),
+                      _mm256_mul_pd(c0, _mm256_loadu_pd(s.force + k)));
+    __m256d y = _mm256_add_pd(_mm256_loadu_pd(s.y + k),
+                              _mm256_mul_pd(dt, drive));
+    const __m256d xk = _mm256_add_pd(x, _mm256_mul_pd(dt_detuning, y));
+    const __m256d lo =
+        _mm256_blendv_pd(xk, lo_wall, _mm256_cmp_pd(xk, lo_wall, _CMP_LT_OQ));
+    const __m256d clamped =
+        _mm256_blendv_pd(lo, hi_wall, _mm256_cmp_pd(lo, hi_wall, _CMP_GT_OQ));
+    y = _mm256_and_pd(y, _mm256_cmp_pd(clamped, xk, _CMP_EQ_OQ));
+    _mm256_storeu_pd(s.y + k, y);
+    _mm256_storeu_pd(s.x + k, clamped);
+  }
+  if (k < s.lanes) {
+    BsbStepPlanes tail = s;
+    tail.x += k;
+    tail.y += k;
+    tail.force += k;
+    tail.lanes -= k;
+    bsb_step_portable(tail);
+  }
 }
 void pack_force_avx2(const PackForcePlanes& p, std::size_t row_begin,
                      std::size_t row_end) {

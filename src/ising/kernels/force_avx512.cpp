@@ -2,15 +2,18 @@
 // AVX2 file, same lane-across-replicas vectorization, same mul-then-add
 // bit-exactness contract (no FMA, -ffp-contract=off). Lane blocks of 16
 // (two zmm accumulators) / 8 are peeled, with an AVX2-free scalar tail so
-// the file depends on -mavx512f alone; the R = 1 row-block kernel holds
-// the 8 rows of a block in one zmm. Only reached after the runtime
-// CPUID + XCR0 probe confirms OS zmm state support.
+// the file depends on -mavx512f alone; the R = 1 bipartite kernel holds a
+// V block in four zmm (16 V1 and 16 V2 rows) and a T block in four zmm
+// (32 rows), and the bSB step runs eight lanes per zmm. Only reached after
+// the runtime CPUID + XCR0 probe confirms OS zmm state support.
 
 #include "ising/kernels/force_kernels_detail.hpp"
 
 #ifdef __AVX512F__
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace adsd::kernels::detail {
 
@@ -173,34 +176,110 @@ void pack_force(const PackForcePlanes& p, std::size_t row_begin,
   }
 }
 
-// Row-block kernel (R = 1): one zmm holds the 8 row accumulators of a
-// block; each union column broadcasts its position (or sign) against the
-// block's contiguous weight column. The tail block stores through a lane
-// mask, so rows past n are never written.
+/// Lane mask of the first `live` lanes (all eight when live >= 8).
+inline __mmask8 first_lanes(std::size_t live) {
+  return live >= 8 ? static_cast<__mmask8>(0xFF)
+                   : static_cast<__mmask8>((1u << live) - 1u);
+}
+
 template <bool Discrete>
-void rowblock_force(const ForcePlanes& p, std::size_t row_begin,
-                    std::size_t row_end) {
-  constexpr std::size_t B = kRowBlockRows;
-  for (std::size_t row0 = row_begin; row0 < row_end; row0 += B) {
-    const std::size_t b = row0 / B;
-    __m512d acc = _mm512_loadu_pd(p.block_h + row0);
-    const std::uint32_t e_end = p.block_start[b + 1];
-    for (std::uint32_t e = p.block_start[b]; e < e_end; ++e) {
-      const __m512d w =
-          _mm512_loadu_pd(p.block_weights + static_cast<std::size_t>(e) * B);
-      const double xj = p.x[p.block_cols[e]];
-      const __m512d v =
-          _mm512_set1_pd(Discrete ? (xj >= 0.0 ? 1.0 : -1.0) : xj);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(w, v));
+inline __m512d broadcast_drive(double x) {
+  return _mm512_set1_pd(Discrete ? (x >= 0.0 ? 1.0 : -1.0) : x);
+}
+
+// Bipartite kernel (R = 1, BipartiteLayout). A V block keeps 16 V1 and
+// 16 V2 accumulators in four zmm -- four independent add chains -- and
+// per T column multiplies the tile row by the broadcast position once,
+// adding the product to the V1 side and subtracting it from the V2 side.
+// A T block keeps 32 accumulators in four zmm and walks its tile over the
+// V1 spins (+), then over the V2 spins (-). Biases load and forces store
+// through lane masks, so padding lanes are never read from h or written.
+template <bool Discrete>
+void bipartite_force(const ForcePlanes& p, std::size_t, std::size_t) {
+  constexpr std::size_t VB = kBipartiteVRows;
+  constexpr std::size_t TB = kBipartiteTRows;
+  const std::size_t r = p.bip_rows;
+  const std::size_t c = p.bip_cols;
+  const double* xt = p.x + 2 * r;
+  for (std::size_t row0 = 0; row0 < r; row0 += VB) {
+    const std::size_t live = std::min(VB, r - row0);
+    const __mmask8 m0 = first_lanes(live);
+    const __mmask8 m1 = first_lanes(live > 8 ? live - 8 : 0);
+    const double* h1 = p.h + row0;
+    const double* h2 = p.h + r + row0;
+    __m512d a1 = _mm512_maskz_loadu_pd(m0, h1);
+    __m512d b1 = _mm512_maskz_loadu_pd(m1, h1 + 8);
+    __m512d a2 = _mm512_maskz_loadu_pd(m0, h2);
+    __m512d b2 = _mm512_maskz_loadu_pd(m1, h2 + 8);
+    const double* w = p.v_tiles + row0 * c;
+    for (std::size_t j = 0; j < c; ++j, w += VB) {
+      const __m512d v = broadcast_drive<Discrete>(xt[j]);
+      const __m512d pa = _mm512_mul_pd(_mm512_loadu_pd(w), v);
+      const __m512d pb = _mm512_mul_pd(_mm512_loadu_pd(w + 8), v);
+      a1 = _mm512_add_pd(a1, pa);
+      b1 = _mm512_add_pd(b1, pb);
+      a2 = _mm512_sub_pd(a2, pa);
+      b2 = _mm512_sub_pd(b2, pb);
     }
-    const std::size_t rows = row_end - row0;
-    if (rows >= B) {
-      _mm512_storeu_pd(p.force + row0, acc);
-    } else {
-      _mm512_mask_storeu_pd(p.force + row0,
-                            static_cast<__mmask8>((1u << rows) - 1u), acc);
+    _mm512_mask_storeu_pd(p.force + row0, m0, a1);
+    _mm512_mask_storeu_pd(p.force + row0 + 8, m1, b1);
+    _mm512_mask_storeu_pd(p.force + r + row0, m0, a2);
+    _mm512_mask_storeu_pd(p.force + r + row0 + 8, m1, b2);
+  }
+  for (std::size_t col0 = 0; col0 < c; col0 += TB) {
+    const std::size_t live = std::min(TB, c - col0);
+    __mmask8 m[4];
+    __m512d acc[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      m[q] = first_lanes(live > 8 * q ? live - 8 * q : 0);
+      acc[q] = _mm512_maskz_loadu_pd(m[q], p.h + 2 * r + col0 + 8 * q);
+    }
+    const double* tile = p.t_tiles + col0 * r;
+    const double* w = tile;
+    for (std::size_t i = 0; i < r; ++i, w += TB) {
+      const __m512d v = broadcast_drive<Discrete>(p.x[i]);
+      for (std::size_t q = 0; q < 4; ++q) {
+        acc[q] = _mm512_add_pd(acc[q],
+                               _mm512_mul_pd(_mm512_loadu_pd(w + 8 * q), v));
+      }
+    }
+    w = tile;
+    for (std::size_t i = 0; i < r; ++i, w += TB) {
+      const __m512d v = broadcast_drive<Discrete>(p.x[r + i]);
+      for (std::size_t q = 0; q < 4; ++q) {
+        acc[q] = _mm512_sub_pd(acc[q],
+                               _mm512_mul_pd(_mm512_loadu_pd(w + 8 * q), v));
+      }
+    }
+    for (std::size_t q = 0; q < 4; ++q) {
+      _mm512_mask_storeu_pd(p.force + 2 * r + col0 + 8 * q, m[q], acc[q]);
     }
   }
+}
+
+// One bSB step over eight lanes selected by `m` (all of them but in the
+// tail): the portable loop's expression tree, with the walls as compare +
+// blend so a NaN x' keeps its value and zeroes its momentum exactly as
+// the scalar selects do.
+inline void bsb_step_lanes(const BsbStepPlanes& s, std::size_t k, __mmask8 m) {
+  const __m512d x = _mm512_maskz_loadu_pd(m, s.x + k);
+  const __m512d f = _mm512_maskz_loadu_pd(m, s.force + k);
+  __m512d y = _mm512_maskz_loadu_pd(m, s.y + k);
+  const __m512d drive = _mm512_add_pd(
+      _mm512_mul_pd(_mm512_set1_pd(s.neg_stiffness), x),
+      _mm512_mul_pd(_mm512_set1_pd(s.c0), f));
+  y = _mm512_add_pd(y, _mm512_mul_pd(_mm512_set1_pd(s.dt), drive));
+  const __m512d xk =
+      _mm512_add_pd(x, _mm512_mul_pd(_mm512_set1_pd(s.dt_detuning), y));
+  const __m512d lo_wall = _mm512_set1_pd(-1.0);
+  const __m512d hi_wall = _mm512_set1_pd(1.0);
+  const __m512d lo = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(xk, lo_wall, _CMP_LT_OQ), xk, lo_wall);
+  const __m512d clamped = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(lo, hi_wall, _CMP_GT_OQ), lo, hi_wall);
+  y = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(clamped, xk, _CMP_EQ_OQ), y);
+  _mm512_mask_storeu_pd(s.y + k, m, y);
+  _mm512_mask_storeu_pd(s.x + k, m, clamped);
 }
 
 }  // namespace
@@ -213,13 +292,22 @@ void csr_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
                         std::size_t row_end) {
   csr_force<true>(p, row_begin, row_end);
 }
-void rowblock_force_avx512(const ForcePlanes& p, std::size_t row_begin,
-                           std::size_t row_end) {
-  rowblock_force<false>(p, row_begin, row_end);
+void bipartite_force_avx512(const ForcePlanes& p, std::size_t row_begin,
+                            std::size_t row_end) {
+  bipartite_force<false>(p, row_begin, row_end);
 }
-void rowblock_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
-                             std::size_t row_end) {
-  rowblock_force<true>(p, row_begin, row_end);
+void bipartite_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
+                              std::size_t row_end) {
+  bipartite_force<true>(p, row_begin, row_end);
+}
+void bsb_step_avx512(const BsbStepPlanes& s) {
+  std::size_t k = 0;
+  for (; k + 8 <= s.lanes; k += 8) {
+    bsb_step_lanes(s, k, first_lanes(8));
+  }
+  if (k < s.lanes) {
+    bsb_step_lanes(s, k, first_lanes(s.lanes - k));
+  }
 }
 void pack_force_avx512(const PackForcePlanes& p, std::size_t row_begin,
                        std::size_t row_end) {

@@ -73,48 +73,89 @@ void csr_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
   }
 }
 
-// ----------------------------------------------------- portable row-block tier
+// ----------------------------------------------------- portable bipartite tier
 //
-// R = 1 kernel over RowBlockLayout: the register file holds the 8 rows of
-// one block instead of 8 replicas of one row, and each union column
-// broadcasts one position (its sign for dSB) against the block's weight
-// column. Each row sees h, then its own terms in ascending column order,
-// with +-0.0 addends for the union columns it lacks -- the same arithmetic
-// as the CSR reference.
+// R = 1 kernel over BipartiteLayout. A V block holds the accumulators of
+// 16 V1 rows and of the same 16 V2 rows; per T column it forms p = w * x
+// once (x's sign for dSB), adds p to the V1 side and subtracts it from
+// the V2 side. A T block holds 32 T rows and walks its tile twice: + w * x
+// over the V1 spins, then - w * x over the V2 spins, both ascending -- the
+// CSR reference's order. Padding lanes (rows past r or c) have zero
+// weights and are never stored.
 
 template <bool Discrete>
-void rowblock_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
-                                std::size_t row_end) {
-  constexpr std::size_t B = kRowBlockRows;
-  for (std::size_t row0 = row_begin; row0 < row_end; row0 += B) {
-    const std::size_t b = row0 / B;
-    double acc[B];
-    for (std::size_t t = 0; t < B; ++t) {
-      acc[t] = p.block_h[row0 + t];
+inline double drive(double x) {
+  if constexpr (Discrete) {
+    return x >= 0.0 ? 1.0 : -1.0;
+  } else {
+    return x;
+  }
+}
+
+template <bool Discrete>
+void bipartite_force_scalar_impl(const ForcePlanes& p, std::size_t,
+                                 std::size_t) {
+  constexpr std::size_t VB = kBipartiteVRows;
+  constexpr std::size_t TB = kBipartiteTRows;
+  const std::size_t r = p.bip_rows;
+  const std::size_t c = p.bip_cols;
+  const double* xt = p.x + 2 * r;
+  for (std::size_t row0 = 0; row0 < r; row0 += VB) {
+    const std::size_t live = std::min(VB, r - row0);
+    double acc1[VB] = {};
+    double acc2[VB] = {};
+    for (std::size_t t = 0; t < live; ++t) {
+      acc1[t] = p.h[row0 + t];
+      acc2[t] = p.h[r + row0 + t];
     }
-    const std::uint32_t e_end = p.block_start[b + 1];
-    for (std::uint32_t e = p.block_start[b]; e < e_end; ++e) {
-      const double xj = p.x[p.block_cols[e]];
-      const double v = Discrete ? (xj >= 0.0 ? 1.0 : -1.0) : xj;
-      const double* we = p.block_weights + static_cast<std::size_t>(e) * B;
-      for (std::size_t t = 0; t < B; ++t) {
-        acc[t] += we[t] * v;
+    const double* w = p.v_tiles + row0 * c;
+    for (std::size_t j = 0; j < c; ++j, w += VB) {
+      const double v = drive<Discrete>(xt[j]);
+      for (std::size_t t = 0; t < VB; ++t) {
+        const double prod = w[t] * v;
+        acc1[t] += prod;
+        acc2[t] -= prod;
       }
     }
-    const std::size_t rows = std::min(B, row_end - row0);
-    for (std::size_t t = 0; t < rows; ++t) {
-      p.force[row0 + t] = acc[t];
+    for (std::size_t t = 0; t < live; ++t) {
+      p.force[row0 + t] = acc1[t];
+      p.force[r + row0 + t] = acc2[t];
+    }
+  }
+  for (std::size_t col0 = 0; col0 < c; col0 += TB) {
+    const std::size_t live = std::min(TB, c - col0);
+    double acc[TB] = {};
+    for (std::size_t t = 0; t < live; ++t) {
+      acc[t] = p.h[2 * r + col0 + t];
+    }
+    const double* tile = p.t_tiles + col0 * r;
+    const double* w = tile;
+    for (std::size_t i = 0; i < r; ++i, w += TB) {
+      const double v = drive<Discrete>(p.x[i]);
+      for (std::size_t t = 0; t < TB; ++t) {
+        acc[t] += w[t] * v;
+      }
+    }
+    w = tile;
+    for (std::size_t i = 0; i < r; ++i, w += TB) {
+      const double v = drive<Discrete>(p.x[r + i]);
+      for (std::size_t t = 0; t < TB; ++t) {
+        acc[t] -= w[t] * v;
+      }
+    }
+    for (std::size_t t = 0; t < live; ++t) {
+      p.force[2 * r + col0 + t] = acc[t];
     }
   }
 }
 
-void rowblock_force_scalar(const ForcePlanes& p, std::size_t b,
-                           std::size_t e) {
-  rowblock_force_scalar_impl<false>(p, b, e);
+void bipartite_force_scalar(const ForcePlanes& p, std::size_t b,
+                            std::size_t e) {
+  bipartite_force_scalar_impl<false>(p, b, e);
 }
-void rowblock_force_scalar_d(const ForcePlanes& p, std::size_t b,
-                             std::size_t e) {
-  rowblock_force_scalar_impl<true>(p, b, e);
+void bipartite_force_scalar_d(const ForcePlanes& p, std::size_t b,
+                              std::size_t e) {
+  bipartite_force_scalar_impl<true>(p, b, e);
 }
 
 // ----------------------------------------------------- portable pack tier
@@ -208,28 +249,39 @@ void csr_force_scalar_d(const ForcePlanes& p, std::size_t b, std::size_t e) {
 struct Tier {
   ForceRowsFn csr_c;
   ForceRowsFn csr_d;
-  ForceRowsFn rowblock_c;
-  ForceRowsFn rowblock_d;
+  ForceRowsFn bipartite_c;
+  ForceRowsFn bipartite_d;
+  BsbStepFn bsb_step;
   const char* csr_name;
-  const char* rowblock_name;
+  const char* bipartite_name;
 };
 
-constexpr Tier kScalarTier = {csr_force_scalar,      csr_force_scalar_d,
-                              rowblock_force_scalar, rowblock_force_scalar_d,
-                              "scalar",              "rowblock-scalar"};
+constexpr Tier kScalarTier = {csr_force_scalar,
+                              csr_force_scalar_d,
+                              bipartite_force_scalar,
+                              bipartite_force_scalar_d,
+                              detail::bsb_step_portable,
+                              "scalar",
+                              "bipartite-scalar"};
 
 #ifdef ADSD_HAVE_AVX2
-constexpr Tier kAvx2Tier = {
-    detail::csr_force_avx2,      detail::csr_force_avx2_d,
-    detail::rowblock_force_avx2, detail::rowblock_force_avx2_d,
-    "avx2",                      "rowblock-avx2"};
+constexpr Tier kAvx2Tier = {detail::csr_force_avx2,
+                            detail::csr_force_avx2_d,
+                            detail::bipartite_force_avx2,
+                            detail::bipartite_force_avx2_d,
+                            detail::bsb_step_avx2,
+                            "avx2",
+                            "bipartite-avx2"};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
-constexpr Tier kAvx512Tier = {
-    detail::csr_force_avx512,      detail::csr_force_avx512_d,
-    detail::rowblock_force_avx512, detail::rowblock_force_avx512_d,
-    "avx512",                      "rowblock-avx512"};
+constexpr Tier kAvx512Tier = {detail::csr_force_avx512,
+                              detail::csr_force_avx512_d,
+                              detail::bipartite_force_avx512,
+                              detail::bipartite_force_avx512_d,
+                              detail::bsb_step_avx512,
+                              "avx512",
+                              "bipartite-avx512"};
 #endif
 
 const Tier& tier_for(ForceKernel isa) {
@@ -303,6 +355,22 @@ ForceKernel resolve_isa(ForceKernel requested, const CpuFeatures& f) {
 
 }  // namespace
 
+// The reference step every tier must reproduce bit for bit. The walls are
+// selects, not branches, so the loop vectorizes at the build's baseline
+// width.
+void detail::bsb_step_portable(const BsbStepPlanes& s) {
+  for (std::size_t k = 0; k < s.lanes; ++k) {
+    s.y[k] += s.dt * (s.neg_stiffness * s.x[k] + s.c0 * s.force[k]);
+    const double xk = s.x[k] + s.dt_detuning * s.y[k];
+    // Inelastic walls: clamp x to [-1, 1] and zero the momentum of any
+    // lane that hit a wall.
+    const double lo = xk < -1.0 ? -1.0 : xk;
+    const double clamped = lo > 1.0 ? 1.0 : lo;
+    s.y[k] = clamped == xk ? s.y[k] : 0.0;
+    s.x[k] = clamped;
+  }
+}
+
 const char* force_kernel_name(ForceKernel kind) {
   switch (kind) {
     case ForceKernel::kAuto:
@@ -313,8 +381,8 @@ const char* force_kernel_name(ForceKernel kind) {
       return "avx2";
     case ForceKernel::kAvx512:
       return "avx512";
-    case ForceKernel::kRowBlock:
-      return "rowblock";
+    case ForceKernel::kBipartite:
+      return "bipartite";
   }
   return "auto";
 }
@@ -367,20 +435,24 @@ bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features) {
 
 SelectedForceKernel select_force_kernel(ForceKernel requested,
                                         const CpuFeatures& features,
-                                        std::size_t replicas) {
+                                        std::size_t replicas,
+                                        ModelShape shape) {
   // At R = 1 every replica-lane kernel runs one scalar chain per row, so
-  // auto means the row-block layout. `<= 1` rather than `== 1`: engines
-  // reject 0 replicas before they select a kernel, so R = 0 only reaches
-  // here from callers that just want the R = 1 choice.
-  const bool use_rowblock = replicas <= 1 && requested == ForceKernel::kAuto;
+  // auto means the bipartite layout wherever the model has it. `<= 1`
+  // rather than `== 1`: engines reject 0 replicas before they select a
+  // kernel, so R = 0 only reaches here from callers that just want the
+  // R = 1 choice.
+  const bool use_bipartite = replicas <= 1 &&
+                             requested == ForceKernel::kAuto &&
+                             shape == ModelShape::kBipartite;
   const ForceKernel isa = resolve_isa(requested, features);
   const Tier& tier = tier_for(isa);
   SelectedForceKernel out;
-  if (use_rowblock) {
-    out.continuous = tier.rowblock_c;
-    out.discrete = tier.rowblock_d;
-    out.kind = ForceKernel::kRowBlock;
-    out.name = tier.rowblock_name;
+  if (use_bipartite) {
+    out.continuous = tier.bipartite_c;
+    out.discrete = tier.bipartite_d;
+    out.kind = ForceKernel::kBipartite;
+    out.name = tier.bipartite_name;
   } else {
     out.continuous = tier.csr_c;
     out.discrete = tier.csr_d;
@@ -388,6 +460,10 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
     out.name = tier.csr_name;
   }
   return out;
+}
+
+BsbStepFn select_bsb_step(ForceKernel requested, const CpuFeatures& features) {
+  return tier_for(resolve_isa(requested, features)).bsb_step;
 }
 
 std::vector<ForceKernel> selectable_force_kernels() {
@@ -402,55 +478,30 @@ std::vector<ForceKernel> selectable_force_kernels() {
   return out;
 }
 
-void RowBlockLayout::bind(ForcePlanes& planes) const {
-  planes.block_start = block_start.data();
-  planes.block_cols = cols.data();
-  planes.block_weights = weights.data();
-  planes.block_h = h.data();
+void BipartiteLayout::bind(ForcePlanes& planes) const {
+  planes.v_tiles = v_tiles.data();
+  planes.t_tiles = t_tiles.data();
+  planes.bip_rows = rows;
+  planes.bip_cols = cols;
 }
 
-RowBlockLayout build_row_blocks(const ForcePlanes& csr) {
-  constexpr std::size_t B = kRowBlockRows;
-  const std::size_t n = csr.n;
-  const std::size_t blocks = (n + B - 1) / B;
-  RowBlockLayout out;
-  out.block_start.assign(blocks + 1, 0);
-  out.h.assign(blocks * B, 0.0);
-  std::copy(csr.h, csr.h + n, out.h.begin());
-
-  // Pass 1: each block's ascending column union (stamp marks the columns
-  // the current block has already collected).
-  constexpr std::uint32_t kUnseen = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> stamp(n, kUnseen);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t u0 = out.cols.size();
-    for (std::size_t i = b * B; i < std::min(b * B + B, n); ++i) {
-      for (std::size_t e = csr.row_start[i]; e < csr.row_start[i + 1]; ++e) {
-        const std::uint32_t j = csr.cols[e];
-        if (stamp[j] != b) {
-          stamp[j] = static_cast<std::uint32_t>(b);
-          out.cols.push_back(j);
-        }
-      }
-    }
-    std::sort(out.cols.begin() + static_cast<std::ptrdiff_t>(u0),
-              out.cols.end());
-    out.block_start[b + 1] = static_cast<std::uint32_t>(out.cols.size());
-  }
-
-  // Pass 2: scatter each row's weights into its lane of the block's
-  // column-major tile (pos maps a column to its union index).
-  out.weights.assign(out.cols.size() * B, 0.0);
-  std::vector<std::uint32_t> pos(n, 0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (std::uint32_t u = out.block_start[b]; u < out.block_start[b + 1];
-         ++u) {
-      pos[out.cols[u]] = u;
-    }
-    for (std::size_t i = b * B; i < std::min(b * B + B, n); ++i) {
-      for (std::size_t e = csr.row_start[i]; e < csr.row_start[i + 1]; ++e) {
-        out.weights[pos[csr.cols[e]] * B + (i - b * B)] = csr.weights[e];
-      }
+BipartiteLayout build_bipartite(const ForcePlanes& csr, std::size_t rows,
+                                std::size_t cols) {
+  constexpr std::size_t VB = kBipartiteVRows;
+  constexpr std::size_t TB = kBipartiteTRows;
+  BipartiteLayout out;
+  out.rows = rows;
+  out.cols = cols;
+  out.v_tiles.assign((rows + VB - 1) / VB * VB * cols, 0.0);
+  out.t_tiles.assign((cols + TB - 1) / TB * TB * rows, 0.0);
+  // One scatter of each V1 row's couplings w(i, j) into both tiles; the
+  // plane's dropped (zero) couplings keep the fill value 0.0.
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* v = out.v_tiles.data() + (i - i % VB) * cols + i % VB;
+    for (std::size_t e = csr.row_start[i]; e < csr.row_start[i + 1]; ++e) {
+      const std::size_t j = csr.cols[e] - 2 * rows;
+      v[j * VB] = csr.weights[e];
+      out.t_tiles[(j - j % TB) * rows + i * TB + j % TB] = csr.weights[e];
     }
   }
   return out;

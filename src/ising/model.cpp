@@ -14,7 +14,7 @@ IsingModel::IsingModel(std::size_t num_spins) : n_(num_spins), h_(num_spins) {
 
 // Biases are stored as value + 0.0: that maps -0.0 to +0.0 and leaves
 // every other double unchanged, so no h-seeded force accumulator starts at
-// -0.0 -- the premise of the +-0.0 argument that keeps the row-block and
+// -0.0 -- the premise of the +-0.0 argument that keeps the bipartite and
 // pack kernels bit-identical to CSR (DESIGN.md §4.6).
 void IsingModel::set_bias(std::size_t i, double h) {
   h_.at(i) = h + 0.0;
@@ -39,33 +39,54 @@ void IsingModel::add_coupling(std::size_t i, std::size_t j, double j_value) {
   finalized_ = false;
 }
 
+void IsingModel::declare_bipartite(BipartiteShape shape) {
+  if (shape.rows == 0 || shape.cols == 0 ||
+      2 * shape.rows + shape.cols != n_) {
+    throw std::invalid_argument(
+        "IsingModel::declare_bipartite: shape does not match the spin count");
+  }
+  shape_ = shape;
+  finalized_ = false;
+}
+
 void IsingModel::finalize() {
   if (finalized_) {
     return;
   }
-  // Canonicalize to (min, max) pairs, sort, and merge duplicates.
-  for (auto& t : triplets_) {
-    if (t.i > t.j) {
-      std::swap(t.i, t.j);
-    }
+  // Triplets that arrive canonical (i < j) and strictly ascending are
+  // already merged, and add_coupling() never stores a zero, so only other
+  // inputs need the canonicalize / sort / merge / zero-filter pass.
+  const auto before = [](const Triplet& a, const Triplet& b) {
+    return a.i != b.i ? a.i < b.i : a.j < b.j;
+  };
+  bool merged_already = true;
+  for (std::size_t k = 0; k < triplets_.size() && merged_already; ++k) {
+    merged_already = triplets_[k].i < triplets_[k].j &&
+                     (k == 0 || before(triplets_[k - 1], triplets_[k]));
   }
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.i != b.i ? a.i < b.i : a.j < b.j;
-            });
-  std::vector<Triplet> merged;
-  merged.reserve(triplets_.size());
-  for (const auto& t : triplets_) {
-    if (!merged.empty() && merged.back().i == t.i && merged.back().j == t.j) {
-      merged.back().value += t.value;
-    } else {
-      merged.push_back(t);
+  if (!merged_already) {
+    for (auto& t : triplets_) {
+      if (t.i > t.j) {
+        std::swap(t.i, t.j);
+      }
     }
+    std::sort(triplets_.begin(), triplets_.end(), before);
+    std::vector<Triplet> merged;
+    merged.reserve(triplets_.size());
+    for (const auto& t : triplets_) {
+      if (!merged.empty() && merged.back().i == t.i &&
+          merged.back().j == t.j) {
+        merged.back().value += t.value;
+      } else {
+        merged.push_back(t);
+      }
+    }
+    merged.erase(
+        std::remove_if(merged.begin(), merged.end(),
+                       [](const Triplet& t) { return t.value == 0.0; }),
+        merged.end());
+    triplets_ = std::move(merged);
   }
-  merged.erase(std::remove_if(merged.begin(), merged.end(),
-                              [](const Triplet& t) { return t.value == 0.0; }),
-               merged.end());
-  triplets_ = std::move(merged);
 
   // Build CSR with each edge stored in both rows.
   std::vector<std::size_t> degree(n_, 0);
@@ -83,7 +104,37 @@ void IsingModel::finalize() {
     entries_[cursor[t.i]++] = {t.j, t.value};
     entries_[cursor[t.j]++] = {t.i, t.value};
   }
+  if (shape_) {
+    check_bipartite();
+  }
   finalized_ = true;
+}
+
+void IsingModel::check_bipartite() const {
+  // V1 row i and V2 row i must list the same T columns with negated
+  // weights. Each V-T edge then sits once in a V row and once in a T row,
+  // so the entries outside V rows number exactly those inside them unless
+  // some T spins couple to each other.
+  const std::size_t r = shape_->rows;
+  std::size_t v_entries = 0;
+  bool ok = true;
+  for (std::size_t i = 0; i < r && ok; ++i) {
+    const std::size_t a = row_start_[i];
+    const std::size_t b = row_start_[r + i];
+    const std::size_t degree = row_start_[i + 1] - a;
+    ok = row_start_[r + i + 1] - b == degree;
+    for (std::size_t k = 0; k < degree && ok; ++k) {
+      ok = entries_[a + k].first >= 2 * r &&
+           entries_[b + k].first == entries_[a + k].first &&
+           entries_[b + k].second == -entries_[a + k].second;
+    }
+    v_entries += 2 * degree;
+  }
+  if (!ok || entries_.size() != 2 * v_entries) {
+    throw std::invalid_argument(
+        "IsingModel::finalize: couplings contradict the declared bipartite "
+        "shape");
+  }
 }
 
 std::size_t IsingModel::num_couplings() const {
@@ -155,6 +206,9 @@ double IsingModel::flip_delta(std::span<const std::int8_t> spins,
 }
 
 double IsingModel::coupling_rms() const {
+  if (!finalized_) {
+    throw std::logic_error("IsingModel: finalize() before coupling_rms()");
+  }
   if (triplets_.empty()) {
     return 0.0;
   }

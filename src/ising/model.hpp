@@ -1,10 +1,18 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 namespace adsd {
+
+/// Spin layout of a column-COP model (ColumnCop::to_ising): V1 spins at
+/// [0, rows), V2 at [rows, 2 rows), T at [2 rows, 2 rows + cols).
+struct BipartiteShape {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+};
 
 /// Second-order Ising model
 ///
@@ -40,8 +48,21 @@ class IsingModel {
   void set_constant(double c) { constant_ = c; }
   void add_constant(double dc) { constant_ += dc; }
 
-  /// Merges duplicate couplings and builds the CSR adjacency. Idempotent;
-  /// adding couplings afterwards requires another finalize().
+  /// Declares the column-COP shape, which lets the engines run the
+  /// bipartite force layout (DESIGN.md §4.6). Requires 2 rows + cols ==
+  /// num_spins() and rows, cols >= 1. finalize() checks the couplings
+  /// against it: V rows couple only to T spins and T spins only to V
+  /// rows, and V2 row i holds the negated couplings of V1 row i.
+  void declare_bipartite(BipartiteShape shape);
+  const std::optional<BipartiteShape>& bipartite_shape() const {
+    return shape_;
+  }
+
+  /// Merges duplicate couplings and builds the CSR adjacency. Triplets
+  /// added canonical (i < j) and strictly ascending skip the sort and
+  /// merge. Throws std::invalid_argument when the couplings contradict a
+  /// declared bipartite shape. Idempotent; adding couplings afterwards
+  /// requires another finalize().
   void finalize();
   bool finalized() const { return finalized_; }
 
@@ -63,7 +84,8 @@ class IsingModel {
   double flip_delta(std::span<const std::int8_t> spins, std::size_t i) const;
 
   /// Root-mean-square coupling magnitude over distinct pairs; used for the
-  /// standard bSB coupling-strength normalization c0. Zero if no couplings.
+  /// standard bSB coupling-strength normalization c0. Zero if no couplings
+  /// (requires finalize()).
   double coupling_rms() const;
 
   /// Neighbors of spin i as (index, J) pairs (requires finalize()).
@@ -81,6 +103,9 @@ class IsingModel {
     double value;
   };
   std::vector<Triplet> triplets_;
+  std::optional<BipartiteShape> shape_;
+
+  void check_bipartite() const;
 
   bool finalized_ = false;
   std::vector<std::size_t> row_start_;                     // n_+1 entries

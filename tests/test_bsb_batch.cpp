@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -11,7 +13,9 @@
 #include "funcs/registry.hpp"
 #include "ising/bsb.hpp"
 #include "ising/bsb_batch.hpp"
+#include "ising/kernels/force_kernels.hpp"
 #include "ising/model.hpp"
+#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
 
@@ -252,6 +256,84 @@ TEST(BsbBatch, RejectsBadArguments) {
   IsingModel unfinalized(4);
   EXPECT_THROW(solve_sb_batch(unfinalized, params, 2),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------- bSB step tiers
+
+TEST(BsbBatchParity, StepTiersBitIdenticalToPortableLoop) {
+  // Every step tier the host runs against the portable loop (the scalar
+  // tier's), on lanes that hit either wall, signed zeros and NaN: a NaN x'
+  // keeps NaN and zeroes its momentum, as the scalar selects do. The step
+  // walks the n * R lanes of the SoA planes as one array, so the lane
+  // counts stand for single- and multi-replica engines alike (771 = 257
+  // spins x 3 replicas) and leave every vector tail.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto reference =
+      kernels::select_bsb_step(kernels::ForceKernel::kScalar, cpu_features());
+  for (std::size_t lanes : {1u, 7u, 64u, 771u}) {
+    Rng rng(lanes);
+    std::vector<double> x0(lanes);
+    std::vector<double> y0(lanes);
+    std::vector<double> f(lanes);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      x0[k] = rng.next_double(-1.0, 1.0);
+      y0[k] = rng.next_double(-0.5, 0.5);
+      f[k] = rng.next_double(-2.0, 2.0);
+      switch ((k * 5) % 9) {
+        case 0:
+          x0[k] = 1.0;
+          y0[k] = 40.0;  // through the upper wall
+          break;
+        case 1:
+          x0[k] = -0.99;
+          y0[k] = -40.0;  // through the lower wall
+          break;
+        case 2:
+          x0[k] = -0.0;
+          y0[k] = -0.0;
+          f[k] = 0.0;
+          break;
+        case 3:
+          x0[k] = 0.0;
+          f[k] = -0.0;
+          break;
+        case 4:
+          f[k] = nan;
+          break;
+        case 5:
+          x0[k] = nan;
+          break;
+        default:
+          break;
+      }
+    }
+    for (kernels::ForceKernel kind : kernels::selectable_force_kernels()) {
+      const auto tier = kernels::select_bsb_step(kind, cpu_features());
+      std::vector<double> xa = x0;
+      std::vector<double> ya = y0;
+      std::vector<double> xb = x0;
+      std::vector<double> yb = y0;
+      for (int step = 0; step < 3; ++step) {
+        kernels::BsbStepPlanes planes;
+        planes.force = f.data();
+        planes.lanes = lanes;
+        planes.neg_stiffness = -0.7 + 0.2 * step;
+        planes.dt = 0.5;
+        planes.c0 = 0.31;
+        planes.dt_detuning = 0.5;
+        planes.x = xa.data();
+        planes.y = ya.data();
+        reference(planes);
+        planes.x = xb.data();
+        planes.y = yb.data();
+        tier(planes);
+      }
+      EXPECT_EQ(std::memcmp(xa.data(), xb.data(), lanes * sizeof(double)), 0)
+          << kernels::force_kernel_name(kind) << " lanes=" << lanes;
+      EXPECT_EQ(std::memcmp(ya.data(), yb.data(), lanes * sizeof(double)), 0)
+          << kernels::force_kernel_name(kind) << " lanes=" << lanes;
+    }
+  }
 }
 
 // --------------------------------------------- row-sharded force kernel

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/error_metrics.hpp"
@@ -282,6 +286,186 @@ TEST(Theorem3, VResetNeverIncreasesAndIsOptimal) {
       alt.v1.set(i, (bits >> i) & 1);
     }
     EXPECT_GE(cop.objective(alt), after - 1e-12);
+  }
+}
+
+TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
+  // The row-outer plane sweep against reset_optimal_t, replica by replica:
+  // T positions, zeroed T momenta, untouched V planes and the degenerate
+  // flags. Replica 0 is pinned to one of two edge cases. "tie": V1 sets
+  // only rows a and b, whose column-0 gains cancel exactly, and V2 is
+  // empty, so column 0 ties at 0.0 and must pick pattern 1. "equal": V2
+  // spells the same signs as V1 (degenerate). Positions include +0.0 and
+  // -0.0, which read as set.
+  const std::size_t r = 8;
+  const std::size_t c = 16;
+  Rng rng(15);
+  for (bool joint : {false, true}) {
+    const auto m = random_matrix(r, c, rng);
+    std::size_t a = 0;
+    std::size_t b = 1;
+    while (m.at(a, 0) == m.at(b, 0)) {
+      ++b;  // needs two rows with opposite column-0 bits
+    }
+    std::vector<double> d(r * c);
+    for (auto& v : d) {
+      v = std::floor(rng.next_double(-6.0, 6.0));
+    }
+    const auto probs = uniform_probs(r, c, 7);
+    const auto cop = joint ? ColumnCop::joint(m, probs, d, 4.0)
+                           : ColumnCop::separate(m, probs);
+    const std::size_t n = cop.num_spins();
+    for (std::size_t R : {1u, 3u, 8u}) {
+      for (bool tie : {true, false}) {
+        std::vector<double> x(n * R);
+        std::vector<double> y(n * R);
+        for (std::size_t k = 0; k < x.size(); ++k) {
+          x[k] = k % 13 == 5 ? 0.0
+                 : k % 13 == 6 ? -0.0
+                               : rng.next_double(-1.0, 1.0);
+          y[k] = rng.next_double(-1.0, 1.0);
+        }
+        for (std::size_t i = 0; i < r; ++i) {
+          double& x1 = x[cop.v1_spin(i) * R];
+          double& x2 = x[cop.v2_spin(i) * R];
+          if (tie) {
+            x1 = i == a || i == b ? 0.5 : -0.5;
+            x2 = -0.5;
+          } else {
+            x2 = x1 >= 0.0 ? 0.25 : -0.25;
+          }
+        }
+
+        std::vector<double> want_x = x;
+        std::vector<double> want_y = y;
+        std::vector<std::uint8_t> want_degenerate(R);
+        for (std::size_t rep = 0; rep < R; ++rep) {
+          ColumnSetting s;
+          s.v1 = BitVec(r);
+          s.v2 = BitVec(r);
+          s.t = BitVec(c);
+          for (std::size_t i = 0; i < r; ++i) {
+            s.v1.set(i, x[cop.v1_spin(i) * R + rep] >= 0.0);
+            s.v2.set(i, x[cop.v2_spin(i) * R + rep] >= 0.0);
+          }
+          cop.reset_optimal_t(s);
+          for (std::size_t j = 0; j < c; ++j) {
+            want_x[cop.t_spin(j) * R + rep] = s.t.get(j) ? 1.0 : -1.0;
+            want_y[cop.t_spin(j) * R + rep] = 0.0;
+          }
+          const std::size_t on2 = s.t.count();
+          want_degenerate[rep] = on2 == 0 || on2 == c || s.v1 == s.v2;
+        }
+        if (tie && !joint) {
+          EXPECT_EQ(want_x[cop.t_spin(0) * R], -1.0);  // pattern 1
+        }
+        if (!tie) {
+          EXPECT_EQ(want_degenerate[0], 1);
+        }
+
+        std::vector<double> scratch;
+        std::vector<std::uint8_t> degenerate;
+        cop.reset_optimal_t_planes(x, y, R, scratch, &degenerate);
+        const std::string where = std::string(joint ? "joint" : "separate") +
+                                  " R=" + std::to_string(R) +
+                                  (tie ? " tie" : " equal");
+        EXPECT_EQ(std::memcmp(x.data(), want_x.data(),
+                              x.size() * sizeof(double)),
+                  0)
+            << where;
+        EXPECT_EQ(std::memcmp(y.data(), want_y.data(),
+                              y.size() * sizeof(double)),
+                  0)
+            << where;
+        EXPECT_EQ(degenerate, want_degenerate) << where;
+        EXPECT_EQ(scratch.size(), 2 * c * R) << where;
+      }
+    }
+  }
+}
+
+TEST(ColumnCop, ToIsingEqualsShuffledGeneralBuild) {
+  // to_ising() emits its couplings already in canonical ascending order,
+  // so finalize() skips the sort and merge. Adding the same couplings in
+  // shuffled order and random orientation, through the general path, must
+  // give the same model bit for bit.
+  Rng rng(16);
+  for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{4, 8},
+                             std::pair<std::size_t, std::size_t>{16, 32}}) {
+    for (bool joint : {false, true}) {
+      const auto m = random_matrix(r, c, rng);
+      std::vector<double> probs(r * c);
+      std::vector<double> d(r * c);
+      for (std::size_t k = 0; k < r * c; ++k) {
+        probs[k] = k % 7 == 3 ? 0.0 : rng.next_double(0.0, 0.01);
+        d[k] = std::floor(rng.next_double(-6.0, 6.0));
+      }
+      const auto cop = joint ? ColumnCop::joint(m, probs, d, 4.0)
+                             : ColumnCop::separate(m, probs);
+      const IsingModel fast = cop.to_ising();
+      ASSERT_TRUE(fast.bipartite_shape().has_value());
+      EXPECT_EQ(fast.bipartite_shape()->rows, r);
+      EXPECT_EQ(fast.bipartite_shape()->cols, c);
+      const std::size_t n = fast.num_spins();
+
+      struct Edge {
+        std::size_t i;
+        std::size_t j;
+        double w;
+      };
+      std::vector<Edge> edges;
+      for (std::size_t i = 0; i < 2 * r; ++i) {
+        for (const auto& [j, w] : fast.neighbors(i)) {
+          edges.push_back({i, j, w});
+        }
+      }
+      for (std::size_t k = edges.size(); k > 1; --k) {
+        std::swap(edges[k - 1], edges[rng.next_below(k)]);
+      }
+      IsingModel general(n);
+      for (const Edge& e : edges) {
+        if (rng.next_bool()) {
+          general.add_coupling(e.i, e.j, e.w);
+        } else {
+          general.add_coupling(e.j, e.i, e.w);
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        general.set_bias(i, fast.bias(i));
+      }
+      general.set_constant(fast.constant());
+      general.finalize();
+
+      const std::string where = std::string(joint ? "joint" : "separate") +
+                                " r=" + std::to_string(r);
+      const double kf = fast.constant();
+      const double kg = general.constant();
+      EXPECT_EQ(std::memcmp(&kf, &kg, sizeof(double)), 0) << where;
+      EXPECT_EQ(fast.num_couplings(), general.num_couplings()) << where;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double hf = fast.bias(i);
+        const double hg = general.bias(i);
+        EXPECT_EQ(std::memcmp(&hf, &hg, sizeof(double)), 0) << where;
+        const auto nf = fast.neighbors(i);
+        const auto ng = general.neighbors(i);
+        ASSERT_EQ(nf.size(), ng.size()) << where << " row " << i;
+        for (std::size_t k = 0; k < nf.size(); ++k) {
+          EXPECT_EQ(nf[k].first, ng[k].first) << where << " row " << i;
+          EXPECT_EQ(std::memcmp(&nf[k].second, &ng[k].second,
+                                sizeof(double)),
+                    0)
+              << where << " row " << i;
+        }
+      }
+      EXPECT_EQ(fast.coupling_rms(), general.coupling_rms()) << where;
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<std::int8_t> spins(n);
+        for (auto& sgn : spins) {
+          sgn = rng.next_bool() ? 1 : -1;
+        }
+        EXPECT_EQ(fast.energy(spins), general.energy(spins)) << where;
+      }
+    }
   }
 }
 

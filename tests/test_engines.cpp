@@ -6,11 +6,15 @@
 // through the registry + DALTA flow.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "boolean/error_metrics.hpp"
+#include "core/column_cop.hpp"
 #include "core/dalta.hpp"
 #include "core/solver_registry.hpp"
+#include "funcs/continuous.hpp"
 #include "funcs/registry.hpp"
 #include "ising/doch.hpp"
 #include "ising/exhaustive.hpp"
@@ -34,6 +38,22 @@ IsingModel random_model(std::size_t n, double density, Rng& rng) {
   }
   m.finalize();
   return m;
+}
+
+/// A joint-mode n = 7 column COP over the trivial (3, 4) partition: 8
+/// matrix rows and 16 columns, 32 spins in the bipartite shape.
+IsingModel column_cop_model() {
+  const auto exact = make_continuous_table(continuous_spec("exp"), 7, 7);
+  const auto w = InputPartition::trivial(7, 3);
+  const auto m = BooleanMatrix::from_function(exact, 1, w);
+  Rng rng(23);
+  std::vector<double> d(m.rows() * m.cols());
+  for (auto& v : d) {
+    v = std::floor(rng.next_double(-3.0, 3.0));
+  }
+  return ColumnCop::joint(m, matrix_probs(InputDistribution::uniform(7), w),
+                          d, 2.0)
+      .to_ising();
 }
 
 // ------------------------------------------------------------ SimCIM
@@ -99,11 +119,11 @@ TEST(Simcim, KernelChoiceDoesNotChangeTheTrajectory) {
   EXPECT_EQ(a.spins, b.spins);
 }
 
-TEST(Simcim, RowBlockKernelMatchesCsrAtOneReplica) {
-  // The paper's single-trajectory shape: auto resolves to the row-block
-  // layout, whose trajectory must equal the scalar CSR reference.
-  Rng rng(19);
-  const auto m = random_model(21, 0.5, rng);
+TEST(Simcim, BipartiteKernelMatchesCsrAtOneReplica) {
+  // The paper's single-trajectory shape: on a column COP auto resolves to
+  // the bipartite layout, whose trajectory must equal the scalar CSR
+  // reference.
+  const auto m = column_cop_model();
   SimcimParams scalar;
   scalar.seed = 7;
   scalar.kernel = kernels::ForceKernel::kScalar;
@@ -111,7 +131,7 @@ TEST(Simcim, RowBlockKernelMatchesCsrAtOneReplica) {
   SimcimParams params = scalar;
   params.kernel = kernels::ForceKernel::kAuto;
   EXPECT_EQ(SimcimEngine(m, params, 1).kernel_kind(),
-            kernels::ForceKernel::kRowBlock);
+            kernels::ForceKernel::kBipartite);
   const auto got = solve_simcim(m, params, 1);
   EXPECT_EQ(got.energy, ref.energy);
   EXPECT_EQ(got.spins, ref.spins);
@@ -213,11 +233,10 @@ TEST(Doch, KernelChoiceDoesNotChangeTheTrajectory) {
   EXPECT_EQ(a.spins, b.spins);
 }
 
-TEST(Doch, RowBlockKernelMatchesCsrAtOneReplica) {
+TEST(Doch, BipartiteKernelMatchesCsrAtOneReplica) {
   // DOCH evaluates the force at its lookahead plane (set_force_input), so
-  // the row-block kernel must read that plane, not the positions.
-  Rng rng(37);
-  const auto m = random_model(21, 0.5, rng);
+  // the bipartite kernel must read that plane, not the positions.
+  const auto m = column_cop_model();
   DochParams scalar;
   scalar.seed = 9;
   scalar.kernel = kernels::ForceKernel::kScalar;
@@ -225,7 +244,7 @@ TEST(Doch, RowBlockKernelMatchesCsrAtOneReplica) {
   DochParams params = scalar;
   params.kernel = kernels::ForceKernel::kAuto;
   EXPECT_EQ(DochEngine(m, params, 1).kernel_kind(),
-            kernels::ForceKernel::kRowBlock);
+            kernels::ForceKernel::kBipartite);
   const auto got = solve_doch(m, params, 1);
   EXPECT_EQ(got.energy, ref.energy);
   EXPECT_EQ(got.spins, ref.spins);

@@ -1,9 +1,9 @@
 // Tests for the dispatched force-kernel layer (DESIGN.md §4.6): cpuid
 // dispatch and its fallback chain on masked feature sets (at R = 1 and
-// past it), registry/CLI kernel selection, and the layer's central
-// contract — every dispatched variant (explicit-SIMD CSR and the R = 1
-// row-block layout alike) produces bit-identical force planes, solve
-// results, and DALTA runs, sharded or not.
+// past it, on column-COP and generic models), registry/CLI kernel
+// selection, and the layer's central contract — every dispatched variant
+// (explicit-SIMD CSR and the R = 1 bipartite layout alike) produces
+// bit-identical force planes, solve results, and DALTA runs.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "ising/model.hpp"
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
-#include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
@@ -45,16 +44,21 @@ IsingModel random_model(std::size_t n, double density, Rng& rng) {
   return m;
 }
 
-/// A joint-mode column-COP Ising model over the trivial (free, n - free)
-/// partition: 2^free matrix rows, so V1/V2/T spins start at 0, 2^free and
-/// 2^(free+1). The default is the paper's n = 9 model, about half of
-/// whose possible couplings are present.
-IsingModel column_cop_model(unsigned n = 9, unsigned free_size = 4) {
+/// A column-COP Ising model over the trivial (free, n - free) partition:
+/// r = 2^free matrix rows and c = 2^(n - free) columns, so V1/V2/T spins
+/// start at 0, r and 2r. Joint mode by default; the default shape is the
+/// paper's n = 9 model, about half of whose possible couplings are
+/// present. Separate mode uses the matrix of output bit 0.
+IsingModel column_cop_model(unsigned n = 9, unsigned free_size = 4,
+                            bool joint = true) {
   const auto exact = make_continuous_table(continuous_spec("exp"), n, n);
   const auto w = InputPartition::trivial(n, free_size);
   const auto m = BooleanMatrix::from_function(exact, 0, w);
   const auto dist = InputDistribution::uniform(n);
   const auto probs = matrix_probs(dist, w);
+  if (!joint) {
+    return ColumnCop::separate(m, probs).to_ising();
+  }
   Rng rng(17);
   std::vector<double> d(m.rows() * m.cols());
   for (auto& v : d) {
@@ -133,18 +137,19 @@ TEST(ForceKernelNames, RoundTrip) {
   }
 }
 
-TEST(ForceKernelNames, RowBlockIsResolvedNotRequested) {
-  // The row-block layout is what auto means at R = 1; it has a name for
-  // reporting but is not a value of the kernel= key.
-  EXPECT_STREQ(kernels::force_kernel_name(ForceKernel::kRowBlock),
-               "rowblock");
-  EXPECT_THROW(kernels::parse_force_kernel("rowblock"),
+TEST(ForceKernelNames, BipartiteIsResolvedNotRequested) {
+  // The bipartite layout is what auto means at R = 1 on a column COP; it
+  // has a name for reporting but is not a value of the kernel= key.
+  EXPECT_STREQ(kernels::force_kernel_name(ForceKernel::kBipartite),
+               "bipartite");
+  EXPECT_THROW(kernels::parse_force_kernel("bipartite"),
                std::invalid_argument);
 }
 
 TEST(ForceKernelNames, UnknownNameThrowsListingValidNames) {
-  // A layout name the layer does not have ("dense") fails like a typo.
-  for (const char* name : {"sse9", "dense"}) {
+  // Layout names the layer does not have (the retired "dense" and
+  // "rowblock") fail like a typo.
+  for (const char* name : {"sse9", "dense", "rowblock"}) {
     try {
       kernels::parse_force_kernel(name);
       FAIL() << "expected std::invalid_argument for " << name;
@@ -230,39 +235,47 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
 
 // ------------------------------------------------------- dispatch at R = 1
 
-TEST(ForceKernelDispatch, OneReplicaResolvesRowBlockAtWidestIsa) {
-  // auto at R = 1 takes the row-block layout at the widest tier the
-  // masked "CPU" runs, through the same chain as CSR.
+TEST(ForceKernelDispatch, OneReplicaResolvesBipartiteAtWidestIsa) {
+  // auto at R = 1 on a column COP takes the bipartite layout at the
+  // widest tier the masked "CPU" runs, through the same chain as CSR.
   CpuFeatures no_fma;
   no_fma.avx2 = true;
   const auto scalar =
       kernels::select_force_kernel(ForceKernel::kAuto, no_features(), 1);
-  EXPECT_EQ(scalar.kind, ForceKernel::kRowBlock);
-  EXPECT_STREQ(scalar.name, "rowblock-scalar");
+  EXPECT_EQ(scalar.kind, ForceKernel::kBipartite);
+  EXPECT_STREQ(scalar.name, "bipartite-scalar");
   ASSERT_NE(scalar.continuous, nullptr);
   ASSERT_NE(scalar.discrete, nullptr);
   EXPECT_STREQ(
       kernels::select_force_kernel(ForceKernel::kAuto, no_fma, 1).name,
-      "rowblock-scalar");
+      "bipartite-scalar");
   if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
     const auto sel =
         kernels::select_force_kernel(ForceKernel::kAuto, avx2_features(), 1);
-    EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
-    EXPECT_STREQ(sel.name, "rowblock-avx2");
+    EXPECT_EQ(sel.kind, ForceKernel::kBipartite);
+    EXPECT_STREQ(sel.name, "bipartite-avx2");
   }
   if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
     const auto sel =
         kernels::select_force_kernel(ForceKernel::kAuto, avx512_features(), 1);
-    EXPECT_EQ(sel.kind, ForceKernel::kRowBlock);
-    EXPECT_STREQ(sel.name, "rowblock-avx512");
+    EXPECT_EQ(sel.kind, ForceKernel::kBipartite);
+    EXPECT_STREQ(sel.name, "bipartite-avx512");
   }
-  // Engines reject 0 replicas before they select, so replicas = 0 only
-  // comes from callers asking for the single-trajectory choice: it
-  // resolves exactly like R = 1.
   for (const CpuFeatures& f :
        {no_features(), avx2_features(), avx512_features()}) {
+    // Engines reject 0 replicas before they select, so replicas = 0 only
+    // comes from callers asking for the single-trajectory choice: it
+    // resolves exactly like R = 1.
     EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 0).name,
                  kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name);
+    // A generic model has no bipartite layout: auto keeps CSR at R = 1,
+    // the same tier it picks past one replica.
+    const auto generic = kernels::select_force_kernel(
+        ForceKernel::kAuto, f, 1, kernels::ModelShape::kGeneric);
+    const auto lanes = kernels::select_force_kernel(ForceKernel::kAuto, f,
+                                                    kLanes);
+    EXPECT_EQ(generic.kind, lanes.kind);
+    EXPECT_STREQ(generic.name, lanes.name);
   }
 }
 
@@ -295,8 +308,8 @@ TEST(ForceKernelRegistry, PropRejectsBogusKernel) {
 // ------------------------------------------------- force-plane bit parity
 
 /// The requests the parity suites compare: every kernel that resolves to
-/// itself, then auto -- the row-block layout at R = 1, the widest CSR
-/// tier past it.
+/// itself, then auto -- the bipartite layout at R = 1 on a column COP,
+/// the widest CSR tier otherwise.
 std::vector<ForceKernel> parity_kernels() {
   auto kinds = kernels::selectable_force_kernels();
   kinds.push_back(ForceKernel::kAuto);
@@ -350,13 +363,13 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
     expect_force_parity(model, true, replicas, 700 + replicas);
   }
 
-  // Two matrix rows: row block 0 holds V1[0..1], V2[0..1] and T[0..3],
-  // and the 68-spin model ends in a 4-row tail block with a masked store.
-  const auto straddling = column_cop_model(7, 1);
-  ASSERT_EQ(straddling.num_spins(), 68u);
+  // Two matrix rows and 64 columns: one V block with 2 of its 16 rows
+  // live, and two whole T blocks.
+  const auto two_rows = column_cop_model(7, 1);
+  ASSERT_EQ(two_rows.num_spins(), 68u);
 
   // V1[0] and V2[0] are uncoupled with a requested bias of -0.0, and the
-  // row-block layout adds +-0.0 terms to their accumulators: exact only
+  // bipartite layout adds +-0.0 terms to their accumulators: exact only
   // because the model stores that bias as +0.0.
   const auto zero_row = zero_row_column_cop_model();
   ASSERT_TRUE(zero_row.neighbors(0).empty());
@@ -364,7 +377,7 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
   EXPECT_FALSE(std::signbit(zero_row.bias(0)));
   EXPECT_FALSE(std::signbit(zero_row.bias(16)));
 
-  for (const IsingModel* m : {&straddling, &zero_row}) {
+  for (const IsingModel* m : {&two_rows, &zero_row}) {
     for (std::size_t replicas : {1u, 2u, 8u}) {
       expect_force_parity(*m, false, replicas, 600 + replicas);
       expect_force_parity(*m, true, replicas, 600 + replicas);
@@ -373,9 +386,9 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
 }
 
 TEST(ForceKernelParity, ForcePlanesBitIdenticalDenseModel) {
-  // Near-complete models through the remaining layouts: every CSR tier at
-  // each replica count, and the row-block layout through auto at R = 1.
-  // In the second model the uncoupled row's bias was set to -0.0.
+  // Near-complete generic models through every CSR tier at each replica
+  // count (auto keeps CSR at R = 1 on them). In the second model the
+  // uncoupled row's bias was set to -0.0.
   Rng rng(43);
   const auto model = random_model(48, 1.0, rng);
   const auto signed_zero = signed_zero_dense_model();
@@ -389,22 +402,31 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalDenseModel) {
   }
 }
 
-TEST(ForceKernelParity, RowBlockTiersBitIdenticalToScalarCsr) {
-  // Engines run only the host's widest row-block tier, so this drives each
+TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
+  // Engines run only the host's widest bipartite tier, so this drives each
   // tier the host can execute (portable, AVX2, AVX-512) directly on the
-  // row-block layout and compares it with the scalar CSR kernel. The
-  // 33- and 68-spin models end in masked tail blocks of 1 and 4 rows.
-  Rng rng(45);
-  const IsingModel models[] = {random_model(33, 0.3, rng),
-                               column_cop_model(7, 1),
-                               zero_row_column_cop_model()};
+  // bipartite layout and compares it with the scalar CSR kernel. The
+  // (r, c) shapes cover V blocks with 2, 8, 16 and 128 rows and T blocks
+  // with 4, 16, 32 and 512 columns, so every masked tail runs; the
+  // zero-row model has +-0.0 gains and a -0.0 bias request.
+  struct Shape {
+    unsigned n;
+    unsigned free_size;
+  };
+  std::vector<IsingModel> models;
+  for (const Shape& s : {Shape{3, 1}, Shape{7, 3}, Shape{9, 4}, Shape{16, 7}}) {
+    for (bool joint : {true, false}) {
+      models.push_back(column_cop_model(s.n, s.free_size, joint));
+    }
+  }
+  models.push_back(zero_row_column_cop_model());
   const auto reference =
       kernels::select_force_kernel(ForceKernel::kScalar, no_features());
   int tiers = 0;
   for (const CpuFeatures& f :
        {no_features(), avx2_features(), avx512_features()}) {
     const auto sel = kernels::select_force_kernel(ForceKernel::kAuto, f, 1);
-    ASSERT_EQ(sel.kind, ForceKernel::kRowBlock);
+    ASSERT_EQ(sel.kind, ForceKernel::kBipartite);
     if ((f.avx2 && !kernels::force_kernel_supported(ForceKernel::kAvx2,
                                                     cpu_features())) ||
         (f.avx512f && !kernels::force_kernel_supported(ForceKernel::kAvx512,
@@ -413,6 +435,7 @@ TEST(ForceKernelParity, RowBlockTiersBitIdenticalToScalarCsr) {
     }
     ++tiers;
     for (const IsingModel& model : models) {
+      const BipartiteShape shape = model.bipartite_shape().value();
       const CsrPlanes csr = flatten_csr(model);
       kernels::ForcePlanes planes;
       planes.h = csr.h.data();
@@ -421,8 +444,9 @@ TEST(ForceKernelParity, RowBlockTiersBitIdenticalToScalarCsr) {
       planes.weights = csr.weights.data();
       planes.n = model.num_spins();
       planes.replicas = 1;
-      const auto blocks = kernels::build_row_blocks(planes);
-      blocks.bind(planes);
+      const auto layout =
+          kernels::build_bipartite(planes, shape.rows, shape.cols);
+      layout.bind(planes);
       std::vector<double> x(planes.n);
       Rng xr(83);
       for (double& v : x) {
@@ -440,7 +464,7 @@ TEST(ForceKernelParity, RowBlockTiersBitIdenticalToScalarCsr) {
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               planes.n * sizeof(double)),
                   0)
-            << sel.name << " n=" << planes.n
+            << sel.name << " r=" << shape.rows << " c=" << shape.cols
             << (discrete ? " discrete" : " continuous");
       }
     }
@@ -491,75 +515,26 @@ TEST(ForceKernelParity, EngineReportsResolvedKernelName) {
                                          auto_engine.replicas())
                 .kind);
 
-  // R = 1: auto takes the row-block layout and reports its ISA tier.
+  // R = 1: auto takes the bipartite layout on a column COP and reports
+  // its ISA tier.
   BsbBatchEngine single_engine(model, params, 1);
   const auto single =
       kernels::select_force_kernel(ForceKernel::kAuto, cpu_features(), 1);
-  EXPECT_EQ(single_engine.kernel_kind(), ForceKernel::kRowBlock);
+  EXPECT_EQ(single_engine.kernel_kind(), ForceKernel::kBipartite);
   EXPECT_STREQ(single_engine.kernel_name(), single.name);
-  EXPECT_EQ(std::string(single_engine.kernel_name()).rfind("rowblock-", 0),
+  EXPECT_EQ(std::string(single_engine.kernel_name()).rfind("bipartite-", 0),
             0u);
-}
 
-/// A sparse model past the engine's sharding threshold at R = 1 (8192
-/// lanes): ~4 random couplings per spin, and 8300 spins so the last block
-/// has 4 rows and the pool's default row grain on 4 workers (8300 / 16 =
-/// 518 rows) would split blocks if the engine handed out rows.
-IsingModel large_sparse_model() {
-  constexpr std::size_t n = 8300;
-  Rng rng(61);
-  IsingModel m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m.set_bias(i, rng.next_double(-1.0, 1.0));
-    for (int k = 0; k < 2; ++k) {
-      const std::size_t j = rng.next_below(n);
-      if (j != i) {
-        m.add_coupling(i, j, rng.next_double(-1.0, 1.0));
-      }
-    }
-  }
-  m.finalize();
-  return m;
-}
-
-TEST(ForceKernelParity, ShardedRowBlockForcePlaneBitIdentical) {
-  // Four workers each take whole blocks of the row-block plane; the result
-  // must equal the unsharded pass and the scalar CSR reference bit for bit.
-  const auto model = large_sparse_model();
-  RunContext::Options opts;
-  opts.threads = 4;
-  const RunContext ctx(opts);
-  for (bool discrete : {false, true}) {
-    SbParams params = quick_params(71);
-    params.discrete = discrete;
-    std::vector<std::vector<double>> planes;
-    for (const auto& [kind, sharded] :
-         {std::pair{ForceKernel::kScalar, false},
-          std::pair{ForceKernel::kAuto, false},
-          std::pair{ForceKernel::kAuto, true}}) {
-      params.kernel = kind;
-      BsbBatchEngine engine(model, params, 1);
-      ASSERT_EQ(engine.kernel_kind(), kind == ForceKernel::kAuto
-                                          ? ForceKernel::kRowBlock
-                                          : ForceKernel::kScalar);
-      if (sharded) {
-        engine.set_context(&ctx);
-      }
-      Rng rng(73);
-      for (double& v : engine.positions()) {
-        v = rng.next_double(-1.0, 1.0);
-      }
-      engine.compute_forces();
-      planes.emplace_back(engine.forces().begin(), engine.forces().end());
-    }
-    for (std::size_t k = 1; k < planes.size(); ++k) {
-      ASSERT_EQ(planes[k].size(), planes[0].size());
-      EXPECT_EQ(std::memcmp(planes[k].data(), planes[0].data(),
-                            planes[0].size() * sizeof(double)),
-                0)
-          << "plane " << k << (discrete ? " discrete" : " continuous");
-    }
-  }
+  // A generic model resolves to CSR at R = 1 and reports that tier.
+  Rng rng(3);
+  const auto generic = random_model(20, 0.4, rng);
+  ASSERT_FALSE(generic.bipartite_shape().has_value());
+  BsbBatchEngine generic_engine(generic, params, 1);
+  const auto csr = kernels::select_force_kernel(
+      ForceKernel::kAuto, cpu_features(), 1, kernels::ModelShape::kGeneric);
+  EXPECT_NE(generic_engine.kernel_kind(), ForceKernel::kBipartite);
+  EXPECT_EQ(generic_engine.kernel_kind(), csr.kind);
+  EXPECT_STREQ(generic_engine.kernel_name(), csr.name);
 }
 
 // -------------------------------------------------- DALTA-level bit parity

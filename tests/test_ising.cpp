@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ising/bsb.hpp"
 #include "ising/bsb_batch.hpp"
@@ -155,6 +157,63 @@ TEST(IsingModel, GuardsAndValidation) {
   EXPECT_THROW((void)m.energy(spins_from_bits(0, 2)), std::logic_error);
   m.finalize();
   EXPECT_THROW((void)m.energy(spins_from_bits(0, 1)), std::invalid_argument);
+
+  // coupling_rms() reads merged couplings like every other accessor:
+  // (0,1) 3, (1,0) -3 and (1,2) 4 merge into the one coupling (1,2) 4.
+  IsingModel rms(3);
+  rms.add_coupling(0, 1, 3.0);
+  rms.add_coupling(1, 0, -3.0);
+  rms.add_coupling(1, 2, 4.0);
+  EXPECT_THROW((void)rms.coupling_rms(), std::logic_error);
+  rms.finalize();
+  EXPECT_EQ(rms.coupling_rms(), 4.0);
+}
+
+TEST(IsingModel, DeclaredBipartiteShapeIsChecked) {
+  // Shape r = 2, c = 3: V1 = {0, 1}, V2 = {2, 3}, T = {4, 5, 6}.
+  IsingModel wrong_size(6);
+  EXPECT_THROW(wrong_size.declare_bipartite({2, 3}), std::invalid_argument);
+  EXPECT_THROW(IsingModel(3).declare_bipartite({0, 3}),
+               std::invalid_argument);
+
+  const auto shaped = [](auto add) {
+    IsingModel m(7);
+    m.declare_bipartite({2, 3});
+    m.add_coupling(0, 4, 0.5);
+    m.add_coupling(1, 6, -0.25);
+    m.add_coupling(2, 4, -0.5);
+    add(m);
+    return m;
+  };
+  // V2 row 1 mirrors V1 row 1 in any insertion order: accepted.
+  IsingModel ok = shaped([](IsingModel& m) { m.add_coupling(6, 3, 0.25); });
+  EXPECT_NO_THROW(ok.finalize());
+  ASSERT_TRUE(ok.bipartite_shape().has_value());
+  EXPECT_EQ(ok.bipartite_shape()->rows, 2u);
+  EXPECT_EQ(ok.bipartite_shape()->cols, 3u);
+
+  const std::vector<std::pair<const char*, void (*)(IsingModel&)>> bad = {
+      {"V2 row not negated",
+       [](IsingModel& m) { m.add_coupling(3, 6, -0.25); }},
+      {"V2 row missing a column", [](IsingModel&) {}},
+      {"V2 row on another column",
+       [](IsingModel& m) { m.add_coupling(3, 5, 0.25); }},
+      {"V-V coupling",
+       [](IsingModel& m) {
+         m.add_coupling(3, 6, 0.25);
+         m.add_coupling(0, 3, 1.0);
+       }},
+      {"T-T coupling",
+       [](IsingModel& m) {
+         m.add_coupling(3, 6, 0.25);
+         m.add_coupling(4, 5, 1.0);
+       }},
+  };
+  for (const auto& [what, add] : bad) {
+    IsingModel m = shaped(add);
+    EXPECT_THROW(m.finalize(), std::invalid_argument) << what;
+    EXPECT_FALSE(m.finalized()) << what;
+  }
 }
 
 TEST(IsingModel, ZeroCouplingsDropped) {

@@ -7,7 +7,9 @@
 //   adsd_cli list-solvers   (also: adsd_cli --list-solvers)
 //       List every registry-constructible solver with its aliases, config
 //       keys, and — for engines that take a kernel= key — the SIMD force
-//       kernel an auto request resolves to on this host.
+//       kernel an auto request resolves to on this host for a
+//       single-replica column-COP solve (bipartite-<isa>); the footer also
+//       names the choice for other models at R = 1 and past R = 1.
 //
 //   adsd_cli decompose --function exp --n 9 --free 4 [options]
 //   adsd_cli decompose --hex table.tt --free 4 [options]
@@ -200,12 +202,16 @@ int cmd_info() {
 
 int cmd_list_solvers() {
   // The auto-resolution is host-global: one decision for single-replica
-  // solves (the default replicas=1) and one past R = 1. Per-entry, the
-  // kernel column shows what `kernel=auto` (the default) means here and
-  // now.
+  // solves of the column COPs every solver here receives (the default
+  // replicas=1), one for single-replica solves of any other model, and
+  // one past R = 1. Per-entry, the kernel column shows what `kernel=auto`
+  // (the default) means here and now.
   const CpuFeatures& features = cpu_features();
   const kernels::SelectedForceKernel single = kernels::select_force_kernel(
       kernels::ForceKernel::kAuto, features, /*replicas=*/1);
+  const kernels::SelectedForceKernel generic = kernels::select_force_kernel(
+      kernels::ForceKernel::kAuto, features, /*replicas=*/1,
+      kernels::ModelShape::kGeneric);
   const kernels::SelectedForceKernel csr = kernels::select_force_kernel(
       kernels::ForceKernel::kAuto, features, /*replicas=*/2);
 
@@ -232,7 +238,9 @@ int cmd_list_solvers() {
   solvers.print(std::cout);
 
   std::cout << "\nforce kernels on this host: auto -> " << single.name
-            << " (R = 1), " << csr.name << " (R > 1); selectable:";
+            << " (R = 1, column COP), " << generic.name
+            << " (R = 1, other models), " << csr.name
+            << " (R > 1); selectable:";
   for (const kernels::ForceKernel k : kernels::selectable_force_kernels()) {
     std::cout << " " << kernels::force_kernel_name(k);
   }
