@@ -1,6 +1,7 @@
 // Micro-kernels (google-benchmark): the hot loops behind the experiment
 // harnesses -- bSB Euler steps, Ising energy evaluation, Boolean-matrix
-// construction, COP building, and Theorem-3 resets -- sized like the
+// construction, COP building, Theorem-3 resets, the warm start's dominant
+// column pair and the partition screen's multiplicity -- sized like the
 // paper's two quantization schemes (n = 9: 16x32 matrices, 64 spins;
 // n = 16: 128x512 matrices, 768 spins).
 //
@@ -23,7 +24,9 @@
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/error_metrics.hpp"
 #include "common.hpp"
+#include "boolean/decomposition.hpp"
 #include "core/column_cop.hpp"
+#include "core/partition_screen.hpp"
 #include "core/solver_registry.hpp"
 #include "funcs/continuous.hpp"
 #include "ising/bsb.hpp"
@@ -564,10 +567,9 @@ void BM_Theorem3Reset(benchmark::State& state) {
   for (double& v : x) {
     v = rng.next_double(-1.0, 1.0);
   }
-  std::vector<double> scratch;
   std::vector<std::uint8_t> degenerate;
   for (auto _ : state) {
-    cop.reset_optimal_t_planes(x, y, 1, scratch, &degenerate);
+    cop.reset_optimal_t_planes(x, y, 1, &degenerate);
     benchmark::DoNotOptimize(x.data());
   }
 }
@@ -589,6 +591,33 @@ void BM_ObjectiveEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectiveEvaluation)->Arg(9)->Arg(16);
+
+void BM_DominantColumnPair(benchmark::State& state) {
+  // The warm start of every prop COP solve and of the greedy baseline.
+  const auto n = static_cast<unsigned>(state.range(0));
+  const auto cop = make_cop(n, n == 16 ? 7 : 4, 29);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dominant_column_pair(cop.exact_matrix()));
+  }
+}
+BENCHMARK(BM_DominantColumnPair)->Arg(9)->Arg(16);
+
+void BM_ScreenMultiplicity(benchmark::State& state) {
+  // One candidate's column multiplicity, the unit of the partition screen.
+  const auto n = static_cast<unsigned>(state.range(0));
+  const auto exact = make_continuous_table(continuous_spec("exp"), n, n);
+  const PartitionScreener screener(exact.output(n / 2), n);
+  Rng rng(31);
+  std::vector<InputPartition> candidates;
+  for (int i = 0; i < 16; ++i) {
+    candidates.push_back(InputPartition::random(n, n == 16 ? 7 : 4, rng));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(screener.multiplicity(candidates[k++ % 16]));
+  }
+}
+BENCHMARK(BM_ScreenMultiplicity)->Arg(9)->Arg(16);
 
 /// Console reporter that additionally captures each run's adjusted real
 /// time in seconds, keyed by the full benchmark name, so the --json writer

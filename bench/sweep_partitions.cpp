@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     params.seed = seed;
     const auto rp = run_dalta(exact, dist, params, *prop);
     const auto rg = run_dalta(exact, dist, params, *greedy);
-    // BDD multiplicity screening: same solver budget, 4x candidate pool.
+    // Multiplicity screening: same solver budget, 4x candidate pool.
     DaltaParams screened = params;
     screened.screen_factor = 4;
     const auto rs = run_dalta(exact, dist, screened, *prop);

@@ -1,5 +1,7 @@
 #include "boolean/boolean_matrix.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -107,6 +109,72 @@ std::vector<BitVec> BooleanMatrix::distinct_columns() const {
     }
   }
   return out;
+}
+
+namespace {
+
+/// Transposes a 64 x 64 bit block in place: bit j of a[i] moves to bit i
+/// of a[j]. Six rounds of swapping the off-diagonal halves of ever smaller
+/// sub-blocks.
+void transpose64(std::uint64_t a[64]) {
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+/// `len` <= 64 bits of `words` starting at bit `pos`, in the low bits.
+std::uint64_t bits_at(const std::vector<std::uint64_t>& words,
+                      std::size_t pos, std::size_t len) {
+  const std::size_t w = pos / 64;
+  const unsigned shift = pos % 64;
+  std::uint64_t out = words[w] >> shift;
+  if (shift != 0 && shift + len > 64) {
+    out |= words[w + 1] << (64 - shift);
+  }
+  return len == 64 ? out : out & ((std::uint64_t{1} << len) - 1);
+}
+
+}  // namespace
+
+void BooleanMatrix::column_words(std::vector<std::uint64_t>& out) const {
+  // 64 x 64 tiles of the row-major bits, each transposed once: word j of
+  // a transposed tile is 64 rows of column j, one whole column word.
+  const std::size_t wpc = column_word_count(rows_);
+  out.resize(cols_ * wpc);
+  const std::vector<std::uint64_t>& bits = bits_.words();
+  std::uint64_t tile[64];
+  for (std::size_t i0 = 0; i0 < rows_; i0 += 64) {
+    const std::size_t live_rows = std::min<std::size_t>(64, rows_ - i0);
+    for (std::size_t j0 = 0; j0 < cols_; j0 += 64) {
+      const std::size_t live_cols = std::min<std::size_t>(64, cols_ - j0);
+      for (std::size_t t = 0; t < 64; ++t) {
+        tile[t] = t < live_rows
+                      ? bits_at(bits, (i0 + t) * cols_ + j0, live_cols)
+                      : 0;
+      }
+      transpose64(tile);
+      for (std::size_t t = 0; t < live_cols; ++t) {
+        out[(j0 + t) * wpc + i0 / 64] = tile[t];
+      }
+    }
+  }
+}
+
+void sort_column_words(const std::vector<std::uint64_t>& words,
+                       std::size_t wpc, std::vector<std::uint32_t>& order) {
+  order.resize(words.size() / wpc);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(),
+            [&words, wpc](std::uint32_t a, std::uint32_t b) {
+              const std::uint64_t* ka = words.data() + a * wpc;
+              const std::uint64_t* kb = words.data() + b * wpc;
+              return std::lexicographical_compare(ka, ka + wpc, kb, kb + wpc);
+            });
 }
 
 bool BooleanMatrix::operator==(const BooleanMatrix& other) const {

@@ -56,6 +56,10 @@ class BooleanMatrix {
   /// Distinct column patterns in first-appearance order.
   std::vector<BitVec> distinct_columns() const;
 
+  /// Packs every column into column_word_count(rows()) words (layout at
+  /// sort_column_words), reusing `out`'s storage.
+  void column_words(std::vector<std::uint64_t>& out) const;
+
   bool operator==(const BooleanMatrix& other) const;
   bool operator!=(const BooleanMatrix& other) const {
     return !(*this == other);
@@ -66,5 +70,19 @@ class BooleanMatrix {
   std::size_t cols_;
   BitVec bits_;  // row-major
 };
+
+/// Words per packed column of an r-row matrix: ceil(r / 64).
+inline std::size_t column_word_count(std::size_t rows) {
+  return (rows + 63) / 64;
+}
+
+/// Sorts the column indices [0, cols) of `words` -- cols packed columns of
+/// `wpc` words each, column j at [j * wpc, (j + 1) * wpc), row i at bit
+/// i % 64 of word i / 64 (BitVec's layout) -- ascending, comparing the
+/// words lexicographically as unsigned integers. That is BitVec::operator<
+/// on same-size columns, and equal columns end up adjacent. Reuses
+/// `order`'s storage.
+void sort_column_words(const std::vector<std::uint64_t>& words,
+                       std::size_t wpc, std::vector<std::uint32_t>& order);
 
 }  // namespace adsd

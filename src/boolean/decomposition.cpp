@@ -1,6 +1,6 @@
 #include "boolean/decomposition.hpp"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 
 namespace adsd {
@@ -191,26 +191,44 @@ std::uint64_t mismatch_count(const BooleanMatrix& m, const RowSetting& rs) {
 }
 
 std::pair<BitVec, BitVec> dominant_column_pair(const BooleanMatrix& m) {
-  std::map<BitVec, std::size_t> freq;
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    ++freq[m.column(j)];
-  }
-  const BitVec* first = nullptr;
-  const BitVec* second = nullptr;
+  // Columns packed into words, their indices sorted by them: equal
+  // columns form runs, visited in ascending BitVec order. A strictly
+  // larger count displaces the leader, so ties go to the smaller column,
+  // for the first and the second alike. Per-thread scratch, reused.
+  thread_local std::vector<std::uint64_t> words;
+  thread_local std::vector<std::uint32_t> order;
+  m.column_words(words);
+  const std::size_t wpc = column_word_count(m.rows());
+  sort_column_words(words, wpc, order);
+  const auto same = [wpc](const std::uint64_t* a, const std::uint64_t* b) {
+    return std::equal(a, a + wpc, b);
+  };
+  const std::size_t none = m.cols();
+  std::size_t first = none;
+  std::size_t second = none;
   std::size_t first_count = 0;
   std::size_t second_count = 0;
-  for (const auto& [col, count] : freq) {
+  for (std::size_t a = 0; a < order.size();) {
+    const std::uint64_t* key = words.data() + order[a] * wpc;
+    std::size_t b = a + 1;
+    while (b < order.size() && same(key, words.data() + order[b] * wpc)) {
+      ++b;
+    }
+    const std::size_t count = b - a;
     if (count > first_count) {
       second = first;
       second_count = first_count;
-      first = &col;
+      first = order[a];
       first_count = count;
     } else if (count > second_count) {
-      second = &col;
+      second = order[a];
       second_count = count;
     }
+    a = b;
   }
-  return {*first, second != nullptr ? *second : first->complement()};
+  BitVec top = m.column(first);
+  BitVec runner_up = second != none ? m.column(second) : top.complement();
+  return {std::move(top), std::move(runner_up)};
 }
 
 BitVec random_decomposable_output(const InputPartition& w, Rng& rng) {

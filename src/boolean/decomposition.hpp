@@ -94,9 +94,12 @@ std::uint64_t mismatch_count(const BooleanMatrix& m, const RowSetting& rs);
 /// (used by tests and the exact-case benchmarks).
 BitVec random_decomposable_output(const InputPartition& w, Rng& rng);
 
-/// The two most frequent distinct columns of `m` (ties broken
-/// lexicographically; if only one distinct column exists the second is its
-/// complement). This is the natural 2-clustering seed for the column
+/// The two most frequent distinct columns of `m`. The first has the
+/// highest count, ties going to the smallest column under BitVec::
+/// operator< (its words compared lexicographically as unsigned integers,
+/// word 0 first); the second is the runner-up by the same rule, or the
+/// complement of the first when only one distinct column exists. This is
+/// the natural 2-clustering seed for the column
 /// patterns: the greedy baseline starts from it, and the Ising solver uses
 /// it to break the V1 <-> V2 exchange symmetry of the formulation (see
 /// IsingCoreSolver::Options::column_seed_init).

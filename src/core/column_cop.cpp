@@ -4,6 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ising/kernels/force_kernels.hpp"
+#include "support/cpu_features.hpp"
+
 namespace adsd {
 
 std::vector<double> matrix_probs(const InputDistribution& dist,
@@ -121,37 +124,23 @@ IsingModel ColumnCop::to_ising() const {
   //   + sum_i (sum_j gain/4) v1_i + sum_i (sum_j gain/4) v2_i
   //   - sum_ij gain/4 t_j v1_i + sum_ij gain/4 t_j v2_i.
   // Matching E = -sum h s - sum_{pairs} J s s gives h = -(linear coeff) and
-  // J = -(pair coeff).
-  IsingModel m(num_spins());
-  m.declare_bipartite({rows_, cols_});
-  // Every V1 coupling, then every V2 coupling: the triplets arrive in the
-  // canonical ascending order finalize() would sort them into, so it
-  // skips the sort and merge.
+  // J = -(pair coeff): the plane J(V1_i, T_j) = gain_ij / 4 = -J(V2_i, T_j).
+  std::vector<double> plane(rows_ * cols_);
   double constant = 0.0;
+  for (std::size_t idx = 0; idx < rows_ * cols_; ++idx) {
+    constant += base_[idx] + gain_[idx] / 2.0;
+    plane[idx] = gain_[idx] / 4.0;
+  }
+  IsingModel m = IsingModel::bipartite({rows_, cols_}, std::move(plane));
   for (std::size_t i = 0; i < rows_; ++i) {
     double row_gain = 0.0;
     for (std::size_t j = 0; j < cols_; ++j) {
-      const std::size_t idx = i * cols_ + j;
-      constant += base_[idx] + gain_[idx] / 2.0;
-      row_gain += gain_[idx];
-      const double quarter = gain_[idx] / 4.0;
-      if (quarter != 0.0) {
-        m.add_coupling(v1_spin(i), t_spin(j), quarter);
-      }
+      row_gain += gain_[i * cols_ + j];
     }
     m.set_bias(v1_spin(i), -row_gain / 4.0);
     m.set_bias(v2_spin(i), -row_gain / 4.0);
   }
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = 0; j < cols_; ++j) {
-      const double quarter = gain_[i * cols_ + j] / 4.0;
-      if (quarter != 0.0) {
-        m.add_coupling(v2_spin(i), t_spin(j), -quarter);
-      }
-    }
-  }
   m.set_constant(constant);
-  m.finalize();
   return m;
 }
 
@@ -187,120 +176,96 @@ std::vector<std::int8_t> ColumnCop::encode(const ColumnSetting& s) const {
 
 void ColumnCop::reset_optimal_t(ColumnSetting& s) const {
   // For column j the base terms cancel between the two choices, so compare
-  // sum_i gain_ij V1_i against sum_i gain_ij V2_i (Theorem 3).
-  for (std::size_t j = 0; j < cols_; ++j) {
-    double cost1 = 0.0;
-    double cost2 = 0.0;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const double g = gain_[i * cols_ + j];
-      if (s.v1.get(i)) {
-        cost1 += g;
-      }
-      if (s.v2.get(i)) {
-        cost2 += g;
+  // sum_i gain_ij V1_i against sum_i gain_ij V2_i (Theorem 3). Row-outer,
+  // like the plane reset: a set bit adds its whole gain row, and every
+  // column still sums its rows in ascending i. Per-thread scratch, reused.
+  thread_local std::vector<double> cost;
+  cost.assign(2 * cols_, 0.0);
+  double* cost1 = cost.data();
+  double* cost2 = cost.data() + cols_;
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const double* g = &gain_[i * cols_];
+    if (s.v1.get(i)) {
+      for (std::size_t j = 0; j < cols_; ++j) {
+        cost1[j] += g[j];
       }
     }
-    s.t.set(j, cost2 < cost1);
+    if (s.v2.get(i)) {
+      for (std::size_t j = 0; j < cols_; ++j) {
+        cost2[j] += g[j];
+      }
+    }
+  }
+  for (std::size_t j = 0; j < cols_; ++j) {
+    s.t.set(j, cost2[j] < cost1[j]);
   }
 }
 
-void ColumnCop::reset_optimal_t_planes(std::span<double> x,
-                                       std::span<double> y,
-                                       std::size_t replicas,
-                                       std::vector<double>& cost_scratch,
-                                       std::vector<std::uint8_t>* degenerate)
-    const {
+void ColumnCop::reset_optimal_t_planes(
+    std::span<double> x, std::span<double> y, std::size_t replicas,
+    std::vector<std::uint8_t>* degenerate) const {
   const std::size_t R = replicas;
   if (x.size() != num_spins() * R || y.size() != x.size()) {
     throw std::invalid_argument("reset_optimal_t_planes: plane size");
   }
-  // cost1[r * cols + j] / cost2[r * cols + j]: replica r's column-j cost
-  // of pattern 1 / pattern 2.
-  cost_scratch.assign(2 * cols_ * R, 0.0);
-  double* cost1 = cost_scratch.data();
-  double* cost2 = cost_scratch.data() + cols_ * R;
-
-  // Degeneracy bookkeeping shares the plane sweeps: V1 == V2 folds over the
-  // row loop once (independent of columns), pattern-2 counts fold over the
-  // column loop as T is chosen.
-  std::vector<std::uint8_t> v_equal;
-  std::vector<std::uint32_t> t2_count;
-  if (degenerate != nullptr) {
-    v_equal.assign(R, 1);
-    t2_count.assign(R, 0);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const double* x1 = &x[v1_spin(i) * R];
-      const double* x2 = &x[v2_spin(i) * R];
-      for (std::size_t r = 0; r < R; ++r) {
-        v_equal[r] =
-            static_cast<std::uint8_t>(v_equal[r] & ((x1[r] >= 0.0) ==
-                                                    (x2[r] >= 0.0)));
-      }
-    }
-  }
-
   // Same comparison as reset_optimal_t (base terms cancel; ties pick
-  // pattern 1), with the row loop outermost: a row whose V1 (V2) sign is
-  // set adds its whole gain row, one contiguous stream, into the replica's
-  // pattern-1 (pattern-2) costs. Every (j, r) cost still sums its rows in
-  // ascending i, and an unset sign adds nothing, as in reset_optimal_t.
-  const auto add_row = [this](double* cost, const double* g) {
-    for (std::size_t j = 0; j < cols_; ++j) {
-      cost[j] += g[j];
-    }
-  };
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* g = &gain_[i * cols_];
-    const double* x1 = &x[v1_spin(i) * R];
-    const double* x2 = &x[v2_spin(i) * R];
-    for (std::size_t r = 0; r < R; ++r) {
-      if (x1[r] >= 0.0) {
-        add_row(cost1 + r * cols_, g);
-      }
-      if (x2[r] >= 0.0) {
-        add_row(cost2 + r * cols_, g);
-      }
-    }
-  }
-  for (std::size_t j = 0; j < cols_; ++j) {
-    double* xt = &x[t_spin(j) * R];
-    double* yt = &y[t_spin(j) * R];
-    for (std::size_t r = 0; r < R; ++r) {
-      const bool pattern2 = cost2[r * cols_ + j] < cost1[r * cols_ + j];
-      xt[r] = pattern2 ? 1.0 : -1.0;
-      yt[r] = 0.0;
-      if (degenerate != nullptr) {
-        t2_count[r] += pattern2 ? 1u : 0u;
-      }
-    }
-  }
-
+  // pattern 1), at the host's vector width: every (j, r) cost still sums
+  // its rows in ascending i, and an unset sign adds nothing.
+  static const kernels::Theorem3ResetFn reset =
+      kernels::select_theorem3_reset(kernels::ForceKernel::kAuto,
+                                     cpu_features());
+  kernels::Theorem3Planes planes;
+  planes.gain = gain_.data();
+  planes.x = x.data();
+  planes.y = y.data();
+  planes.rows = rows_;
+  planes.cols = cols_;
+  planes.replicas = R;
   if (degenerate != nullptr) {
-    degenerate->assign(R, 0);
-    for (std::size_t r = 0; r < R; ++r) {
-      const bool collapsed =
-          t2_count[r] == 0 || t2_count[r] == cols_ || v_equal[r] != 0;
-      (*degenerate)[r] = collapsed ? 1 : 0;
+    degenerate->resize(R);
+    planes.one_pattern = degenerate->data();
+  }
+  reset(planes);
+  if (degenerate == nullptr) {
+    return;
+  }
+  // A replica whose columns all took one pattern is degenerate, and so is
+  // one whose V1 and V2 signs agree on every row (the reset leaves the V
+  // planes as they were).
+  for (std::size_t r = 0; r < R; ++r) {
+    bool v_equal = true;
+    for (std::size_t i = 0; i < rows_ && v_equal; ++i) {
+      v_equal =
+          (x[v1_spin(i) * R + r] >= 0.0) == (x[v2_spin(i) * R + r] >= 0.0);
     }
+    (*degenerate)[r] = static_cast<std::uint8_t>((*degenerate)[r] | v_equal);
   }
 }
 
 void ColumnCop::reset_optimal_v(ColumnSetting& s) const {
   // Row i's V1 bit only affects columns with T_j = 0 and contributes
   // gain_ij per such column when set; choose 1 iff that sum is negative.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double sum1 = 0.0;
-    double sum2 = 0.0;
+  // Branch-free: the sum a column does not feed gets +0.0, which is exact
+  // (a sum starts at +0.0 and never becomes -0.0). Rows are independent
+  // chains, so a block of RB of them runs interleaved.
+  constexpr std::size_t RB = 4;
+  for (std::size_t i0 = 0; i0 < rows_; i0 += RB) {
+    const std::size_t live = std::min(RB, rows_ - i0);
+    double sum1[RB] = {};
+    double sum2[RB] = {};
+    const double* g = &gain_[i0 * cols_];
     for (std::size_t j = 0; j < cols_; ++j) {
-      const double g = gain_[i * cols_ + j];
-      if (s.t.get(j)) {
-        sum2 += g;
-      } else {
-        sum1 += g;
+      const bool t = s.t.get(j);
+      for (std::size_t k = 0; k < live; ++k) {
+        const double gk = g[k * cols_ + j];
+        sum1[k] += t ? 0.0 : gk;
+        sum2[k] += t ? gk : 0.0;
       }
     }
-    s.v1.set(i, sum1 < 0.0);
-    s.v2.set(i, sum2 < 0.0);
+    for (std::size_t k = 0; k < live; ++k) {
+      s.v1.set(i0 + k, sum1[k] < 0.0);
+      s.v2.set(i0 + k, sum2[k] < 0.0);
+    }
   }
 }
 

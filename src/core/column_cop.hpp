@@ -75,9 +75,10 @@ class ColumnCop {
   }
 
   /// Second-order Ising formulation (Eq. 9 / Eq. 16), finalized, with the
-  /// constant chosen so energies equal objective values. The model declares
-  /// its bipartite shape (rows(), cols()), which selects the engines'
-  /// bipartite force layout at one replica.
+  /// constant chosen so energies equal objective values. It is a
+  /// column-COP model (IsingModel::bipartite) holding the r x c plane
+  /// gain / 4, which selects the engines' bipartite force layout at one
+  /// replica.
   IsingModel to_ising() const;
 
   /// Decodes a spin vector (layout above) into a setting.
@@ -95,19 +96,18 @@ class ColumnCop {
   /// as num_spins()): for every replica at once, reads the V1/V2 signs,
   /// computes the per-column optimal T choice, and writes the T oscillators
   /// (+-1 positions, zeroed momenta). Equivalent to decoding each replica,
-  /// calling reset_optimal_t(), and re-encoding T, bit for bit: the row
-  /// loop is outermost and streams each gain row contiguously, and every
+  /// calling reset_optimal_t(), and re-encoding T, bit for bit: the
+  /// accumulation runs at the host's vector width (kernels::
+  /// select_theorem3_reset) with the costs in registers, and every
   /// (column, replica) cost still sums its rows in ascending order.
   ///
-  /// `cost_scratch` is resized to 2 * cols() * replicas and reused across
-  /// calls.
   /// When `degenerate` is non-null it is resized to `replicas` and flags
   /// the replicas whose reset landed in a collapsed state (all columns on
   /// one pattern, or V1 == V2) — the anti-collapse intervention handles
-  /// those separately.
+  /// those separately. Nothing is allocated once `degenerate` holds
+  /// `replicas` entries.
   void reset_optimal_t_planes(std::span<double> x, std::span<double> y,
                               std::size_t replicas,
-                              std::vector<double>& cost_scratch,
                               std::vector<std::uint8_t>* degenerate) const;
 
   /// Per-row optimal V1/V2 for the current s.t (the complementary

@@ -112,11 +112,11 @@ void anti_collapse_intervene(const ColumnCop& cop, ReplicaView v) {
 /// member there, so each member keeps its own scratch).
 SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
                                     bool anti_collapse) {
-  return [&cop, &ctx, anti_collapse, cost_scratch = std::vector<double>{},
+  return [&cop, &ctx, anti_collapse,
           degenerate = std::vector<std::uint8_t>{}](
              std::span<double> x, std::span<double> y,
              std::size_t replicas) mutable {
-    cop.reset_optimal_t_planes(x, y, replicas, cost_scratch,
+    cop.reset_optimal_t_planes(x, y, replicas,
                                anti_collapse ? &degenerate : nullptr);
     qor_add(ctx.qor(), "ising/theorem3/resets",
             static_cast<double>(replicas));

@@ -128,13 +128,12 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
       }
 
       std::vector<std::optional<Candidate>> candidates(params.num_partitions);
-      // Candidate p's COP, built into `scratch` buffers (the Boolean
+      // The COP of partition w, built into `scratch` buffers (the Boolean
       // matrix, the probability table, and the joint D table are all shape
       // r x c for every candidate, so a reused scratch allocates once).
       // ColumnCop owns copies of everything it needs, so the returned COP
       // outlives the scratch contents.
-      auto build_cop = [&](std::size_t p, EvalScratch& scratch) {
-        const InputPartition& w = candidates_w[p];
+      auto build_cop = [&](const InputPartition& w, EvalScratch& scratch) {
         const PartitionIndexer idx(w);
         if (!scratch.matrix) {
           scratch.matrix.emplace(w.num_rows(), w.num_cols());
@@ -165,7 +164,7 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
         // Per-worker scratch reused across candidate partitions (and across
         // rounds), so only the first evaluation on each thread allocates.
         thread_local EvalScratch scratch;
-        ColumnCop cop = build_cop(p, scratch);
+        ColumnCop cop = build_cop(candidates_w[p], scratch);
         Candidate cand{candidates_w[p], {}, {}};
         cand.setting =
             solver.solve(cop, ctx, ctx.stream_seed("dalta/candidate", round,
@@ -185,7 +184,7 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
         cops.reserve(params.num_partitions);
         std::vector<std::uint64_t> seeds(params.num_partitions);
         for (std::size_t p = 0; p < params.num_partitions; ++p) {
-          cops.push_back(build_cop(p, scratch));
+          cops.push_back(build_cop(candidates_w[p], scratch));
           seeds[p] = ctx.stream_seed("dalta/candidate", round, k, p);
         }
         std::vector<CoreSolveStats> stats;
@@ -234,29 +233,48 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
         result.early_stops += cand->stats.stopped_early ? 1 : 0;
       }
 
-      // Commit: replace output k and refresh the cached words.
-      BitVec new_bits = compose_output(best.setting, best.partition);
-      const BitVec& old_bits = result.approx.output(k);
-      const std::int64_t weight = std::int64_t{1} << k;
-      for (std::uint64_t x = 0; x < patterns; ++x) {
-        const bool was = old_bits.get(x);
-        const bool now = new_bits.get(x);
-        if (was != now) {
-          approx_words[x] += now ? weight : -weight;
-        }
+      // A round never makes an output worse: from the second round on, the
+      // incumbent decomposition is re-scored on its partition's COP under
+      // the current D, and the round's best replaces it only when strictly
+      // better, by the candidate scan's rule. (Joint mode's objective is
+      // the MED with the other outputs fixed, so a worse commit raises it.)
+      const double best_objective = best.stats.objective;
+      bool commit = true;
+      if (chosen[k].has_value()) {
+        EvalScratch scratch;
+        OutputDecomposition& incumbent = *chosen[k];
+        incumbent.objective =
+            build_cop(incumbent.partition, scratch).objective(
+                incumbent.setting);
+        commit = best_objective < incumbent.objective - 1e-15;
       }
-      result.approx.set_output(k, std::move(new_bits));
-      trace_counter(tracer, "dalta/committed_objective",
-                    best.stats.objective);
-      chosen[k] = OutputDecomposition{best.partition, std::move(best.setting),
-                                      best.stats.objective};
+
+      // Commit: replace output k and refresh the cached words.
+      if (commit) {
+        BitVec new_bits = compose_output(best.setting, best.partition);
+        const BitVec& old_bits = result.approx.output(k);
+        const std::int64_t weight = std::int64_t{1} << k;
+        for (std::uint64_t x = 0; x < patterns; ++x) {
+          const bool was = old_bits.get(x);
+          const bool now = new_bits.get(x);
+          if (was != now) {
+            approx_words[x] += now ? weight : -weight;
+          }
+        }
+        result.approx.set_output(k, std::move(new_bits));
+        chosen[k] = OutputDecomposition{best.partition,
+                                        std::move(best.setting),
+                                        best_objective};
+      }
+      const double committed_objective = chosen[k]->objective;
+      trace_counter(tracer, "dalta/committed_objective", committed_objective);
 
       // Quality observability: record the committed decision. Reads only —
       // the committed bits and candidate objectives are already fixed — so
       // the off path stays bit-identical (and costs one pointer test).
       if (QorRecorder* q = ctx.qor()) {
         std::size_t tried = 0;
-        double worst = best.stats.objective;
+        double worst = best_objective;
         for (const auto& cand : candidates) {
           if (!cand.has_value()) {
             continue;
@@ -269,7 +287,7 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
         rec.round = round;
         rec.output = k;
         rec.tried = tried;
-        rec.best_objective = best.stats.objective;
+        rec.best_objective = committed_objective;
         rec.worst_objective = worst;
         rec.error_rate =
             error_rate(exact.output(k), result.approx.output(k), dist);

@@ -39,7 +39,8 @@ struct DaltaParams {
 struct OutputDecomposition {
   InputPartition partition;
   ColumnSetting setting;
-  double objective = 0.0;  // solver objective of the winning candidate
+  double objective = 0.0;  // COP objective of the committed setting,
+                           // re-scored in every round that keeps it
 };
 
 /// Result of a full approximate-decomposition run.

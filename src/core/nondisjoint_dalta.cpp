@@ -235,26 +235,46 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
         result.solver_iterations += cand->iterations;
       }
 
+      // A round never makes an output worse (see run_dalta): the
+      // incumbent is re-scored slice by slice under the current D and
+      // replaced only by a strictly better candidate.
       NdCandidate& best = *candidates[best_p];
-      BitVec new_bits = compose_output(best.setting, best.partition);
-      const BitVec& old_bits = result.approx.output(k);
-      const std::int64_t weight = std::int64_t{1} << k;
-      for (std::uint64_t x = 0; x < patterns; ++x) {
-        const bool was = old_bits.get(x);
-        const bool now = new_bits.get(x);
-        if (was != now) {
-          approx_words[x] += now ? weight : -weight;
+      const double best_objective = best.objective;
+      bool commit = true;
+      if (chosen[k].has_value()) {
+        NdOutputDecomposition& incumbent = *chosen[k];
+        std::vector<double> probs;
+        std::vector<double> d;
+        double objective = 0.0;
+        for (std::uint64_t sl = 0; sl < incumbent.partition.num_slices();
+             ++sl) {
+          objective += build_cop(incumbent.partition, sl, probs, d)
+                           .objective(incumbent.setting.slices[sl]);
         }
+        incumbent.objective = objective;
+        commit = best_objective < objective - 1e-15;
       }
-      result.approx.set_output(k, std::move(new_bits));
-      chosen[k] = NdOutputDecomposition{best.partition,
-                                        std::move(best.setting),
-                                        best.objective};
+      if (commit) {
+        BitVec new_bits = compose_output(best.setting, best.partition);
+        const BitVec& old_bits = result.approx.output(k);
+        const std::int64_t weight = std::int64_t{1} << k;
+        for (std::uint64_t x = 0; x < patterns; ++x) {
+          const bool was = old_bits.get(x);
+          const bool now = new_bits.get(x);
+          if (was != now) {
+            approx_words[x] += now ? weight : -weight;
+          }
+        }
+        result.approx.set_output(k, std::move(new_bits));
+        chosen[k] = NdOutputDecomposition{best.partition,
+                                          std::move(best.setting),
+                                          best_objective};
+      }
 
       // Quality observability (reads only; see run_dalta's commit site).
       if (QorRecorder* q = ctx.qor()) {
         std::size_t tried = 0;
-        double worst = best.objective;
+        double worst = best_objective;
         for (const auto& cand : candidates) {
           if (!cand.has_value()) {
             continue;
@@ -267,7 +287,7 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
         rec.round = round;
         rec.output = k;
         rec.tried = tried;
-        rec.best_objective = best.objective;
+        rec.best_objective = chosen[k]->objective;
         rec.worst_objective = worst;
         rec.error_rate =
             error_rate(exact.output(k), result.approx.output(k), dist);

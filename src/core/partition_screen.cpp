@@ -1,22 +1,72 @@
 #include "core/partition_screen.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+
+#include "boolean/boolean_matrix.hpp"
 
 namespace adsd {
 
 PartitionScreener::PartitionScreener(const BitVec& output_bits,
                                      unsigned num_inputs)
-    : mgr_(std::make_unique<BddManager>(num_inputs)) {
+    : bits_(output_bits), num_inputs_(num_inputs) {
   if (output_bits.size() != (std::uint64_t{1} << num_inputs)) {
     throw std::invalid_argument("PartitionScreener: table size mismatch");
   }
-  root_ = mgr_->from_truth_table(output_bits);
 }
 
 std::size_t PartitionScreener::multiplicity(const InputPartition& w) const {
-  return bdd_column_multiplicity(*mgr_, root_, w);
+  if (w.num_inputs() != num_inputs_) {
+    throw std::invalid_argument("PartitionScreener: partition width");
+  }
+  // The input pattern of cell (i, j) is rows[i] | cols[j]: the row and
+  // column indices deposited onto the free and bound positions, built by
+  // doubling. Column j is gathered straight into its packed words, then
+  // the columns are sorted and their distinct runs counted. Per-thread
+  // scratch, reused.
+  thread_local std::vector<std::uint64_t> rows;
+  thread_local std::vector<std::uint64_t> cols;
+  thread_local std::vector<std::uint64_t> words;
+  thread_local std::vector<std::uint32_t> order;
+  const auto deposit = [](const std::vector<unsigned>& vars,
+                          std::vector<std::uint64_t>& out) {
+    out.resize(std::size_t{1} << vars.size());
+    out[0] = 0;
+    for (std::size_t k = 0; k < vars.size(); ++k) {
+      const std::size_t half = std::size_t{1} << k;
+      for (std::size_t i = 0; i < half; ++i) {
+        out[half + i] = out[i] | (std::uint64_t{1} << vars[k]);
+      }
+    }
+  };
+  deposit(w.free_vars(), rows);
+  deposit(w.bound_vars(), cols);
+  const std::size_t r = rows.size();
+  const std::size_t wpc = column_word_count(r);
+  words.resize(cols.size() * wpc);
+  const std::vector<std::uint64_t>& table = bits_.words();
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    const std::uint64_t base = cols[j];
+    for (std::size_t i0 = 0; i0 < r; i0 += 64) {
+      const std::size_t live = std::min<std::size_t>(64, r - i0);
+      std::uint64_t word = 0;
+      for (std::size_t t = 0; t < live; ++t) {
+        const std::uint64_t x = rows[i0 + t] | base;
+        word |= ((table[x / 64] >> (x % 64)) & 1u) << t;
+      }
+      words[j * wpc + i0 / 64] = word;
+    }
+  }
+  sort_column_words(words, wpc, order);
+  std::size_t distinct = 0;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::uint64_t* key = words.data() + order[k] * wpc;
+    distinct += k == 0 || !std::equal(key, key + wpc,
+                                      words.data() + order[k - 1] * wpc);
+  }
+  return distinct;
 }
 
 std::vector<InputPartition> PartitionScreener::screen(

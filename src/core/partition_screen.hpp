@@ -1,15 +1,13 @@
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "bdd/bdd.hpp"
-#include "bdd/bdd_decompose.hpp"
 #include "boolean/partition.hpp"
 #include "support/bitvec.hpp"
 
 namespace adsd {
 
-/// BDD-based candidate-partition screener.
+/// Candidate-partition screener.
 ///
 /// The DALTA framework samples P random partitions per output and pays a
 /// full core-COP solve for each. The column multiplicity (number of
@@ -17,14 +15,17 @@ namespace adsd {
 /// can be approximated by two column patterns: multiplicity 2 means an
 /// exact decomposition exists, and low multiplicity means the columns
 /// cluster tightly. Screening generates `screen_factor * P` candidates,
-/// ranks them by multiplicity on the output's BDD, and keeps the best P --
-/// trading a cheap BDD pass for fewer wasted solver calls.
+/// ranks them by multiplicity, and keeps the best P -- trading a cheap
+/// pass over the truth table for fewer wasted solver calls.
 class PartitionScreener {
  public:
-  /// Builds the BDD of one output column (2^n bits).
+  /// Screens one output column (2^n bits).
   explicit PartitionScreener(const BitVec& output_bits, unsigned num_inputs);
 
-  /// Column multiplicity of the screened output under `w`.
+  /// Column multiplicity of the screened output under `w`: by Theorem 2,
+  /// the number of distinct columns of the output's Boolean matrix under
+  /// `w`, counted from the truth table into packed column words that are
+  /// sorted and run-counted (per-thread scratch, reused).
   std::size_t multiplicity(const InputPartition& w) const;
 
   /// Keeps the `keep` partitions of lowest multiplicity (stable order among
@@ -33,10 +34,8 @@ class PartitionScreener {
                                      std::size_t keep) const;
 
  private:
-  // The manager is mutable state (caches) behind a const-looking API;
-  // guarded by value semantics per screener instance.
-  mutable std::unique_ptr<BddManager> mgr_;
-  BddManager::NodeRef root_;
+  BitVec bits_;
+  unsigned num_inputs_;
 };
 
 }  // namespace adsd

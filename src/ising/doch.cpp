@@ -30,8 +30,8 @@ DochEngine::DochEngine(const IsingModel& model, const DochParams& params,
     // radius, which makes the convex split valid for any instance.
     for (std::size_t i = 0; i < n_; ++i) {
       double row = 0.0;
-      for (std::size_t e = csr_.row_start[i]; e < csr_.row_start[i + 1]; ++e) {
-        row += std::fabs(csr_.weights[e]);
+      for (const auto& [j, w] : model.neighbors(i)) {
+        row += std::fabs(w);
       }
       rho_ = std::max(rho_, row);
     }

@@ -78,6 +78,10 @@ void EnsembleEnergyTracker::init(const IsingModel& model, const CsrPlanes& csr,
                                  std::size_t replicas) {
   model_ = &model;
   csr_ = &csr;
+  const std::optional<BipartiteShape>& shape = model.bipartite_shape();
+  plane_ = shape ? model.bipartite_plane().data() : nullptr;
+  rows_ = shape ? shape->rows : 0;
+  cols_ = shape ? shape->cols : 0;
   n_ = model.num_spins();
   R_ = replicas;
   spins_.resize(n_ * R_);
@@ -94,6 +98,52 @@ void EnsembleEnergyTracker::init(const IsingModel& model, const CsrPlanes& csr,
   dirty_.assign(R_, 0);
 }
 
+double EnsembleEnergyTracker::csr_field(std::size_t i, std::size_t r) const {
+  double field = csr_->h[i];
+  for (std::size_t e = csr_->row_start[i]; e < csr_->row_start[i + 1]; ++e) {
+    field += csr_->weights[e] *
+             static_cast<double>(
+                 spins_[static_cast<std::size_t>(csr_->cols[e]) * R_ + r]);
+  }
+  return field;
+}
+
+double EnsembleEnergyTracker::plane_field(std::size_t i, std::size_t r) const {
+  // The CSR row of the same model, term for term: a V1 row adds w * s_T
+  // over ascending columns and a V2 row (-w) * s_T; a T row adds w * s_V1,
+  // then (-w) * s_V2, over ascending rows. The zero entries CSR drops add
+  // +-0.0 here, which cannot change the h-seeded sum (h is never -0.0,
+  // and a finite sum is -0.0 only when both addends are).
+  const std::size_t rows = rows_;
+  const std::size_t cols = cols_;
+  const std::size_t R = R_;
+  const std::int8_t* s = spins_.data() + r;
+  double field = csr_->h[i];
+  if (i < 2 * rows) {
+    const bool v2 = i >= rows;
+    const double* w = plane_ + (v2 ? i - rows : i) * cols;
+    const std::int8_t* st = s + 2 * rows * R;
+    if (v2) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        field += -w[j] * static_cast<double>(st[j * R]);
+      }
+    } else {
+      for (std::size_t j = 0; j < cols; ++j) {
+        field += w[j] * static_cast<double>(st[j * R]);
+      }
+    }
+  } else {
+    const double* w = plane_ + (i - 2 * rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+      field += w[k * cols] * static_cast<double>(s[k * R]);
+    }
+    for (std::size_t k = 0; k < rows; ++k) {
+      field += -w[k * cols] * static_cast<double>(s[(rows + k) * R]);
+    }
+  }
+  return field;
+}
+
 void EnsembleEnergyTracker::flip(std::size_t i, std::size_t r,
                                  std::int8_t new_sign) {
   // Exact flip telescope: the energy delta of flipping spin i is
@@ -101,12 +151,7 @@ void EnsembleEnergyTracker::flip(std::size_t i, std::size_t r,
   // applying flips one at a time keeps the tracked energy equal to a full
   // recomputation (up to accumulation rounding).
   const std::int8_t old_sign = spins_[i * R_ + r];
-  double field = csr_->h[i];
-  for (std::size_t e = csr_->row_start[i]; e < csr_->row_start[i + 1]; ++e) {
-    field += csr_->weights[e] *
-             static_cast<double>(
-                 spins_[static_cast<std::size_t>(csr_->cols[e]) * R_ + r]);
-  }
+  const double field = plane_ != nullptr ? plane_field(i, r) : csr_field(i, r);
   energies_[r] += 2.0 * static_cast<double>(old_sign) * field;
   spins_[i * R_ + r] = new_sign;
   dirty_[r] = 1;
@@ -218,10 +263,14 @@ IsingSolveResult run_engine(IsingEngine& engine) {
   const std::string variance_counter =
       std::string(trprefix) + "/stop_variance";
 
+  // Sampling points fall every sample_every steps, (iter + 1) a multiple
+  // of it; a countdown finds them without a division per step.
+  std::size_t until_sample = sample_every;
   std::size_t iter = 0;
   for (; iter < engine.max_iterations(); ++iter) {
     engine.advance(iter);
-    if ((iter + 1) % sample_every == 0) {
+    if (--until_sample == 0) {
+      until_sample = sample_every;
       const double best_now = engine.observe(result);
       ++energy_samples;
       trace_counter(tracer, best_counter, best_now);
@@ -348,30 +397,35 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
     throw std::invalid_argument(std::string(label) + ": need >= 1 replica");
   }
 
-  csr_ = flatten_csr(model);
-
   // Resolve the force kernel once: cpuid-probed ISA tier, the bipartite
-  // layout at R = 1 on a model that declares the column-COP shape,
-  // explicit override via the engine's kernel parameter. The dispatch
-  // never fails — unsupported requests walk the fallback chain (avx512 ->
-  // avx2 -> scalar). R_ >= 1 here: the check above rejects 0 replicas
-  // before a kernel is selected.
+  // layout at R = 1 on a column-COP model, explicit override via the
+  // engine's kernel parameter. The dispatch never fails — unsupported
+  // requests walk the fallback chain (avx512 -> avx2 -> scalar). R_ >= 1
+  // here: the check above rejects 0 replicas before a kernel is selected.
   const std::optional<BipartiteShape>& shape = model.bipartite_shape();
   kernel_ = kernels::select_force_kernel(
       requested, cpu_features(), R_,
       shape ? kernels::ModelShape::kBipartite : kernels::ModelShape::kGeneric);
   force_fn_ = discrete ? kernel_.discrete : kernel_.continuous;
   planes_ = kernels::ForcePlanes{};
+  if (kernel_.kind == kernels::ForceKernel::kBipartite) {
+    // The tiles come straight from the plane; no CSR is derived.
+    csr_.h.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      csr_.h[i] = model.bias(i);
+    }
+    bipartite_ = kernels::build_bipartite(model.bipartite_plane().data(),
+                                          shape->rows, shape->cols);
+    bipartite_.bind(planes_);
+  } else {
+    csr_ = flatten_csr(model);
+    planes_.row_start = csr_.row_start.data();
+    planes_.cols = csr_.cols.data();
+    planes_.weights = csr_.weights.data();
+  }
   planes_.h = csr_.h.data();
-  planes_.row_start = csr_.row_start.data();
-  planes_.cols = csr_.cols.data();
-  planes_.weights = csr_.weights.data();
   planes_.n = n_;
   planes_.replicas = R_;
-  if (kernel_.kind == kernels::ForceKernel::kBipartite) {
-    bipartite_ = kernels::build_bipartite(planes_, shape->rows, shape->cols);
-    bipartite_.bind(planes_);
-  }
 
   x_.assign(n_ * R_, 0.0);
   y_.assign(n_ * R_, 0.0);

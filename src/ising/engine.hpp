@@ -55,8 +55,8 @@ using SbBatchPlaneHook = std::function<void(
 
 /// Flattened CSR adjacency of one Ising model: separate column-index and
 /// weight planes (no interleaved pairs), 64-byte aligned, plus the bias
-/// vector — the layout every SoA ensemble engine streams in its force
-/// pass and the incremental-energy tracker walks per flip.
+/// vector — the layout the CSR force kernels stream and the
+/// incremental-energy tracker walks per flip of a general model.
 struct CsrPlanes {
   std::vector<std::size_t> row_start;  // n + 1
   AlignedVector<std::uint32_t> cols;
@@ -83,7 +83,9 @@ double default_coupling_strength(const IsingModel& model, double detuning);
 class EnsembleEnergyTracker {
  public:
   /// Captures signs/energies from the initial positions. The model and
-  /// CSR planes must outlive the tracker.
+  /// CSR planes must outlive the tracker. A column-COP model's flips walk
+  /// its coupling plane in CSR's term order, so of `csr` they read only
+  /// the biases.
   void init(const IsingModel& model, const CsrPlanes& csr,
             std::span<const double> x, std::size_t replicas);
 
@@ -107,9 +109,14 @@ class EnsembleEnergyTracker {
 
  private:
   void flip(std::size_t i, std::size_t r, std::int8_t new_sign);
+  double csr_field(std::size_t i, std::size_t r) const;
+  double plane_field(std::size_t i, std::size_t r) const;
 
   const IsingModel* model_ = nullptr;
   const CsrPlanes* csr_ = nullptr;
+  const double* plane_ = nullptr;  // column-COP plane, else nullptr
+  std::size_t rows_ = 0;           // plane shape
+  std::size_t cols_ = 0;
   std::size_t n_ = 0;
   std::size_t R_ = 0;
   AlignedVector<std::int8_t> spins_;        // n * R
@@ -199,11 +206,12 @@ class IsingEngine {
 IsingSolveResult run_engine(IsingEngine& engine);
 
 /// Shared chassis of the SoA lockstep ensemble engines (bSB, SimCIM,
-/// DOCH): replica-contiguous position/secondary/force planes, the
-/// flattened CSR adjacency (plus the bipartite layout at R = 1 on a
-/// column-COP model), a dispatched force kernel (CSR passes row-sharded
-/// over the context pool), incremental energy tracking, and the
-/// sampling-point hook application. Derived engines
+/// DOCH): replica-contiguous position/secondary/force planes, the force
+/// layout (the bipartite tiles, built straight from a column-COP model's
+/// plane, at R = 1 on such a model; the flattened CSR adjacency
+/// otherwise), a dispatched force kernel (CSR passes row-sharded over the
+/// context pool), incremental energy tracking, and the sampling-point
+/// hook application. Derived engines
 /// implement the dynamics (advance) over the shared planes and their
 /// parameter plumbing; everything else — begin/observe/finish, hook
 /// dispatch, kernel reporting — is inherited.
@@ -261,11 +269,11 @@ class EnsembleEngineBase : public IsingEngine {
   void finish(IsingSolveResult& result) override;
 
  protected:
-  /// Flattens the model, resolves the force kernel (honoring `requested`
-  /// against CPU features, the replica count and the model's declared
-  /// shape), builds the bipartite layout when that kernel won, and
-  /// allocates the zero-filled x/y/force planes. `label` prefixes
-  /// validation messages.
+  /// Resolves the force kernel (honoring `requested` against CPU
+  /// features, the replica count and the model's shape), builds the
+  /// bipartite tiles from the plane when that kernel won and flattens the
+  /// CSR adjacency otherwise, and allocates the zero-filled x/y/force
+  /// planes. `label` prefixes validation messages.
   EnsembleEngineBase(const IsingModel& model, std::size_t replicas,
                      kernels::ForceKernel requested, bool discrete,
                      const char* label);
@@ -281,7 +289,7 @@ class EnsembleEngineBase : public IsingEngine {
   const IsingModel& model_;
   std::size_t n_;
   std::size_t R_;
-  CsrPlanes csr_;
+  CsrPlanes csr_;                       // h always; CSR unless kBipartite
   kernels::BipartiteLayout bipartite_;  // built only for kBipartite
   kernels::SelectedForceKernel kernel_;
   kernels::ForceRowsFn force_fn_ = nullptr;  // continuous or discrete entry

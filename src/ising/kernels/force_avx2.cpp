@@ -10,8 +10,8 @@
 // scalar reference -- and the arithmetic is mul-then-add (never FMA; the
 // build also pins -ffp-contract=off), so results are bit-exact against
 // every other kernel tier. The R = 1 bipartite kernel vectorizes across
-// the rows of a block instead, and the bSB step across four lanes, under
-// the same contract.
+// the rows of a block instead, and the bSB step and the Theorem-3 reset
+// across four lanes, under the same contract.
 
 #include "ising/kernels/force_kernels_detail.hpp"
 
@@ -319,6 +319,74 @@ void bsb_step_avx2(const BsbStepPlanes& s) {
     bsb_step_portable(tail);
   }
 }
+// Theorem-3 reset: per replica, a 16-column chunk keeps each pattern's
+// costs in four ymm across the ascending rows. A row ANDs its gain chunk
+// with an all-ones or all-zeros mask, so a negative sign adds +0.0,
+// which leaves the cost unchanged. At R = 1 the T positions and momenta
+// store through lane masks; at R > 1 they are strided and written one by
+// one.
+void theorem3_reset_avx2(const Theorem3Planes& p) {
+  constexpr std::size_t CB = 16;
+  const std::size_t R = p.replicas;
+  const std::size_t r = p.rows;
+  const std::size_t c = p.cols;
+  const __m256d minus_one = _mm256_set1_pd(-1.0);
+  const __m256d plus_one = _mm256_set1_pd(1.0);
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  const __m256d none = _mm256_setzero_pd();
+  for (std::size_t q = 0; q < R; ++q) {
+    const double* x1 = p.x + q;
+    const double* x2 = p.x + r * R + q;
+    std::size_t pattern2 = 0;
+    for (std::size_t col0 = 0; col0 < c; col0 += CB) {
+      const std::size_t live = std::min(CB, c - col0);
+      __m256i m[4];
+      __m256d a1[4];
+      __m256d a2[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        m[k] = lanes_below(live, static_cast<long long>(4 * k));
+        a1[k] = _mm256_setzero_pd();
+        a2[k] = _mm256_setzero_pd();
+      }
+      for (std::size_t i = 0; i < r; ++i) {
+        const __m256d on1 = x1[i * R] >= 0.0 ? all : none;
+        const __m256d on2 = x2[i * R] >= 0.0 ? all : none;
+        const double* g = p.gain + i * c + col0;
+        for (std::size_t k = 0; k < 4; ++k) {
+          const __m256d gk = _mm256_maskload_pd(g + 4 * k, m[k]);
+          a1[k] = _mm256_add_pd(a1[k], _mm256_and_pd(gk, on1));
+          a2[k] = _mm256_add_pd(a2[k], _mm256_and_pd(gk, on2));
+        }
+      }
+      double* xt = p.x + (2 * r + col0) * R + q;
+      double* yt = p.y + (2 * r + col0) * R + q;
+      for (std::size_t k = 0; k < 4; ++k) {
+        const __m256d two = _mm256_and_pd(
+            _mm256_cmp_pd(a2[k], a1[k], _CMP_LT_OQ), _mm256_castsi256_pd(m[k]));
+        pattern2 += static_cast<std::size_t>(
+            __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(two))));
+        const __m256d t = _mm256_blendv_pd(minus_one, plus_one, two);
+        if (R == 1) {
+          _mm256_maskstore_pd(xt + 4 * k, m[k], t);
+          _mm256_maskstore_pd(yt + 4 * k, m[k], _mm256_setzero_pd());
+        } else {
+          alignas(32) double lanes[4];
+          _mm256_store_pd(lanes, t);
+          const std::size_t n =
+              live > 4 * k ? std::min<std::size_t>(4, live - 4 * k) : 0;
+          for (std::size_t l = 0; l < n; ++l) {
+            xt[(4 * k + l) * R] = lanes[l];
+            yt[(4 * k + l) * R] = 0.0;
+          }
+        }
+      }
+    }
+    if (p.one_pattern != nullptr) {
+      p.one_pattern[q] = pattern2 == 0 || pattern2 == c ? 1 : 0;
+    }
+  }
+}
+
 void pack_force_avx2(const PackForcePlanes& p, std::size_t row_begin,
                      std::size_t row_end) {
   pack_force<false>(p, row_begin, row_end);

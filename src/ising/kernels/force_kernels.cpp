@@ -252,6 +252,7 @@ struct Tier {
   ForceRowsFn bipartite_c;
   ForceRowsFn bipartite_d;
   BsbStepFn bsb_step;
+  Theorem3ResetFn theorem3_reset;
   const char* csr_name;
   const char* bipartite_name;
 };
@@ -261,6 +262,7 @@ constexpr Tier kScalarTier = {csr_force_scalar,
                               bipartite_force_scalar,
                               bipartite_force_scalar_d,
                               detail::bsb_step_portable,
+                              detail::theorem3_reset_portable,
                               "scalar",
                               "bipartite-scalar"};
 
@@ -270,6 +272,7 @@ constexpr Tier kAvx2Tier = {detail::csr_force_avx2,
                             detail::bipartite_force_avx2,
                             detail::bipartite_force_avx2_d,
                             detail::bsb_step_avx2,
+                            detail::theorem3_reset_avx2,
                             "avx2",
                             "bipartite-avx2"};
 #endif
@@ -280,6 +283,7 @@ constexpr Tier kAvx512Tier = {detail::csr_force_avx512,
                               detail::bipartite_force_avx512,
                               detail::bipartite_force_avx512_d,
                               detail::bsb_step_avx512,
+                              detail::theorem3_reset_avx512,
                               "avx512",
                               "bipartite-avx512"};
 #endif
@@ -368,6 +372,46 @@ void detail::bsb_step_portable(const BsbStepPlanes& s) {
     const double clamped = lo > 1.0 ? 1.0 : lo;
     s.y[k] = clamped == xk ? s.y[k] : 0.0;
     s.x[k] = clamped;
+  }
+}
+
+// The reference reset every tier must reproduce bit for bit. Replica by
+// replica, each chunk of 8 columns keeps its pattern-1 and pattern-2
+// costs in two register files over the ascending rows; the selects add
+// +0.0 for a row whose sign is negative, with no branch per sign.
+void detail::theorem3_reset_portable(const Theorem3Planes& p) {
+  constexpr std::size_t CB = 8;
+  const std::size_t R = p.replicas;
+  const std::size_t r = p.rows;
+  const std::size_t c = p.cols;
+  for (std::size_t q = 0; q < R; ++q) {
+    const double* x1 = p.x + q;
+    const double* x2 = p.x + r * R + q;
+    std::size_t pattern2 = 0;
+    for (std::size_t col0 = 0; col0 < c; col0 += CB) {
+      const std::size_t live = std::min(CB, c - col0);
+      double cost1[CB] = {};
+      double cost2[CB] = {};
+      for (std::size_t i = 0; i < r; ++i) {
+        const bool on1 = x1[i * R] >= 0.0;
+        const bool on2 = x2[i * R] >= 0.0;
+        const double* g = p.gain + i * c + col0;
+        for (std::size_t t = 0; t < live; ++t) {
+          cost1[t] += on1 ? g[t] : 0.0;
+          cost2[t] += on2 ? g[t] : 0.0;
+        }
+      }
+      for (std::size_t t = 0; t < live; ++t) {
+        const bool two = cost2[t] < cost1[t];
+        const std::size_t k = (2 * r + col0 + t) * R + q;
+        p.x[k] = two ? 1.0 : -1.0;
+        p.y[k] = 0.0;
+        pattern2 += two ? 1 : 0;
+      }
+    }
+    if (p.one_pattern != nullptr) {
+      p.one_pattern[q] = pattern2 == 0 || pattern2 == c ? 1 : 0;
+    }
   }
 }
 
@@ -466,6 +510,11 @@ BsbStepFn select_bsb_step(ForceKernel requested, const CpuFeatures& features) {
   return tier_for(resolve_isa(requested, features)).bsb_step;
 }
 
+Theorem3ResetFn select_theorem3_reset(ForceKernel requested,
+                                      const CpuFeatures& features) {
+  return tier_for(resolve_isa(requested, features)).theorem3_reset;
+}
+
 std::vector<ForceKernel> selectable_force_kernels() {
   std::vector<ForceKernel> out{ForceKernel::kScalar};
   const CpuFeatures& f = cpu_features();
@@ -485,7 +534,7 @@ void BipartiteLayout::bind(ForcePlanes& planes) const {
   planes.bip_cols = cols;
 }
 
-BipartiteLayout build_bipartite(const ForcePlanes& csr, std::size_t rows,
+BipartiteLayout build_bipartite(const double* plane, std::size_t rows,
                                 std::size_t cols) {
   constexpr std::size_t VB = kBipartiteVRows;
   constexpr std::size_t TB = kBipartiteTRows;
@@ -494,14 +543,15 @@ BipartiteLayout build_bipartite(const ForcePlanes& csr, std::size_t rows,
   out.cols = cols;
   out.v_tiles.assign((rows + VB - 1) / VB * VB * cols, 0.0);
   out.t_tiles.assign((cols + TB - 1) / TB * TB * rows, 0.0);
-  // One scatter of each V1 row's couplings w(i, j) into both tiles; the
-  // plane's dropped (zero) couplings keep the fill value 0.0.
+  // One scatter of each plane row w(i, .) into both tiles; the padding
+  // keeps the fill value 0.0.
   for (std::size_t i = 0; i < rows; ++i) {
+    const double* w = plane + i * cols;
     double* v = out.v_tiles.data() + (i - i % VB) * cols + i % VB;
-    for (std::size_t e = csr.row_start[i]; e < csr.row_start[i + 1]; ++e) {
-      const std::size_t j = csr.cols[e] - 2 * rows;
-      v[j * VB] = csr.weights[e];
-      out.t_tiles[(j - j % TB) * rows + i * TB + j % TB] = csr.weights[e];
+    double* t = out.t_tiles.data() + i * TB;
+    for (std::size_t j = 0; j < cols; ++j) {
+      v[j * VB] = w[j];
+      t[(j - j % TB) * rows + j % TB] = w[j];
     }
   }
   return out;

@@ -22,8 +22,8 @@ namespace adsd::kernels {
 ///                replica-contiguous lanes, so each lane's per-edge
 ///                accumulation order -- and therefore bit-exact parity with
 ///                solve_sb_scalar() -- is preserved.
-///  - kBipartite: what kAuto resolves to at R = 1 on a model that declares
-///                the column-COP shape (IsingModel::bipartite_shape(); never
+///  - kBipartite: what kAuto resolves to at R = 1 on a column-COP model
+///                (IsingModel::bipartite_shape(); never
 ///                requested by name). Vectorizes across ROWS: each V1/V2 row
 ///                pair shares one product per T column, and T rows walk the
 ///                transposed plane (BipartiteLayout). The replica-lane
@@ -64,8 +64,8 @@ struct ForcePlanes {
 
 /// Bipartite layout of a column-COP model (R = 1 only; DESIGN.md §4.6).
 /// Spins are V1 [0, r), V2 [r, 2r), T [2r, 2r + c), the V1-T couplings
-/// form one r x c plane w, and V2 row i holds -w(i, .). Tiles are
-/// zero-padded to whole blocks:
+/// form one r x c plane w (IsingModel::bipartite_plane()), and V2 row i
+/// holds -w(i, .). Tiles are zero-padded to whole blocks:
 ///  - v_tiles: block b of kBipartiteVRows V rows at offset b * 16 * c,
 ///    element [j * 16 + t] = w(16b + t, j);
 ///  - t_tiles: block b of kBipartiteTRows T rows at offset b * 32 * r,
@@ -76,11 +76,11 @@ struct ForcePlanes {
 /// adds (-w) * x_Tj, and IEEE negation is exact, so both see the same
 /// rounded values. A T block adds w * x_V1i over ascending i, then
 /// subtracts w * x_V2i over ascending i: CSR's order, V1 neighbours
-/// before V2 neighbours. The couplings the model dropped sit in the tiles
-/// as 0.0 and add +-0.0, which leaves any accumulator that is not -0.0
-/// unchanged, and an h-seeded accumulator never is: IsingModel stores
-/// biases canonically (never -0.0), and a sum of finite doubles is -0.0
-/// only when both addends are.
+/// before V2 neighbours. The couplings CSR drops (zero plane entries) and
+/// the padding sit in the tiles as +-0.0 and add +-0.0, which leaves any
+/// accumulator that is not -0.0 unchanged, and an h-seeded accumulator
+/// never is: IsingModel stores biases canonically (never -0.0), and a sum
+/// of finite doubles is -0.0 only when both addends are.
 struct BipartiteLayout {
   AlignedVector<double> v_tiles;
   AlignedVector<double> t_tiles;
@@ -91,10 +91,9 @@ struct BipartiteLayout {
   void bind(ForcePlanes& planes) const;
 };
 
-/// Builds the bipartite layout of an r x c column COP from the CSR fields
-/// of `csr` (row_start, cols, weights of the V1 rows; the model's
-/// finalize() has checked the shape).
-BipartiteLayout build_bipartite(const ForcePlanes& csr, std::size_t rows,
+/// Builds the bipartite layout of an r x c column COP from its coupling
+/// plane (row-major w(i, j), IsingModel::bipartite_plane()).
+BipartiteLayout build_bipartite(const double* plane, std::size_t rows,
                                 std::size_t cols);
 
 /// One kernel entry point: fill force rows [row_begin, row_end) for every
@@ -137,7 +136,7 @@ bool force_kernel_compiled(ForceKernel kind);
 bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features);
 
 /// The layouts a model admits: every model has CSR; a column-COP model
-/// (one that declares IsingModel::bipartite_shape()) also has the
+/// (one with IsingModel::bipartite_shape()) also has the
 /// bipartite layout.
 enum class ModelShape { kGeneric, kBipartite };
 
@@ -186,6 +185,41 @@ using BsbStepFn = void (*)(const BsbStepPlanes& planes);
 /// resolves `requested` to (kAuto: the widest supported one), independent
 /// of the force layout. Never fails.
 BsbStepFn select_bsb_step(ForceKernel requested, const CpuFeatures& features);
+
+/// Operands of one Theorem-3 plane reset (ColumnCop::reset_optimal_t_planes,
+/// DESIGN.md §4.6) of an r x c column COP over the SoA planes of R
+/// replicas (spin i of replica q at index i * replicas + q; V1 spins at
+/// [0, r), V2 at [r, 2r), T at [2r, 2r + c)). For every column j and
+/// replica q:
+///
+///   cost1 = sum of gain(i, j) over ascending i with x(V1_i) >= 0,
+///   cost2 = the same over x(V2_i) >= 0,
+///
+/// then x(T_j) = +1 if cost2 < cost1 (pattern 2) else -1, and y(T_j) = 0.
+/// When `one_pattern` is non-null, one_pattern[q] is set to 1 if every
+/// column of replica q took the same pattern and to 0 otherwise.
+struct Theorem3Planes {
+  const double* gain = nullptr;         // r * c, row-major
+  double* x = nullptr;                  // (2r + c) * replicas positions
+  double* y = nullptr;                  // (2r + c) * replicas momenta
+  std::uint8_t* one_pattern = nullptr;  // replicas flags, or nullptr
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t replicas = 0;
+};
+
+/// One reset tier. Every tier keeps each cost's ascending-row sum with
+/// one rounding per add; a row whose sign is negative adds nothing (a
+/// masked add, or an add of +0.0, which is exact: a cost starts at +0.0
+/// and never becomes -0.0). All tiers are therefore bit-identical to the
+/// portable loop and to ColumnCop::reset_optimal_t.
+using Theorem3ResetFn = void (*)(const Theorem3Planes& planes);
+
+/// The reset tier for a kernel request: the ISA select_force_kernel()
+/// resolves `requested` to (kAuto: the widest supported one). Never
+/// fails.
+Theorem3ResetFn select_theorem3_reset(ForceKernel requested,
+                                      const CpuFeatures& features);
 
 /// Pointer bundle of the multi-instance packed bSB engine (DESIGN.md §4.7):
 /// `slots` same-n Ising instances advanced by one force pass. The state is

@@ -51,6 +51,13 @@ void bsb_step_portable(const BsbStepPlanes& s);
 void bsb_step_avx2(const BsbStepPlanes& s);
 void bsb_step_avx512(const BsbStepPlanes& s);
 
+// Theorem-3 reset tiers (Theorem3Planes): cost accumulators held in
+// registers over column chunks (8 columns portable, 16 AVX2, 32
+// AVX-512), rows ascending, no FMA.
+void theorem3_reset_portable(const Theorem3Planes& p);
+void theorem3_reset_avx2(const Theorem3Planes& p);
+void theorem3_reset_avx512(const Theorem3Planes& p);
+
 // Pack kernels (DESIGN.md §4.7): same contract per (instance, replica)
 // lane, but the vector axis is the slot axis -- `active` consecutive
 // instances per (row, replica) group. Each slot's accumulator still sees

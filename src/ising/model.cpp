@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 namespace adsd {
@@ -10,6 +12,22 @@ IsingModel::IsingModel(std::size_t num_spins) : n_(num_spins), h_(num_spins) {
   if (num_spins == 0) {
     throw std::invalid_argument("IsingModel: need at least one spin");
   }
+}
+
+IsingModel IsingModel::bipartite(BipartiteShape shape,
+                                 std::vector<double> plane) {
+  if (shape.rows == 0 || shape.cols == 0 ||
+      plane.size() != shape.rows * shape.cols) {
+    throw std::invalid_argument(
+        "IsingModel::bipartite: plane does not match the shape");
+  }
+  IsingModel m(2 * shape.rows + shape.cols);
+  m.shape_ = shape;
+  m.plane_nonzeros_ = static_cast<std::size_t>(std::count_if(
+      plane.begin(), plane.end(), [](double w) { return w != 0.0; }));
+  m.plane_ = std::move(plane);
+  m.finalized_ = true;
+  return m;
 }
 
 // Biases are stored as value + 0.0: that maps -0.0 to +0.0 and leaves
@@ -31,6 +49,10 @@ void IsingModel::add_coupling(std::size_t i, std::size_t j, double j_value) {
   if (i == j) {
     throw std::invalid_argument("IsingModel::add_coupling: self coupling");
   }
+  if (shape_) {
+    throw std::logic_error(
+        "IsingModel::add_coupling: a column-COP model holds its plane");
+  }
   if (j_value == 0.0) {
     return;
   }
@@ -39,109 +61,151 @@ void IsingModel::add_coupling(std::size_t i, std::size_t j, double j_value) {
   finalized_ = false;
 }
 
-void IsingModel::declare_bipartite(BipartiteShape shape) {
-  if (shape.rows == 0 || shape.cols == 0 ||
-      2 * shape.rows + shape.cols != n_) {
-    throw std::invalid_argument(
-        "IsingModel::declare_bipartite: shape does not match the spin count");
-  }
-  shape_ = shape;
-  finalized_ = false;
-}
-
 void IsingModel::finalize() {
   if (finalized_) {
     return;
   }
-  // Triplets that arrive canonical (i < j) and strictly ascending are
-  // already merged, and add_coupling() never stores a zero, so only other
-  // inputs need the canonicalize / sort / merge / zero-filter pass.
+  for (auto& t : triplets_) {
+    if (t.i > t.j) {
+      std::swap(t.i, t.j);
+    }
+  }
   const auto before = [](const Triplet& a, const Triplet& b) {
     return a.i != b.i ? a.i < b.i : a.j < b.j;
   };
-  bool merged_already = true;
-  for (std::size_t k = 0; k < triplets_.size() && merged_already; ++k) {
-    merged_already = triplets_[k].i < triplets_[k].j &&
-                     (k == 0 || before(triplets_[k - 1], triplets_[k]));
-  }
-  if (!merged_already) {
-    for (auto& t : triplets_) {
-      if (t.i > t.j) {
-        std::swap(t.i, t.j);
-      }
+  std::sort(triplets_.begin(), triplets_.end(), before);
+  std::vector<Triplet> merged;
+  merged.reserve(triplets_.size());
+  for (const auto& t : triplets_) {
+    if (!merged.empty() && merged.back().i == t.i && merged.back().j == t.j) {
+      merged.back().value += t.value;
+    } else {
+      merged.push_back(t);
     }
-    std::sort(triplets_.begin(), triplets_.end(), before);
-    std::vector<Triplet> merged;
-    merged.reserve(triplets_.size());
-    for (const auto& t : triplets_) {
-      if (!merged.empty() && merged.back().i == t.i &&
-          merged.back().j == t.j) {
-        merged.back().value += t.value;
-      } else {
-        merged.push_back(t);
-      }
-    }
-    merged.erase(
-        std::remove_if(merged.begin(), merged.end(),
-                       [](const Triplet& t) { return t.value == 0.0; }),
-        merged.end());
-    triplets_ = std::move(merged);
   }
+  merged.erase(
+      std::remove_if(merged.begin(), merged.end(),
+                     [](const Triplet& t) { return t.value == 0.0; }),
+      merged.end());
+  triplets_ = std::move(merged);
 
   // Build CSR with each edge stored in both rows.
+  auto csr = std::make_unique<Csr>();
   std::vector<std::size_t> degree(n_, 0);
   for (const auto& t : triplets_) {
     ++degree[t.i];
     ++degree[t.j];
   }
-  row_start_.assign(n_ + 1, 0);
+  csr->row_start.assign(n_ + 1, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    row_start_[i + 1] = row_start_[i] + degree[i];
+    csr->row_start[i + 1] = csr->row_start[i] + degree[i];
   }
-  entries_.assign(row_start_[n_], {0, 0.0});
-  std::vector<std::size_t> cursor(row_start_.begin(), row_start_.end() - 1);
+  csr->entries.assign(csr->row_start[n_], {0, 0.0});
+  std::vector<std::size_t> cursor(csr->row_start.begin(),
+                                  csr->row_start.end() - 1);
   for (const auto& t : triplets_) {
-    entries_[cursor[t.i]++] = {t.j, t.value};
-    entries_[cursor[t.j]++] = {t.i, t.value};
+    csr->entries[cursor[t.i]++] = {t.j, t.value};
+    csr->entries[cursor[t.j]++] = {t.i, t.value};
   }
-  if (shape_) {
-    check_bipartite();
-  }
+  csr_.reset(csr.release());
   finalized_ = true;
 }
 
-void IsingModel::check_bipartite() const {
-  // V1 row i and V2 row i must list the same T columns with negated
-  // weights. Each V-T edge then sits once in a V row and once in a T row,
-  // so the entries outside V rows number exactly those inside them unless
-  // some T spins couple to each other.
+IsingModel::Csr IsingModel::plane_csr() const {
+  // The layout finalize() builds from the canonical triplets: every V1
+  // coupling (i ascending, then j), then every V2 coupling. A V row lists
+  // its T columns ascending; a T row lists its V1 neighbours, then its V2
+  // neighbours, each ascending. Zero entries are no coupling.
   const std::size_t r = shape_->rows;
-  std::size_t v_entries = 0;
-  bool ok = true;
-  for (std::size_t i = 0; i < r && ok; ++i) {
-    const std::size_t a = row_start_[i];
-    const std::size_t b = row_start_[r + i];
-    const std::size_t degree = row_start_[i + 1] - a;
-    ok = row_start_[r + i + 1] - b == degree;
-    for (std::size_t k = 0; k < degree && ok; ++k) {
-      ok = entries_[a + k].first >= 2 * r &&
-           entries_[b + k].first == entries_[a + k].first &&
-           entries_[b + k].second == -entries_[a + k].second;
+  const std::size_t c = shape_->cols;
+  Csr csr;
+  std::vector<std::size_t> degree(n_, 0);
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      if (plane_[i * c + j] != 0.0) {
+        ++degree[i];
+        ++degree[r + i];
+        degree[2 * r + j] += 2;
+      }
     }
-    v_entries += 2 * degree;
   }
-  if (!ok || entries_.size() != 2 * v_entries) {
-    throw std::invalid_argument(
-        "IsingModel::finalize: couplings contradict the declared bipartite "
-        "shape");
+  csr.row_start.assign(n_ + 1, 0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    csr.row_start[i + 1] = csr.row_start[i] + degree[i];
   }
+  csr.entries.resize(csr.row_start[n_]);
+  std::vector<std::size_t> cursor(csr.row_start.begin(),
+                                  csr.row_start.end() - 1);
+  for (const double sign : {1.0, -1.0}) {
+    const std::size_t v0 = sign > 0.0 ? 0 : r;
+    for (std::size_t i = 0; i < r; ++i) {
+      for (std::size_t j = 0; j < c; ++j) {
+        const double w = plane_[i * c + j];
+        if (w != 0.0) {
+          const double value = sign > 0.0 ? w : -w;
+          const auto t = static_cast<std::uint32_t>(2 * r + j);
+          csr.entries[cursor[v0 + i]++] = {t, value};
+          csr.entries[cursor[t]++] = {static_cast<std::uint32_t>(v0 + i),
+                                      value};
+        }
+      }
+    }
+  }
+  return csr;
+}
+
+const IsingModel::Csr& IsingModel::csr() const {
+  if (const Csr* built = csr_.get()) {
+    return *built;
+  }
+  // Only a bipartite() model reaches here (a finalized general model
+  // always holds its CSR). Derivation is rare -- R > 1 kernels, the pack,
+  // SA, explicit kernel requests -- so one process-wide lock suffices.
+  static std::mutex derive_mutex;
+  const std::lock_guard<std::mutex> lock(derive_mutex);
+  if (const Csr* built = csr_.get()) {
+    return *built;
+  }
+  csr_.reset(new Csr(plane_csr()));
+  return *csr_.get();
+}
+
+IsingModel::CsrCell::CsrCell(const CsrCell& other) {
+  if (const Csr* csr = other.get()) {
+    ptr_.store(new Csr(*csr), std::memory_order_release);
+  }
+}
+
+IsingModel::CsrCell& IsingModel::CsrCell::operator=(const CsrCell& other) {
+  if (this != &other) {
+    const Csr* csr = other.get();
+    reset(csr != nullptr ? new Csr(*csr) : nullptr);
+  }
+  return *this;
+}
+
+IsingModel::CsrCell::CsrCell(CsrCell&& other) noexcept {
+  ptr_.store(other.ptr_.exchange(nullptr), std::memory_order_release);
+}
+
+IsingModel::CsrCell& IsingModel::CsrCell::operator=(CsrCell&& other) noexcept {
+  if (this != &other) {
+    reset(other.ptr_.exchange(nullptr));
+  }
+  return *this;
+}
+
+IsingModel::CsrCell::~CsrCell() { delete ptr_.load(); }
+
+void IsingModel::CsrCell::reset(Csr* csr) {
+  delete ptr_.exchange(csr, std::memory_order_acq_rel);
 }
 
 std::size_t IsingModel::num_couplings() const {
   if (!finalized_) {
     throw std::logic_error("IsingModel: finalize() before num_couplings()");
   }
-  return entries_.size() / 2;
+  return shape_ ? 2 * plane_nonzeros_ : triplets_.size();
 }
 
 double IsingModel::energy(std::span<const std::int8_t> spins) const {
@@ -155,12 +219,34 @@ double IsingModel::energy(std::span<const std::int8_t> spins) const {
   for (std::size_t i = 0; i < n_; ++i) {
     linear += h_[i] * spins[i];
   }
+  // Each unordered pair is visited once, so the 1/2 in Eq. (1) against
+  // the double-counted symmetric sum is already accounted for.
   double quad = 0.0;
-  for (const auto& t : triplets_) {
-    quad += t.value * spins[t.i] * spins[t.j];
+  if (shape_) {
+    // The triplet order of the same couplings: V1 row-major, then V2 with
+    // -w. A zero entry adds +-0.0, which leaves quad unchanged: it starts
+    // at +0.0 and a sum of finite doubles is -0.0 only when both addends
+    // are.
+    const std::size_t r = shape_->rows;
+    const std::size_t c = shape_->cols;
+    const std::int8_t* t = spins.data() + 2 * r;
+    for (std::size_t i = 0; i < r; ++i) {
+      const double* w = &plane_[i * c];
+      for (std::size_t j = 0; j < c; ++j) {
+        quad += w[j] * spins[i] * t[j];
+      }
+    }
+    for (std::size_t i = 0; i < r; ++i) {
+      const double* w = &plane_[i * c];
+      for (std::size_t j = 0; j < c; ++j) {
+        quad += -w[j] * spins[r + i] * t[j];
+      }
+    }
+  } else {
+    for (const auto& t : triplets_) {
+      quad += t.value * spins[t.i] * spins[t.j];
+    }
   }
-  // Each unordered pair appears once in triplets_, so the 1/2 in Eq. (1)
-  // against the double-counted symmetric sum is already accounted for.
   return -linear - quad + constant_;
 }
 
@@ -169,10 +255,11 @@ void IsingModel::local_fields(std::span<const double> x,
   if (!finalized_) {
     throw std::logic_error("IsingModel: finalize() before local_fields()");
   }
+  const Csr& g = csr();
   for (std::size_t i = 0; i < n_; ++i) {
     double f = h_[i];
-    for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
-      f += entries_[e].second * x[entries_[e].first];
+    for (std::size_t e = g.row_start[i]; e < g.row_start[i + 1]; ++e) {
+      f += g.entries[e].second * x[g.entries[e].first];
     }
     out[i] = f;
   }
@@ -183,11 +270,12 @@ void IsingModel::local_fields_signed(std::span<const double> x,
   if (!finalized_) {
     throw std::logic_error("IsingModel: finalize() before local_fields()");
   }
+  const Csr& g = csr();
   for (std::size_t i = 0; i < n_; ++i) {
     double f = h_[i];
-    for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
-      const double s = x[entries_[e].first] >= 0.0 ? 1.0 : -1.0;
-      f += entries_[e].second * s;
+    for (std::size_t e = g.row_start[i]; e < g.row_start[i + 1]; ++e) {
+      const double s = x[g.entries[e].first] >= 0.0 ? 1.0 : -1.0;
+      f += g.entries[e].second * s;
     }
     out[i] = f;
   }
@@ -198,9 +286,10 @@ double IsingModel::flip_delta(std::span<const std::int8_t> spins,
   if (!finalized_) {
     throw std::logic_error("IsingModel: finalize() before flip_delta()");
   }
+  const Csr& g = csr();
   double field = h_[i];
-  for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
-    field += entries_[e].second * spins[entries_[e].first];
+  for (std::size_t e = g.row_start[i]; e < g.row_start[i + 1]; ++e) {
+    field += g.entries[e].second * spins[g.entries[e].first];
   }
   return 2.0 * spins[i] * field;
 }
@@ -209,14 +298,25 @@ double IsingModel::coupling_rms() const {
   if (!finalized_) {
     throw std::logic_error("IsingModel: finalize() before coupling_rms()");
   }
-  if (triplets_.empty()) {
+  const std::size_t pairs = num_couplings();
+  if (pairs == 0) {
     return 0.0;
   }
   double s = 0.0;
-  for (const auto& t : triplets_) {
-    s += t.value * t.value;
+  if (shape_) {
+    // The triplet order: every V1 coupling, then every V2 coupling, whose
+    // (-w)^2 is w^2. A zero entry adds +0.0, which changes nothing.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const double w : plane_) {
+        s += w * w;
+      }
+    }
+  } else {
+    for (const auto& t : triplets_) {
+      s += t.value * t.value;
+    }
   }
-  return std::sqrt(s / static_cast<double>(triplets_.size()));
+  return std::sqrt(s / static_cast<double>(pairs));
 }
 
 std::span<const std::pair<std::uint32_t, double>> IsingModel::neighbors(
@@ -224,7 +324,9 @@ std::span<const std::pair<std::uint32_t, double>> IsingModel::neighbors(
   if (!finalized_) {
     throw std::logic_error("IsingModel: finalize() before neighbors()");
   }
-  return {entries_.data() + row_start_[i], row_start_[i + 1] - row_start_[i]};
+  const Csr& g = csr();
+  return {g.entries.data() + g.row_start[i],
+          g.row_start[i + 1] - g.row_start[i]};
 }
 
 }  // namespace adsd

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -24,13 +25,22 @@ struct BipartiteShape {
 /// model has energies *equal* to its objective values, which the tests rely
 /// on.
 ///
-/// Couplings are accumulated as triplets and compacted into CSR by
-/// `finalize()`; solvers require a finalized model. Problem instances in
-/// this library are sparse (the core COP is bipartite between T-spins and
-/// V-spins), so CSR keeps the bSB inner loop linear in the edge count.
+/// A general model accumulates couplings as triplets and compacts them
+/// into CSR in `finalize()`; solvers require a finalized model. A
+/// column-COP model (bipartite()) holds its one r x c coupling plane
+/// instead, and derives the same CSR from it only when a consumer walks
+/// CSR (DESIGN.md §4.2).
 class IsingModel {
  public:
   explicit IsingModel(std::size_t num_spins);
+
+  /// The column-COP model of ColumnCop::to_ising(): spins laid out as in
+  /// BipartiteShape, J(V1_i, T_j) = plane[i * cols + j] = -J(V2_i, T_j),
+  /// and no other couplings; a 0.0 entry is no coupling. Requires rows,
+  /// cols >= 1 and plane.size() == rows * cols. The model is finalized on
+  /// construction (biases and the constant may still be set);
+  /// add_coupling() throws std::logic_error on it.
+  static IsingModel bipartite(BipartiteShape shape, std::vector<double> plane);
 
   std::size_t num_spins() const { return n_; }
 
@@ -48,21 +58,19 @@ class IsingModel {
   void set_constant(double c) { constant_ = c; }
   void add_constant(double dc) { constant_ += dc; }
 
-  /// Declares the column-COP shape, which lets the engines run the
-  /// bipartite force layout (DESIGN.md §4.6). Requires 2 rows + cols ==
-  /// num_spins() and rows, cols >= 1. finalize() checks the couplings
-  /// against it: V rows couple only to T spins and T spins only to V
-  /// rows, and V2 row i holds the negated couplings of V1 row i.
-  void declare_bipartite(BipartiteShape shape);
+  /// The column-COP shape of a bipartite() model (which lets the engines
+  /// run the bipartite force layout, DESIGN.md §4.6); empty otherwise.
   const std::optional<BipartiteShape>& bipartite_shape() const {
     return shape_;
   }
 
-  /// Merges duplicate couplings and builds the CSR adjacency. Triplets
-  /// added canonical (i < j) and strictly ascending skip the sort and
-  /// merge. Throws std::invalid_argument when the couplings contradict a
-  /// declared bipartite shape. Idempotent; adding couplings afterwards
-  /// requires another finalize().
+  /// The r x c V1-T coupling plane of a bipartite() model, row-major;
+  /// empty otherwise.
+  std::span<const double> bipartite_plane() const { return plane_; }
+
+  /// Merges duplicate couplings and builds the CSR adjacency. Idempotent;
+  /// adding couplings afterwards requires another finalize(). A no-op on a
+  /// bipartite() model.
   void finalize();
   bool finalized() const { return finalized_; }
 
@@ -88,11 +96,44 @@ class IsingModel {
   /// (requires finalize()).
   double coupling_rms() const;
 
-  /// Neighbors of spin i as (index, J) pairs (requires finalize()).
+  /// Neighbors of spin i as (index, J) pairs, ascending by index
+  /// (requires finalize()). On a
+  /// bipartite() model the first call derives the CSR adjacency from the
+  /// plane; concurrent calls on one shared model are safe.
   std::span<const std::pair<std::uint32_t, double>> neighbors(
       std::size_t i) const;
 
  private:
+  struct Csr {
+    std::vector<std::size_t> row_start;                     // n + 1 entries
+    std::vector<std::pair<std::uint32_t, double>> entries;  // both directions
+  };
+
+  /// Owner of the CSR adjacency, published once through an atomic pointer
+  /// so a bipartite() model can derive it lazily from const accessors that
+  /// several threads may call. Copies carry a built adjacency along.
+  class CsrCell {
+   public:
+    CsrCell() = default;
+    CsrCell(const CsrCell& other);
+    CsrCell& operator=(const CsrCell& other);
+    CsrCell(CsrCell&& other) noexcept;
+    CsrCell& operator=(CsrCell&& other) noexcept;
+    ~CsrCell();
+
+    const Csr* get() const { return ptr_.load(std::memory_order_acquire); }
+    /// Replaces the adjacency (deleting the old one); never concurrent
+    /// with readers, and a null `csr` clears it.
+    void reset(Csr* csr);
+
+   private:
+    std::atomic<Csr*> ptr_{nullptr};
+  };
+
+  /// The CSR adjacency; derives it from the plane on first use.
+  const Csr& csr() const;
+  Csr plane_csr() const;
+
   std::size_t n_;
   std::vector<double> h_;
   double constant_ = 0.0;
@@ -103,13 +144,13 @@ class IsingModel {
     double value;
   };
   std::vector<Triplet> triplets_;
-  std::optional<BipartiteShape> shape_;
 
-  void check_bipartite() const;
+  std::optional<BipartiteShape> shape_;
+  std::vector<double> plane_;     // rows * cols, row-major
+  std::size_t plane_nonzeros_ = 0;
 
   bool finalized_ = false;
-  std::vector<std::size_t> row_start_;                     // n_+1 entries
-  std::vector<std::pair<std::uint32_t, double>> entries_;  // both directions
+  mutable CsrCell csr_;
 };
 
 /// Result common to all Ising solvers.

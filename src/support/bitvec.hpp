@@ -61,8 +61,10 @@ class BitVec {
   bool operator==(const BitVec& other) const;
   bool operator!=(const BitVec& other) const { return !(*this == other); }
 
-  /// Lexicographic order on the bit string (bit 0 most significant for the
-  /// purpose of ordering). Provided so BitVec can key std::map/std::set.
+  /// Shorter vectors first; equal sizes compare words() lexicographically
+  /// as unsigned integers, word 0 first (so within a word the highest
+  /// index is most significant). Provided so BitVec can key
+  /// std::map/std::set.
   bool operator<(const BitVec& other) const;
 
   /// '0'/'1' string, index 0 first.

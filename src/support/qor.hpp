@@ -63,7 +63,9 @@ class QorRecorder {
     std::size_t round = 0;
     std::size_t output = 0;       // output bit index k
     std::size_t tried = 0;        // candidate partitions evaluated
-    double best_objective = 0.0;  // committed candidate
+    double best_objective = 0.0;  // committed setting (from round 1 on,
+                                  // the incumbent's, re-scored, unless a
+                                  // candidate beat it)
     double worst_objective = 0.0; // worst evaluated candidate
     double error_rate = 0.0;      // committed output bit vs the exact bit
   };

@@ -4,7 +4,6 @@
 #include "bdd/bdd_decompose.hpp"
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/decomposition.hpp"
-#include "core/partition_screen.hpp"
 #include "funcs/registry.hpp"
 #include "support/rng.hpp"
 
@@ -255,53 +254,6 @@ TEST(BddDecompose, BrentKungCarryDecomposes) {
   const auto matrix = BooleanMatrix::from_function(single, 0, w);
   EXPECT_EQ(mu, matrix.distinct_columns().size());
   EXPECT_GT(mu, 2u) << "carry is not disjoint-decomposable by operand split";
-}
-
-TEST(PartitionScreen, MultiplicityMatchesMatrix) {
-  Rng rng(29);
-  const auto tt = make_benchmark_table("exp", 7, 7);
-  const PartitionScreener screener(tt.output(5), 7);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto w = InputPartition::random(7, 3, rng);
-    TruthTable single(7, 1);
-    single.set_output(0, tt.output(5));
-    const auto matrix = BooleanMatrix::from_function(single, 0, w);
-    EXPECT_EQ(screener.multiplicity(w), matrix.distinct_columns().size());
-  }
-}
-
-TEST(PartitionScreen, KeepsLowestMultiplicityCandidates) {
-  Rng rng(31);
-  const auto tt = make_benchmark_table("cos", 7, 7);
-  const PartitionScreener screener(tt.output(6), 7);
-  std::vector<InputPartition> candidates;
-  for (int i = 0; i < 12; ++i) {
-    candidates.push_back(InputPartition::random(7, 3, rng));
-  }
-  const auto kept = screener.screen(candidates, 3);
-  ASSERT_EQ(kept.size(), 3u);
-  std::size_t worst_kept = 0;
-  for (const auto& w : kept) {
-    worst_kept = std::max(worst_kept, screener.multiplicity(w));
-  }
-  // No discarded candidate may beat the worst kept one.
-  std::size_t best_possible = 1000;
-  for (const auto& w : candidates) {
-    best_possible = std::min(best_possible, screener.multiplicity(w));
-  }
-  EXPECT_LE(screener.multiplicity(kept.front()), worst_kept);
-  EXPECT_EQ(screener.multiplicity(kept.front()), best_possible);
-}
-
-TEST(PartitionScreen, KeepAllWhenBudgetCoversCandidates) {
-  Rng rng(37);
-  const auto tt = make_benchmark_table("erf", 6, 6);
-  const PartitionScreener screener(tt.output(0), 6);
-  std::vector<InputPartition> candidates;
-  for (int i = 0; i < 4; ++i) {
-    candidates.push_back(InputPartition::random(6, 3, rng));
-  }
-  EXPECT_EQ(screener.screen(candidates, 10).size(), 4u);
 }
 
 TEST(BddDecompose, WidthMismatchThrows) {

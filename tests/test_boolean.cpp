@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "boolean/boolean_matrix.hpp"
@@ -410,6 +412,97 @@ TEST(Decomposition, MismatchCountCountsCells) {
 }
 
 // ----------------------------------------------------------- Metrics
+
+TEST(Decomposition, DominantColumnPairMatchesMapReference) {
+  // The reference is the std::map count scan the word-level version
+  // replaced: map order is BitVec::operator<, and a strictly larger count
+  // displaces the leader. Matrices draw their columns from a few
+  // patterns, so counts tie often; r = 64 and 65 straddle a word boundary.
+  const auto reference = [](const BooleanMatrix& m) {
+    std::map<BitVec, std::size_t> freq;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      ++freq[m.column(j)];
+    }
+    const BitVec* first = nullptr;
+    const BitVec* second = nullptr;
+    std::size_t first_count = 0;
+    std::size_t second_count = 0;
+    for (const auto& [col, count] : freq) {
+      if (count > first_count) {
+        second = first;
+        second_count = first_count;
+        first = &col;
+        first_count = count;
+      } else if (count > second_count) {
+        second = &col;
+        second_count = count;
+      }
+    }
+    return std::pair<BitVec, BitVec>(
+        *first, second != nullptr ? *second : first->complement());
+  };
+  Rng rng(61);
+  for (const std::size_t r : {2u, 16u, 64u, 65u, 128u}) {
+    for (const std::size_t c : {1u, 6u, 32u, 40u}) {
+      for (const std::size_t patterns : {1u, 2u, 3u, 5u}) {
+        for (int trial = 0; trial < 8; ++trial) {
+          std::vector<BitVec> pool(patterns, BitVec(r));
+          for (BitVec& p : pool) {
+            for (std::size_t i = 0; i < r; ++i) {
+              p.set(i, rng.next_bool());
+            }
+          }
+          BooleanMatrix m(r, c);
+          for (std::size_t j = 0; j < c; ++j) {
+            const BitVec& p = pool[rng.next_below(patterns)];
+            for (std::size_t i = 0; i < r; ++i) {
+              m.set(i, j, p.get(i));
+            }
+          }
+          const auto want = reference(m);
+          const auto got = dominant_column_pair(m);
+          EXPECT_EQ(got.first, want.first)
+              << "r=" << r << " c=" << c << " patterns=" << patterns;
+          EXPECT_EQ(got.second, want.second)
+              << "r=" << r << " c=" << c << " patterns=" << patterns;
+        }
+      }
+    }
+  }
+  // One distinct column: the second pattern is its complement.
+  BooleanMatrix one(65, 7);
+  for (std::size_t j = 0; j < 7; ++j) {
+    one.set(64, j, true);
+  }
+  const auto [a, b] = dominant_column_pair(one);
+  EXPECT_EQ(a, one.column(0));
+  EXPECT_EQ(b, one.column(0).complement());
+}
+
+TEST(BooleanMatrix, ColumnWordsPackEveryColumn) {
+  Rng rng(67);
+  for (const std::size_t r : {3u, 64u, 65u, 130u}) {
+    for (const std::size_t c : {9u, 32u, 64u, 100u}) {
+      BooleanMatrix m(r, c);
+      for (std::size_t i = 0; i < r; ++i) {
+        for (std::size_t j = 0; j < c; ++j) {
+          m.set(i, j, rng.next_bool());
+        }
+      }
+      std::vector<std::uint64_t> words(3, ~std::uint64_t{0});
+      m.column_words(words);
+      const std::size_t wpc = column_word_count(r);
+      ASSERT_EQ(words.size(), c * wpc);
+      for (std::size_t j = 0; j < c; ++j) {
+        const BitVec column = m.column(j);
+        const std::vector<std::uint64_t>& want = column.words();
+        EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                               words.begin() + static_cast<long>(j * wpc)))
+            << "r=" << r << " c=" << c << " column " << j;
+      }
+    }
+  }
+}
 
 TEST(InputDistributionTest, UniformSumsToOne) {
   const auto d = InputDistribution::uniform(6);

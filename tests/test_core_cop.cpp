@@ -11,6 +11,11 @@
 #include "boolean/partition.hpp"
 #include "boolean/truth_table.hpp"
 #include "core/column_cop.hpp"
+#include "ising/bsb_batch.hpp"
+#include "ising/doch.hpp"
+#include "ising/kernels/force_kernels.hpp"
+#include "ising/simcim.hpp"
+#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 
 namespace adsd {
@@ -363,9 +368,8 @@ TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
           EXPECT_EQ(want_degenerate[0], 1);
         }
 
-        std::vector<double> scratch;
         std::vector<std::uint8_t> degenerate;
-        cop.reset_optimal_t_planes(x, y, R, scratch, &degenerate);
+        cop.reset_optimal_t_planes(x, y, R, &degenerate);
         const std::string where = std::string(joint ? "joint" : "separate") +
                                   " R=" + std::to_string(R) +
                                   (tie ? " tie" : " equal");
@@ -378,17 +382,96 @@ TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
                   0)
             << where;
         EXPECT_EQ(degenerate, want_degenerate) << where;
-        EXPECT_EQ(scratch.size(), 2 * c * R) << where;
+      }
+    }
+  }
+}
+
+TEST(Theorem3, ResetTiersMatchPortableLoop) {
+  // Every reset tier the host can execute against the portable loop and
+  // against a per-(column, replica) branchy reference, on gain planes with
+  // +-0.0 entries and exact-cancel ties (cost1 == cost2 picks pattern 1).
+  // The column counts cover chunk tails of every tier (8 / 16 / 32).
+  const double values[] = {-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0};
+  Rng rng(31);
+  const auto portable = kernels::select_theorem3_reset(
+      kernels::ForceKernel::kScalar, cpu_features());
+  for (const std::size_t c : {4u, 16u, 40u, 512u}) {
+    const std::size_t r = c == 512 ? 128 : 16;
+    std::vector<double> gain(r * c);
+    for (double& g : gain) {
+      g = values[rng.next_below(7)];
+    }
+    for (const std::size_t R : {1u, 2u, 3u, 8u}) {
+      const std::size_t n = 2 * r + c;
+      std::vector<double> x0(n * R);
+      std::vector<double> y0(n * R);
+      for (std::size_t k = 0; k < x0.size(); ++k) {
+        x0[k] = k % 11 == 4 ? -0.0 : rng.next_double(-1.0, 1.0);
+        y0[k] = rng.next_double(-1.0, 1.0);
+      }
+      // Reference: replica by replica, column by column, rows ascending.
+      std::vector<double> want_x = x0;
+      std::vector<double> want_y = y0;
+      std::vector<std::uint8_t> want_one(R);
+      for (std::size_t q = 0; q < R; ++q) {
+        std::size_t on2 = 0;
+        for (std::size_t j = 0; j < c; ++j) {
+          double cost1 = 0.0;
+          double cost2 = 0.0;
+          for (std::size_t i = 0; i < r; ++i) {
+            if (x0[i * R + q] >= 0.0) {
+              cost1 += gain[i * c + j];
+            }
+            if (x0[(r + i) * R + q] >= 0.0) {
+              cost2 += gain[i * c + j];
+            }
+          }
+          const bool two = cost2 < cost1;
+          want_x[(2 * r + j) * R + q] = two ? 1.0 : -1.0;
+          want_y[(2 * r + j) * R + q] = 0.0;
+          on2 += two ? 1 : 0;
+        }
+        want_one[q] = on2 == 0 || on2 == c ? 1 : 0;
+      }
+      for (const kernels::ForceKernel k : kernels::selectable_force_kernels()) {
+        for (const auto fn :
+             {portable, kernels::select_theorem3_reset(k, cpu_features())}) {
+          std::vector<double> x = x0;
+          std::vector<double> y = y0;
+          std::vector<std::uint8_t> one(R, 7);
+          kernels::Theorem3Planes planes;
+          planes.gain = gain.data();
+          planes.x = x.data();
+          planes.y = y.data();
+          planes.one_pattern = one.data();
+          planes.rows = r;
+          planes.cols = c;
+          planes.replicas = R;
+          fn(planes);
+          const std::string where = std::string(kernels::force_kernel_name(k)) +
+                                    " c=" + std::to_string(c) +
+                                    " R=" + std::to_string(R);
+          EXPECT_EQ(std::memcmp(x.data(), want_x.data(),
+                                x.size() * sizeof(double)),
+                    0)
+              << where;
+          EXPECT_EQ(std::memcmp(y.data(), want_y.data(),
+                                y.size() * sizeof(double)),
+                    0)
+              << where;
+          EXPECT_EQ(one, want_one) << where;
+        }
       }
     }
   }
 }
 
 TEST(ColumnCop, ToIsingEqualsShuffledGeneralBuild) {
-  // to_ising() emits its couplings already in canonical ascending order,
-  // so finalize() skips the sort and merge. Adding the same couplings in
-  // shuffled order and random orientation, through the general path, must
-  // give the same model bit for bit.
+  // to_ising() builds a column-COP model that holds its coupling plane and
+  // derives CSR from it. Adding the same couplings in shuffled order and
+  // random orientation, through the general path (triplets, sort, merge,
+  // CSR), must give the same model bit for bit.
   Rng rng(16);
   for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{4, 8},
                              std::pair<std::size_t, std::size_t>{16, 32}}) {
@@ -465,6 +548,42 @@ TEST(ColumnCop, ToIsingEqualsShuffledGeneralBuild) {
         }
         EXPECT_EQ(fast.energy(spins), general.energy(spins)) << where;
       }
+
+      // One R = 1 solve per ensemble engine: the plane model runs the
+      // bipartite tiles and the plane flip telescope, the general model
+      // CSR; both must follow the same trajectory, dynamic stop included.
+      DynamicStopParams stop;
+      stop.enabled = true;
+      stop.sample_interval = 7;
+      stop.window = 4;
+      const auto same = [&where](const IsingSolveResult& a,
+                                 const IsingSolveResult& b,
+                                 const char* engine) {
+        EXPECT_EQ(a.spins, b.spins) << where << " " << engine;
+        EXPECT_EQ(a.energy, b.energy) << where << " " << engine;
+        EXPECT_EQ(a.iterations, b.iterations) << where << " " << engine;
+        EXPECT_EQ(a.stopped_early, b.stopped_early) << where << " " << engine;
+      };
+      SbParams sb;
+      sb.max_iterations = 400;
+      sb.seed = 5;
+      sb.stop = stop;
+      EXPECT_EQ(BsbBatchEngine(fast, sb, 1).kernel_kind(),
+                kernels::ForceKernel::kBipartite);
+      EXPECT_NE(BsbBatchEngine(general, sb, 1).kernel_kind(),
+                kernels::ForceKernel::kBipartite);
+      same(solve_sb_batch(fast, sb, 1), solve_sb_batch(general, sb, 1), "bsb");
+      SimcimParams simcim;
+      simcim.max_iterations = 400;
+      simcim.seed = 5;
+      simcim.stop = stop;
+      same(solve_simcim(fast, simcim, 1), solve_simcim(general, simcim, 1),
+           "simcim");
+      DochParams doch;
+      doch.max_iterations = 400;
+      doch.seed = 5;
+      doch.stop = stop;
+      same(solve_doch(fast, doch, 1), solve_doch(general, doch, 1), "doch");
     }
   }
 }

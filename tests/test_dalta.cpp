@@ -2,12 +2,18 @@
 
 #include <cmath>
 
+#include "boolean/boolean_matrix.hpp"
 #include "boolean/decomposition.hpp"
 #include "boolean/error_metrics.hpp"
 #include "core/dalta.hpp"
+#include "core/nondisjoint_dalta.hpp"
+#include "core/partition_screen.hpp"
 #include "core/solver_registry.hpp"
 #include "funcs/continuous.hpp"
+#include "funcs/registry.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
@@ -106,17 +112,28 @@ TEST(Dalta, LutNetworkReproducesApproximation) {
 }
 
 TEST(Dalta, DeterministicAcrossParallelModes) {
+  // The pool workers keep per-thread scratch (the T reset's costs, the
+  // warm start's column words); the greedy and bSB solvers reach it, over
+  // two rounds.
   const auto exact = make_continuous_table(continuous_spec("tan"), 6, 4);
   const auto dist = InputDistribution::uniform(6);
-  const AlternatingCoreSolver solver(4);
-  auto params = small_params(DecompMode::kJoint);
-  params.parallel = false;
-  const auto serial = run_dalta(exact, dist, params, solver);
-  params.parallel = true;
-  const auto parallel = run_dalta(exact, dist, params, solver);
-  EXPECT_EQ(serial.approx, parallel.approx)
-      << "partition evaluation order must not affect the result";
-  EXPECT_EQ(serial.med, parallel.med);
+  const AlternatingCoreSolver alternating(4);
+  const auto greedy = SolverRegistry::global().make_from_spec("dalta");
+  const auto prop = SolverRegistry::global().make_from_spec("prop,n=6");
+  const std::vector<const CoreCopSolver*> solvers = {
+      &alternating, greedy.get(), prop.get()};
+  for (const CoreCopSolver* solver : solvers) {
+    auto params = small_params(DecompMode::kJoint);
+    params.rounds = 2;
+    params.parallel = false;
+    const auto serial = run_dalta(exact, dist, params, *solver);
+    params.parallel = true;
+    const auto parallel = run_dalta(exact, dist, params, *solver);
+    EXPECT_EQ(serial.approx, parallel.approx)
+        << solver->name()
+        << ": partition evaluation order must not affect the result";
+    EXPECT_EQ(serial.med, parallel.med) << solver->name();
+  }
 }
 
 TEST(Dalta, MorePartitionsNeverHurtJointObjectiveMuch) {
@@ -144,7 +161,94 @@ TEST(Dalta, SecondRoundDoesNotHurt) {
   two.rounds = 2;
   const auto res1 = run_dalta(exact, dist, one, solver);
   const auto res2 = run_dalta(exact, dist, two, solver);
-  EXPECT_LE(res2.med, res1.med * 1.5 + 1e-9);
+  // Round 2 keeps an output's incumbent unless a candidate beats it.
+  EXPECT_LE(res2.med, res1.med);
+}
+
+/// One flow's committed decisions, read back from its QoR records.
+struct Commit {
+  std::size_t round;
+  std::size_t output;
+  double objective;   // committed setting's COP objective
+  double error_rate;  // committed output bit vs the exact bit
+};
+
+std::vector<Commit> commits_of(const RunContext& ctx) {
+  std::vector<Commit> out;
+  const json::Value doc = json::parse(ctx.qor()->to_json());
+  for (const json::Value& d : doc.at("decisions").as_array()) {
+    out.push_back({static_cast<std::size_t>(d.at("round").as_number()),
+                   static_cast<std::size_t>(d.at("output").as_number()),
+                   d.at("best_objective").as_number(),
+                   d.at("error_rate").as_number()});
+  }
+  return out;
+}
+
+TEST(Dalta, NewRoundNeverMakesAnOutputWorse) {
+  // Per commit, from the second round on: in joint mode the committed
+  // objective is the MED with the other outputs fixed (exact for the
+  // uniform distribution), so the sequence never rises and ends at the
+  // run's MED; in separate mode each output's error rate never rises.
+  // Both flows, both modes, the bSB and the greedy core solver, with
+  // P = 2 so that rounds often draw no better candidate.
+  const auto exact = make_continuous_table(continuous_spec("tan"), 6, 6);
+  const auto dist = InputDistribution::uniform(6);
+  for (const char* spec : {"prop,n=6", "dalta"}) {
+    const auto solver = SolverRegistry::global().make_from_spec(spec);
+    for (const DecompMode mode : {DecompMode::kJoint, DecompMode::kSeparate}) {
+      for (const bool nd : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          RunContext::Options opts;
+          opts.seed = seed;
+          opts.parallel = false;
+          opts.qor = true;
+          const RunContext ctx(opts);
+          double med = 0.0;
+          if (nd) {
+            NdDaltaParams params;
+            params.free_size = 2;
+            params.shared_size = 1;
+            params.num_partitions = 2;
+            params.rounds = 4;
+            params.mode = mode;
+            params.parallel = false;
+            med = run_dalta_nd(exact, dist, params, *solver, ctx).med;
+          } else {
+            DaltaParams params = small_params(mode);
+            params.num_partitions = 2;
+            params.rounds = 4;
+            med = run_dalta(exact, dist, params, *solver, ctx).med;
+          }
+          const std::vector<Commit> commits = commits_of(ctx);
+          ASSERT_EQ(commits.size(), 4u * 6u);
+          const std::string where = std::string(spec) +
+                                    (nd ? " nd" : " disjoint") +
+                                    (mode == DecompMode::kJoint ? " joint"
+                                                                : " separate") +
+                                    " seed " + std::to_string(seed);
+          std::vector<double> er(6, 2.0);
+          for (std::size_t c = 0; c < commits.size(); ++c) {
+            const Commit& now = commits[c];
+            if (mode == DecompMode::kJoint && now.round >= 1) {
+              EXPECT_LE(now.objective, commits[c - 1].objective + 1e-12)
+                  << where << " round " << now.round << " output "
+                  << now.output;
+            }
+            if (mode == DecompMode::kSeparate) {
+              EXPECT_LE(now.error_rate, er[now.output] + 1e-12)
+                  << where << " round " << now.round << " output "
+                  << now.output;
+              er[now.output] = now.error_rate;
+            }
+          }
+          if (mode == DecompMode::kJoint) {
+            EXPECT_NEAR(commits.back().objective, med, 1e-12) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Dalta, StatsAccounting) {
@@ -214,6 +318,68 @@ TEST(Dalta, ScreenFactorOneMatchesDefault) {
   const auto ra = run_dalta(exact, dist, a, solver);
   const auto rb = run_dalta(exact, dist, b, solver);
   EXPECT_EQ(ra.approx, rb.approx);
+}
+
+TEST(PartitionScreen, MultiplicityMatchesMatrix) {
+  // Theorem 2 is the oracle: the multiplicity is the number of distinct
+  // columns of the output's matrix. n = 16 with 7 and 9 free inputs packs
+  // each column into two and eight words.
+  struct Case {
+    const char* function;
+    unsigned n;
+    unsigned output;
+    unsigned free_size;
+  };
+  Rng rng(29);
+  for (const Case& c : {Case{"exp", 7, 5, 3}, Case{"exp", 16, 9, 7},
+                        Case{"cos", 16, 3, 9}}) {
+    const auto tt = make_benchmark_table(c.function, c.n, c.n);
+    const PartitionScreener screener(tt.output(c.output), c.n);
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto w = InputPartition::random(c.n, c.free_size, rng);
+      const auto matrix = BooleanMatrix::from_function(tt, c.output, w);
+      EXPECT_EQ(screener.multiplicity(w), matrix.distinct_columns().size())
+          << c.function << " n=" << c.n << " free=" << c.free_size;
+    }
+  }
+  const PartitionScreener narrow(BitVec(32), 5);
+  EXPECT_THROW((void)narrow.multiplicity(InputPartition::trivial(6, 3)),
+               std::invalid_argument);
+  EXPECT_THROW(PartitionScreener(BitVec(31), 5), std::invalid_argument);
+}
+
+TEST(PartitionScreen, KeepsLowestMultiplicityCandidates) {
+  Rng rng(31);
+  const auto tt = make_benchmark_table("cos", 7, 7);
+  const PartitionScreener screener(tt.output(6), 7);
+  std::vector<InputPartition> candidates;
+  for (int i = 0; i < 12; ++i) {
+    candidates.push_back(InputPartition::random(7, 3, rng));
+  }
+  const auto kept = screener.screen(candidates, 3);
+  ASSERT_EQ(kept.size(), 3u);
+  std::size_t worst_kept = 0;
+  for (const auto& w : kept) {
+    worst_kept = std::max(worst_kept, screener.multiplicity(w));
+  }
+  // No discarded candidate may beat the worst kept one.
+  std::size_t best_possible = 1000;
+  for (const auto& w : candidates) {
+    best_possible = std::min(best_possible, screener.multiplicity(w));
+  }
+  EXPECT_LE(screener.multiplicity(kept.front()), worst_kept);
+  EXPECT_EQ(screener.multiplicity(kept.front()), best_possible);
+}
+
+TEST(PartitionScreen, KeepAllWhenBudgetCoversCandidates) {
+  Rng rng(37);
+  const auto tt = make_benchmark_table("erf", 6, 6);
+  const PartitionScreener screener(tt.output(0), 6);
+  std::vector<InputPartition> candidates;
+  for (int i = 0; i < 4; ++i) {
+    candidates.push_back(InputPartition::random(6, 3, rng));
+  }
+  EXPECT_EQ(screener.screen(candidates, 10).size(), 4u);
 }
 
 TEST(Dalta, RejectsBadParameters) {

@@ -435,6 +435,8 @@ TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
     }
     ++tiers;
     for (const IsingModel& model : models) {
+      // The tiles come from the plane, the reference walks the CSR the
+      // model derives from it.
       const BipartiteShape shape = model.bipartite_shape().value();
       const CsrPlanes csr = flatten_csr(model);
       kernels::ForcePlanes planes;
@@ -444,8 +446,8 @@ TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
       planes.weights = csr.weights.data();
       planes.n = model.num_spins();
       planes.replicas = 1;
-      const auto layout =
-          kernels::build_bipartite(planes, shape.rows, shape.cols);
+      const auto layout = kernels::build_bipartite(
+          model.bipartite_plane().data(), shape.rows, shape.cols);
       layout.bind(planes);
       std::vector<double> x(planes.n);
       Rng xr(83);

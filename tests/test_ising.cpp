@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -171,48 +172,84 @@ TEST(IsingModel, GuardsAndValidation) {
 
 TEST(IsingModel, DeclaredBipartiteShapeIsChecked) {
   // Shape r = 2, c = 3: V1 = {0, 1}, V2 = {2, 3}, T = {4, 5, 6}.
-  IsingModel wrong_size(6);
-  EXPECT_THROW(wrong_size.declare_bipartite({2, 3}), std::invalid_argument);
-  EXPECT_THROW(IsingModel(3).declare_bipartite({0, 3}),
+  EXPECT_THROW((void)IsingModel::bipartite({2, 3}, std::vector<double>(5)),
                std::invalid_argument);
+  EXPECT_THROW((void)IsingModel::bipartite({0, 3}, {}), std::invalid_argument);
+  EXPECT_THROW((void)IsingModel::bipartite({2, 0}, {}), std::invalid_argument);
 
-  const auto shaped = [](auto add) {
-    IsingModel m(7);
-    m.declare_bipartite({2, 3});
-    m.add_coupling(0, 4, 0.5);
-    m.add_coupling(1, 6, -0.25);
-    m.add_coupling(2, 4, -0.5);
-    add(m);
-    return m;
-  };
-  // V2 row 1 mirrors V1 row 1 in any insertion order: accepted.
-  IsingModel ok = shaped([](IsingModel& m) { m.add_coupling(6, 3, 0.25); });
-  EXPECT_NO_THROW(ok.finalize());
-  ASSERT_TRUE(ok.bipartite_shape().has_value());
-  EXPECT_EQ(ok.bipartite_shape()->rows, 2u);
-  EXPECT_EQ(ok.bipartite_shape()->cols, 3u);
+  // w(0, 0) = 0.5, w(1, 2) = -0.25; every other entry is no coupling,
+  // -0.0 included.
+  IsingModel m =
+      IsingModel::bipartite({2, 3}, {0.5, 0.0, -0.0, 0.0, 0.0, -0.25});
+  m.set_bias(0, 0.125);
+  m.set_bias(5, -1.0);
+  m.set_constant(2.0);
+  EXPECT_TRUE(m.finalized());
+  ASSERT_TRUE(m.bipartite_shape().has_value());
+  EXPECT_EQ(m.bipartite_shape()->rows, 2u);
+  EXPECT_EQ(m.bipartite_shape()->cols, 3u);
+  EXPECT_EQ(m.num_spins(), 7u);
+  EXPECT_EQ(m.num_couplings(), 4u);
+  EXPECT_THROW(m.add_coupling(0, 4, 1.0), std::logic_error);
 
-  const std::vector<std::pair<const char*, void (*)(IsingModel&)>> bad = {
-      {"V2 row not negated",
-       [](IsingModel& m) { m.add_coupling(3, 6, -0.25); }},
-      {"V2 row missing a column", [](IsingModel&) {}},
-      {"V2 row on another column",
-       [](IsingModel& m) { m.add_coupling(3, 5, 0.25); }},
-      {"V-V coupling",
-       [](IsingModel& m) {
-         m.add_coupling(3, 6, 0.25);
-         m.add_coupling(0, 3, 1.0);
-       }},
-      {"T-T coupling",
-       [](IsingModel& m) {
-         m.add_coupling(3, 6, 0.25);
-         m.add_coupling(4, 5, 1.0);
-       }},
-  };
-  for (const auto& [what, add] : bad) {
-    IsingModel m = shaped(add);
-    EXPECT_THROW(m.finalize(), std::invalid_argument) << what;
-    EXPECT_FALSE(m.finalized()) << what;
+  // The same couplings through the general path: the derived CSR, the
+  // energy and the rms must match it exactly.
+  IsingModel general(7);
+  general.add_coupling(6, 3, 0.25);
+  general.add_coupling(4, 0, 0.5);
+  general.add_coupling(1, 6, -0.25);
+  general.add_coupling(2, 4, -0.5);
+  general.set_bias(0, 0.125);
+  general.set_bias(5, -1.0);
+  general.set_constant(2.0);
+  general.finalize();
+  EXPECT_EQ(general.num_couplings(), m.num_couplings());
+  EXPECT_EQ(general.coupling_rms(), m.coupling_rms());
+  for (std::size_t i = 0; i < 7; ++i) {
+    const auto want = general.neighbors(i);
+    const auto got = m.neighbors(i);
+    ASSERT_EQ(got.size(), want.size()) << "row " << i;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k], want[k]) << "row " << i;
+    }
+  }
+  for (std::uint64_t bits = 0; bits < 128; ++bits) {
+    const auto spins = spins_from_bits(bits, 7);
+    EXPECT_EQ(m.energy(spins), general.energy(spins)) << bits;
+    for (std::size_t i = 0; i < 7; ++i) {
+      EXPECT_EQ(m.flip_delta(spins, i), general.flip_delta(spins, i));
+    }
+  }
+
+  // Copies carry the plane and a derived CSR along.
+  const IsingModel copy = m;
+  EXPECT_EQ(copy.neighbors(4).size(), 2u);
+  EXPECT_EQ(copy.bipartite_plane().size(), 6u);
+}
+
+TEST(IsingModel, ConcurrentCsrDerivationIsSafe) {
+  // Four threads walk the CSR of one shared column-COP model at once: the
+  // first use derives it, and every thread must see the same adjacency.
+  std::vector<double> plane(16 * 32);
+  Rng rng(5);
+  for (double& w : plane) {
+    w = rng.next_bool() ? rng.next_double(-1.0, 1.0) : 0.0;
+  }
+  const IsingModel m = IsingModel::bipartite({16, 32}, plane);
+  std::vector<std::size_t> degree_sums(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&m, &degree_sums, t] {
+      for (std::size_t i = 0; i < m.num_spins(); ++i) {
+        degree_sums[t] += m.neighbors(i).size();
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (const std::size_t sum : degree_sums) {
+    EXPECT_EQ(sum, 2 * m.num_couplings());
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "core/column_cop.hpp"
 #include "core/solver_registry.hpp"
+#include "ising/engine.hpp"
 #include "ising/model.hpp"
 #include "ising/sa.hpp"
 #include "support/metrics.hpp"
@@ -45,6 +46,71 @@ ColumnCop random_cop(std::uint64_t seed, std::size_t r, std::size_t c) {
   }
   const std::vector<double> probs(r * c, 1.0 / static_cast<double>(r * c));
   return ColumnCop::separate(m, probs);
+}
+
+// ------------------------------------------------ the sweep driver
+
+/// Records the steps run_engine() takes and the steps after which it
+/// samples. Every sampled energy is 1.0, so an enabled dynamic stop (window
+/// 2) fires at the second sampling point.
+class CountingEngine final : public IsingEngine {
+ public:
+  CountingEngine(std::size_t cap, std::size_t interval, bool stop)
+      : cap_(cap), interval_(interval) {
+    stop_.enabled = stop;
+    stop_.sample_interval = interval;
+    stop_.window = 2;
+  }
+  const char* telemetry_prefix() const override { return "test/count"; }
+  const char* trace_prefix() const override { return "test/count"; }
+  std::string curve_name() const override { return "test/count"; }
+  std::size_t max_iterations() const override { return cap_; }
+  std::size_t sample_interval() const override { return interval_; }
+  const DynamicStopParams& stop_params() const override { return stop_; }
+  void begin(IsingSolveResult& result) override { result.energy = 2.0; }
+  void advance(std::size_t iter) override {
+    EXPECT_EQ(iter, steps_);
+    ++steps_;
+  }
+  double observe(IsingSolveResult& /*result*/) override {
+    sampled_after.push_back(steps_);
+    return 1.0;
+  }
+  std::vector<std::size_t> sampled_after;
+
+ private:
+  std::size_t cap_;
+  std::size_t interval_;
+  DynamicStopParams stop_;
+  std::size_t steps_ = 0;
+};
+
+TEST(RunEngine, SamplingPointsFallEveryInterval) {
+  // Caps that are not multiples of the interval: the last partial interval
+  // runs without a sampling point, and a dynamic stop counts the step it
+  // fires on.
+  struct Case {
+    std::size_t cap;
+    std::size_t interval;
+    bool stop;
+    std::vector<std::size_t> sampled_after;
+    std::size_t iterations;
+  };
+  for (const Case& c : {Case{23, 7, false, {7, 14, 21}, 23},
+                        Case{5, 1, false, {1, 2, 3, 4, 5}, 5},
+                        Case{23, 7, true, {7, 14}, 14},
+                        Case{5, 1, true, {1, 2}, 2},
+                        Case{6, 7, true, {}, 6}}) {
+    CountingEngine engine(c.cap, c.interval, c.stop);
+    const IsingSolveResult result = run_engine(engine);
+    const std::string where = "cap " + std::to_string(c.cap) + " interval " +
+                              std::to_string(c.interval) +
+                              (c.stop ? " stop" : "");
+    EXPECT_EQ(engine.sampled_after, c.sampled_after) << where;
+    EXPECT_EQ(result.iterations, c.iterations) << where;
+    EXPECT_EQ(result.stopped_early, c.stop && !c.sampled_after.empty())
+        << where;
+  }
 }
 
 // ------------------------------------------------ fixed-seed goldens
