@@ -346,10 +346,12 @@ std::vector<IsingModel> tiny_models(std::size_t count) {
   return models;
 }
 
-void BM_TinySolveLooped(benchmark::State& state) {
-  // K tiny solves the pre-packing way: one BsbBatchEngine per instance,
-  // R = 1 (the DALTA hot path, where the per-instance kernels run scalar
-  // lanes), fixed 200 steps so looped and packed do identical work.
+// K tiny solves the pre-packing way: one BsbBatchEngine per instance at
+// `replicas`, fixed 200 steps so looped and packed do identical work. At
+// R = 1 each engine runs the bipartite layout, which vectorizes across
+// rows; at R = 2 it runs the CSR kernels, whose two replica lanes leave
+// most of a vector idle.
+void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto models = tiny_models(k);
   SbParams params;
@@ -359,7 +361,7 @@ void BM_TinySolveLooped(benchmark::State& state) {
     for (std::size_t m = 0; m < k; ++m) {
       SbParams p = params;
       p.seed = 900 + m;
-      BsbBatchEngine engine(models[m], p, 1);
+      BsbBatchEngine engine(models[m], p, replicas);
       acc += engine.run().energy;
     }
     benchmark::DoNotOptimize(acc);
@@ -367,15 +369,12 @@ void BM_TinySolveLooped(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(k) * 200);
 }
-BENCHMARK(BM_TinySolveLooped)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_TinySolvePacked(benchmark::State& state) {
-  // The same K solves through one BsbPackEngine run (R = 1):
-  // engine construction included, since building the per-slot planes is
-  // part of the packed path's real cost. Results are bit-identical to the
-  // looped runs above (tests/test_bsb_pack.cpp), so the ratio is pure
-  // throughput.
+// The same K solves through one BsbPackEngine run at `replicas`: engine
+// construction included, since building the per-slot planes is part of
+// the packed path's real cost. Results are bit-identical to the looped
+// runs (tests/test_bsb_pack.cpp), so the ratio is pure throughput.
+void tiny_solve_packed(benchmark::State& state, std::size_t replicas) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto models = tiny_models(k);
   SbParams params;
@@ -385,15 +384,37 @@ void BM_TinySolvePacked(benchmark::State& state) {
     members.push_back({&models[m], 900 + m, {}});
   }
   for (auto _ : state) {
-    BsbPackEngine engine(members, params, 1);
+    BsbPackEngine engine(members, params, replicas);
     const auto results = engine.run();
     benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(k) * 200);
 }
+
+// R = 1, where the looped solves win and PackedCoreCopSolver's slot gate
+// declines to pack, and R = 2, where the pack wins and the gate packs.
+void BM_TinySolveLooped(benchmark::State& state) {
+  tiny_solve_looped(state, 1);
+}
+BENCHMARK(BM_TinySolveLooped)->Arg(4)->Arg(16)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_TinySolvePacked(benchmark::State& state) {
+  tiny_solve_packed(state, 1);
+}
 BENCHMARK(BM_TinySolvePacked)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+void BM_TinySolveLoopedR2(benchmark::State& state) {
+  tiny_solve_looped(state, 2);
+}
+BENCHMARK(BM_TinySolveLoopedR2)->Arg(64)->Unit(benchmark::kMillisecond);
+
+void BM_TinySolvePackedR2(benchmark::State& state) {
+  tiny_solve_packed(state, 2);
+}
+BENCHMARK(BM_TinySolvePackedR2)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_EngineSolve(benchmark::State& state, const char* spec) {
   // Full registry-built COP solves on the n = 9 core COP (64 spins), one
@@ -734,21 +755,29 @@ int main(int argc, char** argv) {
                            "R=1, n=16 column COP");
       }
     }
-    // Packed-vs-looped tiny-solve speedups (single thread, R = 1, 64-spin
+    // Packed-vs-looped tiny-solve speedups (single thread, 64-spin
     // instances): one BsbPackEngine run against K sequential BsbBatchEngine
-    // solves of the same instances. Single-thread ratios, valid anywhere.
-    for (const char* k : {"4", "16", "64"}) {
-      const auto looped =
-          secs.find(std::string("BM_TinySolveLooped/") + k);
-      const auto packed =
-          secs.find(std::string("BM_TinySolvePacked/") + k);
+    // solves of the same instances, at R = 1 for K = 4, 16, 64 and at
+    // R = 2 for K = 64 -- the two sides of PackedCoreCopSolver's slot gate.
+    // Single-thread ratios, valid anywhere.
+    const auto packed_speedup = [&](const std::string& suffix,
+                                    const std::string& label,
+                                    const char* note) {
+      const auto looped = secs.find("BM_TinySolveLooped" + suffix);
+      const auto packed = secs.find("BM_TinySolvePacked" + suffix);
       if (looped != secs.end() && packed != secs.end() &&
           packed->second > 0.0) {
-        report.add_derived(std::string("packed_solve_speedup_k") + k,
-                           looped->second / packed->second, "max", true,
-                           "single-thread ratio, R=1, 64-spin instances");
+        report.add_derived(label, looped->second / packed->second, "max",
+                           true, note);
       }
+    };
+    for (const char* k : {"4", "16", "64"}) {
+      packed_speedup(std::string("/") + k,
+                     std::string("packed_solve_speedup_k") + k,
+                     "single-thread ratio, R=1, 64-spin instances");
     }
+    packed_speedup("R2/64", "packed_solve_speedup_r2_k64",
+                   "single-thread ratio, R=2, 64-spin instances");
     // Named full-solve records for the unified engine layer, in seconds
     // like every time record. Single thread, so valid on any host.
     for (const auto& [tag, label] : {

@@ -10,6 +10,8 @@
 #include "ising/bsb_batch.hpp"
 #include "ising/bsb_pack.hpp"
 #include "ising/exhaustive.hpp"
+#include "ising/kernels/force_kernels.hpp"
+#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -342,17 +344,25 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
 }
 
 /// The slot gate: whether a pack of `members` instances of at most `n_max`
-/// spins is worth forming (DESIGN.md §4.7). The engine streams per-slot
-/// union-pattern coupling rows — at most n_max^2 doubles per slot, the
-/// conservative bound known before the union exists — every force pass,
-/// so their working set must stay near cache size. Its kernels vectorize
-/// across slots, which pays only while each slot carries few replicas.
-/// Instances past the gate are solved standalone, which costs the same CPU
-/// and fans out over the pool.
+/// spins, each run at `replicas` under the force-kernel request `kernel`,
+/// is worth forming (DESIGN.md §4.7). The pack's kernels vectorize across
+/// slots, which beats a standalone solve only where that solve's own force
+/// kernel has a lane tail — the engine's dispatch reports it. None at
+/// R = 1 under kernel=auto (the bipartite layout vectorizes across rows),
+/// none where R fills whole blocks (R = 4 on AVX2 and the portable tier,
+/// R = 8 on every tier). The replica ceiling only decides R >= 9, which
+/// no one has measured, so those chunks stay unpacked. The engine also
+/// streams per-slot union-pattern coupling rows — at most n_max^2 doubles
+/// per slot, the conservative bound known before the union exists —
+/// every force pass, so their working set must stay near cache size.
+/// Instances past the gate are solved standalone over the pool.
 bool passes_slot_gate(std::size_t n_max, std::size_t members,
-                      std::size_t replicas) {
+                      std::size_t replicas, kernels::ForceKernel kernel) {
   constexpr std::size_t kSlotPlaneDoubles = (4u << 20) / sizeof(double);
-  return replicas <= 8 && n_max * n_max * members <= kSlotPlaneDoubles;
+  const kernels::SelectedForceKernel standalone =
+      kernels::select_force_kernel(kernel, cpu_features(), replicas);
+  return standalone.tail_lanes > 0 && replicas <= 7 &&
+         n_max * n_max * members <= kSlotPlaneDoubles;
 }
 
 /// One packed chunk of the batched solve: 2 or more instances through one
@@ -608,8 +618,8 @@ void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
       own_volume = own;
       ++j;
     }
-    if (j - i > 1 &&
-        !passes_slot_gate(cops[order[j - 1]].num_spins(), j - i, replicas)) {
+    if (j - i > 1 && !passes_slot_gate(cops[order[j - 1]].num_spins(), j - i,
+                                       replicas, options_.core.sb.kernel)) {
       for (std::size_t k = i; k < j; ++k) {
         units.push_back({k, k + 1});
       }

@@ -182,9 +182,10 @@ class IsingCoreSolver final : public CoreCopSolver {
 /// Packed variant of IsingCoreSolver (registry spec `prop,pack=K,...`):
 /// one BsbPackEngine run advances up to `pack` independent core COPs at
 /// once (DESIGN.md §4.7), so DALTA's per-output-round batch of P tiny
-/// candidate solves stops paying per-solve kernel setup and — on the
-/// R = 1 hot path — runs the force pass at full SIMD width across
-/// instances instead of scalar lanes. Single solves and every packed
+/// candidate solves stops paying per-solve kernel setup and — where a
+/// standalone solve's force kernel runs some replica lanes in its narrow
+/// tail — runs the force pass at full SIMD width across instances
+/// instead. Single solves and every packed
 /// member are bit-identical to IsingCoreSolver with the same core
 /// options: same per-instance seeds, Theorem-3 feedback, dynamic stop,
 /// restarts, warm incumbent, and final polish (see BsbPackEngine for the
@@ -195,10 +196,14 @@ class IsingCoreSolver final : public CoreCopSolver {
 /// chunk (the engine pads smaller members with inert spins) as long as the
 /// padded volume stays within 25% of the members' own sum of n^2, so a
 /// straggler size no longer forces its own under-filled pack. It is also
-/// the one place that decides whether a chunk is packed at all: a chunk
-/// whose per-slot planes would outgrow the slot gate (n_max^2 * members >
-/// 4 MiB of doubles) or that runs more than 8 replicas is solved member by
-/// member through the standalone solve instead. When the context allows
+/// the one place that decides whether a chunk is packed at all. The slot
+/// gate solves a chunk member by member through the standalone solve
+/// instead when that solve's force kernel has no lane tail (the bipartite
+/// layout under kernel=auto at R = 1, the DALTA default; R a whole number
+/// of blocks, as R = 4 on AVX2 or R = 8 on any tier) — the looped solve
+/// is the faster one there — when it runs more than 7 replicas (R >= 9 is
+/// unmeasured), or when its per-slot planes would outgrow 4 MiB of
+/// doubles (n_max^2 * members). When the context allows
 /// parallelism, packed chunks and unpacked members are distributed over
 /// ctx.pool() together: parallelism across packs and solves, SIMD across
 /// members, replicas inside the engine.

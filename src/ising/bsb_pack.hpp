@@ -19,20 +19,23 @@ class RunContext;
 /// of replica r of the instance in slot s at x[(i * R + r) * T + s % T] of
 /// slot tile s / T — with a per-slot weight plane over the UNION sparsity
 /// pattern of the members, advanced by the dedicated pack force kernels
-/// that vectorize ACROSS INSTANCES. This is the fast path for small replica
-/// counts (the DALTA hot path runs R = 1, where the per-instance kernels
-/// degenerate to scalar lanes); the union plane costs flops only for
-/// columns some member actually couples — DALTA packs share one template
-/// pattern, so the union is ~one member's edge count — which the
-/// full-width SIMD pays back many times over at R <= 2. Slots are grouped
-/// into contiguous cache-sized TILES of T slots each (see tile()), and each
-/// tile is advanced through a whole inter-sampling block of steps before
-/// the next tile runs, so its weight planes stay cache-resident across the
-/// block instead of being streamed once per step.
+/// that vectorize ACROSS INSTANCES. This is the fast path for replica
+/// counts at which the per-instance CSR kernels run some lanes in their
+/// narrow tail (R = 2..7 on AVX-512, any explicit CSR tier at R = 1); it
+/// is not for the default R = 1 column-COP solve, whose bipartite layout
+/// already vectorizes across rows and beats it, nor for R filling whole
+/// blocks. The union plane costs flops only for columns some member
+/// actually couples — DALTA packs share one template pattern, so the
+/// union is ~one member's edge count. Slots are grouped into contiguous
+/// cache-sized TILES of T slots each (see tile()), and each tile is
+/// advanced through a whole inter-sampling block of steps before the next
+/// tile runs, so its weight planes stay cache-resident across the block
+/// instead of being streamed once per step.
 ///
 /// The engine packs whatever it is given; deciding whether a batch is worth
-/// packing at all (the per-slot planes' working set, the replica count) is
-/// PackedCoreCopSolver's job, which solves the rest member by member.
+/// packing at all (the standalone kernel it would replace, the replica
+/// count, the per-slot planes' working set) is PackedCoreCopSolver's job,
+/// which solves the rest member by member.
 
 /// One instance of a packed solve. The model must be finalized and
 /// outlive the engine; members may have DIFFERENT num_spins() — smaller

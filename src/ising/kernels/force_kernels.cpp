@@ -255,6 +255,13 @@ struct Tier {
   Theorem3ResetFn theorem3_reset;
   const char* csr_name;
   const char* bipartite_name;
+  // The replica-lane block the CSR kernel runs at full width, the rest
+  // (R mod this) being its lane tail: one zmm (8) on AVX-512 and one ymm
+  // (4) on AVX2, whose tails are scalar chains. On the portable tier it
+  // is measured, not derived: at kernel=scalar a slot pack still beats
+  // the looped solve's two-lane block at R = 2, but not R = 4 or 8
+  // (DESIGN.md §4.7).
+  std::size_t csr_full_lanes;
 };
 
 constexpr Tier kScalarTier = {csr_force_scalar,
@@ -264,7 +271,8 @@ constexpr Tier kScalarTier = {csr_force_scalar,
                               detail::bsb_step_portable,
                               detail::theorem3_reset_portable,
                               "scalar",
-                              "bipartite-scalar"};
+                              "bipartite-scalar",
+                              4};
 
 #ifdef ADSD_HAVE_AVX2
 constexpr Tier kAvx2Tier = {detail::csr_force_avx2,
@@ -274,7 +282,8 @@ constexpr Tier kAvx2Tier = {detail::csr_force_avx2,
                             detail::bsb_step_avx2,
                             detail::theorem3_reset_avx2,
                             "avx2",
-                            "bipartite-avx2"};
+                            "bipartite-avx2",
+                            4};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
@@ -285,7 +294,8 @@ constexpr Tier kAvx512Tier = {detail::csr_force_avx512,
                               detail::bsb_step_avx512,
                               detail::theorem3_reset_avx512,
                               "avx512",
-                              "bipartite-avx512"};
+                              "bipartite-avx512",
+                              8};
 #endif
 
 const Tier& tier_for(ForceKernel isa) {
@@ -502,6 +512,7 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
     out.discrete = tier.csr_d;
     out.kind = isa;
     out.name = tier.csr_name;
+    out.tail_lanes = replicas % tier.csr_full_lanes;
   }
   return out;
 }

@@ -105,14 +105,20 @@ using ForceRowsFn = void (*)(const ForcePlanes& planes, std::size_t row_begin,
                              std::size_t row_end);
 
 /// A resolved dispatch decision: the continuous (bSB) and discrete (dSB)
-/// entry points of one variant, the resolved kind (never kAuto), and the
+/// entry points of one variant, the resolved kind (never kAuto), the
 /// name reported through metrics ("scalar", "avx2", "avx512", or
-/// "bipartite-<isa>" with <isa> one of those three).
+/// "bipartite-<isa>" with <isa> one of those three), and the variant's
+/// lane tail: how many of each row's replica lanes run outside its
+/// full-width blocks. The CSR kernels run R in whole blocks of 8
+/// (AVX-512) or 4 (AVX2, portable) lanes and the R mod that block left
+/// over as scalar add chains (as narrower blocks on the portable tier);
+/// the bipartite layout vectorizes across rows and has no tail.
 struct SelectedForceKernel {
   ForceRowsFn continuous = nullptr;
   ForceRowsFn discrete = nullptr;
   ForceKernel kind = ForceKernel::kScalar;
   const char* name = "scalar";
+  std::size_t tail_lanes = 0;
 };
 
 /// Canonical spelling of a kernel kind ("auto", "scalar", "avx2",

@@ -453,8 +453,12 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
     seeds.push_back(1000 + 17 * i);
   }
   // Theorem-3 + dynamic stop are on by default; restarts=2 exercises the
-  // per-attempt reseed, pack=3 forces multiple chunks per batch.
-  for (const std::string extra : {"", ",replicas=4", ",restarts=2"}) {
+  // per-attempt reseed, pack=3 forces multiple chunks per batch. The R = 1
+  // configs fail the slot gate (their standalone solves run the bipartite
+  // layout) and pin the looped fallback; R = 2 leaves a lane tail on every
+  // kernel tier, so those configs pack on any host.
+  for (const std::string extra : {"", ",replicas=4", ",restarts=2",
+                                  ",replicas=2", ",replicas=2,restarts=2"}) {
     const auto plain =
         SolverRegistry::global().make_from_spec("prop,n=9" + extra);
     const auto packed = SolverRegistry::global().make_from_spec(
@@ -478,10 +482,15 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
 }
 
 TEST(PackedCoreCopSolver, ChunksPastTheSlotGateRunAsLoopedSolves) {
-  // A chunk fails the slot gate when it runs more than 8 replicas or when
-  // its per-slot planes (n_max^2 * members doubles) outgrow 4 MiB; its
-  // members are then solved one by one through the standalone solve, so no
-  // pack engine runs and every result matches IsingCoreSolver bit for bit.
+  // A chunk fails the slot gate when a standalone solve of it would have no
+  // lane tail (the bipartite layout under kernel=auto at R = 1; R a whole
+  // number of blocks, as R = 4 on AVX2 and its portable fallback, or
+  // R = 8), when it runs more than 7 replicas, or when its per-slot planes
+  // (n_max^2 * members doubles) outgrow 4 MiB; its members are then solved
+  // one by one through the standalone solve, so no pack engine runs.
+  // Packed or not, every result matches IsingCoreSolver bit for bit.
+  // R = 2, 7 and 9 leave a tail on every tier, so the cases hold on any
+  // host.
   std::vector<ColumnCop> small;  // 64 spins each
   std::vector<ColumnCop> large;  // 384 spins: 3 * 384^2 doubles fit, 4 don't
   for (unsigned k = 0; k < 4; ++k) {
@@ -498,10 +507,18 @@ TEST(PackedCoreCopSolver, ChunksPastTheSlotGateRunAsLoopedSolves) {
     bool packs;
   };
   for (const Case& c :
-       {Case{",replicas=9", ",pack=4", &small, false},
-        Case{",max-iter=300", ",pack=4", &large, false},
-        // Control: the same large COPs in chunks of 3 pass the gate.
-        Case{",max-iter=300", ",pack=3", &large, true}}) {
+       {Case{"", ",pack=4", &small, false},
+        Case{",replicas=8", ",pack=4", &small, false},
+        Case{",replicas=9", ",pack=4", &small, false},
+        Case{",replicas=4,kernel=avx2", ",pack=4", &small, false},
+        Case{",replicas=2,max-iter=300", ",pack=4", &large, false},
+        // Controls that pack: explicit CSR kernels at R = 1 and on the
+        // portable tier at R = 2, the 7-replica ceiling, and the same
+        // large COPs in chunks of 3.
+        Case{",kernel=scalar", ",pack=4", &small, true},
+        Case{",replicas=2,kernel=scalar", ",pack=4", &small, true},
+        Case{",replicas=7", ",pack=4", &small, true},
+        Case{",replicas=2,max-iter=300", ",pack=3", &large, true}}) {
     const std::string label = c.keys + c.pack;
     const auto plain =
         SolverRegistry::global().make_from_spec("prop,n=9" + c.keys);
@@ -569,6 +586,9 @@ TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
 
 // --------------------------------------------------- end-to-end DALTA runs
 
+// Both flows at R = 1, where every round's batch fails the slot gate and
+// its members run as looped solves over the pool, and at R = 2, where the
+// batch packs on every kernel tier (pack_runs_total tells the two apart).
 TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
   const TruthTable exact = make_benchmark_table("exp", 8, 6);
   const InputDistribution dist = InputDistribution::uniform(8);
@@ -578,22 +598,33 @@ TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
   params.rounds = 1;
   params.seed = 42;
 
-  const auto plain = SolverRegistry::global().make_from_spec("prop,n=8");
-  const auto packed =
-      SolverRegistry::global().make_from_spec("prop,n=8,pack=4");
-  const auto a = run_dalta(exact, dist, params, *plain);
-  const auto b = run_dalta(exact, dist, params, *packed);
+  for (const std::string replicas : {"1", "2"}) {
+    SCOPED_TRACE("replicas=" + replicas);
+    const std::string spec = "prop,n=8,replicas=" + replicas;
+    const auto plain = SolverRegistry::global().make_from_spec(spec);
+    const auto packed =
+        SolverRegistry::global().make_from_spec(spec + ",pack=4");
+    const auto a = run_dalta(exact, dist, params, *plain);
+    MetricsRegistry::Counter& pack_runs =
+        MetricsRegistry::global().counter("pack_runs_total");
+    const std::uint64_t runs_before = pack_runs.value();
+    RunContext::Options opts;
+    opts.seed = params.seed;
+    opts.metrics = true;
+    const auto b = run_dalta(exact, dist, params, *packed, RunContext(opts));
+    EXPECT_EQ(pack_runs.value() > runs_before, replicas == "2");
 
-  EXPECT_EQ(a.med, b.med);
-  EXPECT_EQ(a.error_rate, b.error_rate);
-  EXPECT_EQ(a.cop_solves, b.cop_solves);
-  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
-  for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
-    ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
-  }
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (std::size_t k = 0; k < a.outputs.size(); ++k) {
-    EXPECT_EQ(a.outputs[k].objective, b.outputs[k].objective);
+    EXPECT_EQ(a.med, b.med);
+    EXPECT_EQ(a.error_rate, b.error_rate);
+    EXPECT_EQ(a.cop_solves, b.cop_solves);
+    EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+    for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+      ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    }
+    ASSERT_EQ(a.outputs.size(), b.outputs.size());
+    for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+      EXPECT_EQ(a.outputs[k].objective, b.outputs[k].objective);
+    }
   }
 }
 
@@ -607,18 +638,30 @@ TEST(DaltaPacked, RunDaltaNdBitIdenticalWithPackedSolver) {
   params.rounds = 1;
   params.seed = 42;
 
-  const auto plain = SolverRegistry::global().make_from_spec("prop,n=8");
-  const auto packed =
-      SolverRegistry::global().make_from_spec("prop,n=8,pack=6");
-  const auto a = run_dalta_nd(exact, dist, params, *plain);
-  const auto b = run_dalta_nd(exact, dist, params, *packed);
+  for (const std::string replicas : {"1", "2"}) {
+    SCOPED_TRACE("replicas=" + replicas);
+    const std::string spec = "prop,n=8,replicas=" + replicas;
+    const auto plain = SolverRegistry::global().make_from_spec(spec);
+    const auto packed =
+        SolverRegistry::global().make_from_spec(spec + ",pack=6");
+    const auto a = run_dalta_nd(exact, dist, params, *plain);
+    MetricsRegistry::Counter& pack_runs =
+        MetricsRegistry::global().counter("pack_runs_total");
+    const std::uint64_t runs_before = pack_runs.value();
+    RunContext::Options opts;
+    opts.seed = params.seed;
+    opts.metrics = true;
+    const auto b =
+        run_dalta_nd(exact, dist, params, *packed, RunContext(opts));
+    EXPECT_EQ(pack_runs.value() > runs_before, replicas == "2");
 
-  EXPECT_EQ(a.med, b.med);
-  EXPECT_EQ(a.error_rate, b.error_rate);
-  EXPECT_EQ(a.cop_solves, b.cop_solves);
-  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
-  for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
-    ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    EXPECT_EQ(a.med, b.med);
+    EXPECT_EQ(a.error_rate, b.error_rate);
+    EXPECT_EQ(a.cop_solves, b.cop_solves);
+    EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+    for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+      ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    }
   }
 }
 

@@ -287,6 +287,40 @@ TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
   EXPECT_STREQ(scalar.name, "scalar");
 }
 
+TEST(ForceKernelDispatch, TailLanesAreTheReplicaRemainder) {
+  // The CSR tiers run R in whole blocks of 4 (portable, AVX2) or 8
+  // (AVX-512) lanes and R mod that block as their lane tail; the bipartite
+  // layout vectorizes across rows and has none. The packed solver's slot
+  // gate packs only where a standalone solve has a tail.
+  for (const CpuFeatures& f :
+       {no_features(), avx2_features(), avx512_features()}) {
+    EXPECT_EQ(
+        kernels::select_force_kernel(ForceKernel::kAuto, f, 1).tail_lanes,
+        0u);
+  }
+  struct Tier {
+    ForceKernel kind;
+    CpuFeatures features;
+    std::size_t block;
+  };
+  std::vector<Tier> tiers = {{ForceKernel::kScalar, no_features(), 4}};
+  if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
+    tiers.push_back({ForceKernel::kAvx2, avx2_features(), 4});
+  }
+  if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
+    tiers.push_back({ForceKernel::kAvx512, avx512_features(), 8});
+  }
+  for (const Tier& t : tiers) {
+    for (std::size_t replicas = 1; replicas <= 9; ++replicas) {
+      const auto sel = kernels::select_force_kernel(t.kind, t.features,
+                                                    replicas);
+      ASSERT_EQ(sel.kind, t.kind);
+      EXPECT_EQ(sel.tail_lanes, replicas % t.block)
+          << sel.name << " R=" << replicas;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- registry
 
 TEST(ForceKernelRegistry, PropAcceptsKernelKey) {

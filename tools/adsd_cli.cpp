@@ -29,7 +29,13 @@
 //                           kernel config key; default auto)
 //         --pack <K>        pack up to K candidate solves per force pass
 //                           (prop solver; shorthand for the pack config
-//                           key; results are bit-identical to unpacked)
+//                           key; results are bit-identical to unpacked).
+//                           Packs form only where they beat looped
+//                           solves, i.e. where the looped force kernel
+//                           leaves a lane tail (2..7 replicas, R = 4 on
+//                           AVX-512 only; an explicit --kernel at one);
+//                           the default R = 1 batches are solved
+//                           unpacked, over the worker pool
 //         --threads <t>     worker threads for the partition fan-out
 //                           (>= 1; default: hardware concurrency)
 //         --trace <file>    write a Chrome trace_event JSON timeline of the
