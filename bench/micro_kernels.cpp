@@ -309,6 +309,29 @@ BENCHMARK_CAPTURE(BM_ForceKernelR1, csr, kernels::ForceKernel::kAvx512)
 BENCHMARK_CAPTURE(BM_ForceKernelR1, bipartite, kernels::ForceKernel::kAuto)
     ->Arg(9)->Arg(16);
 
+void BM_BsbIntervalR1(benchmark::State& state) {
+  // One R = 1 advance() of 20 dependent bSB steps (n = 9's sampling
+  // interval) with no sampling point: the bipartite interval kernel alone,
+  // force passes and Euler steps, on the column-COP models (arg = n).
+  constexpr std::size_t kSteps = 20;
+  const auto n = static_cast<unsigned>(state.range(0));
+  const IsingModel model = make_cop(n, n == 16 ? 7 : 4, 31).to_ising();
+  SbParams params;
+  params.seed = 41;
+  BsbBatchEngine engine(model, params, 1);
+  Rng rng(41);
+  for (double& v : engine.positions()) {
+    v = rng.next_double(-1.0, 1.0);
+  }
+  for (auto _ : state) {
+    engine.advance(engine.steps_done(), kSteps);
+    benchmark::DoNotOptimize(engine.positions().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSteps));
+}
+BENCHMARK(BM_BsbIntervalR1)->Arg(9)->Arg(16);
+
 void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   // Full batched solve (8 replicas, 100 steps) on the n = 16 core-COP
   // model per kernel variant -- what the force-kernel speedups translate
@@ -597,6 +620,9 @@ void BM_Theorem3Reset(benchmark::State& state) {
 BENCHMARK(BM_Theorem3Reset)->Arg(9)->Arg(16);
 
 void BM_ObjectiveEvaluation(benchmark::State& state) {
+  // One ColumnCop::objective() call (the warm start, the polish, the
+  // incumbent re-score and the greedy solver) on a random setting, so
+  // which cells pay their gain varies cell by cell.
   const auto n = static_cast<unsigned>(state.range(0));
   const auto cop = make_cop(n, n == 16 ? 7 : 4, 19);
   Rng rng(23);
@@ -604,6 +630,10 @@ void BM_ObjectiveEvaluation(benchmark::State& state) {
   s.v1 = BitVec(cop.rows());
   s.v2 = BitVec(cop.rows());
   s.t = BitVec(cop.cols());
+  for (std::size_t i = 0; i < cop.rows(); ++i) {
+    s.v1.set(i, rng.next_bool());
+    s.v2.set(i, rng.next_bool());
+  }
   for (std::size_t j = 0; j < cop.cols(); ++j) {
     s.t.set(j, rng.next_bool());
   }

@@ -1,7 +1,9 @@
 #include "core/column_cop.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "ising/kernels/force_kernels.hpp"
@@ -106,12 +108,26 @@ double ColumnCop::objective(const ColumnSetting& s) const {
   if (s.v1.size() != rows_ || s.v2.size() != rows_ || s.t.size() != cols_) {
     throw std::invalid_argument("ColumnCop::objective: setting shape");
   }
+  // cell_cost() summed row-major, branch-free: a word of row i's Ohat bits
+  // is T's word ANDed with V2_i, or'ed with its complement ANDed with V1_i,
+  // and each cell adds base + (gain ANDed with its Ohat bit spread to all
+  // 64 bits). A cleared gain is +0.0, the value cell_cost() adds too.
+  const std::vector<std::uint64_t>& t = s.t.words();
   double total = 0.0;
   for (std::size_t i = 0; i < rows_; ++i) {
-    const bool a = s.v1.get(i);
-    const bool b = s.v2.get(i);
-    for (std::size_t j = 0; j < cols_; ++j) {
-      total += cell_cost(i, j, s.t.get(j) ? b : a);
+    const std::uint64_t on1 = s.v1.get(i) ? ~std::uint64_t{0} : 0;
+    const std::uint64_t on2 = s.v2.get(i) ? ~std::uint64_t{0} : 0;
+    const double* base = base_.data() + i * cols_;
+    const double* gain = gain_.data() + i * cols_;
+    for (std::size_t j0 = 0; j0 < cols_; j0 += 64) {
+      const std::uint64_t tw = t[j0 >> 6];
+      const std::uint64_t ohat = (tw & on2) | (~tw & on1);
+      const std::size_t j_end = std::min(cols_, j0 + 64);
+      for (std::size_t j = j0; j < j_end; ++j) {
+        const std::uint64_t keep = 0 - ((ohat >> (j - j0)) & 1);
+        total += base[j] + std::bit_cast<double>(
+                               std::bit_cast<std::uint64_t>(gain[j]) & keep);
+      }
     }
   }
   return total;

@@ -464,7 +464,11 @@ ColumnSetting CoreCopSolver::solve(const ColumnCop& cop, const RunContext& ctx,
                                    CoreSolveStats* stats) const {
   CoreSolveStats local;
   CoreSolveStats* out = stats != nullptr ? stats : &local;
-  const TraceSpan trace_span(ctx.tracer(), "core/solve/" + name());
+  // The span name is composed only when a tracer is armed.
+  TraceSpan trace_span;
+  if (TraceRecorder* tracer = ctx.tracer()) {
+    trace_span = TraceSpan(tracer, "core/solve/" + name());
+  }
   const Timer solve_timer;
   ColumnSetting s = do_solve(cop, ctx, seed, out);
   if (MetricsRegistry* m = ctx.metrics()) {
@@ -504,7 +508,10 @@ std::vector<ColumnSetting> CoreCopSolver::solve_batch(
       out[i] = solve(cops[i], ctx, seeds[i], &local[i]);
     }
   } else if (!cops.empty()) {
-    const TraceSpan trace_span(ctx.tracer(), "core/solve_batch/" + name());
+    TraceSpan trace_span;
+    if (TraceRecorder* tracer = ctx.tracer()) {
+      trace_span = TraceSpan(tracer, "core/solve_batch/" + name());
+    }
     do_solve_batch(cops, ctx, seeds, out, local);
     // The same per-member counters solve() records; members are not timed
     // one by one, so there is no latency sample.

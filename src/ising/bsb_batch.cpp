@@ -15,7 +15,9 @@ BsbBatchEngine::BsbBatchEngine(const IsingModel& model, const SbParams& params,
     : EnsembleEngineBase(model, replicas, params.kernel, params.discrete,
                          "BsbBatchEngine"),
       params_(params),
-      step_fn_(kernels::select_bsb_step(params.kernel, cpu_features())) {
+      step_fn_(kernels::select_bsb_step(params.kernel, cpu_features())),
+      interval_fn_(params.discrete ? kernel_.interval_discrete
+                                   : kernel_.interval_continuous) {
   if (params.max_iterations == 0 || params.dt <= 0.0 ||
       params.detuning <= 0.0) {
     throw std::invalid_argument("BsbBatchEngine: bad parameters");
@@ -48,29 +50,47 @@ BsbBatchEngine::BsbBatchEngine(const IsingModel& model, const SbParams& params,
   init_tracker();
 }
 
-void BsbBatchEngine::step() {
+void BsbBatchEngine::advance(std::size_t /*iter*/, std::size_t steps) {
+  // The ramp spans the cap, which only the budget rescale changes, and
+  // only between calls (at a sampling point).
   const auto total = static_cast<double>(params_.max_iterations);
-  // Same ramp expression as the scalar reference (bit-for-bit parity).
-  const double a =
-      params_.detuning * (static_cast<double>(step_) + 1.0) / total;
-  const double stiffness = params_.detuning - a;
-
-  compute_forces();
-
-  // The step runs at the host's vector width through the same cpuid
-  // dispatch as the force kernel; every tier keeps the portable loop's
-  // expression order, bit for bit.
+  const double dt_detuning = params_.dt * params_.detuning;
+  if (interval_fn_ != nullptr) {
+    // Bipartite layout: the whole interval in one kernel call. Its forces
+    // stay in registers, so the idle force plane is its second x plane.
+    kernels::BsbIntervalPlanes interval;
+    interval.x = x_.data();
+    interval.y = y_.data();
+    interval.x_next = force_.data();
+    interval.step0 = step_;
+    interval.steps = steps;
+    interval.detuning = params_.detuning;
+    interval.total = total;
+    interval.dt = params_.dt;
+    interval.c0 = c0_;
+    interval.dt_detuning = dt_detuning;
+    interval_fn_(planes_, interval);
+    step_ += steps;
+    return;
+  }
+  // CSR layouts: a (possibly row-sharded) force pass, then the step at
+  // the host's vector width through the same cpuid dispatch as the force
+  // kernel; every tier keeps the portable loop's expression order, bit
+  // for bit.
   kernels::BsbStepPlanes planes;
   planes.x = x_.data();
   planes.y = y_.data();
   planes.force = force_.data();
   planes.lanes = n_ * R_;
-  planes.neg_stiffness = -stiffness;
   planes.dt = params_.dt;
   planes.c0 = c0_;
-  planes.dt_detuning = params_.dt * params_.detuning;
-  step_fn_(planes);
-  ++step_;
+  planes.dt_detuning = dt_detuning;
+  for (std::size_t k = 0; k < steps; ++k, ++step_) {
+    compute_forces();
+    planes.neg_stiffness =
+        kernels::bsb_neg_stiffness(params_.detuning, total, step_);
+    step_fn_(planes);
+  }
 }
 
 std::string BsbBatchEngine::curve_name() const {

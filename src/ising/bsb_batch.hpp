@@ -30,8 +30,11 @@ class RunContext;
 /// on a column-COP model the bipartite kernel that vectorizes across rows
 /// — selected at construction from SbParams::kernel (kAuto by default) and
 /// reported via kernel_name() and the kernel_invocations_total{kernel}
-/// metric. The Euler step dispatches to the same ISA tier. Every variant
-/// is bit-identical by construction.
+/// metric. The Euler step dispatches to the same ISA tier. On the
+/// bipartite layout advance() integrates a whole sampling interval in one
+/// interval-kernel call (the force pass and the step in one loop); CSR
+/// layouts run force pass and step per step. Every variant is
+/// bit-identical by construction.
 ///
 /// Replica r reproduces the scalar reference solve_sb_scalar() with seed
 /// params.seed + r * 0x9e3779b9 bit-for-bit: the per-replica arithmetic uses
@@ -45,8 +48,8 @@ class BsbBatchEngine final : public EnsembleEngineBase {
 
   std::size_t steps_done() const { return step_; }
 
-  /// One Euler step for all replicas (pump ramp from the step counter).
-  void step();
+  /// One Euler step for all replicas: advance() over a single step.
+  void step() { advance(step_, 1); }
 
   // IsingEngine contract: the "ising/sb" counter and "ising/bsb" trace
   // namespaces are the engine's historical names, kept verbatim.
@@ -60,11 +63,14 @@ class BsbBatchEngine final : public EnsembleEngineBase {
   void apply_budget_rescale(std::size_t max_iterations) override {
     params_.max_iterations = max_iterations;
   }
-  void advance(std::size_t /*iter*/) override { step(); }
+  /// `steps` Euler steps for all replicas; the pump ramp follows the
+  /// engine's own step counter (steps_done()), not `iter`.
+  void advance(std::size_t iter, std::size_t steps) override;
 
  private:
   SbParams params_;
   kernels::BsbStepFn step_fn_;
+  kernels::BsbIntervalFn interval_fn_;  // bipartite layout only, else null
   double c0_;
   std::size_t step_ = 0;
 };

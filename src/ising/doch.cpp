@@ -61,24 +61,26 @@ DochEngine::DochEngine(const IsingModel& model, const DochParams& params,
   init_tracker();
 }
 
-void DochEngine::advance(std::size_t /*iter*/) {
+void DochEngine::advance(std::size_t /*iter*/, std::size_t steps) {
   const double beta = params_.momentum;
-  const std::size_t total_lanes = n_ * R_;
-  // y holds u = x - x_prev from the previous iteration (0 at start and
-  // after a hook reset), so the lookahead is one fused pass.
-  for (std::size_t k = 0; k < total_lanes; ++k) {
-    z_[k] = x_[k] + beta * y_[k];
-  }
-
-  compute_forces();
-
   const double inv_rho = inv_rho_;
-  for (std::size_t k = 0; k < total_lanes; ++k) {
-    const double zk = z_[k] + inv_rho * force_[k];
-    const double lo = zk < -1.0 ? -1.0 : zk;
-    const double xn = lo > 1.0 ? 1.0 : lo;
-    y_[k] = xn - x_[k];
-    x_[k] = xn;
+  const std::size_t total_lanes = n_ * R_;
+  for (std::size_t step = 0; step < steps; ++step) {
+    // y holds u = x - x_prev from the previous iteration (0 at start and
+    // after a hook reset), so the lookahead is one fused pass.
+    for (std::size_t k = 0; k < total_lanes; ++k) {
+      z_[k] = x_[k] + beta * y_[k];
+    }
+
+    compute_forces();
+
+    for (std::size_t k = 0; k < total_lanes; ++k) {
+      const double zk = z_[k] + inv_rho * force_[k];
+      const double lo = zk < -1.0 ? -1.0 : zk;
+      const double xn = lo > 1.0 ? 1.0 : lo;
+      y_[k] = xn - x_[k];
+      x_[k] = xn;
+    }
   }
 }
 

@@ -81,7 +81,7 @@ class DochEngine final : public EnsembleEngineBase {
   void apply_budget_rescale(std::size_t max_iterations) override {
     params_.max_iterations = max_iterations;
   }
-  void advance(std::size_t iter) override;
+  void advance(std::size_t iter, std::size_t steps) override;
 
  private:
   DochParams params_;

@@ -243,7 +243,16 @@ IsingSolveResult run_engine(IsingEngine& engine) {
   // run ended. Recording only reads solver state, so traced runs stay
   // bit-identical to untraced ones.
   TraceRecorder* tracer = ctx != nullptr ? ctx->tracer() : nullptr;
-  const TraceSpan run_span(tracer, std::string(trprefix) + "/run");
+  // Span and counter names are composed only when a tracer is armed, once
+  // per run: the off path is the pointer test alone.
+  TraceSpan run_span;
+  std::string best_counter;
+  std::string variance_counter;
+  if (tracer != nullptr) {
+    run_span = TraceSpan(tracer, std::string(trprefix) + "/run");
+    best_counter = std::string(trprefix) + "/best_energy";
+    variance_counter = std::string(trprefix) + "/stop_variance";
+  }
   std::size_t energy_samples = 0;
 
   // Best-energy-vs-iteration curve for the QoR export. The name is built
@@ -258,25 +267,25 @@ IsingSolveResult run_engine(IsingEngine& engine) {
   }
   bool budget_checked = false;
 
-  // Composed once: the sampling loop must not allocate per point.
-  const std::string best_counter = std::string(trprefix) + "/best_energy";
-  const std::string variance_counter =
-      std::string(trprefix) + "/stop_variance";
-
-  // Sampling points fall every sample_every steps, (iter + 1) a multiple
-  // of it; a countdown finds them without a division per step.
+  // Sampling points fall after every sample_every iterations. Each
+  // advance() integrates up to the next one or to the cap, which is
+  // re-read per chunk because the budget rescale may shrink it; a
+  // countdown finds the points without a division.
   std::size_t until_sample = sample_every;
-  std::size_t iter = 0;
-  for (; iter < engine.max_iterations(); ++iter) {
-    engine.advance(iter);
-    if (--until_sample == 0) {
+  std::size_t iter = 0;  // iterations done
+  while (iter < engine.max_iterations()) {
+    const std::size_t steps =
+        std::min(until_sample, engine.max_iterations() - iter);
+    engine.advance(iter, steps);
+    iter += steps;
+    until_sample -= steps;
+    if (until_sample == 0) {
       until_sample = sample_every;
       const double best_now = engine.observe(result);
       ++energy_samples;
       trace_counter(tracer, best_counter, best_now);
-      trace_counter(tracer, variance_counter, monitor.current_variance());
       if (qor != nullptr) {
-        qor->curve_point(curve_id, iter + 1, best_now);
+        qor->curve_point(curve_id, iter, best_now);
       }
 
       // Budget-aware iteration rescale: when a context deadline implies
@@ -291,14 +300,14 @@ IsingSolveResult run_engine(IsingEngine& engine) {
         if (engine.supports_budget_rescale() && ctx != nullptr &&
             ctx->deadline().budget() > 0.0) {
           const double per_step =
-              run_timer.seconds() / static_cast<double>(iter + 1);
+              run_timer.seconds() / static_cast<double>(iter);
           const double remaining = ctx->deadline().remaining();
           if (per_step > 0.0) {
             const double affordable_d =
-                static_cast<double>(iter + 1) + 0.9 * remaining / per_step;
+                static_cast<double>(iter) + 0.9 * remaining / per_step;
             if (affordable_d < static_cast<double>(engine.max_iterations())) {
               const std::size_t affordable = std::max<std::size_t>(
-                  static_cast<std::size_t>(affordable_d), iter + 2);
+                  static_cast<std::size_t>(affordable_d), iter + 1);
               if (affordable < engine.max_iterations()) {
                 const std::size_t dropped =
                     engine.max_iterations() - affordable;
@@ -329,20 +338,24 @@ IsingSolveResult run_engine(IsingEngine& engine) {
       }
 
       const bool variance_stop = monitor.observe(best_now);
+      if (tracer != nullptr) {
+        // After observe(): the window the stop decision just read.
+        tracer->counter(variance_counter, monitor.current_variance());
+      }
       const bool deadline_stop =
           !variance_stop && ctx != nullptr && ctx->expired();
       if (variance_stop || deadline_stop) {
         result.stopped_early = true;
-        ++iter;
         if (MetricsRegistry* m = ctx != nullptr ? ctx->metrics() : nullptr) {
           m->counter(variance_stop ? "engine_dynamic_stops_total"
                                    : "engine_deadline_hits_total",
                      {{"engine", engine_label(tprefix)}})
               .add();
         }
-        trace_instant(tracer, std::string(trprefix) +
-                                  (variance_stop ? "/dynamic_stop"
-                                                 : "/deadline_hit"));
+        if (tracer != nullptr) {
+          tracer->instant(std::string(trprefix) +
+                          (variance_stop ? "/dynamic_stop" : "/deadline_hit"));
+        }
         if (variance_stop) {
           ADSD_LOG_DEBUG("ising/engine", "dynamic stop",
                          {"engine", engine_label(tprefix)},

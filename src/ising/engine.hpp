@@ -162,8 +162,8 @@ class IsingEngine {
   /// without a dispatched kernel (the scalar-sweep SA engine).
   virtual const char* kernel_label() const { return "none"; }
 
-  /// Iteration cap; re-read by the driver every iteration because the
-  /// budget rescale may shrink it mid-run.
+  /// Iteration cap; re-read by the driver before every advance() because
+  /// the budget rescale may shrink it mid-run.
   virtual std::size_t max_iterations() const = 0;
 
   /// Iterations between sampling points (>= 1).
@@ -184,8 +184,12 @@ class IsingEngine {
   /// SoA engines report the resolved force kernel here).
   virtual void on_run_start() {}
 
-  /// One integration step / sweep; `iter` is the 0-based loop counter.
-  virtual void advance(std::size_t iter) = 0;
+  /// Integrates `steps` >= 1 iterations (steps / sweeps), the first of
+  /// which is 0-based loop iteration `iter`. The driver passes the
+  /// iterations up to the next sampling point or the cap, whichever comes
+  /// first, so one call integrates a whole sampling interval and a call
+  /// never crosses a sampling point.
+  virtual void advance(std::size_t iter, std::size_t steps) = 0;
 
   /// Sampling point: apply hooks, refresh energies, fold improvements into
   /// `result`, and return the scalar the dynamic-stop monitor observes.
@@ -198,11 +202,12 @@ class IsingEngine {
   const RunContext* ctx_ = nullptr;
 };
 
-/// The shared sweep driver: integration loop, sampling points, dynamic
-/// stop, deadline checks (at entry and at sampling points), one-time
-/// budget-aware iteration rescale, convergence trace/QoR curve, and the
-/// end-of-run metrics — extracted verbatim from the pre-refactor
-/// BsbBatchEngine::run() so the rehosted engines stay bit-identical.
+/// The shared sweep driver: integration loop (one advance() per sampling
+/// interval), sampling points, dynamic stop, deadline checks (at entry and
+/// at sampling points), one-time budget-aware iteration rescale,
+/// convergence trace/QoR curve, and the end-of-run metrics — extracted
+/// from the pre-refactor BsbBatchEngine::run() so the rehosted engines
+/// stay bit-identical.
 IsingSolveResult run_engine(IsingEngine& engine);
 
 /// Shared chassis of the SoA lockstep ensemble engines (bSB, SimCIM,
@@ -250,7 +255,9 @@ class EnsembleEngineBase : public IsingEngine {
 
   /// Raw SoA planes (size n * R), for hooks/benchmarks/tests. The y plane
   /// is the engine's secondary state: bSB momenta, DOCH velocities, a
-  /// hook scratch plane for the momentum-free SimCIM.
+  /// hook scratch plane for the momentum-free SimCIM. forces() holds
+  /// forces right after compute_forces(); the bSB interval kernel keeps
+  /// its forces in registers and uses the plane as scratch positions.
   std::span<double> positions() { return x_; }
   std::span<double> momenta() { return y_; }
   std::span<const double> forces() const { return force_; }

@@ -2,13 +2,14 @@
 // AVX2 file, same lane-across-replicas vectorization, same mul-then-add
 // bit-exactness contract (no FMA, -ffp-contract=off). Lane blocks of 16
 // (two zmm accumulators) / 8 are peeled, with an AVX2-free scalar tail so
-// the file depends on -mavx512f alone; the R = 1 bipartite kernel holds a
-// V block in four zmm (16 V1 and 16 V2 rows) and a T block in four zmm
-// (32 rows), the bSB step runs eight lanes per zmm, and the Theorem-3
-// reset holds a 32-column chunk of costs per pattern in four zmm. Only
-// reached after the runtime CPUID + XCR0 probe confirms OS zmm state
-// support.
+// the file depends on -mavx512f alone; the R = 1 bipartite pass holds a
+// V block in four zmm (16 V1 and 16 V2 rows) beside a T block in four zmm
+// (32 rows), the bSB step runs eight lanes per zmm (also inside the
+// bipartite interval kernel), and the Theorem-3 reset holds a 32-column
+// chunk of costs per pattern in four zmm. Only reached after the runtime
+// CPUID + XCR0 probe confirms OS zmm state support.
 
+#include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
 
 #ifdef __AVX512F__
@@ -189,100 +190,198 @@ inline __m512d broadcast_drive(double x) {
   return _mm512_set1_pd(Discrete ? (x >= 0.0 ? 1.0 : -1.0) : x);
 }
 
-// Bipartite kernel (R = 1, BipartiteLayout). A V block keeps 16 V1 and
-// 16 V2 accumulators in four zmm -- four independent add chains -- and
-// per T column multiplies the tile row by the broadcast position once,
-// adding the product to the V1 side and subtracting it from the V2 side.
-// A T block keeps 32 accumulators in four zmm and walks its tile over the
-// V1 spins (+), then over the V2 spins (-). Biases load and forces store
-// through lane masks, so padding lanes are never read from h or written.
-template <bool Discrete>
-void bipartite_force(const ForcePlanes& p, std::size_t, std::size_t) {
-  constexpr std::size_t VB = kBipartiteVRows;
-  constexpr std::size_t TB = kBipartiteTRows;
-  const std::size_t r = p.bip_rows;
-  const std::size_t c = p.bip_cols;
-  const double* xt = p.x + 2 * r;
-  for (std::size_t row0 = 0; row0 < r; row0 += VB) {
-    const std::size_t live = std::min(VB, r - row0);
-    const __mmask8 m0 = first_lanes(live);
-    const __mmask8 m1 = first_lanes(live > 8 ? live - 8 : 0);
-    const double* h1 = p.h + row0;
-    const double* h2 = p.h + r + row0;
-    __m512d a1 = _mm512_maskz_loadu_pd(m0, h1);
-    __m512d b1 = _mm512_maskz_loadu_pd(m1, h1 + 8);
-    __m512d a2 = _mm512_maskz_loadu_pd(m0, h2);
-    __m512d b2 = _mm512_maskz_loadu_pd(m1, h2 + 8);
-    const double* w = p.v_tiles + row0 * c;
-    for (std::size_t j = 0; j < c; ++j, w += VB) {
-      const __m512d v = broadcast_drive<Discrete>(xt[j]);
-      const __m512d pa = _mm512_mul_pd(_mm512_loadu_pd(w), v);
-      const __m512d pb = _mm512_mul_pd(_mm512_loadu_pd(w + 8), v);
-      a1 = _mm512_add_pd(a1, pa);
-      b1 = _mm512_add_pd(b1, pb);
-      a2 = _mm512_sub_pd(a2, pa);
-      b2 = _mm512_sub_pd(b2, pb);
-    }
-    _mm512_mask_storeu_pd(p.force + row0, m0, a1);
-    _mm512_mask_storeu_pd(p.force + row0 + 8, m1, b1);
-    _mm512_mask_storeu_pd(p.force + r + row0, m0, a2);
-    _mm512_mask_storeu_pd(p.force + r + row0 + 8, m1, b2);
-  }
-  for (std::size_t col0 = 0; col0 < c; col0 += TB) {
-    const std::size_t live = std::min(TB, c - col0);
-    __mmask8 m[4];
-    __m512d acc[4];
-    for (std::size_t q = 0; q < 4; ++q) {
-      m[q] = first_lanes(live > 8 * q ? live - 8 * q : 0);
-      acc[q] = _mm512_maskz_loadu_pd(m[q], p.h + 2 * r + col0 + 8 * q);
-    }
-    const double* tile = p.t_tiles + col0 * r;
-    const double* w = tile;
-    for (std::size_t i = 0; i < r; ++i, w += TB) {
-      const __m512d v = broadcast_drive<Discrete>(p.x[i]);
-      for (std::size_t q = 0; q < 4; ++q) {
-        acc[q] = _mm512_add_pd(acc[q],
-                               _mm512_mul_pd(_mm512_loadu_pd(w + 8 * q), v));
-      }
-    }
-    w = tile;
-    for (std::size_t i = 0; i < r; ++i, w += TB) {
-      const __m512d v = broadcast_drive<Discrete>(p.x[r + i]);
-      for (std::size_t q = 0; q < 4; ++q) {
-        acc[q] = _mm512_sub_pd(acc[q],
-                               _mm512_mul_pd(_mm512_loadu_pd(w + 8 * q), v));
-      }
-    }
-    for (std::size_t q = 0; q < 4; ++q) {
-      _mm512_mask_storeu_pd(p.force + 2 * r + col0 + 8 * q, m[q], acc[q]);
-    }
-  }
+// The bSB step's broadcast operands (BsbStepPlanes).
+struct StepConsts {
+  __m512d neg_stiffness;
+  __m512d c0;
+  __m512d dt;
+  __m512d dt_detuning;
+  __m512d lo_wall = _mm512_set1_pd(-1.0);
+  __m512d hi_wall = _mm512_set1_pd(1.0);
+
+  StepConsts(double neg_stiffness_, double c0_, double dt_,
+             double dt_detuning_)
+      : neg_stiffness(_mm512_set1_pd(neg_stiffness_)),
+        c0(_mm512_set1_pd(c0_)),
+        dt(_mm512_set1_pd(dt_)),
+        dt_detuning(_mm512_set1_pd(dt_detuning_)) {}
+};
+
+// One bSB step of eight lanes: updates y and returns the new x. The
+// portable loop's expression tree, with the walls as compare + blend so a
+// NaN x' keeps its value and zeroes its momentum exactly as the scalar
+// selects do.
+inline __m512d step_vec(const StepConsts& s, __m512d x, __m512d f,
+                        __m512d& y) {
+  const __m512d drive = _mm512_add_pd(_mm512_mul_pd(s.neg_stiffness, x),
+                                      _mm512_mul_pd(s.c0, f));
+  y = _mm512_add_pd(y, _mm512_mul_pd(s.dt, drive));
+  const __m512d xk = _mm512_add_pd(x, _mm512_mul_pd(s.dt_detuning, y));
+  const __m512d lo = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(xk, s.lo_wall, _CMP_LT_OQ), xk, s.lo_wall);
+  const __m512d clamped = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(lo, s.hi_wall, _CMP_GT_OQ), lo, s.hi_wall);
+  y = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(clamped, xk, _CMP_EQ_OQ), y);
+  return clamped;
 }
 
-// One bSB step over eight lanes selected by `m` (all of them but in the
-// tail): the portable loop's expression tree, with the walls as compare +
-// blend so a NaN x' keeps its value and zeroes its momentum exactly as
-// the scalar selects do.
-inline void bsb_step_lanes(const BsbStepPlanes& s, std::size_t k, __mmask8 m) {
-  const __m512d x = _mm512_maskz_loadu_pd(m, s.x + k);
-  const __m512d f = _mm512_maskz_loadu_pd(m, s.force + k);
+// One bSB step over the lanes [k, k + 8) selected by `m`.
+inline void bsb_step_lanes(const BsbStepPlanes& s, const StepConsts& c,
+                           std::size_t k, __mmask8 m) {
   __m512d y = _mm512_maskz_loadu_pd(m, s.y + k);
-  const __m512d drive = _mm512_add_pd(
-      _mm512_mul_pd(_mm512_set1_pd(s.neg_stiffness), x),
-      _mm512_mul_pd(_mm512_set1_pd(s.c0), f));
-  y = _mm512_add_pd(y, _mm512_mul_pd(_mm512_set1_pd(s.dt), drive));
-  const __m512d xk =
-      _mm512_add_pd(x, _mm512_mul_pd(_mm512_set1_pd(s.dt_detuning), y));
-  const __m512d lo_wall = _mm512_set1_pd(-1.0);
-  const __m512d hi_wall = _mm512_set1_pd(1.0);
-  const __m512d lo = _mm512_mask_blend_pd(
-      _mm512_cmp_pd_mask(xk, lo_wall, _CMP_LT_OQ), xk, lo_wall);
-  const __m512d clamped = _mm512_mask_blend_pd(
-      _mm512_cmp_pd_mask(lo, hi_wall, _CMP_GT_OQ), lo, hi_wall);
-  y = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(clamped, xk, _CMP_EQ_OQ), y);
+  const __m512d x =
+      step_vec(c, _mm512_maskz_loadu_pd(m, s.x + k),
+               _mm512_maskz_loadu_pd(m, s.force + k), y);
   _mm512_mask_storeu_pd(s.y + k, m, y);
-  _mm512_mask_storeu_pd(s.x + k, m, clamped);
+  _mm512_mask_storeu_pd(s.x + k, m, x);
 }
+
+// Bipartite groups (R = 1, BipartiteLayout; the pass is in
+// bipartite_pass.hpp): a V group is a whole tile block, 16 V1 and 16 V2
+// accumulators in four zmm, sharing one product per T column between the
+// two sides; a T group is a whole tile block, 32 accumulators in four zmm.
+// Paired, a pass keeps eight add chains in flight. Biases load and
+// results store through lane masks where a group has padding lanes, so
+// those are never read from h or written.
+struct VGroup {
+  static constexpr std::size_t kRows = 16;
+  __m512d a1;
+  __m512d b1;
+  __m512d a2;
+  __m512d b2;
+
+  void load(const double* h1, const double* h2, std::size_t live) {
+    if (live == kRows) {
+      a1 = _mm512_loadu_pd(h1);
+      b1 = _mm512_loadu_pd(h1 + 8);
+      a2 = _mm512_loadu_pd(h2);
+      b2 = _mm512_loadu_pd(h2 + 8);
+      return;
+    }
+    const __mmask8 m0 = first_lanes(live);
+    const __mmask8 m1 = first_lanes(live > 8 ? live - 8 : 0);
+    a1 = _mm512_maskz_loadu_pd(m0, h1);
+    b1 = _mm512_maskz_loadu_pd(m1, h1 + 8);
+    a2 = _mm512_maskz_loadu_pd(m0, h2);
+    b2 = _mm512_maskz_loadu_pd(m1, h2 + 8);
+  }
+  template <bool Discrete>
+  void trip(const double* w, double x) {
+    const __m512d v = broadcast_drive<Discrete>(x);
+    const __m512d pa = _mm512_mul_pd(_mm512_loadu_pd(w), v);
+    const __m512d pb = _mm512_mul_pd(_mm512_loadu_pd(w + 8), v);
+    a1 = _mm512_add_pd(a1, pa);
+    b1 = _mm512_add_pd(b1, pb);
+    a2 = _mm512_sub_pd(a2, pa);
+    b2 = _mm512_sub_pd(b2, pb);
+  }
+  template <class Out>
+  void emit(const Out& out, std::size_t k1, std::size_t k2,
+            std::size_t live) const {
+    const std::size_t live1 = live > 8 ? live - 8 : 0;
+    out(k1, std::min<std::size_t>(live, 8), a1);
+    out(k2, std::min<std::size_t>(live, 8), a2);
+    if (live1 > 0) {
+      out(k1 + 8, live1, b1);
+      out(k2 + 8, live1, b2);
+    }
+  }
+};
+
+struct TGroup {
+  static constexpr std::size_t kCols = 32;
+  __m512d a;
+  __m512d b;
+  __m512d c;
+  __m512d d;
+
+  static std::size_t lanes(std::size_t live, std::size_t q) {
+    return live > 8 * q ? std::min<std::size_t>(live - 8 * q, 8) : 0;
+  }
+  static __m512d apply(bool minus, __m512d acc, __m512d prod) {
+    return minus ? _mm512_sub_pd(acc, prod) : _mm512_add_pd(acc, prod);
+  }
+  void load(const double* h, std::size_t live) {
+    if (live == kCols) {
+      a = _mm512_loadu_pd(h);
+      b = _mm512_loadu_pd(h + 8);
+      c = _mm512_loadu_pd(h + 16);
+      d = _mm512_loadu_pd(h + 24);
+      return;
+    }
+    a = _mm512_maskz_loadu_pd(first_lanes(lanes(live, 0)), h);
+    b = _mm512_maskz_loadu_pd(first_lanes(lanes(live, 1)), h + 8);
+    c = _mm512_maskz_loadu_pd(first_lanes(lanes(live, 2)), h + 16);
+    d = _mm512_maskz_loadu_pd(first_lanes(lanes(live, 3)), h + 24);
+  }
+  template <bool Discrete, bool Minus>
+  void trip(const double* w, double x) {
+    const __m512d v = broadcast_drive<Discrete>(x);
+    a = apply(Minus, a, _mm512_mul_pd(_mm512_loadu_pd(w), v));
+    b = apply(Minus, b, _mm512_mul_pd(_mm512_loadu_pd(w + 8), v));
+    c = apply(Minus, c, _mm512_mul_pd(_mm512_loadu_pd(w + 16), v));
+    d = apply(Minus, d, _mm512_mul_pd(_mm512_loadu_pd(w + 24), v));
+  }
+  template <class Out>
+  void emit(const Out& out, std::size_t k, std::size_t live) const {
+    out(k, lanes(live, 0), a);
+    if (live > 8) {
+      out(k + 8, lanes(live, 1), b);
+    }
+    if (live > 16) {
+      out(k + 16, lanes(live, 2), c);
+    }
+    if (live > 24) {
+      out(k + 24, lanes(live, 3), d);
+    }
+  }
+};
+
+// The force entry point's output: forces stored to the plane.
+struct ForceOut {
+  double* force;
+
+  void operator()(std::size_t k, std::size_t live, __m512d f) const {
+    if (live == 8) {
+      _mm512_storeu_pd(force + k, f);
+    } else {
+      _mm512_mask_storeu_pd(force + k, first_lanes(live), f);
+    }
+  }
+};
+
+// The interval kernel's output: the bSB step of the lanes, from x into
+// x_next (y in place). Full registers load and store unmasked, which
+// keeps the next pass's position loads forwardable from these stores.
+struct StepOut {
+  StepConsts consts;
+  const double* x;
+  double* y;
+  double* x_next;
+
+  StepOut(const BsbIntervalPlanes& s, double neg_stiffness,
+          const double* x_, double* x_next_)
+      : consts(neg_stiffness, s.c0, s.dt, s.dt_detuning),
+        x(x_),
+        y(s.y),
+        x_next(x_next_) {}
+
+  void operator()(std::size_t k, std::size_t live, __m512d f) const {
+    if (live == 8) {
+      __m512d yk = _mm512_loadu_pd(y + k);
+      const __m512d xk = step_vec(consts, _mm512_loadu_pd(x + k), f, yk);
+      _mm512_storeu_pd(y + k, yk);
+      _mm512_storeu_pd(x_next + k, xk);
+    } else {
+      const __mmask8 m = first_lanes(live);
+      __m512d yk = _mm512_maskz_loadu_pd(m, y + k);
+      const __m512d xk =
+          step_vec(consts, _mm512_maskz_loadu_pd(m, x + k), f, yk);
+      _mm512_mask_storeu_pd(y + k, m, yk);
+      _mm512_mask_storeu_pd(x_next + k, m, xk);
+    }
+  }
+};
 
 }  // namespace
 
@@ -294,21 +393,29 @@ void csr_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
                         std::size_t row_end) {
   csr_force<true>(p, row_begin, row_end);
 }
-void bipartite_force_avx512(const ForcePlanes& p, std::size_t row_begin,
-                            std::size_t row_end) {
-  bipartite_force<false>(p, row_begin, row_end);
+void bipartite_force_avx512(const ForcePlanes& p, std::size_t, std::size_t) {
+  bipartite_pass<VGroup, TGroup, false>(p, p.x, ForceOut{p.force});
 }
-void bipartite_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
-                              std::size_t row_end) {
-  bipartite_force<true>(p, row_begin, row_end);
+void bipartite_force_avx512_d(const ForcePlanes& p, std::size_t,
+                              std::size_t) {
+  bipartite_pass<VGroup, TGroup, true>(p, p.x, ForceOut{p.force});
+}
+void bipartite_interval_avx512(const ForcePlanes& p,
+                               const BsbIntervalPlanes& s) {
+  bipartite_interval<VGroup, TGroup, false, StepOut>(p, s);
+}
+void bipartite_interval_avx512_d(const ForcePlanes& p,
+                                 const BsbIntervalPlanes& s) {
+  bipartite_interval<VGroup, TGroup, true, StepOut>(p, s);
 }
 void bsb_step_avx512(const BsbStepPlanes& s) {
+  const StepConsts c(s.neg_stiffness, s.c0, s.dt, s.dt_detuning);
   std::size_t k = 0;
   for (; k + 8 <= s.lanes; k += 8) {
-    bsb_step_lanes(s, k, first_lanes(8));
+    bsb_step_lanes(s, c, k, first_lanes(8));
   }
   if (k < s.lanes) {
-    bsb_step_lanes(s, k, first_lanes(s.lanes - k));
+    bsb_step_lanes(s, c, k, first_lanes(s.lanes - k));
   }
 }
 // Theorem-3 reset: per replica, a 32-column chunk keeps each pattern's

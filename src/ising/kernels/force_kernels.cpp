@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
 
 namespace adsd::kernels {
@@ -75,12 +76,14 @@ void csr_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
 
 // ----------------------------------------------------- portable bipartite tier
 //
-// R = 1 kernel over BipartiteLayout. A V block holds the accumulators of
-// 16 V1 rows and of the same 16 V2 rows; per T column it forms p = w * x
-// once (x's sign for dSB), adds p to the V1 side and subtracts it from
-// the V2 side. A T block holds 32 T rows and walks its tile twice: + w * x
-// over the V1 spins, then - w * x over the V2 spins, both ascending -- the
-// CSR reference's order. Padding lanes (rows past r or c) have zero
+// R = 1 groups over BipartiteLayout for the shared interleaved pass
+// (bipartite_pass.hpp), half tile blocks as on AVX2: a V group holds the
+// accumulators of 8 V1 rows and of the same 8 V2 rows; per T column it
+// forms p = w * x once (x's sign for dSB), adds p to the V1 side and
+// subtracts it from the V2 side. A T group holds 16 T rows and adds, then
+// subtracts, w * x over the V1, then the V2 spins, both ascending -- the
+// CSR reference's order. The register files auto-vectorize at whatever
+// width the build targets. Padding lanes (rows past r or c) have zero
 // weights and are never stored.
 
 template <bool Discrete>
@@ -92,70 +95,127 @@ inline double drive(double x) {
   }
 }
 
-template <bool Discrete>
-void bipartite_force_scalar_impl(const ForcePlanes& p, std::size_t,
-                                 std::size_t) {
-  constexpr std::size_t VB = kBipartiteVRows;
-  constexpr std::size_t TB = kBipartiteTRows;
-  const std::size_t r = p.bip_rows;
-  const std::size_t c = p.bip_cols;
-  const double* xt = p.x + 2 * r;
-  for (std::size_t row0 = 0; row0 < r; row0 += VB) {
-    const std::size_t live = std::min(VB, r - row0);
-    double acc1[VB] = {};
-    double acc2[VB] = {};
-    for (std::size_t t = 0; t < live; ++t) {
-      acc1[t] = p.h[row0 + t];
-      acc2[t] = p.h[r + row0 + t];
+// One bSB step of one lane: updates y and returns the new x
+// (BsbStepPlanes). The walls are selects, not branches, so loops over it
+// vectorize at the build's baseline width.
+inline double step_lane(double x, double f, double& y, double neg_stiffness,
+                        double c0, double dt, double dt_detuning) {
+  y += dt * (neg_stiffness * x + c0 * f);
+  const double xk = x + dt_detuning * y;
+  // Inelastic walls: clamp x to [-1, 1] and zero the momentum of any lane
+  // that hit a wall.
+  const double lo = xk < -1.0 ? -1.0 : xk;
+  const double clamped = lo > 1.0 ? 1.0 : lo;
+  y = clamped == xk ? y : 0.0;
+  return clamped;
+}
+
+struct VGroup {
+  static constexpr std::size_t kRows = 8;
+  double acc1[kRows];
+  double acc2[kRows];
+
+  void load(const double* h1, const double* h2, std::size_t live) {
+    for (std::size_t t = 0; t < kRows; ++t) {
+      acc1[t] = 0.0;
+      acc2[t] = 0.0;
     }
-    const double* w = p.v_tiles + row0 * c;
-    for (std::size_t j = 0; j < c; ++j, w += VB) {
-      const double v = drive<Discrete>(xt[j]);
-      for (std::size_t t = 0; t < VB; ++t) {
-        const double prod = w[t] * v;
-        acc1[t] += prod;
-        acc2[t] -= prod;
-      }
-    }
     for (std::size_t t = 0; t < live; ++t) {
-      p.force[row0 + t] = acc1[t];
-      p.force[r + row0 + t] = acc2[t];
+      acc1[t] = h1[t];
+      acc2[t] = h2[t];
     }
   }
-  for (std::size_t col0 = 0; col0 < c; col0 += TB) {
-    const std::size_t live = std::min(TB, c - col0);
-    double acc[TB] = {};
-    for (std::size_t t = 0; t < live; ++t) {
-      acc[t] = p.h[2 * r + col0 + t];
+  template <bool Discrete>
+  void trip(const double* w, double x) {
+    const double v = drive<Discrete>(x);
+    for (std::size_t t = 0; t < kRows; ++t) {
+      const double prod = w[t] * v;
+      acc1[t] += prod;
+      acc2[t] -= prod;
     }
-    const double* tile = p.t_tiles + col0 * r;
-    const double* w = tile;
-    for (std::size_t i = 0; i < r; ++i, w += TB) {
-      const double v = drive<Discrete>(p.x[i]);
-      for (std::size_t t = 0; t < TB; ++t) {
+  }
+  template <class Out>
+  void emit(const Out& out, std::size_t k1, std::size_t k2,
+            std::size_t live) const {
+    out(k1, live, acc1);
+    out(k2, live, acc2);
+  }
+};
+
+struct TGroup {
+  static constexpr std::size_t kCols = 16;
+  double acc[kCols];
+
+  void load(const double* h, std::size_t live) {
+    for (std::size_t t = 0; t < kCols; ++t) {
+      acc[t] = 0.0;
+    }
+    for (std::size_t t = 0; t < live; ++t) {
+      acc[t] = h[t];
+    }
+  }
+  template <bool Discrete, bool Minus>
+  void trip(const double* w, double x) {
+    const double v = drive<Discrete>(x);
+    for (std::size_t t = 0; t < kCols; ++t) {
+      if constexpr (Minus) {
+        acc[t] -= w[t] * v;
+      } else {
         acc[t] += w[t] * v;
       }
     }
-    w = tile;
-    for (std::size_t i = 0; i < r; ++i, w += TB) {
-      const double v = drive<Discrete>(p.x[r + i]);
-      for (std::size_t t = 0; t < TB; ++t) {
-        acc[t] -= w[t] * v;
-      }
-    }
+  }
+  template <class Out>
+  void emit(const Out& out, std::size_t k, std::size_t live) const {
+    out(k, live, acc);
+  }
+};
+
+// The force entry point's output: forces stored to the plane.
+struct ForceOut {
+  double* force;
+
+  void operator()(std::size_t k, std::size_t live, const double* f) const {
     for (std::size_t t = 0; t < live; ++t) {
-      p.force[2 * r + col0 + t] = acc[t];
+      force[k + t] = f[t];
     }
   }
-}
+};
 
-void bipartite_force_scalar(const ForcePlanes& p, std::size_t b,
-                            std::size_t e) {
-  bipartite_force_scalar_impl<false>(p, b, e);
+// The interval kernel's output: the bSB step of the lanes, from x into
+// x_next (y in place).
+struct StepOut {
+  const BsbIntervalPlanes& s;
+  double neg_stiffness;
+  const double* x;
+  double* x_next;
+
+  StepOut(const BsbIntervalPlanes& s_, double neg_stiffness_,
+          const double* x_, double* x_next_)
+      : s(s_), neg_stiffness(neg_stiffness_), x(x_), x_next(x_next_) {}
+
+  void operator()(std::size_t k, std::size_t live, const double* f) const {
+    for (std::size_t t = 0; t < live; ++t) {
+      x_next[k + t] = step_lane(x[k + t], f[t], s.y[k + t], neg_stiffness,
+                                s.c0, s.dt, s.dt_detuning);
+    }
+  }
+};
+
+void bipartite_force_scalar(const ForcePlanes& p, std::size_t, std::size_t) {
+  detail::bipartite_pass<VGroup, TGroup, false>(p, p.x, ForceOut{p.force});
 }
-void bipartite_force_scalar_d(const ForcePlanes& p, std::size_t b,
-                              std::size_t e) {
-  bipartite_force_scalar_impl<true>(p, b, e);
+void bipartite_force_scalar_d(const ForcePlanes& p, std::size_t,
+                              std::size_t) {
+  detail::bipartite_pass<VGroup, TGroup, true>(p, p.x, ForceOut{p.force});
+}
+void bipartite_interval_scalar(const ForcePlanes& p,
+                               const BsbIntervalPlanes& s) {
+  detail::bipartite_interval<VGroup, TGroup, false, StepOut>(p, s);
+}
+void bipartite_interval_scalar_d(const ForcePlanes& p,
+                                 const BsbIntervalPlanes& s) {
+  detail::bipartite_interval<VGroup, TGroup, true, StepOut>(p, s);
 }
 
 // ----------------------------------------------------- portable pack tier
@@ -251,6 +311,8 @@ struct Tier {
   ForceRowsFn csr_d;
   ForceRowsFn bipartite_c;
   ForceRowsFn bipartite_d;
+  BsbIntervalFn bipartite_interval_c;
+  BsbIntervalFn bipartite_interval_d;
   BsbStepFn bsb_step;
   Theorem3ResetFn theorem3_reset;
   const char* csr_name;
@@ -268,6 +330,8 @@ constexpr Tier kScalarTier = {csr_force_scalar,
                               csr_force_scalar_d,
                               bipartite_force_scalar,
                               bipartite_force_scalar_d,
+                              bipartite_interval_scalar,
+                              bipartite_interval_scalar_d,
                               detail::bsb_step_portable,
                               detail::theorem3_reset_portable,
                               "scalar",
@@ -279,6 +343,8 @@ constexpr Tier kAvx2Tier = {detail::csr_force_avx2,
                             detail::csr_force_avx2_d,
                             detail::bipartite_force_avx2,
                             detail::bipartite_force_avx2_d,
+                            detail::bipartite_interval_avx2,
+                            detail::bipartite_interval_avx2_d,
                             detail::bsb_step_avx2,
                             detail::theorem3_reset_avx2,
                             "avx2",
@@ -291,6 +357,8 @@ constexpr Tier kAvx512Tier = {detail::csr_force_avx512,
                               detail::csr_force_avx512_d,
                               detail::bipartite_force_avx512,
                               detail::bipartite_force_avx512_d,
+                              detail::bipartite_interval_avx512,
+                              detail::bipartite_interval_avx512_d,
                               detail::bsb_step_avx512,
                               detail::theorem3_reset_avx512,
                               "avx512",
@@ -369,19 +437,15 @@ ForceKernel resolve_isa(ForceKernel requested, const CpuFeatures& f) {
 
 }  // namespace
 
-// The reference step every tier must reproduce bit for bit. The walls are
-// selects, not branches, so the loop vectorizes at the build's baseline
-// width.
+double bsb_neg_stiffness(double detuning, double total, std::size_t step) {
+  return detail::ramp_neg_stiffness(detuning, total, step);
+}
+
+// The reference step every tier must reproduce bit for bit.
 void detail::bsb_step_portable(const BsbStepPlanes& s) {
   for (std::size_t k = 0; k < s.lanes; ++k) {
-    s.y[k] += s.dt * (s.neg_stiffness * s.x[k] + s.c0 * s.force[k]);
-    const double xk = s.x[k] + s.dt_detuning * s.y[k];
-    // Inelastic walls: clamp x to [-1, 1] and zero the momentum of any
-    // lane that hit a wall.
-    const double lo = xk < -1.0 ? -1.0 : xk;
-    const double clamped = lo > 1.0 ? 1.0 : lo;
-    s.y[k] = clamped == xk ? s.y[k] : 0.0;
-    s.x[k] = clamped;
+    s.x[k] = step_lane(s.x[k], s.force[k], s.y[k], s.neg_stiffness, s.c0,
+                       s.dt, s.dt_detuning);
   }
 }
 
@@ -505,6 +569,8 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
   if (use_bipartite) {
     out.continuous = tier.bipartite_c;
     out.discrete = tier.bipartite_d;
+    out.interval_continuous = tier.bipartite_interval_c;
+    out.interval_discrete = tier.bipartite_interval_d;
     out.kind = ForceKernel::kBipartite;
     out.name = tier.bipartite_name;
   } else {

@@ -36,9 +36,11 @@ namespace adsd::kernels {
 /// ("ising/sb/kernel/<name>").
 enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kBipartite };
 
-/// V rows per block of the bipartite layout (16 V1 rows plus the same 16
-/// V2 rows) and T rows per block: two / four zmm, four / eight ymm, or the
-/// portable tier's register files.
+/// V rows per tile block of the bipartite layout (16 V1 rows plus the same
+/// 16 V2 rows) and T rows per tile block. A tier's pass may walk a block in
+/// narrower groups (the AVX-512 tier takes whole blocks in two / four zmm,
+/// the AVX2 and portable tiers half blocks), so these are the tile
+/// strides, not every tier's register width.
 inline constexpr std::size_t kBipartiteVRows = 16;
 inline constexpr std::size_t kBipartiteTRows = 32;
 
@@ -104,6 +106,38 @@ BipartiteLayout build_bipartite(const double* plane, std::size_t rows,
 using ForceRowsFn = void (*)(const ForcePlanes& planes, std::size_t row_begin,
                              std::size_t row_end);
 
+/// Operands of a bSB interval on the bipartite layout
+/// (BsbBatchEngine::advance at R = 1): `steps` Euler steps, step k of
+/// which is engine step step0 + k. Each step is one force pass over the
+/// positions with the ForcePlanes' biases and tiles (its x and force are
+/// not used), then the BsbStepPlanes update of all n lanes at
+/// neg_stiffness = bsb_neg_stiffness(detuning, total, step0 + k). The
+/// forces never leave registers; x_next is an n-double scratch plane the
+/// steps alternate with x, and the positions end in x.
+struct BsbIntervalPlanes {
+  double* x = nullptr;
+  double* y = nullptr;
+  double* x_next = nullptr;
+  std::size_t step0 = 0;
+  std::size_t steps = 0;
+  double detuning = 0.0;
+  double total = 0.0;  // the iteration cap the pump ramp spans
+  double dt = 0.0;
+  double c0 = 0.0;
+  double dt_detuning = 0.0;
+};
+
+/// One interval kernel: integrates a whole BsbIntervalPlanes interval in
+/// one call, bit-identical to `steps` rounds of the CSR reference's force
+/// pass followed by the portable step loop.
+using BsbIntervalFn = void (*)(const ForcePlanes& planes,
+                               const BsbIntervalPlanes& interval);
+
+/// The pump ramp of engine step `step` (0-based) as the step's
+/// BsbStepPlanes::neg_stiffness: -(detuning - detuning * (step + 1) /
+/// total), the scalar reference's expression tree.
+double bsb_neg_stiffness(double detuning, double total, std::size_t step);
+
 /// A resolved dispatch decision: the continuous (bSB) and discrete (dSB)
 /// entry points of one variant, the resolved kind (never kAuto), the
 /// name reported through metrics ("scalar", "avx2", "avx512", or
@@ -112,10 +146,14 @@ using ForceRowsFn = void (*)(const ForcePlanes& planes, std::size_t row_begin,
 /// full-width blocks. The CSR kernels run R in whole blocks of 8
 /// (AVX-512) or 4 (AVX2, portable) lanes and the R mod that block left
 /// over as scalar add chains (as narrower blocks on the portable tier);
-/// the bipartite layout vectorizes across rows and has no tail.
+/// the bipartite layout vectorizes across rows and has no tail. Only the
+/// bipartite layout has interval kernels; a CSR engine steps force pass
+/// by force pass.
 struct SelectedForceKernel {
   ForceRowsFn continuous = nullptr;
   ForceRowsFn discrete = nullptr;
+  BsbIntervalFn interval_continuous = nullptr;
+  BsbIntervalFn interval_discrete = nullptr;
   ForceKernel kind = ForceKernel::kScalar;
   const char* name = "scalar";
   std::size_t tail_lanes = 0;

@@ -28,12 +28,17 @@ void csr_force_avx2(const ForcePlanes& p, std::size_t row_begin,
 void csr_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
                       std::size_t row_end);
 
-// Bipartite kernels (R = 1, column-COP models): fill all n rows; the
-// row range is always [0, n).
+// Bipartite kernels (R = 1, column-COP models; bipartite_pass.hpp): the
+// force entry points fill all n rows and take only the range [0, n); the
+// interval entry points integrate a BsbIntervalPlanes interval with the
+// same pass and the tier's bSB step.
 void bipartite_force_avx2(const ForcePlanes& p, std::size_t row_begin,
                           std::size_t row_end);
 void bipartite_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
                             std::size_t row_end);
+void bipartite_interval_avx2(const ForcePlanes& p, const BsbIntervalPlanes& s);
+void bipartite_interval_avx2_d(const ForcePlanes& p,
+                               const BsbIntervalPlanes& s);
 
 void csr_force_avx512(const ForcePlanes& p, std::size_t row_begin,
                       std::size_t row_end);
@@ -43,6 +48,10 @@ void bipartite_force_avx512(const ForcePlanes& p, std::size_t row_begin,
                             std::size_t row_end);
 void bipartite_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
                               std::size_t row_end);
+void bipartite_interval_avx512(const ForcePlanes& p,
+                               const BsbIntervalPlanes& s);
+void bipartite_interval_avx512_d(const ForcePlanes& p,
+                                 const BsbIntervalPlanes& s);
 
 // bSB step tiers (BsbStepPlanes): the portable loop (built for the
 // baseline ISA; also the AVX2 tier's tail) and its vector siblings, with

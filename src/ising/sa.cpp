@@ -43,18 +43,21 @@ void SaEngine::begin(IsingSolveResult& result) {
   result.energy = energy_;
 }
 
-void SaEngine::advance(std::size_t iter) {
-  // The historical loop multiplied beta at the *end* of every non-stopping
-  // sweep; advancing it at the start of every sweep but the first walks
-  // the identical schedule (sweep j runs at beta_start * ratio^j).
-  if (iter > 0) {
-    beta_ *= ratio_;
-  }
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double delta = model_.flip_delta(spins_, i);
-    if (delta <= 0.0 || rng_.next_double() < std::exp(-beta_ * delta)) {
-      spins_[i] = static_cast<std::int8_t>(-spins_[i]);
-      energy_ += delta;
+void SaEngine::advance(std::size_t iter, std::size_t steps) {
+  for (std::size_t sweep = iter; sweep < iter + steps; ++sweep) {
+    // The historical loop multiplied beta at the *end* of every
+    // non-stopping sweep; advancing it at the start of every sweep but the
+    // first walks the identical schedule (sweep j runs at
+    // beta_start * ratio^j).
+    if (sweep > 0) {
+      beta_ *= ratio_;
+    }
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double delta = model_.flip_delta(spins_, i);
+      if (delta <= 0.0 || rng_.next_double() < std::exp(-beta_ * delta)) {
+        spins_[i] = static_cast<std::int8_t>(-spins_[i]);
+        energy_ += delta;
+      }
     }
   }
 }

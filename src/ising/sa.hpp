@@ -33,7 +33,7 @@ struct SaParams {
 class RunContext;
 
 /// Metropolis simulated annealing rehosted on the IsingEngine contract:
-/// advance() is one sequential Metropolis sweep (beta multiplied into the
+/// advance() runs sequential Metropolis sweeps (beta multiplied into the
 /// geometric schedule before every sweep but the first, which reproduces
 /// the historical end-of-sweep update bit-for-bit), observe() folds the
 /// current assignment into the incumbent and hands the *current* energy to
@@ -53,7 +53,7 @@ class SaEngine final : public IsingEngine {
   std::size_t sample_interval() const override { return 1; }
   const DynamicStopParams& stop_params() const override { return params_.stop; }
   void begin(IsingSolveResult& result) override;
-  void advance(std::size_t iter) override;
+  void advance(std::size_t iter, std::size_t steps) override;
   double observe(IsingSolveResult& result) override;
 
  private:

@@ -48,25 +48,27 @@ SimcimEngine::SimcimEngine(const IsingModel& model, const SimcimParams& params,
   init_tracker();
 }
 
-void SimcimEngine::advance(std::size_t iter) {
+void SimcimEngine::advance(std::size_t iter, std::size_t steps) {
   const auto total = static_cast<double>(params_.max_iterations);
-  const double p =
-      params_.pump_start + (params_.pump_end - params_.pump_start) *
-                               (static_cast<double>(iter) + 1.0) / total;
-
-  compute_forces();
-
   const double dt = params_.dt;
   const double c0 = c0_;
   const double noise = params_.noise;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t r = 0; r < R_; ++r) {
-      const std::size_t k = i * R_ + r;
-      double xk = x_[k] + dt * (p * x_[k] + c0 * force_[k]);
-      if (noise > 0.0) {
-        xk += noise * rngs_[r].next_gaussian();
+  for (std::size_t step = iter; step < iter + steps; ++step) {
+    const double p =
+        params_.pump_start + (params_.pump_end - params_.pump_start) *
+                                 (static_cast<double>(step) + 1.0) / total;
+
+    compute_forces();
+
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t r = 0; r < R_; ++r) {
+        const std::size_t k = i * R_ + r;
+        double xk = x_[k] + dt * (p * x_[k] + c0 * force_[k]);
+        if (noise > 0.0) {
+          xk += noise * rngs_[r].next_gaussian();
+        }
+        x_[k] = std::clamp(xk, -1.0, 1.0);
       }
-      x_[k] = std::clamp(xk, -1.0, 1.0);
     }
   }
 }

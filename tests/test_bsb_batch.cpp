@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/column_cop.hpp"
@@ -334,6 +335,161 @@ TEST(BsbBatchParity, StepTiersBitIdenticalToPortableLoop) {
           << kernels::force_kernel_name(kind) << " lanes=" << lanes;
     }
   }
+}
+
+// ----------------------------------------------- bipartite interval tiers
+
+/// A column COP over the trivial (free, n - free) partition of `exp`:
+/// r = 2^free rows, c = 2^(n - free) columns. Joint mode with random D, or
+/// separate mode with matrix row 0 at probability zero, which gives that
+/// row +-0.0 gains and its V spins -0.0 bias requests.
+IsingModel bipartite_model(unsigned n, unsigned free_size, bool joint) {
+  const TruthTable exact = make_benchmark_table("exp", n, n);
+  const InputPartition w = InputPartition::trivial(n, free_size);
+  const BooleanMatrix m = BooleanMatrix::from_function(exact, 0, w);
+  Rng rng(17 + n);
+  if (joint) {
+    std::vector<double> d(m.rows() * m.cols());
+    for (double& v : d) {
+      v = std::floor(rng.next_double(-6.0, 6.0));
+    }
+    return ColumnCop::joint(m, matrix_probs(InputDistribution::uniform(n), w),
+                            d, 2.0)
+        .to_ising();
+  }
+  std::vector<double> weights(std::size_t{1} << n);
+  for (std::uint64_t x = 0; x < weights.size(); ++x) {
+    weights[x] = w.row_of(x) == 0 ? 0.0 : rng.next_double(0.5, 1.5);
+  }
+  const auto dist = InputDistribution::from_weights(weights);
+  return ColumnCop::separate(m, matrix_probs(dist, w)).to_ising();
+}
+
+TEST(BsbBatchParity, BipartiteIntervalMatchesPerStepLoop) {
+  // Each bipartite interval tier the host can execute (masked feature sets)
+  // against the per-step reference: the scalar CSR force pass, then the
+  // portable step at the ramp this test computes itself. The intervals
+  // (1, 7 and 20 steps, then the rest up to a cap of 47, a multiple of
+  // neither) start mid-ramp at step 11; large initial momenta drive lanes
+  // through both walls. Shapes (r, c): (2, 4), (8, 16), (16, 32),
+  // (16, 64), (128, 512), each joint and separate with a zero row.
+  struct Shape {
+    unsigned n;
+    unsigned free_size;
+  };
+  std::vector<IsingModel> models;
+  for (const Shape& s : {Shape{3, 1}, Shape{7, 3}, Shape{9, 4}, Shape{10, 4},
+                         Shape{16, 7}}) {
+    for (bool joint : {true, false}) {
+      models.push_back(bipartite_model(s.n, s.free_size, joint));
+    }
+  }
+  constexpr double kDetuning = 1.0;
+  constexpr double kDt = 0.5;
+  constexpr double kC0 = 0.3;
+  constexpr std::size_t kCap = 47;
+  constexpr std::size_t kStep0 = 11;
+  const std::size_t intervals[] = {1, 7, 20, kCap - (kStep0 + 28)};
+  const auto force_ref =
+      kernels::select_force_kernel(kernels::ForceKernel::kScalar,
+                                   CpuFeatures{});
+  const auto step_ref =
+      kernels::select_bsb_step(kernels::ForceKernel::kScalar, CpuFeatures{});
+  CpuFeatures avx2;
+  avx2.avx2 = true;
+  avx2.fma = true;
+  CpuFeatures avx512 = avx2;
+  avx512.avx512f = true;
+  int tiers = 0;
+  std::size_t wall_lanes = 0;
+  for (const CpuFeatures& f : {CpuFeatures{}, avx2, avx512}) {
+    const auto sel = kernels::select_force_kernel(kernels::ForceKernel::kAuto,
+                                                  f, 1);
+    ASSERT_EQ(sel.kind, kernels::ForceKernel::kBipartite);
+    if ((f.avx2 && !kernels::force_kernel_supported(
+                       kernels::ForceKernel::kAvx2, cpu_features())) ||
+        (f.avx512f && !kernels::force_kernel_supported(
+                          kernels::ForceKernel::kAvx512, cpu_features()))) {
+      continue;  // this host (or build) cannot execute the tier
+    }
+    ++tiers;
+    for (const IsingModel& model : models) {
+      const BipartiteShape shape = model.bipartite_shape().value();
+      const CsrPlanes csr = flatten_csr(model);
+      kernels::ForcePlanes planes;
+      planes.h = csr.h.data();
+      planes.row_start = csr.row_start.data();
+      planes.cols = csr.cols.data();
+      planes.weights = csr.weights.data();
+      planes.n = model.num_spins();
+      planes.replicas = 1;
+      const auto layout = kernels::build_bipartite(
+          model.bipartite_plane().data(), shape.rows, shape.cols);
+      layout.bind(planes);
+      const std::size_t n = planes.n;
+      for (bool discrete : {false, true}) {
+        std::vector<double> xa(n);
+        std::vector<double> ya(n);
+        Rng rng(83);
+        for (std::size_t k = 0; k < n; ++k) {
+          xa[k] = rng.next_double(-1.0, 1.0);
+          ya[k] = rng.next_double(-3.0, 3.0);
+        }
+        std::vector<double> xb = xa;
+        std::vector<double> yb = ya;
+        std::vector<double> force(n);
+        std::vector<double> x_next(n);
+        std::size_t step = kStep0;
+        for (std::size_t steps : intervals) {
+          for (std::size_t k = 0; k < steps; ++k, ++step) {
+            planes.x = xa.data();
+            planes.force = force.data();
+            (discrete ? force_ref.discrete : force_ref.continuous)(planes, 0,
+                                                                   n);
+            kernels::BsbStepPlanes sp;
+            sp.x = xa.data();
+            sp.y = ya.data();
+            sp.force = force.data();
+            sp.lanes = n;
+            sp.neg_stiffness =
+                -(kDetuning - kDetuning * (static_cast<double>(step) + 1.0) /
+                                  static_cast<double>(kCap));
+            sp.dt = kDt;
+            sp.c0 = kC0;
+            sp.dt_detuning = kDt * kDetuning;
+            step_ref(sp);
+          }
+          kernels::BsbIntervalPlanes iv;
+          iv.x = xb.data();
+          iv.y = yb.data();
+          iv.x_next = x_next.data();
+          iv.step0 = step - steps;
+          iv.steps = steps;
+          iv.detuning = kDetuning;
+          iv.total = static_cast<double>(kCap);
+          iv.dt = kDt;
+          iv.c0 = kC0;
+          iv.dt_detuning = kDt * kDetuning;
+          (discrete ? sel.interval_discrete : sel.interval_continuous)(planes,
+                                                                       iv);
+          const std::string where =
+              std::string(sel.name) + " r=" + std::to_string(shape.rows) +
+              " c=" + std::to_string(shape.cols) +
+              (discrete ? " discrete" : " continuous") + " after step " +
+              std::to_string(step);
+          ASSERT_EQ(std::memcmp(xa.data(), xb.data(), n * sizeof(double)), 0)
+              << where;
+          ASSERT_EQ(std::memcmp(ya.data(), yb.data(), n * sizeof(double)), 0)
+              << where;
+        }
+        for (double v : xa) {
+          wall_lanes += std::fabs(v) == 1.0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GE(tiers, 1);
+  EXPECT_GT(wall_lanes, 0u);
 }
 
 // --------------------------------------------- row-sharded force kernel

@@ -598,6 +598,43 @@ TEST(ColumnCop, IdealBoundIsALowerBound) {
   }
 }
 
+TEST(ColumnCop, ObjectiveMatchesCellCostSum) {
+  // objective() must be the row-major sum of cell_cost() bit for bit, in
+  // both modes. Row 0 has probability zero, so its base and gain entries
+  // are +-0.0; the widths put T in one partial word (5), one whole word
+  // (64) and several words (100, 512).
+  Rng rng(15);
+  for (std::size_t c : {5u, 64u, 100u, 512u}) {
+    const std::size_t r = 3;
+    std::vector<double> probs(r * c);
+    for (std::size_t k = c; k < r * c; ++k) {
+      probs[k] = rng.next_double(0.0, 1.0 / static_cast<double>(r * c));
+    }
+    std::vector<double> d(r * c);
+    for (double& v : d) {
+      v = std::floor(rng.next_double(-6.0, 6.0));
+    }
+    const auto m = random_matrix(r, c, rng);
+    const ColumnCop cops[] = {ColumnCop::separate(m, probs),
+                              ColumnCop::joint(m, probs, d, 2.0)};
+    for (const ColumnCop& cop : cops) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const auto s = random_setting(r, c, rng);
+        double want = 0.0;
+        for (std::size_t i = 0; i < r; ++i) {
+          for (std::size_t j = 0; j < c; ++j) {
+            want += cop.cell_cost(i, j, s.value(i, j));
+          }
+        }
+        const double got = cop.objective(s);
+        EXPECT_EQ(got, want) << "c=" << c << " trial " << trial;
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "c=" << c << " trial " << trial;
+      }
+    }
+  }
+}
+
 TEST(ColumnCop, SpinLayoutIndices) {
   Rng rng(13);
   const auto m = random_matrix(4, 6, rng);

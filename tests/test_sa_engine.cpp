@@ -5,6 +5,7 @@
 // shared sweep driver now supplies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
@@ -51,12 +52,16 @@ ColumnCop random_cop(std::uint64_t seed, std::size_t r, std::size_t c) {
 // ------------------------------------------------ the sweep driver
 
 /// Records the steps run_engine() takes and the steps after which it
-/// samples. Every sampled energy is 1.0, so an enabled dynamic stop (window
-/// 2) fires at the second sampling point.
+/// samples, and checks that every advance() call runs from the last step
+/// up to the next sampling point or the cap, whichever comes first. Every
+/// sampled energy is 1.0, so an enabled dynamic stop (window 2) fires at
+/// the second sampling point. A nonzero `lowered_cap` replaces the cap at
+/// the first sampling point, as the budget rescale does.
 class CountingEngine final : public IsingEngine {
  public:
-  CountingEngine(std::size_t cap, std::size_t interval, bool stop)
-      : cap_(cap), interval_(interval) {
+  CountingEngine(std::size_t cap, std::size_t interval, bool stop,
+                 std::size_t lowered_cap = 0)
+      : cap_(cap), interval_(interval), lowered_cap_(lowered_cap) {
     stop_.enabled = stop;
     stop_.sample_interval = interval;
     stop_.window = 2;
@@ -68,19 +73,27 @@ class CountingEngine final : public IsingEngine {
   std::size_t sample_interval() const override { return interval_; }
   const DynamicStopParams& stop_params() const override { return stop_; }
   void begin(IsingSolveResult& result) override { result.energy = 2.0; }
-  void advance(std::size_t iter) override {
+  void advance(std::size_t iter, std::size_t steps) override {
     EXPECT_EQ(iter, steps_);
-    ++steps_;
+    EXPECT_EQ(iter + steps, std::min((iter / interval_ + 1) * interval_, cap_))
+        << "chunk from " << iter;
+    steps_ += steps;
+    chunks.push_back(steps);
   }
   double observe(IsingSolveResult& /*result*/) override {
+    if (sampled_after.empty() && lowered_cap_ != 0) {
+      cap_ = lowered_cap_;
+    }
     sampled_after.push_back(steps_);
     return 1.0;
   }
   std::vector<std::size_t> sampled_after;
+  std::vector<std::size_t> chunks;
 
  private:
   std::size_t cap_;
   std::size_t interval_;
+  std::size_t lowered_cap_;
   DynamicStopParams stop_;
   std::size_t steps_ = 0;
 };
@@ -110,6 +123,29 @@ TEST(RunEngine, SamplingPointsFallEveryInterval) {
     EXPECT_EQ(result.iterations, c.iterations) << where;
     EXPECT_EQ(result.stopped_early, c.stop && !c.sampled_after.empty())
         << where;
+  }
+}
+
+TEST(RunEngine, ChunksHonorACapLoweredAtTheFirstSamplingPoint) {
+  // The budget rescale shrinks the cap at the first sampling point; the
+  // driver re-reads it before the next chunk, so the run stops at the new
+  // cap, inside an interval (17) or at the point already reached (5).
+  struct Case {
+    std::size_t lowered_cap;
+    std::vector<std::size_t> sampled_after;
+    std::vector<std::size_t> chunks;
+    std::size_t iterations;
+  };
+  for (const Case& c : {Case{17, {7, 14}, {7, 7, 3}, 17},
+                        Case{21, {7, 14, 21}, {7, 7, 7}, 21},
+                        Case{5, {7}, {7}, 7}}) {
+    CountingEngine engine(100, 7, false, c.lowered_cap);
+    const IsingSolveResult result = run_engine(engine);
+    const std::string where = "lowered to " + std::to_string(c.lowered_cap);
+    EXPECT_EQ(engine.sampled_after, c.sampled_after) << where;
+    EXPECT_EQ(engine.chunks, c.chunks) << where;
+    EXPECT_EQ(result.iterations, c.iterations) << where;
+    EXPECT_FALSE(result.stopped_early) << where;
   }
 }
 

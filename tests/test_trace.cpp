@@ -12,8 +12,11 @@
 #include "core/dalta.hpp"
 #include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
+#include "ising/bsb_batch.hpp"
+#include "ising/model.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
+#include "support/rng.hpp"
 #include "support/run_context.hpp"
 #include "support/trace.hpp"
 
@@ -240,6 +243,43 @@ TEST(TraceRecorder, SolveTraceContainsConvergenceCounters) {
   EXPECT_TRUE(report.at("counters").contains("ising/bsb/stop_variance"));
   EXPECT_GT(samples.value(), samples_before);
   EXPECT_GT(resets.value(), resets_before);
+}
+
+TEST(TraceRecorder, StopVarianceIsTheReadingTheStopDecidedOn) {
+  // A solve that ends on the dynamic stop after more than `window`
+  // sampling points. The last stop_variance sample is the window the stop
+  // read, so it is below epsilon; the window before it (the point that did
+  // not stop) reads >= epsilon.
+  Rng rng(61);
+  IsingModel model(12);
+  for (std::size_t i = 0; i < 12; ++i) {
+    model.set_bias(i, rng.next_double(-1.0, 1.0));
+    for (std::size_t j = i + 1; j < 12; ++j) {
+      model.add_coupling(i, j, rng.next_double(-1.0, 1.0));
+    }
+  }
+  model.finalize();
+  SbParams params;
+  params.max_iterations = 20000;
+  params.seed = 5;
+  params.stop.enabled = true;
+  params.stop.sample_interval = 5;
+  params.stop.window = 4;
+  params.stop.epsilon = 1e-8;
+  RunContext::Options opts;
+  opts.trace = true;
+  const RunContext ctx(opts);
+  const IsingSolveResult result =
+      solve_sb_batch(model, params, 1, nullptr, nullptr, &ctx);
+  ASSERT_TRUE(result.stopped_early);
+  ASSERT_LT(result.iterations, params.max_iterations);
+
+  const Value report = json::parse(ctx.tracer()->report_json());
+  ASSERT_TRUE(report.at("instants").contains("ising/bsb/dynamic_stop"));
+  const Value& variance = report.at("counters").at("ising/bsb/stop_variance");
+  EXPECT_GT(variance.at("samples").as_number(),
+            static_cast<double>(params.stop.window));
+  EXPECT_LT(variance.at("last").as_number(), params.stop.epsilon);
 }
 
 }  // namespace
