@@ -2,7 +2,8 @@
 // core solver with and without the column-type reset fed back at every
 // sampling point, on core-COP instances from several benchmarks, and
 // compare the achieved objectives. The final decode-time polish is also
-// ablated separately to isolate the in-search feedback effect.
+// ablated separately to isolate the in-search feedback effect. bSB runs
+// one trajectory per COP unless --replicas says otherwise.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
 // adsd_cli (see tools/trace_summary).
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));
   const std::size_t per_bench = args.get_size("instances", 8);
   const std::uint64_t seed = args.get_size("seed", 42);
-  const std::size_t replicas = args.get_positive_size("replicas", 4);
+  const std::size_t replicas = args.get_positive_size("replicas", 1);
 
   std::cout << "== Ablation A2: Theorem-3 intervention in bSB ==\n"
             << "per-benchmark instances: " << per_bench << " (n=" << n

@@ -1,7 +1,8 @@
 // A3 -- Solver ablation: the same core-COP Ising instances handed to every
-// solver in the library (bSB, dSB, SA, SimCIM, and DOCH on the Ising
-// model -- all registry-built on the unified engine layer -- plus
-// alternating minimization, annealing, and branch-and-bound on the COP).
+// solver in the library (bSB, dSB, SA and DOCH on the Ising model -- all
+// registry-built on the unified engine layer -- plus alternating
+// minimization, annealing, and branch-and-bound on the COP). The Ising
+// solvers run one trajectory per COP unless --replicas says otherwise.
 // Reports solution quality and time, separating the contribution of the
 // Ising *formulation* from the bSB *search*.
 //
@@ -21,12 +22,12 @@ int main(int argc, char** argv) {
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));
   const std::size_t instances = args.get_size("instances", 16);
   const std::uint64_t seed = args.get_size("seed", 42);
-  const std::size_t replicas = args.get_positive_size("replicas", 4);
+  const std::size_t replicas = args.get_positive_size("replicas", 1);
 
   std::cout << "== Ablation A3: solver comparison on identical core-COP "
                "instances ==\n"
             << "instances: " << instances << " (ln, n=" << n
-            << ", free=" << free_size << ", separate mode, bSB replicas="
+            << ", free=" << free_size << ", separate mode, replicas="
             << replicas << ")\n\n";
 
   const RunContext ctx(bench::context_options(args));
@@ -65,7 +66,6 @@ int main(int argc, char** argv) {
   // (previously SA here was a hand-rolled loop around solve_sa).
   run_cop_solver("SA on Ising model", "sa,sweeps=300",
                  "sequential spin updates");
-  run_cop_solver("SimCIM", "simcim", "pump-ramp mean field");
   run_cop_solver("DOCH", "doch", "difference-of-convex, momentum");
   run_cop_solver("alternating min", "alt", "Lloyd-style");
   run_cop_solver("BA anneal", "ba", "setting-level SA");

@@ -6,8 +6,10 @@
 // Brent-Kung).
 //
 // Defaults run at a heavily reduced P/R so the whole suite finishes in
-// about a minute; pass --n 16 --p 20 --rounds 2 (or more) for closer-to-
-// paper scale.
+// well under a minute; pass --n 16 --p 20 --rounds 2 (or more) for
+// closer-to-paper scale. The proposed solver runs the paper's single bSB
+// trajectory per COP (--replicas 1); --replicas R runs R lockstep
+// replicas instead.
 //
 // Observability: --trace/--report/--qor <file> write the same JSON
 // artifacts as adsd_cli (see tools/trace_summary); --json <file>
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
   // alternating refinement sweeps, i.e. it is deliberately stronger than
   // the paper's baseline, making the comparison conservative.
   const std::string baseline = args.get_string("baseline", "dalta");
-  const std::size_t replicas = args.get_positive_size("replicas", 4);
+  const std::size_t replicas = args.get_positive_size("replicas", 1);
   const auto dalta = bench::make_solver(
       baseline == "lit" ? "dalta-lit" : baseline, n, 0.0);
   const auto prop = bench::make_solver("prop", n, 0.0, replicas);

@@ -7,12 +7,11 @@
 //
 // Observability: --trace/--report/--qor <file> follow the benchmark run
 // with an instrumented reference pass (the proposed bSB solver on the
-// n = 9 core COP) and write the same JSON artifacts as adsd_cli; --json <file> writes the measured times as a schema-v2 bench
-// report for tools/bench_diff, with derived records for the sharding
-// speedups (force_shard_speedup_*, flagged invalid on 1-CPU hosts) and the
-// explicit-SIMD force-kernel speedups (force_kernel_speedup_*,
-// single-thread ratios, valid everywhere); all other flags pass through to
-// google-benchmark.
+// n = 9 core COP) and write the same JSON artifacts as adsd_cli; --json
+// <file> writes the measured times as a schema-v2 bench report for
+// tools/bench_diff, with derived single-thread speedup records (the
+// bipartite layout over the CSR kernel at R = 1, the pack over looped
+// solves); all other flags pass through to google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +32,6 @@
 #include "ising/bsb_batch.hpp"
 #include "ising/bsb_pack.hpp"
 #include "ising/kernels/force_kernels.hpp"
-#include "support/cpu_features.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
@@ -182,49 +180,11 @@ void BM_ForceKernelBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ForceKernelBatch)->Arg(8)->Arg(32);
 
-void BM_ForceKernelSharded(benchmark::State& state) {
-  // Row-sharded batched force kernel on the n = 16 core-COP model (768
-  // spins) with 32 replicas: 24576 lanes, past the engine's sharding
-  // threshold. Arg = RunContext worker threads; 0 = serial baseline (no
-  // context attached), so the reported ratio is the sharding speedup.
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto cop = make_cop(16, 7, 31);
-  const IsingModel model = cop.to_ising();
-  SbParams params;
-  params.seed = 41;
-  BsbBatchEngine engine(model, params, 32);
-  RunContext::Options opts;
-  opts.threads = threads;
-  const RunContext ctx(opts);
-  if (threads > 0) {
-    engine.set_context(&ctx);
-  }
-  Rng rng(41);
-  auto x = engine.positions();
-  for (auto& v : x) {
-    v = rng.next_double(-1.0, 1.0);
-  }
-  for (auto _ : state) {
-    engine.compute_forces();
-    benchmark::DoNotOptimize(engine.forces().data());
-  }
-  state.SetItemsProcessed(
-      state.iterations() * 32 *
-      static_cast<std::int64_t>(model.num_couplings()));
-}
-BENCHMARK(BM_ForceKernelSharded)->Arg(0)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMicrosecond)->UseRealTime();
-
 void run_force_variant(benchmark::State& state, const IsingModel& model,
                        kernels::ForceKernel kind) {
-  // Items processed counts CSR edge-lane updates for every variant, so
-  // rates are directly comparable.
+  // Items processed counts CSR edge-lane updates, so rates are comparable
+  // across models and replica counts.
   const auto replicas = static_cast<std::size_t>(state.range(0));
-  if (kernels::select_force_kernel(kind, cpu_features(), replicas).kind !=
-      kind) {
-    state.SkipWithError("kernel variant not selectable on this host");
-    return;
-  }
   SbParams params;
   params.seed = 41;
   params.kernel = kind;
@@ -245,23 +205,18 @@ void run_force_variant(benchmark::State& state, const IsingModel& model,
 
 void BM_ForceKernelVariant(benchmark::State& state,
                            kernels::ForceKernel kind) {
-  // Dispatched force-kernel variants on the n = 16 core-COP model (768
-  // spins, ~45% of the possible couplings present). Arg = replicas.
+  // The CSR force kernel on the n = 16 core-COP model (768 spins, ~45% of
+  // the possible couplings present). Arg = replicas.
   const auto cop = make_cop(16, 7, 31);
   run_force_variant(state, cop.to_ising(), kind);
 }
 BENCHMARK_CAPTURE(BM_ForceKernelVariant, scalar, kernels::ForceKernel::kScalar)
     ->Arg(8)->Arg(32);
-BENCHMARK_CAPTURE(BM_ForceKernelVariant, avx2, kernels::ForceKernel::kAvx2)
-    ->Arg(8)->Arg(32);
-BENCHMARK_CAPTURE(BM_ForceKernelVariant, avx512, kernels::ForceKernel::kAvx512)
-    ->Arg(8)->Arg(32);
 
 void BM_ForceKernelDenseModel(benchmark::State& state,
                               kernels::ForceKernel kind) {
-  // The CSR kernels on a near-complete random model (256 spins, ~98% of
-  // the couplings present): what such models cost at R > 1 on the
-  // portable and the widest explicit-SIMD tier.
+  // The CSR kernel on a near-complete random model (256 spins, ~98% of
+  // the couplings present): what such models cost at R > 1.
   Rng rng(59);
   IsingModel model(256);
   for (std::size_t i = 0; i < 256; ++i) {
@@ -277,15 +232,12 @@ void BM_ForceKernelDenseModel(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, scalar,
                   kernels::ForceKernel::kScalar)->Arg(8)->Arg(32);
-BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, avx512,
-                  kernels::ForceKernel::kAvx512)->Arg(8)->Arg(32);
 
 void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
   // One R = 1 force pass -- the paper's single trajectory per core COP --
   // on the column-COP models (arg = n: 64 spins at n = 9, 768 at n = 16).
-  // csr is the widest CSR tier the host runs (the avx512 request walks the
-  // fallback chain), bipartite the layout auto resolves to at R = 1 on a
-  // column COP, at the same ISA; their n = 16 ratio is the
+  // csr is the CSR reference kernel, bipartite the layout auto resolves to
+  // at R = 1 on a column COP, at the widest ISA; their n = 16 ratio is the
   // force_kernel_speedup_bipartite_r1 record.
   const auto n = static_cast<unsigned>(state.range(0));
   const IsingModel model = make_cop(n, n == 16 ? 7 : 4, 31).to_ising();
@@ -304,7 +256,7 @@ void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(2 * model.num_couplings()));
 }
-BENCHMARK_CAPTURE(BM_ForceKernelR1, csr, kernels::ForceKernel::kAvx512)
+BENCHMARK_CAPTURE(BM_ForceKernelR1, csr, kernels::ForceKernel::kScalar)
     ->Arg(9)->Arg(16);
 BENCHMARK_CAPTURE(BM_ForceKernelR1, bipartite, kernels::ForceKernel::kAuto)
     ->Arg(9)->Arg(16);
@@ -334,14 +286,10 @@ BENCHMARK(BM_BsbIntervalR1)->Arg(9)->Arg(16);
 
 void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   // Full batched solve (8 replicas, 100 steps) on the n = 16 core-COP
-  // model per kernel variant -- what the force-kernel speedups translate
-  // to end to end, with integration/sampling overhead included.
+  // model through the CSR kernel, with integration/sampling overhead
+  // included.
   const auto cop = make_cop(16, 7, 29);
   const IsingModel model = cop.to_ising();
-  if (kernels::select_force_kernel(kind, cpu_features(), 8).kind != kind) {
-    state.SkipWithError("kernel variant not selectable on this host");
-    return;
-  }
   SbParams params;
   params.max_iterations = 100;
   params.seed = 5;
@@ -351,10 +299,6 @@ void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   }
 }
 BENCHMARK_CAPTURE(BM_BsbSolveKernel, scalar, kernels::ForceKernel::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_BsbSolveKernel, avx2, kernels::ForceKernel::kAvx2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_BsbSolveKernel, avx512, kernels::ForceKernel::kAvx512)
     ->Unit(benchmark::kMillisecond);
 
 std::vector<IsingModel> tiny_models(std::size_t count) {
@@ -372,7 +316,7 @@ std::vector<IsingModel> tiny_models(std::size_t count) {
 // K tiny solves the pre-packing way: one BsbBatchEngine per instance at
 // `replicas`, fixed 200 steps so looped and packed do identical work. At
 // R = 1 each engine runs the bipartite layout, which vectorizes across
-// rows; at R = 2 it runs the CSR kernels, whose two replica lanes leave
+// rows; at R = 2 it runs the CSR kernel, whose two replica lanes leave
 // most of a vector idle.
 void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -453,8 +397,6 @@ void BM_EngineSolve(benchmark::State& state, const char* spec) {
   }
 }
 BENCHMARK_CAPTURE(BM_EngineSolve, prop, "prop,n=9,replicas=8")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_EngineSolve, simcim, "simcim,n=9,replicas=8")
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_EngineSolve, doch, "doch,n=9,replicas=8")
     ->Unit(benchmark::kMicrosecond);
@@ -737,41 +679,8 @@ int main(int argc, char** argv) {
     for (const auto& [name, seconds] : reporter.seconds()) {
       report.add_time("kernels/" + name, seconds);
     }
-    // Derived sharding speedups from the Sharded benchmark's serial
-    // baseline; meaningless on a 1-CPU host, so flagged invalid there (the
-    // schema-v2 successor of the old force_shard_speedup_*_valid fields).
     const auto& secs = reporter.seconds();
-    const auto base = secs.find("BM_ForceKernelSharded/0/real_time");
-    const bool multi = bench::multi_core_host();
-    const std::string note =
-        multi ? "" : "measured on a 1-CPU host; sharding cannot win";
-    for (const auto& [threads, label] :
-         {std::pair<const char*, const char*>{"2", "force_shard_speedup_2t"},
-          std::pair<const char*, const char*>{"8",
-                                              "force_shard_speedup_8t"}}) {
-      const auto it = secs.find(std::string("BM_ForceKernelSharded/") +
-                                threads + "/real_time");
-      if (base != secs.end() && it != secs.end() && it->second > 0.0) {
-        report.add_derived(label, base->second / it->second, "max", multi,
-                           note);
-      }
-    }
-    // Derived explicit-SIMD speedups over the portable (auto-vectorized)
-    // kernel at R = 32 on the column-COP model. These are single-thread
-    // ratios, so they are valid on any host -- including 1-CPU containers
-    // where the sharding records above are not; a variant that was skipped
-    // as unsupported produced no record and is absent.
-    for (const char* variant : {"avx2", "avx512"}) {
-      const auto scalar = secs.find("BM_ForceKernelVariant/scalar/32");
-      const auto it =
-          secs.find(std::string("BM_ForceKernelVariant/") + variant + "/32");
-      if (scalar != secs.end() && it != secs.end() && it->second > 0.0) {
-        report.add_derived(std::string("force_kernel_speedup_") + variant,
-                           scalar->second / it->second, "max", true,
-                           "single-thread ratio vs the portable kernel");
-      }
-    }
-    // Bipartite layout over the widest CSR tier at R = 1 on the n = 16
+    // Bipartite layout over the CSR kernel at R = 1 on the n = 16
     // column-COP model: the single-trajectory force pass looped `prop`
     // runs. Single-thread ratio, valid anywhere.
     {
@@ -781,7 +690,7 @@ int main(int argc, char** argv) {
           bipartite->second > 0.0) {
         report.add_derived("force_kernel_speedup_bipartite_r1",
                            csr->second / bipartite->second, "max", true,
-                           "single-thread ratio vs the widest CSR kernel, "
+                           "single-thread ratio vs the CSR kernel, "
                            "R=1, n=16 column COP");
       }
     }
@@ -813,8 +722,6 @@ int main(int argc, char** argv) {
     for (const auto& [tag, label] : {
              std::pair<const char*, const char*>{"prop",
                                                  "engine_solve_s_prop"},
-             std::pair<const char*, const char*>{"simcim",
-                                                 "engine_solve_s_simcim"},
              std::pair<const char*, const char*>{"doch",
                                                  "engine_solve_s_doch"}}) {
       const auto it = secs.find(std::string("BM_EngineSolve/") + tag);

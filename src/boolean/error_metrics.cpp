@@ -24,10 +24,16 @@ InputDistribution InputDistribution::from_weights(std::vector<double> weights) {
   }
   double total = 0.0;
   for (double w : weights) {
-    if (w < 0.0 || std::isnan(w)) {
-      throw std::invalid_argument("InputDistribution: negative weight");
+    if (w < 0.0 || !std::isfinite(w)) {
+      throw std::invalid_argument(
+          "InputDistribution: weights must be finite and non-negative");
     }
     total += w;
+  }
+  // Finite weights can still sum past the largest double; dividing by
+  // +inf would turn every probability into 0.
+  if (!std::isfinite(total)) {
+    throw std::invalid_argument("InputDistribution: weight total overflows");
   }
   if (total <= 0.0) {
     throw std::invalid_argument("InputDistribution: all weights are zero");

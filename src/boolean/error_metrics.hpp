@@ -19,7 +19,8 @@ class InputDistribution {
   static InputDistribution uniform(unsigned num_inputs);
 
   /// Normalizes arbitrary non-negative weights (size must be a power of
-  /// two). Throws if all weights are zero or any is negative.
+  /// two). Throws if all weights are zero, any is negative, NaN or
+  /// infinite, or their total overflows.
   static InputDistribution from_weights(std::vector<double> weights);
 
   unsigned num_inputs() const { return num_inputs_; }

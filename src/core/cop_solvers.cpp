@@ -232,10 +232,6 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
       restart_span_name = "ising/sa/restart";
       engine_metric_label = "sa";
       break;
-    case IsingEngineKind::kSimcim:
-      restart_span_name = "ising/simcim/restart";
-      engine_metric_label = "simcim";
-      break;
     case IsingEngineKind::kDoch:
       restart_span_name = "ising/doch/restart";
       engine_metric_label = "doch";
@@ -295,16 +291,6 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
         }
         break;
       }
-      case IsingEngineKind::kSimcim: {
-        SimcimParams params = options.simcim;
-        params.seed = attempt_seed;
-        if (use_warm) {
-          params.initial_positions = warm.positions;
-        }
-        res = solve_simcim(model, params, replicas, nullptr, plane_hook,
-                           &ctx);
-        break;
-      }
       case IsingEngineKind::kDoch: {
         DochParams params = options.doch;
         params.seed = attempt_seed;
@@ -348,13 +334,13 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
 /// is worth forming (DESIGN.md §4.7). The pack's kernels vectorize across
 /// slots, which beats a standalone solve only where that solve's own force
 /// kernel has a lane tail — the engine's dispatch reports it. None at
-/// R = 1 under kernel=auto (the bipartite layout vectorizes across rows),
-/// none where R fills whole blocks (R = 4 on AVX2 and the portable tier,
-/// R = 8 on every tier). The replica ceiling only decides R >= 9, which
-/// no one has measured, so those chunks stay unpacked. The engine also
-/// streams per-slot union-pattern coupling rows — at most n_max^2 doubles
-/// per slot, the conservative bound known before the union exists —
-/// every force pass, so their working set must stay near cache size.
+/// R = 1 under kAuto (the bipartite layout vectorizes across rows), none
+/// where R fills the CSR kernel's blocks of 4 (R = 4 and 8). The replica
+/// ceiling only decides R >= 9, which no one has measured, so those
+/// chunks stay unpacked. The engine also streams per-slot union-pattern
+/// coupling rows — at most n_max^2 doubles per slot, the conservative
+/// bound known before the union exists — every force pass, so their
+/// working set must stay near cache size.
 /// Instances past the gate are solved standalone over the pool.
 bool passes_slot_gate(std::size_t n_max, std::size_t members,
                       std::size_t replicas, kernels::ForceKernel kernel) {

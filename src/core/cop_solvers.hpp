@@ -11,7 +11,6 @@
 #include "ising/bsb.hpp"
 #include "ising/doch.hpp"
 #include "ising/sa.hpp"
-#include "ising/simcim.hpp"
 #include "support/run_context.hpp"
 #include "support/timer.hpp"
 
@@ -85,34 +84,31 @@ class CoreCopSolver {
 /// paper's proposal; the others reuse the identical COP scaffolding with a
 /// different dynamics core.
 enum class IsingEngineKind {
-  kBsb,     // ballistic/discrete simulated bifurcation (the paper)
-  kSa,      // Metropolis simulated annealing
-  kSimcim,  // mean-field coherent Ising machine
-  kDoch,    // difference-of-convex heuristic (ADOCH with momentum > 0)
+  kBsb,   // ballistic/discrete simulated bifurcation (the paper)
+  kSa,    // Metropolis simulated annealing
+  kDoch,  // difference-of-convex heuristic (ADOCH with momentum > 0)
 };
 
 /// The paper's proposal: ballistic simulated bifurcation on the Ising
 /// formulation, with the dynamic stop criterion (Sec. 3.3.1) and the
 /// Theorem-3 column-type reset fed back at every sampling point
 /// (Sec. 3.3.2). A final Theorem-3 reset polishes the decoded setting.
-/// Options::engine swaps the dynamics core (SA / SimCIM / DOCH) while the
+/// Options::engine swaps the dynamics core (SA / DOCH) while the
 /// surrounding state machine — warm start, restarts, Theorem-3 feedback,
 /// final polish, best selection — stays identical.
 class IsingCoreSolver final : public CoreCopSolver {
  public:
   struct Options {
     /// Dynamics core driven by the restart loop. Engine-specific
-    /// parameters live in the matching member below (sb / sa / simcim /
-    /// doch); the shared fields (restarts, replicas, Theorem-3, polish,
-    /// column seed) apply to every kind. SA realizes `replicas` as
-    /// shifted-seed repeats (its dynamics are scalar) and ignores warm
-    /// positions (spin starts are drawn, not continuous) — the warm
-    /// *incumbent* still applies.
+    /// parameters live in the matching member below (sb / sa / doch); the
+    /// shared fields (restarts, replicas, Theorem-3, polish, column seed)
+    /// apply to every kind. SA realizes `replicas` as shifted-seed repeats
+    /// (its dynamics are scalar) and ignores warm positions (spin starts
+    /// are drawn, not continuous) — the warm *incumbent* still applies.
     IsingEngineKind engine = IsingEngineKind::kBsb;
 
     SbParams sb{};
     SaParams sa{};
-    SimcimParams simcim{};
     DochParams doch{};
 
     bool use_theorem3 = true;
@@ -158,8 +154,6 @@ class IsingCoreSolver final : public CoreCopSolver {
     switch (options_.engine) {
       case IsingEngineKind::kSa:
         return "ising-sa";
-      case IsingEngineKind::kSimcim:
-        return "ising-simcim";
       case IsingEngineKind::kDoch:
         return "ising-doch";
       case IsingEngineKind::kBsb:
@@ -199,11 +193,12 @@ class IsingCoreSolver final : public CoreCopSolver {
 /// the one place that decides whether a chunk is packed at all. The slot
 /// gate solves a chunk member by member through the standalone solve
 /// instead when that solve's force kernel has no lane tail (the bipartite
-/// layout under kernel=auto at R = 1, the DALTA default; R a whole number
-/// of blocks, as R = 4 on AVX2 or R = 8 on any tier) — the looped solve
-/// is the faster one there — when it runs more than 7 replicas (R >= 9 is
-/// unmeasured), or when its per-slot planes would outgrow 4 MiB of
-/// doubles (n_max^2 * members). When the context allows
+/// layout at R = 1, the DALTA default; R a whole number of the CSR
+/// kernel's blocks of 4, as R = 4 or 8) — the looped solve is the faster
+/// one there — when it runs more than 7 replicas (R >= 9 is unmeasured),
+/// or when its per-slot planes would outgrow 4 MiB of doubles
+/// (n_max^2 * members). So packs form at R = 2, 3, 5, 6 and 7 on every
+/// host. When the context allows
 /// parallelism, packed chunks and unpacked members are distributed over
 /// ctx.pool() together: parallelism across packs and solves, SIMD across
 /// members, replicas inside the engine.

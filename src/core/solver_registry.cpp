@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ising/kernels/force_kernels.hpp"
-
 namespace adsd {
 
 namespace {
@@ -205,8 +203,8 @@ const SolverRegistry& SolverRegistry::global() {
            "Theorem-3 feedback)",
            {"ising-bsb"},
            {"n", "replicas", "restarts", "theorem3", "anti-collapse",
-            "polish", "seed-init", "max-iter", "dt", "discrete", "kernel",
-            "stop", "stop-interval", "stop-window", "stop-epsilon", "pack"},
+            "polish", "seed-init", "max-iter", "dt", "discrete", "stop",
+            "stop-interval", "stop-window", "stop-epsilon", "pack"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              auto options = IsingCoreSolver::Options::paper_defaults(
                  static_cast<unsigned>(c.get_size("n", 9)));
@@ -222,8 +220,6 @@ const SolverRegistry& SolverRegistry::global() {
                  c.get_size("max-iter", options.sb.max_iterations);
              options.sb.dt = c.get_double("dt", options.sb.dt);
              options.sb.discrete = c.get_bool("discrete", false);
-             options.sb.kernel = kernels::parse_force_kernel(
-                 c.get_string("kernel", "auto"));
              options.sb.stop.enabled =
                  c.get_bool("stop", options.sb.stop.enabled);
              options.sb.stop.sample_interval = c.get_size(
@@ -294,45 +290,13 @@ const SolverRegistry& SolverRegistry::global() {
              return std::make_unique<IsingCoreSolver>(options);
            }});
 
-    r.add({"simcim",
-           "Mean-field coherent Ising machine (pump ramp + noise) on the "
-           "shared engine chassis",
-           {"ising-simcim"},
-           {"n", "replicas", "restarts", "theorem3", "anti-collapse",
-            "polish", "seed-init", "max-iter", "dt", "pump-start", "pump-end",
-            "noise", "c0", "kernel", "stop", "stop-interval", "stop-window",
-            "stop-epsilon"},
-           [apply_stop_keys,
-            apply_shared_keys](const SolverConfig& c)
-               -> std::unique_ptr<CoreCopSolver> {
-             auto options = IsingCoreSolver::Options::paper_defaults(
-                 static_cast<unsigned>(c.get_size("n", 9)));
-             options.engine = IsingEngineKind::kSimcim;
-             apply_shared_keys(c, options);
-             options.simcim.max_iterations =
-                 c.get_size("max-iter", options.simcim.max_iterations);
-             options.simcim.dt = c.get_double("dt", options.simcim.dt);
-             options.simcim.pump_start =
-                 c.get_double("pump-start", options.simcim.pump_start);
-             options.simcim.pump_end =
-                 c.get_double("pump-end", options.simcim.pump_end);
-             options.simcim.noise =
-                 c.get_double("noise", options.simcim.noise);
-             options.simcim.c0 = c.get_double("c0", options.simcim.c0);
-             options.simcim.kernel = kernels::parse_force_kernel(
-                 c.get_string("kernel", "auto"));
-             apply_stop_keys(c, options.simcim.stop, options.sb.stop);
-             return std::make_unique<IsingCoreSolver>(options);
-           }});
-
     r.add({"doch",
            "Difference-of-convex heuristic (ADOCH with momentum > 0) on "
            "the shared engine chassis",
            {"ising-doch"},
            {"n", "replicas", "restarts", "theorem3", "anti-collapse",
             "polish", "seed-init", "max-iter", "rho", "momentum", "init-amp",
-            "kernel", "stop", "stop-interval", "stop-window",
-            "stop-epsilon"},
+            "stop", "stop-interval", "stop-window", "stop-epsilon"},
            [apply_stop_keys,
             apply_shared_keys](const SolverConfig& c)
                -> std::unique_ptr<CoreCopSolver> {
@@ -347,8 +311,6 @@ const SolverRegistry& SolverRegistry::global() {
                  c.get_double("momentum", options.doch.momentum);
              options.doch.init_amp =
                  c.get_double("init-amp", options.doch.init_amp);
-             options.doch.kernel = kernels::parse_force_kernel(
-                 c.get_string("kernel", "auto"));
              apply_stop_keys(c, options.doch.stop, options.sb.stop);
              return std::make_unique<IsingCoreSolver>(options);
            }});

@@ -43,11 +43,12 @@ struct SbParams {
   /// solver the paper uses.
   bool discrete = false;
 
-  /// Force-kernel variant for the batched engine (registry key `kernel=`,
-  /// CLI `--kernel`); the Euler step runs at the same ISA tier. kAuto
-  /// picks the bipartite layout at one replica on a column-COP model and
-  /// the widest explicit-SIMD CSR kernel the CPU supports otherwise. Every
-  /// variant is bit-identical (see ising/kernels/force_kernels.hpp).
+  /// Force-kernel request of the batched engine. No registry key or flag
+  /// sets it: kAuto picks the bipartite layout at one replica on a
+  /// column-COP model and the CSR kernel otherwise, and the Euler step
+  /// runs at the widest ISA. In-process callers pin kScalar to reach the
+  /// CSR reference at R = 1, or an ISA to pin the step tier. Every variant
+  /// is bit-identical (see ising/kernels/force_kernels.hpp).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 
   /// Dynamic stop criterion (Sec. 3.3.1). When disabled the solver still

@@ -73,10 +73,9 @@ void BsbBatchEngine::advance(std::size_t /*iter*/, std::size_t steps) {
     step_ += steps;
     return;
   }
-  // CSR layouts: a (possibly row-sharded) force pass, then the step at
-  // the host's vector width through the same cpuid dispatch as the force
-  // kernel; every tier keeps the portable loop's expression order, bit
-  // for bit.
+  // CSR layout: a force pass, then the step at the host's vector width
+  // through the cpuid dispatch; every tier keeps the portable loop's
+  // expression order, bit for bit.
   kernels::BsbStepPlanes planes;
   planes.x = x_.data();
   planes.y = y_.data();

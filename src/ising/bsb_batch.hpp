@@ -25,12 +25,12 @@ class RunContext;
 /// The CSR adjacency is split into separate column-index and weight planes
 /// (no interleaved pairs) and all planes are 64-byte aligned. Force
 /// evaluation dispatches through the kernel layer of
-/// ising/kernels/force_kernels.hpp: a cpuid-probed explicit-SIMD CSR
-/// kernel (AVX2 / AVX-512, portable lane-blocked fallback), or at R = 1
-/// on a column-COP model the bipartite kernel that vectorizes across rows
-/// — selected at construction from SbParams::kernel (kAuto by default) and
-/// reported via kernel_name() and the kernel_invocations_total{kernel}
-/// metric. The Euler step dispatches to the same ISA tier. On the
+/// ising/kernels/force_kernels.hpp: at R = 1 on a column-COP model the
+/// bipartite kernel that vectorizes across rows at the cpuid-probed ISA
+/// tier, otherwise the lane-blocked CSR kernel — selected at construction
+/// from SbParams::kernel (kAuto by default) and reported via kernel_name()
+/// and the kernel_invocations_total{kernel} metric. The Euler step
+/// dispatches to the host's widest ISA tier. On the
 /// bipartite layout advance() integrates a whole sampling interval in one
 /// interval-kernel call (the force pass and the step in one loop); CSR
 /// layouts run force pass and step per step. Every variant is
@@ -84,8 +84,8 @@ class BsbBatchEngine final : public EnsembleEngineBase {
 /// (if any) is applied to every replica at each sampling point through a
 /// strided view (no copies); `plane_hook` (if any) runs once per sampling
 /// point over the whole ensemble before the per-replica hook. A non-null
-/// `ctx` enables row-sharded force evaluation over ctx->pool(), deadline
-/// checks, and the engine_* metrics when ctx->metrics() is armed.
+/// `ctx` enables deadline checks and the engine_* metrics when
+/// ctx->metrics() is armed.
 IsingSolveResult solve_sb_batch(const IsingModel& model, const SbParams& params,
                                 std::size_t replicas,
                                 const SbBatchHook& hook = nullptr,

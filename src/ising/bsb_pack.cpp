@@ -260,10 +260,10 @@ kernels::PackForcePlanes BsbPackEngine::tile_planes(std::size_t t) {
 }
 
 void BsbPackEngine::compute_forces() {
-  // No pool sharding here: members are tiny by design and callers
-  // parallelize across whole packs instead (PackedCoreCopSolver).
+  // Callers parallelize across whole packs (PackedCoreCopSolver); a
+  // pass over one pack runs on one thread.
   for (std::size_t t = 0; t * tile_ < active_; ++t) {
-    pack_fn_(tile_planes(t), 0, n_);
+    pack_fn_(tile_planes(t));
   }
 }
 
@@ -290,7 +290,7 @@ void BsbPackEngine::advance(std::size_t steps) {
       const double a = params_.detuning *
                        (static_cast<double>(step_ + b) + 1.0) / total;
       const double stiffness = detuning - a;
-      pack_fn_(pp, 0, n_);
+      pack_fn_(pp);
       for (std::size_t g = 0; g < n_ * R_; ++g) {
         double* yg = yt + g * tile_;
         double* xg = xt + g * tile_;

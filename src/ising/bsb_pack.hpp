@@ -20,11 +20,10 @@ class RunContext;
 /// slot tile s / T — with a per-slot weight plane over the UNION sparsity
 /// pattern of the members, advanced by the dedicated pack force kernels
 /// that vectorize ACROSS INSTANCES. This is the fast path for replica
-/// counts at which the per-instance CSR kernels run some lanes in their
-/// narrow tail (R = 2..7 on AVX-512, any explicit CSR tier at R = 1); it
-/// is not for the default R = 1 column-COP solve, whose bipartite layout
-/// already vectorizes across rows and beats it, nor for R filling whole
-/// blocks. The union plane costs flops only for columns some member
+/// counts at which the per-instance CSR kernel runs some lanes in its
+/// narrow tail (R mod 4 > 0 for R <= 7); it is not for the default R = 1
+/// column-COP solve, whose bipartite layout already vectorizes across
+/// rows and beats it, nor for R filling whole blocks. The union plane costs flops only for columns some member
 /// actually couples — DALTA packs share one template pattern, so the
 /// union is ~one member's edge count. Slots are grouped into contiguous
 /// cache-sized TILES of T slots each (see tile()), and each tile is

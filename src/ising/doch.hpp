@@ -50,7 +50,8 @@ struct DochParams {
   /// applied around.
   std::vector<double> initial_positions;
 
-  /// Force-kernel selection, same key as bSB (auto-dispatched by default).
+  /// Force-kernel request, as SbParams::kernel (kAuto by default; no
+  /// registry key or flag sets it).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 
   /// Dynamic stop on the ensemble-best energy (same criterion as bSB).

@@ -10,18 +10,12 @@
 #include "support/metrics.hpp"
 #include "support/qor.hpp"
 #include "support/run_context.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
 namespace adsd {
 
 namespace {
-
-// Minimum n * R before force evaluation is sharded across the pool: below
-// this the whole kernel runs in a few microseconds and chunk dispatch would
-// dominate (the batched kernel streams ~2.6 G lanes/s single-threaded).
-constexpr std::size_t kForceShardMinLanes = 8192;
 
 // Metrics `engine=` label: the tail of the counter prefix ("ising/sb" ->
 // "sb"), so the metric dimension matches the QoR counter namespace.
@@ -410,11 +404,11 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
     throw std::invalid_argument(std::string(label) + ": need >= 1 replica");
   }
 
-  // Resolve the force kernel once: cpuid-probed ISA tier, the bipartite
-  // layout at R = 1 on a column-COP model, explicit override via the
-  // engine's kernel parameter. The dispatch never fails — unsupported
-  // requests walk the fallback chain (avx512 -> avx2 -> scalar). R_ >= 1
-  // here: the check above rejects 0 replicas before a kernel is selected.
+  // Resolve the force kernel once: the bipartite layout at the
+  // cpuid-probed ISA tier at R = 1 on a column-COP model, the CSR kernel
+  // otherwise (or when the caller pins it through the kernel parameter).
+  // The dispatch never fails. R_ >= 1 here: the check above rejects 0
+  // replicas before a kernel is selected.
   const std::optional<BipartiteShape>& shape = model.bipartite_shape();
   kernel_ = kernels::select_force_kernel(
       requested, cpu_features(), R_,
@@ -448,28 +442,11 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
 }
 
 void EnsembleEngineBase::compute_forces() {
-  // The dispatched kernel fills force rows [begin, end); rows are
-  // independent (each writes only force_[i * R + ...]), so sharding across
-  // the pool produces bit-identical planes in any interleaving. Every
-  // kernel preserves the per-lane per-edge accumulation order of the
-  // scalar reference (see ising/kernels/force_kernels.hpp), which is what
-  // keeps replica trajectories bit-identical to the scalar references.
-  // The bipartite layout is one call per pass: DALTA already runs each
-  // R = 1 solve on one pool worker, where a nested shard would run inline.
-  if (ctx_ != nullptr && ctx_->parallel() && n_ * R_ >= kForceShardMinLanes &&
-      kernel_.kind != kernels::ForceKernel::kBipartite) {
-    ThreadPool& pool = ctx_->pool();
-    if (pool.thread_count() > 1) {
-      // A nested call from inside DALTA's parallel_for runs inline via the
-      // pool's nesting guard — same code path, no oversubscription.
-      pool.parallel_for_chunks(n_, 0, [this](std::size_t begin,
-                                             std::size_t end) {
-        force_fn_(planes_, begin, end);
-      });
-      return;
-    }
-  }
-  force_fn_(planes_, 0, n_);
+  // One pass over all rows. Every kernel preserves the per-lane per-edge
+  // accumulation order of the scalar reference (see
+  // ising/kernels/force_kernels.hpp), which is what keeps replica
+  // trajectories bit-identical to the scalar references.
+  force_fn_(planes_);
 }
 
 void EnsembleEngineBase::begin(IsingSolveResult& result) {

@@ -48,8 +48,8 @@ using SbBatchHook = std::function<void(std::size_t replica, ReplicaView view)>;
 /// the raw SoA position/momentum planes (element i of replica r at index
 /// i * replicas + r). Batched interventions (the plane-based Theorem-3
 /// reset) use this to sweep all replicas with replica-contiguous inner
-/// loops instead of R strided passes. Momentum-free engines (SimCIM) hand
-/// a scratch plane as y; velocity-based engines (DOCH) hand the velocity.
+/// loops instead of R strided passes. bSB hands its momenta as y, DOCH
+/// its velocities.
 using SbBatchPlaneHook = std::function<void(
     std::span<double> x, std::span<double> y, std::size_t replicas)>;
 
@@ -68,7 +68,7 @@ struct CsrPlanes {
 CsrPlanes flatten_csr(const IsingModel& model);
 
 /// The standard coupling normalization 0.5 * detuning / (rms(J) * sqrt(n))
-/// shared by bSB (c0) and SimCIM (zeta); 1.0 for coupling-free models.
+/// of bSB's c0; 1.0 for coupling-free models.
 double default_coupling_strength(const IsingModel& model, double detuning);
 
 /// Incremental sign/energy tracking for an ensemble of R replicas over one
@@ -141,8 +141,8 @@ class IsingEngine {
   virtual ~IsingEngine() = default;
 
   /// Attaches an execution context (must outlive the engine; nullptr
-  /// detaches). With a context the driver honors the deadline, emits
-  /// metrics/trace/QoR, and engines may shard work over ctx->pool().
+  /// detaches). With a context the driver honors the deadline and emits
+  /// metrics/trace/QoR.
   void set_context(const RunContext* ctx) { ctx_ = ctx; }
   const RunContext* context() const { return ctx_; }
 
@@ -158,7 +158,7 @@ class IsingEngine {
   virtual std::string curve_name() const = 0;
 
   /// Resolved force-kernel label for the metrics `kernel=` dimension
-  /// ("scalar", "avx2", "bipartite-avx512", ...); "none" for engines
+  /// ("scalar", "bipartite-avx512", ...); "none" for engines
   /// without a dispatched kernel (the scalar-sweep SA engine).
   virtual const char* kernel_label() const { return "none"; }
 
@@ -210,23 +210,21 @@ class IsingEngine {
 /// stay bit-identical.
 IsingSolveResult run_engine(IsingEngine& engine);
 
-/// Shared chassis of the SoA lockstep ensemble engines (bSB, SimCIM,
-/// DOCH): replica-contiguous position/secondary/force planes, the force
-/// layout (the bipartite tiles, built straight from a column-COP model's
-/// plane, at R = 1 on such a model; the flattened CSR adjacency
-/// otherwise), a dispatched force kernel (CSR passes row-sharded over the
-/// context pool), incremental energy tracking, and the sampling-point
-/// hook application. Derived engines
-/// implement the dynamics (advance) over the shared planes and their
-/// parameter plumbing; everything else — begin/observe/finish, hook
-/// dispatch, kernel reporting — is inherited.
+/// Shared chassis of the SoA lockstep ensemble engines (bSB, DOCH):
+/// replica-contiguous position/secondary/force planes, the force layout
+/// (the bipartite tiles, built straight from a column-COP model's plane,
+/// at R = 1 on such a model; the flattened CSR adjacency otherwise), a
+/// dispatched force kernel, incremental energy tracking, and the
+/// sampling-point hook application. Derived engines implement the
+/// dynamics (advance) over the shared planes and their parameter
+/// plumbing; everything else — begin/observe/finish, hook dispatch,
+/// kernel reporting — is inherited.
 class EnsembleEngineBase : public IsingEngine {
  public:
   std::size_t num_spins() const { return n_; }
   std::size_t replicas() const { return R_; }
 
-  /// Resolved force-kernel name ("scalar", "avx2", "avx512",
-  /// "bipartite-avx512", ...) after dispatch walked the fallback chain.
+  /// Resolved force-kernel name ("scalar" or "bipartite-<isa>").
   const char* kernel_name() const { return kernel_.name; }
   const char* kernel_label() const override { return kernel_.name; }
 
@@ -254,8 +252,8 @@ class EnsembleEngineBase : public IsingEngine {
   }
 
   /// Raw SoA planes (size n * R), for hooks/benchmarks/tests. The y plane
-  /// is the engine's secondary state: bSB momenta, DOCH velocities, a
-  /// hook scratch plane for the momentum-free SimCIM. forces() holds
+  /// is the engine's secondary state: bSB momenta, DOCH velocities.
+  /// forces() holds
   /// forces right after compute_forces(); the bSB interval kernel keeps
   /// its forces in registers and uses the plane as scratch positions.
   std::span<double> positions() { return x_; }

@@ -1,17 +1,12 @@
-// Hand-vectorized AVX2 force kernels. Compiled with -mavx2 -mfma in its
-// own translation unit; only reached through the dispatcher after a
-// runtime CPUID check, so the rest of the binary stays baseline-ISA.
+// Hand-vectorized AVX2 kernels. Compiled with -mavx2 -mfma in their own
+// translation unit; only reached through the dispatcher after a runtime
+// CPUID check, so the rest of the binary stays baseline-ISA.
 //
-// Vectorization runs across the replica-contiguous lanes: one ymm holds 4
-// consecutive replicas of the same oscillator, the coupling weight is
-// broadcast, and lane blocks of 8 (two accumulator registers) / 4 / 1 are
-// peeled off exactly like the portable kernel's W = 8/4/1 register files.
-// Each lane's per-edge accumulation order is therefore identical to the
-// scalar reference -- and the arithmetic is mul-then-add (never FMA; the
-// build also pins -ffp-contract=off), so results are bit-exact against
-// every other kernel tier. The R = 1 bipartite pass vectorizes across
-// the rows of a half block instead, and the bSB step and the Theorem-3
-// reset across four lanes, under the same contract.
+// The arithmetic is mul-then-add (never FMA; the build also pins
+// -ffp-contract=off), so results are bit-exact against every other
+// tier. The R = 1 bipartite pass vectorizes across the rows of a half
+// block, the pack kernel across slots, and the bSB step and the
+// Theorem-3 reset across four lanes, under the same contract.
 
 #include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -59,70 +54,20 @@ inline __m128d edge_term_128(__m128d w, __m128d xj) {
   return _mm_mul_pd(w, xj);
 }
 
-template <bool Discrete>
-void csr_force(const ForcePlanes& p, std::size_t row_begin,
-               std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const std::size_t e_begin = p.row_start[i];
-    const std::size_t e_end = p.row_start[i + 1];
-    const double hi = p.h[i];
-    double* fi = p.force + i * R;
-    std::size_t lane = 0;
-    for (; lane + 8 <= R; lane += 8) {
-      __m256d acc0 = _mm256_set1_pd(hi);
-      __m256d acc1 = acc0;
-      for (std::size_t e = e_begin; e < e_end; ++e) {
-        const __m256d w = _mm256_set1_pd(p.weights[e]);
-        const double* xj =
-            p.x + static_cast<std::size_t>(p.cols[e]) * R + lane;
-        acc0 = _mm256_add_pd(acc0,
-                             edge_term<Discrete>(w, _mm256_loadu_pd(xj)));
-        acc1 = _mm256_add_pd(
-            acc1, edge_term<Discrete>(w, _mm256_loadu_pd(xj + 4)));
-      }
-      _mm256_storeu_pd(fi + lane, acc0);
-      _mm256_storeu_pd(fi + lane + 4, acc1);
-    }
-    if (lane + 4 <= R) {
-      __m256d acc = _mm256_set1_pd(hi);
-      for (std::size_t e = e_begin; e < e_end; ++e) {
-        const __m256d w = _mm256_set1_pd(p.weights[e]);
-        const double* xj =
-            p.x + static_cast<std::size_t>(p.cols[e]) * R + lane;
-        acc =
-            _mm256_add_pd(acc, edge_term<Discrete>(w, _mm256_loadu_pd(xj)));
-      }
-      _mm256_storeu_pd(fi + lane, acc);
-      lane += 4;
-    }
-    for (; lane < R; ++lane) {
-      double acc = hi;
-      for (std::size_t e = e_begin; e < e_end; ++e) {
-        acc += edge_term_scalar<Discrete>(
-            p.weights[e], p.x[static_cast<std::size_t>(p.cols[e]) * R + lane]);
-      }
-      fi[lane] = acc;
-    }
-  }
-}
-
 // Slot-packed kernel (DESIGN.md §4.7): the vector axis is the slot axis,
 // so both the weight and the position are vector loads (each slot solves a
 // different instance -- no broadcastable scalar weight). The column loop
 // runs over the union sparsity pattern -- columns that are structural
 // zeros in every slot are skipped; the dropped +-0.0 addends keep each
 // slot's h-seeded accumulation bit-identical. Slot blocks of 8 (two
-// accumulators) / 4 / 2 / 1 are peeled over the active prefix exactly
-// like the replica peel above.
+// accumulators) / 4 / 2 / 1 are peeled over the active prefix.
 template <bool Discrete>
-void pack_force(const PackForcePlanes& p, std::size_t row_begin,
-                std::size_t row_end) {
+void pack_force(const PackForcePlanes& p) {
   const std::size_t R = p.replicas;
   const std::size_t S = p.slots;
   const std::size_t A = p.active;
   const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+  for (std::size_t i = 0; i < p.n; ++i) {
     const double* hi = p.hp + i * S;
     const std::uint32_t e0 = p.urow_start[i];
     const std::uint32_t e1 = p.urow_start[i + 1];
@@ -355,18 +300,10 @@ struct StepOut {
 
 }  // namespace
 
-void csr_force_avx2(const ForcePlanes& p, std::size_t row_begin,
-                    std::size_t row_end) {
-  csr_force<false>(p, row_begin, row_end);
-}
-void csr_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
-                      std::size_t row_end) {
-  csr_force<true>(p, row_begin, row_end);
-}
-void bipartite_force_avx2(const ForcePlanes& p, std::size_t, std::size_t) {
+void bipartite_force_avx2(const ForcePlanes& p) {
   bipartite_pass<VGroup, TGroup, false>(p, p.x, ForceOut{p.force});
 }
-void bipartite_force_avx2_d(const ForcePlanes& p, std::size_t, std::size_t) {
+void bipartite_force_avx2_d(const ForcePlanes& p) {
   bipartite_pass<VGroup, TGroup, true>(p, p.x, ForceOut{p.force});
 }
 void bipartite_interval_avx2(const ForcePlanes& p,
@@ -466,14 +403,8 @@ void theorem3_reset_avx2(const Theorem3Planes& p) {
   }
 }
 
-void pack_force_avx2(const PackForcePlanes& p, std::size_t row_begin,
-                     std::size_t row_end) {
-  pack_force<false>(p, row_begin, row_end);
-}
-void pack_force_avx2_d(const PackForcePlanes& p, std::size_t row_begin,
-                       std::size_t row_end) {
-  pack_force<true>(p, row_begin, row_end);
-}
+void pack_force_avx2(const PackForcePlanes& p) { pack_force<false>(p); }
+void pack_force_avx2_d(const PackForcePlanes& p) { pack_force<true>(p); }
 
 }  // namespace adsd::kernels::detail
 

@@ -1,13 +1,12 @@
-// Hand-vectorized AVX-512F force kernels: the 8-lane (zmm) sibling of the
-// AVX2 file, same lane-across-replicas vectorization, same mul-then-add
-// bit-exactness contract (no FMA, -ffp-contract=off). Lane blocks of 16
-// (two zmm accumulators) / 8 are peeled, with an AVX2-free scalar tail so
-// the file depends on -mavx512f alone; the R = 1 bipartite pass holds a
-// V block in four zmm (16 V1 and 16 V2 rows) beside a T block in four zmm
-// (32 rows), the bSB step runs eight lanes per zmm (also inside the
-// bipartite interval kernel), and the Theorem-3 reset holds a 32-column
-// chunk of costs per pattern in four zmm. Only reached after the runtime
-// CPUID + XCR0 probe confirms OS zmm state support.
+// Hand-vectorized AVX-512F kernels, compiled with -mavx512f in their own
+// translation unit under the mul-then-add bit-exactness contract (no FMA,
+// -ffp-contract=off): the R = 1 bipartite pass holds a V block in four
+// zmm (16 V1 and 16 V2 rows) beside a T block in four zmm (32 rows), the
+// bSB step runs eight lanes per zmm (also inside the bipartite interval
+// kernel), the Theorem-3 reset holds a 32-column chunk of costs per
+// pattern in four zmm, and the pack kernel vectorizes across slots. Only
+// reached after the runtime CPUID + XCR0 probe confirms OS zmm state
+// support.
 
 #include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -54,69 +53,20 @@ inline __m256d edge_term_256(__m256d w, __m256d xj) {
   return _mm256_mul_pd(w, xj);
 }
 
-template <bool Discrete>
-void csr_force(const ForcePlanes& p, std::size_t row_begin,
-               std::size_t row_end) {
-  const std::size_t R = p.replicas;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const std::size_t e_begin = p.row_start[i];
-    const std::size_t e_end = p.row_start[i + 1];
-    const double hi = p.h[i];
-    double* fi = p.force + i * R;
-    std::size_t lane = 0;
-    for (; lane + 16 <= R; lane += 16) {
-      __m512d acc0 = _mm512_set1_pd(hi);
-      __m512d acc1 = acc0;
-      for (std::size_t e = e_begin; e < e_end; ++e) {
-        const __m512d w = _mm512_set1_pd(p.weights[e]);
-        const double* xj =
-            p.x + static_cast<std::size_t>(p.cols[e]) * R + lane;
-        acc0 = _mm512_add_pd(acc0,
-                             edge_term<Discrete>(w, _mm512_loadu_pd(xj)));
-        acc1 = _mm512_add_pd(
-            acc1, edge_term<Discrete>(w, _mm512_loadu_pd(xj + 8)));
-      }
-      _mm512_storeu_pd(fi + lane, acc0);
-      _mm512_storeu_pd(fi + lane + 8, acc1);
-    }
-    if (lane + 8 <= R) {
-      __m512d acc = _mm512_set1_pd(hi);
-      for (std::size_t e = e_begin; e < e_end; ++e) {
-        const __m512d w = _mm512_set1_pd(p.weights[e]);
-        const double* xj =
-            p.x + static_cast<std::size_t>(p.cols[e]) * R + lane;
-        acc =
-            _mm512_add_pd(acc, edge_term<Discrete>(w, _mm512_loadu_pd(xj)));
-      }
-      _mm512_storeu_pd(fi + lane, acc);
-      lane += 8;
-    }
-    for (; lane < R; ++lane) {
-      double acc = hi;
-      for (std::size_t e = e_begin; e < e_end; ++e) {
-        acc += edge_term_scalar<Discrete>(
-            p.weights[e], p.x[static_cast<std::size_t>(p.cols[e]) * R + lane]);
-      }
-      fi[lane] = acc;
-    }
-  }
-}
-
 // Slot-packed kernel: zmm sibling of the AVX2 pack kernel, slot blocks of
-// 16 (two zmm accumulators) / 8 peeled over the active prefix with an
-// AVX-512-only scalar tail. Weights and positions are both vector loads
+// 16 (two zmm accumulators) / 8 / 4 peeled over the active prefix with a
+// scalar tail. Weights and positions are both vector loads
 // (per-slot J matrices) over the union sparsity pattern — columns that
 // are zero in every slot are skipped, which halves weight traffic for
 // same-template packs while the skipped +-0.0 addends keep accumulation
 // order bit-identical to the per-instance kernels.
 template <bool Discrete>
-void pack_force(const PackForcePlanes& p, std::size_t row_begin,
-                std::size_t row_end) {
+void pack_force(const PackForcePlanes& p) {
   const std::size_t R = p.replicas;
   const std::size_t S = p.slots;
   const std::size_t A = p.active;
   const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+  for (std::size_t i = 0; i < p.n; ++i) {
     const double* hi = p.hp + i * S;
     const std::uint32_t e0 = p.urow_start[i];
     const std::uint32_t e1 = p.urow_start[i + 1];
@@ -385,19 +335,10 @@ struct StepOut {
 
 }  // namespace
 
-void csr_force_avx512(const ForcePlanes& p, std::size_t row_begin,
-                      std::size_t row_end) {
-  csr_force<false>(p, row_begin, row_end);
-}
-void csr_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
-                        std::size_t row_end) {
-  csr_force<true>(p, row_begin, row_end);
-}
-void bipartite_force_avx512(const ForcePlanes& p, std::size_t, std::size_t) {
+void bipartite_force_avx512(const ForcePlanes& p) {
   bipartite_pass<VGroup, TGroup, false>(p, p.x, ForceOut{p.force});
 }
-void bipartite_force_avx512_d(const ForcePlanes& p, std::size_t,
-                              std::size_t) {
+void bipartite_force_avx512_d(const ForcePlanes& p) {
   bipartite_pass<VGroup, TGroup, true>(p, p.x, ForceOut{p.force});
 }
 void bipartite_interval_avx512(const ForcePlanes& p,
@@ -484,14 +425,8 @@ void theorem3_reset_avx512(const Theorem3Planes& p) {
     }
   }
 }
-void pack_force_avx512(const PackForcePlanes& p, std::size_t row_begin,
-                       std::size_t row_end) {
-  pack_force<false>(p, row_begin, row_end);
-}
-void pack_force_avx512_d(const PackForcePlanes& p, std::size_t row_begin,
-                         std::size_t row_end) {
-  pack_force<true>(p, row_begin, row_end);
-}
+void pack_force_avx512(const PackForcePlanes& p) { pack_force<false>(p); }
+void pack_force_avx512_d(const PackForcePlanes& p) { pack_force<true>(p); }
 
 }  // namespace adsd::kernels::detail
 

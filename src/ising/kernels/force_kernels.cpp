@@ -1,7 +1,6 @@
 #include "ising/kernels/force_kernels.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -10,24 +9,22 @@ namespace adsd::kernels {
 
 namespace {
 
-// ----------------------------------------------------- portable tier
+// ----------------------------------------------------- CSR kernel
 //
-// The lane-blocked kernel the engine shipped before the explicit-SIMD
-// layer existed: W is a compile-time lane-block width, so `acc` is a
-// register file and the edge loop reads W consecutive replicas of x per
-// coupling without touching the force plane until the row is finished.
-// W = 1 degenerates to the scalar reference kernel (same accumulation
-// order per lane), which is what keeps replica trajectories bit-identical
-// to solve_sb_scalar(). The compiler auto-vectorizes the W-wide inner
-// loops at whatever width the build targets (SSE2 on a default x86-64
-// build), which makes this tier the portable fallback on any ISA.
+// The one CSR kernel, run on every host: W is a compile-time lane-block
+// width, so `acc` is a register file and the edge loop reads W
+// consecutive replicas of x per coupling without touching the force plane
+// until the row is finished. W = 1 degenerates to the scalar reference
+// kernel (same accumulation order per lane), which is what keeps replica
+// trajectories bit-identical to solve_sb_scalar(). The compiler
+// auto-vectorizes the W-wide inner loops at whatever width the build
+// targets (SSE2 on a default x86-64 build).
 
 template <int W, bool Discrete>
-void csr_lanes(const ForcePlanes& p, std::size_t lane0, std::size_t row_begin,
-               std::size_t row_end) {
+void csr_lanes(const ForcePlanes& p, std::size_t lane0) {
   const std::size_t R = p.replicas;
   const double* x = p.x + lane0;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+  for (std::size_t i = 0; i < p.n; ++i) {
     double acc[W];
     const double hi = p.h[i];
     for (int t = 0; t < W; ++t) {
@@ -53,24 +50,23 @@ void csr_lanes(const ForcePlanes& p, std::size_t lane0, std::size_t row_begin,
 }
 
 template <bool Discrete>
-void csr_force_scalar_impl(const ForcePlanes& p, std::size_t row_begin,
-                           std::size_t row_end) {
+void csr_force_scalar_impl(const ForcePlanes& p) {
   const std::size_t R = p.replicas;
   std::size_t lane = 0;
   while (lane + 8 <= R) {
-    csr_lanes<8, Discrete>(p, lane, row_begin, row_end);
+    csr_lanes<8, Discrete>(p, lane);
     lane += 8;
   }
   if (lane + 4 <= R) {
-    csr_lanes<4, Discrete>(p, lane, row_begin, row_end);
+    csr_lanes<4, Discrete>(p, lane);
     lane += 4;
   }
   if (lane + 2 <= R) {
-    csr_lanes<2, Discrete>(p, lane, row_begin, row_end);
+    csr_lanes<2, Discrete>(p, lane);
     lane += 2;
   }
   if (lane < R) {
-    csr_lanes<1, Discrete>(p, lane, row_begin, row_end);
+    csr_lanes<1, Discrete>(p, lane);
   }
 }
 
@@ -202,11 +198,10 @@ struct StepOut {
   }
 };
 
-void bipartite_force_scalar(const ForcePlanes& p, std::size_t, std::size_t) {
+void bipartite_force_scalar(const ForcePlanes& p) {
   detail::bipartite_pass<VGroup, TGroup, false>(p, p.x, ForceOut{p.force});
 }
-void bipartite_force_scalar_d(const ForcePlanes& p, std::size_t,
-                              std::size_t) {
+void bipartite_force_scalar_d(const ForcePlanes& p) {
   detail::bipartite_pass<VGroup, TGroup, true>(p, p.x, ForceOut{p.force});
 }
 void bipartite_interval_scalar(const ForcePlanes& p,
@@ -233,12 +228,11 @@ void bipartite_interval_scalar_d(const ForcePlanes& p,
 // kernels', which is what the packed-parity tests pin down.
 
 template <int W, bool Discrete>
-void pack_lanes(const PackForcePlanes& p, std::size_t slot0,
-                std::size_t row_begin, std::size_t row_end) {
+void pack_lanes(const PackForcePlanes& p, std::size_t slot0) {
   const std::size_t R = p.replicas;
   const std::size_t S = p.slots;
   const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+  for (std::size_t i = 0; i < p.n; ++i) {
     const double* hi = p.hp + i * S + slot0;
     const std::uint32_t e0 = p.urow_start[i];
     const std::uint32_t e1 = p.urow_start[i + 1];
@@ -268,102 +262,80 @@ void pack_lanes(const PackForcePlanes& p, std::size_t slot0,
 }
 
 template <bool Discrete>
-void pack_force_scalar_impl(const PackForcePlanes& p, std::size_t row_begin,
-                            std::size_t row_end) {
+void pack_force_scalar_impl(const PackForcePlanes& p) {
   const std::size_t A = p.active;
   std::size_t s = 0;
   while (s + 8 <= A) {
-    pack_lanes<8, Discrete>(p, s, row_begin, row_end);
+    pack_lanes<8, Discrete>(p, s);
     s += 8;
   }
   if (s + 4 <= A) {
-    pack_lanes<4, Discrete>(p, s, row_begin, row_end);
+    pack_lanes<4, Discrete>(p, s);
     s += 4;
   }
   if (s + 2 <= A) {
-    pack_lanes<2, Discrete>(p, s, row_begin, row_end);
+    pack_lanes<2, Discrete>(p, s);
     s += 2;
   }
   if (s < A) {
-    pack_lanes<1, Discrete>(p, s, row_begin, row_end);
+    pack_lanes<1, Discrete>(p, s);
   }
 }
 
-void pack_force_scalar(const PackForcePlanes& p, std::size_t b, std::size_t e) {
-  pack_force_scalar_impl<false>(p, b, e);
+void pack_force_scalar(const PackForcePlanes& p) {
+  pack_force_scalar_impl<false>(p);
 }
-void pack_force_scalar_d(const PackForcePlanes& p, std::size_t b,
-                         std::size_t e) {
-  pack_force_scalar_impl<true>(p, b, e);
+void pack_force_scalar_d(const PackForcePlanes& p) {
+  pack_force_scalar_impl<true>(p);
 }
 
-void csr_force_scalar(const ForcePlanes& p, std::size_t b, std::size_t e) {
-  csr_force_scalar_impl<false>(p, b, e);
+void csr_force_scalar(const ForcePlanes& p) {
+  csr_force_scalar_impl<false>(p);
 }
-void csr_force_scalar_d(const ForcePlanes& p, std::size_t b, std::size_t e) {
-  csr_force_scalar_impl<true>(p, b, e);
+void csr_force_scalar_d(const ForcePlanes& p) {
+  csr_force_scalar_impl<true>(p);
 }
 
 // ----------------------------------------------------- dispatch tables
 
+// The ISA tiers of the kernel families that have one; the CSR kernel
+// above is the same on every tier.
 struct Tier {
-  ForceRowsFn csr_c;
-  ForceRowsFn csr_d;
   ForceRowsFn bipartite_c;
   ForceRowsFn bipartite_d;
   BsbIntervalFn bipartite_interval_c;
   BsbIntervalFn bipartite_interval_d;
   BsbStepFn bsb_step;
   Theorem3ResetFn theorem3_reset;
-  const char* csr_name;
   const char* bipartite_name;
-  // The replica-lane block the CSR kernel runs at full width, the rest
-  // (R mod this) being its lane tail: one zmm (8) on AVX-512 and one ymm
-  // (4) on AVX2, whose tails are scalar chains. On the portable tier it
-  // is measured, not derived: at kernel=scalar a slot pack still beats
-  // the looped solve's two-lane block at R = 2, but not R = 4 or 8
-  // (DESIGN.md §4.7).
-  std::size_t csr_full_lanes;
 };
 
-constexpr Tier kScalarTier = {csr_force_scalar,
-                              csr_force_scalar_d,
-                              bipartite_force_scalar,
+constexpr Tier kScalarTier = {bipartite_force_scalar,
                               bipartite_force_scalar_d,
                               bipartite_interval_scalar,
                               bipartite_interval_scalar_d,
                               detail::bsb_step_portable,
                               detail::theorem3_reset_portable,
-                              "scalar",
-                              "bipartite-scalar",
-                              4};
+                              "bipartite-scalar"};
 
 #ifdef ADSD_HAVE_AVX2
-constexpr Tier kAvx2Tier = {detail::csr_force_avx2,
-                            detail::csr_force_avx2_d,
-                            detail::bipartite_force_avx2,
+constexpr Tier kAvx2Tier = {detail::bipartite_force_avx2,
                             detail::bipartite_force_avx2_d,
                             detail::bipartite_interval_avx2,
                             detail::bipartite_interval_avx2_d,
                             detail::bsb_step_avx2,
                             detail::theorem3_reset_avx2,
-                            "avx2",
-                            "bipartite-avx2",
-                            4};
+                            "bipartite-avx2"};
 #endif
 
 #ifdef ADSD_HAVE_AVX512
-constexpr Tier kAvx512Tier = {detail::csr_force_avx512,
-                              detail::csr_force_avx512_d,
-                              detail::bipartite_force_avx512,
+constexpr Tier kAvx512Tier = {detail::bipartite_force_avx512,
                               detail::bipartite_force_avx512_d,
                               detail::bipartite_interval_avx512,
                               detail::bipartite_interval_avx512_d,
                               detail::bsb_step_avx512,
                               detail::theorem3_reset_avx512,
-                              "avx512",
-                              "bipartite-avx512",
-                              8};
+                              "bipartite-avx512"};
 #endif
 
 const Tier& tier_for(ForceKernel isa) {
@@ -505,18 +477,6 @@ const char* force_kernel_name(ForceKernel kind) {
   return "auto";
 }
 
-ForceKernel parse_force_kernel(const std::string& name) {
-  for (ForceKernel kind :
-       {ForceKernel::kAuto, ForceKernel::kScalar, ForceKernel::kAvx2,
-        ForceKernel::kAvx512}) {
-    if (name == force_kernel_name(kind)) {
-      return kind;
-    }
-  }
-  throw std::invalid_argument("unknown force kernel '" + name +
-                              "' (valid: auto, scalar, avx2, avx512)");
-}
-
 bool force_kernel_compiled(ForceKernel kind) {
   switch (kind) {
     case ForceKernel::kAvx2:
@@ -555,18 +515,15 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
                                         const CpuFeatures& features,
                                         std::size_t replicas,
                                         ModelShape shape) {
-  // At R = 1 every replica-lane kernel runs one scalar chain per row, so
+  // At R = 1 the replica-lane kernel runs one scalar chain per row, so
   // auto means the bipartite layout wherever the model has it. `<= 1`
   // rather than `== 1`: engines reject 0 replicas before they select a
   // kernel, so R = 0 only reaches here from callers that just want the
   // R = 1 choice.
-  const bool use_bipartite = replicas <= 1 &&
-                             requested == ForceKernel::kAuto &&
-                             shape == ModelShape::kBipartite;
-  const ForceKernel isa = resolve_isa(requested, features);
-  const Tier& tier = tier_for(isa);
   SelectedForceKernel out;
-  if (use_bipartite) {
+  if (replicas <= 1 && requested == ForceKernel::kAuto &&
+      shape == ModelShape::kBipartite) {
+    const Tier& tier = tier_for(resolve_isa(requested, features));
     out.continuous = tier.bipartite_c;
     out.discrete = tier.bipartite_d;
     out.interval_continuous = tier.bipartite_interval_c;
@@ -574,11 +531,12 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
     out.kind = ForceKernel::kBipartite;
     out.name = tier.bipartite_name;
   } else {
-    out.continuous = tier.csr_c;
-    out.discrete = tier.csr_d;
-    out.kind = isa;
-    out.name = tier.csr_name;
-    out.tail_lanes = replicas % tier.csr_full_lanes;
+    // The CSR kernel's lane tail is R mod its full-width block of 4: at
+    // R = 4 and 8 a slot pack loses to the looped solve, at R = 2 and 3
+    // it wins (DESIGN.md §4.7).
+    out.continuous = csr_force_scalar;
+    out.discrete = csr_force_scalar_d;
+    out.tail_lanes = replicas % 4;
   }
   return out;
 }

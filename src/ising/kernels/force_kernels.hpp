@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "support/aligned.hpp"
@@ -10,30 +9,37 @@
 
 namespace adsd::kernels {
 
-/// Force-kernel variants of the batched bSB engine (DESIGN.md §4.6).
+/// Force-kernel requests and resolved kinds of the ensemble engines
+/// (DESIGN.md §4.6). No user setting picks one: the engines request kAuto,
+/// and the host and the model decide.
 ///
 ///  - kAuto:      at R = 1 on a column-COP model the bipartite layout at
-///                the widest ISA; otherwise the widest explicit-SIMD CSR
-///                kernel the CPU supports.
-///  - kScalar:    the portable lane-blocked kernel (compile-time register
-///                file, auto-vectorizes at whatever width the build targets).
+///                the widest ISA; otherwise the CSR kernel.
+///  - kScalar:    the CSR kernel, the same on every host: a lane-blocked
+///                register file over the replica-contiguous lanes that
+///                auto-vectorizes at whatever width the build targets and
+///                keeps each lane's per-edge accumulation order, and
+///                therefore bit-exact parity with solve_sb_scalar(). As a
+///                request it also pins the portable tier of the families
+///                below.
 ///  - kAvx2 /
-///    kAvx512:    hand-vectorized CSR kernels; vectorization runs across the
-///                replica-contiguous lanes, so each lane's per-edge
-///                accumulation order -- and therefore bit-exact parity with
-///                solve_sb_scalar() -- is preserved.
+///    kAvx512:    ISA tiers of the kernel families that have them (the
+///                bipartite force and interval kernels, the bSB step, the
+///                Theorem-3 reset and the pack kernels). A force request
+///                for one still resolves to the CSR kernel.
 ///  - kBipartite: what kAuto resolves to at R = 1 on a column-COP model
-///                (IsingModel::bipartite_shape(); never
-///                requested by name). Vectorizes across ROWS: each V1/V2 row
-///                pair shares one product per T column, and T rows walk the
-///                transposed plane (BipartiteLayout). The replica-lane
-///                kernels degenerate to one dependent scalar chain per row
-///                at R = 1.
+///                (IsingModel::bipartite_shape(); never requested).
+///                Vectorizes across ROWS: each V1/V2 row pair shares one
+///                product per T column, and T rows walk the transposed
+///                plane (BipartiteLayout). The replica-lane kernel
+///                degenerates to one dependent scalar chain per row at
+///                R = 1.
 ///
-/// A request the host cannot honor falls down the chain
-/// (avx512 -> avx2 -> scalar) instead of failing, and the resolved choice
-/// is reported by name through engine metrics/QoR
-/// ("ising/sb/kernel/<name>").
+/// An ISA the host cannot run falls down the chain (avx512 -> avx2 ->
+/// scalar) instead of failing, and the resolved force kernel is reported
+/// by name through engine metrics/QoR ("ising/sb/kernel/<name>").
+/// In-process callers (tests, benchmarks) request kScalar to reach the
+/// CSR reference at R = 1 and explicit ISAs to pin a tier.
 enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kBipartite };
 
 /// V rows per tile block of the bipartite layout (16 V1 rows plus the same
@@ -98,13 +104,8 @@ struct BipartiteLayout {
 BipartiteLayout build_bipartite(const double* plane, std::size_t rows,
                                 std::size_t cols);
 
-/// One kernel entry point: fill force rows [row_begin, row_end) for every
-/// replica lane. Rows are independent, so a sharded caller splitting
-/// [0, n) across threads gets bit-identical planes in any interleaving.
-/// Bipartite kernels are never sharded: they fill all n rows and take
-/// only the range [0, n).
-using ForceRowsFn = void (*)(const ForcePlanes& planes, std::size_t row_begin,
-                             std::size_t row_end);
+/// One kernel entry point: fill all n force rows for every replica lane.
+using ForceRowsFn = void (*)(const ForcePlanes& planes);
 
 /// Operands of a bSB interval on the bipartite layout
 /// (BsbBatchEngine::advance at R = 1): `steps` Euler steps, step k of
@@ -139,16 +140,14 @@ using BsbIntervalFn = void (*)(const ForcePlanes& planes,
 double bsb_neg_stiffness(double detuning, double total, std::size_t step);
 
 /// A resolved dispatch decision: the continuous (bSB) and discrete (dSB)
-/// entry points of one variant, the resolved kind (never kAuto), the
-/// name reported through metrics ("scalar", "avx2", "avx512", or
-/// "bipartite-<isa>" with <isa> one of those three), and the variant's
-/// lane tail: how many of each row's replica lanes run outside its
-/// full-width blocks. The CSR kernels run R in whole blocks of 8
-/// (AVX-512) or 4 (AVX2, portable) lanes and the R mod that block left
-/// over as scalar add chains (as narrower blocks on the portable tier);
-/// the bipartite layout vectorizes across rows and has no tail. Only the
-/// bipartite layout has interval kernels; a CSR engine steps force pass
-/// by force pass.
+/// entry points of one variant, the resolved kind (kScalar for the CSR
+/// kernel or kBipartite), the name reported through metrics ("scalar" or
+/// "bipartite-<isa>" with <isa> one of scalar, avx2, avx512), and the
+/// variant's lane tail: how many of each row's replica lanes run outside
+/// its full-width blocks. The CSR kernel runs R in whole blocks of 4
+/// lanes (and 8) and R mod 4 in narrower blocks; the bipartite layout
+/// vectorizes across rows and has no tail. Only the bipartite layout has
+/// interval kernels; a CSR engine steps force pass by force pass.
 struct SelectedForceKernel {
   ForceRowsFn continuous = nullptr;
   ForceRowsFn discrete = nullptr;
@@ -159,15 +158,9 @@ struct SelectedForceKernel {
   std::size_t tail_lanes = 0;
 };
 
-/// Canonical spelling of a kernel kind ("auto", "scalar", "avx2",
-/// "avx512" -- the values accepted by the registry `kernel=` key and the
-/// CLI `--kernel` flag -- and "bipartite" for the resolved-only
-/// kBipartite).
+/// Spelling of a kernel kind for diagnostics ("auto", "scalar", "avx2",
+/// "avx512", "bipartite").
 const char* force_kernel_name(ForceKernel kind);
-
-/// Parses a kernel name; throws std::invalid_argument listing the valid
-/// names on anything else (the registry's strict-key discipline).
-ForceKernel parse_force_kernel(const std::string& name);
 
 /// True when the variant's code was compiled into this binary (explicit
 /// SIMD files are dropped under -DADSD_DISABLE_SIMD or on non-x86).
@@ -185,20 +178,20 @@ bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features);
 enum class ModelShape { kGeneric, kBipartite };
 
 /// Resolves a request against CPU features, the replica count and the
-/// model's shape, walking the fallback chain when the request cannot be
-/// honored. kAuto resolves to the bipartite layout at the widest ISA when
-/// `replicas <= 1` on a bipartite model, and to the CSR kernel at that ISA
-/// otherwise; explicit requests keep the CSR layout at any replica count.
+/// model's shape. kAuto resolves to the bipartite layout at the widest ISA
+/// when `replicas <= 1` on a bipartite model; everything else, explicit
+/// requests at any replica count included, resolves to the CSR kernel.
 /// The defaults are the paper's solve: one trajectory of a column COP.
 /// Never fails; the result's fn pointers are always callable.
 SelectedForceKernel select_force_kernel(
     ForceKernel requested, const CpuFeatures& features,
     std::size_t replicas = 1, ModelShape shape = ModelShape::kBipartite);
 
-/// The kernels that resolve to themselves on this host (with
-/// `cpu_features()`) -- what the parity tests and the micro-benchmarks
-/// enumerate. Always contains kScalar; the bipartite layout is reached
-/// through kAuto at R = 1.
+/// The ISA tiers this host runs (with `cpu_features()`): kScalar, then
+/// kAvx2 and kAvx512 where supported -- what the parity tests enumerate
+/// to pin each tier of the bSB step, the Theorem-3 reset and the pack
+/// kernels. The bipartite tiers are reached through kAuto at R = 1 under
+/// masked CpuFeatures.
 std::vector<ForceKernel> selectable_force_kernels();
 
 /// Operands of one bSB Euler step over `lanes` oscillators
@@ -271,7 +264,7 @@ Theorem3ResetFn select_theorem3_reset(ForceKernel requested,
 /// lives at x[(i * replicas + r) * slots + s] -- so for a fixed (i, r) the
 /// instances are `slots` consecutive doubles and the kernels vectorize
 /// ACROSS INSTANCES at full width even at replicas == 1, where the
-/// per-instance CSR kernels degenerate to scalar code.
+/// per-instance CSR kernel degenerates to scalar code.
 ///
 /// Weights are laid out over the UNION sparsity pattern of the packed
 /// instances (urow_start / ucols: ascending column indices per row, CSR
@@ -301,11 +294,9 @@ struct PackForcePlanes {
   std::size_t active = 0;      // live instances, a prefix of every group
 };
 
-/// One pack-kernel entry point: fill force rows [row_begin, row_end) for
-/// every replica of every active slot. Rows are independent, exactly like
-/// ForceRowsFn.
-using PackForceRowsFn = void (*)(const PackForcePlanes& planes,
-                                 std::size_t row_begin, std::size_t row_end);
+/// One pack-kernel entry point: fill all n force rows for every replica
+/// of every active slot.
+using PackForceRowsFn = void (*)(const PackForcePlanes& planes);
 
 /// Resolved pack-kernel dispatch decision; names are "pack-scalar",
 /// "pack-avx2", "pack-avx512".

@@ -6,48 +6,35 @@
 
 // Internal linkage surface between the dispatcher (force_kernels.cpp) and
 // the per-ISA translation units, which are compiled with their own -m
-// flags. Every function fills force rows [row_begin, row_end) for all
-// replica lanes; *_d variants are the discrete (sign-of-x) dSB flavor.
+// flags. Every force function fills all n force rows; *_d variants are
+// the discrete (sign-of-x) dSB flavor.
 //
-// Bit-exactness contract shared by every implementation: lane t of row i
-// accumulates h[i] then w_e * x_e terms in CSR edge order with one
-// rounding per multiply and one per add -- no FMA contraction (the build
-// pins -ffp-contract=off) and no cross-edge reassociation. Vector code
-// vectorizes across lanes (replicas, or rows of one block) only, so each
-// row's scalar accumulation order is untouched. The bipartite kernels
-// subtract w * x where CSR adds (-w) * x, which IEEE negation makes the
-// same value, and their zero tile entries add 0.0 * x = +-0.0, which
-// cannot change an h-seeded accumulator: IsingModel stores biases
-// canonically, so h[i] is never -0.0, and a finite sum is -0.0 only when
-// both addends are (see BipartiteLayout).
+// Bit-exactness contract shared by every implementation: row i
+// accumulates h[i] then w_e * x_e terms in the portable CSR kernel's edge
+// order with one rounding per multiply and one per add -- no FMA
+// contraction (the build pins -ffp-contract=off) and no cross-edge
+// reassociation. Vector code vectorizes across rows of one block or
+// across pack slots only, so each row's scalar accumulation order is
+// untouched. The bipartite kernels subtract w * x where CSR adds
+// (-w) * x, which IEEE negation makes the same value, and their zero tile
+// entries add 0.0 * x = +-0.0, which cannot change an h-seeded
+// accumulator: IsingModel stores biases canonically, so h[i] is never
+// -0.0, and a finite sum is -0.0 only when both addends are (see
+// BipartiteLayout).
 
 namespace adsd::kernels::detail {
 
-void csr_force_avx2(const ForcePlanes& p, std::size_t row_begin,
-                    std::size_t row_end);
-void csr_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
-                      std::size_t row_end);
-
 // Bipartite kernels (R = 1, column-COP models; bipartite_pass.hpp): the
-// force entry points fill all n rows and take only the range [0, n); the
-// interval entry points integrate a BsbIntervalPlanes interval with the
-// same pass and the tier's bSB step.
-void bipartite_force_avx2(const ForcePlanes& p, std::size_t row_begin,
-                          std::size_t row_end);
-void bipartite_force_avx2_d(const ForcePlanes& p, std::size_t row_begin,
-                            std::size_t row_end);
+// force entry points run one pass; the interval entry points integrate a
+// BsbIntervalPlanes interval with the same pass and the tier's bSB step.
+void bipartite_force_avx2(const ForcePlanes& p);
+void bipartite_force_avx2_d(const ForcePlanes& p);
 void bipartite_interval_avx2(const ForcePlanes& p, const BsbIntervalPlanes& s);
 void bipartite_interval_avx2_d(const ForcePlanes& p,
                                const BsbIntervalPlanes& s);
 
-void csr_force_avx512(const ForcePlanes& p, std::size_t row_begin,
-                      std::size_t row_end);
-void csr_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
-                        std::size_t row_end);
-void bipartite_force_avx512(const ForcePlanes& p, std::size_t row_begin,
-                            std::size_t row_end);
-void bipartite_force_avx512_d(const ForcePlanes& p, std::size_t row_begin,
-                              std::size_t row_end);
+void bipartite_force_avx512(const ForcePlanes& p);
+void bipartite_force_avx512_d(const ForcePlanes& p);
 void bipartite_interval_avx512(const ForcePlanes& p,
                                const BsbIntervalPlanes& s);
 void bipartite_interval_avx512_d(const ForcePlanes& p,
@@ -74,14 +61,10 @@ void theorem3_reset_avx512(const Theorem3Planes& p);
 // one per add, so a packed instance's trajectory is bit-identical to the
 // same instance run alone through any per-instance kernel.
 
-void pack_force_avx2(const PackForcePlanes& p, std::size_t row_begin,
-                     std::size_t row_end);
-void pack_force_avx2_d(const PackForcePlanes& p, std::size_t row_begin,
-                       std::size_t row_end);
+void pack_force_avx2(const PackForcePlanes& p);
+void pack_force_avx2_d(const PackForcePlanes& p);
 
-void pack_force_avx512(const PackForcePlanes& p, std::size_t row_begin,
-                       std::size_t row_end);
-void pack_force_avx512_d(const PackForcePlanes& p, std::size_t row_begin,
-                         std::size_t row_end);
+void pack_force_avx512(const PackForcePlanes& p);
+void pack_force_avx512_d(const PackForcePlanes& p);
 
 }  // namespace adsd::kernels::detail

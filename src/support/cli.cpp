@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
@@ -36,6 +37,15 @@ bool CliArgs::has(const std::string& name) const {
   return options_.count(name) != 0;
 }
 
+void CliArgs::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::invalid_argument("unknown flag '--" + name + "'");
+    }
+  }
+}
+
 std::optional<std::string> CliArgs::raw(const std::string& name) const {
   const auto it = options_.find(name);
   if (it == options_.end()) {
@@ -50,12 +60,31 @@ std::string CliArgs::get_string(const std::string& name,
   return v ? *v : fallback;
 }
 
+namespace {
+
+// The whole of `value` as a base-10 T; std::stoll alone would read "4x"
+// as 4 and fail "abc" with the bare message "stoll".
+template <class T>
+T parse_whole(const std::string& name, const std::string& value,
+              const char* want) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--" + name + ": expected " + want +
+                                ", got '" + value + "'");
+  }
+  return parsed;
+}
+
+}  // namespace
+
 int CliArgs::get_int(const std::string& name, int fallback) const {
   const auto v = raw(name);
   if (!v || v->empty()) {
     return fallback;
   }
-  return std::stoi(*v);
+  return parse_whole<int>(name, *v, "an integer");
 }
 
 std::size_t CliArgs::get_size(const std::string& name,
@@ -64,11 +93,7 @@ std::size_t CliArgs::get_size(const std::string& name,
   if (!v || v->empty()) {
     return fallback;
   }
-  const long long parsed = std::stoll(*v);
-  if (parsed < 0) {
-    throw std::invalid_argument("--" + name + " must be non-negative");
-  }
-  return static_cast<std::size_t>(parsed);
+  return parse_whole<std::size_t>(name, *v, "a non-negative integer");
 }
 
 std::size_t CliArgs::get_positive_size(const std::string& name,
@@ -77,16 +102,13 @@ std::size_t CliArgs::get_positive_size(const std::string& name,
   if (!v) {
     return fallback;
   }
-  unsigned long long parsed = 0;
-  const char* begin = v->data();
-  const char* end = begin + v->size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || parsed == 0) {
-    throw std::invalid_argument("--" + name +
-                                ": expected a positive integer, got '" + *v +
-                                "'");
+  const char* want = "a positive integer";
+  const auto parsed = parse_whole<std::size_t>(name, *v, want);
+  if (parsed == 0) {
+    throw std::invalid_argument("--" + name + ": expected " + want +
+                                ", got '" + *v + "'");
   }
-  return static_cast<std::size_t>(parsed);
+  return parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

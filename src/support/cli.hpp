@@ -1,8 +1,10 @@
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace adsd {
@@ -11,7 +13,8 @@ namespace adsd {
 ///
 /// Accepts `--name value`, `--name=value`, and bare `--flag` forms. Unknown
 /// options are collected rather than rejected so that harness scripts can
-/// pass experiment-specific knobs through a shared runner.
+/// pass experiment-specific knobs through a shared runner; a tool whose
+/// flags are all its own rejects them with reject_unknown().
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -19,7 +22,16 @@ class CliArgs {
   /// True if `--name` appeared (with or without a value).
   bool has(const std::string& name) const;
 
+  /// Throws std::invalid_argument naming the first `--name` that is not
+  /// in `known`.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
+
   std::string get_string(const std::string& name, std::string fallback) const;
+
+  /// Integer getters: the whole value must parse as a base-10 integer in
+  /// range (get_size: non-negative); "4x", "abc", "-1" for a size and
+  /// out-of-range values throw std::invalid_argument naming the flag. An
+  /// absent or empty value keeps the fallback.
   int get_int(const std::string& name, int fallback) const;
   std::size_t get_size(const std::string& name, std::size_t fallback) const;
 

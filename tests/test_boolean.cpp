@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -531,6 +532,14 @@ TEST(InputDistributionTest, RejectsBadWeights) {
                std::invalid_argument);
   EXPECT_THROW((void)InputDistribution::from_weights({-1.0, 2.0}),
                std::invalid_argument);
+  // Finite weights whose total overflows would normalize to all zeros,
+  // and an infinite weight to NaN.
+  EXPECT_THROW((void)InputDistribution::from_weights({1e308, 1e308}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)InputDistribution::from_weights(
+          {std::numeric_limits<double>::infinity(), 1.0}),
+      std::invalid_argument);
 }
 
 TEST(Metrics, ErrorRateSingleOutput) {

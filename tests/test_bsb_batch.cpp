@@ -18,7 +18,6 @@
 #include "ising/model.hpp"
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
-#include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
@@ -444,8 +443,7 @@ TEST(BsbBatchParity, BipartiteIntervalMatchesPerStepLoop) {
           for (std::size_t k = 0; k < steps; ++k, ++step) {
             planes.x = xa.data();
             planes.force = force.data();
-            (discrete ? force_ref.discrete : force_ref.continuous)(planes, 0,
-                                                                   n);
+            (discrete ? force_ref.discrete : force_ref.continuous)(planes);
             kernels::BsbStepPlanes sp;
             sp.x = xa.data();
             sp.y = ya.data();
@@ -490,56 +488,6 @@ TEST(BsbBatchParity, BipartiteIntervalMatchesPerStepLoop) {
   }
   EXPECT_GE(tiers, 1);
   EXPECT_GT(wall_lanes, 0u);
-}
-
-// --------------------------------------------- row-sharded force kernel
-
-TEST(BsbBatchSharding, ForceShardingIsBitIdenticalAcrossThreadCounts) {
-  // n * R = 256 * 32 = 8192 lanes: exactly the threshold where the engine
-  // shards force rows across the context pool.
-  Rng rng(30);
-  const auto model = random_model(256, 0.05, rng);
-  SbParams params = quick_params(64);
-  params.max_iterations = 60;
-  const std::size_t replicas = 32;
-
-  const auto serial = solve_sb_batch(model, params, replicas);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    RunContext::Options opts;
-    opts.threads = threads;
-    const RunContext ctx(opts);
-    const auto sharded =
-        solve_sb_batch(model, params, replicas, nullptr, nullptr, &ctx);
-    EXPECT_EQ(serial.energy, sharded.energy) << threads << " threads";
-    EXPECT_EQ(serial.spins, sharded.spins) << threads << " threads";
-    EXPECT_EQ(serial.iterations, sharded.iterations);
-  }
-}
-
-TEST(BsbBatchSharding, ShardedEngineStateMatchesSerialPlaneForPlane) {
-  Rng rng(31);
-  const auto model = random_model(512, 0.03, rng);
-  SbParams params = quick_params(5);
-  const std::size_t replicas = 16;
-
-  BsbBatchEngine serial(model, params, replicas);
-  RunContext::Options opts;
-  opts.threads = 8;
-  const RunContext ctx(opts);
-  BsbBatchEngine sharded(model, params, replicas);
-  sharded.set_context(&ctx);
-
-  for (int s = 0; s < 50; ++s) {
-    serial.step();
-    sharded.step();
-  }
-  const auto xa = serial.positions();
-  const auto xb = sharded.positions();
-  ASSERT_EQ(xa.size(), xb.size());
-  for (std::size_t k = 0; k < xa.size(); ++k) {
-    ASSERT_EQ(xa[k], xb[k]) << "lane " << k;
-  }
 }
 
 // -------------------------------------------------- IsingCoreSolver wiring

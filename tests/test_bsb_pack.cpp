@@ -455,8 +455,8 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
   // Theorem-3 + dynamic stop are on by default; restarts=2 exercises the
   // per-attempt reseed, pack=3 forces multiple chunks per batch. The R = 1
   // configs fail the slot gate (their standalone solves run the bipartite
-  // layout) and pin the looped fallback; R = 2 leaves a lane tail on every
-  // kernel tier, so those configs pack on any host.
+  // layout) and pin the looped fallback; R = 2 leaves the CSR kernel a
+  // lane tail, so those configs pack on any host.
   for (const std::string extra : {"", ",replicas=4", ",restarts=2",
                                   ",replicas=2", ",replicas=2,restarts=2"}) {
     const auto plain =
@@ -483,14 +483,13 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
 
 TEST(PackedCoreCopSolver, ChunksPastTheSlotGateRunAsLoopedSolves) {
   // A chunk fails the slot gate when a standalone solve of it would have no
-  // lane tail (the bipartite layout under kernel=auto at R = 1; R a whole
-  // number of blocks, as R = 4 on AVX2 and its portable fallback, or
-  // R = 8), when it runs more than 7 replicas, or when its per-slot planes
-  // (n_max^2 * members doubles) outgrow 4 MiB; its members are then solved
-  // one by one through the standalone solve, so no pack engine runs.
-  // Packed or not, every result matches IsingCoreSolver bit for bit.
-  // R = 2, 7 and 9 leave a tail on every tier, so the cases hold on any
-  // host.
+  // lane tail (the bipartite layout at R = 1; R a whole number of the CSR
+  // kernel's blocks of 4, as R = 4 or 8), when it runs more than 7
+  // replicas, or when its per-slot planes (n_max^2 * members doubles)
+  // outgrow 4 MiB; its members are then solved one by one through the
+  // standalone solve, so no pack engine runs. Packed or not, every result
+  // matches IsingCoreSolver bit for bit. The CSR kernel is the same on
+  // every host, so the cases hold on any host.
   std::vector<ColumnCop> small;  // 64 spins each
   std::vector<ColumnCop> large;  // 384 spins: 3 * 384^2 doubles fit, 4 don't
   for (unsigned k = 0; k < 4; ++k) {
@@ -508,15 +507,14 @@ TEST(PackedCoreCopSolver, ChunksPastTheSlotGateRunAsLoopedSolves) {
   };
   for (const Case& c :
        {Case{"", ",pack=4", &small, false},
+        Case{",replicas=4", ",pack=4", &small, false},
         Case{",replicas=8", ",pack=4", &small, false},
         Case{",replicas=9", ",pack=4", &small, false},
-        Case{",replicas=4,kernel=avx2", ",pack=4", &small, false},
         Case{",replicas=2,max-iter=300", ",pack=4", &large, false},
-        // Controls that pack: explicit CSR kernels at R = 1 and on the
-        // portable tier at R = 2, the 7-replica ceiling, and the same
-        // large COPs in chunks of 3.
-        Case{",kernel=scalar", ",pack=4", &small, true},
-        Case{",replicas=2,kernel=scalar", ",pack=4", &small, true},
+        // Controls that pack: R = 2 and 3, the 7-replica ceiling, and the
+        // same large COPs in chunks of 3.
+        Case{",replicas=2", ",pack=4", &small, true},
+        Case{",replicas=3", ",pack=4", &small, true},
         Case{",replicas=7", ",pack=4", &small, true},
         Case{",replicas=2,max-iter=300", ",pack=3", &large, true}}) {
     const std::string label = c.keys + c.pack;
@@ -588,7 +586,7 @@ TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
 
 // Both flows at R = 1, where every round's batch fails the slot gate and
 // its members run as looped solves over the pool, and at R = 2, where the
-// batch packs on every kernel tier (pack_runs_total tells the two apart).
+// batch packs on every host (pack_runs_total tells the two apart).
 TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
   const TruthTable exact = make_benchmark_table("exp", 8, 6);
   const InputDistribution dist = InputDistribution::uniform(8);

@@ -14,7 +14,6 @@
 #include "ising/bsb_batch.hpp"
 #include "ising/doch.hpp"
 #include "ising/kernels/force_kernels.hpp"
-#include "ising/simcim.hpp"
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 
@@ -573,12 +572,6 @@ TEST(ColumnCop, ToIsingEqualsShuffledGeneralBuild) {
       EXPECT_NE(BsbBatchEngine(general, sb, 1).kernel_kind(),
                 kernels::ForceKernel::kBipartite);
       same(solve_sb_batch(fast, sb, 1), solve_sb_batch(general, sb, 1), "bsb");
-      SimcimParams simcim;
-      simcim.max_iterations = 400;
-      simcim.seed = 5;
-      simcim.stop = stop;
-      same(solve_simcim(fast, simcim, 1), solve_simcim(general, simcim, 1),
-           "simcim");
       DochParams doch;
       doch.max_iterations = 400;
       doch.seed = 5;

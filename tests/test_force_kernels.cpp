@@ -1,21 +1,20 @@
-// Tests for the dispatched force-kernel layer (DESIGN.md §4.6): cpuid
-// dispatch and its fallback chain on masked feature sets (at R = 1 and
-// past it, on column-COP and generic models), registry/CLI kernel
-// selection, and the layer's central contract — every dispatched variant
-// (explicit-SIMD CSR and the R = 1 bipartite layout alike) produces
-// bit-identical force planes, solve results, and DALTA runs.
+// Tests for the dispatched force-kernel layer (DESIGN.md §4.6): the
+// choice between the R = 1 bipartite layout and the CSR kernel, the cpuid
+// ISA chain of the families that have tiers on masked feature sets, and
+// the layer's central contract — every dispatched variant (the CSR kernel
+// and each bipartite tier alike) produces bit-identical force planes,
+// solve results, and DALTA runs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/column_cop.hpp"
+#include "core/cop_solvers.hpp"
 #include "core/dalta.hpp"
-#include "core/solver_registry.hpp"
 #include "funcs/continuous.hpp"
 #include "ising/bsb.hpp"
 #include "ising/bsb_batch.hpp"
@@ -128,41 +127,6 @@ CpuFeatures avx512_features() {
 // branch; the R = 1 branch has its own tests below.
 constexpr std::size_t kLanes = 8;
 
-// ------------------------------------------------------------ name parsing
-
-TEST(ForceKernelNames, RoundTrip) {
-  for (ForceKernel k : {ForceKernel::kAuto, ForceKernel::kScalar,
-                        ForceKernel::kAvx2, ForceKernel::kAvx512}) {
-    EXPECT_EQ(kernels::parse_force_kernel(kernels::force_kernel_name(k)), k);
-  }
-}
-
-TEST(ForceKernelNames, BipartiteIsResolvedNotRequested) {
-  // The bipartite layout is what auto means at R = 1 on a column COP; it
-  // has a name for reporting but is not a value of the kernel= key.
-  EXPECT_STREQ(kernels::force_kernel_name(ForceKernel::kBipartite),
-               "bipartite");
-  EXPECT_THROW(kernels::parse_force_kernel("bipartite"),
-               std::invalid_argument);
-}
-
-TEST(ForceKernelNames, UnknownNameThrowsListingValidNames) {
-  // Layout names the layer does not have (the retired "dense" and
-  // "rowblock") fail like a typo.
-  for (const char* name : {"sse9", "dense", "rowblock"}) {
-    try {
-      kernels::parse_force_kernel(name);
-      FAIL() << "expected std::invalid_argument for " << name;
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(std::string("'") + name + "'"), std::string::npos);
-      EXPECT_NE(what.find("(valid: auto, scalar, avx2, avx512)"),
-                std::string::npos)
-          << what;
-    }
-  }
-}
-
 // ---------------------------------------------------------------- dispatch
 
 TEST(ForceKernelDispatch, NoFeaturesResolvesScalar) {
@@ -175,9 +139,16 @@ TEST(ForceKernelDispatch, NoFeaturesResolvesScalar) {
 }
 
 TEST(ForceKernelDispatch, SimdRequestsFallBackToScalarWithoutFeatures) {
-  // A masked feature set must walk the whole chain down to scalar even when
-  // the SIMD code is compiled in: the OS/CPU probe is the authority.
+  // A masked feature set must walk the whole chain down to the portable
+  // tier even when the SIMD code is compiled in: the OS/CPU probe is the
+  // authority. The force request keeps the one CSR kernel.
+  const auto portable_step =
+      kernels::select_bsb_step(ForceKernel::kScalar, no_features());
   for (ForceKernel k : {ForceKernel::kAvx2, ForceKernel::kAvx512}) {
+    const auto pack = kernels::select_pack_force_kernel(k, no_features());
+    EXPECT_EQ(pack.kind, ForceKernel::kScalar);
+    EXPECT_STREQ(pack.name, "pack-scalar");
+    EXPECT_EQ(kernels::select_bsb_step(k, no_features()), portable_step);
     const auto sel = kernels::select_force_kernel(k, no_features());
     EXPECT_EQ(sel.kind, ForceKernel::kScalar);
     EXPECT_STREQ(sel.name, "scalar");
@@ -188,24 +159,36 @@ TEST(ForceKernelDispatch, Avx512RequestFallsBackToAvx2) {
   if (!kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
     GTEST_SKIP() << "AVX2 kernels not compiled into this binary";
   }
-  const auto sel =
-      kernels::select_force_kernel(ForceKernel::kAvx512, avx2_features());
-  EXPECT_EQ(sel.kind, ForceKernel::kAvx2);
-  EXPECT_STREQ(sel.name, "avx2");
+  const auto pack =
+      kernels::select_pack_force_kernel(ForceKernel::kAvx512, avx2_features());
+  EXPECT_EQ(pack.kind, ForceKernel::kAvx2);
+  EXPECT_STREQ(pack.name, "pack-avx2");
+  EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAvx512, avx2_features()),
+            kernels::select_bsb_step(ForceKernel::kAvx2, avx2_features()));
 }
 
 TEST(ForceKernelDispatch, AutoPicksWidestSupportedIsa) {
+  // The tiered families take the widest ISA; past one replica the force
+  // pass is the CSR kernel on every host.
   if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                  avx512_features(), kLanes);
-    EXPECT_EQ(sel.kind, ForceKernel::kAvx512);
-    EXPECT_STREQ(sel.name, "avx512");
+    EXPECT_STREQ(kernels::select_pack_force_kernel(ForceKernel::kAuto,
+                                                   avx512_features())
+                     .name,
+                 "pack-avx512");
+    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto,
+                                              avx512_features(), kLanes)
+                     .name,
+                 "scalar");
   }
   if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto,
-                                                  avx2_features(), kLanes);
-    EXPECT_EQ(sel.kind, ForceKernel::kAvx2);
-    EXPECT_STREQ(sel.name, "avx2");
+    EXPECT_STREQ(kernels::select_pack_force_kernel(ForceKernel::kAuto,
+                                                   avx2_features())
+                     .name,
+                 "pack-avx2");
+    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto,
+                                              avx2_features(), kLanes)
+                     .name,
+                 "scalar");
   }
 }
 
@@ -215,20 +198,27 @@ TEST(ForceKernelDispatch, Avx2NeedsFmaToo) {
   CpuFeatures f;
   f.avx2 = true;
   f.fma = false;
-  const auto sel = kernels::select_force_kernel(ForceKernel::kAvx2, f);
-  EXPECT_EQ(sel.kind, ForceKernel::kScalar);
+  EXPECT_EQ(kernels::select_pack_force_kernel(ForceKernel::kAvx2, f).kind,
+            ForceKernel::kScalar);
+  EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAvx2, f),
+            kernels::select_bsb_step(ForceKernel::kScalar, f));
 }
 
 TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
-  // Explicit requests keep the CSR layout on both sides of R = 1.
+  // selectable_force_kernels() lists the ISA tiers this host runs; each
+  // pins its own pack tier, while a force request resolves to the CSR
+  // kernel on both sides of R = 1.
   const auto kinds = kernels::selectable_force_kernels();
   ASSERT_FALSE(kinds.empty());
   EXPECT_EQ(kinds.front(), ForceKernel::kScalar);
   for (ForceKernel k : kinds) {
+    EXPECT_EQ(kernels::select_pack_force_kernel(k, cpu_features()).kind, k)
+        << kernels::force_kernel_name(k);
     for (std::size_t replicas : {std::size_t{1}, kLanes}) {
       const auto sel =
           kernels::select_force_kernel(k, cpu_features(), replicas);
-      EXPECT_EQ(sel.kind, k) << kernels::force_kernel_name(k);
+      EXPECT_EQ(sel.kind, ForceKernel::kScalar)
+          << kernels::force_kernel_name(k);
     }
   }
 }
@@ -237,7 +227,7 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
 
 TEST(ForceKernelDispatch, OneReplicaResolvesBipartiteAtWidestIsa) {
   // auto at R = 1 on a column COP takes the bipartite layout at the
-  // widest tier the masked "CPU" runs, through the same chain as CSR.
+  // widest tier the masked "CPU" runs.
   CpuFeatures no_fma;
   no_fma.avx2 = true;
   const auto scalar =
@@ -269,7 +259,7 @@ TEST(ForceKernelDispatch, OneReplicaResolvesBipartiteAtWidestIsa) {
     EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 0).name,
                  kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name);
     // A generic model has no bipartite layout: auto keeps CSR at R = 1,
-    // the same tier it picks past one replica.
+    // the same kernel it picks past one replica.
     const auto generic = kernels::select_force_kernel(
         ForceKernel::kAuto, f, 1, kernels::ModelShape::kGeneric);
     const auto lanes = kernels::select_force_kernel(ForceKernel::kAuto, f,
@@ -280,7 +270,7 @@ TEST(ForceKernelDispatch, OneReplicaResolvesBipartiteAtWidestIsa) {
 }
 
 TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
-  // The CSR tiers stay selectable at R = 1 as the parity reference.
+  // The CSR kernel stays reachable at R = 1 as the parity reference.
   const auto scalar =
       kernels::select_force_kernel(ForceKernel::kScalar, avx512_features(), 1);
   EXPECT_EQ(scalar.kind, ForceKernel::kScalar);
@@ -288,62 +278,33 @@ TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
 }
 
 TEST(ForceKernelDispatch, TailLanesAreTheReplicaRemainder) {
-  // The CSR tiers run R in whole blocks of 4 (portable, AVX2) or 8
-  // (AVX-512) lanes and R mod that block as their lane tail; the bipartite
-  // layout vectorizes across rows and has none. The packed solver's slot
-  // gate packs only where a standalone solve has a tail.
+  // The CSR kernel runs R in whole blocks of 4 lanes and R mod 4 as its
+  // lane tail on every host and for every request; the bipartite layout
+  // vectorizes across rows and has none. The packed solver's slot gate
+  // packs only where a standalone solve has a tail.
   for (const CpuFeatures& f :
        {no_features(), avx2_features(), avx512_features()}) {
     EXPECT_EQ(
         kernels::select_force_kernel(ForceKernel::kAuto, f, 1).tail_lanes,
         0u);
-  }
-  struct Tier {
-    ForceKernel kind;
-    CpuFeatures features;
-    std::size_t block;
-  };
-  std::vector<Tier> tiers = {{ForceKernel::kScalar, no_features(), 4}};
-  if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    tiers.push_back({ForceKernel::kAvx2, avx2_features(), 4});
-  }
-  if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
-    tiers.push_back({ForceKernel::kAvx512, avx512_features(), 8});
-  }
-  for (const Tier& t : tiers) {
-    for (std::size_t replicas = 1; replicas <= 9; ++replicas) {
-      const auto sel = kernels::select_force_kernel(t.kind, t.features,
-                                                    replicas);
-      ASSERT_EQ(sel.kind, t.kind);
-      EXPECT_EQ(sel.tail_lanes, replicas % t.block)
-          << sel.name << " R=" << replicas;
+    for (ForceKernel k : {ForceKernel::kAuto, ForceKernel::kScalar,
+                          ForceKernel::kAvx2, ForceKernel::kAvx512}) {
+      for (std::size_t replicas = k == ForceKernel::kAuto ? 2 : 1;
+           replicas <= 9; ++replicas) {
+        const auto sel = kernels::select_force_kernel(k, f, replicas);
+        ASSERT_EQ(sel.kind, ForceKernel::kScalar);
+        EXPECT_EQ(sel.tail_lanes, replicas % 4)
+            << kernels::force_kernel_name(k) << " R=" << replicas;
+      }
     }
-  }
-}
-
-// ---------------------------------------------------------------- registry
-
-TEST(ForceKernelRegistry, PropAcceptsKernelKey) {
-  for (const char* name : {"auto", "scalar", "avx2", "avx512"}) {
-    EXPECT_NO_THROW(SolverRegistry::global().make_from_spec(
-        std::string("prop,kernel=") + name));
-  }
-}
-
-TEST(ForceKernelRegistry, PropRejectsBogusKernel) {
-  for (const char* name : {"sse9", "dense"}) {
-    EXPECT_THROW(SolverRegistry::global().make_from_spec(
-                     std::string("prop,kernel=") + name),
-                 std::invalid_argument)
-        << name;
   }
 }
 
 // ------------------------------------------------- force-plane bit parity
 
-/// The requests the parity suites compare: every kernel that resolves to
-/// itself, then auto -- the bipartite layout at R = 1 on a column COP,
-/// the widest CSR tier otherwise.
+/// The requests the parity suites compare: every ISA tier the host runs
+/// (each the CSR kernel with that tier's bSB step), then auto -- the
+/// bipartite layout at R = 1 on a column COP, the CSR kernel otherwise.
 std::vector<ForceKernel> parity_kernels() {
   auto kinds = kernels::selectable_force_kernels();
   kinds.push_back(ForceKernel::kAuto);
@@ -420,8 +381,8 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
 }
 
 TEST(ForceKernelParity, ForcePlanesBitIdenticalDenseModel) {
-  // Near-complete generic models through every CSR tier at each replica
-  // count (auto keeps CSR at R = 1 on them). In the second model the
+  // Near-complete generic models through the CSR kernel at each replica
+  // count under every request (auto keeps CSR at R = 1 on them). In the second model the
   // uncoupled row's bias was set to -0.0.
   Rng rng(43);
   const auto model = random_model(48, 1.0, rng);
@@ -492,11 +453,10 @@ TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
       for (bool discrete : {false, true}) {
         std::vector<double> want(planes.n);
         planes.force = want.data();
-        (discrete ? reference.discrete : reference.continuous)(planes, 0,
-                                                               planes.n);
+        (discrete ? reference.discrete : reference.continuous)(planes);
         std::vector<double> got(planes.n);
         planes.force = got.data();
-        (discrete ? sel.discrete : sel.continuous)(planes, 0, planes.n);
+        (discrete ? sel.discrete : sel.continuous)(planes);
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               planes.n * sizeof(double)),
                   0)
@@ -585,14 +545,16 @@ TEST(ForceKernelParity, DaltaResultBitIdenticalAcrossKernels) {
   params.seed = 7;
   params.parallel = false;
 
-  const auto reference_solver =
-      SolverRegistry::global().make_from_spec("prop,n=7,kernel=scalar");
-  const auto reference = run_dalta(exact, dist, params, *reference_solver);
+  // No spec string sets the kernel; the options reach the CSR reference.
+  auto options = IsingCoreSolver::Options::paper_defaults(7);
+  options.sb.kernel = ForceKernel::kScalar;
+  const IsingCoreSolver reference_solver(options);
+  const auto reference = run_dalta(exact, dist, params, reference_solver);
 
   for (ForceKernel k : parity_kernels()) {
-    const auto solver = SolverRegistry::global().make_from_spec(
-        std::string("prop,n=7,kernel=") + kernels::force_kernel_name(k));
-    const auto got = run_dalta(exact, dist, params, *solver);
+    options.sb.kernel = k;
+    const IsingCoreSolver solver(options);
+    const auto got = run_dalta(exact, dist, params, solver);
     EXPECT_EQ(got.approx, reference.approx) << kernels::force_kernel_name(k);
     EXPECT_EQ(got.med, reference.med) << kernels::force_kernel_name(k);
     EXPECT_EQ(got.error_rate, reference.error_rate);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "boolean/boolean_matrix.hpp"
 #include "core/column_cop.hpp"
@@ -28,8 +29,8 @@ ColumnCop random_cop(std::uint64_t seed, std::size_t r = 5,
 TEST(SolverRegistry, AllCanonicalNamesBuild) {
   const SolverRegistry& r = SolverRegistry::global();
   for (const char* name :
-       {"prop", "sa", "simcim", "doch", "dalta", "dalta-lit", "ilp", "ba",
-        "alt", "exhaustive"}) {
+       {"prop", "sa", "doch", "dalta", "dalta-lit", "ilp", "ba", "alt",
+        "exhaustive"}) {
     const auto solver = r.make(name);
     ASSERT_NE(solver, nullptr) << name;
   }
@@ -43,7 +44,7 @@ TEST(SolverRegistry, AliasesResolveToTheSameEntryAsTheClassName) {
       {"prop", "ising-bsb"},     {"dalta", "dalta-greedy"},
       {"ilp", "ilp-bnb"},        {"ba", "ba-anneal"},
       {"alt", "alternating"},    {"sa", "ising-sa"},
-      {"simcim", "ising-simcim"}, {"doch", "ising-doch"},
+      {"doch", "ising-doch"},
   };
   for (const auto& [canonical, alias] : pairs) {
     EXPECT_EQ(r.find(canonical), r.find(alias)) << canonical;
@@ -95,15 +96,14 @@ TEST(SolverRegistry, UnknownNameErrorEnumeratesTheFullRoster) {
     std::size_t last = 0;
     for (const char* name :
          {"alt", "ba", "dalta", "dalta-lit", "doch", "exhaustive", "ilp",
-          "prop", "sa", "simcim"}) {
+          "prop", "sa"}) {
       const std::size_t pos = msg.find(name, last);
       EXPECT_NE(pos, std::string::npos) << name << " missing in: " << msg;
       last = pos;
     }
     const std::size_t aliases = msg.find("aliases:");
     ASSERT_NE(aliases, std::string::npos) << msg;
-    for (const char* alias :
-         {"ising-bsb", "ising-doch", "ising-sa", "ising-simcim"}) {
+    for (const char* alias : {"ising-bsb", "ising-doch", "ising-sa"}) {
       EXPECT_NE(msg.find(alias, aliases), std::string::npos)
           << alias << " missing in: " << msg;
     }
@@ -144,10 +144,11 @@ TEST(SolverRegistry, UnknownKeyErrorEnumeratesDeclaredKeys) {
   }
 }
 
-// The removed layout key of `prop,pack=K` and the removed portfolio entry
-// fail through the same strict diagnostics as any typo: unknown key,
-// unknown solver. The key is spelled in two adjacent literals so that a
-// search of the sources for it finds no live use.
+// The removed layout keys of `prop,pack=K`, the removed kernel key of
+// prop and doch, and the removed portfolio and simcim entries fail through
+// the same strict diagnostics as any typo: unknown key, unknown solver.
+// The pack keys are spelled in two adjacent literals so that a search of
+// the sources for them finds no live use.
 TEST(SolverRegistry, RemovedLayoutKeyAndPortfolioAreRejected) {
   // Retired pack keys fail as unknown keys, with or without pack > 0.
   for (const char* key : {"layout", "tile", "share-j"}) {
@@ -166,13 +167,31 @@ TEST(SolverRegistry, RemovedLayoutKeyAndPortfolioAreRejected) {
       }
     }
   }
-  try {
-    (void)SolverRegistry::global().make_from_spec("portfolio");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown solver 'portfolio'"),
-              std::string::npos)
-        << e.what();
+  // Retired solvers fail as unknown names.
+  for (const char* name : {"portfolio", "simcim"}) {
+    try {
+      (void)SolverRegistry::global().make_from_spec(name);
+      FAIL() << "expected invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unknown solver '") +
+                                           name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // No key picks the force kernel any more.
+  for (const auto& [spec, solver] :
+       {std::pair{"prop,kernel=avx2", "prop"},
+        std::pair{"doch,kernel=scalar", "doch"}}) {
+    try {
+      (void)SolverRegistry::global().make_from_spec(spec);
+      FAIL() << "expected invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("solver '") + solver +
+                                           "' does not take key 'kernel'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -191,7 +210,7 @@ TEST(SolverRegistry, MalformedValuesThrow) {
        {std::tuple{"prop", "dt", "nan"}, std::tuple{"prop", "dt", "inf"},
         std::tuple{"prop", "dt", "0.5x"},
         std::tuple{"prop", "stop-epsilon", "nan"},
-        std::tuple{"simcim", "noise", "nan"}}) {
+        std::tuple{"doch", "rho", "nan"}}) {
     SolverConfig bad;
     bad.set(key, value);
     try {

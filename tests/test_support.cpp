@@ -494,6 +494,42 @@ TEST(CliArgs, NegativeSizeThrows) {
   EXPECT_THROW((void)args.get_size("n", 0), std::invalid_argument);
 }
 
+TEST(CliArgs, MalformedSizeThrowsNamingTheFlag) {
+  // Trailing characters, non-numbers, negatives and values past size_t
+  // all fail with a message that names the flag and echoes the value,
+  // never a silent prefix parse or a bare "stoll". get_int holds the same
+  // line, except that -1 is an int.
+  for (const char* value : {"4x", "abc", "-1", "18446744073709551616"}) {
+    const std::string arg = std::string("--p=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const CliArgs args(2, argv);
+    const auto expect_named = [&](const auto& get) {
+      try {
+        (void)get();
+        ADD_FAILURE() << "expected invalid_argument for " << value;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--p"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string("'") + value + "'"),
+                  std::string::npos)
+            << what;
+      }
+    };
+    expect_named([&] { return args.get_size("p", 0); });
+    if (std::string(value) == "-1") {
+      EXPECT_EQ(args.get_int("p", 0), -1);
+    } else {
+      expect_named([&] { return args.get_int("p", 0); });
+    }
+  }
+  // An empty value keeps the fallback; a whole number parses.
+  const char* argv[] = {"prog", "--p=", "--q=12"};
+  const CliArgs args(3, argv);
+  EXPECT_EQ(args.get_size("p", 8), 8u);
+  EXPECT_EQ(args.get_int("p", -2), -2);
+  EXPECT_EQ(args.get_size("q", 0), 12u);
+}
+
 TEST(CliArgs, MalformedOrNonFiniteDoubleThrowsNamingTheFlag) {
   // Trailing characters, NaN/inf and non-numbers all fail with a message
   // that names the flag and echoes the value.

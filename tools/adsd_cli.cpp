@@ -5,16 +5,16 @@
 //       List built-in benchmark functions and solvers.
 //
 //   adsd_cli list-solvers   (also: adsd_cli --list-solvers)
-//       List every registry-constructible solver with its aliases, config
-//       keys, and — for engines that take a kernel= key — the SIMD force
-//       kernel an auto request resolves to on this host for a
-//       single-replica column-COP solve (bipartite-<isa>); the footer also
-//       names the choice for other models at R = 1 and past R = 1.
+//       List every registry-constructible solver with its aliases and
+//       config keys. No setting picks the force kernel; the footer names
+//       the one this host runs for a single-replica column-COP solve
+//       (bipartite-<isa>) and for everything else (scalar).
 //
 //   adsd_cli decompose --function exp --n 9 --free 4 [options]
 //   adsd_cli decompose --hex table.tt --free 4 [options]
+//   adsd_cli decompose --pla table.pla --free 4 [options]
 //       Run the approximate decomposition and print the accuracy/storage
-//       report. Options:
+//       report. A flag not listed here is an error. Options:
 //         --m <bits>        output width (default: paper convention)
 //         --shared <s>      non-disjoint shared variables (default 0)
 //         --mode joint|separate (default joint)
@@ -24,18 +24,16 @@
 //         --p/--rounds/--seed   framework knobs
 //         --replicas <r>    lockstep bSB replicas for the prop solver
 //                           (>= 1; shorthand for the replicas config key)
-//         --kernel <k>      force kernel for the prop solver:
-//                           auto|scalar|avx2|avx512 (shorthand for the
-//                           kernel config key; default auto)
 //         --pack <K>        pack up to K candidate solves per force pass
 //                           (prop solver; shorthand for the pack config
 //                           key; results are bit-identical to unpacked).
 //                           Packs form only where they beat looped
 //                           solves, i.e. where the looped force kernel
-//                           leaves a lane tail (2..7 replicas, R = 4 on
-//                           AVX-512 only; an explicit --kernel at one);
+//                           leaves a lane tail (R = 2, 3, 5, 6 or 7);
 //                           the default R = 1 batches are solved
 //                           unpacked, over the worker pool
+//         --ilp-budget <s>  seconds per COP for the ilp solver (shorthand
+//                           for its budget config key)
 //         --threads <t>     worker threads for the partition fan-out
 //                           (>= 1; default: hardware concurrency)
 //         --trace <file>    write a Chrome trace_event JSON timeline of the
@@ -85,12 +83,14 @@
 //         --testbench <file> write a self-checking testbench (n <= 12)
 //         --hex-out <file>  write the approximate table (.tt hex)
 //
-//   adsd_cli compare --exact a.tt --approx b.tt
-//       Report ER / MED / WCE / MRE between two tables.
+//   adsd_cli compare --exact a.tt --approx b.tt [--dist <file>]
+//       Report ER / MED / WCE / MRE between two tables. A flag not listed
+//       here is an error.
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "bench/common.hpp"
 #include "boolean/error_metrics.hpp"
@@ -132,9 +132,6 @@ std::unique_ptr<CoreCopSolver> make_solver(const CliArgs& args, unsigned n) {
     config.set("replicas",
                std::to_string(args.get_positive_size("replicas", 1)));
   }
-  if (takes("kernel") && args.has("kernel") && !config.has("kernel")) {
-    config.set("kernel", args.get_string("kernel", "auto"));
-  }
   if (takes("pack") && args.has("pack") && !config.has("pack")) {
     config.set("pack", std::to_string(args.get_positive_size("pack", 1)));
   }
@@ -143,6 +140,20 @@ std::unique_ptr<CoreCopSolver> make_solver(const CliArgs& args, unsigned n) {
                std::to_string(args.get_double("ilp-budget", 0.25)));
   }
   return registry.make(name, config);
+}
+
+/// A size flag that feeds an unsigned parameter: a value past unsigned
+/// throws instead of wrapping.
+unsigned get_unsigned(const CliArgs& args, const std::string& name,
+                      unsigned fallback) {
+  const std::size_t value = args.get_size(name, fallback);
+  if (value > std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument(
+        "--" + name + ": expected at most " +
+        std::to_string(std::numeric_limits<unsigned>::max()) + ", got '" +
+        args.get_string(name, "") + "'");
+  }
+  return static_cast<unsigned>(value);
 }
 
 TruthTable load_table(const CliArgs& args) {
@@ -165,9 +176,8 @@ TruthTable load_table(const CliArgs& args) {
     throw std::invalid_argument(
         "need one of --function / --hex / --pla to define the table");
   }
-  const auto n = static_cast<unsigned>(args.get_size("n", 9));
-  const auto m = static_cast<unsigned>(
-      args.get_size("m", paper_output_bits(fn, n)));
+  const unsigned n = get_unsigned(args, "n", 9);
+  const unsigned m = get_unsigned(args, "m", paper_output_bits(fn, n));
   return make_benchmark_table(fn, n, m);
 }
 
@@ -207,21 +217,7 @@ int cmd_info() {
 }
 
 int cmd_list_solvers() {
-  // The auto-resolution is host-global: one decision for single-replica
-  // solves of the column COPs every solver here receives (the default
-  // replicas=1), one for single-replica solves of any other model, and
-  // one past R = 1. Per-entry, the kernel column shows what `kernel=auto`
-  // (the default) means here and now.
-  const CpuFeatures& features = cpu_features();
-  const kernels::SelectedForceKernel single = kernels::select_force_kernel(
-      kernels::ForceKernel::kAuto, features, /*replicas=*/1);
-  const kernels::SelectedForceKernel generic = kernels::select_force_kernel(
-      kernels::ForceKernel::kAuto, features, /*replicas=*/1,
-      kernels::ModelShape::kGeneric);
-  const kernels::SelectedForceKernel csr = kernels::select_force_kernel(
-      kernels::ForceKernel::kAuto, features, /*replicas=*/2);
-
-  Table solvers({"name", "aliases", "kernel (auto)", "config keys"});
+  Table solvers({"name", "aliases", "config keys"});
   for (const auto& entry : SolverRegistry::global().entries()) {
     std::string aliases;
     for (const auto& a : entry.aliases) {
@@ -234,23 +230,20 @@ int cmd_list_solvers() {
       const std::string shown = k == "pack" ? "pack=<K>" : k;
       keys += keys.empty() ? shown : ", " + shown;
     }
-    const bool takes_kernel =
-        std::find(entry.keys.begin(), entry.keys.end(), "kernel") !=
-        entry.keys.end();
     solvers.add_row({entry.name, aliases.empty() ? "-" : aliases,
-                     takes_kernel ? single.name : "-",
                      keys.empty() ? "-" : keys});
   }
   solvers.print(std::cout);
 
-  std::cout << "\nforce kernels on this host: auto -> " << single.name
-            << " (R = 1, column COP), " << generic.name
-            << " (R = 1, other models), " << csr.name
-            << " (R > 1); selectable:";
-  for (const kernels::ForceKernel k : kernels::selectable_force_kernels()) {
-    std::cout << " " << kernels::force_kernel_name(k);
-  }
-  std::cout << "\n";
+  // Host-global: the layout follows the model and the replica count, the
+  // ISA tier the CPU.
+  const kernels::SelectedForceKernel column_cop = kernels::select_force_kernel(
+      kernels::ForceKernel::kAuto, cpu_features(), /*replicas=*/1);
+  const kernels::SelectedForceKernel other = kernels::select_force_kernel(
+      kernels::ForceKernel::kAuto, cpu_features(), /*replicas=*/2);
+  std::cout << "\nforce kernel (no setting picks it): " << column_cop.name
+            << " for an R = 1 column COP, " << other.name
+            << " otherwise\n";
   return 0;
 }
 
@@ -270,14 +263,24 @@ InputDistribution load_distribution(const CliArgs& args, unsigned n) {
 }
 
 int cmd_decompose(const CliArgs& args) {
+  args.reject_unknown(
+      {"function", "hex", "pla", "n", "m", "free", "shared", "mode",
+       "solver", "p", "rounds", "seed", "replicas", "pack", "ilp-budget",
+       "threads", "trace", "report", "qor", "metrics", "metrics-format",
+       "postmortem", "log-level", "log-file", "obs-dir", "budget", "dist",
+       "verilog", "testbench", "hex-out"});
   const TruthTable exact = load_table(args);
   const unsigned n = exact.num_inputs();
   const unsigned m = exact.num_outputs();
   const InputDistribution dist = load_distribution(args, n);
 
-  const auto free_size = static_cast<unsigned>(args.get_size("free", 4));
-  const auto shared = static_cast<unsigned>(args.get_size("shared", 0));
+  const unsigned free_size = get_unsigned(args, "free", 4);
+  const unsigned shared = get_unsigned(args, "shared", 0);
   const std::string mode_name = args.get_string("mode", "joint");
+  if (mode_name != "joint" && mode_name != "separate") {
+    throw std::invalid_argument("--mode: expected joint or separate, got '" +
+                                mode_name + "'");
+  }
   const DecompMode mode =
       mode_name == "separate" ? DecompMode::kSeparate : DecompMode::kJoint;
   // Shared with the bench harnesses: --seed/--threads, the recorder
@@ -402,6 +405,7 @@ int cmd_decompose(const CliArgs& args) {
 }
 
 int cmd_compare(const CliArgs& args) {
+  args.reject_unknown({"exact", "approx", "dist"});
   const TruthTable exact = load_table_from(args.get_string("exact", ""));
   const TruthTable approx = load_table_from(args.get_string("approx", ""));
   const InputDistribution dist =
