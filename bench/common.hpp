@@ -38,8 +38,7 @@ namespace adsd::bench {
 inline std::unique_ptr<CoreCopSolver> make_solver(const std::string& spec,
                                                   unsigned num_inputs,
                                                   double ilp_budget_s,
-                                                  std::size_t replicas = 1,
-                                                  std::size_t pack = 0) {
+                                                  std::size_t replicas = 1) {
   const SolverRegistry& registry = SolverRegistry::global();
   auto [name, config] = SolverRegistry::parse_spec(spec);
   const SolverRegistry::Entry* entry = registry.find(name);
@@ -53,9 +52,6 @@ inline std::unique_ptr<CoreCopSolver> make_solver(const std::string& spec,
   overlay("n", std::to_string(num_inputs));
   overlay("budget", std::to_string(ilp_budget_s));
   overlay("replicas", std::to_string(std::max<std::size_t>(1, replicas)));
-  if (pack > 0) {
-    overlay("pack", std::to_string(pack));
-  }
   return registry.make(name, config);
 }
 

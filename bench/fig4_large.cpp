@@ -11,14 +11,14 @@
 // trajectory per COP (--replicas 1); --replicas R runs R lockstep
 // replicas instead.
 //
-// Observability: --trace/--report/--qor <file> write the same JSON
-// artifacts as adsd_cli (see tools/trace_summary); --json <file>
-// writes per-benchmark MED/time records as a schema-v2 bench report for
-// tools/bench_diff; --threads sets the worker-pool width; --pack <K>
-// additionally runs the proposed solver with multi-instance packing
-// (prop,pack=K -- fig4/<name>/prop_pack_* records). The packed MED must
-// equal looped prop's bit for bit; any divergence is reported and makes
-// the run exit with status 2.
+// Flags: --n, --free, --p, --rounds, --seed, --replicas, --baseline lit
+// (the literal one-shot DALTA reconstruction), --csv <file> (the table
+// as CSV), and the harness flags --threads (worker-pool width),
+// --trace/--report/--qor/--metrics [--metrics-format] <file> (the same
+// artifacts as adsd_cli; see tools/trace_summary), --log-level,
+// --log-file, --obs-dir, and --json <file> (per-benchmark MED/time
+// records as a schema-v2 bench report for tools/bench_diff). Any other
+// flag is an error.
 
 #include <fstream>
 #include <iostream>
@@ -29,6 +29,15 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  try {
+    args.reject_unknown({"n", "free", "p", "rounds", "seed", "replicas",
+                         "baseline", "csv", "json", "threads", "trace",
+                         "report", "qor", "metrics", "metrics-format",
+                         "log-level", "log-file", "obs-dir"});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 16));
   DaltaParams params;
@@ -52,13 +61,6 @@ int main(int argc, char** argv) {
   const auto dalta = bench::make_solver(
       baseline == "lit" ? "dalta-lit" : baseline, n, 0.0);
   const auto prop = bench::make_solver("prop", n, 0.0, replicas);
-  // --pack K: the same solves through the packed engine, which must not
-  // change any MED (bit-identical per instance) but amortizes per-solve
-  // setup across DALTA's P-candidate rounds.
-  const std::size_t pack = args.get_size("pack", 0);
-  const auto prop_pack =
-      pack > 0 ? bench::make_solver("prop", n, 0.0, replicas, pack)
-               : std::unique_ptr<CoreCopSolver>();
   // One context across the whole suite: with --trace/--report the recorder
   // captures every benchmark's solves on a single timeline (streams are
   // keyed, so sharing the context does not perturb any run).
@@ -69,8 +71,6 @@ int main(int argc, char** argv) {
                "early stops"});
   std::vector<double> med_ratios;
   std::vector<double> time_ratios;
-  std::vector<double> pack_time_ratios;
-  int pack_divergences = 0;
   bench::BenchReport report("fig4_large");
   report.set_run_id(ctx.run_id());
 
@@ -90,20 +90,6 @@ int main(int argc, char** argv) {
     report.add_qor("fig4/" + bench_case.name + "/dalta_med", base.med);
     report.add_time("fig4/" + bench_case.name + "/prop_seconds",
                     ours.seconds);
-    if (prop_pack) {
-      const auto packed = run_dalta(exact, dist, params, *prop_pack, ctx);
-      pack_time_ratios.push_back(packed.seconds /
-                                 std::max(1e-9, ours.seconds));
-      report.add_qor("fig4/" + bench_case.name + "/prop_pack_med",
-                     packed.med);
-      report.add_time("fig4/" + bench_case.name + "/prop_pack_seconds",
-                      packed.seconds);
-      if (packed.med != ours.med) {
-        ++pack_divergences;
-        std::cerr << "ERROR: packed MED diverged on " << bench_case.name
-                  << " (" << packed.med << " vs " << ours.med << ")\n";
-      }
-    }
     table.add_row(
         {bench_case.name, Table::num(base.med), Table::num(base.seconds, 3),
          Table::num(ours.med), Table::num(ours.seconds, 3),
@@ -139,12 +125,6 @@ int main(int argc, char** argv) {
                "paper's runtime contrast comes from its framework overheads "
                "at P=1000, so at reduced P the time ratio here skews "
                "against the proposal.\n";
-  if (!pack_time_ratios.empty()) {
-    std::cout << "packed (pack=" << pack << ") vs unpacked prop: average "
-              << "time ratio " << Table::num(mean_of(pack_time_ratios), 3)
-              << " (< 1 means packing wins; MED is bit-identical by "
-                 "construction).\n";
-  }
   if (args.has("json")) {
     report.add_qor("fig4/avg_med_ratio", avg_med_ratio, "ratio");
     const std::string path = args.get_string("json", "fig4.json");
@@ -157,10 +137,5 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << path << "\n";
   }
   bench::write_run_artifacts(args, ctx);
-  if (pack_divergences > 0) {
-    std::cerr << "ERROR: packed MED differs from looped prop on "
-              << pack_divergences << " benchmark(s)\n";
-    return 2;
-  }
   return 0;
 }

@@ -9,9 +9,9 @@
 // with an instrumented reference pass (the proposed bSB solver on the
 // n = 9 core COP) and write the same JSON artifacts as adsd_cli; --json
 // <file> writes the measured times as a schema-v2 bench report for
-// tools/bench_diff, with derived single-thread speedup records (the
-// bipartite layout over the CSR kernel at R = 1, the pack over looped
-// solves); all other flags pass through to google-benchmark.
+// tools/bench_diff, with a derived single-thread speedup record (the
+// bipartite layout over the CSR kernel at R = 1); all other flags pass
+// through to google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +30,6 @@
 #include "funcs/continuous.hpp"
 #include "ising/bsb.hpp"
 #include "ising/bsb_batch.hpp"
-#include "ising/bsb_pack.hpp"
 #include "ising/kernels/force_kernels.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
@@ -302,9 +301,9 @@ BENCHMARK_CAPTURE(BM_BsbSolveKernel, scalar, kernels::ForceKernel::kScalar)
     ->Unit(benchmark::kMillisecond);
 
 std::vector<IsingModel> tiny_models(std::size_t count) {
-  // Independent same-shape core-COP models (n = 9 quantization: 64 spins,
-  // inside the tiny-solve band the packed engine targets), different
-  // random partitions so the coupling values differ per member.
+  // Independent same-shape core-COP models (n = 9 quantization: 64
+  // spins), different random partitions so the coupling values differ
+  // per member.
   std::vector<IsingModel> models;
   models.reserve(count);
   for (std::size_t m = 0; m < count; ++m) {
@@ -313,11 +312,10 @@ std::vector<IsingModel> tiny_models(std::size_t count) {
   return models;
 }
 
-// K tiny solves the pre-packing way: one BsbBatchEngine per instance at
-// `replicas`, fixed 200 steps so looped and packed do identical work. At
-// R = 1 each engine runs the bipartite layout, which vectorizes across
-// rows; at R = 2 it runs the CSR kernel, whose two replica lanes leave
-// most of a vector idle.
+// K tiny solves, one BsbBatchEngine per instance at `replicas`, fixed
+// 200 steps. At R = 1 each engine runs the bipartite layout, which
+// vectorizes across rows; at R = 2 it runs the CSR kernel, whose two
+// replica lanes leave most of a vector idle.
 void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto models = tiny_models(k);
@@ -337,51 +335,17 @@ void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
                           static_cast<std::int64_t>(k) * 200);
 }
 
-// The same K solves through one BsbPackEngine run at `replicas`: engine
-// construction included, since building the per-slot planes is part of
-// the packed path's real cost. Results are bit-identical to the looped
-// runs (tests/test_bsb_pack.cpp), so the ratio is pure throughput.
-void tiny_solve_packed(benchmark::State& state, std::size_t replicas) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto models = tiny_models(k);
-  SbParams params;
-  params.max_iterations = 200;
-  std::vector<PackMember> members;
-  for (std::size_t m = 0; m < k; ++m) {
-    members.push_back({&models[m], 900 + m, {}});
-  }
-  for (auto _ : state) {
-    BsbPackEngine engine(members, params, replicas);
-    const auto results = engine.run();
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(k) * 200);
-}
-
-// R = 1, where the looped solves win and PackedCoreCopSolver's slot gate
-// declines to pack, and R = 2, where the pack wins and the gate packs.
+// R = 1, the paper's single trajectory, and R = 2, the CSR kernel.
 void BM_TinySolveLooped(benchmark::State& state) {
   tiny_solve_looped(state, 1);
 }
 BENCHMARK(BM_TinySolveLooped)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-void BM_TinySolvePacked(benchmark::State& state) {
-  tiny_solve_packed(state, 1);
-}
-BENCHMARK(BM_TinySolvePacked)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_TinySolveLoopedR2(benchmark::State& state) {
   tiny_solve_looped(state, 2);
 }
 BENCHMARK(BM_TinySolveLoopedR2)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_TinySolvePackedR2(benchmark::State& state) {
-  tiny_solve_packed(state, 2);
-}
-BENCHMARK(BM_TinySolvePackedR2)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_EngineSolve(benchmark::State& state, const char* spec) {
   // Full registry-built COP solves on the n = 9 core COP (64 spins), one
@@ -694,29 +658,6 @@ int main(int argc, char** argv) {
                            "R=1, n=16 column COP");
       }
     }
-    // Packed-vs-looped tiny-solve speedups (single thread, 64-spin
-    // instances): one BsbPackEngine run against K sequential BsbBatchEngine
-    // solves of the same instances, at R = 1 for K = 4, 16, 64 and at
-    // R = 2 for K = 64 -- the two sides of PackedCoreCopSolver's slot gate.
-    // Single-thread ratios, valid anywhere.
-    const auto packed_speedup = [&](const std::string& suffix,
-                                    const std::string& label,
-                                    const char* note) {
-      const auto looped = secs.find("BM_TinySolveLooped" + suffix);
-      const auto packed = secs.find("BM_TinySolvePacked" + suffix);
-      if (looped != secs.end() && packed != secs.end() &&
-          packed->second > 0.0) {
-        report.add_derived(label, looped->second / packed->second, "max",
-                           true, note);
-      }
-    };
-    for (const char* k : {"4", "16", "64"}) {
-      packed_speedup(std::string("/") + k,
-                     std::string("packed_solve_speedup_k") + k,
-                     "single-thread ratio, R=1, 64-spin instances");
-    }
-    packed_speedup("R2/64", "packed_solve_speedup_r2_k64",
-                   "single-thread ratio, R=2, 64-spin instances");
     // Named full-solve records for the unified engine layer, in seconds
     // like every time record. Single thread, so valid on any host.
     for (const auto& [tag, label] : {

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <tuple>
 
 #include "ising/bsb_batch.hpp"
-#include "ising/bsb_pack.hpp"
 #include "ising/exhaustive.hpp"
-#include "ising/kernels/force_kernels.hpp"
-#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -109,9 +104,7 @@ void anti_collapse_intervene(const ColumnCop& cop, ReplicaView v) {
 /// The Theorem-3 feedback closure (Sec. 3.3.2, batched): one plane sweep
 /// computes the optimal column types for every replica at once and pins the
 /// T oscillators before the integration continues; replicas whose reset
-/// landed degenerate take the scalar anti-collapse re-seeding path. Shared
-/// between the standalone solve and the packed batch (one closure per
-/// member there, so each member keeps its own scratch).
+/// landed degenerate take the scalar anti-collapse re-seeding path.
 SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
                                     bool anti_collapse) {
   return [&cop, &ctx, anti_collapse,
@@ -197,8 +190,8 @@ double polish_and_score(const ColumnCop& cop, const RunContext& ctx,
 }
 
 /// The full bSB core solve (Theorem-3 feedback, warm incumbent, restarts,
-/// final polish) as a free function, so IsingCoreSolver::do_solve and
-/// PackedCoreCopSolver's single-instance path share one implementation.
+/// final polish) as a free function, so IsingCoreSolver and
+/// PackedCoreCopSolver share one implementation.
 ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
                                std::uint64_t seed, CoreSolveStats* stats,
                                const IsingCoreSolver::Options& options) {
@@ -329,120 +322,6 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
   return best;
 }
 
-/// The slot gate: whether a pack of `members` instances of at most `n_max`
-/// spins, each run at `replicas` under the force-kernel request `kernel`,
-/// is worth forming (DESIGN.md §4.7). The pack's kernels vectorize across
-/// slots, which beats a standalone solve only where that solve's own force
-/// kernel has a lane tail — the engine's dispatch reports it. None at
-/// R = 1 under kAuto (the bipartite layout vectorizes across rows), none
-/// where R fills the CSR kernel's blocks of 4 (R = 4 and 8). The replica
-/// ceiling only decides R >= 9, which no one has measured, so those
-/// chunks stay unpacked. The engine also streams per-slot union-pattern
-/// coupling rows — at most n_max^2 doubles per slot, the conservative
-/// bound known before the union exists — every force pass, so their
-/// working set must stay near cache size.
-/// Instances past the gate are solved standalone over the pool.
-bool passes_slot_gate(std::size_t n_max, std::size_t members,
-                      std::size_t replicas, kernels::ForceKernel kernel) {
-  constexpr std::size_t kSlotPlaneDoubles = (4u << 20) / sizeof(double);
-  const kernels::SelectedForceKernel standalone =
-      kernels::select_force_kernel(kernel, cpu_features(), replicas);
-  return standalone.tail_lanes > 0 && replicas <= 7 &&
-         n_max * n_max * members <= kSlotPlaneDoubles;
-}
-
-/// One packed chunk of the batched solve: 2 or more instances through one
-/// BsbPackEngine per restart attempt. Every member replicates the
-/// standalone ising_core_solve state machine — same warm start, same
-/// per-attempt seeds, same Theorem-3 closure per member, same polish and
-/// best-selection — so packed results are bit-identical per instance.
-void solve_packed_chunk(std::span<const ColumnCop> cops, const RunContext& ctx,
-                        std::span<const std::uint64_t> seeds,
-                        std::span<ColumnSetting> out,
-                        std::span<CoreSolveStats> stats,
-                        std::span<const std::size_t> members,
-                        const IsingCoreSolver::Options& options) {
-  const std::size_t M = members.size();
-  struct MemberState {
-    std::optional<IsingModel> model;
-    SbBatchPlaneHook hook;
-    WarmStart warm;
-    ColumnSetting best;
-    double best_obj = 0.0;
-    std::size_t total_iters = 0;
-    bool any_early = false;
-    bool have_best = false;
-  };
-  std::vector<MemberState> ms(M);
-  for (std::size_t m = 0; m < M; ++m) {
-    const ColumnCop& cop = cops[members[m]];
-    ms[m].model.emplace(cop.to_ising());
-    if (options.use_theorem3) {
-      ms[m].hook = make_theorem3_hook(cop, ctx, options.anti_collapse);
-    }
-    if (options.column_seed_init) {
-      ms[m].warm = column_seed_warm_start(cop);
-      ms[m].best = std::move(ms[m].warm.incumbent);
-      ms[m].best_obj = ms[m].warm.objective;
-      ms[m].have_best = true;
-    }
-  }
-
-  PackPlaneHook pack_hook;
-  if (options.use_theorem3) {
-    pack_hook = [&ms](std::size_t m, std::span<double> x, std::span<double> y,
-                      std::size_t replicas) {
-      ms[m].hook(x, y, replicas);
-    };
-  }
-
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
-  const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
-  for (std::size_t attempt = 0; attempt < restarts; ++attempt) {
-    std::vector<PackMember> pack(M);
-    for (std::size_t m = 0; m < M; ++m) {
-      pack[m].model = &*ms[m].model;
-      pack[m].seed = seeds[members[m]] + 0x9e3779b9u * attempt;
-      if (attempt == 0 && !ms[m].warm.positions.empty()) {
-        pack[m].initial_positions = ms[m].warm.positions;
-      }
-    }
-    BsbPackEngine engine(pack, options.sb, replicas);
-    engine.set_context(&ctx);
-    const std::vector<IsingSolveResult> results = engine.run(pack_hook);
-
-    for (std::size_t m = 0; m < M; ++m) {
-      const IsingSolveResult& res = results[m];
-      // solve_sb_batch scales iterations by the replica count; mirror it.
-      ms[m].total_iters += res.iterations * replicas;
-      ms[m].any_early = ms[m].any_early || res.stopped_early;
-      const ColumnCop& cop = cops[members[m]];
-      ColumnSetting s = cop.decode(res.spins);
-      const double obj = polish_and_score(cop, ctx, s, options.final_polish);
-      if (!ms[m].have_best || obj < ms[m].best_obj) {
-        ms[m].best = std::move(s);
-        ms[m].best_obj = obj;
-        ms[m].have_best = true;
-      }
-    }
-    if (ctx.expired()) {
-      for (std::size_t m = 0; m < M; ++m) {
-        ms[m].any_early = true;
-      }
-      break;
-    }
-  }
-
-  for (std::size_t m = 0; m < M; ++m) {
-    const std::size_t idx = members[m];
-    out[idx] = std::move(ms[m].best);
-    stats[idx].objective = ms[m].best_obj;
-    stats[idx].iterations = ms[m].total_iters;
-    stats[idx].stopped_early = ms[m].any_early;
-    stats[idx].proven_optimal = false;
-  }
-}
-
 }  // namespace
 
 ColumnSetting CoreCopSolver::solve(const ColumnCop& cop, const RunContext& ctx,
@@ -534,8 +413,21 @@ void CoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
                                    std::span<const std::uint64_t> seeds,
                                    std::span<ColumnSetting> out,
                                    std::span<CoreSolveStats> stats) const {
-  for (std::size_t i = 0; i < cops.size(); ++i) {
+  auto run_one = [&](std::size_t i) {
     out[i] = do_solve(cops[i], ctx, seeds[i], &stats[i]);
+  };
+  // Members are independent solves, so the batch fans out over the pool
+  // like the caller-side loop it replaces. A nested call from inside a
+  // caller's parallel_for runs inline via the pool's nesting guard.
+  if (ctx.parallel() && cops.size() > 1) {
+    ThreadPool& pool = ctx.pool();
+    if (pool.thread_count() > 1) {
+      pool.parallel_for(cops.size(), run_one);
+      return;
+    }
+  }
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    run_one(i);
   }
 }
 
@@ -563,93 +455,7 @@ ColumnSetting PackedCoreCopSolver::do_solve(const ColumnCop& cop,
                                             const RunContext& ctx,
                                             std::uint64_t seed,
                                             CoreSolveStats* stats) const {
-  // A lone instance takes the standalone path — bit-identical to
-  // IsingCoreSolver with the same core options, no packing overhead.
-  return ising_core_solve(cop, ctx, seed, stats, options_.core);
-}
-
-void PackedCoreCopSolver::do_solve_batch(std::span<const ColumnCop> cops,
-                                         const RunContext& ctx,
-                                         std::span<const std::uint64_t> seeds,
-                                         std::span<ColumnSetting> out,
-                                         std::span<CoreSolveStats> stats) const {
-  // Sort instances by num_spins (stable, so same-shape batches — the
-  // DALTA case, where all P candidates share the r x c shape — keep input
-  // order), then carve chunks of at most `pack` members. Sizes may mix
-  // inside a chunk: the engine pads smaller members with inert spins, and
-  // admitting the next (sorted, so largest-so-far) instance is allowed as
-  // long as the padded volume n_new^2 * count stays within 25% of the
-  // members' own sum of n^2 — a straggler size rides along instead of
-  // forcing its own under-filled pack, but never at more than 1.25x the
-  // force-pass flops the members would cost unpadded.
-  std::vector<std::size_t> order(cops.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&cops](std::size_t a, std::size_t b) {
-                     return cops[a].num_spins() < cops[b].num_spins();
-                   });
-
-  const std::size_t replicas = std::max<std::size_t>(1, options_.core.replicas);
-  const std::size_t pack = std::max<std::size_t>(1, options_.pack);
-  // Work units: packed chunks, plus single instances solved on their own —
-  // leftovers and every member of a chunk that fails the slot gate.
-  struct Unit {
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Unit> units;
-  for (std::size_t i = 0; i < order.size();) {
-    std::size_t j = i;
-    std::size_t own_volume = 0;
-    while (j < order.size() && j - i < pack) {
-      const std::size_t n = cops[order[j]].num_spins();
-      const std::size_t padded = n * n * (j - i + 1);
-      const std::size_t own = own_volume + n * n;
-      if (j > i && padded * 4 > own * 5) {
-        break;
-      }
-      own_volume = own;
-      ++j;
-    }
-    if (j - i > 1 && !passes_slot_gate(cops[order[j - 1]].num_spins(), j - i,
-                                       replicas, options_.core.sb.kernel)) {
-      for (std::size_t k = i; k < j; ++k) {
-        units.push_back({k, k + 1});
-      }
-    } else {
-      units.push_back({i, j});
-    }
-    i = j;
-  }
-
-  auto run_unit = [&](std::size_t u) {
-    const Unit& unit = units[u];
-    if (unit.end - unit.begin == 1) {
-      const std::size_t i = order[unit.begin];
-      out[i] = do_solve(cops[i], ctx, seeds[i], &stats[i]);
-      return;
-    }
-    solve_packed_chunk(cops, ctx, seeds, out, stats,
-                       std::span<const std::size_t>(order.data() + unit.begin,
-                                                    unit.end - unit.begin),
-                       options_.core);
-  };
-
-  // Parallelism across units: each chunk's engine run is serial (members
-  // are tiny; SIMD across members does the intra-pack work), so packs and
-  // standalone solves are the natural units for the pool — the same
-  // fan-out looped solves get. A nested call from inside a caller's
-  // parallel_for runs inline via the pool's nesting guard.
-  if (ctx.parallel() && units.size() > 1) {
-    ThreadPool& pool = ctx.pool();
-    if (pool.thread_count() > 1) {
-      pool.parallel_for(units.size(), run_unit);
-      return;
-    }
-  }
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    run_unit(u);
-  }
+  return ising_core_solve(cop, ctx, seed, stats, options_);
 }
 
 ColumnSetting ExhaustiveCoreSolver::do_solve(const ColumnCop& cop,

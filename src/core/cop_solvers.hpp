@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,18 +47,18 @@ class CoreCopSolver {
     return solve(cop, RunContext::fallback(), seed, stats);
   }
 
-  /// True when the solver has a real batched implementation. Callers with
-  /// many independent same-shape COPs (run_dalta's P candidates per
-  /// output-round) should then hand the whole batch to solve_batch()
-  /// instead of looping tiny solves.
+  /// True when the solver takes a batch as one call. Callers with many
+  /// independent same-shape COPs (run_dalta's P candidates per
+  /// output-round) then hand the whole batch to solve_batch() instead of
+  /// looping solves.
   virtual bool batched() const { return false; }
 
   /// Solves `cops.size()` independent instances; `seeds[i]` is instance
   /// i's solve seed (same contract as solve()). Results and stats come
   /// back in input order. The default path loops solve() — identical
   /// recording and results to a caller-side loop — while batched()
-  /// solvers override do_solve_batch and get one "core/solve_batch/<name>"
-  /// span around the whole batch plus the usual per-solve counters.
+  /// solvers run do_solve_batch under one "core/solve_batch/<name>" span
+  /// around the whole batch plus the usual per-solve counters.
   std::vector<ColumnSetting> solve_batch(
       std::span<const ColumnCop> cops, const RunContext& ctx,
       std::span<const std::uint64_t> seeds,
@@ -71,7 +70,9 @@ class CoreCopSolver {
                                  CoreSolveStats* stats) const = 0;
 
   /// Batched counterpart of do_solve; only reached when batched() is
-  /// true. `out` and `stats` are pre-sized to cops.size().
+  /// true. `out` and `stats` are pre-sized to cops.size(). The default
+  /// runs do_solve on every member, fanned out over ctx.pool() when the
+  /// context allows parallelism.
   virtual void do_solve_batch(std::span<const ColumnCop> cops,
                               const RunContext& ctx,
                               std::span<const std::uint64_t> seeds,
@@ -173,71 +174,27 @@ class IsingCoreSolver final : public CoreCopSolver {
   Options options_;
 };
 
-/// Packed variant of IsingCoreSolver (registry spec `prop,pack=K,...`):
-/// one BsbPackEngine run advances up to `pack` independent core COPs at
-/// once (DESIGN.md §4.7), so DALTA's per-output-round batch of P tiny
-/// candidate solves stops paying per-solve kernel setup and — where a
-/// standalone solve's force kernel runs some replica lanes in its narrow
-/// tail — runs the force pass at full SIMD width across instances
-/// instead. Single solves and every packed
-/// member are bit-identical to IsingCoreSolver with the same core
-/// options: same per-instance seeds, Theorem-3 feedback, dynamic stop,
-/// restarts, warm incumbent, and final polish (see BsbPackEngine for the
-/// one budget-rescale caveat under positive time budgets).
-///
-/// do_solve_batch sorts instances by num_spins (stable order) and carves
-/// them into chunks of at most `pack` members; neighboring sizes share a
-/// chunk (the engine pads smaller members with inert spins) as long as the
-/// padded volume stays within 25% of the members' own sum of n^2, so a
-/// straggler size no longer forces its own under-filled pack. It is also
-/// the one place that decides whether a chunk is packed at all. The slot
-/// gate solves a chunk member by member through the standalone solve
-/// instead when that solve's force kernel has no lane tail (the bipartite
-/// layout at R = 1, the DALTA default; R a whole number of the CSR
-/// kernel's blocks of 4, as R = 4 or 8) — the looped solve is the faster
-/// one there — when it runs more than 7 replicas (R >= 9 is unmeasured),
-/// or when its per-slot planes would outgrow 4 MiB of doubles
-/// (n_max^2 * members). So packs form at R = 2, 3, 5, 6 and 7 on every
-/// host. When the context allows
-/// parallelism, packed chunks and unpacked members are distributed over
-/// ctx.pool() together: parallelism across packs and solves, SIMD across
-/// members, replicas inside the engine.
+/// Batched variant of IsingCoreSolver (registry spec `prop,pack=K,...`
+/// with K > 0): solve_batch takes DALTA's per-output-round batch of P
+/// candidate solves as one call and runs each member as the standalone
+/// solve, over ctx.pool(). Every result is bit-identical to
+/// IsingCoreSolver with the same options. It exists for the callers that
+/// time or wrap one call per batch (DESIGN.md §4.7).
 class PackedCoreCopSolver final : public CoreCopSolver {
  public:
-  struct Options {
-    /// Shared per-instance solver options (seed handling, restarts,
-    /// replicas, Theorem-3, polish) — the packed solve replicates
-    /// IsingCoreSolver with exactly these options per member.
-    IsingCoreSolver::Options core{};
-
-    /// Maximum members per packed engine run (the K of `pack=K`).
-    std::size_t pack = 16;
-  };
-
-  explicit PackedCoreCopSolver(Options options) : options_(options) {
-    if (options_.core.engine != IsingEngineKind::kBsb) {
-      throw std::invalid_argument(
-          "PackedCoreCopSolver: pack supports the bSB engine only");
-    }
-  }
+  explicit PackedCoreCopSolver(IsingCoreSolver::Options options)
+      : options_(options) {}
 
   std::string name() const override { return "ising-bsb-pack"; }
   bool batched() const override { return true; }
-
-  const Options& options() const { return options_; }
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,
                          std::uint64_t seed,
                          CoreSolveStats* stats) const override;
 
-  void do_solve_batch(std::span<const ColumnCop> cops, const RunContext& ctx,
-                      std::span<const std::uint64_t> seeds,
-                      std::span<ColumnSetting> out,
-                      std::span<CoreSolveStats> stats) const override;
-
  private:
-  Options options_;
+  IsingCoreSolver::Options options_;
 };
 
 /// Exact oracle for tiny instances: exhaustive search over all spin

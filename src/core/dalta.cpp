@@ -176,8 +176,8 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
 
       if (solver.batched() && params.num_partitions > 1) {
         // Batched fan-out: same COPs and per-candidate seeds as the looped
-        // path, handed to the solver in one solve_batch call so packed
-        // solvers advance the whole P-candidate round together.
+        // path, handed to the solver in one solve_batch call for the whole
+        // P-candidate round.
         const TraceSpan batch_trace(tracer, "dalta/candidate_batch");
         EvalScratch scratch;
         std::vector<ColumnCop> cops;

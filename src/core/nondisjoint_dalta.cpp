@@ -175,8 +175,7 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
       if (solver.batched() && params.num_partitions * slices > 1) {
         // Batched fan-out: the whole (partition, slice) grid flattened
         // into one solve_batch call with the same per-slice seeds as the
-        // looped path, so packed solvers advance every slice of every
-        // candidate together.
+        // looped path.
         const TraceSpan batch_trace(tracer, "dalta_nd/candidate_batch");
         std::vector<double> probs;
         std::vector<double> d;

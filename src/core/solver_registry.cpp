@@ -15,6 +15,16 @@ namespace {
                               "' is not a valid " + want);
 }
 
+/// A count key of the Ising solvers (replicas, restarts): 1 when absent,
+/// and 0, which would run no trajectory, throws naming the key.
+std::size_t get_count(const SolverConfig& c, const std::string& key) {
+  const std::size_t count = c.get_size(key, 1);
+  if (count == 0) {
+    bad_value(key, "0", "positive integer");
+  }
+  return count;
+}
+
 std::string join(const std::vector<std::string>& items) {
   std::string out;
   for (const std::string& item : items) {
@@ -198,51 +208,9 @@ const SolverRegistry& SolverRegistry::global() {
   static const SolverRegistry registry = [] {
     SolverRegistry r;
 
-    r.add({"prop",
-           "Ising/bSB solver proposed by the paper (dynamic stop + "
-           "Theorem-3 feedback)",
-           {"ising-bsb"},
-           {"n", "replicas", "restarts", "theorem3", "anti-collapse",
-            "polish", "seed-init", "max-iter", "dt", "discrete", "stop",
-            "stop-interval", "stop-window", "stop-epsilon", "pack"},
-           [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
-             auto options = IsingCoreSolver::Options::paper_defaults(
-                 static_cast<unsigned>(c.get_size("n", 9)));
-             options.replicas =
-                 std::max<std::size_t>(1, c.get_size("replicas", 1));
-             options.restarts =
-                 std::max<std::size_t>(1, c.get_size("restarts", 1));
-             options.use_theorem3 = c.get_bool("theorem3", true);
-             options.anti_collapse = c.get_bool("anti-collapse", true);
-             options.final_polish = c.get_bool("polish", true);
-             options.column_seed_init = c.get_bool("seed-init", true);
-             options.sb.max_iterations =
-                 c.get_size("max-iter", options.sb.max_iterations);
-             options.sb.dt = c.get_double("dt", options.sb.dt);
-             options.sb.discrete = c.get_bool("discrete", false);
-             options.sb.stop.enabled =
-                 c.get_bool("stop", options.sb.stop.enabled);
-             options.sb.stop.sample_interval = c.get_size(
-                 "stop-interval", options.sb.stop.sample_interval);
-             options.sb.stop.window =
-                 c.get_size("stop-window", options.sb.stop.window);
-             options.sb.stop.epsilon =
-                 c.get_double("stop-epsilon", options.sb.stop.epsilon);
-             // pack=K (K > 0) swaps in the multi-instance packed engine:
-             // bit-identical per instance, one force pass for K solves.
-             const std::size_t pack = c.get_size("pack", 0);
-             if (pack > 0) {
-               PackedCoreCopSolver::Options packed;
-               packed.core = options;
-               packed.pack = pack;
-               return std::make_unique<PackedCoreCopSolver>(packed);
-             }
-             return std::make_unique<IsingCoreSolver>(options);
-           }});
-
-    // Shared stop-key plumbing of the engine-family entries: every engine
-    // entry takes the same stop / stop-interval / stop-window /
-    // stop-epsilon keys over paper-default dynamic-stop settings.
+    // Shared stop-key plumbing of the Ising entries: every one takes the
+    // same stop / stop-interval / stop-window / stop-epsilon keys over
+    // paper-default dynamic-stop settings.
     const auto apply_stop_keys = [](const SolverConfig& c,
                                     DynamicStopParams& stop,
                                     const DynamicStopParams& defaults) {
@@ -255,13 +223,40 @@ const SolverRegistry& SolverRegistry::global() {
     };
     const auto apply_shared_keys = [](const SolverConfig& c,
                                       IsingCoreSolver::Options& options) {
-      options.replicas = std::max<std::size_t>(1, c.get_size("replicas", 1));
-      options.restarts = std::max<std::size_t>(1, c.get_size("restarts", 1));
+      options.replicas = get_count(c, "replicas");
+      options.restarts = get_count(c, "restarts");
       options.use_theorem3 = c.get_bool("theorem3", true);
       options.anti_collapse = c.get_bool("anti-collapse", true);
       options.final_polish = c.get_bool("polish", true);
       options.column_seed_init = c.get_bool("seed-init", true);
     };
+
+    r.add({"prop",
+           "Ising/bSB solver proposed by the paper (dynamic stop + "
+           "Theorem-3 feedback)",
+           {"ising-bsb"},
+           {"n", "replicas", "restarts", "theorem3", "anti-collapse",
+            "polish", "seed-init", "max-iter", "dt", "discrete", "stop",
+            "stop-interval", "stop-window", "stop-epsilon", "pack"},
+           [apply_stop_keys,
+            apply_shared_keys](const SolverConfig& c)
+               -> std::unique_ptr<CoreCopSolver> {
+             auto options = IsingCoreSolver::Options::paper_defaults(
+                 static_cast<unsigned>(c.get_size("n", 9)));
+             apply_shared_keys(c, options);
+             options.sb.max_iterations =
+                 c.get_size("max-iter", options.sb.max_iterations);
+             options.sb.dt = c.get_double("dt", options.sb.dt);
+             options.sb.discrete = c.get_bool("discrete", false);
+             apply_stop_keys(c, options.sb.stop, options.sb.stop);
+             // pack=K (K > 0) makes the solver batched: DALTA hands it each
+             // output-round's candidates as one solve_batch call, and every
+             // member runs as the standalone solve over the pool.
+             if (c.get_size("pack", 0) > 0) {
+               return std::make_unique<PackedCoreCopSolver>(options);
+             }
+             return std::make_unique<IsingCoreSolver>(options);
+           }});
 
     r.add({"sa",
            "Metropolis simulated annealing on the Ising formulation "

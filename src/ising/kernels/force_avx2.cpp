@@ -5,8 +5,8 @@
 // The arithmetic is mul-then-add (never FMA; the build also pins
 // -ffp-contract=off), so results are bit-exact against every other
 // tier. The R = 1 bipartite pass vectorizes across the rows of a half
-// block, the pack kernel across slots, and the bSB step and the
-// Theorem-3 reset across four lanes, under the same contract.
+// block, and the bSB step and the Theorem-3 reset across four lanes,
+// under the same contract.
 
 #include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -20,115 +20,6 @@
 namespace adsd::kernels::detail {
 
 namespace {
-
-/// w * x (continuous) or w * sign(x) (discrete) for one 4-lane vector.
-/// sign(x) is the branchless select the scalar kernels use: >= 0 maps to
-/// +1 (including -0.0, which IEEE compares equal to +0.0), else -1.
-template <bool Discrete>
-inline __m256d edge_term(__m256d w, __m256d xj) {
-  if constexpr (Discrete) {
-    const __m256d ge = _mm256_cmp_pd(xj, _mm256_setzero_pd(), _CMP_GE_OQ);
-    xj = _mm256_blendv_pd(_mm256_set1_pd(-1.0), _mm256_set1_pd(1.0), ge);
-  }
-  return _mm256_mul_pd(w, xj);
-}
-
-template <bool Discrete>
-inline double edge_term_scalar(double w, double xj) {
-  if constexpr (Discrete) {
-    return w * (xj >= 0.0 ? 1.0 : -1.0);
-  } else {
-    return w * xj;
-  }
-}
-
-/// 2-lane variant for the pack kernel's slot tail (S mod 4 in {2, 3}):
-/// same per-lane arithmetic, so the bit-exactness contract holds at any
-/// active-slot count.
-template <bool Discrete>
-inline __m128d edge_term_128(__m128d w, __m128d xj) {
-  if constexpr (Discrete) {
-    const __m128d ge = _mm_cmp_pd(xj, _mm_setzero_pd(), _CMP_GE_OQ);
-    xj = _mm_blendv_pd(_mm_set1_pd(-1.0), _mm_set1_pd(1.0), ge);
-  }
-  return _mm_mul_pd(w, xj);
-}
-
-// Slot-packed kernel (DESIGN.md §4.7): the vector axis is the slot axis,
-// so both the weight and the position are vector loads (each slot solves a
-// different instance -- no broadcastable scalar weight). The column loop
-// runs over the union sparsity pattern -- columns that are structural
-// zeros in every slot are skipped; the dropped +-0.0 addends keep each
-// slot's h-seeded accumulation bit-identical. Slot blocks of 8 (two
-// accumulators) / 4 / 2 / 1 are peeled over the active prefix.
-template <bool Discrete>
-void pack_force(const PackForcePlanes& p) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::size_t A = p.active;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const double* hi = p.hp + i * S;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      const double* xr = p.x + r * S;
-      double* fi = p.force + (i * R + r) * S;
-      std::size_t s = 0;
-      for (; s + 8 <= A; s += 8) {
-        __m256d acc0 = _mm256_loadu_pd(hi + s);
-        __m256d acc1 = _mm256_loadu_pd(hi + s + 4);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          const double* we = p.wp + static_cast<std::size_t>(e) * S + s;
-          const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S + s;
-          acc0 = _mm256_add_pd(
-              acc0, edge_term<Discrete>(_mm256_loadu_pd(we),
-                                        _mm256_loadu_pd(xj)));
-          acc1 = _mm256_add_pd(
-              acc1, edge_term<Discrete>(_mm256_loadu_pd(we + 4),
-                                        _mm256_loadu_pd(xj + 4)));
-        }
-        _mm256_storeu_pd(fi + s, acc0);
-        _mm256_storeu_pd(fi + s + 4, acc1);
-      }
-      if (s + 4 <= A) {
-        __m256d acc = _mm256_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm256_add_pd(
-              acc,
-              edge_term<Discrete>(
-                  _mm256_loadu_pd(p.wp + static_cast<std::size_t>(e) * S + s),
-                  _mm256_loadu_pd(
-                      xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm256_storeu_pd(fi + s, acc);
-        s += 4;
-      }
-      if (s + 2 <= A) {
-        __m128d acc = _mm_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm_add_pd(
-              acc,
-              edge_term_128<Discrete>(
-                  _mm_loadu_pd(p.wp + static_cast<std::size_t>(e) * S + s),
-                  _mm_loadu_pd(
-                      xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm_storeu_pd(fi + s, acc);
-        s += 2;
-      }
-      for (; s < A; ++s) {
-        double acc = hi[s];
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc += edge_term_scalar<Discrete>(
-              p.wp[static_cast<std::size_t>(e) * S + s],
-              xr[static_cast<std::size_t>(cs[e]) * R * S + s]);
-        }
-        fi[s] = acc;
-      }
-    }
-  }
-}
 
 /// Lane mask (all-ones lanes) of lanes base .. base + 3 below `live`.
 inline __m256i lanes_below(std::size_t live, long long base) {
@@ -402,9 +293,6 @@ void theorem3_reset_avx2(const Theorem3Planes& p) {
     }
   }
 }
-
-void pack_force_avx2(const PackForcePlanes& p) { pack_force<false>(p); }
-void pack_force_avx2_d(const PackForcePlanes& p) { pack_force<true>(p); }
 
 }  // namespace adsd::kernels::detail
 

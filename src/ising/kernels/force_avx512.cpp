@@ -3,10 +3,9 @@
 // -ffp-contract=off): the R = 1 bipartite pass holds a V block in four
 // zmm (16 V1 and 16 V2 rows) beside a T block in four zmm (32 rows), the
 // bSB step runs eight lanes per zmm (also inside the bipartite interval
-// kernel), the Theorem-3 reset holds a 32-column chunk of costs per
-// pattern in four zmm, and the pack kernel vectorizes across slots. Only
-// reached after the runtime CPUID + XCR0 probe confirms OS zmm state
-// support.
+// kernel), and the Theorem-3 reset holds a 32-column chunk of costs per
+// pattern in four zmm. Only reached after the runtime CPUID + XCR0 probe
+// confirms OS zmm state support.
 
 #include "ising/kernels/bipartite_pass.hpp"
 #include "ising/kernels/force_kernels_detail.hpp"
@@ -20,114 +19,6 @@
 namespace adsd::kernels::detail {
 
 namespace {
-
-template <bool Discrete>
-inline __m512d edge_term(__m512d w, __m512d xj) {
-  if constexpr (Discrete) {
-    const __mmask8 ge =
-        _mm512_cmp_pd_mask(xj, _mm512_setzero_pd(), _CMP_GE_OQ);
-    xj = _mm512_mask_blend_pd(ge, _mm512_set1_pd(-1.0), _mm512_set1_pd(1.0));
-  }
-  return _mm512_mul_pd(w, xj);
-}
-
-template <bool Discrete>
-inline double edge_term_scalar(double w, double xj) {
-  if constexpr (Discrete) {
-    return w * (xj >= 0.0 ? 1.0 : -1.0);
-  } else {
-    return w * xj;
-  }
-}
-
-/// 4-lane variant for the pack kernel's slot tail (S mod 8 in {4..7}):
-/// AVX is a prerequisite of AVX-512F, so __m256d is available in this TU.
-/// Same per-lane arithmetic, keeping the bit-exactness contract at any
-/// active-slot count.
-template <bool Discrete>
-inline __m256d edge_term_256(__m256d w, __m256d xj) {
-  if constexpr (Discrete) {
-    const __m256d ge = _mm256_cmp_pd(xj, _mm256_setzero_pd(), _CMP_GE_OQ);
-    xj = _mm256_blendv_pd(_mm256_set1_pd(-1.0), _mm256_set1_pd(1.0), ge);
-  }
-  return _mm256_mul_pd(w, xj);
-}
-
-// Slot-packed kernel: zmm sibling of the AVX2 pack kernel, slot blocks of
-// 16 (two zmm accumulators) / 8 / 4 peeled over the active prefix with a
-// scalar tail. Weights and positions are both vector loads
-// (per-slot J matrices) over the union sparsity pattern — columns that
-// are zero in every slot are skipped, which halves weight traffic for
-// same-template packs while the skipped +-0.0 addends keep accumulation
-// order bit-identical to the per-instance kernels.
-template <bool Discrete>
-void pack_force(const PackForcePlanes& p) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::size_t A = p.active;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const double* hi = p.hp + i * S;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      const double* xr = p.x + r * S;
-      double* fi = p.force + (i * R + r) * S;
-      std::size_t s = 0;
-      for (; s + 16 <= A; s += 16) {
-        __m512d acc0 = _mm512_loadu_pd(hi + s);
-        __m512d acc1 = _mm512_loadu_pd(hi + s + 8);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          const double* we = p.wp + static_cast<std::size_t>(e) * S + s;
-          const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S + s;
-          acc0 = _mm512_add_pd(
-              acc0, edge_term<Discrete>(_mm512_loadu_pd(we),
-                                        _mm512_loadu_pd(xj)));
-          acc1 = _mm512_add_pd(
-              acc1, edge_term<Discrete>(_mm512_loadu_pd(we + 8),
-                                        _mm512_loadu_pd(xj + 8)));
-        }
-        _mm512_storeu_pd(fi + s, acc0);
-        _mm512_storeu_pd(fi + s + 8, acc1);
-      }
-      if (s + 8 <= A) {
-        __m512d acc = _mm512_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm512_add_pd(
-              acc,
-              edge_term<Discrete>(
-                  _mm512_loadu_pd(p.wp + static_cast<std::size_t>(e) * S + s),
-                  _mm512_loadu_pd(
-                      xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm512_storeu_pd(fi + s, acc);
-        s += 8;
-      }
-      if (s + 4 <= A) {
-        __m256d acc = _mm256_loadu_pd(hi + s);
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc = _mm256_add_pd(
-              acc,
-              edge_term_256<Discrete>(
-                  _mm256_loadu_pd(p.wp + static_cast<std::size_t>(e) * S + s),
-                  _mm256_loadu_pd(
-                      xr + static_cast<std::size_t>(cs[e]) * R * S + s)));
-        }
-        _mm256_storeu_pd(fi + s, acc);
-        s += 4;
-      }
-      for (; s < A; ++s) {
-        double acc = hi[s];
-        for (std::uint32_t e = e0; e < e1; ++e) {
-          acc += edge_term_scalar<Discrete>(
-              p.wp[static_cast<std::size_t>(e) * S + s],
-              xr[static_cast<std::size_t>(cs[e]) * R * S + s]);
-        }
-        fi[s] = acc;
-      }
-    }
-  }
-}
 
 /// Lane mask of the first `live` lanes (all eight when live >= 8).
 inline __mmask8 first_lanes(std::size_t live) {
@@ -425,8 +316,6 @@ void theorem3_reset_avx512(const Theorem3Planes& p) {
     }
   }
 }
-void pack_force_avx512(const PackForcePlanes& p) { pack_force<false>(p); }
-void pack_force_avx512_d(const PackForcePlanes& p) { pack_force<true>(p); }
 
 }  // namespace adsd::kernels::detail
 

@@ -213,82 +213,6 @@ void bipartite_interval_scalar_d(const ForcePlanes& p,
   detail::bipartite_interval<VGroup, TGroup, true, StepOut>(p, s);
 }
 
-// ----------------------------------------------------- portable pack tier
-//
-// Slot-packed counterpart of csr_lanes: the lane-block walks `active`
-// consecutive SLOTS (independent instances) of one (row, replica) group
-// instead of consecutive replicas of one instance, and both the weight and
-// the position are per-slot loads (each slot is a different J matrix, so
-// there is no broadcastable scalar weight). The column loop runs over the
-// UNION sparsity pattern (ucols ascending per row), not 0..n: columns that
-// are structural zeros in EVERY slot are never touched. Accumulation per
-// slot is hp[i*S+s], then += wp[e*S+s] * x[(ucols[e]*R+r)*S+s] for
-// ascending union edges e -- the skipped columns contributed +-0.0 to the
-// h-seeded sum, so every partial value is identical to the per-instance
-// kernels', which is what the packed-parity tests pin down.
-
-template <int W, bool Discrete>
-void pack_lanes(const PackForcePlanes& p, std::size_t slot0) {
-  const std::size_t R = p.replicas;
-  const std::size_t S = p.slots;
-  const std::uint32_t* cs = p.ucols;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const double* hi = p.hp + i * S + slot0;
-    const std::uint32_t e0 = p.urow_start[i];
-    const std::uint32_t e1 = p.urow_start[i + 1];
-    for (std::size_t r = 0; r < R; ++r) {
-      double acc[W];
-      for (int t = 0; t < W; ++t) {
-        acc[t] = hi[t];
-      }
-      const double* xr = p.x + r * S + slot0;
-      for (std::uint32_t e = e0; e < e1; ++e) {
-        const double* we = p.wp + static_cast<std::size_t>(e) * S + slot0;
-        const double* xj = xr + static_cast<std::size_t>(cs[e]) * R * S;
-        for (int t = 0; t < W; ++t) {
-          if constexpr (Discrete) {
-            acc[t] += we[t] * (xj[t] >= 0.0 ? 1.0 : -1.0);
-          } else {
-            acc[t] += we[t] * xj[t];
-          }
-        }
-      }
-      double* fi = p.force + (i * R + r) * S + slot0;
-      for (int t = 0; t < W; ++t) {
-        fi[t] = acc[t];
-      }
-    }
-  }
-}
-
-template <bool Discrete>
-void pack_force_scalar_impl(const PackForcePlanes& p) {
-  const std::size_t A = p.active;
-  std::size_t s = 0;
-  while (s + 8 <= A) {
-    pack_lanes<8, Discrete>(p, s);
-    s += 8;
-  }
-  if (s + 4 <= A) {
-    pack_lanes<4, Discrete>(p, s);
-    s += 4;
-  }
-  if (s + 2 <= A) {
-    pack_lanes<2, Discrete>(p, s);
-    s += 2;
-  }
-  if (s < A) {
-    pack_lanes<1, Discrete>(p, s);
-  }
-}
-
-void pack_force_scalar(const PackForcePlanes& p) {
-  pack_force_scalar_impl<false>(p);
-}
-void pack_force_scalar_d(const PackForcePlanes& p) {
-  pack_force_scalar_impl<true>(p);
-}
-
 void csr_force_scalar(const ForcePlanes& p) {
   csr_force_scalar_impl<false>(p);
 }
@@ -350,40 +274,6 @@ const Tier& tier_for(ForceKernel isa) {
 #endif
     default:
       return kScalarTier;
-  }
-}
-
-struct PackTier {
-  PackForceRowsFn c;
-  PackForceRowsFn d;
-  const char* name;
-};
-
-constexpr PackTier kPackScalarTier = {pack_force_scalar, pack_force_scalar_d,
-                                      "pack-scalar"};
-
-#ifdef ADSD_HAVE_AVX2
-constexpr PackTier kPackAvx2Tier = {detail::pack_force_avx2,
-                                    detail::pack_force_avx2_d, "pack-avx2"};
-#endif
-
-#ifdef ADSD_HAVE_AVX512
-constexpr PackTier kPackAvx512Tier = {
-    detail::pack_force_avx512, detail::pack_force_avx512_d, "pack-avx512"};
-#endif
-
-const PackTier& pack_tier_for(ForceKernel isa) {
-  switch (isa) {
-#ifdef ADSD_HAVE_AVX2
-    case ForceKernel::kAvx2:
-      return kPackAvx2Tier;
-#endif
-#ifdef ADSD_HAVE_AVX512
-    case ForceKernel::kAvx512:
-      return kPackAvx512Tier;
-#endif
-    default:
-      return kPackScalarTier;
   }
 }
 
@@ -531,12 +421,8 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
     out.kind = ForceKernel::kBipartite;
     out.name = tier.bipartite_name;
   } else {
-    // The CSR kernel's lane tail is R mod its full-width block of 4: at
-    // R = 4 and 8 a slot pack loses to the looped solve, at R = 2 and 3
-    // it wins (DESIGN.md §4.7).
     out.continuous = csr_force_scalar;
     out.discrete = csr_force_scalar_d;
-    out.tail_lanes = replicas % 4;
   }
   return out;
 }
@@ -589,18 +475,6 @@ BipartiteLayout build_bipartite(const double* plane, std::size_t rows,
       t[(j - j % TB) * rows + j % TB] = w[j];
     }
   }
-  return out;
-}
-
-SelectedPackForceKernel select_pack_force_kernel(ForceKernel requested,
-                                                 const CpuFeatures& features) {
-  const ForceKernel isa = resolve_isa(requested, features);
-  const PackTier& tier = pack_tier_for(isa);
-  SelectedPackForceKernel out;
-  out.continuous = tier.c;
-  out.discrete = tier.d;
-  out.kind = isa;
-  out.name = tier.name;
   return out;
 }
 

@@ -24,9 +24,9 @@ namespace adsd::kernels {
 ///                below.
 ///  - kAvx2 /
 ///    kAvx512:    ISA tiers of the kernel families that have them (the
-///                bipartite force and interval kernels, the bSB step, the
-///                Theorem-3 reset and the pack kernels). A force request
-///                for one still resolves to the CSR kernel.
+///                bipartite force and interval kernels, the bSB step and
+///                the Theorem-3 reset). A force request for one still
+///                resolves to the CSR kernel.
 ///  - kBipartite: what kAuto resolves to at R = 1 on a column-COP model
 ///                (IsingModel::bipartite_shape(); never requested).
 ///                Vectorizes across ROWS: each V1/V2 row pair shares one
@@ -141,13 +141,10 @@ double bsb_neg_stiffness(double detuning, double total, std::size_t step);
 
 /// A resolved dispatch decision: the continuous (bSB) and discrete (dSB)
 /// entry points of one variant, the resolved kind (kScalar for the CSR
-/// kernel or kBipartite), the name reported through metrics ("scalar" or
-/// "bipartite-<isa>" with <isa> one of scalar, avx2, avx512), and the
-/// variant's lane tail: how many of each row's replica lanes run outside
-/// its full-width blocks. The CSR kernel runs R in whole blocks of 4
-/// lanes (and 8) and R mod 4 in narrower blocks; the bipartite layout
-/// vectorizes across rows and has no tail. Only the bipartite layout has
-/// interval kernels; a CSR engine steps force pass by force pass.
+/// kernel or kBipartite) and the name reported through metrics ("scalar"
+/// or "bipartite-<isa>" with <isa> one of scalar, avx2, avx512). Only the
+/// bipartite layout has interval kernels; a CSR engine steps force pass
+/// by force pass.
 struct SelectedForceKernel {
   ForceRowsFn continuous = nullptr;
   ForceRowsFn discrete = nullptr;
@@ -155,7 +152,6 @@ struct SelectedForceKernel {
   BsbIntervalFn interval_discrete = nullptr;
   ForceKernel kind = ForceKernel::kScalar;
   const char* name = "scalar";
-  std::size_t tail_lanes = 0;
 };
 
 /// Spelling of a kernel kind for diagnostics ("auto", "scalar", "avx2",
@@ -189,9 +185,9 @@ SelectedForceKernel select_force_kernel(
 
 /// The ISA tiers this host runs (with `cpu_features()`): kScalar, then
 /// kAvx2 and kAvx512 where supported -- what the parity tests enumerate
-/// to pin each tier of the bSB step, the Theorem-3 reset and the pack
-/// kernels. The bipartite tiers are reached through kAuto at R = 1 under
-/// masked CpuFeatures.
+/// to pin each tier of the bSB step and the Theorem-3 reset. The
+/// bipartite tiers are reached through kAuto at R = 1 under masked
+/// CpuFeatures.
 std::vector<ForceKernel> selectable_force_kernels();
 
 /// Operands of one bSB Euler step over `lanes` oscillators
@@ -257,60 +253,5 @@ using Theorem3ResetFn = void (*)(const Theorem3Planes& planes);
 /// fails.
 Theorem3ResetFn select_theorem3_reset(ForceKernel requested,
                                       const CpuFeatures& features);
-
-/// Pointer bundle of the multi-instance packed bSB engine (DESIGN.md §4.7):
-/// `slots` same-n Ising instances advanced by one force pass. The state is
-/// slot-minor SoA -- oscillator i of replica r of the instance in slot s
-/// lives at x[(i * replicas + r) * slots + s] -- so for a fixed (i, r) the
-/// instances are `slots` consecutive doubles and the kernels vectorize
-/// ACROSS INSTANCES at full width even at replicas == 1, where the
-/// per-instance CSR kernel degenerates to scalar code.
-///
-/// Weights are laid out over the UNION sparsity pattern of the packed
-/// instances (urow_start / ucols: ascending column indices per row, CSR
-/// shape, shared by every slot): wp[e * slots + s] is J_s(i, ucols[e]) of
-/// the instance in slot s for union edge e of row i, 0.0 where that slot
-/// has no such coupling. hp[i * slots + s] is its bias h_s(i). Kernels
-/// iterate union edges only, so structurally-zero columns shared by ALL
-/// slots cost nothing — for DALTA-style packs whose members share one
-/// template pattern this halves weight traffic and flops versus an n x n
-/// plane per slot.
-/// Dropping the all-zero columns is bit-exact: they contributed +-0.0
-/// addends to h-seeded accumulators, which never change the partial sums
-/// (such an accumulator is never -0.0; see BipartiteLayout), and the
-/// surviving edges keep their ascending-j order. Retired instances are
-/// swap-compacted to the tail, so kernels touch only the first `active`
-/// slots of every group.
-struct PackForcePlanes {
-  const double* x = nullptr;   // n * replicas * slots positions
-  double* force = nullptr;     // n * replicas * slots output
-  const double* hp = nullptr;  // n * slots per-slot biases
-  const double* wp = nullptr;  // uedges * slots per-slot union weights
-  const std::uint32_t* urow_start = nullptr;  // n + 1 union row offsets
-  const std::uint32_t* ucols = nullptr;       // union column indices
-  std::size_t n = 0;           // spins per instance
-  std::size_t replicas = 0;    // lockstep replicas per instance
-  std::size_t slots = 0;       // slot capacity (the stride)
-  std::size_t active = 0;      // live instances, a prefix of every group
-};
-
-/// One pack-kernel entry point: fill all n force rows for every replica
-/// of every active slot.
-using PackForceRowsFn = void (*)(const PackForcePlanes& planes);
-
-/// Resolved pack-kernel dispatch decision; names are "pack-scalar",
-/// "pack-avx2", "pack-avx512".
-struct SelectedPackForceKernel {
-  PackForceRowsFn continuous = nullptr;
-  PackForceRowsFn discrete = nullptr;
-  ForceKernel kind = ForceKernel::kScalar;  // resolved ISA tier, never kAuto
-  const char* name = "pack-scalar";
-};
-
-/// Resolves a pack-kernel request against CPU features: kAuto means
-/// "widest ISA", and explicit ISA requests walk the same avx512 -> avx2
-/// -> scalar fallback chain as select_force_kernel(). Never fails.
-SelectedPackForceKernel select_pack_force_kernel(ForceKernel requested,
-                                                 const CpuFeatures& features);
 
 }  // namespace adsd::kernels

@@ -13,14 +13,13 @@
 // accumulates h[i] then w_e * x_e terms in the portable CSR kernel's edge
 // order with one rounding per multiply and one per add -- no FMA
 // contraction (the build pins -ffp-contract=off) and no cross-edge
-// reassociation. Vector code vectorizes across rows of one block or
-// across pack slots only, so each row's scalar accumulation order is
-// untouched. The bipartite kernels subtract w * x where CSR adds
-// (-w) * x, which IEEE negation makes the same value, and their zero tile
-// entries add 0.0 * x = +-0.0, which cannot change an h-seeded
-// accumulator: IsingModel stores biases canonically, so h[i] is never
-// -0.0, and a finite sum is -0.0 only when both addends are (see
-// BipartiteLayout).
+// reassociation. Vector code vectorizes across the rows of one block
+// only, so each row's scalar accumulation order is untouched. The
+// bipartite kernels subtract w * x where CSR adds (-w) * x, which IEEE
+// negation makes the same value, and their zero tile entries add
+// 0.0 * x = +-0.0, which cannot change an h-seeded accumulator:
+// IsingModel stores biases canonically, so h[i] is never -0.0, and a
+// finite sum is -0.0 only when both addends are (see BipartiteLayout).
 
 namespace adsd::kernels::detail {
 
@@ -53,18 +52,5 @@ void bsb_step_avx512(const BsbStepPlanes& s);
 void theorem3_reset_portable(const Theorem3Planes& p);
 void theorem3_reset_avx2(const Theorem3Planes& p);
 void theorem3_reset_avx512(const Theorem3Planes& p);
-
-// Pack kernels (DESIGN.md §4.7): same contract per (instance, replica)
-// lane, but the vector axis is the slot axis -- `active` consecutive
-// instances per (row, replica) group. Each slot's accumulator still sees
-// hp then w * x per ascending column j with one rounding per multiply and
-// one per add, so a packed instance's trajectory is bit-identical to the
-// same instance run alone through any per-instance kernel.
-
-void pack_force_avx2(const PackForcePlanes& p);
-void pack_force_avx2_d(const PackForcePlanes& p);
-
-void pack_force_avx512(const PackForcePlanes& p);
-void pack_force_avx512_d(const PackForcePlanes& p);
 
 }  // namespace adsd::kernels::detail

@@ -32,8 +32,8 @@ IsingModel IsingModel::bipartite(BipartiteShape shape,
 
 // Biases are stored as value + 0.0: that maps -0.0 to +0.0 and leaves
 // every other double unchanged, so no h-seeded force accumulator starts at
-// -0.0 -- the premise of the +-0.0 argument that keeps the bipartite and
-// pack kernels bit-identical to CSR (DESIGN.md §4.6).
+// -0.0 -- the premise of the +-0.0 argument that keeps the bipartite
+// kernels bit-identical to CSR (DESIGN.md §4.6).
 void IsingModel::set_bias(std::size_t i, double h) {
   h_.at(i) = h + 0.0;
 }
@@ -159,8 +159,8 @@ const IsingModel::Csr& IsingModel::csr() const {
     return *built;
   }
   // Only a bipartite() model reaches here (a finalized general model
-  // always holds its CSR). Derivation is rare -- R > 1 kernels, the pack,
-  // SA, explicit kernel requests -- so one process-wide lock suffices.
+  // always holds its CSR). Derivation is rare -- R > 1 kernels, SA,
+  // explicit kernel requests -- so one process-wide lock suffices.
   static std::mutex derive_mutex;
   const std::lock_guard<std::mutex> lock(derive_mutex);
   if (const Csr* built = csr_.get()) {

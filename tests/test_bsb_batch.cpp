@@ -18,6 +18,7 @@
 #include "ising/model.hpp"
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
+#include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
@@ -516,6 +517,23 @@ TEST(IsingCoreSolverReplicas, MultiReplicaNeverWorseAndDeterministic) {
   EXPECT_TRUE(s4a.v1 == s4b.v1 && s4a.v2 == s4b.v2 && s4a.t == s4b.t);
   EXPECT_NEAR(cop.objective(s4a), stats4a.objective, 1e-12);
   EXPECT_NEAR(cop.objective(s1), stats1.objective, 1e-12);
+}
+
+// The deadline check of the batched engine: an expired context stops
+// it before the first step.
+TEST(BsbPackDeadline, BatchEngineChecksDeadlineAtRestartBoundary) {
+  Rng rng(14);
+  const auto model = random_model(8, 0.5, rng);
+  SbParams params;
+  params.max_iterations = 100000;
+  RunContext::Options opts;
+  opts.time_budget_s = 1e-9;
+  const RunContext ctx(opts);
+  while (!ctx.expired()) {
+  }
+  const auto res = solve_sb_batch(model, params, 1, nullptr, nullptr, &ctx);
+  EXPECT_TRUE(res.stopped_early);
+  EXPECT_EQ(res.iterations, 0u);
 }
 
 }  // namespace

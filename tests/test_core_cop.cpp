@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -661,6 +662,12 @@ struct ShapeParam {
   std::size_t c;
   bool joint;
 };
+
+// Names each case by its fields ("16x32_joint"), so the test IDs do not
+// depend on the struct's uninitialized padding bytes.
+void PrintTo(const ShapeParam& p, std::ostream* os) {
+  *os << p.r << "x" << p.c << (p.joint ? "_joint" : "_separate");
+}
 
 class CopEnergySweep : public ::testing::TestWithParam<ShapeParam> {};
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/decomposition.hpp"
 #include "boolean/error_metrics.hpp"
+#include "core/column_cop.hpp"
+#include "core/cop_solvers.hpp"
 #include "core/dalta.hpp"
 #include "core/nondisjoint_dalta.hpp"
 #include "core/partition_screen.hpp"
@@ -402,6 +406,193 @@ TEST(Dalta, RejectsBadParameters) {
   EXPECT_THROW(
       (void)run_dalta(exact, dist5, small_params(DecompMode::kJoint), solver),
       std::invalid_argument);
+}
+
+// ------------------------------------- batched solver (prop,pack=K)
+
+/// Separate-mode core COP of `exp` over a random (free, n - free) split:
+/// 2 * 2^free + 2^(n - free) spins, 64 at the default n = 9.
+ColumnCop benchmark_cop(unsigned output, unsigned shift = 0, unsigned n = 9,
+                        unsigned free = 4) {
+  const TruthTable tt = make_benchmark_table("exp", n, 7);
+  const InputDistribution dist = InputDistribution::uniform(n);
+  Rng rng(77 + shift);
+  const InputPartition w = InputPartition::random(n, free, rng);
+  const BooleanMatrix matrix = BooleanMatrix::from_function(tt, output, w);
+  const std::vector<double> probs = matrix_probs(dist, w);
+  return ColumnCop::separate(matrix, probs);
+}
+
+TEST(PackedCoreCopSolver, SingleSolveMatchesIsingCoreSolver) {
+  const ColumnCop cop = benchmark_cop(3);
+  const auto plain = SolverRegistry::global().make_from_spec("prop,n=9");
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=9,pack=8");
+  CoreSolveStats sp;
+  CoreSolveStats sq;
+  const ColumnSetting p = plain->solve(cop, 42, &sp);
+  const ColumnSetting q = packed->solve(cop, 42, &sq);
+  EXPECT_TRUE(p.v1 == q.v1 && p.v2 == q.v2 && p.t == q.t);
+  EXPECT_EQ(sp.objective, sq.objective);
+  EXPECT_EQ(sp.iterations, sq.iterations);
+  EXPECT_EQ(sp.stopped_early, sq.stopped_early);
+}
+
+TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
+  std::vector<ColumnCop> small;  // 64 spins each
+  for (unsigned k = 0; k < 6; ++k) {
+    small.push_back(benchmark_cop(k % 7, k));
+  }
+  std::vector<ColumnCop> large;  // 384 spins each
+  for (unsigned k = 0; k < 4; ++k) {
+    large.push_back(benchmark_cop(k, k, 14, 6));
+  }
+  ASSERT_EQ(large[0].num_spins(), 384u);
+  // Every member of a batch runs the standalone solve over the pool, so
+  // each result matches IsingCoreSolver bit for bit. Theorem-3 + dynamic
+  // stop are on by default; restarts=2 exercises the per-attempt reseed.
+  // The replica counts cover the bipartite layout at R = 1 and the CSR
+  // kernel's lane blocks of 4 past it: full (R = 4, 8), with a tail
+  // (R = 2, 3, 7, 9).
+  struct Case {
+    std::string keys;
+    const std::vector<ColumnCop>* cops;
+  };
+  for (const Case& c :
+       {Case{"", &small}, Case{",replicas=4", &small},
+        Case{",restarts=2", &small}, Case{",replicas=2", &small},
+        Case{",replicas=2,restarts=2", &small}, Case{",replicas=3", &small},
+        Case{",replicas=7", &small}, Case{",replicas=8", &small},
+        Case{",replicas=9", &small},
+        Case{",replicas=2,max-iter=300", &large}}) {
+    const auto plain =
+        SolverRegistry::global().make_from_spec("prop,n=9" + c.keys);
+    const auto packed = SolverRegistry::global().make_from_spec(
+        "prop,n=9,pack=3" + c.keys);
+    const std::vector<ColumnCop>& cops = *c.cops;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < cops.size(); ++i) {
+      seeds.push_back(1000 + 17 * i);
+    }
+    const RunContext ctx(std::uint64_t{7});
+    std::vector<CoreSolveStats> packed_stats;
+    const auto batch = packed->solve_batch(cops, ctx, seeds, &packed_stats);
+    ASSERT_EQ(batch.size(), cops.size());
+    for (std::size_t i = 0; i < cops.size(); ++i) {
+      CoreSolveStats ref_stats;
+      const ColumnSetting ref =
+          plain->solve(cops[i], ctx, seeds[i], &ref_stats);
+      EXPECT_TRUE(ref.v1 == batch[i].v1 && ref.v2 == batch[i].v2 &&
+                  ref.t == batch[i].t)
+          << "config '" << c.keys << "' instance " << i;
+      EXPECT_EQ(ref_stats.objective, packed_stats[i].objective) << c.keys;
+      EXPECT_EQ(ref_stats.iterations, packed_stats[i].iterations) << c.keys;
+      EXPECT_EQ(ref_stats.stopped_early, packed_stats[i].stopped_early)
+          << c.keys;
+    }
+  }
+}
+
+TEST(PackedCoreCopSolver, UnbatchedSolverBatchEqualsLoop) {
+  // The default solve_batch path (no batched() override) must equal a
+  // caller-side loop for any solver.
+  std::vector<ColumnCop> cops;
+  for (unsigned k = 0; k < 3; ++k) {
+    cops.push_back(benchmark_cop(k, 10 + k));
+  }
+  const std::vector<std::uint64_t> seeds = {5, 6, 7};
+  const auto solver = SolverRegistry::global().make_from_spec("prop,n=9");
+  const RunContext ctx(std::uint64_t{3});
+  std::vector<CoreSolveStats> stats;
+  const auto batch = solver->solve_batch(cops, ctx, seeds, &stats);
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    CoreSolveStats ref_stats;
+    const ColumnSetting ref = solver->solve(cops[i], ctx, seeds[i], &ref_stats);
+    EXPECT_TRUE(ref.v1 == batch[i].v1 && ref.v2 == batch[i].v2 &&
+                ref.t == batch[i].t);
+    EXPECT_EQ(ref_stats.objective, stats[i].objective);
+  }
+  EXPECT_THROW(solver->solve_batch(cops, ctx, std::vector<std::uint64_t>{1}),
+               std::invalid_argument);
+}
+
+TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,pack=16");
+  EXPECT_EQ(packed->name(), "ising-bsb-pack");
+  EXPECT_TRUE(packed->batched());
+  const auto plain = SolverRegistry::global().make_from_spec("prop");
+  EXPECT_EQ(plain->name(), "ising-bsb");
+  EXPECT_FALSE(plain->batched());
+}
+
+// Both flows through the batched solver at R = 1 (the bipartite layout)
+// and at R = 2 (the CSR kernel): one solve_batch call per round, every
+// member the standalone solve, so the whole run is bit-identical.
+TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
+  const TruthTable exact = make_benchmark_table("exp", 8, 6);
+  const InputDistribution dist = InputDistribution::uniform(8);
+  DaltaParams params;
+  params.free_size = 3;
+  params.num_partitions = 4;
+  params.rounds = 1;
+  params.seed = 42;
+
+  for (const std::string replicas : {"1", "2"}) {
+    SCOPED_TRACE("replicas=" + replicas);
+    const std::string spec = "prop,n=8,replicas=" + replicas;
+    const auto plain = SolverRegistry::global().make_from_spec(spec);
+    const auto packed =
+        SolverRegistry::global().make_from_spec(spec + ",pack=4");
+    const auto a = run_dalta(exact, dist, params, *plain);
+    RunContext::Options opts;
+    opts.seed = params.seed;
+    const auto b = run_dalta(exact, dist, params, *packed, RunContext(opts));
+
+    EXPECT_EQ(a.med, b.med);
+    EXPECT_EQ(a.error_rate, b.error_rate);
+    EXPECT_EQ(a.cop_solves, b.cop_solves);
+    EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+    for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+      ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    }
+    ASSERT_EQ(a.outputs.size(), b.outputs.size());
+    for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+      EXPECT_EQ(a.outputs[k].objective, b.outputs[k].objective);
+    }
+  }
+}
+
+TEST(DaltaPacked, RunDaltaNdBitIdenticalWithPackedSolver) {
+  const TruthTable exact = make_benchmark_table("exp", 8, 6);
+  const InputDistribution dist = InputDistribution::uniform(8);
+  NdDaltaParams params;
+  params.free_size = 3;
+  params.shared_size = 1;
+  params.num_partitions = 3;
+  params.rounds = 1;
+  params.seed = 42;
+
+  for (const std::string replicas : {"1", "2"}) {
+    SCOPED_TRACE("replicas=" + replicas);
+    const std::string spec = "prop,n=8,replicas=" + replicas;
+    const auto plain = SolverRegistry::global().make_from_spec(spec);
+    const auto packed =
+        SolverRegistry::global().make_from_spec(spec + ",pack=6");
+    const auto a = run_dalta_nd(exact, dist, params, *plain);
+    RunContext::Options opts;
+    opts.seed = params.seed;
+    const auto b =
+        run_dalta_nd(exact, dist, params, *packed, RunContext(opts));
+
+    EXPECT_EQ(a.med, b.med);
+    EXPECT_EQ(a.error_rate, b.error_rate);
+    EXPECT_EQ(a.cop_solves, b.cop_solves);
+    EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+    for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+      ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -144,11 +145,12 @@ TEST(ForceKernelDispatch, SimdRequestsFallBackToScalarWithoutFeatures) {
   // authority. The force request keeps the one CSR kernel.
   const auto portable_step =
       kernels::select_bsb_step(ForceKernel::kScalar, no_features());
+  const auto portable_reset =
+      kernels::select_theorem3_reset(ForceKernel::kScalar, no_features());
   for (ForceKernel k : {ForceKernel::kAvx2, ForceKernel::kAvx512}) {
-    const auto pack = kernels::select_pack_force_kernel(k, no_features());
-    EXPECT_EQ(pack.kind, ForceKernel::kScalar);
-    EXPECT_STREQ(pack.name, "pack-scalar");
     EXPECT_EQ(kernels::select_bsb_step(k, no_features()), portable_step);
+    EXPECT_EQ(kernels::select_theorem3_reset(k, no_features()),
+              portable_reset);
     const auto sel = kernels::select_force_kernel(k, no_features());
     EXPECT_EQ(sel.kind, ForceKernel::kScalar);
     EXPECT_STREQ(sel.name, "scalar");
@@ -159,34 +161,38 @@ TEST(ForceKernelDispatch, Avx512RequestFallsBackToAvx2) {
   if (!kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
     GTEST_SKIP() << "AVX2 kernels not compiled into this binary";
   }
-  const auto pack =
-      kernels::select_pack_force_kernel(ForceKernel::kAvx512, avx2_features());
-  EXPECT_EQ(pack.kind, ForceKernel::kAvx2);
-  EXPECT_STREQ(pack.name, "pack-avx2");
-  EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAvx512, avx2_features()),
-            kernels::select_bsb_step(ForceKernel::kAvx2, avx2_features()));
+  const CpuFeatures f = avx2_features();
+  const auto avx2_step = kernels::select_bsb_step(ForceKernel::kAvx2, f);
+  EXPECT_NE(avx2_step, kernels::select_bsb_step(ForceKernel::kScalar, f));
+  EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAvx512, f), avx2_step);
+  EXPECT_EQ(kernels::select_theorem3_reset(ForceKernel::kAvx512, f),
+            kernels::select_theorem3_reset(ForceKernel::kAvx2, f));
+  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name,
+               "bipartite-avx2");
 }
 
 TEST(ForceKernelDispatch, AutoPicksWidestSupportedIsa) {
   // The tiered families take the widest ISA; past one replica the force
   // pass is the CSR kernel on every host.
-  if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
-    EXPECT_STREQ(kernels::select_pack_force_kernel(ForceKernel::kAuto,
-                                                   avx512_features())
-                     .name,
-                 "pack-avx512");
-    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto,
-                                              avx512_features(), kLanes)
-                     .name,
-                 "scalar");
-  }
-  if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
-    EXPECT_STREQ(kernels::select_pack_force_kernel(ForceKernel::kAuto,
-                                                   avx2_features())
-                     .name,
-                 "pack-avx2");
-    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto,
-                                              avx2_features(), kLanes)
+  const struct {
+    ForceKernel isa;
+    CpuFeatures features;
+    const char* bipartite;
+  } widest[] = {{ForceKernel::kAvx512, avx512_features(), "bipartite-avx512"},
+                {ForceKernel::kAvx2, avx2_features(), "bipartite-avx2"}};
+  for (const auto& w : widest) {
+    if (!kernels::force_kernel_compiled(w.isa)) {
+      continue;
+    }
+    EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAuto, w.features),
+              kernels::select_bsb_step(w.isa, w.features));
+    EXPECT_EQ(kernels::select_theorem3_reset(ForceKernel::kAuto, w.features),
+              kernels::select_theorem3_reset(w.isa, w.features));
+    EXPECT_STREQ(
+        kernels::select_force_kernel(ForceKernel::kAuto, w.features, 1).name,
+        w.bipartite);
+    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, w.features,
+                                              kLanes)
                      .name,
                  "scalar");
   }
@@ -198,22 +204,27 @@ TEST(ForceKernelDispatch, Avx2NeedsFmaToo) {
   CpuFeatures f;
   f.avx2 = true;
   f.fma = false;
-  EXPECT_EQ(kernels::select_pack_force_kernel(ForceKernel::kAvx2, f).kind,
-            ForceKernel::kScalar);
   EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAvx2, f),
             kernels::select_bsb_step(ForceKernel::kScalar, f));
+  EXPECT_EQ(kernels::select_theorem3_reset(ForceKernel::kAvx2, f),
+            kernels::select_theorem3_reset(ForceKernel::kScalar, f));
+  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name,
+               "bipartite-scalar");
 }
 
 TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
   // selectable_force_kernels() lists the ISA tiers this host runs; each
-  // pins its own pack tier, while a force request resolves to the CSR
+  // pins its own bSB step and Theorem-3 reset tier (no two share one, so
+  // none fell down the chain), while a force request resolves to the CSR
   // kernel on both sides of R = 1.
   const auto kinds = kernels::selectable_force_kernels();
   ASSERT_FALSE(kinds.empty());
   EXPECT_EQ(kinds.front(), ForceKernel::kScalar);
+  std::set<kernels::BsbStepFn> steps;
+  std::set<kernels::Theorem3ResetFn> resets;
   for (ForceKernel k : kinds) {
-    EXPECT_EQ(kernels::select_pack_force_kernel(k, cpu_features()).kind, k)
-        << kernels::force_kernel_name(k);
+    steps.insert(kernels::select_bsb_step(k, cpu_features()));
+    resets.insert(kernels::select_theorem3_reset(k, cpu_features()));
     for (std::size_t replicas : {std::size_t{1}, kLanes}) {
       const auto sel =
           kernels::select_force_kernel(k, cpu_features(), replicas);
@@ -221,6 +232,11 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
           << kernels::force_kernel_name(k);
     }
   }
+  EXPECT_EQ(steps.size(), kinds.size());
+  EXPECT_EQ(resets.size(), kinds.size());
+  // The widest listed tier is the one auto picks.
+  EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAuto, cpu_features()),
+            kernels::select_bsb_step(kinds.back(), cpu_features()));
 }
 
 // ------------------------------------------------------- dispatch at R = 1
@@ -275,29 +291,6 @@ TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
       kernels::select_force_kernel(ForceKernel::kScalar, avx512_features(), 1);
   EXPECT_EQ(scalar.kind, ForceKernel::kScalar);
   EXPECT_STREQ(scalar.name, "scalar");
-}
-
-TEST(ForceKernelDispatch, TailLanesAreTheReplicaRemainder) {
-  // The CSR kernel runs R in whole blocks of 4 lanes and R mod 4 as its
-  // lane tail on every host and for every request; the bipartite layout
-  // vectorizes across rows and has none. The packed solver's slot gate
-  // packs only where a standalone solve has a tail.
-  for (const CpuFeatures& f :
-       {no_features(), avx2_features(), avx512_features()}) {
-    EXPECT_EQ(
-        kernels::select_force_kernel(ForceKernel::kAuto, f, 1).tail_lanes,
-        0u);
-    for (ForceKernel k : {ForceKernel::kAuto, ForceKernel::kScalar,
-                          ForceKernel::kAvx2, ForceKernel::kAvx512}) {
-      for (std::size_t replicas = k == ForceKernel::kAuto ? 2 : 1;
-           replicas <= 9; ++replicas) {
-        const auto sel = kernels::select_force_kernel(k, f, replicas);
-        ASSERT_EQ(sel.kind, ForceKernel::kScalar);
-        EXPECT_EQ(sel.tail_lanes, replicas % 4)
-            << kernels::force_kernel_name(k) << " R=" << replicas;
-      }
-    }
-  }
 }
 
 // ------------------------------------------------- force-plane bit parity

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_decompose.hpp"
@@ -57,6 +58,12 @@ struct ShapeSeed {
   std::size_t c;
   int seed;
 };
+
+// Names each case by its fields ("3x16_seed4"), so the test IDs do not
+// depend on the struct's uninitialized padding bytes.
+void PrintTo(const ShapeSeed& p, std::ostream* os) {
+  *os << p.r << "x" << p.c << "_seed" << p.seed;
+}
 
 class TheoremEquivalence : public ::testing::TestWithParam<ShapeSeed> {};
 

@@ -170,7 +170,7 @@ TEST(RunContext, ContextOverloadMatchesLegacyOverload) {
 
 // Every core solve of a DALTA run reaches the core_* metrics and the trace
 // report, whether the candidates are solved one by one (a core/solve span
-// each) or handed to a packed solver as one batch per round (a
+// each) or handed to a batched solver as one batch per round (a
 // core/solve_batch span each).
 TEST(RunContext, MetricsAndTraceCaptureSolveHierarchy) {
   const auto exact = make_benchmark_table("exp", 6, 4);

@@ -205,12 +205,19 @@ TEST(SolverRegistry, MalformedValuesThrow) {
   EXPECT_THROW((void)SolverRegistry::global().make("prop", config2),
                std::invalid_argument);
   // Numbers must be finite and whole: NaN/inf parse under std::stod but
-  // mean nothing to any key, so each fails naming the key.
+  // mean nothing to any key, so each fails naming the key. A zero replica
+  // or restart count would run no trajectory, so it fails too.
   for (const auto& [name, key, value] :
        {std::tuple{"prop", "dt", "nan"}, std::tuple{"prop", "dt", "inf"},
         std::tuple{"prop", "dt", "0.5x"},
         std::tuple{"prop", "stop-epsilon", "nan"},
-        std::tuple{"doch", "rho", "nan"}}) {
+        std::tuple{"doch", "rho", "nan"},
+        std::tuple{"prop", "replicas", "0"},
+        std::tuple{"prop", "restarts", "0"},
+        std::tuple{"doch", "replicas", "0"},
+        std::tuple{"doch", "restarts", "0"},
+        std::tuple{"sa", "replicas", "0"},
+        std::tuple{"sa", "restarts", "0"}}) {
     SolverConfig bad;
     bad.set(key, value);
     try {

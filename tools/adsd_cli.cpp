@@ -24,14 +24,6 @@
 //         --p/--rounds/--seed   framework knobs
 //         --replicas <r>    lockstep bSB replicas for the prop solver
 //                           (>= 1; shorthand for the replicas config key)
-//         --pack <K>        pack up to K candidate solves per force pass
-//                           (prop solver; shorthand for the pack config
-//                           key; results are bit-identical to unpacked).
-//                           Packs form only where they beat looped
-//                           solves, i.e. where the looped force kernel
-//                           leaves a lane tail (R = 2, 3, 5, 6 or 7);
-//                           the default R = 1 batches are solved
-//                           unpacked, over the worker pool
 //         --ilp-budget <s>  seconds per COP for the ilp solver (shorthand
 //                           for its budget config key)
 //         --threads <t>     worker threads for the partition fan-out
@@ -132,9 +124,6 @@ std::unique_ptr<CoreCopSolver> make_solver(const CliArgs& args, unsigned n) {
     config.set("replicas",
                std::to_string(args.get_positive_size("replicas", 1)));
   }
-  if (takes("pack") && args.has("pack") && !config.has("pack")) {
-    config.set("pack", std::to_string(args.get_positive_size("pack", 1)));
-  }
   if (takes("budget") && args.has("ilp-budget") && !config.has("budget")) {
     config.set("budget",
                std::to_string(args.get_double("ilp-budget", 0.25)));
@@ -225,9 +214,9 @@ int cmd_list_solvers() {
     }
     std::string keys;
     for (const auto& k : entry.keys) {
-      // The pack key takes a constrained value; spell it out here so
-      // `list-solvers` is enough to write a valid spec.
-      const std::string shown = k == "pack" ? "pack=<K>" : k;
+      // The pack key's value only switches the batched solve on (any
+      // K > 0); say so here so `list-solvers` is enough to write a spec.
+      const std::string shown = k == "pack" ? "pack=<K> (K > 0: batched)" : k;
       keys += keys.empty() ? shown : ", " + shown;
     }
     solvers.add_row({entry.name, aliases.empty() ? "-" : aliases,
@@ -265,7 +254,7 @@ InputDistribution load_distribution(const CliArgs& args, unsigned n) {
 int cmd_decompose(const CliArgs& args) {
   args.reject_unknown(
       {"function", "hex", "pla", "n", "m", "free", "shared", "mode",
-       "solver", "p", "rounds", "seed", "replicas", "pack", "ilp-budget",
+       "solver", "p", "rounds", "seed", "replicas", "ilp-budget",
        "threads", "trace", "report", "qor", "metrics", "metrics-format",
        "postmortem", "log-level", "log-file", "obs-dir", "budget", "dist",
        "verilog", "testbench", "hex-out"});
