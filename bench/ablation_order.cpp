@@ -15,6 +15,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  if (!bench::known_flags_only(args, {"n", "free", "instances"})) {
+    return 1;
+  }
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));

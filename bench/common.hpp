@@ -6,7 +6,9 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -127,6 +129,10 @@ inline RunContext::Options context_options(const CliArgs& args) {
 /// (google-benchmark rejects unknown options); unit-tested directly in
 /// tests/test_bench_common.cpp so a newly added flag can't silently break
 /// the stripping.
+inline constexpr std::string_view kHarnessFlags[] = {
+    "trace",   "report",         "threads",   "seed",     "qor",    "json",
+    "metrics", "metrics-format", "log-level", "log-file", "obs-dir"};
+
 inline bool is_harness_flag(std::string_view token) {
   if (token.rfind("--", 0) != 0) {
     return false;
@@ -135,10 +141,25 @@ inline bool is_harness_flag(std::string_view token) {
       token.substr(2, token.find('=') == std::string_view::npos
                           ? std::string_view::npos
                           : token.find('=') - 2);
-  return name == "trace" || name == "report" || name == "threads" ||
-         name == "seed" || name == "qor" || name == "json" ||
-         name == "metrics" || name == "metrics-format" ||
-         name == "log-level" || name == "log-file" || name == "obs-dir";
+  return std::find(std::begin(kHarnessFlags), std::end(kHarnessFlags),
+                   name) != std::end(kHarnessFlags);
+}
+
+/// Checks a harness's command line before it runs anything: a flag that is
+/// neither one of `own` nor a harness flag prints "error: unknown flag
+/// '--name'" and returns false, so a stale or misspelled flag cannot run
+/// the experiment with defaults.
+inline bool known_flags_only(const CliArgs& args,
+                             std::initializer_list<std::string_view> own) {
+  std::vector<std::string_view> known(own);
+  known.insert(known.end(), std::begin(kHarnessFlags), std::end(kHarnessFlags));
+  try {
+    args.reject_unknown(known);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return false;
+  }
+  return true;
 }
 
 /// Removes the harness flags (both "--flag=value" and detached

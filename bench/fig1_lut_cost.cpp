@@ -12,6 +12,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  if (!bench::known_flags_only(args, {"n", "free", "p", "rounds"})) {
+    return 1;
+  }
 
   std::cout << "== Figure 1: LUT size reduction from disjoint decomposition "
                "==\n\n";

@@ -29,13 +29,8 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  try {
-    args.reject_unknown({"n", "free", "p", "rounds", "seed", "replicas",
-                         "baseline", "csv", "json", "threads", "trace",
-                         "report", "qor", "metrics", "metrics-format",
-                         "log-level", "log-file", "obs-dir"});
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
+  if (!bench::known_flags_only(
+          args, {"n", "free", "p", "rounds", "replicas", "baseline", "csv"})) {
     return 1;
   }
 

@@ -1,7 +1,8 @@
 // Micro-kernels (google-benchmark): the hot loops behind the experiment
 // harnesses -- bSB Euler steps, Ising energy evaluation, Boolean-matrix
 // construction, COP building, Theorem-3 resets, the warm start's dominant
-// column pair and the partition screen's multiplicity -- sized like the
+// column pair, one greedy solve and the partition screen's multiplicity --
+// sized like the
 // paper's two quantization schemes (n = 9: 16x32 matrices, 64 spins;
 // n = 16: 128x512 matrices, 768 spins).
 //
@@ -17,6 +18,7 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -575,6 +577,75 @@ void BM_ScreenMultiplicity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScreenMultiplicity)->Arg(9)->Arg(16);
+
+/// Sixteen joint-mode candidates of one output, as run_dalta builds them:
+/// the exp table, output n / 2 with D per pattern in +-2 bit weights, and
+/// 16 random partitions (free 4 at n = 9, 7 at n = 16).
+struct JointCandidates {
+  TruthTable exact;
+  InputDistribution dist;
+  std::vector<double> d_by_input;
+  std::vector<InputPartition> partitions;
+  unsigned k;
+
+  explicit JointCandidates(unsigned n)
+      : exact(make_continuous_table(continuous_spec("exp"), n, n)),
+        dist(InputDistribution::uniform(n)),
+        d_by_input(exact.num_patterns()),
+        k(n / 2) {
+    Rng rng(37);
+    const auto span = static_cast<std::int64_t>(std::uint64_t{1} << (k + 1));
+    for (double& v : d_by_input) {
+      v = static_cast<double>(
+          static_cast<std::int64_t>(rng.next_below(2 * span + 1)) - span);
+    }
+    for (int i = 0; i < 16; ++i) {
+      partitions.push_back(InputPartition::random(n, n == 16 ? 7 : 4, rng));
+    }
+  }
+
+  CopSource source() const {
+    return CopSource{exact.output(k), dist, DecompMode::kJoint, d_by_input,
+                     static_cast<double>(std::uint64_t{1} << k)};
+  }
+};
+
+void BM_CopBuild(benchmark::State& state) {
+  // One candidate's joint-mode COP in the one-pass build (cell patterns,
+  // then matrix bits, D and base/gain per cell), into reused storage as a
+  // DALTA worker builds it.
+  const JointCandidates cands(static_cast<unsigned>(state.range(0)));
+  const CopSource src = cands.source();
+  CellPatterns cells;
+  std::optional<ColumnCop> cop;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    cells.assign(cands.partitions[i++ % 16]);
+    benchmark::DoNotOptimize(&ColumnCop::gather_into(src, cells, cop));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CopBuild)->Arg(9)->Arg(16);
+
+void BM_GreedySolve(benchmark::State& state) {
+  // One `dalta` solve (the dominant column pair, then alternating
+  // half-steps to a fixpoint): the greedy baseline's cost per candidate.
+  const JointCandidates cands(static_cast<unsigned>(state.range(0)));
+  const CopSource src = cands.source();
+  std::vector<ColumnCop> cops;
+  CellPatterns cells;
+  for (const InputPartition& w : cands.partitions) {
+    cells.assign(w);
+    cops.push_back(ColumnCop::gather(src, cells));
+  }
+  const auto solver = SolverRegistry::global().make_from_spec("dalta");
+  std::size_t i = 0;
+  for (auto _ : state) {
+    CoreSolveStats stats;
+    benchmark::DoNotOptimize(solver->solve(cops[i++ % 16], 0, &stats));
+  }
+}
+BENCHMARK(BM_GreedySolve)->Arg(9)->Arg(16);
 
 /// Console reporter that additionally captures each run's adjusted real
 /// time in seconds, keyed by the full benchmark name, so the --json writer

@@ -13,6 +13,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  if (!bench::known_flags_only(args, {"n"})) {
+    return 1;
+  }
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const std::uint64_t seed = args.get_size("seed", 42);

@@ -15,6 +15,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  if (!bench::known_flags_only(args, {"instances", "ilp-budget"})) {
+    return 1;
+  }
 
   const std::size_t instances = args.get_size("instances", 6);
   const std::uint64_t seed = args.get_size("seed", 42);

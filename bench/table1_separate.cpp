@@ -12,6 +12,9 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
+  if (!bench::known_flags_only(args, {"n", "m", "free", "p", "rounds", "ilp-budget"})) {
+    return 1;
+  }
 
   const unsigned n = static_cast<unsigned>(args.get_size("n", 9));
   const unsigned m = static_cast<unsigned>(args.get_size("m", n));

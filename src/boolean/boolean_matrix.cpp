@@ -1,6 +1,7 @@
 #include "boolean/boolean_matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_set>
@@ -113,13 +114,19 @@ std::vector<BitVec> BooleanMatrix::distinct_columns() const {
 
 namespace {
 
-/// Transposes a 64 x 64 bit block in place: bit j of a[i] moves to bit i
-/// of a[j]. Six rounds of swapping the off-diagonal halves of ever smaller
-/// sub-blocks.
-void transpose64(std::uint64_t a[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+/// Transposes an s x s bit block in place (s a power of two <= 64, the
+/// block in the low s bits of a[0, s)): bit j of a[i] moves to bit i of
+/// a[j]. log2(s) rounds of swapping the off-diagonal halves of ever smaller
+/// sub-blocks; at s = 64 this is the full word-block transpose.
+void transpose_block(std::uint64_t* a, std::size_t s) {
+  if (s < 2) {
+    return;
+  }
+  std::size_t j = s / 2;
+  // Low j bits of every 2j-bit group: 0x00000000FFFFFFFF at j = 32.
+  std::uint64_t m = ~std::uint64_t{0} / ((std::uint64_t{1} << j) + 1);
+  for (; j != 0; j >>= 1, m ^= m << j) {
+    for (std::size_t k = 0; k < s; k = ((k | j) + 1) & ~j) {
       const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
       a[k] ^= t << j;
       a[k | j] ^= t;
@@ -142,22 +149,25 @@ std::uint64_t bits_at(const std::vector<std::uint64_t>& words,
 }  // namespace
 
 void BooleanMatrix::column_words(std::vector<std::uint64_t>& out) const {
-  // 64 x 64 tiles of the row-major bits, each transposed once: word j of
-  // a transposed tile is 64 rows of column j, one whole column word.
+  // s x s tiles of the row-major bits, each transposed once: word j of a
+  // transposed tile is s rows of column j, one whole column word past 64
+  // rows. Under 64 rows the tile shrinks to the rows (16 x 16 for a
+  // 16-row matrix), so no work goes to absent rows.
   const std::size_t wpc = column_word_count(rows_);
   out.resize(cols_ * wpc);
   const std::vector<std::uint64_t>& bits = bits_.words();
+  const std::size_t s = std::bit_ceil(std::min<std::size_t>(rows_, 64));
   std::uint64_t tile[64];
-  for (std::size_t i0 = 0; i0 < rows_; i0 += 64) {
-    const std::size_t live_rows = std::min<std::size_t>(64, rows_ - i0);
-    for (std::size_t j0 = 0; j0 < cols_; j0 += 64) {
-      const std::size_t live_cols = std::min<std::size_t>(64, cols_ - j0);
-      for (std::size_t t = 0; t < 64; ++t) {
+  for (std::size_t i0 = 0; i0 < rows_; i0 += s) {
+    const std::size_t live_rows = std::min(s, rows_ - i0);
+    for (std::size_t j0 = 0; j0 < cols_; j0 += s) {
+      const std::size_t live_cols = std::min(s, cols_ - j0);
+      for (std::size_t t = 0; t < s; ++t) {
         tile[t] = t < live_rows
                       ? bits_at(bits, (i0 + t) * cols_ + j0, live_cols)
                       : 0;
       }
-      transpose64(tile);
+      transpose_block(tile, s);
       for (std::size_t t = 0; t < live_cols; ++t) {
         out[(j0 + t) * wpc + i0 / 64] = tile[t];
       }

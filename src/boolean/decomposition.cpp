@@ -1,6 +1,7 @@
 #include "boolean/decomposition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace adsd {
@@ -190,44 +191,97 @@ std::uint64_t mismatch_count(const BooleanMatrix& m, const RowSetting& rs) {
   return c;
 }
 
-std::pair<BitVec, BitVec> dominant_column_pair(const BooleanMatrix& m) {
-  // Columns packed into words, their indices sorted by them: equal
-  // columns form runs, visited in ascending BitVec order. A strictly
-  // larger count displaces the leader, so ties go to the smaller column,
-  // for the first and the second alike. Per-thread scratch, reused.
-  thread_local std::vector<std::uint64_t> words;
-  thread_local std::vector<std::uint32_t> order;
-  m.column_words(words);
-  const std::size_t wpc = column_word_count(m.rows());
-  sort_column_words(words, wpc, order);
-  const auto same = [wpc](const std::uint64_t* a, const std::uint64_t* b) {
-    return std::equal(a, a + wpc, b);
-  };
-  const std::size_t none = m.cols();
-  std::size_t first = none;
-  std::size_t second = none;
+namespace {
+
+/// Positions of the longest and second-longest runs of a sorted sequence
+/// of n columns, scanned in ascending order: a strictly longer run
+/// displaces the leader, so ties go to the smaller column, for the first
+/// and the second alike. `same(a, b)` compares sorted positions a and b;
+/// an absent second run reads n.
+template <class Same>
+std::pair<std::size_t, std::size_t> top_two_runs(std::size_t n, Same same) {
+  std::size_t first = n;
+  std::size_t second = n;
   std::size_t first_count = 0;
   std::size_t second_count = 0;
-  for (std::size_t a = 0; a < order.size();) {
-    const std::uint64_t* key = words.data() + order[a] * wpc;
+  for (std::size_t a = 0; a < n;) {
     std::size_t b = a + 1;
-    while (b < order.size() && same(key, words.data() + order[b] * wpc)) {
+    while (b < n && same(a, b)) {
       ++b;
     }
     const std::size_t count = b - a;
     if (count > first_count) {
       second = first;
       second_count = first_count;
-      first = order[a];
+      first = a;
       first_count = count;
     } else if (count > second_count) {
-      second = order[a];
+      second = a;
       second_count = count;
     }
     a = b;
   }
-  BitVec top = m.column(first);
-  BitVec runner_up = second != none ? m.column(second) : top.complement();
+  return {first, second};
+}
+
+/// Dominant pair of columns packed W words each (W = column_word_count),
+/// sorted as packed keys: std::array compares word 0 first, as
+/// BitVec::operator< does on same-size vectors, so the keys sort into the
+/// order the index sort of sort_column_words produces. Per-thread scratch.
+template <std::size_t W>
+std::pair<BitVec, BitVec> dominant_pair_of_keys(
+    const std::vector<std::uint64_t>& words, std::size_t rows) {
+  using Key = std::array<std::uint64_t, W>;
+  thread_local std::vector<Key> keys;
+  keys.resize(words.size() / W);
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    for (std::size_t w = 0; w < W; ++w) {
+      keys[j][w] = words[j * W + w];
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  const auto [first, second] =
+      top_two_runs(keys.size(), [](std::size_t a, std::size_t b) {
+        return keys[a] == keys[b];
+      });
+  const auto column = [rows](const Key& key) {
+    BitVec out(rows);
+    for (std::size_t w = 0; w < W; ++w) {
+      out.set_word(w, key[w]);
+    }
+    return out;
+  };
+  BitVec top = column(keys[first]);
+  BitVec runner_up =
+      second != keys.size() ? column(keys[second]) : top.complement();
+  return {std::move(top), std::move(runner_up)};
+}
+
+}  // namespace
+
+std::pair<BitVec, BitVec> dominant_column_pair(const BooleanMatrix& m) {
+  // Columns packed into words; equal columns form runs once sorted. Up to
+  // 128 rows the packed words themselves are sorted, past that an index
+  // array under a lexicographic comparator. Per-thread scratch, reused.
+  thread_local std::vector<std::uint64_t> words;
+  thread_local std::vector<std::uint32_t> order;
+  m.column_words(words);
+  const std::size_t wpc = column_word_count(m.rows());
+  if (wpc == 1) {
+    return dominant_pair_of_keys<1>(words, m.rows());
+  }
+  if (wpc == 2) {
+    return dominant_pair_of_keys<2>(words, m.rows());
+  }
+  sort_column_words(words, wpc, order);
+  const auto key = [&](std::size_t a) { return words.data() + order[a] * wpc; };
+  const auto [first, second] =
+      top_two_runs(order.size(), [&](std::size_t a, std::size_t b) {
+        return std::equal(key(a), key(a) + wpc, key(b));
+      });
+  BitVec top = m.column(order[first]);
+  BitVec runner_up =
+      second != order.size() ? m.column(order[second]) : top.complement();
   return {std::move(top), std::move(runner_up)};
 }
 

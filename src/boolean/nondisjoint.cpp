@@ -131,6 +131,11 @@ BooleanMatrix slice_matrix(const TruthTable& tt, unsigned k,
   return m;
 }
 
+void slice_cells(const NonDisjointPartition& w, std::uint64_t slice,
+                 CellPatterns& out) {
+  out.assign(w.free_vars(), w.bound_vars(), w.input_of(slice, 0, 0));
+}
+
 std::optional<NonDisjointSetting> check_nondisjoint_decomposition(
     const TruthTable& tt, unsigned k, const NonDisjointPartition& w) {
   NonDisjointSetting setting;

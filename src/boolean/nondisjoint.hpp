@@ -83,6 +83,12 @@ BooleanMatrix slice_matrix(const TruthTable& tt, unsigned k,
                            const NonDisjointPartition& w,
                            std::uint64_t slice);
 
+/// The cell patterns of that slice's matrix: the (free, bound) cells with
+/// the slice's shared bits ORed into every row pattern, so cell (i, j)
+/// reads input pattern w.input_of(slice, i, j). Reuses `out`'s storage.
+void slice_cells(const NonDisjointPartition& w, std::uint64_t slice,
+                 CellPatterns& out);
+
 /// Exact non-disjoint decomposition check: Theorem 2 per slice. Returns the
 /// witness when every slice passes.
 std::optional<NonDisjointSetting> check_nondisjoint_decomposition(

@@ -90,6 +90,24 @@ std::uint64_t InputPartition::input_of(std::uint64_t row,
   return x;
 }
 
+void CellPatterns::assign(const std::vector<unsigned>& free_vars,
+                          const std::vector<unsigned>& bound_vars,
+                          std::uint64_t offset) {
+  const auto deposit = [](const std::vector<unsigned>& vars,
+                          std::uint64_t base, std::vector<std::uint64_t>& out) {
+    out.resize(std::size_t{1} << vars.size());
+    out[0] = base;
+    for (std::size_t k = 0; k < vars.size(); ++k) {
+      const std::size_t half = std::size_t{1} << k;
+      for (std::size_t i = 0; i < half; ++i) {
+        out[half + i] = out[i] | (std::uint64_t{1} << vars[k]);
+      }
+    }
+  };
+  deposit(free_vars, offset, rows);
+  deposit(bound_vars, 0, cols);
+}
+
 PartitionIndexer::PartitionIndexer(const InputPartition& w)
     : bytes_((w.num_inputs() + 7) / 8),
       row_lut_(bytes_ * 256, 0),

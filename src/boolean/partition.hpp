@@ -56,6 +56,28 @@ class InputPartition {
   std::vector<unsigned> bound_vars_;
 };
 
+/// The input patterns of a Boolean matrix's cells: cell (i, j) holds the
+/// function's value at input pattern rows[i] | cols[j]. rows[i] is the row
+/// index i deposited onto the free variable positions (bit k of i moves to
+/// bit free_vars[k]) and cols[j] the column index deposited onto the bound
+/// positions, so a cell's pattern costs one OR and no per-pattern index
+/// work. Both arrays are built by doubling: entry half + i is entry i with
+/// one more variable bit set.
+struct CellPatterns {
+  std::vector<std::uint64_t> rows;
+  std::vector<std::uint64_t> cols;
+
+  /// The cells of the matrix under `w`, reusing the arrays' storage.
+  void assign(const InputPartition& w) {
+    assign(w.free_vars(), w.bound_vars(), 0);
+  }
+
+  /// General form: `offset` is ORed into every row pattern (a
+  /// non-disjoint partition's slice, its shared bits deposited).
+  void assign(const std::vector<unsigned>& free_vars,
+              const std::vector<unsigned>& bound_vars, std::uint64_t offset);
+};
+
 /// Precomputed byte-wise lookup tables for a partition's (row_of, col_of)
 /// maps. row_of/col_of gather scattered bits one at a time — O(free + bound)
 /// shifts per pattern — and the DALTA hot loop calls them for all 2^n

@@ -11,6 +11,74 @@
 
 namespace adsd {
 
+namespace {
+
+/// One separate-mode cell: ED = O + (1 - 2O) * Ohat (Eq. 6/7), so
+/// cost(Ohat = 0) = O and cost(1) = 1 - O.
+void separate_cell(double p, bool exact_bit, double& base, double& gain) {
+  const double o = static_cast<double>(exact_bit);
+  base = p * o;
+  gain = p * (1.0 - 2.0 * o);
+}
+
+/// One joint-mode cell: ED = |2^(k-1) Ohat + D|, linearized per the sign
+/// of D (Eqs. 12-15):
+///   -2^(k-1) <= D <= 0 : ED = (2^(k-1) + 2D) Ohat - D
+///   otherwise           : ED = 2^(k-1) sgn(D) Ohat + |D|.
+/// Both branches are exact for Ohat in {0, 1}. Both are computed and one
+/// is selected, so no branch depends on D and a row loop vectorizes:
+/// 2^(k-1) sgn(D) is +-2^(k-1) exactly, and |D| is D above 0 and -D
+/// below, as on the first branch (-0.0 at D = +0.0).
+void joint_cell(double p, double dij, double bit_weight, double& base,
+                double& gain) {
+  const double sum = bit_weight + 2.0 * dij;
+  const double side = dij > 0.0 ? bit_weight : -bit_weight;
+  const double q = (dij >= -bit_weight) & (dij <= 0.0) ? sum : side;
+  const double b = dij > 0.0 ? dij : -dij;
+  base = p * b;
+  gain = p * q;
+}
+
+/// The one build pass: walks the cells row-major, gathering each cell's
+/// matrix bit into `exact` and its probability through `prob`. Separate
+/// mode writes the cell's base and gain as it goes. Joint mode stages the
+/// cell's D in base (and a non-uniform probability in gain), then turns
+/// each finished row into base and gain in one contiguous loop.
+template <bool kUniform, class Prob>
+void gather_cells(const CopSource& src, const CellPatterns& cells, Prob prob,
+                  BooleanMatrix& exact, double* base, double* gain) {
+  const auto no_row_work = [](std::size_t) {};
+  if (src.mode == DecompMode::kSeparate) {
+    exact.gather(src.output, cells,
+                 [&](std::size_t idx, std::uint64_t x, bool bit) {
+                   separate_cell(prob(x), bit, base[idx], gain[idx]);
+                 },
+                 no_row_work);
+    return;
+  }
+  const double* d = src.d_by_input.data();
+  const double bit_weight = src.bit_weight;
+  const std::size_t c = cells.cols.size();
+  exact.gather(src.output, cells,
+               [&](std::size_t idx, std::uint64_t x, bool /*bit*/) {
+                 base[idx] = d[x];
+                 if constexpr (!kUniform) {
+                   gain[idx] = prob(x);
+                 }
+               },
+               [&](std::size_t i) {
+                 double* row_base = base + i * c;
+                 double* row_gain = gain + i * c;
+                 for (std::size_t j = 0; j < c; ++j) {
+                   const double p = kUniform ? prob(0) : row_gain[j];
+                   joint_cell(p, row_base[j], bit_weight, row_base[j],
+                              row_gain[j]);
+                 }
+               });
+}
+
+}  // namespace
+
 std::vector<double> matrix_probs(const InputDistribution& dist,
                                  const InputPartition& w) {
   std::vector<double> p;
@@ -55,15 +123,12 @@ ColumnCop ColumnCop::separate(const BooleanMatrix& exact,
   if (probs.size() != r * c) {
     throw std::invalid_argument("ColumnCop::separate: probs size mismatch");
   }
-  // ED = O + (1 - 2O) * Ohat  (Eq. 6/7): cost(Ohat=0) = O, cost(1) = 1 - O.
   std::vector<double> base(r * c);
   std::vector<double> gain(r * c);
   for (std::size_t i = 0; i < r; ++i) {
     for (std::size_t j = 0; j < c; ++j) {
       const std::size_t idx = i * c + j;
-      const double o = exact.at(i, j) ? 1.0 : 0.0;
-      base[idx] = probs[idx] * o;
-      gain[idx] = probs[idx] * (1.0 - 2.0 * o);
+      separate_cell(probs[idx], exact.at(i, j), base[idx], gain[idx]);
     }
   }
   return ColumnCop(exact, std::move(base), std::move(gain));
@@ -80,28 +145,71 @@ ColumnCop ColumnCop::joint(const BooleanMatrix& exact,
   if (bit_weight <= 0.0) {
     throw std::invalid_argument("ColumnCop::joint: bad bit weight");
   }
-  // ED = |2^(k-1) Ohat + D|, linearized per the sign of D (Eqs. 12-15):
-  //   -2^(k-1) <= D <= 0 : ED = (2^(k-1) + 2D) Ohat - D
-  //   otherwise           : ED = 2^(k-1) sgn(D) Ohat + |D|.
-  // Both branches are exact for Ohat in {0, 1}.
   std::vector<double> base(r * c);
   std::vector<double> gain(r * c);
   for (std::size_t idx = 0; idx < r * c; ++idx) {
-    const double dij = d[idx];
-    double q;
-    double b;
-    if (dij >= -bit_weight && dij <= 0.0) {
-      q = bit_weight + 2.0 * dij;
-      b = -dij;
-    } else {
-      const double sgn = dij > 0.0 ? 1.0 : -1.0;
-      q = bit_weight * sgn;
-      b = std::fabs(dij);
-    }
-    base[idx] = probs[idx] * b;
-    gain[idx] = probs[idx] * q;
+    joint_cell(probs[idx], d[idx], bit_weight, base[idx], gain[idx]);
   }
   return ColumnCop(exact, std::move(base), std::move(gain));
+}
+
+ColumnCop ColumnCop::gather(const CopSource& src, const CellPatterns& cells) {
+  std::optional<ColumnCop> slot;
+  gather_into(src, cells, slot);
+  return std::move(*slot);
+}
+
+const ColumnCop& ColumnCop::gather_into(const CopSource& src,
+                                        const CellPatterns& cells,
+                                        std::optional<ColumnCop>& slot) {
+  if (!slot) {
+    slot.emplace(ColumnCop(BooleanMatrix(1, 1), {}, {}));
+  }
+  slot->regather(src, cells);
+  return *slot;
+}
+
+void ColumnCop::regather(const CopSource& src, const CellPatterns& cells) {
+  const std::uint64_t patterns = src.dist.num_patterns();
+  if (src.output.size() != patterns) {
+    throw std::invalid_argument("ColumnCop::gather: table size mismatch");
+  }
+  if (cells.rows.empty() || cells.cols.empty()) {
+    throw std::invalid_argument("ColumnCop::gather: empty shape");
+  }
+  // Every cell pattern is a sub-mask of (OR of rows) | (OR of cols).
+  std::uint64_t reach = 0;
+  for (const std::uint64_t x : cells.rows) {
+    reach |= x;
+  }
+  for (const std::uint64_t x : cells.cols) {
+    reach |= x;
+  }
+  if (reach >= patterns) {
+    throw std::invalid_argument("ColumnCop::gather: pattern out of range");
+  }
+  if (src.mode == DecompMode::kJoint) {
+    if (src.d_by_input.size() != patterns) {
+      throw std::invalid_argument("ColumnCop::gather: D size mismatch");
+    }
+    if (src.bit_weight <= 0.0) {
+      throw std::invalid_argument("ColumnCop::gather: bad bit weight");
+    }
+  }
+  rows_ = cells.rows.size();
+  cols_ = cells.cols.size();
+  base_.resize(rows_ * cols_);
+  gain_.resize(rows_ * cols_);
+  if (src.dist.is_uniform()) {
+    const double u = src.dist.prob(0);
+    gather_cells<true>(src, cells, [u](std::uint64_t) { return u; }, exact_,
+                       base_.data(), gain_.data());
+  } else {
+    const InputDistribution& dist = src.dist;
+    gather_cells<false>(src, cells,
+                        [&dist](std::uint64_t x) { return dist.prob(x); },
+                        exact_, base_.data(), gain_.data());
+  }
 }
 
 double ColumnCop::objective(const ColumnSetting& s) const {
@@ -212,8 +320,13 @@ void ColumnCop::reset_optimal_t(ColumnSetting& s) const {
       }
     }
   }
-  for (std::size_t j = 0; j < cols_; ++j) {
-    s.t.set(j, cost2[j] < cost1[j]);
+  for (std::size_t j0 = 0; j0 < cols_; j0 += 64) {
+    const std::size_t j_end = std::min(cols_, j0 + 64);
+    std::uint64_t word = 0;
+    for (std::size_t j = j0; j < j_end; ++j) {
+      word |= static_cast<std::uint64_t>(cost2[j] < cost1[j]) << (j - j0);
+    }
+    s.t.set_word(j0 / 64, word);
   }
 }
 
@@ -260,27 +373,63 @@ void ColumnCop::reset_optimal_t_planes(
 
 void ColumnCop::reset_optimal_v(ColumnSetting& s) const {
   // Row i's V1 bit only affects columns with T_j = 0 and contributes
-  // gain_ij per such column when set; choose 1 iff that sum is negative.
-  // Branch-free: the sum a column does not feed gets +0.0, which is exact
-  // (a sum starts at +0.0 and never becomes -0.0). Rows are independent
-  // chains, so a block of RB of them runs interleaved.
-  constexpr std::size_t RB = 4;
+  // gain_ij per such column when set; choose 1 iff that sum is negative
+  // (V2 likewise over T_j = 1). The columns are split by T into two
+  // ascending index lists, and each row sums its list in ascending j:
+  // a column a sum skips would add +0.0, which is exact (a sum starts at
+  // +0.0 and never becomes -0.0). Rows are independent chains, so a block
+  // of RB of them runs interleaved. Per-thread scratch, reused.
+  thread_local std::vector<std::uint32_t> split;
+  split.resize(2 * cols_);
+  std::uint32_t* on1 = split.data();
+  std::uint32_t* on2 = split.data() + cols_;
+  std::size_t n1 = 0;
+  std::size_t n2 = 0;
+  for (std::size_t j = 0; j < cols_; ++j) {
+    const bool t = s.t.get(j);
+    on1[n1] = static_cast<std::uint32_t>(j);
+    on2[n2] = static_cast<std::uint32_t>(j);
+    n1 += t ? 0 : 1;
+    n2 += t ? 1 : 0;
+  }
+  constexpr std::size_t RB = 8;  // divides 64: a block never straddles a word
+  std::uint64_t word1 = 0;
+  std::uint64_t word2 = 0;
   for (std::size_t i0 = 0; i0 < rows_; i0 += RB) {
     const std::size_t live = std::min(RB, rows_ - i0);
     double sum1[RB] = {};
     double sum2[RB] = {};
     const double* g = &gain_[i0 * cols_];
-    for (std::size_t j = 0; j < cols_; ++j) {
-      const bool t = s.t.get(j);
-      for (std::size_t k = 0; k < live; ++k) {
-        const double gk = g[k * cols_ + j];
-        sum1[k] += t ? 0.0 : gk;
-        sum2[k] += t ? gk : 0.0;
+    const auto sum_block = [&](std::size_t rows_live) {
+      for (std::size_t t = 0; t < n1; ++t) {
+        const std::size_t j = on1[t];
+        for (std::size_t k = 0; k < rows_live; ++k) {
+          sum1[k] += g[k * cols_ + j];
+        }
       }
+      for (std::size_t t = 0; t < n2; ++t) {
+        const std::size_t j = on2[t];
+        for (std::size_t k = 0; k < rows_live; ++k) {
+          sum2[k] += g[k * cols_ + j];
+        }
+      }
+    };
+    if (live == RB) {
+      sum_block(RB);  // a constant count, so the full block unrolls
+    } else {
+      sum_block(live);
     }
     for (std::size_t k = 0; k < live; ++k) {
-      s.v1.set(i0 + k, sum1[k] < 0.0);
-      s.v2.set(i0 + k, sum2[k] < 0.0);
+      const unsigned bit = (i0 + k) % 64;
+      word1 |= static_cast<std::uint64_t>(sum1[k] < 0.0) << bit;
+      word2 |= static_cast<std::uint64_t>(sum2[k] < 0.0) << bit;
+    }
+    const std::size_t next = i0 + live;
+    if (next % 64 == 0 || next == rows_) {
+      s.v1.set_word((next - 1) / 64, word1);
+      s.v2.set_word((next - 1) / 64, word2);
+      word1 = 0;
+      word2 = 0;
     }
   }
 }

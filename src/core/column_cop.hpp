@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -31,6 +32,18 @@ std::vector<double> matrix_probs(const InputDistribution& dist,
 void matrix_probs_into(const InputDistribution& dist, const InputPartition& w,
                        const PartitionIndexer& idx, std::vector<double>& out);
 
+/// What a one-pass COP build reads (ColumnCop::gather), fixed for one
+/// output of one round: the exact output column (2^n bits), the input
+/// distribution and, in joint mode, D per input pattern and the output's
+/// bit weight (1 << k).
+struct CopSource {
+  const BitVec& output;
+  const InputDistribution& dist;
+  DecompMode mode;
+  std::span<const double> d_by_input = {};  // joint mode only
+  double bit_weight = 0.0;                  // joint mode only
+};
+
 /// The column-based core COP for one (component function, partition) pair:
 ///
 ///   minimize  sum_ij ( base_ij + gain_ij * Ohat_ij ),
@@ -54,6 +67,22 @@ class ColumnCop {
   static ColumnCop joint(const BooleanMatrix& exact,
                          const std::vector<double>& probs,
                          const std::vector<double>& d, double bit_weight);
+
+  /// One-pass build of the COP whose cell (i, j) is input pattern
+  /// cells.rows[i] | cells.cols[j]: one row-major walk gathers each cell's
+  /// matrix bit, probability and (joint mode) D straight from the
+  /// per-pattern tables of `src`, and writes base and gain with the same
+  /// per-cell arithmetic as separate() and joint(). Bit for bit the COP
+  /// those build from BooleanMatrix::from_function_into,
+  /// matrix_probs_into and a D table scattered through PartitionIndexer,
+  /// which stay as the reference path.
+  static ColumnCop gather(const CopSource& src, const CellPatterns& cells);
+
+  /// gather() into `slot`, rebuilding the COP already there in its own
+  /// storage (per-worker scratch: no allocation once the shape fits).
+  static const ColumnCop& gather_into(const CopSource& src,
+                                      const CellPatterns& cells,
+                                      std::optional<ColumnCop>& slot);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -89,6 +118,8 @@ class ColumnCop {
 
   /// Theorem 3: rewrites s.t with the per-column optimal choice for the
   /// current s.v1/s.v2. Never increases objective(). Ties pick pattern 1.
+  /// Every column sums its rows in ascending i; T is written a word at a
+  /// time, with no branch on the costs.
   void reset_optimal_t(ColumnSetting& s) const;
 
   /// Batched Theorem 3 over the SoA oscillator planes of the lockstep bSB
@@ -112,7 +143,8 @@ class ColumnCop {
 
   /// Per-row optimal V1/V2 for the current s.t (the complementary
   /// half-step; together with reset_optimal_t this yields the alternating
-  /// minimization baseline). Never increases objective().
+  /// minimization baseline). Never increases objective(). Every row sums
+  /// its columns in ascending j; V is written a word at a time.
   void reset_optimal_v(ColumnSetting& s) const;
 
   /// Lower bound on the objective: every cell takes its cheaper value.
@@ -124,6 +156,9 @@ class ColumnCop {
  private:
   ColumnCop(const BooleanMatrix& exact, std::vector<double> base,
             std::vector<double> gain);
+
+  /// gather() into this COP's storage.
+  void regather(const CopSource& src, const CellPatterns& cells);
 
   BooleanMatrix exact_;
   std::size_t rows_;

@@ -29,19 +29,25 @@ ColumnSetting random_setting(std::size_t rows, std::size_t cols, Rng& rng) {
   return s;
 }
 
-/// Alternate the two closed-form half-steps to a fixpoint.
+/// Alternate the two closed-form half-steps to a fixpoint. Returns the
+/// best objective seen; when `last` is non-null it receives objective(s)
+/// of the setting s holds on return (the last sweep's, or the start's).
 double alternate_to_fixpoint(const ColumnCop& cop, ColumnSetting& s,
-                             std::size_t max_sweeps) {
+                             std::size_t max_sweeps, double* last = nullptr) {
   double best = cop.objective(s);
+  double now = best;
   for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     cop.reset_optimal_t(s);
     cop.reset_optimal_v(s);
-    const double now = cop.objective(s);
+    now = cop.objective(s);
     if (now >= best - 1e-15) {
       best = std::min(best, now);
       break;
     }
     best = now;
+  }
+  if (last != nullptr) {
+    *last = now;
   }
   return best;
 }
@@ -515,14 +521,17 @@ ColumnSetting HeuristicCoreSolver::do_solve(const ColumnCop& cop,
   ColumnSetting s;
   std::tie(s.v1, s.v2) = dominant_column_pair(m);
   s.t = BitVec(m.cols());
+  double objective = 0.0;
   if (refine_sweeps_ == 0) {
     cop.reset_optimal_t(s);
+    objective = cop.objective(s);
   } else {
-    alternate_to_fixpoint(cop, s, refine_sweeps_);
+    // The last sweep already scored the setting it leaves in s.
+    alternate_to_fixpoint(cop, s, refine_sweeps_, &objective);
   }
 
   if (stats != nullptr) {
-    stats->objective = cop.objective(s);
+    stats->objective = objective;
     stats->iterations = 1;
     stats->stopped_early = false;
     stats->proven_optimal = false;

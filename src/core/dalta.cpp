@@ -30,14 +30,18 @@ struct Candidate {
   CoreSolveStats stats;
 };
 
-/// Thread-local buffers of one candidate evaluation, reused across
-/// candidates by the pool workers (all candidates of a run share the
-/// r x c shape, so reuse means zero steady-state allocation).
+/// Per-thread buffers of one candidate evaluation, reused across
+/// candidates (and rounds) by the pool workers: all candidates of a run
+/// share the r x c shape, so reuse means zero steady-state allocation.
 struct EvalScratch {
-  std::optional<BooleanMatrix> matrix;
-  std::vector<double> probs;
-  std::vector<double> d;
+  CellPatterns cells;
+  std::optional<ColumnCop> cop;
 };
+
+EvalScratch& worker_scratch() {
+  thread_local EvalScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -128,32 +132,16 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
       }
 
       std::vector<std::optional<Candidate>> candidates(params.num_partitions);
-      // The COP of partition w, built into `scratch` buffers (the Boolean
-      // matrix, the probability table, and the joint D table are all shape
-      // r x c for every candidate, so a reused scratch allocates once).
-      // ColumnCop owns copies of everything it needs, so the returned COP
-      // outlives the scratch contents.
-      auto build_cop = [&](const InputPartition& w, EvalScratch& scratch) {
-        const PartitionIndexer idx(w);
-        if (!scratch.matrix) {
-          scratch.matrix.emplace(w.num_rows(), w.num_cols());
-        }
-        BooleanMatrix& matrix = *scratch.matrix;
-        BooleanMatrix::from_function_into(exact, k, w, idx, matrix);
-        matrix_probs_into(dist, w, idx, scratch.probs);
-
-        if (params.mode == DecompMode::kSeparate) {
-          return ColumnCop::separate(matrix, scratch.probs);
-        }
-        const std::size_t c = w.num_cols();
-        scratch.d.resize(w.num_rows() * c);
-        // Every input pattern owns exactly one (row, col) cell, so one
-        // pass with the byte-LUT indexer fills the whole D table.
-        for (std::uint64_t x = 0; x < patterns; ++x) {
-          scratch.d[idx.row_of(x) * c + idx.col_of(x)] = d_by_input[x];
-        }
-        return ColumnCop::joint(matrix, scratch.probs, scratch.d,
-                                static_cast<double>(std::int64_t{1} << k));
+      // Every candidate's COP is built in one gather pass over its cells
+      // (ColumnCop::gather) from these per-output tables.
+      const CopSource source{exact.output(k), dist, params.mode, d_by_input,
+                             static_cast<double>(std::int64_t{1} << k)};
+      // The COP of partition w, built into the calling thread's scratch. It
+      // stays valid until that thread builds its next one.
+      auto build_cop = [&](const InputPartition& w) -> const ColumnCop& {
+        EvalScratch& scratch = worker_scratch();
+        scratch.cells.assign(w);
+        return ColumnCop::gather_into(source, scratch.cells, scratch.cop);
       };
       auto evaluate = [&](std::size_t p) {
         // Runs on a pool worker under parallel dispatch, so this span lands
@@ -161,10 +149,7 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
         // distribution of the candidate fan-out read straight off the
         // flame graph.
         const TraceSpan candidate_trace(tracer, "dalta/candidate");
-        // Per-worker scratch reused across candidate partitions (and across
-        // rounds), so only the first evaluation on each thread allocates.
-        thread_local EvalScratch scratch;
-        ColumnCop cop = build_cop(candidates_w[p], scratch);
+        const ColumnCop& cop = build_cop(candidates_w[p]);
         Candidate cand{candidates_w[p], {}, {}};
         cand.setting =
             solver.solve(cop, ctx, ctx.stream_seed("dalta/candidate", round,
@@ -179,12 +164,13 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
         // path, handed to the solver in one solve_batch call for the whole
         // P-candidate round.
         const TraceSpan batch_trace(tracer, "dalta/candidate_batch");
-        EvalScratch scratch;
+        CellPatterns cells;
         std::vector<ColumnCop> cops;
         cops.reserve(params.num_partitions);
         std::vector<std::uint64_t> seeds(params.num_partitions);
         for (std::size_t p = 0; p < params.num_partitions; ++p) {
-          cops.push_back(build_cop(candidates_w[p], scratch));
+          cells.assign(candidates_w[p]);
+          cops.push_back(ColumnCop::gather(source, cells));
           seeds[p] = ctx.stream_seed("dalta/candidate", round, k, p);
         }
         std::vector<CoreSolveStats> stats;
@@ -241,11 +227,9 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
       const double best_objective = best.stats.objective;
       bool commit = true;
       if (chosen[k].has_value()) {
-        EvalScratch scratch;
         OutputDecomposition& incumbent = *chosen[k];
         incumbent.objective =
-            build_cop(incumbent.partition, scratch).objective(
-                incumbent.setting);
+            build_cop(incumbent.partition).objective(incumbent.setting);
         commit = best_objective < incumbent.objective - 1e-15;
       }
 

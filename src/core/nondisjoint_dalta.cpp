@@ -113,34 +113,18 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
 
       std::vector<std::optional<NdCandidate>> candidates(
           params.num_partitions);
-      // Slice sl of candidate p as a COP, built into reusable `probs`/`d`
-      // buffers (every slice matrix of a run has the same r x c shape;
-      // ColumnCop copies what it keeps).
-      auto build_cop = [&](const NonDisjointPartition& w, std::uint64_t sl,
-                           std::vector<double>& probs,
-                           std::vector<double>& d) {
-        const std::size_t r = w.num_rows();
-        const std::size_t c = w.num_cols();
-        const BooleanMatrix matrix = slice_matrix(exact, k, w, sl);
-        probs.assign(r * c, 0.0);
-        d.clear();
-        if (params.mode == DecompMode::kJoint) {
-          d.resize(r * c);
-        }
-        for (std::size_t i = 0; i < r; ++i) {
-          for (std::size_t j = 0; j < c; ++j) {
-            const std::uint64_t x = w.input_of(sl, i, j);
-            probs[i * c + j] = dist.prob(x);
-            if (!d.empty()) {
-              d[i * c + j] = d_by_input[x];
-            }
-          }
-        }
-        return params.mode == DecompMode::kSeparate
-                   ? ColumnCop::separate(matrix, probs)
-                   : ColumnCop::joint(matrix, probs, d,
-                                      static_cast<double>(std::int64_t{1}
-                                                          << k));
+      // Slice sl of candidate p as a COP, built in one gather pass
+      // (ColumnCop::gather) over the slice's cells (slice_cells).
+      const CopSource source{exact.output(k), dist, params.mode, d_by_input,
+                             static_cast<double>(std::int64_t{1} << k)};
+      // Per-thread scratch reused across slices, candidates and rounds;
+      // the COP stays valid until the thread builds its next one.
+      auto build_cop = [&](const NonDisjointPartition& w,
+                           std::uint64_t sl) -> const ColumnCop& {
+        thread_local CellPatterns cells;
+        thread_local std::optional<ColumnCop> cop;
+        slice_cells(w, sl, cells);
+        return ColumnCop::gather_into(source, cells, cop);
       };
       // Slice 0 must reuse run_dalta's per-candidate seed so that
       // shared_size == 0 reproduces the disjoint flow exactly; the
@@ -156,11 +140,8 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
         const NonDisjointPartition& w = candidates_w[p];
         NdCandidate cand{w, {}, 0.0, 0};
 
-        // Per-worker buffers reused across slices and candidates.
-        thread_local std::vector<double> probs;
-        thread_local std::vector<double> d;
         for (std::uint64_t sl = 0; sl < w.num_slices(); ++sl) {
-          ColumnCop cop = build_cop(w, sl, probs, d);
+          const ColumnCop& cop = build_cop(w, sl);
           CoreSolveStats stats;
           ColumnSetting cs = solver.solve(cop, ctx, slice_seed(p, sl),
                                           &stats);
@@ -177,15 +158,15 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
         // into one solve_batch call with the same per-slice seeds as the
         // looped path.
         const TraceSpan batch_trace(tracer, "dalta_nd/candidate_batch");
-        std::vector<double> probs;
-        std::vector<double> d;
+        CellPatterns cells;
         std::vector<ColumnCop> cops;
         cops.reserve(params.num_partitions * slices);
         std::vector<std::uint64_t> seeds;
         seeds.reserve(params.num_partitions * slices);
         for (std::size_t p = 0; p < params.num_partitions; ++p) {
           for (std::uint64_t sl = 0; sl < slices; ++sl) {
-            cops.push_back(build_cop(candidates_w[p], sl, probs, d));
+            slice_cells(candidates_w[p], sl, cells);
+            cops.push_back(ColumnCop::gather(source, cells));
             seeds.push_back(slice_seed(p, sl));
           }
         }
@@ -242,12 +223,10 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
       bool commit = true;
       if (chosen[k].has_value()) {
         NdOutputDecomposition& incumbent = *chosen[k];
-        std::vector<double> probs;
-        std::vector<double> d;
         double objective = 0.0;
         for (std::uint64_t sl = 0; sl < incumbent.partition.num_slices();
              ++sl) {
-          objective += build_cop(incumbent.partition, sl, probs, d)
+          objective += build_cop(incumbent.partition, sl)
                            .objective(incumbent.setting.slices[sl]);
         }
         incumbent.objective = objective;

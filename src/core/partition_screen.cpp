@@ -21,28 +21,15 @@ std::size_t PartitionScreener::multiplicity(const InputPartition& w) const {
   if (w.num_inputs() != num_inputs_) {
     throw std::invalid_argument("PartitionScreener: partition width");
   }
-  // The input pattern of cell (i, j) is rows[i] | cols[j]: the row and
-  // column indices deposited onto the free and bound positions, built by
-  // doubling. Column j is gathered straight into its packed words, then
-  // the columns are sorted and their distinct runs counted. Per-thread
-  // scratch, reused.
-  thread_local std::vector<std::uint64_t> rows;
-  thread_local std::vector<std::uint64_t> cols;
+  // The input pattern of cell (i, j) is rows[i] | cols[j] (CellPatterns).
+  // Column j is gathered straight into its packed words, then the columns
+  // are sorted and their distinct runs counted. Per-thread scratch, reused.
+  thread_local CellPatterns cells;
   thread_local std::vector<std::uint64_t> words;
   thread_local std::vector<std::uint32_t> order;
-  const auto deposit = [](const std::vector<unsigned>& vars,
-                          std::vector<std::uint64_t>& out) {
-    out.resize(std::size_t{1} << vars.size());
-    out[0] = 0;
-    for (std::size_t k = 0; k < vars.size(); ++k) {
-      const std::size_t half = std::size_t{1} << k;
-      for (std::size_t i = 0; i < half; ++i) {
-        out[half + i] = out[i] | (std::uint64_t{1} << vars[k]);
-      }
-    }
-  };
-  deposit(w.free_vars(), rows);
-  deposit(w.bound_vars(), cols);
+  cells.assign(w);
+  const std::vector<std::uint64_t>& rows = cells.rows;
+  const std::vector<std::uint64_t>& cols = cells.cols;
   const std::size_t r = rows.size();
   const std::size_t wpc = column_word_count(r);
   words.resize(cols.size() * wpc);
@@ -58,6 +45,12 @@ std::size_t PartitionScreener::multiplicity(const InputPartition& w) const {
       }
       words[j * wpc + i0 / 64] = word;
     }
+  }
+  if (wpc == 1) {
+    // One-word columns sort as packed keys; equal ones end up adjacent.
+    std::sort(words.begin(), words.end());
+    return static_cast<std::size_t>(
+        std::unique(words.begin(), words.end()) - words.begin());
   }
   sort_column_words(words, wpc, order);
   std::size_t distinct = 0;

@@ -15,10 +15,11 @@ namespace {
                               "' is not a valid " + want);
 }
 
-/// A count key of the Ising solvers (replicas, restarts): 1 when absent,
-/// and 0, which would run no trajectory, throws naming the key.
-std::size_t get_count(const SolverConfig& c, const std::string& key) {
-  const std::size_t count = c.get_size(key, 1);
+/// A count key (replicas, restarts): `fallback` when absent, and 0, which
+/// would run no trajectory or start, throws naming the key.
+std::size_t get_count(const SolverConfig& c, const std::string& key,
+                      std::size_t fallback = 1) {
+  const std::size_t count = c.get_size(key, fallback);
   if (count == 0) {
     bad_value(key, "0", "positive integer");
   }
@@ -348,7 +349,7 @@ const SolverRegistry& SolverRegistry::global() {
              opt.sweeps = c.get_size("sweeps", opt.sweeps);
              opt.beta_start = c.get_double("beta-start", opt.beta_start);
              opt.beta_end = c.get_double("beta-end", opt.beta_end);
-             opt.restarts = c.get_size("restarts", opt.restarts);
+             opt.restarts = get_count(c, "restarts", opt.restarts);
              return std::make_unique<AnnealCoreSolver>(opt);
            }});
 
@@ -358,7 +359,7 @@ const SolverRegistry& SolverRegistry::global() {
            {"restarts", "sweeps"},
            [](const SolverConfig& c) -> std::unique_ptr<CoreCopSolver> {
              return std::make_unique<AlternatingCoreSolver>(
-                 c.get_size("restarts", 8), c.get_size("sweeps", 64));
+                 get_count(c, "restarts", 8), c.get_size("sweeps", 64));
            }});
 
     r.add({"exhaustive",

@@ -73,6 +73,10 @@ class BitVec {
   /// Word-level access (low 64 bits of the tail word beyond size() are zero).
   const std::vector<std::uint64_t>& words() const { return words_; }
 
+  /// Overwrites word w (bits [64w, 64w + 64)) in one store. The caller
+  /// keeps the tail word's bits beyond size() zero.
+  void set_word(std::size_t w, std::uint64_t value) { words_[w] = value; }
+
   /// FNV-1a hash of the content, for unordered containers.
   std::size_t hash() const;
 

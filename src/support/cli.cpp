@@ -37,8 +37,7 @@ bool CliArgs::has(const std::string& name) const {
   return options_.count(name) != 0;
 }
 
-void CliArgs::reject_unknown(
-    std::initializer_list<std::string_view> known) const {
+void CliArgs::reject_unknown(const std::vector<std::string_view>& known) const {
   for (const auto& [name, value] : options_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
       throw std::invalid_argument("unknown flag '--" + name + "'");

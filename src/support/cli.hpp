@@ -1,6 +1,5 @@
 #pragma once
 
-#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -24,7 +23,7 @@ class CliArgs {
 
   /// Throws std::invalid_argument naming the first `--name` that is not
   /// in `known`.
-  void reject_unknown(std::initializer_list<std::string_view> known) const;
+  void reject_unknown(const std::vector<std::string_view>& known) const;
 
   std::string get_string(const std::string& name, std::string fallback) const;
 

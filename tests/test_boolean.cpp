@@ -480,6 +480,54 @@ TEST(Decomposition, DominantColumnPairMatchesMapReference) {
   EXPECT_EQ(b, one.column(0).complement());
 }
 
+TEST(Decomposition, DominantColumnPairTiesGoToTheSmallerColumn) {
+  // Planted counts with ties for first and for second place: the smaller
+  // column under BitVec::operator< wins each tie. r = 16 and 64 sort
+  // one-word keys, r = 100 and 128 two-word keys, r = 200 the index
+  // fallback.
+  Rng rng(71);
+  for (const std::size_t r : {16u, 64u, 100u, 128u, 200u}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<BitVec> p(4, BitVec(r));
+      for (BitVec& v : p) {
+        for (std::size_t i = 0; i < r; ++i) {
+          v.set(i, rng.next_bool());
+        }
+      }
+      std::sort(p.begin(), p.end());
+      ASSERT_TRUE(p[0] < p[1] && p[1] < p[2] && p[2] < p[3]);
+      // {counts of p[0..3]} -> (first, second).
+      struct Plan {
+        std::size_t counts[4];
+        std::size_t first;
+        std::size_t second;
+      };
+      for (const Plan plan :
+           {Plan{{3, 3, 2, 1}, 0, 1}, Plan{{1, 3, 3, 2}, 1, 2},
+            Plan{{2, 4, 2, 2}, 1, 0}, Plan{{1, 2, 2, 2}, 1, 2},
+            Plan{{2, 1, 1, 3}, 3, 0}}) {
+        std::vector<std::size_t> cols;
+        for (std::size_t q = 0; q < 4; ++q) {
+          cols.insert(cols.end(), plan.counts[q], q);
+        }
+        // Shuffle so no column order hints at the answer.
+        for (std::size_t a = cols.size(); a > 1; --a) {
+          std::swap(cols[a - 1], cols[rng.next_below(a)]);
+        }
+        BooleanMatrix m(r, cols.size());
+        for (std::size_t j = 0; j < cols.size(); ++j) {
+          for (std::size_t i = 0; i < r; ++i) {
+            m.set(i, j, p[cols[j]].get(i));
+          }
+        }
+        const auto [first, second] = dominant_column_pair(m);
+        EXPECT_EQ(first, p[plan.first]) << "r=" << r;
+        EXPECT_EQ(second, p[plan.second]) << "r=" << r;
+      }
+    }
+  }
+}
+
 TEST(BooleanMatrix, ColumnWordsPackEveryColumn) {
   Rng rng(67);
   for (const std::size_t r : {3u, 64u, 65u, 130u}) {

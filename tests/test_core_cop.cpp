@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -9,6 +11,7 @@
 
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/error_metrics.hpp"
+#include "boolean/nondisjoint.hpp"
 #include "boolean/partition.hpp"
 #include "boolean/truth_table.hpp"
 #include "core/column_cop.hpp"
@@ -708,6 +711,352 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{16, 4, false}, ShapeParam{2, 2, true},
                       ShapeParam{4, 8, true}, ShapeParam{8, 8, true},
                       ShapeParam{16, 32, true}));
+
+// ------------------------------------------------- one-pass COP build
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The joint-mode case analysis written out branch by branch (Eqs. 12-15),
+/// independent of the library's per-cell code: (base, gain) of one cell.
+std::pair<double, double> case_analysis_cell(double p, double dij,
+                                             double bw) {
+  double q;
+  double b;
+  if (dij >= -bw && dij <= 0.0) {
+    q = bw + 2.0 * dij;
+    b = -dij;
+  } else {
+    const double sgn = dij > 0.0 ? 1.0 : -1.0;
+    q = bw * sgn;
+    b = std::fabs(dij);
+  }
+  return {p * b, p * q};
+}
+
+TruthTable random_table(unsigned n, unsigned m, Rng& rng) {
+  TruthTable tt(n, m);
+  for (std::uint64_t x = 0; x < tt.num_patterns(); ++x) {
+    tt.set_word(x, rng.next_u64());
+  }
+  return tt;
+}
+
+InputDistribution weighted_dist(unsigned n, Rng& rng) {
+  std::vector<double> w(std::size_t{1} << n);
+  for (double& v : w) {
+    // Some patterns never occur, so zero probabilities are covered too.
+    v = rng.next_below(4) == 0 ? 0.0 : rng.next_double(0.1, 3.0);
+  }
+  return InputDistribution::from_weights(std::move(w));
+}
+
+/// D per input pattern for output k, drawn from the case boundaries of
+/// bw = 2^k (0, -0.0, -bw, -bw/2, +-bw +-1) and from wide integers.
+std::vector<double> boundary_d(unsigned n, unsigned m, unsigned k, Rng& rng) {
+  const double bw = static_cast<double>(std::uint64_t{1} << k);
+  const double picks[] = {0.0,      -0.0,     -bw,      -bw / 2.0, bw + 1.0,
+                          bw - 1.0, -bw + 1.0, -bw - 1.0};
+  const auto span = static_cast<std::int64_t>(std::uint64_t{1} << m);
+  std::vector<double> d(std::size_t{1} << n);
+  for (double& v : d) {
+    v = rng.next_bool()
+            ? picks[rng.next_below(std::size(picks))]
+            : static_cast<double>(
+                  static_cast<std::int64_t>(rng.next_below(2 * span + 1)) -
+                  span);
+  }
+  return d;
+}
+
+/// Asserts two COPs are the same bit for bit: shape, exact matrix, every
+/// cell cost, and the Ising plane, biases and constant.
+void expect_same_cop(const ColumnCop& got, const ColumnCop& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(got.exact_matrix(), want.exact_matrix()) << what;
+  std::size_t cost_mismatches = 0;
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      for (const bool ohat : {false, true}) {
+        cost_mismatches += !same_bits(got.cell_cost(i, j, ohat),
+                                      want.cell_cost(i, j, ohat));
+      }
+    }
+  }
+  EXPECT_EQ(cost_mismatches, 0u) << what;
+  const IsingModel a = got.to_ising();
+  const IsingModel b = want.to_ising();
+  ASSERT_EQ(a.num_spins(), b.num_spins()) << what;
+  const auto pa = a.bipartite_plane();
+  const auto pb = b.bipartite_plane();
+  ASSERT_EQ(pa.size(), pb.size()) << what;
+  EXPECT_EQ(std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(double)), 0)
+      << what;
+  std::size_t bias_mismatches = 0;
+  for (std::size_t s = 0; s < a.num_spins(); ++s) {
+    bias_mismatches += !same_bits(a.bias(s), b.bias(s));
+  }
+  EXPECT_EQ(bias_mismatches, 0u) << what;
+  EXPECT_TRUE(same_bits(a.constant(), b.constant())) << what;
+}
+
+TEST(CopBuild, GatherMatchesReferencePathBitwise) {
+  // The one-pass build against the kept reference path (from_function_into,
+  // matrix_probs_into, a D table scattered through the indexer, and
+  // separate()/joint()), and the joint cells against the case analysis
+  // written out independently. r = 64 fills one column word; r = 128
+  // takes two.
+  struct Shape {
+    unsigned n;
+    unsigned free;
+  };
+  Rng rng(2024);
+  for (const Shape sh : {Shape{3, 1}, Shape{3, 2}, Shape{9, 4}, Shape{9, 5},
+                         Shape{12, 6}, Shape{12, 3}, Shape{16, 7}}) {
+    const unsigned m = 4;
+    const TruthTable tt = random_table(sh.n, m, rng);
+    Rng part_rng(sh.n * 100 + sh.free);
+    const InputPartition w =
+        InputPartition::random(sh.n, sh.free, part_rng);
+    CellPatterns cells;
+    cells.assign(w);
+    const PartitionIndexer idx(w);
+    for (const bool uniform : {true, false}) {
+      const InputDistribution dist = uniform
+                                         ? InputDistribution::uniform(sh.n)
+                                         : weighted_dist(sh.n, rng);
+      std::vector<double> probs;
+      matrix_probs_into(dist, w, idx, probs);
+      BooleanMatrix matrix(1, 1);
+      for (const unsigned k : {0u, 3u}) {
+        BooleanMatrix::from_function_into(tt, k, w, idx, matrix);
+        const std::string what = "n=" + std::to_string(sh.n) +
+                                 " free=" + std::to_string(sh.free) +
+                                 " k=" + std::to_string(k) +
+                                 (uniform ? " uniform" : " weighted");
+        // Separate mode.
+        const ColumnCop sep = ColumnCop::gather(
+            CopSource{tt.output(k), dist, DecompMode::kSeparate}, cells);
+        expect_same_cop(sep, ColumnCop::separate(matrix, probs),
+                        what + " separate");
+
+        // Joint mode.
+        const std::vector<double> d_by_input = boundary_d(sh.n, m, k, rng);
+        const std::size_t c = w.num_cols();
+        std::vector<double> d(w.num_rows() * c);
+        for (std::uint64_t x = 0; x < tt.num_patterns(); ++x) {
+          d[idx.row_of(x) * c + idx.col_of(x)] = d_by_input[x];
+        }
+        const double bw = static_cast<double>(std::uint64_t{1} << k);
+        const ColumnCop joint = ColumnCop::gather(
+            CopSource{tt.output(k), dist, DecompMode::kJoint, d_by_input, bw},
+            cells);
+        expect_same_cop(joint, ColumnCop::joint(matrix, probs, d, bw),
+                        what + " joint");
+        std::size_t case_mismatches = 0;
+        for (std::size_t i = 0; i < joint.rows(); ++i) {
+          for (std::size_t j = 0; j < c; ++j) {
+            const auto [base, gain] =
+                case_analysis_cell(probs[i * c + j], d[i * c + j], bw);
+            // cell_cost() adds +0.0 for Ohat = 0, as the reference does.
+            case_mismatches +=
+                !same_bits(joint.cell_cost(i, j, false), base + 0.0) ||
+                !same_bits(joint.cell_cost(i, j, true), base + gain);
+          }
+        }
+        EXPECT_EQ(case_mismatches, 0u) << what << " case analysis";
+      }
+    }
+  }
+}
+
+TEST(CopBuild, GatherIntoRebuildsAcrossShapesAndModes) {
+  // One slot rebuilt through shrinking and growing shapes, both modes and
+  // both distributions, equals a fresh build every time.
+  Rng rng(77);
+  std::optional<ColumnCop> slot;
+  CellPatterns cells;
+  for (const unsigned n : {9u, 12u, 5u, 9u}) {
+    const TruthTable tt = random_table(n, 3, rng);
+    for (const bool uniform : {false, true}) {
+      const InputDistribution dist = uniform ? InputDistribution::uniform(n)
+                                             : weighted_dist(n, rng);
+      const std::vector<double> d = boundary_d(n, 3, 2, rng);
+      for (const DecompMode mode :
+           {DecompMode::kJoint, DecompMode::kSeparate}) {
+        cells.assign(InputPartition::random(n, 1 + rng.next_below(n - 1), rng));
+        const CopSource src{tt.output(2), dist, mode, d, 4.0};
+        const ColumnCop& got = ColumnCop::gather_into(src, cells, slot);
+        EXPECT_EQ(&got, &*slot);
+        expect_same_cop(got, ColumnCop::gather(src, cells),
+                        "n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(CopBuild, SliceCellsMatchSliceMatrix) {
+  // run_dalta_nd's slices: cell (i, j) of slice sl is input_of(sl, i, j),
+  // so the gathered COP equals the reference built from slice_matrix and
+  // per-cell input_of tables.
+  Rng rng(91);
+  for (const unsigned shared : {1u, 2u}) {
+    const unsigned n = 9;
+    const TruthTable tt = random_table(n, 4, rng);
+    const NonDisjointPartition w =
+        NonDisjointPartition::random(n, 3, shared, rng);
+    const InputDistribution dist = weighted_dist(n, rng);
+    const std::vector<double> d_by_input = boundary_d(n, 4, 2, rng);
+    CellPatterns cells;
+    for (std::uint64_t sl = 0; sl < w.num_slices(); ++sl) {
+      slice_cells(w, sl, cells);
+      const BooleanMatrix matrix = slice_matrix(tt, 2, w, sl);
+      const std::size_t r = w.num_rows();
+      const std::size_t c = w.num_cols();
+      std::vector<double> probs(r * c);
+      std::vector<double> d(r * c);
+      for (std::size_t i = 0; i < r; ++i) {
+        for (std::size_t j = 0; j < c; ++j) {
+          const std::uint64_t x = w.input_of(sl, i, j);
+          EXPECT_EQ(cells.rows[i] | cells.cols[j], x);
+          probs[i * c + j] = dist.prob(x);
+          d[i * c + j] = d_by_input[x];
+        }
+      }
+      const std::string what =
+          "shared=" + std::to_string(shared) + " slice=" + std::to_string(sl);
+      expect_same_cop(
+          ColumnCop::gather(CopSource{tt.output(2), dist, DecompMode::kJoint,
+                                      d_by_input, 4.0},
+                            cells),
+          ColumnCop::joint(matrix, probs, d, 4.0), what + " joint");
+      expect_same_cop(
+          ColumnCop::gather(
+              CopSource{tt.output(2), dist, DecompMode::kSeparate}, cells),
+          ColumnCop::separate(matrix, probs), what + " separate");
+    }
+  }
+}
+
+TEST(CopBuild, RejectsMismatchedSources) {
+  Rng rng(5);
+  const TruthTable tt = random_table(6, 2, rng);
+  const InputDistribution dist = InputDistribution::uniform(6);
+  const std::vector<double> d(64, 0.0);
+  CellPatterns cells;
+  cells.assign(InputPartition::trivial(6, 2));
+  // Output column of another width.
+  const TruthTable other = random_table(5, 1, rng);
+  EXPECT_THROW(
+      (void)ColumnCop::gather(
+          CopSource{other.output(0), dist, DecompMode::kSeparate}, cells),
+      std::invalid_argument);
+  // Joint mode needs D per pattern and a positive bit weight.
+  EXPECT_THROW((void)ColumnCop::gather(
+                   CopSource{tt.output(1), dist, DecompMode::kJoint,
+                             std::span<const double>(d).first(32), 2.0},
+                   cells),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)ColumnCop::gather(
+          CopSource{tt.output(1), dist, DecompMode::kJoint, d, 0.0}, cells),
+      std::invalid_argument);
+  // Cells reaching past the table.
+  CellPatterns wide;
+  wide.assign(InputPartition::trivial(7, 3));
+  EXPECT_THROW(
+      (void)ColumnCop::gather(
+          CopSource{tt.output(0), dist, DecompMode::kSeparate}, wide),
+      std::invalid_argument);
+}
+
+// ------------------------------------------------ greedy's half-steps
+
+/// A COP whose gains are small integers (joint mode, unit probabilities,
+/// D in [-3, 3], bw = 2: gains in {-2, 0, 2}), so sums are exact in any
+/// order and column and row costs tie often.
+ColumnCop integer_cop(std::size_t r, std::size_t c, Rng& rng) {
+  std::vector<double> d(r * c);
+  for (double& v : d) {
+    v = static_cast<double>(static_cast<int>(rng.next_below(7)) - 3);
+  }
+  return ColumnCop::joint(random_matrix(r, c, rng),
+                          std::vector<double>(r * c, 1.0), d, 2.0);
+}
+
+/// gain_ij read back bit for bit: the Ising plane holds gain / 4.
+double plane_gain(const IsingModel& model, const ColumnCop& cop,
+                  std::size_t i, std::size_t j) {
+  return 4.0 * model.bipartite_plane()[i * cop.cols() + j];
+}
+
+TEST(HalfSteps, ResetsMatchCellCostAndPlaneReferences) {
+  // reset_optimal_t: T_j = 1 iff the V2 column cost is strictly below the
+  // V1 one (ties keep pattern 1), each summed over ascending i. reset_
+  // optimal_v: V1_i = 1 iff the T = 0 gains of row i sum below zero (ties
+  // keep 0), V2 over T = 1, each in ascending j. On integer COPs the
+  // reference takes gains from cell_cost; on real-valued COPs from the
+  // Ising plane, in the same order, so the decisions match bit for bit.
+  // r = 72 and 136 end in a part word; r = 128 is two whole words.
+  Rng rng(313);
+  std::size_t ties = 0;
+  for (const std::size_t r : {1u, 2u, 16u, 64u, 72u, 128u, 136u}) {
+    for (const std::size_t c : {1u, 3u, 32u, 64u, 100u}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        for (const bool integer : {true, false}) {
+          const ColumnCop cop =
+              integer ? integer_cop(r, c, rng)
+                      : ColumnCop::separate(
+                            random_matrix(r, c, rng),
+                            std::vector<double>(r * c, 1.0 / 3.0));
+          const IsingModel model = cop.to_ising();
+          const auto gain = [&](std::size_t i, std::size_t j) {
+            return integer ? cop.cell_cost(i, j, true) -
+                                 cop.cell_cost(i, j, false)
+                           : plane_gain(model, cop, i, j);
+          };
+          ColumnSetting s = random_setting(r, c, rng);
+          ColumnSetting want_t = s;
+          for (std::size_t j = 0; j < c; ++j) {
+            double cost1 = 0.0;
+            double cost2 = 0.0;
+            for (std::size_t i = 0; i < r; ++i) {
+              cost1 += s.v1.get(i) ? gain(i, j) : 0.0;
+              cost2 += s.v2.get(i) ? gain(i, j) : 0.0;
+            }
+            ties += cost1 == cost2;
+            want_t.t.set(j, cost2 < cost1);
+          }
+          cop.reset_optimal_t(s);
+          EXPECT_EQ(s.t, want_t.t) << "r=" << r << " c=" << c;
+          EXPECT_EQ(s.v1, want_t.v1);
+
+          s.t = random_setting(r, c, rng).t;
+          ColumnSetting want_v = s;
+          for (std::size_t i = 0; i < r; ++i) {
+            double sum1 = 0.0;
+            double sum2 = 0.0;
+            for (std::size_t j = 0; j < c; ++j) {
+              sum1 += s.t.get(j) ? 0.0 : gain(i, j);
+              sum2 += s.t.get(j) ? gain(i, j) : 0.0;
+            }
+            ties += sum1 == 0.0;
+            want_v.v1.set(i, sum1 < 0.0);
+            want_v.v2.set(i, sum2 < 0.0);
+          }
+          cop.reset_optimal_v(s);
+          EXPECT_EQ(s.v1, want_v.v1) << "r=" << r << " c=" << c;
+          EXPECT_EQ(s.v2, want_v.v2) << "r=" << r << " c=" << c;
+          EXPECT_EQ(s.t, want_v.t);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 100u);  // the tie rules were exercised
+}
 
 }  // namespace
 }  // namespace adsd

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "boolean/boolean_matrix.hpp"
 #include "boolean/decomposition.hpp"
@@ -120,6 +121,37 @@ TEST(HeuristicCore, ReturnsValidSetting) {
   EXPECT_EQ(s.v2.size(), 8u);
   EXPECT_EQ(s.t.size(), 16u);
   EXPECT_GE(cop.objective(s), cop.ideal_bound() - 1e-12);
+}
+
+TEST(HeuristicCore, StatsObjectiveIsTheSettingsObjective) {
+  // The greedy solver reports the objective its last sweep computed for
+  // the setting it returns, bit for bit what objective() recomputes, at
+  // every sweep budget (0 scores the one-shot setting directly).
+  Rng rng(404);
+  for (const char* spec :
+       {"dalta", "dalta-lit", "dalta,sweeps=1", "dalta,sweeps=64"}) {
+    const auto solver = reg(spec);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t r = std::size_t{1} << (1 + rng.next_below(7));
+      const std::size_t c = std::size_t{1} << (1 + rng.next_below(7));
+      std::vector<double> probs(r * c);
+      std::vector<double> d(r * c);
+      for (std::size_t idx = 0; idx < r * c; ++idx) {
+        probs[idx] = rng.next_double(0.0, 1.0);
+        d[idx] = static_cast<double>(static_cast<int>(rng.next_below(33)) - 16);
+      }
+      const auto m = random_matrix(r, c, rng);
+      for (const ColumnCop& cop : {ColumnCop::separate(m, probs),
+                                   ColumnCop::joint(m, probs, d, 4.0)}) {
+        CoreSolveStats stats;
+        const ColumnSetting s = solver->solve(cop, trial, &stats);
+        const double want = cop.objective(s);
+        EXPECT_EQ(std::memcmp(&stats.objective, &want, sizeof(double)), 0)
+            << spec << " r=" << r << " c=" << c << ": " << stats.objective
+            << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(AnnealCore, IncrementalDeltasConsistent) {

@@ -206,7 +206,7 @@ TEST(SolverRegistry, MalformedValuesThrow) {
                std::invalid_argument);
   // Numbers must be finite and whole: NaN/inf parse under std::stod but
   // mean nothing to any key, so each fails naming the key. A zero replica
-  // or restart count would run no trajectory, so it fails too.
+  // or restart count would run no trajectory or start, so it fails too.
   for (const auto& [name, key, value] :
        {std::tuple{"prop", "dt", "nan"}, std::tuple{"prop", "dt", "inf"},
         std::tuple{"prop", "dt", "0.5x"},
@@ -217,7 +217,9 @@ TEST(SolverRegistry, MalformedValuesThrow) {
         std::tuple{"doch", "replicas", "0"},
         std::tuple{"doch", "restarts", "0"},
         std::tuple{"sa", "replicas", "0"},
-        std::tuple{"sa", "restarts", "0"}}) {
+        std::tuple{"sa", "restarts", "0"},
+        std::tuple{"alt", "restarts", "0"},
+        std::tuple{"ba", "restarts", "0"}}) {
     SolverConfig bad;
     bad.set(key, value);
     try {
