@@ -627,6 +627,41 @@ void BM_CopBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CopBuild)->Arg(9)->Arg(16);
 
+void BM_HalfSteps(benchmark::State& state) {
+  // Greedy's half-step pair on a fixed setting: one Theorem-3 T reset,
+  // then one V reset, on each candidate's COP from the same random V1/V2.
+  const JointCandidates cands(static_cast<unsigned>(state.range(0)));
+  const CopSource src = cands.source();
+  std::vector<ColumnCop> cops;
+  std::vector<ColumnSetting> starts;
+  CellPatterns cells;
+  Rng rng(41);
+  for (const InputPartition& w : cands.partitions) {
+    cells.assign(w);
+    cops.push_back(ColumnCop::gather(src, cells));
+    ColumnSetting s;
+    s.v1 = BitVec(cops.back().rows());
+    s.v2 = BitVec(cops.back().rows());
+    s.t = BitVec(cops.back().cols());
+    for (std::size_t i = 0; i < s.v1.size(); ++i) {
+      s.v1.set(i, rng.next_bool());
+      s.v2.set(i, rng.next_bool());
+    }
+    starts.push_back(std::move(s));
+  }
+  ColumnSetting s = starts[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % 16;
+    s = starts[k];  // same shape: the copy reuses s's storage
+    cops[k].reset_optimal_t(s);
+    cops[k].reset_optimal_v(s);
+    benchmark::DoNotOptimize(&s);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HalfSteps)->Arg(9)->Arg(16);
+
 void BM_GreedySolve(benchmark::State& state) {
   // One `dalta` solve (the dominant column pair, then alternating
   // half-steps to a fixpoint): the greedy baseline's cost per candidate.

@@ -31,20 +31,13 @@ class BooleanMatrix {
                                  const PartitionIndexer& idx,
                                  BooleanMatrix& out);
 
-  /// One-pass gather: reshapes to cells.rows.size() x cells.cols.size()
-  /// and fills the matrix row-major from the packed 2^n-bit column `g`,
-  /// cell (i, j) taking bit cells.rows[i] | cells.cols[j], a whole storage
-  /// word at a time. In the same pass cell(idx, x, bit) runs for every
-  /// cell (idx = i * cols() + j, x the cell's input pattern) and
-  /// row_done(i) once row i is through, so a caller builds its other
-  /// per-cell tables alongside and finishes each row while it is in cache.
-  /// Every cell pattern must index into `g`.
-  template <class Cell, class RowDone>
-  void gather(const BitVec& g, const CellPatterns& cells, Cell&& cell,
-              RowDone&& row_done);
-
   /// Resizes to rows x cols and clears every bit.
   void reshape(std::size_t rows, std::size_t cols);
+
+  /// Row-major bit storage (cell (i, j) at bit i * cols() + j, BitVec's
+  /// layout) for a pass that writes whole words, such as the one-pass COP
+  /// build; the caller keeps the bits past rows() * cols() zero.
+  std::uint64_t* word_data() { return bits_.word_data(); }
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -82,33 +75,6 @@ class BooleanMatrix {
   std::size_t cols_;
   BitVec bits_;  // row-major
 };
-
-template <class Cell, class RowDone>
-void BooleanMatrix::gather(const BitVec& g, const CellPatterns& cells,
-                           Cell&& cell, RowDone&& row_done) {
-  reshape(cells.rows.size(), cells.cols.size());
-  const std::uint64_t* table = g.words().data();
-  const std::uint64_t* col_patterns = cells.cols.data();
-  std::size_t idx = 0;
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const std::uint64_t row = cells.rows[i];
-    for (std::size_t j = 0; j < cols_; ++j, ++idx) {
-      const std::uint64_t x = row | col_patterns[j];
-      const std::uint64_t bit = (table[x >> 6] >> (x & 63)) & 1;
-      word |= bit << (idx & 63);
-      cell(idx, x, bit != 0);
-      if ((idx & 63) == 63) {
-        bits_.set_word(idx >> 6, word);
-        word = 0;
-      }
-    }
-    row_done(i);
-  }
-  if ((idx & 63) != 0) {
-    bits_.set_word(idx >> 6, word);
-  }
-}
 
 /// Words per packed column of an r-row matrix: ceil(r / 64).
 inline std::size_t column_word_count(std::size_t rows) {

@@ -31,6 +31,12 @@ class InputDistribution {
   }
   bool is_uniform() const { return uniform_; }
 
+  /// The 2^n per-pattern probabilities, for a pass that reads them through
+  /// a raw pointer; nullptr when uniform.
+  const double* prob_data() const {
+    return uniform_ ? nullptr : probs_.data();
+  }
+
  private:
   InputDistribution() = default;
 

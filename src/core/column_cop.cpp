@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "core/cop_passes.hpp"
+#include "core/cop_passes_impl.hpp"
 #include "ising/kernels/force_kernels.hpp"
 #include "support/cpu_features.hpp"
 
@@ -13,68 +15,28 @@ namespace adsd {
 
 namespace {
 
-/// One separate-mode cell: ED = O + (1 - 2O) * Ohat (Eq. 6/7), so
-/// cost(Ohat = 0) = O and cost(1) = 1 - O.
-void separate_cell(double p, bool exact_bit, double& base, double& gain) {
-  const double o = static_cast<double>(exact_bit);
-  base = p * o;
-  gain = p * (1.0 - 2.0 * o);
+using cop_passes_impl::joint_cell;
+using cop_passes_impl::separate_cell;
+
+/// The host's COP-pass tier, selected once.
+const CopPasses& passes() {
+  static const CopPasses p =
+      select_cop_passes(kernels::ForceKernel::kAuto, cpu_features());
+  return p;
 }
 
-/// One joint-mode cell: ED = |2^(k-1) Ohat + D|, linearized per the sign
-/// of D (Eqs. 12-15):
-///   -2^(k-1) <= D <= 0 : ED = (2^(k-1) + 2D) Ohat - D
-///   otherwise           : ED = 2^(k-1) sgn(D) Ohat + |D|.
-/// Both branches are exact for Ohat in {0, 1}. Both are computed and one
-/// is selected, so no branch depends on D and a row loop vectorizes:
-/// 2^(k-1) sgn(D) is +-2^(k-1) exactly, and |D| is D above 0 and -D
-/// below, as on the first branch (-0.0 at D = +0.0).
-void joint_cell(double p, double dij, double bit_weight, double& base,
-                double& gain) {
-  const double sum = bit_weight + 2.0 * dij;
-  const double side = dij > 0.0 ? bit_weight : -bit_weight;
-  const double q = (dij >= -bit_weight) & (dij <= 0.0) ? sum : side;
-  const double b = dij > 0.0 ? dij : -dij;
-  base = p * b;
-  gain = p * q;
-}
-
-/// The one build pass: walks the cells row-major, gathering each cell's
-/// matrix bit into `exact` and its probability through `prob`. Separate
-/// mode writes the cell's base and gain as it goes. Joint mode stages the
-/// cell's D in base (and a non-uniform probability in gain), then turns
-/// each finished row into base and gain in one contiguous loop.
-template <bool kUniform, class Prob>
-void gather_cells(const CopSource& src, const CellPatterns& cells, Prob prob,
-                  BooleanMatrix& exact, double* base, double* gain) {
-  const auto no_row_work = [](std::size_t) {};
-  if (src.mode == DecompMode::kSeparate) {
-    exact.gather(src.output, cells,
-                 [&](std::size_t idx, std::uint64_t x, bool bit) {
-                   separate_cell(prob(x), bit, base[idx], gain[idx]);
-                 },
-                 no_row_work);
-    return;
-  }
-  const double* d = src.d_by_input.data();
-  const double bit_weight = src.bit_weight;
-  const std::size_t c = cells.cols.size();
-  exact.gather(src.output, cells,
-               [&](std::size_t idx, std::uint64_t x, bool /*bit*/) {
-                 base[idx] = d[x];
-                 if constexpr (!kUniform) {
-                   gain[idx] = prob(x);
-                 }
-               },
-               [&](std::size_t i) {
-                 double* row_base = base + i * c;
-                 double* row_gain = gain + i * c;
-                 for (std::size_t j = 0; j < c; ++j) {
-                   const double p = kUniform ? prob(0) : row_gain[j];
-                   joint_cell(p, row_base[j], bit_weight, row_base[j],
-                              row_gain[j]);
-                 }
-               });
+/// The half-step operands on setting s of an r x c COP.
+HalfStepPlanes half_step_planes(const std::vector<double>& gain,
+                                std::size_t r, std::size_t c,
+                                ColumnSetting& s) {
+  HalfStepPlanes planes;
+  planes.gain = gain.data();
+  planes.v1 = s.v1.word_data();
+  planes.v2 = s.v2.word_data();
+  planes.t = s.t.word_data();
+  planes.r = r;
+  planes.c = c;
+  return planes;
 }
 
 }  // namespace
@@ -200,16 +162,22 @@ void ColumnCop::regather(const CopSource& src, const CellPatterns& cells) {
   cols_ = cells.cols.size();
   base_.resize(rows_ * cols_);
   gain_.resize(rows_ * cols_);
-  if (src.dist.is_uniform()) {
-    const double u = src.dist.prob(0);
-    gather_cells<true>(src, cells, [u](std::uint64_t) { return u; }, exact_,
-                       base_.data(), gain_.data());
-  } else {
-    const InputDistribution& dist = src.dist;
-    gather_cells<false>(src, cells,
-                        [&dist](std::uint64_t x) { return dist.prob(x); },
-                        exact_, base_.data(), gain_.data());
-  }
+  exact_.reshape(rows_, cols_);
+  CopBuildPlanes planes;
+  planes.output = src.output.words().data();
+  planes.rows = cells.rows.data();
+  planes.cols = cells.cols.data();
+  planes.r = rows_;
+  planes.c = cols_;
+  planes.probs = src.dist.prob_data();
+  planes.uniform_prob = src.dist.prob(0);
+  planes.joint = src.mode == DecompMode::kJoint;
+  planes.d = src.d_by_input.data();
+  planes.bit_weight = src.bit_weight;
+  planes.bits = exact_.word_data();
+  planes.base = base_.data();
+  planes.gain = gain_.data();
+  passes().build(planes);
 }
 
 double ColumnCop::objective(const ColumnSetting& s) const {
@@ -300,34 +268,9 @@ std::vector<std::int8_t> ColumnCop::encode(const ColumnSetting& s) const {
 
 void ColumnCop::reset_optimal_t(ColumnSetting& s) const {
   // For column j the base terms cancel between the two choices, so compare
-  // sum_i gain_ij V1_i against sum_i gain_ij V2_i (Theorem 3). Row-outer,
-  // like the plane reset: a set bit adds its whole gain row, and every
-  // column still sums its rows in ascending i. Per-thread scratch, reused.
-  thread_local std::vector<double> cost;
-  cost.assign(2 * cols_, 0.0);
-  double* cost1 = cost.data();
-  double* cost2 = cost.data() + cols_;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* g = &gain_[i * cols_];
-    if (s.v1.get(i)) {
-      for (std::size_t j = 0; j < cols_; ++j) {
-        cost1[j] += g[j];
-      }
-    }
-    if (s.v2.get(i)) {
-      for (std::size_t j = 0; j < cols_; ++j) {
-        cost2[j] += g[j];
-      }
-    }
-  }
-  for (std::size_t j0 = 0; j0 < cols_; j0 += 64) {
-    const std::size_t j_end = std::min(cols_, j0 + 64);
-    std::uint64_t word = 0;
-    for (std::size_t j = j0; j < j_end; ++j) {
-      word |= static_cast<std::uint64_t>(cost2[j] < cost1[j]) << (j - j0);
-    }
-    s.t.set_word(j0 / 64, word);
-  }
+  // sum_i gain_ij V1_i against sum_i gain_ij V2_i (Theorem 3), column
+  // chunks at the host's vector width.
+  passes().reset_t(half_step_planes(gain_, rows_, cols_, s));
 }
 
 void ColumnCop::reset_optimal_t_planes(
@@ -371,67 +314,11 @@ void ColumnCop::reset_optimal_t_planes(
   }
 }
 
-void ColumnCop::reset_optimal_v(ColumnSetting& s) const {
+bool ColumnCop::reset_optimal_v(ColumnSetting& s) const {
   // Row i's V1 bit only affects columns with T_j = 0 and contributes
   // gain_ij per such column when set; choose 1 iff that sum is negative
-  // (V2 likewise over T_j = 1). The columns are split by T into two
-  // ascending index lists, and each row sums its list in ascending j:
-  // a column a sum skips would add +0.0, which is exact (a sum starts at
-  // +0.0 and never becomes -0.0). Rows are independent chains, so a block
-  // of RB of them runs interleaved. Per-thread scratch, reused.
-  thread_local std::vector<std::uint32_t> split;
-  split.resize(2 * cols_);
-  std::uint32_t* on1 = split.data();
-  std::uint32_t* on2 = split.data() + cols_;
-  std::size_t n1 = 0;
-  std::size_t n2 = 0;
-  for (std::size_t j = 0; j < cols_; ++j) {
-    const bool t = s.t.get(j);
-    on1[n1] = static_cast<std::uint32_t>(j);
-    on2[n2] = static_cast<std::uint32_t>(j);
-    n1 += t ? 0 : 1;
-    n2 += t ? 1 : 0;
-  }
-  constexpr std::size_t RB = 8;  // divides 64: a block never straddles a word
-  std::uint64_t word1 = 0;
-  std::uint64_t word2 = 0;
-  for (std::size_t i0 = 0; i0 < rows_; i0 += RB) {
-    const std::size_t live = std::min(RB, rows_ - i0);
-    double sum1[RB] = {};
-    double sum2[RB] = {};
-    const double* g = &gain_[i0 * cols_];
-    const auto sum_block = [&](std::size_t rows_live) {
-      for (std::size_t t = 0; t < n1; ++t) {
-        const std::size_t j = on1[t];
-        for (std::size_t k = 0; k < rows_live; ++k) {
-          sum1[k] += g[k * cols_ + j];
-        }
-      }
-      for (std::size_t t = 0; t < n2; ++t) {
-        const std::size_t j = on2[t];
-        for (std::size_t k = 0; k < rows_live; ++k) {
-          sum2[k] += g[k * cols_ + j];
-        }
-      }
-    };
-    if (live == RB) {
-      sum_block(RB);  // a constant count, so the full block unrolls
-    } else {
-      sum_block(live);
-    }
-    for (std::size_t k = 0; k < live; ++k) {
-      const unsigned bit = (i0 + k) % 64;
-      word1 |= static_cast<std::uint64_t>(sum1[k] < 0.0) << bit;
-      word2 |= static_cast<std::uint64_t>(sum2[k] < 0.0) << bit;
-    }
-    const std::size_t next = i0 + live;
-    if (next % 64 == 0 || next == rows_) {
-      s.v1.set_word((next - 1) / 64, word1);
-      s.v2.set_word((next - 1) / 64, word2);
-      word1 = 0;
-      word2 = 0;
-    }
-  }
+  // (V2 likewise over T_j = 1), blocks of rows at the host's vector width.
+  return passes().reset_v(half_step_planes(gain_, rows_, cols_, s));
 }
 
 double ColumnCop::ideal_bound() const {

@@ -72,8 +72,9 @@ class ColumnCop {
   /// cells.rows[i] | cells.cols[j]: one row-major walk gathers each cell's
   /// matrix bit, probability and (joint mode) D straight from the
   /// per-pattern tables of `src`, and writes base and gain with the same
-  /// per-cell arithmetic as separate() and joint(). Bit for bit the COP
-  /// those build from BooleanMatrix::from_function_into,
+  /// per-cell arithmetic as separate() and joint(). The walk runs at the
+  /// host's ISA tier (select_cop_passes, cop_passes.hpp). Bit for bit the
+  /// COP those build from BooleanMatrix::from_function_into,
   /// matrix_probs_into and a D table scattered through PartitionIndexer,
   /// which stay as the reference path.
   static ColumnCop gather(const CopSource& src, const CellPatterns& cells);
@@ -118,8 +119,9 @@ class ColumnCop {
 
   /// Theorem 3: rewrites s.t with the per-column optimal choice for the
   /// current s.v1/s.v2. Never increases objective(). Ties pick pattern 1.
-  /// Every column sums its rows in ascending i; T is written a word at a
-  /// time, with no branch on the costs.
+  /// Every column sums its rows in ascending i, chunks of columns at the
+  /// host's vector width (select_cop_passes); V is read and T written a
+  /// word at a time.
   void reset_optimal_t(ColumnSetting& s) const;
 
   /// Batched Theorem 3 over the SoA oscillator planes of the lockstep bSB
@@ -144,8 +146,10 @@ class ColumnCop {
   /// Per-row optimal V1/V2 for the current s.t (the complementary
   /// half-step; together with reset_optimal_t this yields the alternating
   /// minimization baseline). Never increases objective(). Every row sums
-  /// its columns in ascending j; V is written a word at a time.
-  void reset_optimal_v(ColumnSetting& s) const;
+  /// its columns in ascending j, blocks of rows at the host's vector width
+  /// (select_cop_passes); V is written a word at a time. Returns true when
+  /// a V1 or V2 word changed.
+  bool reset_optimal_v(ColumnSetting& s) const;
 
   /// Lower bound on the objective: every cell takes its cheaper value.
   double ideal_bound() const;

@@ -29,29 +29,6 @@ ColumnSetting random_setting(std::size_t rows, std::size_t cols, Rng& rng) {
   return s;
 }
 
-/// Alternate the two closed-form half-steps to a fixpoint. Returns the
-/// best objective seen; when `last` is non-null it receives objective(s)
-/// of the setting s holds on return (the last sweep's, or the start's).
-double alternate_to_fixpoint(const ColumnCop& cop, ColumnSetting& s,
-                             std::size_t max_sweeps, double* last = nullptr) {
-  double best = cop.objective(s);
-  double now = best;
-  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-    cop.reset_optimal_t(s);
-    cop.reset_optimal_v(s);
-    now = cop.objective(s);
-    if (now >= best - 1e-15) {
-      best = std::min(best, now);
-      break;
-    }
-    best = now;
-  }
-  if (last != nullptr) {
-    *last = now;
-  }
-  return best;
-}
-
 /// Scalar anti-collapse intervention for one replica whose Theorem-3 reset
 /// landed in a degenerate state (Sec. 3.3.2): re-derives the setting from
 /// the oscillator signs, re-seeds the unused pattern's oscillators with the
@@ -172,7 +149,7 @@ WarmStart column_seed_warm_start(const ColumnCop& cop) {
   incumbent.v1 = col1;
   incumbent.v2 = col2;
   incumbent.t = BitVec(cop.cols());
-  warm.objective = alternate_to_fixpoint(cop, incumbent, 8);
+  warm.objective = alternate_to_fixpoint(cop, incumbent, 8).best;
   warm.incumbent = std::move(incumbent);
   warm.have = true;
   return warm;
@@ -329,6 +306,28 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
 }
 
 }  // namespace
+
+FixpointRun alternate_to_fixpoint(const ColumnCop& cop, ColumnSetting& s,
+                                  std::size_t max_sweeps) {
+  FixpointRun run;
+  run.best = cop.objective(s);
+  run.last = run.best;
+  while (run.sweeps < max_sweeps) {
+    cop.reset_optimal_t(s);
+    const bool v_moved = cop.reset_optimal_v(s);
+    ++run.sweeps;
+    run.last = cop.objective(s);
+    if (run.last >= run.best - 1e-15) {
+      run.best = std::min(run.best, run.last);
+      break;
+    }
+    run.best = run.last;
+    if (!v_moved) {
+      break;  // (T, V) is a fixpoint: the next sweep would rebuild it
+    }
+  }
+  return run;
+}
 
 ColumnSetting CoreCopSolver::solve(const ColumnCop& cop, const RunContext& ctx,
                                    std::uint64_t seed,
@@ -492,19 +491,21 @@ ColumnSetting AlternatingCoreSolver::do_solve(const ColumnCop& cop,
   ColumnSetting best;
   double best_obj = 0.0;
   bool have_best = false;
+  std::size_t sweeps = 0;
   const std::size_t restarts = std::max<std::size_t>(1, restarts_);
   for (std::size_t attempt = 0; attempt < restarts; ++attempt) {
     ColumnSetting s = random_setting(cop.rows(), cop.cols(), rng);
-    const double obj = alternate_to_fixpoint(cop, s, max_sweeps_);
-    if (!have_best || obj < best_obj) {
+    const FixpointRun run = alternate_to_fixpoint(cop, s, max_sweeps_);
+    sweeps += run.sweeps;
+    if (!have_best || run.best < best_obj) {
       best = std::move(s);
-      best_obj = obj;
+      best_obj = run.best;
       have_best = true;
     }
   }
   if (stats != nullptr) {
     stats->objective = best_obj;
-    stats->iterations = restarts * max_sweeps_;
+    stats->iterations = sweeps;
     stats->stopped_early = false;
     stats->proven_optimal = false;
   }
@@ -521,18 +522,18 @@ ColumnSetting HeuristicCoreSolver::do_solve(const ColumnCop& cop,
   ColumnSetting s;
   std::tie(s.v1, s.v2) = dominant_column_pair(m);
   s.t = BitVec(m.cols());
-  double objective = 0.0;
+  FixpointRun run;
   if (refine_sweeps_ == 0) {
     cop.reset_optimal_t(s);
-    objective = cop.objective(s);
+    run.last = cop.objective(s);
   } else {
     // The last sweep already scored the setting it leaves in s.
-    alternate_to_fixpoint(cop, s, refine_sweeps_, &objective);
+    run = alternate_to_fixpoint(cop, s, refine_sweeps_);
   }
 
   if (stats != nullptr) {
-    stats->objective = objective;
-    stats->iterations = 1;
+    stats->objective = run.last;
+    stats->iterations = run.sweeps;
     stats->stopped_early = false;
     stats->proven_optimal = false;
   }

@@ -47,6 +47,13 @@ class CoreCopSolver {
     return solve(cop, RunContext::fallback(), seed, stats);
   }
 
+  /// True when every solve's CoreSolveStats::objective is
+  /// cop.objective() of the returned setting, bit for bit, so run_dalta and
+  /// run_dalta_nd take it as the candidate's score instead of scoring the
+  /// setting again. Solvers that report a loop's best (prop's warm
+  /// incumbent, alt's restarts) keep the default and are re-scored.
+  virtual bool scores_returned_setting() const { return false; }
+
   /// True when the solver takes a batch as one call. Callers with many
   /// independent same-shape COPs (run_dalta's P candidates per
   /// output-round) then hand the whole batch to solve_batch() instead of
@@ -79,6 +86,22 @@ class CoreCopSolver {
                               std::span<ColumnSetting> out,
                               std::span<CoreSolveStats> stats) const;
 };
+
+/// What one alternate_to_fixpoint() run did.
+struct FixpointRun {
+  double best = 0.0;       // lowest objective seen, the start's included
+  double last = 0.0;       // objective() of the setting left in s
+  std::size_t sweeps = 0;  // half-step pairs that ran
+};
+
+/// Alternates the two closed-form half-steps (reset_optimal_t, then
+/// reset_optimal_v) from `s`, at most `max_sweeps` times. Stops after a
+/// sweep that lowered the best objective by no more than 1e-15, or after
+/// one that left V1 and V2 unchanged: reset_optimal_t reads only V and
+/// reset_optimal_v only T, so the next sweep would rebuild the same
+/// setting, score it equal and stop there with the same best and last.
+FixpointRun alternate_to_fixpoint(const ColumnCop& cop, ColumnSetting& s,
+                                  std::size_t max_sweeps);
 
 /// Which Ising engine an IsingCoreSolver drives through the shared
 /// restart/Theorem-3/polish state machine (DESIGN.md §4.8). kBsb is the
@@ -202,6 +225,7 @@ class PackedCoreCopSolver final : public CoreCopSolver {
 class ExhaustiveCoreSolver final : public CoreCopSolver {
  public:
   std::string name() const override { return "exhaustive"; }
+  bool scores_returned_setting() const override { return true; }
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,
@@ -211,7 +235,8 @@ class ExhaustiveCoreSolver final : public CoreCopSolver {
 
 /// Lloyd-style alternating minimization: random (V1, V2), then alternate
 /// the two closed-form half-steps (Theorem 3 for T; per-row majority for V)
-/// to a fixpoint; best of `restarts` starts.
+/// to a fixpoint; best of `restarts` starts. Its iterations are the sweeps
+/// that ran, summed over the restarts.
 class AlternatingCoreSolver final : public CoreCopSolver {
  public:
   explicit AlternatingCoreSolver(std::size_t restarts = 8,
@@ -236,13 +261,15 @@ class AlternatingCoreSolver final : public CoreCopSolver {
 /// column types by Theorem 3, then up to `refine_sweeps` closed-form
 /// alternating sweeps. `refine_sweeps = 0` is the most literal one-shot
 /// reconstruction; the default 4 is a deliberately strengthened baseline
-/// (closer to BA quality) so comparisons are conservative.
+/// (closer to BA quality) so comparisons are conservative. Its iterations
+/// are the sweeps that ran (0 for the one-shot variant).
 class HeuristicCoreSolver final : public CoreCopSolver {
  public:
   explicit HeuristicCoreSolver(std::size_t refine_sweeps = 4)
       : refine_sweeps_(refine_sweeps) {}
 
   std::string name() const override { return "dalta-greedy"; }
+  bool scores_returned_setting() const override { return true; }
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,
@@ -269,6 +296,7 @@ class AnnealCoreSolver final : public CoreCopSolver {
   explicit AnnealCoreSolver(Options options) : options_(options) {}
 
   std::string name() const override { return "ba-anneal"; }
+  bool scores_returned_setting() const override { return true; }
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,

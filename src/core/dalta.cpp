@@ -89,6 +89,9 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
   DaltaResult result{std::move(approx), {}, 0.0, 0.0, 0.0, 0, 0, 0};
 
   std::vector<double> d_by_input;  // joint mode scratch, indexed by pattern
+  // A solver whose reported objective is its setting's objective() is not
+  // scored a second time; every other one is.
+  const bool rescore = !solver.scores_returned_setting();
 
   for (std::size_t round = 0; round < params.rounds; ++round) {
     const TraceSpan round_trace(tracer, "dalta/round");
@@ -155,7 +158,9 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
             solver.solve(cop, ctx, ctx.stream_seed("dalta/candidate", round,
                                                    k, p),
                          &cand.stats);
-        cand.stats.objective = cop.objective(cand.setting);
+        if (rescore) {
+          cand.stats.objective = cop.objective(cand.setting);
+        }
         candidates[p] = std::move(cand);
       };
 
@@ -178,7 +183,9 @@ DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
             solver.solve_batch(cops, ctx, seeds, &stats);
         for (std::size_t p = 0; p < params.num_partitions; ++p) {
           Candidate cand{candidates_w[p], std::move(settings[p]), stats[p]};
-          cand.stats.objective = cops[p].objective(cand.setting);
+          if (rescore) {
+            cand.stats.objective = cops[p].objective(cand.setting);
+          }
           candidates[p] = std::move(cand);
         }
       } else if (ctx.parallel() && params.parallel &&

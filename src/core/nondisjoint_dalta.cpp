@@ -83,6 +83,9 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
   NdDaltaResult result{exact, {}, 0.0, 0.0, 0.0, 0, 0};
   std::vector<std::optional<NdOutputDecomposition>> chosen(m);
   std::vector<double> d_by_input;
+  // As in run_dalta: a slice is re-scored only when the solver does not
+  // report its setting's objective.
+  const bool rescore = !solver.scores_returned_setting();
 
   for (std::size_t round = 0; round < params.rounds; ++round) {
     const TraceSpan round_trace(tracer, "dalta_nd/round");
@@ -145,7 +148,7 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
           CoreSolveStats stats;
           ColumnSetting cs = solver.solve(cop, ctx, slice_seed(p, sl),
                                           &stats);
-          cand.objective += cop.objective(cs);
+          cand.objective += rescore ? cop.objective(cs) : stats.objective;
           cand.iterations += stats.iterations;
           cand.setting.slices.push_back(std::move(cs));
         }
@@ -177,7 +180,8 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
           NdCandidate cand{candidates_w[p], {}, 0.0, 0};
           for (std::uint64_t sl = 0; sl < slices; ++sl) {
             const std::size_t i = p * slices + sl;
-            cand.objective += cops[i].objective(settings[i]);
+            cand.objective +=
+                rescore ? cops[i].objective(settings[i]) : stats[i].objective;
             cand.iterations += stats[i].iterations;
             cand.setting.slices.push_back(std::move(settings[i]));
           }

@@ -77,6 +77,11 @@ class BitVec {
   /// keeps the tail word's bits beyond size() zero.
   void set_word(std::size_t w, std::uint64_t value) { words_[w] = value; }
 
+  /// The words for a pass that writes them through a raw pointer (the
+  /// kernel tiers); the caller keeps the tail word's bits beyond size()
+  /// zero.
+  std::uint64_t* word_data() { return words_.data(); }
+
   /// FNV-1a hash of the content, for unordered containers.
   std::size_t hash() const;
 

@@ -52,6 +52,7 @@ CpuFeatures detect_cpu_features() {
   f.avx2 = ymm_os && (ebx7 & (1u << 5)) != 0;
   f.fma = ymm_os && fma_bit;
   f.avx512f = zmm_os && (ebx7 & (1u << 16)) != 0;
+  f.bmi2 = (ebx7 & (1u << 8)) != 0;
 #endif
   return f;
 }
@@ -71,6 +72,7 @@ std::string CpuFeatures::summary() const {
   append(avx2, "avx2");
   append(fma, "fma");
   append(avx512f, "avx512f");
+  append(bmi2, "bmi2");
   return s.empty() ? "none" : s;
 }
 

@@ -4,7 +4,7 @@
 
 namespace adsd {
 
-/// Instruction-set extensions the force-kernel dispatcher cares about,
+/// Instruction-set extensions the kernel dispatchers care about,
 /// probed once at runtime. On x86 every flag requires both the CPUID
 /// feature bit and operating-system state support (XCR0 via XGETBV: the
 /// kernel must save the ymm/zmm register file across context switches,
@@ -19,8 +19,9 @@ struct CpuFeatures {
   bool avx2 = false;     // AVX2 + OS ymm state
   bool fma = false;      // FMA3 + OS ymm state
   bool avx512f = false;  // AVX-512 Foundation + OS zmm state
+  bool bmi2 = false;     // BMI2 (probed with AVX; the tiers need both)
 
-  /// Human-readable summary ("avx2 fma avx512f" / "none") for logs.
+  /// Human-readable summary ("avx2 fma avx512f bmi2" / "none") for logs.
   std::string summary() const;
 };
 

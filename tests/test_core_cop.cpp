@@ -14,7 +14,10 @@
 #include "boolean/nondisjoint.hpp"
 #include "boolean/partition.hpp"
 #include "boolean/truth_table.hpp"
+#include "boolean/decomposition.hpp"
 #include "core/column_cop.hpp"
+#include "core/cop_passes.hpp"
+#include "core/cop_solvers.hpp"
 #include "ising/bsb_batch.hpp"
 #include "ising/doch.hpp"
 #include "ising/kernels/force_kernels.hpp"
@@ -1056,6 +1059,391 @@ TEST(HalfSteps, ResetsMatchCellCostAndPlaneReferences) {
     }
   }
   EXPECT_GT(ties, 100u);  // the tie rules were exercised
+}
+
+// ------------------------------------------- COP-pass tiers and exit
+
+/// The (r, c) shapes of the tier and exit pins: rows and columns that end
+/// mid-word, fill one word, and run past one word; (5, 1100) runs past
+/// the T reset's 512-column block.
+constexpr std::pair<std::size_t, std::size_t> kTierShapes[] = {
+    {2, 4}, {3, 65}, {16, 32}, {70, 64}, {128, 512}, {5, 1100}};
+
+/// Cells of an r x c matrix: the first r row patterns of a random
+/// partition with enough free variables and the first c column patterns of
+/// its bound ones. Returns the partition's input count.
+unsigned shape_cells(std::size_t r, std::size_t c, Rng& rng,
+                     CellPatterns& cells) {
+  const auto free = static_cast<unsigned>(std::bit_width(r - 1));
+  const auto bound = static_cast<unsigned>(std::bit_width(c - 1));
+  const unsigned n = free + bound;
+  cells.assign(InputPartition::random(n, free, rng));
+  cells.rows.resize(r);
+  cells.cols.resize(c);
+  return n;
+}
+
+/// Every COP-pass tier this host runs, the portable one first.
+std::vector<CopPasses> host_cop_tiers() {
+  std::vector<CopPasses> out;
+  for (const kernels::ForceKernel isa :
+       {kernels::ForceKernel::kScalar, kernels::ForceKernel::kAvx512}) {
+    if (cop_pass_tier_supported(isa, cpu_features())) {
+      out.push_back(select_cop_passes(isa, cpu_features()));
+      EXPECT_EQ(out.back().isa, isa) << kernels::force_kernel_name(isa);
+    }
+  }
+  return out;
+}
+
+/// One build pass of `tier` into fresh planes pre-filled with garbage, so
+/// a word or cell the pass skips shows up.
+struct BuiltPlanes {
+  std::vector<std::uint64_t> bits;
+  std::vector<double> base;
+  std::vector<double> gain;
+};
+
+BuiltPlanes run_build(const CopPasses& tier, CopBuildPlanes planes) {
+  BuiltPlanes out;
+  out.bits.assign((planes.r * planes.c + 63) / 64, ~std::uint64_t{0});
+  out.base.assign(planes.r * planes.c, std::nan(""));
+  out.gain.assign(planes.r * planes.c, std::nan(""));
+  planes.bits = out.bits.data();
+  planes.base = out.base.data();
+  planes.gain = out.gain.data();
+  tier.build(planes);
+  return out;
+}
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(CopBuild, TiersMatchPortableTierBitwise) {
+  // Every tier the host runs writes the portable tier's matrix words,
+  // base and gain bit for bit, in both modes, under uniform and weighted
+  // distributions (with zero-probability patterns) and D on the joint
+  // case boundaries; and ColumnCop::gather, which runs the host's tier,
+  // holds the same COP.
+  const std::vector<CopPasses> tiers = host_cop_tiers();
+  ASSERT_FALSE(tiers.empty());
+  Rng rng(2406);
+  for (const auto& [r, c] : kTierShapes) {
+    CellPatterns cells;
+    const unsigned n = shape_cells(r, c, rng, cells);
+    const TruthTable tt = random_table(n, 4, rng);
+    const std::vector<double> d = boundary_d(n, 4, 2, rng);
+    for (const bool uniform : {true, false}) {
+      const InputDistribution dist = uniform ? InputDistribution::uniform(n)
+                                             : weighted_dist(n, rng);
+      for (const bool joint : {false, true}) {
+        const std::string what =
+            "r=" + std::to_string(r) + " c=" + std::to_string(c) +
+            (uniform ? " uniform" : " weighted") +
+            (joint ? " joint" : " separate");
+        CopBuildPlanes planes;
+        planes.output = tt.output(2).words().data();
+        planes.rows = cells.rows.data();
+        planes.cols = cells.cols.data();
+        planes.r = r;
+        planes.c = c;
+        planes.probs = dist.prob_data();
+        planes.uniform_prob = dist.prob(0);
+        planes.joint = joint;
+        planes.d = d.data();
+        planes.bit_weight = 4.0;
+        const BuiltPlanes want = run_build(tiers.front(), planes);
+        for (const CopPasses& tier : tiers) {
+          const BuiltPlanes got = run_build(tier, planes);
+          const std::string where =
+              what + " tier " + kernels::force_kernel_name(tier.isa);
+          EXPECT_EQ(got.bits, want.bits) << where;
+          EXPECT_TRUE(same_doubles(got.base, want.base)) << where;
+          EXPECT_TRUE(same_doubles(got.gain, want.gain)) << where;
+        }
+        const ColumnCop cop = ColumnCop::gather(
+            CopSource{tt.output(2), dist,
+                      joint ? DecompMode::kJoint : DecompMode::kSeparate, d,
+                      4.0},
+            cells);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < r; ++i) {
+          for (std::size_t j = 0; j < c; ++j) {
+            const std::size_t idx = i * c + j;
+            mismatches +=
+                cop.exact_matrix().at(i, j) !=
+                    (((want.bits[idx / 64] >> (idx % 64)) & 1) != 0) ||
+                !same_bits(cop.cell_cost(i, j, false), want.base[idx] + 0.0) ||
+                !same_bits(cop.cell_cost(i, j, true),
+                           want.base[idx] + want.gain[idx]);
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << what;
+      }
+    }
+  }
+}
+
+TEST(CopBuild, TierSelectionFallsBackDownTheChain) {
+  // With a feature the AVX-512 tier needs switched off, selection falls
+  // back to the portable tier instead of picking a tier the CPU cannot
+  // run; explicit requests never climb above what they name, and AVX2
+  // (which has no tier) runs the portable one.
+  using kernels::ForceKernel;
+  CpuFeatures all;
+  all.avx2 = true;
+  all.fma = true;
+  all.avx512f = true;
+  all.bmi2 = true;
+  const bool avx512 = cop_pass_tier_supported(ForceKernel::kAvx512, all);
+  const ForceKernel widest =
+      avx512 ? ForceKernel::kAvx512 : ForceKernel::kScalar;
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAuto, all).isa, widest);
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAvx512, all).isa, widest);
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAvx2, all).isa,
+            ForceKernel::kScalar);
+  EXPECT_EQ(select_cop_passes(ForceKernel::kScalar, all).isa,
+            ForceKernel::kScalar);
+  EXPECT_TRUE(cop_pass_tier_supported(ForceKernel::kScalar, CpuFeatures{}));
+  EXPECT_FALSE(cop_pass_tier_supported(ForceKernel::kAvx2, all));
+
+  CpuFeatures no_bmi2 = all;
+  no_bmi2.bmi2 = false;  // the AVX-512 tier is built with -mbmi2
+  EXPECT_FALSE(cop_pass_tier_supported(ForceKernel::kAvx512, no_bmi2));
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAuto, no_bmi2).isa,
+            ForceKernel::kScalar);
+
+  CpuFeatures no_avx512 = all;
+  no_avx512.avx512f = false;
+  EXPECT_FALSE(cop_pass_tier_supported(ForceKernel::kAvx512, no_avx512));
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAuto, no_avx512).isa,
+            ForceKernel::kScalar);
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAvx512, no_avx512).isa,
+            ForceKernel::kScalar);
+
+  EXPECT_EQ(select_cop_passes(ForceKernel::kAuto, CpuFeatures{}).isa,
+            ForceKernel::kScalar);
+  for (const CopPasses& tier : {select_cop_passes(ForceKernel::kAuto, all),
+                                select_cop_passes(ForceKernel::kAuto,
+                                                  CpuFeatures{})}) {
+    EXPECT_NE(tier.build, nullptr);
+    EXPECT_NE(tier.reset_t, nullptr);
+    EXPECT_NE(tier.reset_v, nullptr);
+  }
+}
+
+/// One half-step of `tier` on a copy of s, its output words pre-filled
+/// with ones so a word the pass skips shows up. Returns the V reset's
+/// changed flag (false for the T reset).
+bool run_half_step(const CopPasses& tier, bool v_step,
+                   const std::vector<double>& gain, ColumnSetting& s) {
+  HalfStepPlanes planes;
+  planes.gain = gain.data();
+  planes.v1 = s.v1.word_data();
+  planes.v2 = s.v2.word_data();
+  planes.t = s.t.word_data();
+  planes.r = s.v1.size();
+  planes.c = s.t.size();
+  if (v_step) {
+    return tier.reset_v(planes);
+  }
+  for (std::size_t w = 0; w < s.t.words().size(); ++w) {
+    s.t.set_word(w, ~std::uint64_t{0});
+  }
+  tier.reset_t(planes);
+  return false;
+}
+
+TEST(HalfSteps, TiersMatchPortableTierBitwise) {
+  // The T and V resets through every COP-pass tier against the portable
+  // tier, against ColumnCop's own half-steps (the host's tier) and, for
+  // T, against the portable Theorem-3 plane reset on the same signs: the
+  // same T, V1 and V2 words and the same changed flag, whatever the
+  // output words held before.
+  const std::vector<CopPasses> tiers = host_cop_tiers();
+  ASSERT_FALSE(tiers.empty());
+  const auto plane_reset = kernels::select_theorem3_reset(
+      kernels::ForceKernel::kScalar, cpu_features());
+  Rng rng(2407);
+  std::size_t moved = 0;
+  std::size_t kept = 0;
+  for (const auto& [r, c] : kTierShapes) {
+    CellPatterns cells;
+    const unsigned n = shape_cells(r, c, rng, cells);
+    const TruthTable tt = random_table(n, 4, rng);
+    const std::vector<double> d = boundary_d(n, 4, 2, rng);
+    for (const bool uniform : {true, false}) {
+      const InputDistribution dist = uniform ? InputDistribution::uniform(n)
+                                             : weighted_dist(n, rng);
+      for (const bool joint : {false, true}) {
+        const ColumnCop cop = ColumnCop::gather(
+            CopSource{tt.output(2), dist,
+                      joint ? DecompMode::kJoint : DecompMode::kSeparate, d,
+                      4.0},
+            cells);
+        const IsingModel model = cop.to_ising();
+        std::vector<double> gain(r * c);
+        for (std::size_t idx = 0; idx < r * c; ++idx) {
+          gain[idx] = plane_gain(model, cop, idx / c, idx % c);
+        }
+        const std::string what =
+            "r=" + std::to_string(r) + " c=" + std::to_string(c) +
+            (uniform ? " uniform" : " weighted") +
+            (joint ? " joint" : " separate");
+        for (int trial = 0; trial < 4; ++trial) {
+          // Trial 0 starts from the dominant column pair, as greedy does.
+          ColumnSetting s = random_setting(r, c, rng);
+          if (trial == 0) {
+            std::tie(s.v1, s.v2) = dominant_column_pair(cop.exact_matrix());
+          }
+          ColumnSetting want = s;
+          cop.reset_optimal_t(want);
+
+          // The plane reset on one replica whose signs spell V1 and V2.
+          std::vector<double> x(2 * r + c);
+          std::vector<double> y(2 * r + c);
+          for (std::size_t i = 0; i < r; ++i) {
+            x[i] = s.v1.get(i) ? 1.0 : -1.0;
+            x[r + i] = s.v2.get(i) ? 1.0 : -1.0;
+          }
+          kernels::Theorem3Planes planes;
+          planes.gain = gain.data();
+          planes.x = x.data();
+          planes.y = y.data();
+          planes.rows = r;
+          planes.cols = c;
+          planes.replicas = 1;
+          plane_reset(planes);
+          std::size_t plane_mismatches = 0;
+          for (std::size_t j = 0; j < c; ++j) {
+            plane_mismatches += want.t.get(j) != (x[2 * r + j] > 0.0);
+          }
+          EXPECT_EQ(plane_mismatches, 0u) << what << " T vs plane reset";
+
+          for (const CopPasses& tier : tiers) {
+            ColumnSetting got = s;
+            run_half_step(tier, false, gain, got);
+            EXPECT_EQ(got.t.words(), want.t.words())
+                << what << " T tier " << kernels::force_kernel_name(tier.isa);
+          }
+
+          // V from a fresh random T, over V words that start random or,
+          // on odd trials, already reset for that T.
+          want.t = random_setting(r, c, rng).t;
+          if (trial % 2 == 1) {
+            cop.reset_optimal_v(want);
+          }
+          const ColumnSetting before = want;
+          const bool want_moved = cop.reset_optimal_v(want);
+          moved += want_moved ? 1 : 0;
+          kept += want_moved ? 0 : 1;
+          for (const CopPasses& tier : tiers) {
+            ColumnSetting got = before;
+            const std::string where =
+                what + " V tier " + kernels::force_kernel_name(tier.isa);
+            EXPECT_EQ(run_half_step(tier, true, gain, got), want_moved)
+                << where;
+            EXPECT_EQ(got.v1, want.v1) << where;
+            EXPECT_EQ(got.v2, want.v2) << where;
+            // A second reset from the same T rewrites nothing.
+            EXPECT_FALSE(run_half_step(tier, true, gain, got)) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(kept, 0u);
+}
+
+/// The fixpoint loop without the V-unchanged exit: every sweep until one
+/// fails to lower the best objective by more than 1e-15.
+FixpointRun full_fixpoint_loop(const ColumnCop& cop, ColumnSetting& s,
+                               std::size_t max_sweeps) {
+  FixpointRun run;
+  double best = cop.objective(s);
+  double now = best;
+  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
+    cop.reset_optimal_t(s);
+    cop.reset_optimal_v(s);
+    ++run.sweeps;
+    now = cop.objective(s);
+    if (now >= best - 1e-15) {
+      best = std::min(best, now);
+      break;
+    }
+    best = now;
+  }
+  run.best = best;
+  run.last = now;
+  return run;
+}
+
+TEST(HalfSteps, FixpointExitKeepsTheFullLoopsResult) {
+  // The loop that stops once a sweep leaves V1 and V2 unchanged ends on
+  // the full loop's setting, best and last objective, bit for bit, one
+  // sweep earlier where it exits; and the sweep it skips rebuilds the
+  // setting it ended on.
+  Rng rng(2408);
+  std::size_t exits = 0;
+  for (const auto& [r, c] : kTierShapes) {
+    CellPatterns cells;
+    const unsigned n = shape_cells(r, c, rng, cells);
+    const TruthTable tt = random_table(n, 4, rng);
+    const std::vector<double> d = boundary_d(n, 4, 2, rng);
+    for (const bool uniform : {true, false}) {
+      const InputDistribution dist = uniform ? InputDistribution::uniform(n)
+                                             : weighted_dist(n, rng);
+      for (const bool joint : {false, true}) {
+        const ColumnCop cop = ColumnCop::gather(
+            CopSource{tt.output(2), dist,
+                      joint ? DecompMode::kJoint : DecompMode::kSeparate, d,
+                      4.0},
+            cells);
+        for (int trial = 0; trial < 4; ++trial) {
+          ColumnSetting start = random_setting(r, c, rng);
+          if (trial == 0) {
+            std::tie(start.v1, start.v2) =
+                dominant_column_pair(cop.exact_matrix());
+          }
+          for (const std::size_t max_sweeps : {1u, 2u, 4u, 64u}) {
+            const std::string what =
+                "r=" + std::to_string(r) + " c=" + std::to_string(c) +
+                (uniform ? " uniform" : " weighted") +
+                (joint ? " joint" : " separate") +
+                " trial=" + std::to_string(trial) +
+                " max=" + std::to_string(max_sweeps);
+            ColumnSetting got = start;
+            ColumnSetting want = start;
+            const FixpointRun got_run =
+                alternate_to_fixpoint(cop, got, max_sweeps);
+            const FixpointRun want_run =
+                full_fixpoint_loop(cop, want, max_sweeps);
+            EXPECT_EQ(got.v1.words(), want.v1.words()) << what;
+            EXPECT_EQ(got.v2.words(), want.v2.words()) << what;
+            EXPECT_EQ(got.t.words(), want.t.words()) << what;
+            EXPECT_TRUE(same_bits(got_run.best, want_run.best)) << what;
+            EXPECT_TRUE(same_bits(got_run.last, want_run.last)) << what;
+            EXPECT_TRUE(same_bits(got_run.last, cop.objective(got))) << what;
+            ASSERT_LE(got_run.sweeps, want_run.sweeps) << what;
+            if (got_run.sweeps < want_run.sweeps) {
+              ++exits;
+              EXPECT_EQ(got_run.sweeps + 1, want_run.sweeps) << what;
+              ColumnSetting again = got;
+              cop.reset_optimal_t(again);
+              EXPECT_FALSE(cop.reset_optimal_v(again)) << what;
+              EXPECT_EQ(again.t, got.t) << what;
+              EXPECT_EQ(again.v1, got.v1) << what;
+              EXPECT_EQ(again.v2, got.v2) << what;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(exits, 10u);  // the exit fired
 }
 
 }  // namespace

@@ -154,6 +154,56 @@ TEST(HeuristicCore, StatsObjectiveIsTheSettingsObjective) {
   }
 }
 
+TEST(AlternatingCore, IterationsCountTheSweepsThatRan) {
+  // alt and dalta report the sweeps their fixpoint loops ran, not their
+  // caps (alt's default is 8 restarts of up to 64 sweeps: 512); the
+  // one-shot dalta-lit runs no sweep.
+  Rng rng(8);
+  for (int trial = 0; trial < 8; ++trial) {
+    const ColumnCop cop = small_separate_cop(rng, 8, 16);
+    CoreSolveStats alt;
+    (void)reg("alt")->solve(cop, 1, &alt);
+    EXPECT_GE(alt.iterations, 8u);
+    EXPECT_LT(alt.iterations, 8u * 64u);
+
+    ColumnSetting s;
+    std::tie(s.v1, s.v2) = dominant_column_pair(cop.exact_matrix());
+    s.t = BitVec(cop.cols());
+    const FixpointRun run = alternate_to_fixpoint(cop, s, 4);
+    CoreSolveStats greedy;
+    (void)reg("dalta")->solve(cop, 1, &greedy);
+    EXPECT_EQ(greedy.iterations, run.sweeps);
+    EXPECT_GE(greedy.iterations, 1u);
+    EXPECT_LE(greedy.iterations, 4u);
+
+    CoreSolveStats lit;
+    (void)reg("dalta-lit")->solve(cop, 1, &lit);
+    EXPECT_EQ(lit.iterations, 0u);
+  }
+}
+
+TEST(CoreSolvers, ScoringClaimsHoldBitForBit) {
+  // The solvers that claim their stats objective is objective() of the
+  // returned setting (so DALTA does not score it again) report exactly
+  // that; prop and alt, which report a loop's best, make no claim.
+  Rng rng(9);
+  for (const char* spec : {"dalta", "dalta-lit", "ba", "exhaustive"}) {
+    const auto solver = reg(spec);
+    EXPECT_TRUE(solver->scores_returned_setting()) << spec;
+    for (int trial = 0; trial < 6; ++trial) {
+      const ColumnCop cop = small_separate_cop(rng, 4, 8);
+      CoreSolveStats stats;
+      const ColumnSetting s = solver->solve(cop, 3, &stats);
+      const double want = cop.objective(s);
+      EXPECT_EQ(std::memcmp(&stats.objective, &want, sizeof(double)), 0)
+          << spec;
+    }
+  }
+  for (const char* spec : {"prop", "alt", "ilp"}) {
+    EXPECT_FALSE(reg(spec)->scores_returned_setting()) << spec;
+  }
+}
+
 TEST(AnnealCore, IncrementalDeltasConsistent) {
   // The solver verifies its tracked objective at the end; a mismatch in the
   // incremental deltas would surface as a suboptimal reported objective.

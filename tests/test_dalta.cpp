@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -591,6 +592,136 @@ TEST(DaltaPacked, RunDaltaNdBitIdenticalWithPackedSolver) {
     EXPECT_EQ(a.solver_iterations, b.solver_iterations);
     for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
       ASSERT_EQ(a.approx.word(x), b.approx.word(x)) << "pattern " << x;
+    }
+  }
+}
+
+/// Passes every solve through to `inner` but reports a wrong objective,
+/// and does not claim that its objective is the returned setting's: the
+/// flows must score every candidate again, and then end exactly where
+/// `inner` alone does.
+class RescoredSolver final : public CoreCopSolver {
+ public:
+  explicit RescoredSolver(const CoreCopSolver& inner) : inner_(inner) {}
+
+  std::string name() const override { return "rescored/" + inner_.name(); }
+
+ protected:
+  ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,
+                         std::uint64_t seed,
+                         CoreSolveStats* stats) const override {
+    ColumnSetting s = inner_.solve(cop, ctx, seed, stats);
+    stats->objective = 1e300;
+    return s;
+  }
+
+ private:
+  const CoreCopSolver& inner_;
+};
+
+bool same_double(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Dalta, ScoreOnceMatchesRescoring) {
+  // Solvers whose stats objective is their setting's objective() are not
+  // scored again; the flow must end exactly where re-scoring every
+  // candidate ends: the same outputs, objectives, MED and counters, in
+  // both modes and over one and two rounds.
+  struct Case {
+    const char* spec;
+    unsigned n;
+    unsigned free;
+  };
+  for (const Case& cs : {Case{"dalta", 8, 3}, Case{"dalta-lit", 8, 3},
+                         Case{"ba", 8, 3}, Case{"exhaustive", 5, 2}}) {
+    const auto solver = SolverRegistry::global().make_from_spec(cs.spec);
+    ASSERT_TRUE(solver->scores_returned_setting()) << cs.spec;
+    const RescoredSolver rescored(*solver);
+    ASSERT_FALSE(rescored.scores_returned_setting());
+    const TruthTable exact =
+        make_continuous_table(continuous_spec("exp"), cs.n, cs.n - 2);
+    const InputDistribution dist = InputDistribution::uniform(cs.n);
+    for (const DecompMode mode : {DecompMode::kJoint, DecompMode::kSeparate}) {
+      for (const std::size_t rounds : {1u, 2u}) {
+        SCOPED_TRACE(std::string(cs.spec) +
+                     (mode == DecompMode::kJoint ? " joint" : " separate") +
+                     " rounds=" + std::to_string(rounds));
+        DaltaParams params = small_params(mode);
+        params.free_size = cs.free;
+        params.num_partitions = 4;
+        params.rounds = rounds;
+        const DaltaResult a = run_dalta(exact, dist, params, *solver);
+        const DaltaResult b = run_dalta(exact, dist, params, rescored);
+        EXPECT_EQ(a.approx, b.approx);
+        EXPECT_TRUE(same_double(a.med, b.med));
+        EXPECT_TRUE(same_double(a.error_rate, b.error_rate));
+        EXPECT_EQ(a.cop_solves, b.cop_solves);
+        EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+        EXPECT_EQ(a.early_stops, b.early_stops);
+        ASSERT_EQ(a.outputs.size(), b.outputs.size());
+        for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+          EXPECT_TRUE(a.outputs[k].partition == b.outputs[k].partition) << k;
+          EXPECT_EQ(a.outputs[k].setting.v1, b.outputs[k].setting.v1) << k;
+          EXPECT_EQ(a.outputs[k].setting.v2, b.outputs[k].setting.v2) << k;
+          EXPECT_EQ(a.outputs[k].setting.t, b.outputs[k].setting.t) << k;
+          EXPECT_TRUE(
+              same_double(a.outputs[k].objective, b.outputs[k].objective))
+              << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(NdDalta, ScoreOnceMatchesRescoring) {
+  // run_dalta_nd sums its slices' stats objectives for solvers that score
+  // their settings, and must end where re-scoring every slice ends.
+  const TruthTable exact = make_continuous_table(continuous_spec("exp"), 8, 6);
+  const InputDistribution dist = InputDistribution::uniform(8);
+  for (const char* spec : {"dalta", "dalta-lit"}) {
+    const auto solver = SolverRegistry::global().make_from_spec(spec);
+    const RescoredSolver rescored(*solver);
+    for (const DecompMode mode : {DecompMode::kJoint, DecompMode::kSeparate}) {
+      for (const std::size_t rounds : {1u, 2u}) {
+        SCOPED_TRACE(std::string(spec) +
+                     (mode == DecompMode::kJoint ? " joint" : " separate") +
+                     " rounds=" + std::to_string(rounds));
+        NdDaltaParams params;
+        params.free_size = 3;
+        params.shared_size = 1;
+        params.num_partitions = 4;
+        params.rounds = rounds;
+        params.mode = mode;
+        params.seed = 11;
+        params.parallel = false;
+        const NdDaltaResult a = run_dalta_nd(exact, dist, params, *solver);
+        const NdDaltaResult b = run_dalta_nd(exact, dist, params, rescored);
+        EXPECT_EQ(a.approx, b.approx);
+        EXPECT_TRUE(same_double(a.med, b.med));
+        EXPECT_TRUE(same_double(a.error_rate, b.error_rate));
+        EXPECT_EQ(a.cop_solves, b.cop_solves);
+        EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+        ASSERT_EQ(a.outputs.size(), b.outputs.size());
+        for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+          const auto& pa = a.outputs[k].partition;
+          const auto& pb = b.outputs[k].partition;
+          EXPECT_EQ(pa.free_vars(), pb.free_vars()) << k;
+          EXPECT_EQ(pa.bound_vars(), pb.bound_vars()) << k;
+          EXPECT_EQ(pa.shared_vars(), pb.shared_vars()) << k;
+          const auto& sa = a.outputs[k].setting.slices;
+          const auto& sb = b.outputs[k].setting.slices;
+          ASSERT_EQ(sa.size(), sb.size()) << k;
+          for (std::size_t sl = 0; sl < sa.size(); ++sl) {
+            EXPECT_EQ(sa[sl].v1, sb[sl].v1) << k << "/" << sl;
+            EXPECT_EQ(sa[sl].v2, sb[sl].v2) << k << "/" << sl;
+            EXPECT_EQ(sa[sl].t, sb[sl].t) << k << "/" << sl;
+          }
+          EXPECT_TRUE(
+              same_double(a.outputs[k].objective, b.outputs[k].objective))
+              << k;
+        }
+      }
     }
   }
 }
