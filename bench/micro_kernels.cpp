@@ -285,6 +285,40 @@ void BM_BsbIntervalR1(benchmark::State& state) {
 }
 BENCHMARK(BM_BsbIntervalR1)->Arg(9)->Arg(16);
 
+void BM_TrackerSampleR1(benchmark::State& state) {
+  // One sampling point's energy refresh, engine.sample(), on an R = 1
+  // column-COP engine (the bipartite layout, whose tracker takes its flip
+  // fields from the plane in grouped chains), arg = n. The calls cycle
+  // through the 40 position planes a paper-default prop solve with the
+  // Theorem-3 reset handed its tracker at its sampling points (the
+  // dynamic stop off, the cap at 40 intervals), so every call sees one
+  // sampling interval's flips; the copy into the engine is timed too.
+  const auto n = static_cast<unsigned>(state.range(0));
+  const ColumnCop cop = make_cop(n, n == 16 ? 7 : 4, 31);
+  const IsingModel model = cop.to_ising();
+  SbParams params = IsingCoreSolver::Options::paper_defaults(n).sb;
+  params.seed = 41;
+  params.stop.enabled = false;
+  params.max_iterations = 40 * params.stop.sample_interval;
+  std::vector<std::vector<double>> planes;
+  const SbBatchPlaneHook record = [&](std::span<double> x,
+                                      std::span<double> y,
+                                      std::size_t replicas) {
+    cop.reset_optimal_t_planes(x, y, replicas, nullptr);
+    planes.emplace_back(x.begin(), x.end());
+  };
+  (void)solve_sb_batch(model, params, 1, nullptr, record);
+  BsbBatchEngine engine(model, params, 1);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    std::copy(planes[k].begin(), planes[k].end(), engine.positions().begin());
+    engine.sample();
+    benchmark::DoNotOptimize(engine.energies().data());
+    k = k + 1 == planes.size() ? 0 : k + 1;
+  }
+}
+BENCHMARK(BM_TrackerSampleR1)->Arg(9)->Arg(16);
+
 void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
   // Full batched solve (8 replicas, 100 steps) on the n = 16 core-COP
   // model through the CSR kernel, with integration/sampling overhead

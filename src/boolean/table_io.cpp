@@ -1,6 +1,7 @@
 #include "boolean/table_io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -138,10 +139,14 @@ TruthTable read_hex(std::istream& is) {
 }
 
 void write_distribution(std::ostream& os, const InputDistribution& dist) {
+  // Enough digits that every probability reads back as the same double.
+  const std::streamsize precision =
+      os.precision(std::numeric_limits<double>::max_digits10);
   os << ".dist " << dist.num_inputs() << '\n';
   for (std::uint64_t x = 0; x < dist.num_patterns(); ++x) {
     os << dist.prob(x) << '\n';
   }
+  os.precision(precision);
 }
 
 InputDistribution read_distribution(std::istream& is) {

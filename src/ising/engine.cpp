@@ -1,7 +1,9 @@
 #include "ising/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +29,38 @@ const char* engine_label(const char* telemetry_prefix) {
     }
   }
   return label;
+}
+
+/// Four flip fields as independent chains: chain k adds
+/// (kNeg ? -w : w)[m * stride] * s[m] over ascending m in [0, len) to
+/// f[k], the term order of the spin's CSR row. A zero weight adds +-0.0,
+/// which leaves an h-seeded field unchanged (h is never -0.0, and a finite
+/// sum is -0.0 only when both addends are), so the terms CSR drops cost
+/// nothing but time.
+template <bool kNeg>
+inline void add_terms4(double (&f)[4], const double* const (&w)[4],
+                       std::size_t stride, const std::int8_t* s,
+                       std::size_t len) {
+  double f0 = f[0];
+  double f1 = f[1];
+  double f2 = f[2];
+  double f3 = f[3];
+  const double* w0 = w[0];
+  const double* w1 = w[1];
+  const double* w2 = w[2];
+  const double* w3 = w[3];
+  for (std::size_t m = 0; m < len; ++m) {
+    const double sm = static_cast<double>(s[m]);
+    const std::size_t o = m * stride;
+    f0 += (kNeg ? -w0[o] : w0[o]) * sm;
+    f1 += (kNeg ? -w1[o] : w1[o]) * sm;
+    f2 += (kNeg ? -w2[o] : w2[o]) * sm;
+    f3 += (kNeg ? -w3[o] : w3[o]) * sm;
+  }
+  f[0] = f0;
+  f[1] = f1;
+  f[2] = f2;
+  f[3] = f3;
 }
 
 }  // namespace
@@ -73,11 +107,17 @@ void EnsembleEnergyTracker::init(const IsingModel& model, const CsrPlanes& csr,
   model_ = &model;
   csr_ = &csr;
   const std::optional<BipartiteShape>& shape = model.bipartite_shape();
-  plane_ = shape ? model.bipartite_plane().data() : nullptr;
-  rows_ = shape ? shape->rows : 0;
-  cols_ = shape ? shape->cols : 0;
+  const bool grouped = shape && replicas == 1 && csr.row_start.empty();
+  if (!grouped && csr.row_start.size() != model.num_spins() + 1) {
+    throw std::invalid_argument(
+        "EnsembleEnergyTracker: CSR planes required past the R = 1 plane");
+  }
+  plane_ = grouped ? model.bipartite_plane().data() : nullptr;
+  rows_ = grouped ? shape->rows : 0;
+  cols_ = grouped ? shape->cols : 0;
   n_ = model.num_spins();
   R_ = replicas;
+  exact_ = model.exact_arithmetic();
   spins_.resize(n_ * R_);
   for (std::size_t k = 0; k < n_ * R_; ++k) {
     spins_[k] = x[k] >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
@@ -102,42 +142,6 @@ double EnsembleEnergyTracker::csr_field(std::size_t i, std::size_t r) const {
   return field;
 }
 
-double EnsembleEnergyTracker::plane_field(std::size_t i, std::size_t r) const {
-  // The CSR row of the same model, term for term: a V1 row adds w * s_T
-  // over ascending columns and a V2 row (-w) * s_T; a T row adds w * s_V1,
-  // then (-w) * s_V2, over ascending rows. The zero entries CSR drops add
-  // +-0.0 here, which cannot change the h-seeded sum (h is never -0.0,
-  // and a finite sum is -0.0 only when both addends are).
-  const std::size_t rows = rows_;
-  const std::size_t cols = cols_;
-  const std::size_t R = R_;
-  const std::int8_t* s = spins_.data() + r;
-  double field = csr_->h[i];
-  if (i < 2 * rows) {
-    const bool v2 = i >= rows;
-    const double* w = plane_ + (v2 ? i - rows : i) * cols;
-    const std::int8_t* st = s + 2 * rows * R;
-    if (v2) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        field += -w[j] * static_cast<double>(st[j * R]);
-      }
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) {
-        field += w[j] * static_cast<double>(st[j * R]);
-      }
-    }
-  } else {
-    const double* w = plane_ + (i - 2 * rows);
-    for (std::size_t k = 0; k < rows; ++k) {
-      field += w[k * cols] * static_cast<double>(s[k * R]);
-    }
-    for (std::size_t k = 0; k < rows; ++k) {
-      field += -w[k * cols] * static_cast<double>(s[(rows + k) * R]);
-    }
-  }
-  return field;
-}
-
 void EnsembleEnergyTracker::flip(std::size_t i, std::size_t r,
                                  std::int8_t new_sign) {
   // Exact flip telescope: the energy delta of flipping spin i is
@@ -145,13 +149,111 @@ void EnsembleEnergyTracker::flip(std::size_t i, std::size_t r,
   // applying flips one at a time keeps the tracked energy equal to a full
   // recomputation (up to accumulation rounding).
   const std::int8_t old_sign = spins_[i * R_ + r];
-  const double field = plane_ != nullptr ? plane_field(i, r) : csr_field(i, r);
-  energies_[r] += 2.0 * static_cast<double>(old_sign) * field;
+  energies_[r] += 2.0 * static_cast<double>(old_sign) * csr_field(i, r);
   spins_[i * R_ + r] = new_sign;
   dirty_[r] = 1;
 }
 
+template <EnsembleEnergyTracker::Side kSide>
+void EnsembleEnergyTracker::flip_group(const std::size_t (&group)[4],
+                                       std::size_t count, double& energy) {
+  // Up to four flipped spins of one side. The unused chains repeat the
+  // last spin, so they overlap the others and are dropped.
+  const std::size_t rows = rows_;
+  const std::size_t cols = cols_;
+  std::int8_t* s = spins_.data();
+  std::size_t idx[4] = {};
+  double f[4] = {};
+  const double* w[4] = {};
+  for (std::size_t k = 0; k < 4; ++k) {
+    idx[k] = group[k < count ? k : count - 1];
+    f[k] = csr_->h[idx[k]];
+  }
+  if constexpr (kSide == Side::kT) {
+    // A T row: w * s_V1 over ascending rows, then (-w) * s_V2.
+    for (std::size_t k = 0; k < 4; ++k) {
+      w[k] = plane_ + (idx[k] - 2 * rows);
+    }
+    add_terms4<false>(f, w, cols, s, rows);
+    add_terms4<true>(f, w, cols, s + rows, rows);
+  } else {
+    // A V1 row: w * s_T over ascending columns; a V2 row (-w) * s_T.
+    const std::size_t first = kSide == Side::kV1 ? 0 : rows;
+    for (std::size_t k = 0; k < 4; ++k) {
+      w[k] = plane_ + (idx[k] - first) * cols;
+    }
+    add_terms4<kSide == Side::kV2>(f, w, 1, s + 2 * rows, cols);
+  }
+  // The deltas in ascending spin order, as the per-flip walk adds them,
+  // in a local: a sign store could alias `energy` and force a reload.
+  double e = energy;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::int8_t old_sign = s[idx[k]];
+    e += 2.0 * static_cast<double>(old_sign) * f[k];
+    s[idx[k]] = static_cast<std::int8_t>(-old_sign);
+  }
+  energy = e;
+}
+
+template <EnsembleEnergyTracker::Side kSide>
+std::size_t EnsembleEnergyTracker::flip_side(const double* x,
+                                             std::size_t begin,
+                                             std::size_t end, double& energy) {
+  // Finds the flipped spins of [begin, end) 64 at a time in one
+  // branch-free (vectorized) pass into a byte per spin, packs the bytes
+  // into a mask, eight per multiply, and hands the flipped spins on in
+  // ascending groups of four.
+  const std::int8_t* s = spins_.data();
+  std::size_t group[4] = {};
+  std::size_t count = 0;
+  std::size_t flips = 0;
+  for (std::size_t i0 = begin; i0 < end; i0 += 64) {
+    const std::size_t len = std::min<std::size_t>(64, end - i0);
+    std::uint8_t flipped[64] = {};
+    for (std::size_t k = 0; k < len; ++k) {
+      flipped[k] = (x[i0 + k] >= 0.0) != (s[i0 + k] > 0) ? 1 : 0;
+    }
+    std::uint64_t mask = 0;
+    for (std::size_t q = 0; q < 8; ++q) {
+      // Byte k of `bytes` (0 or 1) lands on bit 56 + k of the product.
+      std::uint64_t bytes = 0;
+      std::memcpy(&bytes, flipped + 8 * q, 8);
+      mask |= ((bytes * 0x0102040810204080u) >> 56) << (8 * q);
+    }
+    for (; mask != 0; mask &= mask - 1) {
+      group[count++] = i0 + static_cast<std::size_t>(std::countr_zero(mask));
+      if (count == 4) {
+        flip_group<kSide>(group, 4, energy);
+        flips += 4;
+        count = 0;
+      }
+    }
+  }
+  if (count > 0) {
+    flip_group<kSide>(group, count, energy);
+    flips += count;
+  }
+  return flips;
+}
+
 void EnsembleEnergyTracker::sample(std::span<const double> x) {
+  if (plane_ != nullptr) {
+    // R = 1 column COP: V fields read only T signs and T fields only V
+    // signs, and the per-flip walk flips every V spin before any T spin.
+    // So each side's fields are independent chains, the V side's against
+    // the old T signs and the T side's against the new V signs, and the
+    // deltas still add in ascending spin order.
+    const std::size_t rows = rows_;
+    double energy = energies_[0];
+    std::size_t flips = flip_side<Side::kV1>(x.data(), 0, rows, energy);
+    flips += flip_side<Side::kV2>(x.data(), rows, 2 * rows, energy);
+    flips += flip_side<Side::kT>(x.data(), 2 * rows, n_, energy);
+    energies_[0] = energy;
+    if (flips != 0) {
+      dirty_[0] = 1;
+    }
+    return;
+  }
   const std::size_t R = R_;
   for (std::size_t i = 0; i < n_; ++i) {
     const double* xi = &x[i * R];
@@ -170,12 +272,13 @@ double EnsembleEnergyTracker::consider_all(IsingSolveResult& result) {
   // flip-accumulation rounding (~1e-15 relative), so a tracked energy within
   // this slack of the incumbent triggers one exact recomputation; everything
   // else is filtered in O(1). The recomputed value is snapped back into the
-  // tracker, which also re-synchronizes the drift.
+  // tracker, which also re-synchronizes the drift. Where no sum can round,
+  // the tracked energy is that value already.
   double best_now = energies_[0];
   for (std::size_t r = 0; r < R_; ++r) {
     const double slack = 1e-9 + 1e-12 * std::fabs(result.energy);
     if (dirty_[r] != 0 && energies_[r] < result.energy + slack) {
-      const double es = exact_energy(r);
+      const double es = exact_ ? energies_[r] : exact_energy(r);
       energies_[r] = es;
       dirty_[r] = 0;
       if (es < result.energy) {

@@ -56,7 +56,7 @@ using SbBatchPlaneHook = std::function<void(
 /// Flattened CSR adjacency of one Ising model: separate column-index and
 /// weight planes (no interleaved pairs), 64-byte aligned, plus the bias
 /// vector — the layout the CSR force kernels stream and the
-/// incremental-energy tracker walks per flip of a general model.
+/// incremental-energy tracker walks per flip wherever the engine built it.
 struct CsrPlanes {
   std::vector<std::size_t> row_start;  // n + 1
   AlignedVector<std::uint32_t> cols;
@@ -79,13 +79,16 @@ double default_coupling_strength(const IsingModel& model, double detuning);
 /// signs up to accumulation rounding). When a replica's tracked energy
 /// threatens the incumbent, the energy is recomputed from scratch once and
 /// the tracked value snapped to it, so the reported best is always a
-/// from-scratch IsingModel::energy() value.
+/// from-scratch IsingModel::energy() value. On a model whose sums cannot
+/// round (IsingModel::exact_arithmetic()) the tracked energy already is
+/// that value, bit for bit, and is taken as it is.
 class EnsembleEnergyTracker {
  public:
   /// Captures signs/energies from the initial positions. The model and
-  /// CSR planes must outlive the tracker. A column-COP model's flips walk
-  /// its coupling plane in CSR's term order, so of `csr` they read only
-  /// the biases.
+  /// CSR planes must outlive the tracker. A column-COP model at one
+  /// replica whose planes carry no CSR adjacency (the bipartite layout)
+  /// takes its flip fields from the coupling plane in grouped chains and
+  /// reads only the biases of `csr`; any other model walks CSR per flip.
   void init(const IsingModel& model, const CsrPlanes& csr,
             std::span<const double> x, std::size_t replicas);
 
@@ -95,8 +98,8 @@ class EnsembleEnergyTracker {
   void sample(std::span<const double> x);
 
   /// Folds any replica that improves on result.energy into `result`
-  /// (recomputing threatened energies from scratch first) and returns the
-  /// ensemble-best tracked energy.
+  /// (recomputing threatened energies from scratch first, unless the
+  /// model's sums are exact) and returns the ensemble-best tracked energy.
   double consider_all(IsingSolveResult& result);
 
   /// From-scratch energy of replica r (also used to seed the tracker).
@@ -108,17 +111,25 @@ class EnsembleEnergyTracker {
   std::span<const std::int8_t> spins() const { return spins_; }
 
  private:
+  enum class Side { kV1, kV2, kT };
+
   void flip(std::size_t i, std::size_t r, std::int8_t new_sign);
   double csr_field(std::size_t i, std::size_t r) const;
-  double plane_field(std::size_t i, std::size_t r) const;
+  template <Side kSide>
+  std::size_t flip_side(const double* x, std::size_t begin, std::size_t end,
+                        double& energy);
+  template <Side kSide>
+  void flip_group(const std::size_t (&group)[4], std::size_t count,
+                  double& energy);
 
   const IsingModel* model_ = nullptr;
   const CsrPlanes* csr_ = nullptr;
-  const double* plane_ = nullptr;  // column-COP plane, else nullptr
+  const double* plane_ = nullptr;  // grouped path's plane, else nullptr
   std::size_t rows_ = 0;           // plane shape
   std::size_t cols_ = 0;
   std::size_t n_ = 0;
   std::size_t R_ = 0;
+  bool exact_ = false;                      // IsingModel::exact_arithmetic()
   AlignedVector<std::int8_t> spins_;        // n * R
   std::vector<double> energies_;            // R
   std::vector<std::uint8_t> dirty_;         // R: flips since last sync

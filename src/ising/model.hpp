@@ -80,6 +80,19 @@ class IsingModel {
   /// Energy of a spin assignment (requires finalize()).
   double energy(std::span<const std::int8_t> spins) const;
 
+  /// True when no energy sum of this model can round: every bias, coupling
+  /// and the constant is a finite integer multiple of one power of two
+  /// 2^L, the constant is not -0.0, and S = |constant| + sum |h_i| + sum
+  /// over coupled pairs |J_ij| is at most 2^(52+L) and at most 2^1022 (a
+  /// plane entry is two pairs: V1 with w, V2 with -w). Then every partial
+  /// sum of energy(), every local field h_i + sum_j J_ij s_j, every
+  /// 2 s_i field and every energy reached by adding such flip deltas lies
+  /// on the 2^L grid within 2^(53+L), so a sum in any order gives the same
+  /// double, and energy() never returns -0.0. A uniform-distribution COP
+  /// passes; a weighted one generally does not. One pass over the
+  /// coefficients' bit fields (requires finalize()).
+  bool exact_arithmetic() const;
+
   /// out[i] = h_i + sum_j J_{i,j} x[j]; the mean-field force used by the SB
   /// solvers, evaluated on continuous positions (requires finalize()).
   void local_fields(std::span<const double> x, std::span<double> out) const;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -489,6 +490,328 @@ TEST(BsbBatchParity, BipartiteIntervalMatchesPerStepLoop) {
   }
   EXPECT_GE(tiers, 1);
   EXPECT_GT(wall_lanes, 0u);
+}
+
+// ------------------------------------ exact sums and the grouped tracker
+
+/// An r x c column COP over a random exact matrix: joint with integer D in
+/// [-6, 6) at bit weight 2, or separate. Uniform puts every cell at 2^-8;
+/// weighted draws each cell's probability at random.
+ColumnCop random_column_cop(std::size_t r, std::size_t c, bool joint,
+                            bool weighted, Rng& rng) {
+  BooleanMatrix m(r, c);
+  std::vector<double> probs(r * c, std::ldexp(1.0, -8));
+  std::vector<double> d(r * c);
+  for (std::size_t k = 0; k < r * c; ++k) {
+    m.set(k / c, k % c, rng.next_bool());
+    if (weighted) {
+      probs[k] = rng.next_double(0.5, 1.5) / static_cast<double>(r * c);
+    }
+    d[k] = std::floor(rng.next_double(-6.0, 6.0));
+  }
+  return joint ? ColumnCop::joint(m, probs, d, 2.0)
+               : ColumnCop::separate(m, probs);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ExactArithmetic, UniformCopsAreExactWeightedAreNot) {
+  const TruthTable exact = make_benchmark_table("exp", 9, 9);
+  const InputPartition w = InputPartition::trivial(9, 4);
+  const BooleanMatrix m = BooleanMatrix::from_function(exact, 2, w);
+  std::vector<double> d(m.rows() * m.cols());
+  Rng rng(5);
+  for (double& v : d) {
+    v = std::floor(rng.next_double(-40.0, 40.0));
+  }
+  std::vector<double> weights(512);
+  for (double& v : weights) {
+    v = rng.next_double(0.2, 3.0);
+  }
+  for (const InputDistribution& dist :
+       {InputDistribution::uniform(9),
+        InputDistribution::from_weights(weights)}) {
+    const std::vector<double> probs = matrix_probs(dist, w);
+    const bool uniform = dist.is_uniform();
+    EXPECT_EQ(ColumnCop::joint(m, probs, d, 4.0).to_ising().exact_arithmetic(),
+              uniform);
+    EXPECT_EQ(ColumnCop::separate(m, probs).to_ising().exact_arithmetic(),
+              uniform);
+  }
+  // Bipartite_model's joint COPs are uniform, its separate ones weighted.
+  EXPECT_TRUE(bipartite_model(9, 4, true).exact_arithmetic());
+  EXPECT_FALSE(bipartite_model(9, 4, false).exact_arithmetic());
+}
+
+TEST(ExactArithmetic, ZeroModelsAreExact) {
+  IsingModel general(3);
+  general.finalize();
+  EXPECT_TRUE(general.exact_arithmetic());
+  const IsingModel plane = IsingModel::bipartite({2, 3}, std::vector<double>(6));
+  EXPECT_TRUE(plane.exact_arithmetic());
+}
+
+TEST(ExactArithmetic, NonFiniteValuesAndNegativeZeroConstantAreNot) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto plane_with = [](double w, double h, double constant) {
+    IsingModel m = IsingModel::bipartite({1, 2}, {1.0, w});
+    m.set_bias(0, h);
+    m.set_constant(constant);
+    return m;
+  };
+  EXPECT_TRUE(plane_with(2.0, 0.5, 3.0).exact_arithmetic());
+  EXPECT_TRUE(plane_with(2.0, 0.5, 0.0).exact_arithmetic());
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_FALSE(plane_with(bad, 0.5, 3.0).exact_arithmetic()) << bad;
+    EXPECT_FALSE(plane_with(2.0, bad, 3.0).exact_arithmetic()) << bad;
+    EXPECT_FALSE(plane_with(2.0, 0.5, bad).exact_arithmetic()) << bad;
+    IsingModel general(3);
+    general.add_coupling(0, 1, 1.0);
+    general.add_coupling(1, 2, bad);
+    general.finalize();
+    EXPECT_FALSE(general.exact_arithmetic()) << bad;
+  }
+  EXPECT_FALSE(plane_with(2.0, 0.5, -0.0).exact_arithmetic());
+  // What the -0.0 rule guards: with the spin terms at -0.0, energy()
+  // returns -0.0, while a tracked sum that reaches zero is +0.0.
+  IsingModel zero(1);
+  zero.set_constant(-0.0);
+  zero.finalize();
+  EXPECT_TRUE(std::signbit(zero.energy(std::vector<std::int8_t>{1})));
+}
+
+TEST(ExactArithmetic, SubnormalEntriesOnTheirOwnGrid) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  IsingModel m(3);
+  m.set_bias(0, 3.0 * tiny);
+  m.add_coupling(0, 1, 5.0 * tiny);
+  m.add_coupling(1, 2, -tiny);
+  m.set_constant(7.0 * tiny);
+  m.finalize();
+  EXPECT_TRUE(m.exact_arithmetic());
+  // Every sum stays exact on the 2^-1074 grid: the energies are the
+  // integer sums times denorm_min.
+  EXPECT_EQ(bits_of(m.energy(std::vector<std::int8_t>{1, 1, 1})),
+            bits_of((-3.0 - 5.0 + 1.0 + 7.0) * tiny));
+  EXPECT_EQ(bits_of(m.energy(std::vector<std::int8_t>{-1, 1, -1})),
+            bits_of((3.0 + 5.0 - 1.0 + 7.0) * tiny));
+  // A normal entry beside them puts S far past 2^(52 - 1074).
+  m.set_bias(2, 1.0);
+  EXPECT_FALSE(m.exact_arithmetic());
+  // On the 2^-1074 grid the bound is the smallest normal, 2^-1022: the
+  // largest subnormal plus one step reaches it, one more step passes it.
+  IsingModel edge(2);
+  edge.set_bias(0, std::numeric_limits<double>::min() - tiny);
+  edge.set_bias(1, tiny);
+  edge.finalize();
+  EXPECT_TRUE(edge.exact_arithmetic());
+  edge.set_constant(tiny);
+  EXPECT_FALSE(edge.exact_arithmetic());
+}
+
+TEST(ExactArithmetic, BoundIsTwoToTheFiftyTwoGridSteps) {
+  const double top = std::ldexp(1.0, 52);
+  for (const int scale : {0, -20, 30, -1000}) {
+    // General model: S = h0 + h1 on the grid 2^scale.
+    const auto general = [scale](double h0, double h1) {
+      IsingModel m(2);
+      m.set_bias(0, std::ldexp(h0, scale));
+      m.set_bias(1, std::ldexp(h1, scale));
+      m.finalize();
+      return m;
+    };
+    EXPECT_TRUE(general(1.0, top - 1.0).exact_arithmetic()) << scale;
+    EXPECT_FALSE(general(1.0, top).exact_arithmetic()) << scale;
+    // The other side of the grid: S at the bound, but L one step finer.
+    EXPECT_FALSE(general(0.5, top - 0.5).exact_arithmetic()) << scale;
+    // Plane model: its entry counts twice (V1 with w, V2 with -w).
+    const auto plane = [scale](double constant) {
+      IsingModel m = IsingModel::bipartite(
+          {1, 1}, {std::ldexp(std::ldexp(1.0, 50), scale)});
+      m.set_bias(0, std::ldexp(std::ldexp(1.0, 51) - 1.0, scale));
+      m.set_constant(std::ldexp(constant, scale));
+      return m;
+    };
+    EXPECT_TRUE(plane(1.0).exact_arithmetic()) << scale;
+    EXPECT_TRUE(plane(-1.0).exact_arithmetic()) << scale;
+    EXPECT_FALSE(plane(2.0).exact_arithmetic()) << scale;
+  }
+  // Near the top of the range the bound is 2^1022, so a doubled field
+  // cannot overflow.
+  IsingModel big(2);
+  big.set_bias(0, std::ldexp(1.0, 1022));
+  big.finalize();
+  EXPECT_TRUE(big.exact_arithmetic());
+  big.set_bias(1, std::ldexp(1.0, 1000));
+  EXPECT_FALSE(big.exact_arithmetic());
+}
+
+TEST(ExactArithmetic, GeneralModelsBothWays) {
+  Rng rng(8);
+  IsingModel integral(10);
+  IsingModel decimal(10);
+  for (std::size_t i = 0; i < 10; ++i) {
+    integral.set_bias(i, std::floor(rng.next_double(-9.0, 9.0)));
+    decimal.set_bias(i, 0.1 * static_cast<double>(i + 1));
+    for (std::size_t j = i + 1; j < 10; ++j) {
+      integral.add_coupling(i, j, std::floor(rng.next_double(-9.0, 9.0)));
+      decimal.add_coupling(i, j, 0.25);
+    }
+  }
+  integral.set_constant(-17.0);
+  integral.finalize();
+  decimal.finalize();
+  EXPECT_TRUE(integral.exact_arithmetic());
+  EXPECT_FALSE(decimal.exact_arithmetic());
+}
+
+TEST(ExactArithmetic, RunReportsFromScratchEnergyPastTheBound) {
+  // Models the rule turns away, where the recompute must still run: one
+  // grid step past the bound, and models whose sums round (random
+  // couplings; weighted COPs on the grouped path). The reported energy is
+  // a from-scratch value, bit for bit.
+  Rng rng(12);
+  std::vector<IsingModel> models;
+  {
+    IsingModel m(12);
+    double s = 0.0;
+    for (std::size_t i = 0; i < 12; ++i) {
+      for (std::size_t j = i + 1; j < 12; ++j) {
+        const double v = std::floor(rng.next_double(-9.0, 9.0));
+        m.add_coupling(i, j, v);
+        s += std::fabs(v);
+      }
+    }
+    for (std::size_t i = 1; i < 12; ++i) {
+      m.set_bias(i, 1.0);
+      s += 1.0;
+    }
+    m.set_bias(0, std::ldexp(1.0, 52) - s + 1.0);  // S = 2^52 + 1
+    m.finalize();
+    EXPECT_FALSE(m.exact_arithmetic());
+    m.set_bias(0, std::ldexp(1.0, 52) - s);
+    EXPECT_TRUE(m.exact_arithmetic());
+    m.set_bias(0, std::ldexp(1.0, 52) - s + 1.0);
+    models.push_back(std::move(m));
+  }
+  models.push_back(random_model(14, 0.6, rng));
+  for (const bool joint : {true, false}) {
+    models.push_back(random_column_cop(16, 32, joint, true, rng).to_ising());
+  }
+  for (const IsingModel& model : models) {
+    EXPECT_FALSE(model.exact_arithmetic());
+    for (const std::size_t replicas : {1, 3}) {
+      SbParams params = quick_params(31);
+      params.stop.sample_interval = 5;
+      const IsingSolveResult res = solve_sb_batch(model, params, replicas);
+      EXPECT_EQ(bits_of(res.energy), bits_of(model.energy(res.spins)));
+    }
+  }
+}
+
+TEST(TrackerParity, GroupedFieldsMatchPerFlipCsr) {
+  // One column-COP model at R = 1 through the bipartite engine (whose
+  // tracker takes grouped flip fields from the plane) and the kScalar CSR
+  // engine (per-flip CSR walk), from the same positions. Between sampling
+  // points both engines step, then a hook-style edit pins every oscillator
+  // to its tracked sign except exactly `v` V spins and `t` T spins, which
+  // it flips. Energies and spins must agree bitwise at every point.
+  struct Shape {
+    std::size_t r;
+    std::size_t c;
+  };
+  Rng rng(2024);
+  std::size_t points = 0;
+  for (const Shape shape :
+       {Shape{2, 4}, Shape{3, 65}, Shape{16, 32}, Shape{128, 512}}) {
+    const std::size_t sides[2] = {2 * shape.r, shape.c};
+    for (const bool joint : {true, false}) {
+      for (const bool weighted : {false, true}) {
+        const IsingModel model =
+            random_column_cop(shape.r, shape.c, joint, weighted, rng)
+                .to_ising();
+        ASSERT_EQ(model.exact_arithmetic(), !weighted);
+        const std::size_t n = model.num_spins();
+        for (const bool discrete : {false, true}) {
+          SbParams params = quick_params(77);
+          params.discrete = discrete;
+          params.kernel = kernels::ForceKernel::kAuto;
+          BsbBatchEngine grouped(model, params, 1);
+          params.kernel = kernels::ForceKernel::kScalar;
+          BsbBatchEngine per_flip(model, params, 1);
+          ASSERT_EQ(grouped.kernel_kind(), kernels::ForceKernel::kBipartite);
+          ASSERT_EQ(per_flip.kernel_kind(), kernels::ForceKernel::kScalar);
+          std::vector<std::size_t> order;
+          for (const std::size_t v : {0, 1, 3, 4, 5, 37, 1000}) {
+            for (const std::size_t t : {0, 1, 3, 4, 5, 37, 1000}) {
+              grouped.advance(grouped.steps_done(), 3);
+              per_flip.advance(per_flip.steps_done(), 3);
+              const std::span<double> x = grouped.positions();
+              ASSERT_EQ(std::memcmp(x.data(), per_flip.positions().data(),
+                                    n * sizeof(double)),
+                        0);
+              const std::vector<std::int8_t> before(grouped.spins().begin(),
+                                                    grouped.spins().end());
+              std::vector<std::uint8_t> flip(n, 0);
+              for (int side = 0; side < 2; ++side) {
+                const std::size_t first = side == 0 ? 0 : 2 * shape.r;
+                const std::size_t count =
+                    std::min(side == 0 ? v : t, sides[side]);
+                order.resize(sides[side]);
+                for (std::size_t k = 0; k < order.size(); ++k) {
+                  order[k] = first + k;
+                }
+                for (std::size_t k = 0; k < count; ++k) {
+                  std::swap(order[k],
+                            order[k + rng.next_below(order.size() - k)]);
+                  flip[order[k]] = 1;
+                }
+              }
+              for (std::size_t i = 0; i < n; ++i) {
+                const double sign = static_cast<double>(before[i]) *
+                                    (flip[i] != 0 ? -1.0 : 1.0);
+                x[i] = sign * (0.125 + 0.5 * std::fabs(x[i]));
+              }
+              std::copy(x.begin(), x.end(), per_flip.positions().begin());
+              grouped.sample();
+              per_flip.sample();
+              const std::string where =
+                  "r=" + std::to_string(shape.r) +
+                  " c=" + std::to_string(shape.c) +
+                  (joint ? " joint" : " separate") +
+                  (weighted ? " weighted" : " uniform") +
+                  (discrete ? " discrete" : " continuous") +
+                  " v=" + std::to_string(v) + " t=" + std::to_string(t);
+              std::size_t flipped = 0;
+              for (std::size_t i = 0; i < n; ++i) {
+                flipped += grouped.spins()[i] != before[i] ? 1 : 0;
+              }
+              ASSERT_EQ(flipped, std::min(v, sides[0]) + std::min(t, sides[1]))
+                  << where;
+              ASSERT_EQ(bits_of(grouped.energies()[0]),
+                        bits_of(per_flip.energies()[0]))
+                  << where;
+              ASSERT_TRUE(std::equal(grouped.spins().begin(),
+                                     grouped.spins().end(),
+                                     per_flip.spins().begin()))
+                  << where;
+              const double scratch = model.energy(std::vector<std::int8_t>(
+                  grouped.spins().begin(), grouped.spins().end()));
+              if (!weighted) {
+                ASSERT_EQ(bits_of(grouped.energies()[0]), bits_of(scratch))
+                    << where;
+              } else {
+                ASSERT_NEAR(grouped.energies()[0], scratch, 1e-9) << where;
+              }
+              ++points;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 4u * 8u * 49u);
 }
 
 // -------------------------------------------------- IsingCoreSolver wiring

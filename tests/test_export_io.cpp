@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "boolean/table_io.hpp"
 #include "funcs/continuous.hpp"
@@ -218,27 +219,45 @@ TEST(TableIo, HexIsCompact) {
   EXPECT_LT(hex.size() * 5, pla.size());
 }
 
-TEST(DistributionIo, RoundTripPreservesProbabilities) {
-  auto d = InputDistribution::from_weights({3.0, 1.0, 0.0, 4.0});
+InputDistribution round_trip(const InputDistribution& d) {
   std::ostringstream os;
   write_distribution(os, d);
   std::istringstream is(os.str());
-  const InputDistribution back = read_distribution(is);
-  EXPECT_EQ(back.num_inputs(), 2u);
-  for (std::uint64_t x = 0; x < 4; ++x) {
-    EXPECT_NEAR(back.prob(x), d.prob(x), 1e-12);
+  return read_distribution(is);
+}
+
+TEST(DistributionIo, RoundTripPreservesProbabilities) {
+  // Every probability reads back as the same double: {1, 2} once read
+  // back as 0.333333 / 0.666667 at the stream's default six digits.
+  for (const std::vector<double>& weights :
+       {std::vector<double>{3.0, 1.0, 0.0, 4.0}, std::vector<double>{1.0, 2.0},
+        std::vector<double>{1.0, 2.0, 3.0, 4.0}}) {
+    const auto d = InputDistribution::from_weights(weights);
+    const InputDistribution back = round_trip(d);
+    EXPECT_EQ(back.num_inputs(), d.num_inputs());
+    for (std::uint64_t x = 0; x < d.num_patterns(); ++x) {
+      EXPECT_EQ(back.prob(x), d.prob(x)) << weights.size() << " x=" << x;
+    }
   }
 }
 
 TEST(DistributionIo, UniformRoundTrips) {
-  const auto d = InputDistribution::uniform(5);
-  std::ostringstream os;
-  write_distribution(os, d);
-  std::istringstream is(os.str());
-  const InputDistribution back = read_distribution(is);
-  for (std::uint64_t x = 0; x < 32; ++x) {
-    EXPECT_NEAR(back.prob(x), d.prob(x), 1e-12);
+  // uniform(9)'s 2^-9 once read back as 0.0019531249999999907, no longer
+  // a power of two.
+  for (const unsigned n : {5u, 9u}) {
+    const auto d = InputDistribution::uniform(n);
+    const InputDistribution back = round_trip(d);
+    for (std::uint64_t x = 0; x < d.num_patterns(); ++x) {
+      EXPECT_EQ(back.prob(x), d.prob(x)) << "n=" << n << " x=" << x;
+    }
   }
+}
+
+TEST(DistributionIo, WriterRestoresStreamPrecision) {
+  std::ostringstream os;
+  os.precision(3);
+  write_distribution(os, InputDistribution::uniform(2));
+  EXPECT_EQ(os.precision(), 3);
 }
 
 TEST(DistributionIo, RejectsMalformed) {
