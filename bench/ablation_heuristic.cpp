@@ -3,7 +3,7 @@
 // sampling point, on core-COP instances from several benchmarks, and
 // compare the achieved objectives. The final decode-time polish is also
 // ablated separately to isolate the in-search feedback effect. bSB runs
-// one trajectory per COP unless --replicas says otherwise.
+// one trajectory per COP.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
 // adsd_cli (see tools/trace_summary).
@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  if (!bench::known_flags_only(args, {"n", "free", "instances", "replicas"})) {
+  if (!bench::known_flags_only(args, {"n", "free", "instances"})) {
     return 1;
   }
 
@@ -24,11 +24,10 @@ int main(int argc, char** argv) {
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));
   const std::size_t per_bench = args.get_size("instances", 8);
   const std::uint64_t seed = args.get_size("seed", 42);
-  const std::size_t replicas = args.get_positive_size("replicas", 1);
 
   std::cout << "== Ablation A2: Theorem-3 intervention in bSB ==\n"
             << "per-benchmark instances: " << per_bench << " (n=" << n
-            << ", joint mode, replicas=" << replicas << ")\n\n";
+            << ", joint mode)\n\n";
 
   const RunContext ctx(bench::context_options(args));
   const auto dist = InputDistribution::uniform(n);
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
           ",anti-collapse=" + (configs[ci].theorem3 ? "1" : "0") +
           ",polish=" + (configs[ci].polish ? "1" : "0") +
           ",seed-init=" + (configs[ci].seed_init ? "1" : "0");
-      const auto solver = bench::make_solver(spec, n, 0.0, replicas);
+      const auto solver = bench::make_solver(spec, n, 0.0);
       double sum = 0.0;
       for (std::size_t i = 0; i < pool.size(); ++i) {
         CoreSolveStats stats;

@@ -2,7 +2,7 @@
 // solver in the library (bSB, dSB, SA and DOCH on the Ising model -- all
 // registry-built on the unified engine layer -- plus alternating
 // minimization, annealing, and branch-and-bound on the COP). The Ising
-// solvers run one trajectory per COP unless --replicas says otherwise.
+// solvers run one trajectory per COP.
 // Reports solution quality and time, separating the contribution of the
 // Ising *formulation* from the bSB *search*.
 //
@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
-  if (!bench::known_flags_only(args, {"n", "free", "instances", "replicas", "ilp-budget"})) {
+  if (!bench::known_flags_only(args, {"n", "free", "instances", "ilp-budget"})) {
     return 1;
   }
 
@@ -25,13 +25,11 @@ int main(int argc, char** argv) {
   const unsigned free_size = static_cast<unsigned>(args.get_size("free", 4));
   const std::size_t instances = args.get_size("instances", 16);
   const std::uint64_t seed = args.get_size("seed", 42);
-  const std::size_t replicas = args.get_positive_size("replicas", 1);
 
   std::cout << "== Ablation A3: solver comparison on identical core-COP "
                "instances ==\n"
             << "instances: " << instances << " (ln, n=" << n
-            << ", free=" << free_size << ", separate mode, replicas="
-            << replicas << ")\n\n";
+            << ", free=" << free_size << ", separate mode)\n\n";
 
   const RunContext ctx(bench::context_options(args));
   const auto exact = make_continuous_table(continuous_spec("ln"), n, n);
@@ -51,7 +49,7 @@ int main(int argc, char** argv) {
                             const std::string& spec,
                             const std::string& notes) {
     const auto solver = bench::make_solver(
-        spec, n, args.get_double("ilp-budget", 0.5), replicas);
+        spec, n, args.get_double("ilp-budget", 0.5));
     double sum = 0.0;
     Timer timer;
     for (std::size_t i = 0; i < pool.size(); ++i) {

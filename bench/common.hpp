@@ -34,13 +34,12 @@ namespace adsd::bench {
 
 /// Builds a core-COP solver through the registry from a spec string
 /// ("prop", "ilp,budget=1.5", ...; see `adsd_cli info` for the full
-/// table). The harness-level knobs — instance width, ILP budget, bSB
-/// replica count — are overlaid onto the spec for the solvers that take
-/// them, with explicit spec keys winning.
+/// table). The harness-level knobs — instance width and ILP budget — are
+/// overlaid onto the spec for the solvers that take them, with explicit
+/// spec keys winning.
 inline std::unique_ptr<CoreCopSolver> make_solver(const std::string& spec,
                                                   unsigned num_inputs,
-                                                  double ilp_budget_s,
-                                                  std::size_t replicas = 1) {
+                                                  double ilp_budget_s) {
   const SolverRegistry& registry = SolverRegistry::global();
   auto [name, config] = SolverRegistry::parse_spec(spec);
   const SolverRegistry::Entry* entry = registry.find(name);
@@ -53,7 +52,6 @@ inline std::unique_ptr<CoreCopSolver> make_solver(const std::string& spec,
   };
   overlay("n", std::to_string(num_inputs));
   overlay("budget", std::to_string(ilp_budget_s));
-  overlay("replicas", std::to_string(std::max<std::size_t>(1, replicas)));
   return registry.make(name, config);
 }
 

@@ -8,10 +8,9 @@
 // Defaults run at a heavily reduced P/R so the whole suite finishes in
 // well under a minute; pass --n 16 --p 20 --rounds 2 (or more) for
 // closer-to-paper scale. The proposed solver runs the paper's single bSB
-// trajectory per COP (--replicas 1); --replicas R runs R lockstep
-// replicas instead.
+// trajectory per COP.
 //
-// Flags: --n, --free, --p, --rounds, --seed, --replicas, --baseline lit
+// Flags: --n, --free, --p, --rounds, --seed, --baseline lit
 // (the literal one-shot DALTA reconstruction), --csv <file> (the table
 // as CSV), and the harness flags --threads (worker-pool width),
 // --trace/--report/--qor/--metrics [--metrics-format] <file> (the same
@@ -30,7 +29,7 @@ int main(int argc, char** argv) {
   using namespace adsd;
   const CliArgs args(argc, argv);
   if (!bench::known_flags_only(
-          args, {"n", "free", "p", "rounds", "replicas", "baseline", "csv"})) {
+          args, {"n", "free", "p", "rounds", "baseline", "csv"})) {
     return 1;
   }
 
@@ -52,10 +51,9 @@ int main(int argc, char** argv) {
   // alternating refinement sweeps, i.e. it is deliberately stronger than
   // the paper's baseline, making the comparison conservative.
   const std::string baseline = args.get_string("baseline", "dalta");
-  const std::size_t replicas = args.get_positive_size("replicas", 1);
   const auto dalta = bench::make_solver(
       baseline == "lit" ? "dalta-lit" : baseline, n, 0.0);
-  const auto prop = bench::make_solver("prop", n, 0.0, replicas);
+  const auto prop = bench::make_solver("prop", n, 0.0);
   // One context across the whole suite: with --trace/--report the recorder
   // captures every benchmark's solves on a single timeline (streams are
   // keyed, so sharing the context does not perturb any run).

@@ -11,8 +11,8 @@
 // n = 9 core COP) and write the same JSON artifacts as adsd_cli; --json
 // <file> writes the measured times as a schema-v2 bench report for
 // tools/bench_diff, with a derived single-thread speedup record (the
-// bipartite layout over the CSR kernel at R = 1); all other flags pass
-// through to google-benchmark.
+// bipartite layout over the CSR kernel on a column COP); all other flags
+// pass through to google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -104,148 +104,18 @@ void BM_BsbSolveScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_BsbSolveScalar)->Arg(9)->Arg(16)->Unit(benchmark::kMillisecond);
 
-void BM_BsbEnsembleVsRestarts(benchmark::State& state) {
-  // Throughput of 8 replicas integrated in lockstep (arg 1) vs 8 sequential
-  // scalar restarts (arg 0) on the n = 16 core-COP model.
-  const bool ensemble = state.range(0) != 0;
-  const auto cop = make_cop(16, 7, 29);
-  const IsingModel model = cop.to_ising();
-  SbParams params;
-  params.max_iterations = 100;
-  params.seed = 5;
-  for (auto _ : state) {
-    if (ensemble) {
-      benchmark::DoNotOptimize(solve_sb_batch(model, params, 8));
-    } else {
-      double best = 1e300;
-      for (std::size_t r = 0; r < 8; ++r) {
-        SbParams pr = params;
-        pr.seed = params.seed + 0x9e3779b9u * r;
-        best = std::min(best, solve_sb_scalar(model, pr).energy);
-      }
-      benchmark::DoNotOptimize(best);
-    }
-  }
-}
-BENCHMARK(BM_BsbEnsembleVsRestarts)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_ForceKernelScalar(benchmark::State& state) {
-  // R independent scalar force evaluations (one CSR traversal each) on the
-  // n = 9 core-COP model (64 spins) -- the per-step cost of R sequential
-  // restarts in the seed implementation.
-  const auto replicas = static_cast<std::size_t>(state.range(0));
-  const auto cop = make_cop(9, 4, 31);
-  const IsingModel model = cop.to_ising();
-  const std::size_t n = model.num_spins();
-  Rng rng(41);
-  std::vector<std::vector<double>> x(replicas, std::vector<double>(n));
-  for (auto& xr : x) {
-    for (auto& v : xr) {
-      v = rng.next_double(-1.0, 1.0);
-    }
-  }
-  std::vector<double> force(n);
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < replicas; ++r) {
-      model.local_fields(x[r], force);
-      benchmark::DoNotOptimize(force.data());
-    }
-  }
-  state.SetItemsProcessed(
-      state.iterations() * static_cast<std::int64_t>(replicas) *
-      static_cast<std::int64_t>(model.num_couplings()));
-}
-BENCHMARK(BM_ForceKernelScalar)->Arg(8)->Arg(32);
-
-void BM_ForceKernelBatch(benchmark::State& state) {
-  // Same R force evaluations through the batched engine: one flattened CSR
-  // traversal with a replica-contiguous inner loop.
-  const auto replicas = static_cast<std::size_t>(state.range(0));
-  const auto cop = make_cop(9, 4, 31);
-  const IsingModel model = cop.to_ising();
-  SbParams params;
-  params.seed = 41;
-  BsbBatchEngine engine(model, params, replicas);
-  Rng rng(41);
-  auto x = engine.positions();
-  for (auto& v : x) {
-    v = rng.next_double(-1.0, 1.0);
-  }
-  for (auto _ : state) {
-    engine.compute_forces();
-    benchmark::DoNotOptimize(engine.forces().data());
-  }
-  state.SetItemsProcessed(
-      state.iterations() * static_cast<std::int64_t>(replicas) *
-      static_cast<std::int64_t>(model.num_couplings()));
-}
-BENCHMARK(BM_ForceKernelBatch)->Arg(8)->Arg(32);
-
-void run_force_variant(benchmark::State& state, const IsingModel& model,
-                       kernels::ForceKernel kind) {
-  // Items processed counts CSR edge-lane updates, so rates are comparable
-  // across models and replica counts.
-  const auto replicas = static_cast<std::size_t>(state.range(0));
-  SbParams params;
-  params.seed = 41;
-  params.kernel = kind;
-  BsbBatchEngine engine(model, params, replicas);
-  Rng rng(41);
-  auto x = engine.positions();
-  for (auto& v : x) {
-    v = rng.next_double(-1.0, 1.0);
-  }
-  for (auto _ : state) {
-    engine.compute_forces();
-    benchmark::DoNotOptimize(engine.forces().data());
-  }
-  state.SetItemsProcessed(
-      state.iterations() * static_cast<std::int64_t>(replicas) *
-      static_cast<std::int64_t>(2 * model.num_couplings()));
-}
-
-void BM_ForceKernelVariant(benchmark::State& state,
-                           kernels::ForceKernel kind) {
-  // The CSR force kernel on the n = 16 core-COP model (768 spins, ~45% of
-  // the possible couplings present). Arg = replicas.
-  const auto cop = make_cop(16, 7, 31);
-  run_force_variant(state, cop.to_ising(), kind);
-}
-BENCHMARK_CAPTURE(BM_ForceKernelVariant, scalar, kernels::ForceKernel::kScalar)
-    ->Arg(8)->Arg(32);
-
-void BM_ForceKernelDenseModel(benchmark::State& state,
-                              kernels::ForceKernel kind) {
-  // The CSR kernel on a near-complete random model (256 spins, ~98% of
-  // the couplings present): what such models cost at R > 1.
-  Rng rng(59);
-  IsingModel model(256);
-  for (std::size_t i = 0; i < 256; ++i) {
-    model.set_bias(i, rng.next_double(-1.0, 1.0));
-    for (std::size_t j = i + 1; j < 256; ++j) {
-      if (rng.next_double() < 0.98) {
-        model.add_coupling(i, j, rng.next_double(-1.0, 1.0));
-      }
-    }
-  }
-  model.finalize();
-  run_force_variant(state, model, kind);
-}
-BENCHMARK_CAPTURE(BM_ForceKernelDenseModel, scalar,
-                  kernels::ForceKernel::kScalar)->Arg(8)->Arg(32);
-
 void BM_ForceKernelR1(benchmark::State& state, kernels::ForceKernel kind) {
-  // One R = 1 force pass -- the paper's single trajectory per core COP --
-  // on the column-COP models (arg = n: 64 spins at n = 9, 768 at n = 16).
-  // csr is the CSR reference kernel, bipartite the layout auto resolves to
-  // at R = 1 on a column COP, at the widest ISA; their n = 16 ratio is the
+  // One force pass of the paper's single trajectory per core COP on the
+  // column-COP models (arg = n: 64 spins at n = 9, 768 at n = 16). csr is
+  // the CSR reference kernel, bipartite the layout auto resolves to on a
+  // column COP, at the widest ISA; their n = 16 ratio is the
   // force_kernel_speedup_bipartite_r1 record.
   const auto n = static_cast<unsigned>(state.range(0));
   const IsingModel model = make_cop(n, n == 16 ? 7 : 4, 31).to_ising();
   SbParams params;
   params.seed = 41;
   params.kernel = kind;
-  BsbBatchEngine engine(model, params, 1);
+  BsbBatchEngine engine(model, params);
   Rng rng(41);
   for (double& v : engine.positions()) {
     v = rng.next_double(-1.0, 1.0);
@@ -263,7 +133,7 @@ BENCHMARK_CAPTURE(BM_ForceKernelR1, bipartite, kernels::ForceKernel::kAuto)
     ->Arg(9)->Arg(16);
 
 void BM_BsbIntervalR1(benchmark::State& state) {
-  // One R = 1 advance() of 20 dependent bSB steps (n = 9's sampling
+  // One advance() of 20 dependent bSB steps (n = 9's sampling
   // interval) with no sampling point: the bipartite interval kernel alone,
   // force passes and Euler steps, on the column-COP models (arg = n).
   constexpr std::size_t kSteps = 20;
@@ -271,7 +141,7 @@ void BM_BsbIntervalR1(benchmark::State& state) {
   const IsingModel model = make_cop(n, n == 16 ? 7 : 4, 31).to_ising();
   SbParams params;
   params.seed = 41;
-  BsbBatchEngine engine(model, params, 1);
+  BsbBatchEngine engine(model, params);
   Rng rng(41);
   for (double& v : engine.positions()) {
     v = rng.next_double(-1.0, 1.0);
@@ -286,9 +156,9 @@ void BM_BsbIntervalR1(benchmark::State& state) {
 BENCHMARK(BM_BsbIntervalR1)->Arg(9)->Arg(16);
 
 void BM_TrackerSampleR1(benchmark::State& state) {
-  // One sampling point's energy refresh, engine.sample(), on an R = 1
-  // column-COP engine (the bipartite layout, whose tracker takes its flip
-  // fields from the plane in grouped chains), arg = n. The calls cycle
+  // One sampling point's energy refresh, engine.sample(), on a column-COP
+  // engine (the bipartite layout, whose tracker takes its flip fields from
+  // the plane in grouped chains), arg = n. The calls cycle
   // through the 40 position planes a paper-default prop solve with the
   // Theorem-3 reset handed its tracker at its sampling points (the
   // dynamic stop off, the cap at 40 intervals), so every call sees one
@@ -301,40 +171,21 @@ void BM_TrackerSampleR1(benchmark::State& state) {
   params.stop.enabled = false;
   params.max_iterations = 40 * params.stop.sample_interval;
   std::vector<std::vector<double>> planes;
-  const SbBatchPlaneHook record = [&](std::span<double> x,
-                                      std::span<double> y,
-                                      std::size_t replicas) {
-    cop.reset_optimal_t_planes(x, y, replicas, nullptr);
+  const SbSampleHook record = [&](std::span<double> x, std::span<double> y) {
+    cop.reset_optimal_t_planes(x, y);
     planes.emplace_back(x.begin(), x.end());
   };
-  (void)solve_sb_batch(model, params, 1, nullptr, record);
-  BsbBatchEngine engine(model, params, 1);
+  (void)solve_sb(model, params, record);
+  BsbBatchEngine engine(model, params);
   std::size_t k = 0;
   for (auto _ : state) {
     std::copy(planes[k].begin(), planes[k].end(), engine.positions().begin());
     engine.sample();
-    benchmark::DoNotOptimize(engine.energies().data());
+    benchmark::DoNotOptimize(engine.energy());
     k = k + 1 == planes.size() ? 0 : k + 1;
   }
 }
 BENCHMARK(BM_TrackerSampleR1)->Arg(9)->Arg(16);
-
-void BM_BsbSolveKernel(benchmark::State& state, kernels::ForceKernel kind) {
-  // Full batched solve (8 replicas, 100 steps) on the n = 16 core-COP
-  // model through the CSR kernel, with integration/sampling overhead
-  // included.
-  const auto cop = make_cop(16, 7, 29);
-  const IsingModel model = cop.to_ising();
-  SbParams params;
-  params.max_iterations = 100;
-  params.seed = 5;
-  params.kernel = kind;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_sb_batch(model, params, 8));
-  }
-}
-BENCHMARK_CAPTURE(BM_BsbSolveKernel, scalar, kernels::ForceKernel::kScalar)
-    ->Unit(benchmark::kMillisecond);
 
 std::vector<IsingModel> tiny_models(std::size_t count) {
   // Independent same-shape core-COP models (n = 9 quantization: 64
@@ -348,11 +199,10 @@ std::vector<IsingModel> tiny_models(std::size_t count) {
   return models;
 }
 
-// K tiny solves, one BsbBatchEngine per instance at `replicas`, fixed
-// 200 steps. At R = 1 each engine runs the bipartite layout, which
-// vectorizes across rows; at R = 2 it runs the CSR kernel, whose two
-// replica lanes leave most of a vector idle.
-void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
+// K tiny solves, one BsbBatchEngine per instance (the bipartite layout,
+// which vectorizes across rows), fixed 200 steps: the paper's single
+// trajectory per COP, looped.
+void BM_TinySolveLooped(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto models = tiny_models(k);
   SbParams params;
@@ -362,7 +212,7 @@ void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
     for (std::size_t m = 0; m < k; ++m) {
       SbParams p = params;
       p.seed = 900 + m;
-      BsbBatchEngine engine(models[m], p, replicas);
+      BsbBatchEngine engine(models[m], p);
       acc += engine.run().energy;
     }
     benchmark::DoNotOptimize(acc);
@@ -370,22 +220,12 @@ void tiny_solve_looped(benchmark::State& state, std::size_t replicas) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(k) * 200);
 }
-
-// R = 1, the paper's single trajectory, and R = 2, the CSR kernel.
-void BM_TinySolveLooped(benchmark::State& state) {
-  tiny_solve_looped(state, 1);
-}
 BENCHMARK(BM_TinySolveLooped)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-void BM_TinySolveLoopedR2(benchmark::State& state) {
-  tiny_solve_looped(state, 2);
-}
-BENCHMARK(BM_TinySolveLoopedR2)->Arg(64)->Unit(benchmark::kMillisecond);
-
 void BM_EngineSolve(benchmark::State& state, const char* spec) {
   // Full registry-built COP solves on the n = 9 core COP (64 spins), one
-  // per engine of the unified layer at the same ensemble size: what a
+  // per engine of the unified layer at its registry defaults: what a
   // DALTA inner call costs under each dynamics. Single thread, so the
   // captured times are valid on any host (--json maps them to the
   // engine_solve_s_* records).
@@ -396,53 +236,10 @@ void BM_EngineSolve(benchmark::State& state, const char* spec) {
     benchmark::DoNotOptimize(solver->solve(cop, 42, &stats));
   }
 }
-BENCHMARK_CAPTURE(BM_EngineSolve, prop, "prop,n=9,replicas=8")
+BENCHMARK_CAPTURE(BM_EngineSolve, prop, "prop,n=9")
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_EngineSolve, doch, "doch,n=9,replicas=8")
+BENCHMARK_CAPTURE(BM_EngineSolve, doch, "doch,n=9")
     ->Unit(benchmark::kMicrosecond);
-
-void BM_SampleEnergyScratch(benchmark::State& state) {
-  // Per-sampling-point energy refresh of the seed ensemble: every replica's
-  // energy recomputed from scratch, O(edges) each.
-  const auto replicas = static_cast<std::size_t>(state.range(0));
-  const auto cop = make_cop(9, 4, 37);
-  const IsingModel model = cop.to_ising();
-  const std::size_t n = model.num_spins();
-  SbParams params;
-  params.max_iterations = 1u << 30;  // keep the pump ramp flat
-  params.seed = 43;
-  BsbBatchEngine engine(model, params, replicas);
-  std::vector<std::int8_t> spins(n);
-  for (auto _ : state) {
-    engine.step();
-    auto x = engine.positions();
-    for (std::size_t r = 0; r < replicas; ++r) {
-      for (std::size_t i = 0; i < n; ++i) {
-        spins[i] = x[i * replicas + r] >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
-      }
-      benchmark::DoNotOptimize(model.energy(spins));
-    }
-  }
-}
-
-void BM_SampleEnergyIncremental(benchmark::State& state) {
-  // The batched engine's incremental refresh: flip telescopes only for the
-  // spins whose sign actually changed since the last sampling point.
-  const auto replicas = static_cast<std::size_t>(state.range(0));
-  const auto cop = make_cop(9, 4, 37);
-  const IsingModel model = cop.to_ising();
-  SbParams params;
-  params.max_iterations = 1u << 30;
-  params.seed = 43;
-  BsbBatchEngine engine(model, params, replicas);
-  for (auto _ : state) {
-    engine.step();
-    engine.sample();
-    benchmark::DoNotOptimize(engine.energies().data());
-  }
-}
-BENCHMARK(BM_SampleEnergyScratch)->Arg(8);
-BENCHMARK(BM_SampleEnergyIncremental)->Arg(8);
 
 void BM_MetricsOffPath(benchmark::State& state) {
   // Cost of one disarmed instrumentation site: a relaxed load of the armed
@@ -543,8 +340,8 @@ void BM_IsingEnergy(benchmark::State& state) {
 BENCHMARK(BM_IsingEnergy)->Arg(9)->Arg(16);
 
 void BM_Theorem3Reset(benchmark::State& state) {
-  // The plane reset a looped R = 1 solve runs at every sampling point:
-  // optimal T for the current V signs, written into the oscillator planes.
+  // The plane reset a prop solve runs at every sampling point: optimal T
+  // for the current V signs, written into the oscillator planes.
   const auto n = static_cast<unsigned>(state.range(0));
   const auto cop = make_cop(n, n == 16 ? 7 : 4, 13);
   Rng rng(17);
@@ -553,9 +350,9 @@ void BM_Theorem3Reset(benchmark::State& state) {
   for (double& v : x) {
     v = rng.next_double(-1.0, 1.0);
   }
-  std::vector<std::uint8_t> degenerate;
+  bool degenerate = false;
   for (auto _ : state) {
-    cop.reset_optimal_t_planes(x, y, 1, &degenerate);
+    cop.reset_optimal_t_planes(x, y, &degenerate);
     benchmark::DoNotOptimize(x.data());
   }
 }
@@ -767,7 +564,7 @@ int main(int argc, char** argv) {
       args.has("obs-dir")) {
     const RunContext ctx(bench::context_options(args));
     run_id = ctx.run_id();
-    const auto solver = bench::make_solver("prop", 9, 0.0, 8);
+    const auto solver = bench::make_solver("prop", 9, 0.0);
     const auto cop = make_cop(9, 4, 3);
     const std::uint64_t seed = args.get_size("seed", 42);
     for (std::uint64_t i = 0; i < 8; ++i) {
@@ -784,9 +581,9 @@ int main(int argc, char** argv) {
       report.add_time("kernels/" + name, seconds);
     }
     const auto& secs = reporter.seconds();
-    // Bipartite layout over the CSR kernel at R = 1 on the n = 16
-    // column-COP model: the single-trajectory force pass looped `prop`
-    // runs. Single-thread ratio, valid anywhere.
+    // Bipartite layout over the CSR kernel on the n = 16 column-COP
+    // model: the force pass every `prop` solve runs. Single-thread ratio,
+    // valid anywhere.
     {
       const auto csr = secs.find("BM_ForceKernelR1/csr/16");
       const auto bipartite = secs.find("BM_ForceKernelR1/bipartite/16");
@@ -808,7 +605,7 @@ int main(int argc, char** argv) {
       const auto it = secs.find(std::string("BM_EngineSolve/") + tag);
       if (it != secs.end()) {
         report.add_time(label, it->second, true,
-                        "single-thread registry solve, n=9 core COP, R=8");
+                        "single-thread registry solve, n=9 core COP, R=1");
       }
     }
     const std::string path = args.get_string("json", "");

@@ -13,7 +13,7 @@
 namespace adsd {
 
 /// A *non-disjoint* partition of the n inputs: free set A', bound set B',
-/// and a shared set S replicated into both sides, so the decomposition is
+/// and a shared set S copied into both sides, so the decomposition is
 /// g(X) = F(phi(B' u S), A' u S). This is the generalization the BA
 /// framework (DATE'23, the paper's ref. [10]) adds on top of DALTA; it
 /// buys accuracy at the cost of a larger F-LUT (the shared bits address

@@ -273,15 +273,14 @@ void ColumnCop::reset_optimal_t(ColumnSetting& s) const {
   passes().reset_t(half_step_planes(gain_, rows_, cols_, s));
 }
 
-void ColumnCop::reset_optimal_t_planes(
-    std::span<double> x, std::span<double> y, std::size_t replicas,
-    std::vector<std::uint8_t>* degenerate) const {
-  const std::size_t R = replicas;
-  if (x.size() != num_spins() * R || y.size() != x.size()) {
+void ColumnCop::reset_optimal_t_planes(std::span<double> x,
+                                       std::span<double> y,
+                                       bool* degenerate) const {
+  if (x.size() != num_spins() || y.size() != x.size()) {
     throw std::invalid_argument("reset_optimal_t_planes: plane size");
   }
   // Same comparison as reset_optimal_t (base terms cancel; ties pick
-  // pattern 1), at the host's vector width: every (j, r) cost still sums
+  // pattern 1), at the host's vector width: every column cost still sums
   // its rows in ascending i, and an unset sign adds nothing.
   static const kernels::Theorem3ResetFn reset =
       kernels::select_theorem3_reset(kernels::ForceKernel::kAuto,
@@ -292,26 +291,19 @@ void ColumnCop::reset_optimal_t_planes(
   planes.y = y.data();
   planes.rows = rows_;
   planes.cols = cols_;
-  planes.replicas = R;
-  if (degenerate != nullptr) {
-    degenerate->resize(R);
-    planes.one_pattern = degenerate->data();
-  }
+  planes.one_pattern = degenerate;
   reset(planes);
   if (degenerate == nullptr) {
     return;
   }
-  // A replica whose columns all took one pattern is degenerate, and so is
+  // A reset whose columns all took one pattern is degenerate, and so is
   // one whose V1 and V2 signs agree on every row (the reset leaves the V
   // planes as they were).
-  for (std::size_t r = 0; r < R; ++r) {
-    bool v_equal = true;
-    for (std::size_t i = 0; i < rows_ && v_equal; ++i) {
-      v_equal =
-          (x[v1_spin(i) * R + r] >= 0.0) == (x[v2_spin(i) * R + r] >= 0.0);
-    }
-    (*degenerate)[r] = static_cast<std::uint8_t>((*degenerate)[r] | v_equal);
+  bool v_equal = true;
+  for (std::size_t i = 0; i < rows_ && v_equal; ++i) {
+    v_equal = (x[v1_spin(i)] >= 0.0) == (x[v2_spin(i)] >= 0.0);
   }
+  *degenerate = *degenerate || v_equal;
 }
 
 bool ColumnCop::reset_optimal_v(ColumnSetting& s) const {

@@ -107,8 +107,7 @@ class ColumnCop {
   /// Second-order Ising formulation (Eq. 9 / Eq. 16), finalized, with the
   /// constant chosen so energies equal objective values. It is a
   /// column-COP model (IsingModel::bipartite) holding the r x c plane
-  /// gain / 4, which selects the engines' bipartite force layout at one
-  /// replica.
+  /// gain / 4, which selects the engines' bipartite force layout.
   IsingModel to_ising() const;
 
   /// Decodes a spin vector (layout above) into a setting.
@@ -124,24 +123,20 @@ class ColumnCop {
   /// word at a time.
   void reset_optimal_t(ColumnSetting& s) const;
 
-  /// Batched Theorem 3 over the SoA oscillator planes of the lockstep bSB
-  /// engine (element i of replica r at index i * replicas + r, spin layout
-  /// as num_spins()): for every replica at once, reads the V1/V2 signs,
-  /// computes the per-column optimal T choice, and writes the T oscillators
-  /// (+-1 positions, zeroed momenta). Equivalent to decoding each replica,
-  /// calling reset_optimal_t(), and re-encoding T, bit for bit: the
-  /// accumulation runs at the host's vector width (kernels::
-  /// select_theorem3_reset) with the costs in registers, and every
-  /// (column, replica) cost still sums its rows in ascending order.
+  /// Theorem 3 over the oscillator planes of an engine (spin layout as
+  /// num_spins()): reads the V1/V2 signs, computes the per-column optimal
+  /// T choice, and writes the T oscillators (+-1 positions, zeroed
+  /// momenta). Equivalent to decoding the signs, calling
+  /// reset_optimal_t(), and re-encoding T, bit for bit: the accumulation
+  /// runs at the host's vector width (kernels::select_theorem3_reset) with
+  /// the costs in registers, and every column cost still sums its rows in
+  /// ascending order.
   ///
-  /// When `degenerate` is non-null it is resized to `replicas` and flags
-  /// the replicas whose reset landed in a collapsed state (all columns on
-  /// one pattern, or V1 == V2) — the anti-collapse intervention handles
-  /// those separately. Nothing is allocated once `degenerate` holds
-  /// `replicas` entries.
+  /// When `degenerate` is non-null it is set to whether the reset landed
+  /// in a collapsed state (all columns on one pattern, or V1 == V2) — the
+  /// anti-collapse intervention handles that case separately.
   void reset_optimal_t_planes(std::span<double> x, std::span<double> y,
-                              std::size_t replicas,
-                              std::vector<std::uint8_t>* degenerate) const;
+                              bool* degenerate = nullptr) const;
 
   /// Per-row optimal V1/V2 for the current s.t (the complementary
   /// half-step; together with reset_optimal_t this yields the alternating

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "ising/bsb_batch.hpp"
 #include "ising/exhaustive.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -29,14 +28,15 @@ ColumnSetting random_setting(std::size_t rows, std::size_t cols, Rng& rng) {
   return s;
 }
 
-/// Scalar anti-collapse intervention for one replica whose Theorem-3 reset
-/// landed in a degenerate state (Sec. 3.3.2): re-derives the setting from
-/// the oscillator signs, re-seeds the unused pattern's oscillators with the
+/// Scalar anti-collapse intervention after a Theorem-3 reset that landed
+/// in a degenerate state (Sec. 3.3.2): re-derives the setting from the
+/// oscillator signs, re-seeds the unused pattern's oscillators with the
 /// exact column worst served by the current solution, recomputes the
-/// optimal T, and writes the T oscillators back. Only degenerate replicas
-/// take this O(rows * cols) path; the common case is handled batched by
+/// optimal T, and writes the T oscillators back. Only degenerate resets
+/// take this O(rows * cols) path; the common case is handled by
 /// ColumnCop::reset_optimal_t_planes().
-void anti_collapse_intervene(const ColumnCop& cop, ReplicaView v) {
+void anti_collapse_intervene(const ColumnCop& cop, std::span<double> x,
+                             std::span<double> y) {
   const std::size_t r = cop.rows();
   const std::size_t c = cop.cols();
   ColumnSetting s;
@@ -44,8 +44,8 @@ void anti_collapse_intervene(const ColumnCop& cop, ReplicaView v) {
   s.v2 = BitVec(r);
   s.t = BitVec(c);
   for (std::size_t i = 0; i < r; ++i) {
-    s.v1.set(i, v.x(cop.v1_spin(i)) >= 0.0);
-    s.v2.set(i, v.x(cop.v2_spin(i)) >= 0.0);
+    s.v1.set(i, x[cop.v1_spin(i)] >= 0.0);
+    s.v2.set(i, x[cop.v2_spin(i)] >= 0.0);
   }
   cop.reset_optimal_t(s);
 
@@ -67,8 +67,8 @@ void anti_collapse_intervene(const ColumnCop& cop, ReplicaView v) {
   for (std::size_t i = 0; i < r; ++i) {
     const bool bit = m.at(i, worst_col);
     const std::size_t idx = reseed_v2 ? cop.v2_spin(i) : cop.v1_spin(i);
-    v.x(idx) = bit ? 1.0 : -1.0;
-    v.y(idx) = 0.0;
+    x[idx] = bit ? 1.0 : -1.0;
+    y[idx] = 0.0;
     if (reseed_v2) {
       s.v2.set(i, bit);
     } else {
@@ -79,49 +79,37 @@ void anti_collapse_intervene(const ColumnCop& cop, ReplicaView v) {
 
   for (std::size_t j = 0; j < c; ++j) {
     const std::size_t idx = cop.t_spin(j);
-    v.x(idx) = s.t.get(j) ? 1.0 : -1.0;
-    v.y(idx) = 0.0;
+    x[idx] = s.t.get(j) ? 1.0 : -1.0;
+    y[idx] = 0.0;
   }
 }
 
-/// The Theorem-3 feedback closure (Sec. 3.3.2, batched): one plane sweep
-/// computes the optimal column types for every replica at once and pins the
-/// T oscillators before the integration continues; replicas whose reset
-/// landed degenerate take the scalar anti-collapse re-seeding path.
-SbBatchPlaneHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
-                                    bool anti_collapse) {
-  return [&cop, &ctx, anti_collapse,
-          degenerate = std::vector<std::uint8_t>{}](
-             std::span<double> x, std::span<double> y,
-             std::size_t replicas) mutable {
-    cop.reset_optimal_t_planes(x, y, replicas,
-                               anti_collapse ? &degenerate : nullptr);
-    qor_add(ctx.qor(), "ising/theorem3/resets",
-            static_cast<double>(replicas));
+/// The Theorem-3 feedback closure (Sec. 3.3.2): one plane sweep computes
+/// the optimal column types and pins the T oscillators before the
+/// integration continues; a reset that landed degenerate takes the scalar
+/// anti-collapse re-seeding path.
+SbSampleHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
+                                bool anti_collapse) {
+  return [&cop, &ctx, anti_collapse](std::span<double> x,
+                                     std::span<double> y) {
+    bool degenerate = false;
+    cop.reset_optimal_t_planes(x, y, anti_collapse ? &degenerate : nullptr);
+    qor_add(ctx.qor(), "ising/theorem3/resets", 1.0);
     if (MetricsRegistry* m = ctx.metrics()) {
-      m->counter("theorem3_resets_total").add(replicas);
+      m->counter("theorem3_resets_total").add(1);
     }
     if (!anti_collapse) {
       return;
     }
-    std::size_t intervened = 0;
-    for (std::size_t rep = 0; rep < replicas; ++rep) {
-      if (degenerate[rep] != 0) {
-        anti_collapse_intervene(
-            cop, ReplicaView(x.data() + rep, y.data() + rep, cop.num_spins(),
-                             replicas));
-        ++intervened;
-      }
-    }
-    if (intervened > 0) {
-      qor_add(ctx.qor(), "ising/theorem3/anti_collapse",
-              static_cast<double>(intervened));
+    if (degenerate) {
+      anti_collapse_intervene(cop, x, y);
+      qor_add(ctx.qor(), "ising/theorem3/anti_collapse", 1.0);
       if (MetricsRegistry* m = ctx.metrics()) {
-        m->counter("theorem3_anti_collapse_total").add(intervened);
+        m->counter("theorem3_anti_collapse_total").add(1);
       }
     }
     trace_counter(ctx.tracer(), "ising/theorem3/degenerate_replicas",
-                  static_cast<double>(intervened));
+                  degenerate ? 1.0 : 0.0);
   };
 }
 
@@ -180,9 +168,9 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
                                const IsingCoreSolver::Options& options) {
   IsingModel model = cop.to_ising();
 
-  SbBatchPlaneHook plane_hook;
+  SbSampleHook hook;
   if (options.use_theorem3) {
-    plane_hook = make_theorem3_hook(cop, ctx, options.anti_collapse);
+    hook = make_theorem3_hook(cop, ctx, options.anti_collapse);
   }
 
   ColumnSetting best;
@@ -200,7 +188,6 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
   }
 
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
   const char* restart_span_name = "ising/bsb/restart";
   const char* engine_metric_label = "sb";  // matches run_engine's label
   switch (options.engine) {
@@ -235,36 +222,16 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
         if (use_warm) {
           params.initial_positions = warm.positions;
         }
-        res = solve_sb_batch(model, params, replicas, nullptr, plane_hook,
-                             &ctx);
+        res = solve_sb(model, params, hook, &ctx);
         break;
       }
       case IsingEngineKind::kSa: {
-        // Scalar spin-flip dynamics: replicas are realized as shifted-seed
-        // repeats picking the best energy, iterations summed (matching the
-        // ensemble engines' replica-scaled counts). Warm *positions* and
-        // the Theorem-3 plane hook don't apply — SA has no oscillator
-        // planes — but the warm incumbent and final polish still do.
-        bool have = false;
-        for (std::size_t rep = 0; rep < replicas; ++rep) {
-          SaParams params = options.sa;
-          params.seed = attempt_seed + 0x9e3779b9u * rep;
-          IsingSolveResult one = solve_sa(model, params, &ctx);
-          if (!have || one.energy < res.energy) {
-            const std::size_t iters_so_far = have ? res.iterations : 0;
-            const bool early_so_far = have && res.stopped_early;
-            res = std::move(one);
-            res.iterations += iters_so_far;
-            res.stopped_early = res.stopped_early || early_so_far;
-          } else {
-            res.iterations += one.iterations;
-            res.stopped_early = res.stopped_early || one.stopped_early;
-          }
-          have = true;
-          if (ctx.expired()) {
-            break;
-          }
-        }
+        // Scalar spin-flip dynamics: warm *positions* and the Theorem-3
+        // hook don't apply — SA has no oscillator planes — but the warm
+        // incumbent and final polish still do.
+        SaParams params = options.sa;
+        params.seed = attempt_seed;
+        res = solve_sa(model, params, &ctx);
         break;
       }
       case IsingEngineKind::kDoch: {
@@ -276,7 +243,7 @@ ColumnSetting ising_core_solve(const ColumnCop& cop, const RunContext& ctx,
           // the first attempt in the seed's basin.
           params.init_amp = std::min(params.init_amp, 0.1);
         }
-        res = solve_doch(model, params, replicas, nullptr, plane_hook, &ctx);
+        res = solve_doch(model, params, hook, &ctx);
         break;
       }
     }

@@ -125,10 +125,9 @@ class IsingCoreSolver final : public CoreCopSolver {
   struct Options {
     /// Dynamics core driven by the restart loop. Engine-specific
     /// parameters live in the matching member below (sb / sa / doch); the
-    /// shared fields (restarts, replicas, Theorem-3, polish, column seed)
-    /// apply to every kind. SA realizes `replicas` as shifted-seed repeats
-    /// (its dynamics are scalar) and ignores warm positions (spin starts
-    /// are drawn, not continuous) — the warm *incumbent* still applies.
+    /// shared fields (restarts, Theorem-3, polish, column seed) apply to
+    /// every kind. SA ignores warm positions (spin starts are drawn, not
+    /// continuous) — the warm *incumbent* still applies.
     IsingEngineKind engine = IsingEngineKind::kBsb;
 
     SbParams sb{};
@@ -137,14 +136,11 @@ class IsingCoreSolver final : public CoreCopSolver {
 
     bool use_theorem3 = true;
     bool final_polish = true;
-    std::size_t restarts = 1;
 
-    /// Lockstep bSB replicas per restart (batched engine). Replica 0 of the
-    /// first restart reproduces the single-trajectory solve exactly; extra
-    /// replicas explore from shifted seeds and the best one wins. Cheaper
-    /// than the same number of `restarts` because the coupling structure is
-    /// traversed once for all replicas.
-    std::size_t replicas = 1;
+    /// Sequential attempts, one trajectory each, the best one wins. The
+    /// first runs from the warm start; the others start cold from shifted
+    /// seeds.
+    std::size_t restarts = 1;
 
     /// Start the V1/V2 oscillators at small amplitudes spelling the two
     /// most frequent distinct columns of the exact matrix. The Ising

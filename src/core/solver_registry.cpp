@@ -15,8 +15,8 @@ namespace {
                               "' is not a valid " + want);
 }
 
-/// A count key (replicas, restarts): `fallback` when absent, and 0, which
-/// would run no trajectory or start, throws naming the key.
+/// A count key (restarts): `fallback` when absent, and 0, which would run
+/// no start, throws naming the key.
 std::size_t get_count(const SolverConfig& c, const std::string& key,
                       std::size_t fallback = 1) {
   const std::size_t count = c.get_size(key, fallback);
@@ -224,7 +224,6 @@ const SolverRegistry& SolverRegistry::global() {
     };
     const auto apply_shared_keys = [](const SolverConfig& c,
                                       IsingCoreSolver::Options& options) {
-      options.replicas = get_count(c, "replicas");
       options.restarts = get_count(c, "restarts");
       options.use_theorem3 = c.get_bool("theorem3", true);
       options.anti_collapse = c.get_bool("anti-collapse", true);
@@ -236,8 +235,8 @@ const SolverRegistry& SolverRegistry::global() {
            "Ising/bSB solver proposed by the paper (dynamic stop + "
            "Theorem-3 feedback)",
            {"ising-bsb"},
-           {"n", "replicas", "restarts", "theorem3", "anti-collapse",
-            "polish", "seed-init", "max-iter", "dt", "discrete", "stop",
+           {"n", "restarts", "theorem3", "anti-collapse", "polish",
+            "seed-init", "max-iter", "dt", "discrete", "stop",
             "stop-interval", "stop-window", "stop-epsilon", "pack"},
            [apply_stop_keys,
             apply_shared_keys](const SolverConfig& c)
@@ -263,7 +262,7 @@ const SolverRegistry& SolverRegistry::global() {
            "Metropolis simulated annealing on the Ising formulation "
            "(engine-rehosted baseline)",
            {"ising-sa"},
-           {"n", "replicas", "restarts", "polish", "seed-init", "sweeps",
+           {"n", "restarts", "polish", "seed-init", "sweeps",
             "beta-start", "beta-end", "stop", "stop-interval", "stop-window",
             "stop-epsilon"},
            [apply_stop_keys,
@@ -290,8 +289,8 @@ const SolverRegistry& SolverRegistry::global() {
            "Difference-of-convex heuristic (ADOCH with momentum > 0) on "
            "the shared engine chassis",
            {"ising-doch"},
-           {"n", "replicas", "restarts", "theorem3", "anti-collapse",
-            "polish", "seed-init", "max-iter", "rho", "momentum", "init-amp",
+           {"n", "restarts", "theorem3", "anti-collapse", "polish",
+            "seed-init", "max-iter", "rho", "momentum", "init-amp",
             "stop", "stop-interval", "stop-window", "stop-epsilon"},
            [apply_stop_keys,
             apply_shared_keys](const SolverConfig& c)

@@ -126,30 +126,9 @@ IsingSolveResult solve_sb_scalar(const IsingModel& model,
 
 IsingSolveResult solve_sb(const IsingModel& model, const SbParams& params,
                           const SbSampleHook& hook, const RunContext* ctx) {
-  if (!model.finalized()) {
-    throw std::invalid_argument("solve_sb: model must be finalized");
-  }
-  if (params.max_iterations == 0 || params.dt <= 0.0 ||
-      params.detuning <= 0.0) {
-    throw std::invalid_argument("solve_sb: bad parameters");
-  }
-  if (!params.initial_positions.empty() &&
-      params.initial_positions.size() != model.num_spins()) {
-    throw std::invalid_argument("solve_sb: initial_positions size");
-  }
-
-  SbBatchHook batch_hook;
-  if (hook) {
-    // With one replica the SoA planes are contiguous (stride 1), so the
-    // legacy span-based hook sees the live state without any copy.
-    batch_hook = [&hook](std::size_t, ReplicaView view) {
-      hook(std::span<double>(&view.x(0), view.size()),
-           std::span<double>(&view.y(0), view.size()));
-    };
-  }
-  BsbBatchEngine engine(model, params, 1);
+  BsbBatchEngine engine(model, params);
   engine.set_context(ctx);
-  return engine.run(batch_hook);
+  return engine.run(hook);
 }
 
 }  // namespace adsd

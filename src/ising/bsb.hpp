@@ -1,9 +1,8 @@
 #pragma once
 
-#include <functional>
-#include <span>
 #include <vector>
 
+#include "ising/engine.hpp"
 #include "ising/kernels/force_kernels.hpp"
 #include "ising/model.hpp"
 #include "ising/stop.hpp"
@@ -43,12 +42,12 @@ struct SbParams {
   /// solver the paper uses.
   bool discrete = false;
 
-  /// Force-kernel request of the batched engine. No registry key or flag
-  /// sets it: kAuto picks the bipartite layout at one replica on a
-  /// column-COP model and the CSR kernel otherwise, and the Euler step
-  /// runs at the widest ISA. In-process callers pin kScalar to reach the
-  /// CSR reference at R = 1, or an ISA to pin the step tier. Every variant
-  /// is bit-identical (see ising/kernels/force_kernels.hpp).
+  /// Force-kernel request of the engine. No registry key or flag sets
+  /// it: kAuto picks the bipartite layout on a column-COP model and the
+  /// CSR kernel otherwise, and the Euler step runs at the widest ISA.
+  /// In-process callers pin kScalar to reach the CSR reference on a
+  /// column COP, or an ISA to pin the step tier. Every variant is
+  /// bit-identical (see ising/kernels/force_kernels.hpp).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 
   /// Dynamic stop criterion (Sec. 3.3.1). When disabled the solver still
@@ -57,27 +56,22 @@ struct SbParams {
   DynamicStopParams stop{};
 };
 
-/// Called at every sampling point with the mutable oscillator positions and
-/// momenta; the Theorem-3 heuristic of Sec. 3.3.2 plugs in here to reset the
-/// column-type spins and feed the state back into the integration.
-using SbSampleHook =
-    std::function<void(std::span<double> positions, std::span<double> momenta)>;
-
 class RunContext;
 
 /// Ballistic (or discrete) simulated bifurcation on a finalized model.
 /// Returns the best solution seen at any sampling point or at termination.
-/// Delegates to the batched lockstep engine (ising/bsb_batch.hpp) with a
-/// single replica; bit-identical to solve_sb_scalar() for the same seed.
-/// A non-null `ctx` enables deadline checks and the armed recorders.
+/// Runs BsbBatchEngine (ising/bsb_batch.hpp); bit-identical to
+/// solve_sb_scalar() for the same seed. The hook (if any) sees the live
+/// positions and momenta at every sampling point. A non-null `ctx`
+/// enables deadline checks and the armed recorders.
 IsingSolveResult solve_sb(const IsingModel& model, const SbParams& params,
                           const SbSampleHook& hook = nullptr,
                           const RunContext* ctx = nullptr);
 
 /// Scalar reference implementation of solve_sb (the seed implementation,
-/// one replica, per-sample from-scratch energies). Kept as the ground truth
-/// for the batched engine's parity tests and as the baseline of the
-/// batched-vs-scalar micro-benchmarks; not used on any hot path.
+/// per-sample from-scratch energies). Kept as the ground truth for the
+/// engine's parity tests and as the baseline of the engine-vs-scalar
+/// micro-benchmarks; not used on any hot path.
 IsingSolveResult solve_sb_scalar(const IsingModel& model,
                                  const SbParams& params,
                                  const SbSampleHook& hook = nullptr);

@@ -1,18 +1,16 @@
 #include "ising/bsb_batch.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "support/cpu_features.hpp"
 #include "support/rng.hpp"
-#include "support/run_context.hpp"
 
 namespace adsd {
 
-BsbBatchEngine::BsbBatchEngine(const IsingModel& model, const SbParams& params,
-                               std::size_t replicas)
-    : EnsembleEngineBase(model, replicas, params.kernel, params.discrete,
+BsbBatchEngine::BsbBatchEngine(const IsingModel& model, const SbParams& params)
+    : EnsembleEngineBase(model, params.kernel, params.discrete,
                          "BsbBatchEngine"),
       params_(params),
       step_fn_(kernels::select_bsb_step(params.kernel, cpu_features())),
@@ -32,19 +30,15 @@ BsbBatchEngine::BsbBatchEngine(const IsingModel& model, const SbParams& params,
     c0_ = default_coupling_strength(model, params.detuning);
   }
 
-  // Replica-contiguous state; replica r reproduces the scalar reference with
-  // seed params.seed + r * 0x9e3779b9 (same draw order: x first, then the
-  // momenta sweep).
-  for (std::size_t r = 0; r < R_; ++r) {
-    Rng rng(params_.seed + 0x9e3779b9u * r);
-    if (!params_.initial_positions.empty()) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        x_[i * R_ + r] = params_.initial_positions[i];
-      }
-    }
-    for (std::size_t i = 0; i < n_; ++i) {
-      y_[i * R_ + r] = rng.next_double(-0.1, 0.1);
-    }
+  // The scalar reference's start: x (zero or the given positions), then
+  // the momenta drawn in spin order from the seed.
+  if (!params_.initial_positions.empty()) {
+    std::copy(params_.initial_positions.begin(),
+              params_.initial_positions.end(), x_.begin());
+  }
+  Rng rng(params_.seed);
+  for (std::size_t i = 0; i < n_; ++i) {
+    y_[i] = rng.next_double(-0.1, 0.1);
   }
 
   init_tracker();
@@ -80,7 +74,7 @@ void BsbBatchEngine::advance(std::size_t /*iter*/, std::size_t steps) {
   planes.x = x_.data();
   planes.y = y_.data();
   planes.force = force_.data();
-  planes.lanes = n_ * R_;
+  planes.lanes = n_;
   planes.dt = params_.dt;
   planes.c0 = c0_;
   planes.dt_detuning = dt_detuning;
@@ -93,22 +87,11 @@ void BsbBatchEngine::advance(std::size_t /*iter*/, std::size_t steps) {
 }
 
 std::string BsbBatchEngine::curve_name() const {
-  return "ising/bsb/n" + std::to_string(n_) + "_R" + std::to_string(R_);
+  return "ising/bsb/n" + std::to_string(n_);
 }
 
 std::size_t BsbBatchEngine::sample_interval() const {
   return params_.stop.sample_interval > 0 ? params_.stop.sample_interval : 10;
-}
-
-IsingSolveResult solve_sb_batch(const IsingModel& model, const SbParams& params,
-                                std::size_t replicas, const SbBatchHook& hook,
-                                const SbBatchPlaneHook& plane_hook,
-                                const RunContext* ctx) {
-  BsbBatchEngine engine(model, params, replicas);
-  engine.set_context(ctx);
-  IsingSolveResult result = engine.run(hook, plane_hook);
-  result.iterations *= replicas;
-  return result;
 }
 
 }  // namespace adsd

@@ -10,9 +10,8 @@
 
 namespace adsd {
 
-DochEngine::DochEngine(const IsingModel& model, const DochParams& params,
-                       std::size_t replicas)
-    : EnsembleEngineBase(model, replicas, params.kernel, /*discrete=*/false,
+DochEngine::DochEngine(const IsingModel& model, const DochParams& params)
+    : EnsembleEngineBase(model, params.kernel, /*discrete=*/false,
                          "DochEngine"),
       params_(params) {
   if (params.max_iterations == 0 || params.momentum < 0.0 ||
@@ -41,21 +40,18 @@ DochEngine::DochEngine(const IsingModel& model, const DochParams& params,
   }
   inv_rho_ = 1.0 / rho_;
 
-  // Deterministic dynamics: the ensemble explores through diverse random
-  // starting points, one uniform kick stream per replica.
-  for (std::size_t r = 0; r < R_; ++r) {
-    Rng rng(params_.seed + 0x9e3779b9u * r);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double base = params_.initial_positions.empty()
-                              ? 0.0
-                              : params_.initial_positions[i];
-      x_[i * R_ + r] = std::clamp(
-          base + rng.next_double(-params_.init_amp, params_.init_amp), -1.0,
-          1.0);
-    }
+  // Deterministic dynamics: the search explores through the random
+  // starting point, one uniform kick per spin.
+  Rng rng(params_.seed);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double base =
+        params_.initial_positions.empty() ? 0.0 : params_.initial_positions[i];
+    x_[i] = std::clamp(
+        base + rng.next_double(-params_.init_amp, params_.init_amp), -1.0,
+        1.0);
   }
 
-  z_.assign(n_ * R_, 0.0);
+  z_.assign(n_, 0.0);
   set_force_input(z_.data());
 
   init_tracker();
@@ -64,17 +60,17 @@ DochEngine::DochEngine(const IsingModel& model, const DochParams& params,
 void DochEngine::advance(std::size_t /*iter*/, std::size_t steps) {
   const double beta = params_.momentum;
   const double inv_rho = inv_rho_;
-  const std::size_t total_lanes = n_ * R_;
+  const std::size_t n = n_;
   for (std::size_t step = 0; step < steps; ++step) {
     // y holds u = x - x_prev from the previous iteration (0 at start and
     // after a hook reset), so the lookahead is one fused pass.
-    for (std::size_t k = 0; k < total_lanes; ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
       z_[k] = x_[k] + beta * y_[k];
     }
 
     compute_forces();
 
-    for (std::size_t k = 0; k < total_lanes; ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
       const double zk = z_[k] + inv_rho * force_[k];
       const double lo = zk < -1.0 ? -1.0 : zk;
       const double xn = lo > 1.0 ? 1.0 : lo;
@@ -85,7 +81,7 @@ void DochEngine::advance(std::size_t /*iter*/, std::size_t steps) {
 }
 
 std::string DochEngine::curve_name() const {
-  return "ising/doch/n" + std::to_string(n_) + "_R" + std::to_string(R_);
+  return "ising/doch/n" + std::to_string(n_);
 }
 
 std::size_t DochEngine::sample_interval() const {
@@ -93,14 +89,10 @@ std::size_t DochEngine::sample_interval() const {
 }
 
 IsingSolveResult solve_doch(const IsingModel& model, const DochParams& params,
-                            std::size_t replicas, const SbBatchHook& hook,
-                            const SbBatchPlaneHook& plane_hook,
-                            const RunContext* ctx) {
-  DochEngine engine(model, params, replicas);
+                            const SbSampleHook& hook, const RunContext* ctx) {
+  DochEngine engine(model, params);
   engine.set_context(ctx);
-  IsingSolveResult result = engine.run(hook, plane_hook);
-  result.iterations *= replicas;
-  return result;
+  return engine.run(hook);
 }
 
 }  // namespace adsd

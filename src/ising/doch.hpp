@@ -23,10 +23,10 @@ class RunContext;
 ///   x <- clamp(z + (1/rho) * f(z), -1, 1)
 ///
 /// where f is the same local field the bSB force kernels compute. Each
-/// iteration is one force pass plus an O(n * R) update, monotone up to the
+/// iteration is one force pass plus an O(n) update, monotone up to the
 /// momentum term, and converges to a box fixed point whose signs are the
-/// rounded solution; replica diversity comes from random starting points
-/// (the dynamics themselves are deterministic).
+/// rounded solution; the search comes from the random starting point (the
+/// dynamics themselves are deterministic), so restarts differ by seed.
 struct DochParams {
   std::size_t max_iterations = 500;
 
@@ -39,35 +39,32 @@ struct DochParams {
   /// ADOCH variant.
   double momentum = 0.7;
 
-  /// Half-width of the uniform random start: replica r draws every
-  /// coordinate from seed + r * 0x9e3779b9 in [-init_amp, init_amp] around
-  /// the warm point (or 0).
+  /// Half-width of the uniform random start: every coordinate is drawn
+  /// from the seed in [-init_amp, init_amp] around the warm point (or 0).
   double init_amp = 1.0;
 
   std::uint64_t seed = 1;
 
-  /// Optional warm start: base point the per-replica random kick is
-  /// applied around.
+  /// Optional warm start: base point the random kick is applied around.
   std::vector<double> initial_positions;
 
   /// Force-kernel request, as SbParams::kernel (kAuto by default; no
   /// registry key or flag sets it).
   kernels::ForceKernel kernel = kernels::ForceKernel::kAuto;
 
-  /// Dynamic stop on the ensemble-best energy (same criterion as bSB).
+  /// Dynamic stop on the best energy (same criterion as bSB).
   DynamicStopParams stop{};
 };
 
-/// DOCH/ADOCH on the shared SoA ensemble chassis. The y plane holds the
-/// per-lane displacement u = x - x_prev, so plane hooks that zero a
-/// replica's y (the Theorem-3 reset) legitimately kill its inertia; the
-/// force kernel's input plane is repointed at the lookahead buffer z.
-/// Emits under "ising/doch/*".
+/// DOCH/ADOCH on the shared engine chassis. The y plane holds the
+/// displacement u = x - x_prev, so hooks that zero a spin's y (the
+/// Theorem-3 reset) legitimately kill its inertia; the force kernel's
+/// input plane is repointed at the lookahead buffer z. Emits under
+/// "ising/doch/*".
 class DochEngine final : public EnsembleEngineBase {
  public:
   /// The model reference must outlive the engine.
-  DochEngine(const IsingModel& model, const DochParams& params,
-             std::size_t replicas);
+  DochEngine(const IsingModel& model, const DochParams& params);
 
   /// Resolved proximal weight (after the auto rule).
   double rho() const { return rho_; }
@@ -88,16 +85,15 @@ class DochEngine final : public EnsembleEngineBase {
   DochParams params_;
   double rho_;
   double inv_rho_;
-  AlignedVector<double> z_;  // n * R lookahead points (force input)
+  AlignedVector<double> z_;  // n lookahead points (force input)
 };
 
-/// Ensemble DOCH/ADOCH solve mirroring solve_sb_batch: best replica's best
-/// solution, dynamic stop on the ensemble-best energy, `iterations` summed
-/// over replicas, hooks applied at every sampling point.
+/// DOCH/ADOCH solve mirroring solve_sb: the best solution seen at any
+/// sampling point, the dynamic stop on the best energy, the hook (if any)
+/// applied at every sampling point. A non-null `ctx` enables deadline
+/// checks and the armed recorders.
 IsingSolveResult solve_doch(const IsingModel& model, const DochParams& params,
-                            std::size_t replicas,
-                            const SbBatchHook& hook = nullptr,
-                            const SbBatchPlaneHook& plane_hook = nullptr,
+                            const SbSampleHook& hook = nullptr,
                             const RunContext* ctx = nullptr);
 
 }  // namespace adsd

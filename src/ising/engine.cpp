@@ -102,56 +102,48 @@ double default_coupling_strength(const IsingModel& model, double detuning) {
 }
 
 void EnsembleEnergyTracker::init(const IsingModel& model, const CsrPlanes& csr,
-                                 std::span<const double> x,
-                                 std::size_t replicas) {
+                                 std::span<const double> x) {
   model_ = &model;
   csr_ = &csr;
   const std::optional<BipartiteShape>& shape = model.bipartite_shape();
-  const bool grouped = shape && replicas == 1 && csr.row_start.empty();
+  const bool grouped = shape && csr.row_start.empty();
   if (!grouped && csr.row_start.size() != model.num_spins() + 1) {
     throw std::invalid_argument(
-        "EnsembleEnergyTracker: CSR planes required past the R = 1 plane");
+        "EnsembleEnergyTracker: CSR planes required off the column-COP "
+        "plane");
   }
   plane_ = grouped ? model.bipartite_plane().data() : nullptr;
   rows_ = grouped ? shape->rows : 0;
   cols_ = grouped ? shape->cols : 0;
   n_ = model.num_spins();
-  R_ = replicas;
   exact_ = model.exact_arithmetic();
-  spins_.resize(n_ * R_);
-  for (std::size_t k = 0; k < n_ * R_; ++k) {
-    spins_[k] = x[k] >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
+  spins_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    spins_[i] = x[i] >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
   }
-  scratch_spins_.resize(n_);
-  energies_.resize(R_);
-  for (std::size_t r = 0; r < R_; ++r) {
-    energies_[r] = exact_energy(r);
-  }
-  // Tracked energies start as from-scratch values, so every replica is in
-  // sync with IsingModel::energy() until the first flip.
-  dirty_.assign(R_, 0);
+  // The tracked energy starts as the from-scratch value, so it is in sync
+  // with IsingModel::energy() until the first flip.
+  energy_ = exact_energy();
+  dirty_ = false;
 }
 
-double EnsembleEnergyTracker::csr_field(std::size_t i, std::size_t r) const {
+double EnsembleEnergyTracker::csr_field(std::size_t i) const {
   double field = csr_->h[i];
   for (std::size_t e = csr_->row_start[i]; e < csr_->row_start[i + 1]; ++e) {
-    field += csr_->weights[e] *
-             static_cast<double>(
-                 spins_[static_cast<std::size_t>(csr_->cols[e]) * R_ + r]);
+    field += csr_->weights[e] * static_cast<double>(spins_[csr_->cols[e]]);
   }
   return field;
 }
 
-void EnsembleEnergyTracker::flip(std::size_t i, std::size_t r,
-                                 std::int8_t new_sign) {
+void EnsembleEnergyTracker::flip(std::size_t i, std::int8_t new_sign) {
   // Exact flip telescope: the energy delta of flipping spin i is
   // 2 * s_i * (h_i + sum_j J_ij s_j) with the *current* tracked signs, so
   // applying flips one at a time keeps the tracked energy equal to a full
   // recomputation (up to accumulation rounding).
-  const std::int8_t old_sign = spins_[i * R_ + r];
-  energies_[r] += 2.0 * static_cast<double>(old_sign) * csr_field(i, r);
-  spins_[i * R_ + r] = new_sign;
-  dirty_[r] = 1;
+  const std::int8_t old_sign = spins_[i];
+  energy_ += 2.0 * static_cast<double>(old_sign) * csr_field(i);
+  spins_[i] = new_sign;
+  dirty_ = true;
 }
 
 template <EnsembleEnergyTracker::Side kSide>
@@ -238,70 +230,50 @@ std::size_t EnsembleEnergyTracker::flip_side(const double* x,
 
 void EnsembleEnergyTracker::sample(std::span<const double> x) {
   if (plane_ != nullptr) {
-    // R = 1 column COP: V fields read only T signs and T fields only V
-    // signs, and the per-flip walk flips every V spin before any T spin.
-    // So each side's fields are independent chains, the V side's against
-    // the old T signs and the T side's against the new V signs, and the
-    // deltas still add in ascending spin order.
+    // Column COP: V fields read only T signs and T fields only V signs,
+    // and the per-flip walk flips every V spin before any T spin. So each
+    // side's fields are independent chains, the V side's against the old
+    // T signs and the T side's against the new V signs, and the deltas
+    // still add in ascending spin order.
     const std::size_t rows = rows_;
-    double energy = energies_[0];
+    double energy = energy_;
     std::size_t flips = flip_side<Side::kV1>(x.data(), 0, rows, energy);
     flips += flip_side<Side::kV2>(x.data(), rows, 2 * rows, energy);
     flips += flip_side<Side::kT>(x.data(), 2 * rows, n_, energy);
-    energies_[0] = energy;
+    energy_ = energy;
     if (flips != 0) {
-      dirty_[0] = 1;
+      dirty_ = true;
     }
     return;
   }
-  const std::size_t R = R_;
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* xi = &x[i * R];
-    const std::int8_t* si = &spins_[i * R];
-    for (std::size_t r = 0; r < R; ++r) {
-      const std::int8_t ns = xi[r] >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
-      if (ns != si[r]) {
-        flip(i, r, ns);
-      }
+    const std::int8_t ns = x[i] >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
+    if (ns != spins_[i]) {
+      flip(i, ns);
     }
   }
 }
 
 double EnsembleEnergyTracker::consider_all(IsingSolveResult& result) {
-  // A replica's tracked energy can drift from the from-scratch value only by
-  // flip-accumulation rounding (~1e-15 relative), so a tracked energy within
-  // this slack of the incumbent triggers one exact recomputation; everything
-  // else is filtered in O(1). The recomputed value is snapped back into the
-  // tracker, which also re-synchronizes the drift. Where no sum can round,
-  // the tracked energy is that value already.
-  double best_now = energies_[0];
-  for (std::size_t r = 0; r < R_; ++r) {
-    const double slack = 1e-9 + 1e-12 * std::fabs(result.energy);
-    if (dirty_[r] != 0 && energies_[r] < result.energy + slack) {
-      const double es = exact_ ? energies_[r] : exact_energy(r);
-      energies_[r] = es;
-      dirty_[r] = 0;
-      if (es < result.energy) {
-        result.energy = es;
-        copy_replica_spins(r, result.spins);
-      }
+  // The tracked energy can drift from the from-scratch value only by
+  // flip-accumulation rounding (~1e-15 relative), so a tracked energy
+  // within this slack of the incumbent triggers one exact recomputation;
+  // anything else is filtered in O(1). The recomputed value is snapped
+  // back into the tracker, which also re-synchronizes the drift. Where no
+  // sum can round, the tracked energy is that value already.
+  const double tracked = energy_;
+  const double slack = 1e-9 + 1e-12 * std::fabs(result.energy);
+  if (dirty_ && energy_ < result.energy + slack) {
+    if (!exact_) {
+      energy_ = exact_energy();
     }
-    best_now = std::min(best_now, energies_[r]);
+    dirty_ = false;
+    if (energy_ < result.energy) {
+      result.energy = energy_;
+      result.spins.assign(spins_.begin(), spins_.end());
+    }
   }
-  return best_now;
-}
-
-double EnsembleEnergyTracker::exact_energy(std::size_t r) {
-  copy_replica_spins(r, scratch_spins_);
-  return model_->energy(scratch_spins_);
-}
-
-void EnsembleEnergyTracker::copy_replica_spins(
-    std::size_t r, std::vector<std::int8_t>& out) const {
-  out.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    out[i] = spins_[i * R_ + r];
-  }
+  return std::min(tracked, energy_);
 }
 
 IsingSolveResult run_engine(IsingEngine& engine) {
@@ -495,26 +467,21 @@ IsingSolveResult run_engine(IsingEngine& engine) {
 }
 
 EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
-                                       std::size_t replicas,
                                        kernels::ForceKernel requested,
                                        bool discrete, const char* label)
-    : model_(model), n_(model.num_spins()), R_(replicas) {
+    : model_(model), n_(model.num_spins()) {
   if (!model.finalized()) {
     throw std::invalid_argument(std::string(label) +
                                 ": model must be finalized");
   }
-  if (replicas == 0) {
-    throw std::invalid_argument(std::string(label) + ": need >= 1 replica");
-  }
 
   // Resolve the force kernel once: the bipartite layout at the
-  // cpuid-probed ISA tier at R = 1 on a column-COP model, the CSR kernel
-  // otherwise (or when the caller pins it through the kernel parameter).
-  // The dispatch never fails. R_ >= 1 here: the check above rejects 0
-  // replicas before a kernel is selected.
+  // cpuid-probed ISA tier on a column-COP model, the CSR kernel otherwise
+  // (or when the caller pins it through the kernel parameter). The
+  // dispatch never fails.
   const std::optional<BipartiteShape>& shape = model.bipartite_shape();
   kernel_ = kernels::select_force_kernel(
-      requested, cpu_features(), R_,
+      requested, cpu_features(), 1,
       shape ? kernels::ModelShape::kBipartite : kernels::ModelShape::kGeneric);
   force_fn_ = discrete ? kernel_.discrete : kernel_.continuous;
   planes_ = kernels::ForcePlanes{};
@@ -535,26 +502,25 @@ EnsembleEngineBase::EnsembleEngineBase(const IsingModel& model,
   }
   planes_.h = csr_.h.data();
   planes_.n = n_;
-  planes_.replicas = R_;
 
-  x_.assign(n_ * R_, 0.0);
-  y_.assign(n_ * R_, 0.0);
-  force_.assign(n_ * R_, 0.0);
+  x_.assign(n_, 0.0);
+  y_.assign(n_, 0.0);
+  force_.assign(n_, 0.0);
   planes_.x = x_.data();
   planes_.force = force_.data();
 }
 
 void EnsembleEngineBase::compute_forces() {
-  // One pass over all rows. Every kernel preserves the per-lane per-edge
+  // One pass over all rows. Every kernel preserves the per-row per-edge
   // accumulation order of the scalar reference (see
-  // ising/kernels/force_kernels.hpp), which is what keeps replica
-  // trajectories bit-identical to the scalar references.
+  // ising/kernels/force_kernels.hpp), which is what keeps trajectories
+  // bit-identical to the scalar references.
   force_fn_(planes_);
 }
 
 void EnsembleEngineBase::begin(IsingSolveResult& result) {
-  tracker_.copy_replica_spins(0, result.spins);
-  result.energy = tracker_.energies()[0];
+  result.spins.assign(tracker_.spins().begin(), tracker_.spins().end());
+  result.energy = tracker_.energy();
 }
 
 void EnsembleEngineBase::on_run_start() {
@@ -569,13 +535,8 @@ void EnsembleEngineBase::on_run_start() {
 }
 
 double EnsembleEngineBase::observe(IsingSolveResult& result) {
-  if (plane_hook_) {
-    plane_hook_(positions(), momenta(), R_);
-  }
   if (hook_) {
-    for (std::size_t r = 0; r < R_; ++r) {
-      hook_(r, view(r));
-    }
+    hook_(positions(), momenta());
   }
   sample();
   return tracker_.consider_all(result);
@@ -586,13 +547,10 @@ void EnsembleEngineBase::finish(IsingSolveResult& result) {
   tracker_.consider_all(result);
 }
 
-IsingSolveResult EnsembleEngineBase::run(const SbBatchHook& hook,
-                                         const SbBatchPlaneHook& plane_hook) {
+IsingSolveResult EnsembleEngineBase::run(const SbSampleHook& hook) {
   hook_ = hook;
-  plane_hook_ = plane_hook;
   IsingSolveResult result = run_engine(*this);
   hook_ = nullptr;
-  plane_hook_ = nullptr;
   return result;
 }
 

@@ -15,43 +15,13 @@ namespace adsd {
 
 class RunContext;
 
-/// Mutable view of one replica inside an SoA ensemble engine's
-/// replica-contiguous state: element i of the replica lives at offset
-/// i * stride. Intervention hooks (the Theorem-3 reset of Sec. 3.3.2) read
-/// and write oscillators through this view directly, so no O(n * R)
-/// gather/scatter copy is needed per sampling point.
-class ReplicaView {
- public:
-  ReplicaView(double* x, double* y, std::size_t n, std::size_t stride)
-      : x_(x), y_(y), n_(n), stride_(stride) {}
-
-  std::size_t size() const { return n_; }
-  std::size_t stride() const { return stride_; }
-
-  double& x(std::size_t i) { return x_[i * stride_]; }
-  double x(std::size_t i) const { return x_[i * stride_]; }
-  double& y(std::size_t i) { return y_[i * stride_]; }
-  double y(std::size_t i) const { return y_[i * stride_]; }
-
- private:
-  double* x_;
-  double* y_;
-  std::size_t n_;
-  std::size_t stride_;
-};
-
-/// Per-replica intervention hook; called at every sampling point with the
-/// replica index and a strided view of its state.
-using SbBatchHook = std::function<void(std::size_t replica, ReplicaView view)>;
-
-/// Whole-ensemble intervention hook: called once per sampling point with
-/// the raw SoA position/momentum planes (element i of replica r at index
-/// i * replicas + r). Batched interventions (the plane-based Theorem-3
-/// reset) use this to sweep all replicas with replica-contiguous inner
-/// loops instead of R strided passes. bSB hands its momenta as y, DOCH
-/// its velocities.
-using SbBatchPlaneHook = std::function<void(
-    std::span<double> x, std::span<double> y, std::size_t replicas)>;
+/// Intervention hook of the oscillator engines, called at every sampling
+/// point with the mutable positions and secondary state (bSB momenta, DOCH
+/// velocities), n entries each; the Theorem-3 heuristic of Sec. 3.3.2
+/// plugs in here to reset the column-type spins and feed the state back
+/// into the integration.
+using SbSampleHook =
+    std::function<void(std::span<double> positions, std::span<double> momenta)>;
 
 /// Flattened CSR adjacency of one Ising model: separate column-index and
 /// weight planes (no interleaved pairs), 64-byte aligned, plus the bias
@@ -71,50 +41,50 @@ CsrPlanes flatten_csr(const IsingModel& model);
 /// of bSB's c0; 1.0 for coupling-free models.
 double default_coupling_strength(const IsingModel& model, double detuning);
 
-/// Incremental sign/energy tracking for an ensemble of R replicas over one
-/// model: tracks the sign vector and energy of every replica and, at each
-/// sampling point, updates energies by the exact flip telescope in
-/// O(flipped spins * degree) instead of recomputing O(edges) per replica
-/// (invariant: tracked energy equals IsingModel::energy() of the tracked
-/// signs up to accumulation rounding). When a replica's tracked energy
-/// threatens the incumbent, the energy is recomputed from scratch once and
-/// the tracked value snapped to it, so the reported best is always a
-/// from-scratch IsingModel::energy() value. On a model whose sums cannot
-/// round (IsingModel::exact_arithmetic()) the tracked energy already is
-/// that value, bit for bit, and is taken as it is.
+/// Incremental sign/energy tracking of one trajectory over one model:
+/// tracks the sign vector and its energy and, at each sampling point,
+/// updates the energy by the exact flip telescope in O(flipped spins *
+/// degree) instead of recomputing O(edges) (invariant: the tracked energy
+/// equals IsingModel::energy() of the tracked signs up to accumulation
+/// rounding). When the tracked energy threatens the incumbent, it is
+/// recomputed from scratch once and snapped to that value, so the
+/// reported best is always a from-scratch IsingModel::energy() value. On a
+/// model whose sums cannot round (IsingModel::exact_arithmetic()) the
+/// tracked energy already is that value, bit for bit, and is taken as it
+/// is.
 class EnsembleEnergyTracker {
  public:
-  /// Captures signs/energies from the initial positions. The model and
-  /// CSR planes must outlive the tracker. A column-COP model at one
-  /// replica whose planes carry no CSR adjacency (the bipartite layout)
-  /// takes its flip fields from the coupling plane in grouped chains and
-  /// reads only the biases of `csr`; any other model walks CSR per flip.
+  /// Captures the signs and energy of the initial positions. The model
+  /// and CSR planes must outlive the tracker. A column-COP model whose
+  /// planes carry no CSR adjacency (the bipartite layout) takes its flip
+  /// fields from the coupling plane in grouped chains and reads only the
+  /// biases of `csr`; any other model walks CSR per flip.
   void init(const IsingModel& model, const CsrPlanes& csr,
-            std::span<const double> x, std::size_t replicas);
+            std::span<const double> x);
 
-  /// Refreshes the tracked signs and per-replica energies from the current
-  /// positions via incremental flip updates. Call after external position
-  /// edits (hooks) and before reading energies()/spins().
+  /// Refreshes the tracked signs and energy from the current positions
+  /// via incremental flip updates. Call after external position edits
+  /// (hooks) and before reading energy()/spins().
   void sample(std::span<const double> x);
 
-  /// Folds any replica that improves on result.energy into `result`
-  /// (recomputing threatened energies from scratch first, unless the
-  /// model's sums are exact) and returns the ensemble-best tracked energy.
+  /// Folds the tracked signs into `result` when they improve on
+  /// result.energy (recomputing a threatening energy from scratch first,
+  /// unless the model's sums are exact) and returns the lower of the
+  /// tracked energy before and after that sync.
   double consider_all(IsingSolveResult& result);
 
-  /// From-scratch energy of replica r (also used to seed the tracker).
-  double exact_energy(std::size_t r);
+  /// From-scratch energy of the tracked signs (also used to seed the
+  /// tracker).
+  double exact_energy() const { return model_->energy(spins_); }
 
-  void copy_replica_spins(std::size_t r, std::vector<std::int8_t>& out) const;
-
-  std::span<const double> energies() const { return energies_; }
+  double energy() const { return energy_; }
   std::span<const std::int8_t> spins() const { return spins_; }
 
  private:
   enum class Side { kV1, kV2, kT };
 
-  void flip(std::size_t i, std::size_t r, std::int8_t new_sign);
-  double csr_field(std::size_t i, std::size_t r) const;
+  void flip(std::size_t i, std::int8_t new_sign);
+  double csr_field(std::size_t i) const;
   template <Side kSide>
   std::size_t flip_side(const double* x, std::size_t begin, std::size_t end,
                         double& energy);
@@ -128,12 +98,10 @@ class EnsembleEnergyTracker {
   std::size_t rows_ = 0;           // plane shape
   std::size_t cols_ = 0;
   std::size_t n_ = 0;
-  std::size_t R_ = 0;
-  bool exact_ = false;                      // IsingModel::exact_arithmetic()
-  AlignedVector<std::int8_t> spins_;        // n * R
-  std::vector<double> energies_;            // R
-  std::vector<std::uint8_t> dirty_;         // R: flips since last sync
-  std::vector<std::int8_t> scratch_spins_;  // n, gather buffer
+  bool exact_ = false;   // IsingModel::exact_arithmetic()
+  bool dirty_ = false;   // flips since the last sync
+  double energy_ = 0.0;  // tracked energy of spins_
+  AlignedVector<std::int8_t> spins_;  // n
 };
 
 /// Engine-agnostic contract of one Ising solve (DESIGN.md §4.8).
@@ -192,7 +160,7 @@ class IsingEngine {
   virtual void begin(IsingSolveResult& result) = 0;
 
   /// One-shot per-run emissions after the entry-deadline check passed (the
-  /// SoA engines report the resolved force kernel here).
+  /// oscillator engines report the resolved force kernel here).
   virtual void on_run_start() {}
 
   /// Integrates `steps` >= 1 iterations (steps / sweeps), the first of
@@ -221,19 +189,17 @@ class IsingEngine {
 /// stay bit-identical.
 IsingSolveResult run_engine(IsingEngine& engine);
 
-/// Shared chassis of the SoA lockstep ensemble engines (bSB, DOCH):
-/// replica-contiguous position/secondary/force planes, the force layout
-/// (the bipartite tiles, built straight from a column-COP model's plane,
-/// at R = 1 on such a model; the flattened CSR adjacency otherwise), a
-/// dispatched force kernel, incremental energy tracking, and the
-/// sampling-point hook application. Derived engines implement the
-/// dynamics (advance) over the shared planes and their parameter
-/// plumbing; everything else — begin/observe/finish, hook dispatch,
-/// kernel reporting — is inherited.
+/// Shared chassis of the oscillator engines (bSB, DOCH): n-long
+/// position/secondary/force planes, the force layout (the bipartite
+/// tiles, built straight from a column-COP model's plane, on such a
+/// model; the flattened CSR adjacency otherwise), a dispatched force
+/// kernel, incremental energy tracking, and the sampling-point hook
+/// application. Derived engines implement the dynamics (advance) over the
+/// shared planes and their parameter plumbing; everything else —
+/// begin/observe/finish, hook dispatch, kernel reporting — is inherited.
 class EnsembleEngineBase : public IsingEngine {
  public:
   std::size_t num_spins() const { return n_; }
-  std::size_t replicas() const { return R_; }
 
   /// Resolved force-kernel name ("scalar" or "bipartite-<isa>").
   const char* kernel_name() const { return kernel_.name; }
@@ -246,39 +212,29 @@ class EnsembleEngineBase : public IsingEngine {
   /// current force-input plane); exposed for the micro-benchmarks.
   void compute_forces();
 
-  /// Refreshes the tracked signs and per-replica energies from the current
-  /// positions. Call after external position edits (hooks) and before
-  /// reading energies()/spins().
+  /// Refreshes the tracked signs and energy from the current positions.
+  /// Call after external position edits (hooks) and before reading
+  /// energy()/spins().
   void sample() { tracker_.sample(x_); }
 
-  /// Tracked per-replica energies (valid after sample()).
-  std::span<const double> energies() const { return tracker_.energies(); }
-
-  /// Tracked signs, SoA layout: spins()[i * R + r] (valid after sample()).
+  /// Tracked energy and signs (valid after sample()).
+  double energy() const { return tracker_.energy(); }
   std::span<const std::int8_t> spins() const { return tracker_.spins(); }
 
-  /// Strided state view of replica r.
-  ReplicaView view(std::size_t r) {
-    return ReplicaView(x_.data() + r, y_.data() + r, n_, R_);
-  }
-
-  /// Raw SoA planes (size n * R), for hooks/benchmarks/tests. The y plane
+  /// Raw planes (n entries each), for hooks/benchmarks/tests. The y plane
   /// is the engine's secondary state: bSB momenta, DOCH velocities.
-  /// forces() holds
-  /// forces right after compute_forces(); the bSB interval kernel keeps
-  /// its forces in registers and uses the plane as scratch positions.
+  /// forces() holds forces right after compute_forces(); the bSB interval
+  /// kernel keeps its forces in registers and uses the plane as scratch
+  /// positions.
   std::span<double> positions() { return x_; }
   std::span<double> momenta() { return y_; }
   std::span<const double> forces() const { return force_; }
 
-  /// Full solve loop through the shared driver. At each sampling point
-  /// `plane_hook` (if any) runs first over the whole ensemble, then `hook`
-  /// per replica. `iterations` of the result counts steps of one replica —
-  /// callers scale by replicas() if they want the ensemble total.
-  IsingSolveResult run(const SbBatchHook& hook = nullptr,
-                       const SbBatchPlaneHook& plane_hook = nullptr);
+  /// Full solve loop through the shared driver; `hook` (if any) runs at
+  /// every sampling point, before the energy refresh.
+  IsingSolveResult run(const SbSampleHook& hook = nullptr);
 
-  // IsingEngine scaffolding shared by every SoA engine.
+  // IsingEngine scaffolding shared by every oscillator engine.
   void begin(IsingSolveResult& result) override;
   void on_run_start() override;
   double observe(IsingSolveResult& result) override;
@@ -286,17 +242,16 @@ class EnsembleEngineBase : public IsingEngine {
 
  protected:
   /// Resolves the force kernel (honoring `requested` against CPU
-  /// features, the replica count and the model's shape), builds the
-  /// bipartite tiles from the plane when that kernel won and flattens the
-  /// CSR adjacency otherwise, and allocates the zero-filled x/y/force
-  /// planes. `label` prefixes validation messages.
-  EnsembleEngineBase(const IsingModel& model, std::size_t replicas,
-                     kernels::ForceKernel requested, bool discrete,
-                     const char* label);
+  /// features and the model's shape), builds the bipartite tiles from the
+  /// plane when that kernel won and flattens the CSR adjacency otherwise,
+  /// and allocates the zero-filled x/y/force planes. `label` prefixes
+  /// validation messages.
+  EnsembleEngineBase(const IsingModel& model, kernels::ForceKernel requested,
+                     bool discrete, const char* label);
 
-  /// Captures tracker signs/energies from x_; call at the end of the
-  /// derived constructor, after the initial positions are in place.
-  void init_tracker() { tracker_.init(model_, csr_, x_, R_); }
+  /// Captures the tracker's signs and energy from x_; call at the end of
+  /// the derived constructor, after the initial positions are in place.
+  void init_tracker() { tracker_.init(model_, csr_, x_); }
 
   /// Repoints the force kernel's input plane (DOCH evaluates the force at
   /// the momentum-lookahead point z rather than at x).
@@ -304,18 +259,16 @@ class EnsembleEngineBase : public IsingEngine {
 
   const IsingModel& model_;
   std::size_t n_;
-  std::size_t R_;
   CsrPlanes csr_;                       // h always; CSR unless kBipartite
   kernels::BipartiteLayout bipartite_;  // built only for kBipartite
   kernels::SelectedForceKernel kernel_;
   kernels::ForceRowsFn force_fn_ = nullptr;  // continuous or discrete entry
   kernels::ForcePlanes planes_;
-  AlignedVector<double> x_;      // n * R positions
-  AlignedVector<double> y_;      // n * R secondary state
-  AlignedVector<double> force_;  // n * R force output
+  AlignedVector<double> x_;      // n positions
+  AlignedVector<double> y_;      // n secondary state
+  AlignedVector<double> force_;  // n force output
   EnsembleEnergyTracker tracker_;
-  SbBatchHook hook_;
-  SbBatchPlaneHook plane_hook_;
+  SbSampleHook hook_;
 };
 
 }  // namespace adsd

@@ -92,7 +92,7 @@ inline void paired_trips(V& v, T& t, const double* vw, const double* tw,
   }
 }
 
-/// One force pass of the bipartite layout (R = 1) over positions `x`:
+/// One force pass of the bipartite layout over positions `x`:
 /// every one of the n forces goes to `out` (see emit()).
 template <class V, class T, bool Discrete, class Out>
 [[gnu::always_inline]] inline void bipartite_pass(const ForcePlanes& p,

@@ -4,7 +4,7 @@
 //
 // The arithmetic is mul-then-add (never FMA; the build also pins
 // -ffp-contract=off), so results are bit-exact against every other
-// tier. The R = 1 bipartite pass vectorizes across the rows of a half
+// tier. The bipartite pass vectorizes across the rows of a half
 // block, and the bSB step and the Theorem-3 reset across four lanes,
 // under the same contract.
 
@@ -68,7 +68,7 @@ inline __m256d step_vec(const StepConsts& s, __m256d x, __m256d f,
   return clamped;
 }
 
-// Bipartite groups (R = 1, BipartiteLayout; the pass is in
+// Bipartite groups (BipartiteLayout; the pass is in
 // bipartite_pass.hpp): half tile blocks, so a pair fits the sixteen ymm.
 // A V group keeps 8 V1 and 8 V2 accumulators in four ymm and shares each
 // column's product between the two sides; a T group keeps 16 accumulators
@@ -226,71 +226,56 @@ void bsb_step_avx2(const BsbStepPlanes& s) {
     bsb_step_portable(tail);
   }
 }
-// Theorem-3 reset: per replica, a 16-column chunk keeps each pattern's
-// costs in four ymm across the ascending rows. A row ANDs its gain chunk
-// with an all-ones or all-zeros mask, so a negative sign adds +0.0,
-// which leaves the cost unchanged. At R = 1 the T positions and momenta
-// store through lane masks; at R > 1 they are strided and written one by
-// one.
+// Theorem-3 reset: a 16-column chunk keeps each pattern's costs in four
+// ymm across the ascending rows. A row ANDs its gain chunk with an
+// all-ones or all-zeros mask, so a negative sign adds +0.0, which leaves
+// the cost unchanged. The T positions and momenta store through lane
+// masks.
 void theorem3_reset_avx2(const Theorem3Planes& p) {
   constexpr std::size_t CB = 16;
-  const std::size_t R = p.replicas;
   const std::size_t r = p.rows;
   const std::size_t c = p.cols;
   const __m256d minus_one = _mm256_set1_pd(-1.0);
   const __m256d plus_one = _mm256_set1_pd(1.0);
   const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   const __m256d none = _mm256_setzero_pd();
-  for (std::size_t q = 0; q < R; ++q) {
-    const double* x1 = p.x + q;
-    const double* x2 = p.x + r * R + q;
-    std::size_t pattern2 = 0;
-    for (std::size_t col0 = 0; col0 < c; col0 += CB) {
-      const std::size_t live = std::min(CB, c - col0);
-      __m256i m[4];
-      __m256d a1[4];
-      __m256d a2[4];
+  const double* x1 = p.x;
+  const double* x2 = p.x + r;
+  std::size_t pattern2 = 0;
+  for (std::size_t col0 = 0; col0 < c; col0 += CB) {
+    const std::size_t live = std::min(CB, c - col0);
+    __m256i m[4];
+    __m256d a1[4];
+    __m256d a2[4];
+    for (std::size_t k = 0; k < 4; ++k) {
+      m[k] = lanes_below(live, static_cast<long long>(4 * k));
+      a1[k] = _mm256_setzero_pd();
+      a2[k] = _mm256_setzero_pd();
+    }
+    for (std::size_t i = 0; i < r; ++i) {
+      const __m256d on1 = x1[i] >= 0.0 ? all : none;
+      const __m256d on2 = x2[i] >= 0.0 ? all : none;
+      const double* g = p.gain + i * c + col0;
       for (std::size_t k = 0; k < 4; ++k) {
-        m[k] = lanes_below(live, static_cast<long long>(4 * k));
-        a1[k] = _mm256_setzero_pd();
-        a2[k] = _mm256_setzero_pd();
-      }
-      for (std::size_t i = 0; i < r; ++i) {
-        const __m256d on1 = x1[i * R] >= 0.0 ? all : none;
-        const __m256d on2 = x2[i * R] >= 0.0 ? all : none;
-        const double* g = p.gain + i * c + col0;
-        for (std::size_t k = 0; k < 4; ++k) {
-          const __m256d gk = _mm256_maskload_pd(g + 4 * k, m[k]);
-          a1[k] = _mm256_add_pd(a1[k], _mm256_and_pd(gk, on1));
-          a2[k] = _mm256_add_pd(a2[k], _mm256_and_pd(gk, on2));
-        }
-      }
-      double* xt = p.x + (2 * r + col0) * R + q;
-      double* yt = p.y + (2 * r + col0) * R + q;
-      for (std::size_t k = 0; k < 4; ++k) {
-        const __m256d two = _mm256_and_pd(
-            _mm256_cmp_pd(a2[k], a1[k], _CMP_LT_OQ), _mm256_castsi256_pd(m[k]));
-        pattern2 += static_cast<std::size_t>(
-            __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(two))));
-        const __m256d t = _mm256_blendv_pd(minus_one, plus_one, two);
-        if (R == 1) {
-          _mm256_maskstore_pd(xt + 4 * k, m[k], t);
-          _mm256_maskstore_pd(yt + 4 * k, m[k], _mm256_setzero_pd());
-        } else {
-          alignas(32) double lanes[4];
-          _mm256_store_pd(lanes, t);
-          const std::size_t n =
-              live > 4 * k ? std::min<std::size_t>(4, live - 4 * k) : 0;
-          for (std::size_t l = 0; l < n; ++l) {
-            xt[(4 * k + l) * R] = lanes[l];
-            yt[(4 * k + l) * R] = 0.0;
-          }
-        }
+        const __m256d gk = _mm256_maskload_pd(g + 4 * k, m[k]);
+        a1[k] = _mm256_add_pd(a1[k], _mm256_and_pd(gk, on1));
+        a2[k] = _mm256_add_pd(a2[k], _mm256_and_pd(gk, on2));
       }
     }
-    if (p.one_pattern != nullptr) {
-      p.one_pattern[q] = pattern2 == 0 || pattern2 == c ? 1 : 0;
+    double* xt = p.x + 2 * r + col0;
+    double* yt = p.y + 2 * r + col0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const __m256d two = _mm256_and_pd(
+          _mm256_cmp_pd(a2[k], a1[k], _CMP_LT_OQ), _mm256_castsi256_pd(m[k]));
+      pattern2 += static_cast<std::size_t>(
+          __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(two))));
+      const __m256d t = _mm256_blendv_pd(minus_one, plus_one, two);
+      _mm256_maskstore_pd(xt + 4 * k, m[k], t);
+      _mm256_maskstore_pd(yt + 4 * k, m[k], _mm256_setzero_pd());
     }
+  }
+  if (p.one_pattern != nullptr) {
+    *p.one_pattern = pattern2 == 0 || pattern2 == c;
   }
 }
 

@@ -1,6 +1,6 @@
 // Hand-vectorized AVX-512F kernels, compiled with -mavx512f in their own
 // translation unit under the mul-then-add bit-exactness contract (no FMA,
-// -ffp-contract=off): the R = 1 bipartite pass holds a V block in four
+// -ffp-contract=off): the bipartite pass holds a V block in four
 // zmm (16 V1 and 16 V2 rows) beside a T block in four zmm (32 rows), the
 // bSB step runs eight lanes per zmm (also inside the bipartite interval
 // kernel), and the Theorem-3 reset holds a 32-column chunk of costs per
@@ -77,7 +77,7 @@ inline void bsb_step_lanes(const BsbStepPlanes& s, const StepConsts& c,
   _mm512_mask_storeu_pd(s.x + k, m, x);
 }
 
-// Bipartite groups (R = 1, BipartiteLayout; the pass is in
+// Bipartite groups (BipartiteLayout; the pass is in
 // bipartite_pass.hpp): a V group is a whole tile block, 16 V1 and 16 V2
 // accumulators in four zmm, sharing one product per T column between the
 // two sides; a T group is a whole tile block, 32 accumulators in four zmm.
@@ -250,70 +250,52 @@ void bsb_step_avx512(const BsbStepPlanes& s) {
     bsb_step_lanes(s, c, k, first_lanes(s.lanes - k));
   }
 }
-// Theorem-3 reset: per replica, a 32-column chunk keeps each pattern's
-// costs in four zmm across the ascending rows; a row adds its gain chunk
-// through a mask that is empty when the row's sign is negative. At R = 1
-// the T positions and momenta store through lane masks; at R > 1 they are
-// strided, so the chunk's lanes are written one by one.
+// Theorem-3 reset: a 32-column chunk keeps each pattern's costs in four
+// zmm across the ascending rows; a row adds its gain chunk through a mask
+// that is empty when the row's sign is negative. The T positions and
+// momenta store through lane masks.
 void theorem3_reset_avx512(const Theorem3Planes& p) {
   constexpr std::size_t CB = 32;
-  const std::size_t R = p.replicas;
   const std::size_t r = p.rows;
   const std::size_t c = p.cols;
   const __m512d minus_one = _mm512_set1_pd(-1.0);
   const __m512d plus_one = _mm512_set1_pd(1.0);
-  for (std::size_t q = 0; q < R; ++q) {
-    const double* x1 = p.x + q;
-    const double* x2 = p.x + r * R + q;
-    std::size_t pattern2 = 0;
-    for (std::size_t col0 = 0; col0 < c; col0 += CB) {
-      const std::size_t live = std::min(CB, c - col0);
-      __mmask8 m[4];
-      __m512d a1[4];
-      __m512d a2[4];
+  const double* x1 = p.x;
+  const double* x2 = p.x + r;
+  std::size_t pattern2 = 0;
+  for (std::size_t col0 = 0; col0 < c; col0 += CB) {
+    const std::size_t live = std::min(CB, c - col0);
+    __mmask8 m[4];
+    __m512d a1[4];
+    __m512d a2[4];
+    for (std::size_t k = 0; k < 4; ++k) {
+      m[k] = first_lanes(live > 8 * k ? live - 8 * k : 0);
+      a1[k] = _mm512_setzero_pd();
+      a2[k] = _mm512_setzero_pd();
+    }
+    for (std::size_t i = 0; i < r; ++i) {
+      const auto on1 = static_cast<__mmask8>(x1[i] >= 0.0 ? 0xFF : 0x00);
+      const auto on2 = static_cast<__mmask8>(x2[i] >= 0.0 ? 0xFF : 0x00);
+      const double* g = p.gain + i * c + col0;
       for (std::size_t k = 0; k < 4; ++k) {
-        m[k] = first_lanes(live > 8 * k ? live - 8 * k : 0);
-        a1[k] = _mm512_setzero_pd();
-        a2[k] = _mm512_setzero_pd();
-      }
-      for (std::size_t i = 0; i < r; ++i) {
-        const auto on1 =
-            static_cast<__mmask8>(x1[i * R] >= 0.0 ? 0xFF : 0x00);
-        const auto on2 =
-            static_cast<__mmask8>(x2[i * R] >= 0.0 ? 0xFF : 0x00);
-        const double* g = p.gain + i * c + col0;
-        for (std::size_t k = 0; k < 4; ++k) {
-          const __m512d gk = _mm512_maskz_loadu_pd(m[k], g + 8 * k);
-          a1[k] = _mm512_mask_add_pd(a1[k], on1, a1[k], gk);
-          a2[k] = _mm512_mask_add_pd(a2[k], on2, a2[k], gk);
-        }
-      }
-      double* xt = p.x + (2 * r + col0) * R + q;
-      double* yt = p.y + (2 * r + col0) * R + q;
-      for (std::size_t k = 0; k < 4; ++k) {
-        const __mmask8 two =
-            _mm512_cmp_pd_mask(a2[k], a1[k], _CMP_LT_OQ) & m[k];
-        pattern2 += static_cast<std::size_t>(__builtin_popcount(two));
-        const __m512d t = _mm512_mask_blend_pd(two, minus_one, plus_one);
-        if (R == 1) {
-          _mm512_mask_storeu_pd(xt + 8 * k, m[k], t);
-          _mm512_mask_storeu_pd(yt + 8 * k, m[k], _mm512_setzero_pd());
-        } else {
-          alignas(64) double lanes[8];
-          _mm512_store_pd(lanes, t);
-          const std::size_t n = live > 8 * k ? std::min<std::size_t>(
-                                                   8, live - 8 * k)
-                                             : 0;
-          for (std::size_t l = 0; l < n; ++l) {
-            xt[(8 * k + l) * R] = lanes[l];
-            yt[(8 * k + l) * R] = 0.0;
-          }
-        }
+        const __m512d gk = _mm512_maskz_loadu_pd(m[k], g + 8 * k);
+        a1[k] = _mm512_mask_add_pd(a1[k], on1, a1[k], gk);
+        a2[k] = _mm512_mask_add_pd(a2[k], on2, a2[k], gk);
       }
     }
-    if (p.one_pattern != nullptr) {
-      p.one_pattern[q] = pattern2 == 0 || pattern2 == c ? 1 : 0;
+    double* xt = p.x + 2 * r + col0;
+    double* yt = p.y + 2 * r + col0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const __mmask8 two =
+          _mm512_cmp_pd_mask(a2[k], a1[k], _CMP_LT_OQ) & m[k];
+      pattern2 += static_cast<std::size_t>(__builtin_popcount(two));
+      const __m512d t = _mm512_mask_blend_pd(two, minus_one, plus_one);
+      _mm512_mask_storeu_pd(xt + 8 * k, m[k], t);
+      _mm512_mask_storeu_pd(yt + 8 * k, m[k], _mm512_setzero_pd());
     }
+  }
+  if (p.one_pattern != nullptr) {
+    *p.one_pattern = pattern2 == 0 || pattern2 == c;
   }
 }
 

@@ -11,68 +11,33 @@ namespace {
 
 // ----------------------------------------------------- CSR kernel
 //
-// The one CSR kernel, run on every host: W is a compile-time lane-block
-// width, so `acc` is a register file and the edge loop reads W
-// consecutive replicas of x per coupling without touching the force plane
-// until the row is finished. W = 1 degenerates to the scalar reference
-// kernel (same accumulation order per lane), which is what keeps replica
-// trajectories bit-identical to solve_sb_scalar(). The compiler
-// auto-vectorizes the W-wide inner loops at whatever width the build
-// targets (SSE2 on a default x86-64 build).
-
-template <int W, bool Discrete>
-void csr_lanes(const ForcePlanes& p, std::size_t lane0) {
-  const std::size_t R = p.replicas;
-  const double* x = p.x + lane0;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    double acc[W];
-    const double hi = p.h[i];
-    for (int t = 0; t < W; ++t) {
-      acc[t] = hi;
-    }
-    const std::size_t e_end = p.row_start[i + 1];
-    for (std::size_t e = p.row_start[i]; e < e_end; ++e) {
-      const double w = p.weights[e];
-      const double* xj = x + static_cast<std::size_t>(p.cols[e]) * R;
-      for (int t = 0; t < W; ++t) {
-        if constexpr (Discrete) {
-          acc[t] += w * (xj[t] >= 0.0 ? 1.0 : -1.0);
-        } else {
-          acc[t] += w * xj[t];
-        }
-      }
-    }
-    double* fi = p.force + i * R + lane0;
-    for (int t = 0; t < W; ++t) {
-      fi[t] = acc[t];
-    }
-  }
-}
+// The one CSR kernel, run on every host: each row seeds its accumulator
+// with h and adds w * x_j (x_j's sign for dSB) over its CSR edges in
+// order, one rounding per multiply and per add -- the scalar reference's
+// accumulation order, which keeps trajectories bit-identical to
+// solve_sb_scalar().
 
 template <bool Discrete>
 void csr_force_scalar_impl(const ForcePlanes& p) {
-  const std::size_t R = p.replicas;
-  std::size_t lane = 0;
-  while (lane + 8 <= R) {
-    csr_lanes<8, Discrete>(p, lane);
-    lane += 8;
-  }
-  if (lane + 4 <= R) {
-    csr_lanes<4, Discrete>(p, lane);
-    lane += 4;
-  }
-  if (lane + 2 <= R) {
-    csr_lanes<2, Discrete>(p, lane);
-    lane += 2;
-  }
-  if (lane < R) {
-    csr_lanes<1, Discrete>(p, lane);
+  for (std::size_t i = 0; i < p.n; ++i) {
+    double acc = p.h[i];
+    const std::size_t e_end = p.row_start[i + 1];
+    for (std::size_t e = p.row_start[i]; e < e_end; ++e) {
+      const double w = p.weights[e];
+      const double xj = p.x[p.cols[e]];
+      if constexpr (Discrete) {
+        acc += w * (xj >= 0.0 ? 1.0 : -1.0);
+      } else {
+        acc += w * xj;
+      }
+    }
+    p.force[i] = acc;
   }
 }
 
 // ----------------------------------------------------- portable bipartite tier
 //
-// R = 1 groups over BipartiteLayout for the shared interleaved pass
+// Groups over BipartiteLayout for the shared interleaved pass
 // (bipartite_pass.hpp), half tile blocks as on AVX2: a V group holds the
 // accumulators of 8 V1 rows and of the same 8 V2 rows; per T column it
 // forms p = w * x once (x's sign for dSB), adds p to the V1 side and
@@ -311,43 +276,40 @@ void detail::bsb_step_portable(const BsbStepPlanes& s) {
   }
 }
 
-// The reference reset every tier must reproduce bit for bit. Replica by
-// replica, each chunk of 8 columns keeps its pattern-1 and pattern-2
-// costs in two register files over the ascending rows; the selects add
-// +0.0 for a row whose sign is negative, with no branch per sign.
+// The reference reset every tier must reproduce bit for bit. Each chunk
+// of 8 columns keeps its pattern-1 and pattern-2 costs in two register
+// files over the ascending rows; the selects add +0.0 for a row whose
+// sign is negative, with no branch per sign.
 void detail::theorem3_reset_portable(const Theorem3Planes& p) {
   constexpr std::size_t CB = 8;
-  const std::size_t R = p.replicas;
   const std::size_t r = p.rows;
   const std::size_t c = p.cols;
-  for (std::size_t q = 0; q < R; ++q) {
-    const double* x1 = p.x + q;
-    const double* x2 = p.x + r * R + q;
-    std::size_t pattern2 = 0;
-    for (std::size_t col0 = 0; col0 < c; col0 += CB) {
-      const std::size_t live = std::min(CB, c - col0);
-      double cost1[CB] = {};
-      double cost2[CB] = {};
-      for (std::size_t i = 0; i < r; ++i) {
-        const bool on1 = x1[i * R] >= 0.0;
-        const bool on2 = x2[i * R] >= 0.0;
-        const double* g = p.gain + i * c + col0;
-        for (std::size_t t = 0; t < live; ++t) {
-          cost1[t] += on1 ? g[t] : 0.0;
-          cost2[t] += on2 ? g[t] : 0.0;
-        }
-      }
+  const double* x1 = p.x;
+  const double* x2 = p.x + r;
+  std::size_t pattern2 = 0;
+  for (std::size_t col0 = 0; col0 < c; col0 += CB) {
+    const std::size_t live = std::min(CB, c - col0);
+    double cost1[CB] = {};
+    double cost2[CB] = {};
+    for (std::size_t i = 0; i < r; ++i) {
+      const bool on1 = x1[i] >= 0.0;
+      const bool on2 = x2[i] >= 0.0;
+      const double* g = p.gain + i * c + col0;
       for (std::size_t t = 0; t < live; ++t) {
-        const bool two = cost2[t] < cost1[t];
-        const std::size_t k = (2 * r + col0 + t) * R + q;
-        p.x[k] = two ? 1.0 : -1.0;
-        p.y[k] = 0.0;
-        pattern2 += two ? 1 : 0;
+        cost1[t] += on1 ? g[t] : 0.0;
+        cost2[t] += on2 ? g[t] : 0.0;
       }
     }
-    if (p.one_pattern != nullptr) {
-      p.one_pattern[q] = pattern2 == 0 || pattern2 == c ? 1 : 0;
+    for (std::size_t t = 0; t < live; ++t) {
+      const bool two = cost2[t] < cost1[t];
+      const std::size_t k = 2 * r + col0 + t;
+      p.x[k] = two ? 1.0 : -1.0;
+      p.y[k] = 0.0;
+      pattern2 += two ? 1 : 0;
     }
+  }
+  if (p.one_pattern != nullptr) {
+    *p.one_pattern = pattern2 == 0 || pattern2 == c;
   }
 }
 
@@ -405,11 +367,9 @@ SelectedForceKernel select_force_kernel(ForceKernel requested,
                                         const CpuFeatures& features,
                                         std::size_t replicas,
                                         ModelShape shape) {
-  // At R = 1 the replica-lane kernel runs one scalar chain per row, so
-  // auto means the bipartite layout wherever the model has it. `<= 1`
-  // rather than `== 1`: engines reject 0 replicas before they select a
-  // kernel, so R = 0 only reaches here from callers that just want the
-  // R = 1 choice.
+  // The CSR kernel runs one scalar chain per row, so auto means the
+  // bipartite layout wherever the model has it. A count of 0 (the
+  // benchmark's provenance call) means the same as the engines' 1.
   SelectedForceKernel out;
   if (replicas <= 1 && requested == ForceKernel::kAuto &&
       shape == ModelShape::kBipartite) {

@@ -9,37 +9,33 @@
 
 namespace adsd::kernels {
 
-/// Force-kernel requests and resolved kinds of the ensemble engines
+/// Force-kernel requests and resolved kinds of the oscillator engines
 /// (DESIGN.md §4.6). No user setting picks one: the engines request kAuto,
 /// and the host and the model decide.
 ///
-///  - kAuto:      at R = 1 on a column-COP model the bipartite layout at
-///                the widest ISA; otherwise the CSR kernel.
-///  - kScalar:    the CSR kernel, the same on every host: a lane-blocked
-///                register file over the replica-contiguous lanes that
-///                auto-vectorizes at whatever width the build targets and
-///                keeps each lane's per-edge accumulation order, and
-///                therefore bit-exact parity with solve_sb_scalar(). As a
-///                request it also pins the portable tier of the families
-///                below.
+///  - kAuto:      on a column-COP model the bipartite layout at the widest
+///                ISA; otherwise the CSR kernel.
+///  - kScalar:    the CSR kernel, the same on every host: one accumulator
+///                per row over its CSR edges in order, and therefore
+///                bit-exact parity with solve_sb_scalar(). As a request it
+///                also pins the portable tier of the families below.
 ///  - kAvx2 /
 ///    kAvx512:    ISA tiers of the kernel families that have them (the
 ///                bipartite force and interval kernels, the bSB step and
 ///                the Theorem-3 reset). A force request for one still
 ///                resolves to the CSR kernel.
-///  - kBipartite: what kAuto resolves to at R = 1 on a column-COP model
+///  - kBipartite: what kAuto resolves to on a column-COP model
 ///                (IsingModel::bipartite_shape(); never requested).
 ///                Vectorizes across ROWS: each V1/V2 row pair shares one
 ///                product per T column, and T rows walk the transposed
-///                plane (BipartiteLayout). The replica-lane kernel
-///                degenerates to one dependent scalar chain per row at
-///                R = 1.
+///                plane (BipartiteLayout), where the CSR kernel runs one
+///                dependent scalar chain per row.
 ///
 /// An ISA the host cannot run falls down the chain (avx512 -> avx2 ->
 /// scalar) instead of failing, and the resolved force kernel is reported
 /// by name through engine metrics/QoR ("ising/sb/kernel/<name>").
 /// In-process callers (tests, benchmarks) request kScalar to reach the
-/// CSR reference at R = 1 and explicit ISAs to pin a tier.
+/// CSR reference on a column COP and explicit ISAs to pin a tier.
 enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kBipartite };
 
 /// V rows per tile block of the bipartite layout (16 V1 rows plus the same
@@ -50,14 +46,13 @@ enum class ForceKernel { kAuto, kScalar, kAvx2, kAvx512, kBipartite };
 inline constexpr std::size_t kBipartiteVRows = 16;
 inline constexpr std::size_t kBipartiteTRows = 32;
 
-/// Pointer bundle over the engine's flattened planes: replica-contiguous
-/// SoA positions/forces (element i of replica r at index i * replicas + r),
-/// split CSR index/weight planes, and -- for the bipartite layout -- its
-/// tiles and shape. All pointers stay owned by the engine/model; kernels
-/// write only force[row * replicas ...].
+/// Pointer bundle over the engine's flattened planes: n positions and
+/// forces, split CSR index/weight planes, and -- for the bipartite layout
+/// -- its tiles and shape. All pointers stay owned by the engine/model;
+/// kernels write only force.
 struct ForcePlanes {
-  const double* x = nullptr;            // n * replicas positions
-  double* force = nullptr;              // n * replicas output
+  const double* x = nullptr;            // n positions
+  double* force = nullptr;              // n output
   const double* h = nullptr;            // n biases
   const std::size_t* row_start = nullptr;  // n + 1 CSR offsets
   const std::uint32_t* cols = nullptr;  // CSR column indices
@@ -67,10 +62,9 @@ struct ForcePlanes {
   std::size_t bip_rows = 0;             // bipartite r (V1 = [0, r))
   std::size_t bip_cols = 0;             // bipartite c (T = [2r, 2r + c))
   std::size_t n = 0;                    // spins
-  std::size_t replicas = 0;             // lanes per spin
 };
 
-/// Bipartite layout of a column-COP model (R = 1 only; DESIGN.md §4.6).
+/// Bipartite layout of a column-COP model (DESIGN.md §4.6).
 /// Spins are V1 [0, r), V2 [r, 2r), T [2r, 2r + c), the V1-T couplings
 /// form one r x c plane w (IsingModel::bipartite_plane()), and V2 row i
 /// holds -w(i, .). Tiles are zero-padded to whole blocks:
@@ -104,11 +98,11 @@ struct BipartiteLayout {
 BipartiteLayout build_bipartite(const double* plane, std::size_t rows,
                                 std::size_t cols);
 
-/// One kernel entry point: fill all n force rows for every replica lane.
+/// One kernel entry point: fill all n force rows.
 using ForceRowsFn = void (*)(const ForcePlanes& planes);
 
 /// Operands of a bSB interval on the bipartite layout
-/// (BsbBatchEngine::advance at R = 1): `steps` Euler steps, step k of
+/// (BsbBatchEngine::advance): `steps` Euler steps, step k of
 /// which is engine step step0 + k. Each step is one force pass over the
 /// positions with the ForcePlanes' biases and tiles (its x and force are
 /// not used), then the BsbStepPlanes update of all n lanes at
@@ -164,8 +158,7 @@ bool force_kernel_compiled(ForceKernel kind);
 
 /// True when the variant is compiled in AND the given CPU can execute it.
 /// kAuto/kScalar/kBipartite are always supported (kBipartite additionally
-/// needs R = 1 and a column-COP model, which selection checks
-/// separately).
+/// needs a column-COP model, which selection checks separately).
 bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features);
 
 /// The layouts a model admits: every model has CSR; a column-COP model
@@ -173,12 +166,17 @@ bool force_kernel_supported(ForceKernel kind, const CpuFeatures& features);
 /// bipartite layout.
 enum class ModelShape { kGeneric, kBipartite };
 
-/// Resolves a request against CPU features, the replica count and the
-/// model's shape. kAuto resolves to the bipartite layout at the widest ISA
-/// when `replicas <= 1` on a bipartite model; everything else, explicit
-/// requests at any replica count included, resolves to the CSR kernel.
-/// The defaults are the paper's solve: one trajectory of a column COP.
-/// Never fails; the result's fn pointers are always callable.
+/// Resolves a request against CPU features and the model's shape. kAuto
+/// resolves to the bipartite layout at the widest ISA on a bipartite
+/// model; everything else, explicit requests included, resolves to the
+/// CSR kernel. The defaults are the paper's solve: one trajectory of a
+/// column COP. Never fails; the result's fn pointers are always callable.
+///
+/// `replicas` is the trajectory count of a retired lockstep layout. The
+/// engines pass 1; it stays in the signature because the frozen
+/// end-to-end benchmark's provenance line calls this function as
+/// `(kAuto, cpu_features(), false)`. A count of 0 or 1 resolves as above,
+/// and a larger one resolves to the CSR kernel.
 SelectedForceKernel select_force_kernel(
     ForceKernel requested, const CpuFeatures& features,
     std::size_t replicas = 1, ModelShape shape = ModelShape::kBipartite);
@@ -186,8 +184,7 @@ SelectedForceKernel select_force_kernel(
 /// The ISA tiers this host runs (with `cpu_features()`): kScalar, then
 /// kAvx2 and kAvx512 where supported -- what the parity tests enumerate
 /// to pin each tier of the bSB step and the Theorem-3 reset. The
-/// bipartite tiers are reached through kAuto at R = 1 under masked
-/// CpuFeatures.
+/// bipartite tiers are reached through kAuto under masked CpuFeatures.
 std::vector<ForceKernel> selectable_force_kernels();
 
 /// Operands of one bSB Euler step over `lanes` oscillators
@@ -220,25 +217,22 @@ using BsbStepFn = void (*)(const BsbStepPlanes& planes);
 BsbStepFn select_bsb_step(ForceKernel requested, const CpuFeatures& features);
 
 /// Operands of one Theorem-3 plane reset (ColumnCop::reset_optimal_t_planes,
-/// DESIGN.md §4.6) of an r x c column COP over the SoA planes of R
-/// replicas (spin i of replica q at index i * replicas + q; V1 spins at
-/// [0, r), V2 at [r, 2r), T at [2r, 2r + c)). For every column j and
-/// replica q:
+/// DESIGN.md §4.6) of an r x c column COP over the oscillator planes (V1
+/// spins at [0, r), V2 at [r, 2r), T at [2r, 2r + c)). For every column j:
 ///
 ///   cost1 = sum of gain(i, j) over ascending i with x(V1_i) >= 0,
 ///   cost2 = the same over x(V2_i) >= 0,
 ///
 /// then x(T_j) = +1 if cost2 < cost1 (pattern 2) else -1, and y(T_j) = 0.
-/// When `one_pattern` is non-null, one_pattern[q] is set to 1 if every
-/// column of replica q took the same pattern and to 0 otherwise.
+/// When `one_pattern` is non-null, it is set to whether every column took
+/// the same pattern.
 struct Theorem3Planes {
-  const double* gain = nullptr;         // r * c, row-major
-  double* x = nullptr;                  // (2r + c) * replicas positions
-  double* y = nullptr;                  // (2r + c) * replicas momenta
-  std::uint8_t* one_pattern = nullptr;  // replicas flags, or nullptr
+  const double* gain = nullptr;  // r * c, row-major
+  double* x = nullptr;           // 2r + c positions
+  double* y = nullptr;           // 2r + c momenta
+  bool* one_pattern = nullptr;   // one flag, or nullptr
   std::size_t rows = 0;
   std::size_t cols = 0;
-  std::size_t replicas = 0;
 };
 
 /// One reset tier. Every tier keeps each cost's ascending-row sum with

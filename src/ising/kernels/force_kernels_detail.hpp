@@ -23,7 +23,7 @@
 
 namespace adsd::kernels::detail {
 
-// Bipartite kernels (R = 1, column-COP models; bipartite_pass.hpp): the
+// Bipartite kernels (column-COP models; bipartite_pass.hpp): the
 // force entry points run one pass; the interval entry points integrate a
 // BsbIntervalPlanes interval with the same pass and the tier's bSB step.
 void bipartite_force_avx2(const ForcePlanes& p);

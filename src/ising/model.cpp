@@ -225,7 +225,7 @@ const IsingModel::Csr& IsingModel::csr() const {
     return *built;
   }
   // Only a bipartite() model reaches here (a finalized general model
-  // always holds its CSR). Derivation is rare -- R > 1 kernels, SA,
+  // always holds its CSR). Derivation is rare -- SA, DOCH's rho rule,
   // explicit kernel requests -- so one process-wide lock suffices.
   static std::mutex derive_mutex;
   const std::lock_guard<std::mutex> lock(derive_mutex);

@@ -6,10 +6,10 @@
 
 namespace adsd {
 
-/// Minimal cache-line/SIMD-aligned allocator for the structure-of-arrays
-/// solver buffers. 64-byte alignment covers AVX-512 loads and keeps each
-/// replica-contiguous plane on its own cache lines, so the auto-vectorized
-/// inner loops of the batched bSB engine never straddle a line on entry.
+/// Minimal cache-line/SIMD-aligned allocator for the solver's plane
+/// buffers. 64-byte alignment covers AVX-512 loads and keeps each plane on
+/// its own cache lines, so the vectorized inner loops of the bSB engine
+/// never straddle a line on entry.
 template <class T, std::size_t Alignment = 64>
 struct AlignedAllocator {
   using value_type = T;

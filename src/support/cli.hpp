@@ -34,7 +34,7 @@ class CliArgs {
   int get_int(const std::string& name, int fallback) const;
   std::size_t get_size(const std::string& name, std::size_t fallback) const;
 
-  /// Strict variant for counted resources (--threads, --replicas): the
+  /// Strict variant for counted resources (--threads): the
   /// whole value must parse as a base-10 integer >= 1. Rejects 0,
   /// negatives, empty values, and trailing garbage ("4x") instead of
   /// silently falling back.

@@ -77,7 +77,7 @@ class QorRecorder {
   /// meaningful).
   std::uint64_t begin_curve(std::string_view name);
 
-  /// One (iteration, ensemble-best energy) sampling point of curve `id`.
+  /// One (iteration, best energy) sampling point of curve `id`.
   void curve_point(std::uint64_t id, std::uint64_t iteration,
                    double best_energy);
 

@@ -5,13 +5,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/column_cop.hpp"
-#include "core/cop_solvers.hpp"
-#include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
 #include "ising/bsb.hpp"
 #include "ising/bsb_batch.hpp"
@@ -45,7 +44,7 @@ SbParams quick_params(std::uint64_t seed) {
   return p;
 }
 
-// ------------------------------------------------- R=1 bit-for-bit parity
+// ------------------------------------------- engine bit-for-bit parity
 
 TEST(BsbBatchParity, SingleReplicaMatchesScalarBitForBit) {
   Rng rng(11);
@@ -53,7 +52,7 @@ TEST(BsbBatchParity, SingleReplicaMatchesScalarBitForBit) {
     const auto model = random_model(12 + trial, 0.5, rng);
     const SbParams params = quick_params(100 + trial);
     const auto scalar = solve_sb_scalar(model, params);
-    const auto batch = solve_sb_batch(model, params, 1);
+    const auto batch = solve_sb(model, params);
     EXPECT_EQ(scalar.energy, batch.energy) << "trial " << trial;
     EXPECT_EQ(scalar.spins, batch.spins) << "trial " << trial;
     EXPECT_EQ(scalar.iterations, batch.iterations);
@@ -72,7 +71,7 @@ TEST(BsbBatchParity, SingleReplicaMatchesScalarWithDynamicStop) {
     params.stop.sample_interval = 5;
     params.stop.window = 6;
     const auto scalar = solve_sb_scalar(model, params);
-    const auto batch = solve_sb_batch(model, params, 1);
+    const auto batch = solve_sb(model, params);
     EXPECT_EQ(scalar.energy, batch.energy);
     EXPECT_EQ(scalar.spins, batch.spins);
     EXPECT_EQ(scalar.iterations, batch.iterations);
@@ -86,7 +85,7 @@ TEST(BsbBatchParity, SingleReplicaMatchesScalarDiscreteVariant) {
   SbParams params = quick_params(21);
   params.discrete = true;
   const auto scalar = solve_sb_scalar(model, params);
-  const auto batch = solve_sb_batch(model, params, 1);
+  const auto batch = solve_sb(model, params);
   EXPECT_EQ(scalar.energy, batch.energy);
   EXPECT_EQ(scalar.spins, batch.spins);
 }
@@ -97,17 +96,14 @@ TEST(BsbBatchParity, SingleReplicaMatchesScalarWithHook) {
   SbParams params = quick_params(33);
   params.stop.sample_interval = 10;
 
-  // The same pinning intervention expressed through both hook interfaces.
-  SbSampleHook scalar_hook = [](std::span<double> x, std::span<double> y) {
+  // The same pinning intervention through the scalar reference and the
+  // engine, which hands the hook its live planes.
+  SbSampleHook hook = [](std::span<double> x, std::span<double> y) {
     x[0] = 1.0;
     y[0] = 0.0;
   };
-  SbBatchHook batch_hook = [](std::size_t, ReplicaView v) {
-    v.x(0) = 1.0;
-    v.y(0) = 0.0;
-  };
-  const auto scalar = solve_sb_scalar(model, params, scalar_hook);
-  const auto batch = solve_sb_batch(model, params, 1, batch_hook);
+  const auto scalar = solve_sb_scalar(model, params, hook);
+  const auto batch = solve_sb(model, params, hook);
   EXPECT_EQ(scalar.energy, batch.energy);
   EXPECT_EQ(scalar.spins, batch.spins);
 }
@@ -125,139 +121,67 @@ TEST(BsbBatchParity, SolveSbDelegatesToBatchedEngine) {
 // --------------------------------------------- incremental-energy tracking
 
 TEST(BsbBatchEnergy, TrackedEnergiesMatchScratchRecompute) {
+  // Four trajectories per model, from the seeds restarts would give them.
   Rng rng(16);
   for (int trial = 0; trial < 6; ++trial) {
     const auto model = random_model(8 + 2 * trial, 0.3 + 0.1 * trial, rng);
-    SbParams params = quick_params(1000 + trial);
-    BsbBatchEngine engine(model, params, 4);
-    for (int block = 0; block < 10; ++block) {
-      for (int s = 0; s < 20; ++s) {
-        engine.step();
-      }
-      engine.sample();
-      const auto energies = engine.energies();
-      const auto spins = engine.spins();
-      for (std::size_t r = 0; r < engine.replicas(); ++r) {
-        std::vector<std::int8_t> replica(engine.num_spins());
-        for (std::size_t i = 0; i < engine.num_spins(); ++i) {
-          replica[i] = spins[i * engine.replicas() + r];
+    for (std::size_t r = 0; r < 4; ++r) {
+      SbParams params = quick_params(1000 + trial + 0x9e3779b9u * r);
+      BsbBatchEngine engine(model, params);
+      for (int block = 0; block < 10; ++block) {
+        for (int s = 0; s < 20; ++s) {
+          engine.step();
         }
-        EXPECT_NEAR(energies[r], model.energy(replica), 1e-9)
-            << "trial " << trial << " block " << block << " replica " << r;
+        engine.sample();
+        EXPECT_NEAR(engine.energy(), model.energy(engine.spins()), 1e-9)
+            << "trial " << trial << " block " << block << " seed " << r;
       }
     }
   }
 }
 
 TEST(BsbBatchEnergy, TrackingSurvivesHookStylePositionEdits) {
+  // Three trajectories side by side; between sampling points a hook-style
+  // edit forces one oscillator of each to a pole.
   Rng rng(17);
   const auto model = random_model(12, 0.5, rng);
-  SbParams params = quick_params(9);
-  BsbBatchEngine engine(model, params, 3);
+  std::vector<std::unique_ptr<BsbBatchEngine>> engines;
+  for (std::size_t r = 0; r < 3; ++r) {
+    engines.push_back(std::make_unique<BsbBatchEngine>(
+        model, quick_params(9 + 0x9e3779b9u * r)));
+  }
   Rng edits(99);
   for (int block = 0; block < 15; ++block) {
-    for (int s = 0; s < 10; ++s) {
-      engine.step();
-    }
-    // Emulate an intervention hook: force a few oscillators to a pole.
-    for (std::size_t r = 0; r < engine.replicas(); ++r) {
-      ReplicaView v = engine.view(r);
-      const std::size_t i = edits.next_below(engine.num_spins());
-      v.x(i) = edits.next_bool() ? 1.0 : -1.0;
-      v.y(i) = 0.0;
-    }
-    engine.sample();
-    const auto energies = engine.energies();
-    const auto spins = engine.spins();
-    for (std::size_t r = 0; r < engine.replicas(); ++r) {
-      std::vector<std::int8_t> replica(engine.num_spins());
-      for (std::size_t i = 0; i < engine.num_spins(); ++i) {
-        replica[i] = spins[i * engine.replicas() + r];
+    for (const auto& engine : engines) {
+      for (int s = 0; s < 10; ++s) {
+        engine->step();
       }
-      EXPECT_NEAR(energies[r], model.energy(replica), 1e-9);
+      const std::size_t i = edits.next_below(engine->num_spins());
+      engine->positions()[i] = edits.next_bool() ? 1.0 : -1.0;
+      engine->momenta()[i] = 0.0;
+    }
+    for (const auto& engine : engines) {
+      engine->sample();
+      EXPECT_NEAR(engine->energy(), model.energy(engine->spins()), 1e-9);
     }
   }
-}
-
-// ----------------------------------------------------- replica view layout
-
-TEST(BsbBatchView, ViewMapsToSoALanes) {
-  Rng rng(18);
-  const auto model = random_model(6, 0.8, rng);
-  SbParams params = quick_params(3);
-  BsbBatchEngine engine(model, params, 4);
-  auto x = engine.positions();
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    x[k] = static_cast<double>(k);
-  }
-  for (std::size_t r = 0; r < 4; ++r) {
-    ReplicaView v = engine.view(r);
-    ASSERT_EQ(v.size(), engine.num_spins());
-    EXPECT_EQ(v.stride(), engine.replicas());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      EXPECT_EQ(v.x(i), static_cast<double>(i * 4 + r));
-    }
-  }
-}
-
-TEST(BsbBatchView, StridedHookPinsOnlyItsReplica) {
-  Rng rng(19);
-  const auto model = random_model(8, 0.5, rng);
-  SbParams params = quick_params(4);
-  params.max_iterations = 40;
-  params.stop.sample_interval = 10;
-
-  std::vector<std::size_t> seen;
-  SbBatchHook hook = [&seen](std::size_t r, ReplicaView v) {
-    seen.push_back(r);
-    if (r == 1) {
-      v.x(2) = 1.0;
-      v.y(2) = 0.0;
-    }
-  };
-  BsbBatchEngine engine(model, params, 3);
-  engine.run(hook);
-  // 40 iterations, sample every 10 -> 4 sampling points x 3 replicas.
-  ASSERT_EQ(seen.size(), 12u);
-  for (std::size_t p = 0; p < seen.size(); ++p) {
-    EXPECT_EQ(seen[p], p % 3);
-  }
-  // The pinned oscillator belongs to replica 1 only.
-  EXPECT_EQ(engine.view(1).x(2), 1.0);
-}
-
-// ---------------------------------------------------------- ensemble logic
-
-TEST(BsbBatch, MatchesBestOfIndependentScalarRuns) {
-  Rng rng(20);
-  const auto model = random_model(14, 0.5, rng);
-  SbParams params = quick_params(77);
-  const std::size_t replicas = 5;
-  double best = 1e300;
-  for (std::size_t r = 0; r < replicas; ++r) {
-    SbParams p = params;
-    p.seed = params.seed + 0x9e3779b9u * r;
-    best = std::min(best, solve_sb_scalar(model, p).energy);
-  }
-  const auto batch = solve_sb_batch(model, params, replicas);
-  EXPECT_DOUBLE_EQ(batch.energy, best);
-  EXPECT_EQ(batch.iterations, 200u * replicas);
 }
 
 TEST(BsbBatch, RejectsBadArguments) {
   Rng rng(21);
   const auto model = random_model(4, 1.0, rng);
   SbParams params = quick_params(1);
-  EXPECT_THROW(solve_sb_batch(model, params, 0), std::invalid_argument);
   SbParams bad = params;
   bad.dt = 0.0;
-  EXPECT_THROW(solve_sb_batch(model, bad, 2), std::invalid_argument);
+  EXPECT_THROW(solve_sb(model, bad), std::invalid_argument);
+  EXPECT_THROW(BsbBatchEngine(model, bad), std::invalid_argument);
   bad = params;
   bad.initial_positions.assign(3, 0.0);  // wrong size
-  EXPECT_THROW(solve_sb_batch(model, bad, 2), std::invalid_argument);
+  EXPECT_THROW(solve_sb(model, bad), std::invalid_argument);
+  EXPECT_THROW(BsbBatchEngine(model, bad), std::invalid_argument);
   IsingModel unfinalized(4);
-  EXPECT_THROW(solve_sb_batch(unfinalized, params, 2),
-               std::invalid_argument);
+  EXPECT_THROW(solve_sb(unfinalized, params), std::invalid_argument);
+  EXPECT_THROW(BsbBatchEngine(unfinalized, params), std::invalid_argument);
 }
 
 // ------------------------------------------------------- bSB step tiers
@@ -266,9 +190,8 @@ TEST(BsbBatchParity, StepTiersBitIdenticalToPortableLoop) {
   // Every step tier the host runs against the portable loop (the scalar
   // tier's), on lanes that hit either wall, signed zeros and NaN: a NaN x'
   // keeps NaN and zeroes its momentum, as the scalar selects do. The step
-  // walks the n * R lanes of the SoA planes as one array, so the lane
-  // counts stand for single- and multi-replica engines alike (771 = 257
-  // spins x 3 replicas) and leave every vector tail.
+  // walks the n lanes of the planes as one array, and the lane counts
+  // leave every vector tail.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto reference =
       kernels::select_bsb_step(kernels::ForceKernel::kScalar, cpu_features());
@@ -405,7 +328,7 @@ TEST(BsbBatchParity, BipartiteIntervalMatchesPerStepLoop) {
   std::size_t wall_lanes = 0;
   for (const CpuFeatures& f : {CpuFeatures{}, avx2, avx512}) {
     const auto sel = kernels::select_force_kernel(kernels::ForceKernel::kAuto,
-                                                  f, 1);
+                                                  f);
     ASSERT_EQ(sel.kind, kernels::ForceKernel::kBipartite);
     if ((f.avx2 && !kernels::force_kernel_supported(
                        kernels::ForceKernel::kAvx2, cpu_features())) ||
@@ -423,7 +346,6 @@ TEST(BsbBatchParity, BipartiteIntervalMatchesPerStepLoop) {
       planes.cols = csr.cols.data();
       planes.weights = csr.weights.data();
       planes.n = model.num_spins();
-      planes.replicas = 1;
       const auto layout = kernels::build_bipartite(
           model.bipartite_plane().data(), shape.rows, shape.cols);
       layout.bind(planes);
@@ -701,19 +623,19 @@ TEST(ExactArithmetic, RunReportsFromScratchEnergyPastTheBound) {
   }
   for (const IsingModel& model : models) {
     EXPECT_FALSE(model.exact_arithmetic());
-    for (const std::size_t replicas : {1, 3}) {
-      SbParams params = quick_params(31);
+    for (std::size_t r = 0; r < 3; ++r) {
+      SbParams params = quick_params(31 + 0x9e3779b9u * r);
       params.stop.sample_interval = 5;
-      const IsingSolveResult res = solve_sb_batch(model, params, replicas);
+      const IsingSolveResult res = solve_sb(model, params);
       EXPECT_EQ(bits_of(res.energy), bits_of(model.energy(res.spins)));
     }
   }
 }
 
 TEST(TrackerParity, GroupedFieldsMatchPerFlipCsr) {
-  // One column-COP model at R = 1 through the bipartite engine (whose
-  // tracker takes grouped flip fields from the plane) and the kScalar CSR
-  // engine (per-flip CSR walk), from the same positions. Between sampling
+  // One column-COP model through the bipartite engine (whose tracker
+  // takes grouped flip fields from the plane) and the kScalar CSR engine
+  // (per-flip CSR walk), from the same positions. Between sampling
   // points both engines step, then a hook-style edit pins every oscillator
   // to its tracked sign except exactly `v` V spins and `t` T spins, which
   // it flips. Energies and spins must agree bitwise at every point.
@@ -737,9 +659,9 @@ TEST(TrackerParity, GroupedFieldsMatchPerFlipCsr) {
           SbParams params = quick_params(77);
           params.discrete = discrete;
           params.kernel = kernels::ForceKernel::kAuto;
-          BsbBatchEngine grouped(model, params, 1);
+          BsbBatchEngine grouped(model, params);
           params.kernel = kernels::ForceKernel::kScalar;
-          BsbBatchEngine per_flip(model, params, 1);
+          BsbBatchEngine per_flip(model, params);
           ASSERT_EQ(grouped.kernel_kind(), kernels::ForceKernel::kBipartite);
           ASSERT_EQ(per_flip.kernel_kind(), kernels::ForceKernel::kScalar);
           std::vector<std::size_t> order;
@@ -789,20 +711,18 @@ TEST(TrackerParity, GroupedFieldsMatchPerFlipCsr) {
               }
               ASSERT_EQ(flipped, std::min(v, sides[0]) + std::min(t, sides[1]))
                   << where;
-              ASSERT_EQ(bits_of(grouped.energies()[0]),
-                        bits_of(per_flip.energies()[0]))
+              ASSERT_EQ(bits_of(grouped.energy()), bits_of(per_flip.energy()))
                   << where;
               ASSERT_TRUE(std::equal(grouped.spins().begin(),
                                      grouped.spins().end(),
                                      per_flip.spins().begin()))
                   << where;
-              const double scratch = model.energy(std::vector<std::int8_t>(
-                  grouped.spins().begin(), grouped.spins().end()));
+              const double scratch = model.energy(grouped.spins());
               if (!weighted) {
-                ASSERT_EQ(bits_of(grouped.energies()[0]), bits_of(scratch))
+                ASSERT_EQ(bits_of(grouped.energy()), bits_of(scratch))
                     << where;
               } else {
-                ASSERT_NEAR(grouped.energies()[0], scratch, 1e-9) << where;
+                ASSERT_NEAR(grouped.energy(), scratch, 1e-9) << where;
               }
               ++points;
             }
@@ -814,36 +734,8 @@ TEST(TrackerParity, GroupedFieldsMatchPerFlipCsr) {
   EXPECT_EQ(points, 4u * 8u * 49u);
 }
 
-// -------------------------------------------------- IsingCoreSolver wiring
-
-TEST(IsingCoreSolverReplicas, MultiReplicaNeverWorseAndDeterministic) {
-  const TruthTable tt = make_benchmark_table("exp", 9, 7);
-  const InputDistribution dist = InputDistribution::uniform(9);
-  const InputPartition w = InputPartition::trivial(9, 4);
-  const BooleanMatrix matrix = BooleanMatrix::from_function(tt, 3, w);
-  const std::vector<double> probs = matrix_probs(dist, w);
-  const ColumnCop cop = ColumnCop::separate(matrix, probs);
-
-  CoreSolveStats stats1;
-  const auto single = SolverRegistry::global().make_from_spec("prop,n=9");
-  const ColumnSetting s1 = single->solve(cop, 42, &stats1);
-
-  const auto multi =
-      SolverRegistry::global().make_from_spec("prop,n=9,replicas=4");
-  CoreSolveStats stats4a;
-  CoreSolveStats stats4b;
-  const ColumnSetting s4a = multi->solve(cop, 42, &stats4a);
-  const ColumnSetting s4b = multi->solve(cop, 42, &stats4b);
-
-  EXPECT_LE(stats4a.objective, stats1.objective + 1e-9);
-  EXPECT_EQ(stats4a.objective, stats4b.objective);
-  EXPECT_TRUE(s4a.v1 == s4b.v1 && s4a.v2 == s4b.v2 && s4a.t == s4b.t);
-  EXPECT_NEAR(cop.objective(s4a), stats4a.objective, 1e-12);
-  EXPECT_NEAR(cop.objective(s1), stats1.objective, 1e-12);
-}
-
-// The deadline check of the batched engine: an expired context stops
-// it before the first step.
+// The deadline check of the engine: an expired context stops it before
+// the first step.
 TEST(BsbPackDeadline, BatchEngineChecksDeadlineAtRestartBoundary) {
   Rng rng(14);
   const auto model = random_model(8, 0.5, rng);
@@ -854,7 +746,7 @@ TEST(BsbPackDeadline, BatchEngineChecksDeadlineAtRestartBoundary) {
   const RunContext ctx(opts);
   while (!ctx.expired()) {
   }
-  const auto res = solve_sb_batch(model, params, 1, nullptr, nullptr, &ctx);
+  const auto res = solve_sb(model, params, nullptr, &ctx);
   EXPECT_TRUE(res.stopped_early);
   EXPECT_EQ(res.iterations, 0u);
 }

@@ -301,13 +301,15 @@ TEST(Theorem3, VResetNeverIncreasesAndIsOptimal) {
 }
 
 TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
-  // The row-outer plane sweep against reset_optimal_t, replica by replica:
-  // T positions, zeroed T momenta, untouched V planes and the degenerate
-  // flags. Replica 0 is pinned to one of two edge cases. "tie": V1 sets
-  // only rows a and b, whose column-0 gains cancel exactly, and V2 is
-  // empty, so column 0 ties at 0.0 and must pick pattern 1. "equal": V2
-  // spells the same signs as V1 (degenerate). Positions include +0.0 and
-  // -0.0, which read as set.
+  // The row-outer plane sweep against reset_optimal_t, one sign pattern at
+  // a time: T positions, zeroed T momenta, untouched V planes and the
+  // degenerate flag. The patterns of a batch are drawn as one interleaved
+  // plane (spin i of pattern q at i * count + q) and reset one by one.
+  // Pattern 0 is pinned to one of two edge cases. "tie": V1 sets only
+  // rows a and b, whose column-0 gains cancel exactly, and V2 is empty, so
+  // column 0 ties at 0.0 and must pick pattern 1. "equal": V2 spells the
+  // same signs as V1 (degenerate). Positions include +0.0 and -0.0, which
+  // read as set.
   const std::size_t r = 8;
   const std::size_t c = 16;
   Rng rng(15);
@@ -326,19 +328,19 @@ TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
     const auto cop = joint ? ColumnCop::joint(m, probs, d, 4.0)
                            : ColumnCop::separate(m, probs);
     const std::size_t n = cop.num_spins();
-    for (std::size_t R : {1u, 3u, 8u}) {
+    for (std::size_t count : {1u, 3u, 8u}) {
       for (bool tie : {true, false}) {
-        std::vector<double> x(n * R);
-        std::vector<double> y(n * R);
-        for (std::size_t k = 0; k < x.size(); ++k) {
-          x[k] = k % 13 == 5 ? 0.0
-                 : k % 13 == 6 ? -0.0
-                               : rng.next_double(-1.0, 1.0);
-          y[k] = rng.next_double(-1.0, 1.0);
+        std::vector<double> xs(n * count);
+        std::vector<double> ys(n * count);
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+          xs[k] = k % 13 == 5 ? 0.0
+                  : k % 13 == 6 ? -0.0
+                                : rng.next_double(-1.0, 1.0);
+          ys[k] = rng.next_double(-1.0, 1.0);
         }
         for (std::size_t i = 0; i < r; ++i) {
-          double& x1 = x[cop.v1_spin(i) * R];
-          double& x2 = x[cop.v2_spin(i) * R];
+          double& x1 = xs[cop.v1_spin(i) * count];
+          double& x2 = xs[cop.v2_spin(i) * count];
           if (tie) {
             x1 = i == a || i == b ? 0.5 : -0.5;
             x2 = -0.5;
@@ -347,47 +349,51 @@ TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
           }
         }
 
-        std::vector<double> want_x = x;
-        std::vector<double> want_y = y;
-        std::vector<std::uint8_t> want_degenerate(R);
-        for (std::size_t rep = 0; rep < R; ++rep) {
+        for (std::size_t q = 0; q < count; ++q) {
+          std::vector<double> x(n);
+          std::vector<double> y(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            x[i] = xs[i * count + q];
+            y[i] = ys[i * count + q];
+          }
           ColumnSetting s;
           s.v1 = BitVec(r);
           s.v2 = BitVec(r);
           s.t = BitVec(c);
           for (std::size_t i = 0; i < r; ++i) {
-            s.v1.set(i, x[cop.v1_spin(i) * R + rep] >= 0.0);
-            s.v2.set(i, x[cop.v2_spin(i) * R + rep] >= 0.0);
+            s.v1.set(i, x[cop.v1_spin(i)] >= 0.0);
+            s.v2.set(i, x[cop.v2_spin(i)] >= 0.0);
           }
           cop.reset_optimal_t(s);
+          std::vector<double> want_x = x;
+          std::vector<double> want_y = y;
           for (std::size_t j = 0; j < c; ++j) {
-            want_x[cop.t_spin(j) * R + rep] = s.t.get(j) ? 1.0 : -1.0;
-            want_y[cop.t_spin(j) * R + rep] = 0.0;
+            want_x[cop.t_spin(j)] = s.t.get(j) ? 1.0 : -1.0;
+            want_y[cop.t_spin(j)] = 0.0;
           }
           const std::size_t on2 = s.t.count();
-          want_degenerate[rep] = on2 == 0 || on2 == c || s.v1 == s.v2;
-        }
-        if (tie && !joint) {
-          EXPECT_EQ(want_x[cop.t_spin(0) * R], -1.0);  // pattern 1
-        }
-        if (!tie) {
-          EXPECT_EQ(want_degenerate[0], 1);
-        }
+          const bool want_degenerate = on2 == 0 || on2 == c || s.v1 == s.v2;
+          if (q == 0 && tie && !joint) {
+            EXPECT_EQ(want_x[cop.t_spin(0)], -1.0);  // pattern 1
+          }
+          if (q == 0 && !tie) {
+            EXPECT_TRUE(want_degenerate);
+          }
 
-        std::vector<std::uint8_t> degenerate;
-        cop.reset_optimal_t_planes(x, y, R, &degenerate);
-        const std::string where = std::string(joint ? "joint" : "separate") +
-                                  " R=" + std::to_string(R) +
-                                  (tie ? " tie" : " equal");
-        EXPECT_EQ(std::memcmp(x.data(), want_x.data(),
-                              x.size() * sizeof(double)),
-                  0)
-            << where;
-        EXPECT_EQ(std::memcmp(y.data(), want_y.data(),
-                              y.size() * sizeof(double)),
-                  0)
-            << where;
-        EXPECT_EQ(degenerate, want_degenerate) << where;
+          bool degenerate = false;
+          cop.reset_optimal_t_planes(x, y, &degenerate);
+          const std::string where = std::string(joint ? "joint" : "separate") +
+                                    " pattern " + std::to_string(q) + "/" +
+                                    std::to_string(count) +
+                                    (tie ? " tie" : " equal");
+          EXPECT_EQ(std::memcmp(x.data(), want_x.data(), n * sizeof(double)),
+                    0)
+              << where;
+          EXPECT_EQ(std::memcmp(y.data(), want_y.data(), n * sizeof(double)),
+                    0)
+              << where;
+          EXPECT_EQ(degenerate, want_degenerate) << where;
+        }
       }
     }
   }
@@ -395,9 +401,11 @@ TEST(Theorem3, PlaneResetMatchesPerReplicaReset) {
 
 TEST(Theorem3, ResetTiersMatchPortableLoop) {
   // Every reset tier the host can execute against the portable loop and
-  // against a per-(column, replica) branchy reference, on gain planes with
-  // +-0.0 entries and exact-cancel ties (cost1 == cost2 picks pattern 1).
-  // The column counts cover chunk tails of every tier (8 / 16 / 32).
+  // against a per-column branchy reference, on gain planes with +-0.0
+  // entries and exact-cancel ties (cost1 == cost2 picks pattern 1). The
+  // column counts cover chunk tails of every tier (8 / 16 / 32). The sign
+  // patterns of a batch are drawn as one interleaved plane (spin i of
+  // pattern q at i * count + q) and reset one by one.
   const double values[] = {-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0};
   Rng rng(31);
   const auto portable = kernels::select_theorem3_reset(
@@ -408,65 +416,69 @@ TEST(Theorem3, ResetTiersMatchPortableLoop) {
     for (double& g : gain) {
       g = values[rng.next_below(7)];
     }
-    for (const std::size_t R : {1u, 2u, 3u, 8u}) {
+    for (const std::size_t count : {1u, 2u, 3u, 8u}) {
       const std::size_t n = 2 * r + c;
-      std::vector<double> x0(n * R);
-      std::vector<double> y0(n * R);
-      for (std::size_t k = 0; k < x0.size(); ++k) {
-        x0[k] = k % 11 == 4 ? -0.0 : rng.next_double(-1.0, 1.0);
-        y0[k] = rng.next_double(-1.0, 1.0);
+      std::vector<double> xs(n * count);
+      std::vector<double> ys(n * count);
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        xs[k] = k % 11 == 4 ? -0.0 : rng.next_double(-1.0, 1.0);
+        ys[k] = rng.next_double(-1.0, 1.0);
       }
-      // Reference: replica by replica, column by column, rows ascending.
-      std::vector<double> want_x = x0;
-      std::vector<double> want_y = y0;
-      std::vector<std::uint8_t> want_one(R);
-      for (std::size_t q = 0; q < R; ++q) {
+      for (std::size_t q = 0; q < count; ++q) {
+        std::vector<double> x0(n);
+        std::vector<double> y0(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          x0[i] = xs[i * count + q];
+          y0[i] = ys[i * count + q];
+        }
+        // Reference: column by column, rows ascending.
+        std::vector<double> want_x = x0;
+        std::vector<double> want_y = y0;
         std::size_t on2 = 0;
         for (std::size_t j = 0; j < c; ++j) {
           double cost1 = 0.0;
           double cost2 = 0.0;
           for (std::size_t i = 0; i < r; ++i) {
-            if (x0[i * R + q] >= 0.0) {
+            if (x0[i] >= 0.0) {
               cost1 += gain[i * c + j];
             }
-            if (x0[(r + i) * R + q] >= 0.0) {
+            if (x0[r + i] >= 0.0) {
               cost2 += gain[i * c + j];
             }
           }
           const bool two = cost2 < cost1;
-          want_x[(2 * r + j) * R + q] = two ? 1.0 : -1.0;
-          want_y[(2 * r + j) * R + q] = 0.0;
+          want_x[2 * r + j] = two ? 1.0 : -1.0;
+          want_y[2 * r + j] = 0.0;
           on2 += two ? 1 : 0;
         }
-        want_one[q] = on2 == 0 || on2 == c ? 1 : 0;
-      }
-      for (const kernels::ForceKernel k : kernels::selectable_force_kernels()) {
-        for (const auto fn :
-             {portable, kernels::select_theorem3_reset(k, cpu_features())}) {
-          std::vector<double> x = x0;
-          std::vector<double> y = y0;
-          std::vector<std::uint8_t> one(R, 7);
-          kernels::Theorem3Planes planes;
-          planes.gain = gain.data();
-          planes.x = x.data();
-          planes.y = y.data();
-          planes.one_pattern = one.data();
-          planes.rows = r;
-          planes.cols = c;
-          planes.replicas = R;
-          fn(planes);
-          const std::string where = std::string(kernels::force_kernel_name(k)) +
-                                    " c=" + std::to_string(c) +
-                                    " R=" + std::to_string(R);
-          EXPECT_EQ(std::memcmp(x.data(), want_x.data(),
-                                x.size() * sizeof(double)),
-                    0)
-              << where;
-          EXPECT_EQ(std::memcmp(y.data(), want_y.data(),
-                                y.size() * sizeof(double)),
-                    0)
-              << where;
-          EXPECT_EQ(one, want_one) << where;
+        const bool want_one = on2 == 0 || on2 == c;
+        for (const kernels::ForceKernel k :
+             kernels::selectable_force_kernels()) {
+          for (const auto fn :
+               {portable, kernels::select_theorem3_reset(k, cpu_features())}) {
+            std::vector<double> x = x0;
+            std::vector<double> y = y0;
+            bool one = !want_one;
+            kernels::Theorem3Planes planes;
+            planes.gain = gain.data();
+            planes.x = x.data();
+            planes.y = y.data();
+            planes.one_pattern = &one;
+            planes.rows = r;
+            planes.cols = c;
+            fn(planes);
+            const std::string where =
+                std::string(kernels::force_kernel_name(k)) +
+                " c=" + std::to_string(c) + " pattern " + std::to_string(q) +
+                "/" + std::to_string(count);
+            EXPECT_EQ(std::memcmp(x.data(), want_x.data(), n * sizeof(double)),
+                      0)
+                << where;
+            EXPECT_EQ(std::memcmp(y.data(), want_y.data(), n * sizeof(double)),
+                      0)
+                << where;
+            EXPECT_EQ(one, want_one) << where;
+          }
         }
       }
     }
@@ -555,7 +567,7 @@ TEST(ColumnCop, ToIsingEqualsShuffledGeneralBuild) {
         EXPECT_EQ(fast.energy(spins), general.energy(spins)) << where;
       }
 
-      // One R = 1 solve per ensemble engine: the plane model runs the
+      // One solve per oscillator engine: the plane model runs the
       // bipartite tiles and the plane flip telescope, the general model
       // CSR; both must follow the same trajectory, dynamic stop included.
       DynamicStopParams stop;
@@ -574,16 +586,16 @@ TEST(ColumnCop, ToIsingEqualsShuffledGeneralBuild) {
       sb.max_iterations = 400;
       sb.seed = 5;
       sb.stop = stop;
-      EXPECT_EQ(BsbBatchEngine(fast, sb, 1).kernel_kind(),
+      EXPECT_EQ(BsbBatchEngine(fast, sb).kernel_kind(),
                 kernels::ForceKernel::kBipartite);
-      EXPECT_NE(BsbBatchEngine(general, sb, 1).kernel_kind(),
+      EXPECT_NE(BsbBatchEngine(general, sb).kernel_kind(),
                 kernels::ForceKernel::kBipartite);
-      same(solve_sb_batch(fast, sb, 1), solve_sb_batch(general, sb, 1), "bsb");
+      same(solve_sb(fast, sb), solve_sb(general, sb), "bsb");
       DochParams doch;
       doch.max_iterations = 400;
       doch.seed = 5;
       doch.stop = stop;
-      same(solve_doch(fast, doch, 1), solve_doch(general, doch, 1), "doch");
+      same(solve_doch(fast, doch), solve_doch(general, doch), "doch");
     }
   }
 }
@@ -1301,7 +1313,7 @@ TEST(HalfSteps, TiersMatchPortableTierBitwise) {
           ColumnSetting want = s;
           cop.reset_optimal_t(want);
 
-          // The plane reset on one replica whose signs spell V1 and V2.
+          // The plane reset on oscillators whose signs spell V1 and V2.
           std::vector<double> x(2 * r + c);
           std::vector<double> y(2 * r + c);
           for (std::size_t i = 0; i < r; ++i) {
@@ -1314,7 +1326,6 @@ TEST(HalfSteps, TiersMatchPortableTierBitwise) {
           planes.y = y.data();
           planes.rows = r;
           planes.cols = c;
-          planes.replicas = 1;
           plane_reset(planes);
           std::size_t plane_mismatches = 0;
           for (std::size_t j = 0; j < c; ++j) {

@@ -451,21 +451,16 @@ TEST(PackedCoreCopSolver, BatchMatchesLoopedSolvesAcrossConfigs) {
   ASSERT_EQ(large[0].num_spins(), 384u);
   // Every member of a batch runs the standalone solve over the pool, so
   // each result matches IsingCoreSolver bit for bit. Theorem-3 + dynamic
-  // stop are on by default; restarts=2 exercises the per-attempt reseed.
-  // The replica counts cover the bipartite layout at R = 1 and the CSR
-  // kernel's lane blocks of 4 past it: full (R = 4, 8), with a tail
-  // (R = 2, 3, 7, 9).
+  // stop are on by default; the restart counts exercise the per-attempt
+  // reseed and the cold starts after the warm one.
   struct Case {
     std::string keys;
     const std::vector<ColumnCop>* cops;
   };
   for (const Case& c :
-       {Case{"", &small}, Case{",replicas=4", &small},
-        Case{",restarts=2", &small}, Case{",replicas=2", &small},
-        Case{",replicas=2,restarts=2", &small}, Case{",replicas=3", &small},
-        Case{",replicas=7", &small}, Case{",replicas=8", &small},
-        Case{",replicas=9", &small},
-        Case{",replicas=2,max-iter=300", &large}}) {
+       {Case{"", &small}, Case{",restarts=2", &small},
+        Case{",restarts=4", &small},
+        Case{",restarts=2,max-iter=300", &large}}) {
     const auto plain =
         SolverRegistry::global().make_from_spec("prop,n=9" + c.keys);
     const auto packed = SolverRegistry::global().make_from_spec(
@@ -527,9 +522,9 @@ TEST(PackedCoreCopSolver, RegistrySpecBuildsPackedSolver) {
   EXPECT_FALSE(plain->batched());
 }
 
-// Both flows through the batched solver at R = 1 (the bipartite layout)
-// and at R = 2 (the CSR kernel): one solve_batch call per round, every
-// member the standalone solve, so the whole run is bit-identical.
+// Both flows through the batched solver, with one and two restarts: one
+// solve_batch call per round, every member the standalone solve, so the
+// whole run is bit-identical.
 TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
   const TruthTable exact = make_benchmark_table("exp", 8, 6);
   const InputDistribution dist = InputDistribution::uniform(8);
@@ -539,9 +534,9 @@ TEST(DaltaPacked, RunDaltaBitIdenticalWithPackedSolver) {
   params.rounds = 1;
   params.seed = 42;
 
-  for (const std::string replicas : {"1", "2"}) {
-    SCOPED_TRACE("replicas=" + replicas);
-    const std::string spec = "prop,n=8,replicas=" + replicas;
+  for (const std::string restarts : {"1", "2"}) {
+    SCOPED_TRACE("restarts=" + restarts);
+    const std::string spec = "prop,n=8,restarts=" + restarts;
     const auto plain = SolverRegistry::global().make_from_spec(spec);
     const auto packed =
         SolverRegistry::global().make_from_spec(spec + ",pack=4");
@@ -574,9 +569,9 @@ TEST(DaltaPacked, RunDaltaNdBitIdenticalWithPackedSolver) {
   params.rounds = 1;
   params.seed = 42;
 
-  for (const std::string replicas : {"1", "2"}) {
-    SCOPED_TRACE("replicas=" + replicas);
-    const std::string spec = "prop,n=8,replicas=" + replicas;
+  for (const std::string restarts : {"1", "2"}) {
+    SCOPED_TRACE("restarts=" + restarts);
+    const std::string spec = "prop,n=8,restarts=" + restarts;
     const auto plain = SolverRegistry::global().make_from_spec(spec);
     const auto packed =
         SolverRegistry::global().make_from_spec(spec + ",pack=6");

@@ -1,11 +1,11 @@
 // DOCH/ADOCH engine coverage (DESIGN.md §4.8): the engine added on the
-// shared ensemble chassis must be deterministic for a fixed seed, find
+// shared oscillator chassis must be deterministic for a fixed seed, find
 // ground states on small instances the exhaustive solver can certify,
-// improve (never regress) with more replicas, produce kernel-independent
-// trajectories, and solve paper functions end to end through the
-// registry + DALTA flow.
+// produce kernel-independent trajectories, and solve paper functions end
+// to end through the registry + DALTA flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -62,8 +62,8 @@ TEST(Doch, DeterministicForFixedSeed) {
   const auto m = random_model(12, 0.6, rng);
   DochParams p;
   p.seed = 9;
-  const auto a = solve_doch(m, p, 4);
-  const auto b = solve_doch(m, p, 4);
+  const auto a = solve_doch(m, p);
+  const auto b = solve_doch(m, p);
   EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.spins, b.spins);
 }
@@ -74,31 +74,23 @@ TEST(Doch, ReachesGroundStateOnSmallRandomInstances) {
     Rng rng(ms + 60);
     const auto m = random_model(8, 0.6, rng);
     const auto exact = solve_exhaustive(m);
-    DochParams p;
-    p.seed = 7;
-    const auto res = solve_doch(m, p, 8);
-    EXPECT_GE(res.energy, exact.energy - 1e-9);
-    if (res.energy <= exact.energy + 1e-9) {
+    // Eight random starts, from the seeds restarts would give them.
+    double best = 0.0;
+    for (std::uint64_t r = 0; r < 8; ++r) {
+      DochParams p;
+      p.seed = 7 + 0x9e3779b9u * r;
+      const double e = solve_doch(m, p).energy;
+      EXPECT_GE(e, exact.energy - 1e-9);
+      best = r == 0 ? e : std::min(best, e);
+    }
+    if (best <= exact.energy + 1e-9) {
       ++hits;
     }
   }
-  // A deterministic multistart local method: weak at R=1 by design, a
-  // clear majority of ground states at R=8 (33/40 on the tuning sweep).
+  // A deterministic local method: weak from one start by design, a clear
+  // majority of ground states from the best of eight (33/40 on the tuning
+  // sweep).
   EXPECT_GE(hits, 5);
-}
-
-TEST(Doch, MoreReplicasNeverWorse) {
-  // Replica starting points depend only on (seed, r): larger ensembles
-  // contain the smaller ones.
-  Rng rng(29);
-  const auto m = random_model(14, 0.5, rng);
-  DochParams p;
-  p.seed = 3;
-  const auto r1 = solve_doch(m, p, 1);
-  const auto r4 = solve_doch(m, p, 4);
-  const auto r8 = solve_doch(m, p, 8);
-  EXPECT_LE(r4.energy, r1.energy + 1e-12);
-  EXPECT_LE(r8.energy, r4.energy + 1e-12);
 }
 
 TEST(Doch, AutoRhoIsTheMaxRowNorm) {
@@ -107,12 +99,12 @@ TEST(Doch, AutoRhoIsTheMaxRowNorm) {
   m.add_coupling(1, 2, -3.0);
   m.finalize();
   DochParams p;
-  const DochEngine engine(m, p, 1);
+  const DochEngine engine(m, p);
   EXPECT_DOUBLE_EQ(engine.rho(), 5.0);  // row 1: |2| + |-3|
 
   DochParams pinned;
   pinned.rho = 7.5;
-  const DochEngine pinned_engine(m, pinned, 1);
+  const DochEngine pinned_engine(m, pinned);
   EXPECT_DOUBLE_EQ(pinned_engine.rho(), 7.5);
 }
 
@@ -124,8 +116,8 @@ TEST(Doch, KernelChoiceDoesNotChangeTheTrajectory) {
   scalar.kernel = kernels::ForceKernel::kScalar;
   DochParams autok = scalar;
   autok.kernel = kernels::ForceKernel::kAuto;
-  const auto a = solve_doch(m, scalar, 4);
-  const auto b = solve_doch(m, autok, 4);
+  const auto a = solve_doch(m, scalar);
+  const auto b = solve_doch(m, autok);
   EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.spins, b.spins);
 }
@@ -137,12 +129,12 @@ TEST(Doch, BipartiteKernelMatchesCsrAtOneReplica) {
   DochParams scalar;
   scalar.seed = 9;
   scalar.kernel = kernels::ForceKernel::kScalar;
-  const auto ref = solve_doch(m, scalar, 1);
+  const auto ref = solve_doch(m, scalar);
   DochParams params = scalar;
   params.kernel = kernels::ForceKernel::kAuto;
-  EXPECT_EQ(DochEngine(m, params, 1).kernel_kind(),
+  EXPECT_EQ(DochEngine(m, params).kernel_kind(),
             kernels::ForceKernel::kBipartite);
-  const auto got = solve_doch(m, params, 1);
+  const auto got = solve_doch(m, params);
   EXPECT_EQ(got.energy, ref.energy);
   EXPECT_EQ(got.spins, ref.spins);
   EXPECT_EQ(got.iterations, ref.iterations);
@@ -153,11 +145,10 @@ TEST(Doch, Validation) {
   const auto m = random_model(6, 0.8, rng);
   DochParams wrong_size;
   wrong_size.initial_positions.assign(4, 0.0);
-  EXPECT_THROW((void)solve_doch(m, wrong_size, 2), std::invalid_argument);
+  EXPECT_THROW((void)solve_doch(m, wrong_size), std::invalid_argument);
   DochParams p;
-  EXPECT_THROW((void)solve_doch(m, p, 0), std::invalid_argument);
   IsingModel unfinalized(4);
-  EXPECT_THROW((void)solve_doch(unfinalized, p, 1), std::invalid_argument);
+  EXPECT_THROW((void)solve_doch(unfinalized, p), std::invalid_argument);
 }
 
 // ------------------------------------------ registry + DALTA end to end
@@ -168,7 +159,7 @@ TEST(Doch, Validation) {
 TEST(EngineRegistry, SpecsSolvePaperFunctionsThroughDalta) {
   const RunContext ctx{RunContext::Options{}};
   const auto prop = SolverRegistry::global().make_from_spec("prop,n=8");
-  const char* spec = "doch,n=8,replicas=4";
+  const char* spec = "doch,n=8,restarts=4";
   const auto solver = SolverRegistry::global().make_from_spec(spec);
   for (const auto& bench : benchmark_suite()) {
     const unsigned m = paper_output_bits(bench.name, 8);

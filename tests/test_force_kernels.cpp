@@ -1,5 +1,5 @@
 // Tests for the dispatched force-kernel layer (DESIGN.md §4.6): the
-// choice between the R = 1 bipartite layout and the CSR kernel, the cpuid
+// choice between the bipartite layout and the CSR kernel, the cpuid
 // ISA chain of the families that have tiers on masked feature sets, and
 // the layer's central contract — every dispatched variant (the CSR kernel
 // and each bipartite tier alike) produces bit-identical force planes,
@@ -85,9 +85,35 @@ IsingModel zero_row_column_cop_model() {
   return ColumnCop::separate(m, matrix_probs(dist, w)).to_ising();
 }
 
+/// An n = 9 column COP over the trivial (4, 5) partition under a random
+/// input distribution: joint mode with integer D, or separate mode on
+/// output bit 4. The probabilities are not one power of two apart, so the
+/// model fails IsingModel::exact_arithmetic().
+IsingModel weighted_column_cop_model(bool joint) {
+  const auto exact = make_continuous_table(continuous_spec("exp"), 9, 9);
+  const auto w = InputPartition::trivial(9, 4);
+  Rng rng(29);
+  std::vector<double> weights(std::size_t{1} << 9);
+  for (double& v : weights) {
+    v = rng.next_double(0.5, 1.5);
+  }
+  const auto probs =
+      matrix_probs(InputDistribution::from_weights(weights), w);
+  if (!joint) {
+    return ColumnCop::separate(BooleanMatrix::from_function(exact, 4, w), probs)
+        .to_ising();
+  }
+  const auto m = BooleanMatrix::from_function(exact, 0, w);
+  std::vector<double> d(m.rows() * m.cols());
+  for (auto& v : d) {
+    v = std::floor(rng.next_double(-6.0, 6.0));
+  }
+  return ColumnCop::joint(m, probs, d, 2.0).to_ising();
+}
+
 /// A complete 48-spin model plus one uncoupled spin whose bias is set to
 /// -0.0, which the model stores as +0.0: every tier must give that row a
-/// +0.0 force, at every replica count.
+/// +0.0 force.
 IsingModel signed_zero_dense_model() {
   Rng rng(53);
   IsingModel m(49);
@@ -124,15 +150,11 @@ CpuFeatures avx512_features() {
   return f;
 }
 
-// Replica count of the dispatch tests that pin the replica-lane (R > 1)
-// branch; the R = 1 branch has its own tests below.
-constexpr std::size_t kLanes = 8;
-
 // ---------------------------------------------------------------- dispatch
 
 TEST(ForceKernelDispatch, NoFeaturesResolvesScalar) {
-  const auto sel =
-      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), kLanes);
+  const auto sel = kernels::select_force_kernel(
+      ForceKernel::kAuto, no_features(), 1, kernels::ModelShape::kGeneric);
   EXPECT_EQ(sel.kind, ForceKernel::kScalar);
   EXPECT_STREQ(sel.name, "scalar");
   ASSERT_NE(sel.continuous, nullptr);
@@ -167,12 +189,12 @@ TEST(ForceKernelDispatch, Avx512RequestFallsBackToAvx2) {
   EXPECT_EQ(kernels::select_bsb_step(ForceKernel::kAvx512, f), avx2_step);
   EXPECT_EQ(kernels::select_theorem3_reset(ForceKernel::kAvx512, f),
             kernels::select_theorem3_reset(ForceKernel::kAvx2, f));
-  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name,
+  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f).name,
                "bipartite-avx2");
 }
 
 TEST(ForceKernelDispatch, AutoPicksWidestSupportedIsa) {
-  // The tiered families take the widest ISA; past one replica the force
+  // The tiered families take the widest ISA; on a generic model the force
   // pass is the CSR kernel on every host.
   const struct {
     ForceKernel isa;
@@ -189,10 +211,10 @@ TEST(ForceKernelDispatch, AutoPicksWidestSupportedIsa) {
     EXPECT_EQ(kernels::select_theorem3_reset(ForceKernel::kAuto, w.features),
               kernels::select_theorem3_reset(w.isa, w.features));
     EXPECT_STREQ(
-        kernels::select_force_kernel(ForceKernel::kAuto, w.features, 1).name,
+        kernels::select_force_kernel(ForceKernel::kAuto, w.features).name,
         w.bipartite);
     EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, w.features,
-                                              kLanes)
+                                              1, kernels::ModelShape::kGeneric)
                      .name,
                  "scalar");
   }
@@ -208,7 +230,7 @@ TEST(ForceKernelDispatch, Avx2NeedsFmaToo) {
             kernels::select_bsb_step(ForceKernel::kScalar, f));
   EXPECT_EQ(kernels::select_theorem3_reset(ForceKernel::kAvx2, f),
             kernels::select_theorem3_reset(ForceKernel::kScalar, f));
-  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name,
+  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f).name,
                "bipartite-scalar");
 }
 
@@ -216,7 +238,7 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
   // selectable_force_kernels() lists the ISA tiers this host runs; each
   // pins its own bSB step and Theorem-3 reset tier (no two share one, so
   // none fell down the chain), while a force request resolves to the CSR
-  // kernel on both sides of R = 1.
+  // kernel on either model shape.
   const auto kinds = kernels::selectable_force_kernels();
   ASSERT_FALSE(kinds.empty());
   EXPECT_EQ(kinds.front(), ForceKernel::kScalar);
@@ -225,9 +247,9 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
   for (ForceKernel k : kinds) {
     steps.insert(kernels::select_bsb_step(k, cpu_features()));
     resets.insert(kernels::select_theorem3_reset(k, cpu_features()));
-    for (std::size_t replicas : {std::size_t{1}, kLanes}) {
-      const auto sel =
-          kernels::select_force_kernel(k, cpu_features(), replicas);
+    for (const kernels::ModelShape shape :
+         {kernels::ModelShape::kBipartite, kernels::ModelShape::kGeneric}) {
+      const auto sel = kernels::select_force_kernel(k, cpu_features(), 1, shape);
       EXPECT_EQ(sel.kind, ForceKernel::kScalar)
           << kernels::force_kernel_name(k);
     }
@@ -239,56 +261,54 @@ TEST(ForceKernelDispatch, SelectableKernelsResolveToThemselves) {
             kernels::select_bsb_step(kinds.back(), cpu_features()));
 }
 
-// ------------------------------------------------------- dispatch at R = 1
+// ----------------------------------------------- dispatch on a column COP
 
 TEST(ForceKernelDispatch, OneReplicaResolvesBipartiteAtWidestIsa) {
-  // auto at R = 1 on a column COP takes the bipartite layout at the
-  // widest tier the masked "CPU" runs.
+  // auto on a column COP takes the bipartite layout at the widest tier
+  // the masked "CPU" runs.
   CpuFeatures no_fma;
   no_fma.avx2 = true;
   const auto scalar =
-      kernels::select_force_kernel(ForceKernel::kAuto, no_features(), 1);
+      kernels::select_force_kernel(ForceKernel::kAuto, no_features());
   EXPECT_EQ(scalar.kind, ForceKernel::kBipartite);
   EXPECT_STREQ(scalar.name, "bipartite-scalar");
   ASSERT_NE(scalar.continuous, nullptr);
   ASSERT_NE(scalar.discrete, nullptr);
-  EXPECT_STREQ(
-      kernels::select_force_kernel(ForceKernel::kAuto, no_fma, 1).name,
-      "bipartite-scalar");
+  EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, no_fma).name,
+               "bipartite-scalar");
   if (kernels::force_kernel_compiled(ForceKernel::kAvx2)) {
     const auto sel =
-        kernels::select_force_kernel(ForceKernel::kAuto, avx2_features(), 1);
+        kernels::select_force_kernel(ForceKernel::kAuto, avx2_features());
     EXPECT_EQ(sel.kind, ForceKernel::kBipartite);
     EXPECT_STREQ(sel.name, "bipartite-avx2");
   }
   if (kernels::force_kernel_compiled(ForceKernel::kAvx512)) {
     const auto sel =
-        kernels::select_force_kernel(ForceKernel::kAuto, avx512_features(), 1);
+        kernels::select_force_kernel(ForceKernel::kAuto, avx512_features());
     EXPECT_EQ(sel.kind, ForceKernel::kBipartite);
     EXPECT_STREQ(sel.name, "bipartite-avx512");
   }
   for (const CpuFeatures& f :
        {no_features(), avx2_features(), avx512_features()}) {
-    // Engines reject 0 replicas before they select, so replicas = 0 only
-    // comes from callers asking for the single-trajectory choice: it
-    // resolves exactly like R = 1.
-    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, 0).name,
+    // The end-to-end benchmark's frozen provenance call passes `false`
+    // (a count of 0) for the kept third parameter: it resolves exactly
+    // like the engines' 1.
+    EXPECT_STREQ(kernels::select_force_kernel(ForceKernel::kAuto, f, false)
+                     .name,
                  kernels::select_force_kernel(ForceKernel::kAuto, f, 1).name);
-    // A generic model has no bipartite layout: auto keeps CSR at R = 1,
-    // the same kernel it picks past one replica.
+    // A generic model has no bipartite layout: auto keeps CSR.
     const auto generic = kernels::select_force_kernel(
         ForceKernel::kAuto, f, 1, kernels::ModelShape::kGeneric);
-    const auto lanes = kernels::select_force_kernel(ForceKernel::kAuto, f,
-                                                    kLanes);
-    EXPECT_EQ(generic.kind, lanes.kind);
-    EXPECT_STREQ(generic.name, lanes.name);
+    EXPECT_EQ(generic.kind, ForceKernel::kScalar);
+    EXPECT_STREQ(generic.name, "scalar");
   }
 }
 
 TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
-  // The CSR kernel stays reachable at R = 1 as the parity reference.
+  // The CSR kernel stays reachable on a column COP as the parity
+  // reference.
   const auto scalar =
-      kernels::select_force_kernel(ForceKernel::kScalar, avx512_features(), 1);
+      kernels::select_force_kernel(ForceKernel::kScalar, avx512_features());
   EXPECT_EQ(scalar.kind, ForceKernel::kScalar);
   EXPECT_STREQ(scalar.name, "scalar");
 }
@@ -297,7 +317,7 @@ TEST(ForceKernelDispatch, ExplicitRequestsAtOneReplicaKeepTheirLayout) {
 
 /// The requests the parity suites compare: every ISA tier the host runs
 /// (each the CSR kernel with that tier's bSB step), then auto -- the
-/// bipartite layout at R = 1 on a column COP, the CSR kernel otherwise.
+/// bipartite layout on a column COP, the CSR kernel otherwise.
 std::vector<ForceKernel> parity_kernels() {
   auto kinds = kernels::selectable_force_kernels();
   kinds.push_back(ForceKernel::kAuto);
@@ -307,14 +327,14 @@ std::vector<ForceKernel> parity_kernels() {
 /// Runs compute_forces() once per parity kernel on identical positions
 /// and expects bit-identical force planes.
 void expect_force_parity(const IsingModel& model, bool discrete,
-                         std::size_t replicas, std::uint64_t seed) {
+                         std::uint64_t seed) {
   SbParams params = quick_params(seed);
   params.discrete = discrete;
 
   std::vector<double> reference;
   for (ForceKernel k : parity_kernels()) {
     params.kernel = k;
-    BsbBatchEngine engine(model, params, replicas);
+    BsbBatchEngine engine(model, params);
     Rng rng(seed);
     auto x = engine.positions();
     for (double& v : x) {
@@ -330,7 +350,7 @@ void expect_force_parity(const IsingModel& model, bool discrete,
     EXPECT_EQ(std::memcmp(f.data(), reference.data(),
                           f.size() * sizeof(double)),
               0)
-        << "kernel " << kernels::force_kernel_name(k) << " R=" << replicas
+        << "kernel " << kernels::force_kernel_name(k) << " seed " << seed
         << (discrete ? " discrete" : " continuous");
   }
 }
@@ -338,17 +358,17 @@ void expect_force_parity(const IsingModel& model, bool discrete,
 TEST(ForceKernelParity, ForcePlanesBitIdenticalSparseModel) {
   Rng rng(41);
   const auto model = random_model(33, 0.3, rng);
-  for (std::size_t replicas : {1u, 2u, 8u, 13u}) {
-    expect_force_parity(model, false, replicas, 900 + replicas);
-    expect_force_parity(model, true, replicas, 900 + replicas);
+  for (const std::uint64_t seed : {901u, 902u, 908u, 913u}) {
+    expect_force_parity(model, false, seed);
+    expect_force_parity(model, true, seed);
   }
 }
 
 TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
   const auto model = column_cop_model();
-  for (std::size_t replicas : {1u, 2u, 8u, 13u}) {
-    expect_force_parity(model, false, replicas, 700 + replicas);
-    expect_force_parity(model, true, replicas, 700 + replicas);
+  for (const std::uint64_t seed : {701u, 702u, 708u, 713u}) {
+    expect_force_parity(model, false, seed);
+    expect_force_parity(model, true, seed);
   }
 
   // Two matrix rows and 64 columns: one V block with 2 of its 16 rows
@@ -366,26 +386,26 @@ TEST(ForceKernelParity, ForcePlanesBitIdenticalColumnCopModel) {
   EXPECT_FALSE(std::signbit(zero_row.bias(16)));
 
   for (const IsingModel* m : {&two_rows, &zero_row}) {
-    for (std::size_t replicas : {1u, 2u, 8u}) {
-      expect_force_parity(*m, false, replicas, 600 + replicas);
-      expect_force_parity(*m, true, replicas, 600 + replicas);
+    for (const std::uint64_t seed : {601u, 602u, 608u}) {
+      expect_force_parity(*m, false, seed);
+      expect_force_parity(*m, true, seed);
     }
   }
 }
 
 TEST(ForceKernelParity, ForcePlanesBitIdenticalDenseModel) {
-  // Near-complete generic models through the CSR kernel at each replica
-  // count under every request (auto keeps CSR at R = 1 on them). In the second model the
-  // uncoupled row's bias was set to -0.0.
+  // Near-complete generic models through the CSR kernel under every
+  // request (auto keeps CSR on them). In the second model the uncoupled
+  // row's bias was set to -0.0.
   Rng rng(43);
   const auto model = random_model(48, 1.0, rng);
   const auto signed_zero = signed_zero_dense_model();
   ASSERT_TRUE(signed_zero.neighbors(48).empty());
   EXPECT_FALSE(std::signbit(signed_zero.bias(48)));
   for (const IsingModel* m : {&model, &signed_zero}) {
-    for (std::size_t replicas : {1u, 2u, 8u, 13u}) {
-      expect_force_parity(*m, false, replicas, 800 + replicas);
-      expect_force_parity(*m, true, replicas, 800 + replicas);
+    for (const std::uint64_t seed : {801u, 802u, 808u, 813u}) {
+      expect_force_parity(*m, false, seed);
+      expect_force_parity(*m, true, seed);
     }
   }
 }
@@ -413,7 +433,7 @@ TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
   int tiers = 0;
   for (const CpuFeatures& f :
        {no_features(), avx2_features(), avx512_features()}) {
-    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto, f, 1);
+    const auto sel = kernels::select_force_kernel(ForceKernel::kAuto, f);
     ASSERT_EQ(sel.kind, ForceKernel::kBipartite);
     if ((f.avx2 && !kernels::force_kernel_supported(ForceKernel::kAvx2,
                                                     cpu_features())) ||
@@ -433,7 +453,6 @@ TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
       planes.cols = csr.cols.data();
       planes.weights = csr.weights.data();
       planes.n = model.num_spins();
-      planes.replicas = 1;
       const auto layout = kernels::build_bipartite(
           model.bipartite_plane().data(), shape.rows, shape.cols);
       layout.bind(planes);
@@ -464,26 +483,32 @@ TEST(ForceKernelParity, BipartiteTiersBitIdenticalToScalarCsr) {
 // ------------------------------------------------- full-solve bit parity
 
 TEST(ForceKernelParity, SolveBitIdenticalAcrossKernels) {
+  // The weighted column COPs fail IsingModel::exact_arithmetic(), so every
+  // solve recomputes threatening energies from scratch: under auto their
+  // tracker takes grouped flip fields from the plane, under the CSR
+  // requests it walks CSR per flip.
   Rng rng(47);
-  const IsingModel models[] = {column_cop_model(),
-                               random_model(48, 1.0, rng)};
+  const IsingModel weighted_joint = weighted_column_cop_model(true);
+  const IsingModel weighted_separate = weighted_column_cop_model(false);
+  ASSERT_FALSE(weighted_joint.exact_arithmetic());
+  ASSERT_FALSE(weighted_separate.exact_arithmetic());
+  const IsingModel models[] = {column_cop_model(), weighted_joint,
+                               weighted_separate, random_model(48, 1.0, rng)};
   for (const IsingModel& model : models) {
     for (bool discrete : {false, true}) {
-      for (std::size_t replicas : {1u, 2u, 8u}) {
-        SbParams params = quick_params(55);
-        params.discrete = discrete;
-        params.kernel = ForceKernel::kScalar;
-        const auto reference = solve_sb_batch(model, params, replicas);
-        for (ForceKernel k : parity_kernels()) {
-          params.kernel = k;
-          const auto got = solve_sb_batch(model, params, replicas);
-          EXPECT_EQ(got.energy, reference.energy)
-              << kernels::force_kernel_name(k);
-          EXPECT_EQ(got.spins, reference.spins)
-              << kernels::force_kernel_name(k);
-          EXPECT_EQ(got.iterations, reference.iterations);
-          EXPECT_EQ(got.stopped_early, reference.stopped_early);
-        }
+      SbParams params = quick_params(55);
+      params.discrete = discrete;
+      params.kernel = ForceKernel::kScalar;
+      const auto reference = solve_sb(model, params);
+      for (ForceKernel k : parity_kernels()) {
+        params.kernel = k;
+        const auto got = solve_sb(model, params);
+        EXPECT_EQ(got.energy, reference.energy)
+            << kernels::force_kernel_name(k);
+        EXPECT_EQ(got.spins, reference.spins)
+            << kernels::force_kernel_name(k);
+        EXPECT_EQ(got.iterations, reference.iterations);
+        EXPECT_EQ(got.stopped_early, reference.stopped_early);
       }
     }
   }
@@ -493,32 +518,26 @@ TEST(ForceKernelParity, EngineReportsResolvedKernelName) {
   const auto model = column_cop_model();
   SbParams params = quick_params(1);
   params.kernel = ForceKernel::kScalar;
-  BsbBatchEngine scalar_engine(model, params, 2);
+  BsbBatchEngine scalar_engine(model, params);
   EXPECT_STREQ(scalar_engine.kernel_name(), "scalar");
   EXPECT_EQ(scalar_engine.kernel_kind(), ForceKernel::kScalar);
 
+  // auto takes the bipartite layout on a column COP and reports its ISA
+  // tier.
   params.kernel = ForceKernel::kAuto;
-  BsbBatchEngine auto_engine(model, params, 2);
-  EXPECT_EQ(auto_engine.kernel_kind(),
-            kernels::select_force_kernel(ForceKernel::kAuto, cpu_features(),
-                                         auto_engine.replicas())
-                .kind);
-
-  // R = 1: auto takes the bipartite layout on a column COP and reports
-  // its ISA tier.
-  BsbBatchEngine single_engine(model, params, 1);
-  const auto single =
-      kernels::select_force_kernel(ForceKernel::kAuto, cpu_features(), 1);
-  EXPECT_EQ(single_engine.kernel_kind(), ForceKernel::kBipartite);
-  EXPECT_STREQ(single_engine.kernel_name(), single.name);
-  EXPECT_EQ(std::string(single_engine.kernel_name()).rfind("bipartite-", 0),
+  BsbBatchEngine auto_engine(model, params);
+  const auto bipartite =
+      kernels::select_force_kernel(ForceKernel::kAuto, cpu_features());
+  EXPECT_EQ(auto_engine.kernel_kind(), ForceKernel::kBipartite);
+  EXPECT_STREQ(auto_engine.kernel_name(), bipartite.name);
+  EXPECT_EQ(std::string(auto_engine.kernel_name()).rfind("bipartite-", 0),
             0u);
 
-  // A generic model resolves to CSR at R = 1 and reports that tier.
+  // A generic model resolves to CSR and reports that tier.
   Rng rng(3);
   const auto generic = random_model(20, 0.4, rng);
   ASSERT_FALSE(generic.bipartite_shape().has_value());
-  BsbBatchEngine generic_engine(generic, params, 1);
+  BsbBatchEngine generic_engine(generic, params);
   const auto csr = kernels::select_force_kernel(
       ForceKernel::kAuto, cpu_features(), 1, kernels::ModelShape::kGeneric);
   EXPECT_NE(generic_engine.kernel_kind(), ForceKernel::kBipartite);

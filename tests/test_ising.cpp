@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ising/bsb.hpp"
-#include "ising/bsb_batch.hpp"
 #include "ising/exhaustive.hpp"
 #include "ising/model.hpp"
 #include "ising/qubo.hpp"
@@ -479,42 +478,6 @@ TEST(Bsb, EnergyReportedMatchesSpins) {
   p.seed = 23;
   const auto res = solve_sb(m, p);
   EXPECT_NEAR(m.energy(res.spins), res.energy, 1e-9);
-}
-
-// ---------------------------------------------------------- Ensemble bSB
-//
-// solve_sb_batch runs R replicas as one ensemble. Its replica parity,
-// best-of-replicas selection and argument checks are pinned in
-// test_bsb_batch.cpp; these two check what the ensemble adds on top.
-
-TEST(BsbEnsemble, MoreReplicasNeverWorse) {
-  Rng rng(47);
-  const auto m = random_model(14, 0.5, rng);
-  SbParams p;
-  p.max_iterations = 300;
-  p.seed = 3;
-  const auto one = solve_sb_batch(m, p, 1);
-  const auto eight = solve_sb_batch(m, p, 8);
-  EXPECT_LE(eight.energy, one.energy);
-}
-
-TEST(BsbEnsemble, HookAppliedPerReplica) {
-  IsingModel m(4);
-  m.set_bias(3, -5.0);
-  m.finalize();
-  SbParams p;
-  p.max_iterations = 20;
-  p.stop.sample_interval = 5;
-  p.c0 = 1e-9;
-  p.seed = 1;
-  int calls = 0;
-  const auto res = solve_sb_batch(m, p, 3, [&](std::size_t, ReplicaView v) {
-    ++calls;
-    v.x(3) = -1.0;
-    v.y(3) = 0.0;
-  });
-  EXPECT_EQ(calls, (20 / 5) * 3);
-  EXPECT_DOUBLE_EQ(res.energy, -5.0);
 }
 
 // -------------------------------------------------------------------- SA

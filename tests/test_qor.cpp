@@ -233,15 +233,15 @@ TEST(QorIntegration, DaltaRunFillsDecisionsCurvesAndFinal) {
 TEST(QorIntegration, TightDeadlineTriggersBudgetRescale) {
   const auto exact = make_benchmark_table("exp", 8, 8);
   const auto dist = InputDistribution::uniform(8);
-  // High iteration count + replicas with the variance stop disabled, so
-  // the first sampling point's timing estimate says the full run cannot
+  // High iteration count with the variance stop disabled, so the first
+  // sampling point's timing estimate says the full run cannot
   // fit the budget and the engine must rescale. The budget must be small
   // enough that max-iter cannot fit, but large enough that the first
   // solve *starts* before it expires -- the engine's deadline-at-entry
   // check returns immediately (no rescale) on an already-expired context.
   const auto solver = SolverRegistry::global().make(
       "prop",
-      SolverRegistry::parse_spec("prop,replicas=4,max-iter=2000000,stop=0")
+      SolverRegistry::parse_spec("prop,max-iter=2000000,stop=0")
           .second);
   DaltaParams params;
   params.free_size = 4;

@@ -215,7 +215,7 @@ TEST(SaEngine, RerunIsBitIdentical) {
 TEST(SaEngine, RegistryMatchesDirectConstruction) {
   SolverConfig config;
   config.set("n", "5");
-  config.set("replicas", "2");
+  config.set("restarts", "2");
   config.set("sweeps", "150");
   const auto from_registry = SolverRegistry::global().make("sa", config);
 
@@ -223,7 +223,7 @@ TEST(SaEngine, RegistryMatchesDirectConstruction) {
   options.engine = IsingEngineKind::kSa;
   options.use_theorem3 = false;
   options.anti_collapse = false;
-  options.replicas = 2;
+  options.restarts = 2;
   options.sa.sweeps = 150;
   options.sa.stop = options.sb.stop;
   const IsingCoreSolver direct(options);

@@ -126,7 +126,7 @@ TEST(SolverRegistry, UnknownKeyErrorEnumeratesDeclaredKeys) {
     // Sorted declared keys: beta-end before beta-start before n ...
     std::size_t last = 0;
     for (const char* key :
-         {"beta-end", "beta-start", "n", "polish", "replicas", "sweeps"}) {
+         {"beta-end", "beta-start", "n", "polish", "restarts", "sweeps"}) {
       const std::size_t pos = msg.find(key, last);
       EXPECT_NE(pos, std::string::npos) << key << " missing in: " << msg;
       last = pos;
@@ -145,8 +145,9 @@ TEST(SolverRegistry, UnknownKeyErrorEnumeratesDeclaredKeys) {
 }
 
 // The removed layout keys of `prop,pack=K`, the removed kernel key of
-// prop and doch, and the removed portfolio and simcim entries fail through
-// the same strict diagnostics as any typo: unknown key, unknown solver.
+// prop and doch, the removed replicas key of prop, sa and doch, and the
+// removed portfolio and simcim entries fail through the same strict
+// diagnostics as any typo: unknown key, unknown solver.
 // The pack keys are spelled in two adjacent literals so that a search of
 // the sources for them finds no live use.
 TEST(SolverRegistry, RemovedLayoutKeyAndPortfolioAreRejected) {
@@ -179,16 +180,21 @@ TEST(SolverRegistry, RemovedLayoutKeyAndPortfolioAreRejected) {
           << e.what();
     }
   }
-  // No key picks the force kernel any more.
-  for (const auto& [spec, solver] :
-       {std::pair{"prop,kernel=avx2", "prop"},
-        std::pair{"doch,kernel=scalar", "doch"}}) {
+  // No key picks the force kernel or a lockstep trajectory count any
+  // more; `restarts` is the one multi-start setting.
+  for (const auto& [spec, solver, key] :
+       {std::tuple{"prop,kernel=avx2", "prop", "kernel"},
+        std::tuple{"doch,kernel=scalar", "doch", "kernel"},
+        std::tuple{"prop,replicas=2", "prop", "replicas"},
+        std::tuple{"sa,replicas=2", "sa", "replicas"},
+        std::tuple{"doch,replicas=2", "doch", "replicas"}}) {
     try {
       (void)SolverRegistry::global().make_from_spec(spec);
       FAIL() << "expected invalid_argument for " << spec;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("solver '") + solver +
-                                           "' does not take key 'kernel'"),
+                                           "' does not take key '" + key +
+                                           "'"),
                 std::string::npos)
           << e.what();
     }
@@ -197,7 +203,7 @@ TEST(SolverRegistry, RemovedLayoutKeyAndPortfolioAreRejected) {
 
 TEST(SolverRegistry, MalformedValuesThrow) {
   SolverConfig config;
-  config.set("replicas", "4x");
+  config.set("restarts", "4x");
   EXPECT_THROW((void)SolverRegistry::global().make("prop", config),
                std::invalid_argument);
   SolverConfig config2;
@@ -205,18 +211,15 @@ TEST(SolverRegistry, MalformedValuesThrow) {
   EXPECT_THROW((void)SolverRegistry::global().make("prop", config2),
                std::invalid_argument);
   // Numbers must be finite and whole: NaN/inf parse under std::stod but
-  // mean nothing to any key, so each fails naming the key. A zero replica
-  // or restart count would run no trajectory or start, so it fails too.
+  // mean nothing to any key, so each fails naming the key. A zero restart
+  // count would run no start, so it fails too.
   for (const auto& [name, key, value] :
        {std::tuple{"prop", "dt", "nan"}, std::tuple{"prop", "dt", "inf"},
         std::tuple{"prop", "dt", "0.5x"},
         std::tuple{"prop", "stop-epsilon", "nan"},
         std::tuple{"doch", "rho", "nan"},
-        std::tuple{"prop", "replicas", "0"},
         std::tuple{"prop", "restarts", "0"},
-        std::tuple{"doch", "replicas", "0"},
         std::tuple{"doch", "restarts", "0"},
-        std::tuple{"sa", "replicas", "0"},
         std::tuple{"sa", "restarts", "0"},
         std::tuple{"alt", "restarts", "0"},
         std::tuple{"ba", "restarts", "0"}}) {
@@ -236,9 +239,9 @@ TEST(SolverRegistry, MalformedValuesThrow) {
 
 TEST(SolverRegistry, SpecParsing) {
   const auto [name, config] =
-      SolverRegistry::parse_spec("prop,replicas=4,stop-epsilon=1e-6");
+      SolverRegistry::parse_spec("prop,restarts=4,stop-epsilon=1e-6");
   EXPECT_EQ(name, "prop");
-  EXPECT_EQ(config.get_size("replicas", 1), 4u);
+  EXPECT_EQ(config.get_size("restarts", 1), 4u);
   EXPECT_DOUBLE_EQ(config.get_double("stop-epsilon", 0.0), 1e-6);
   EXPECT_FALSE(config.has("n"));
 
@@ -254,10 +257,10 @@ TEST(SolverRegistry, RegistryBuiltSolverMatchesDirectConstruction) {
   // The registry path must be bit-identical to hand-built construction:
   // same options, same seed, same setting.
   auto options = IsingCoreSolver::Options::paper_defaults(9);
-  options.replicas = 2;
+  options.restarts = 2;
   const IsingCoreSolver direct(options);
   const auto via_registry =
-      SolverRegistry::global().make_from_spec("prop,n=9,replicas=2");
+      SolverRegistry::global().make_from_spec("prop,n=9,restarts=2");
 
   for (const std::uint64_t seed : {1u, 5u, 42u}) {
     CoreSolveStats ds;

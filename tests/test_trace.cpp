@@ -12,7 +12,6 @@
 #include "core/dalta.hpp"
 #include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
-#include "ising/bsb_batch.hpp"
 #include "ising/model.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
@@ -269,8 +268,7 @@ TEST(TraceRecorder, StopVarianceIsTheReadingTheStopDecidedOn) {
   RunContext::Options opts;
   opts.trace = true;
   const RunContext ctx(opts);
-  const IsingSolveResult result =
-      solve_sb_batch(model, params, 1, nullptr, nullptr, &ctx);
+  const IsingSolveResult result = solve_sb(model, params, nullptr, &ctx);
   ASSERT_TRUE(result.stopped_early);
   ASSERT_LT(result.iterations, params.max_iterations);
 

@@ -7,8 +7,8 @@
 //   adsd_cli list-solvers   (also: adsd_cli --list-solvers)
 //       List every registry-constructible solver with its aliases and
 //       config keys. No setting picks the force kernel; the footer names
-//       the one this host runs for a single-replica column-COP solve
-//       (bipartite-<isa>) and for everything else (scalar).
+//       the one this host runs for a column-COP solve (bipartite-<isa>)
+//       and for any other model (scalar).
 //
 //   adsd_cli decompose --function exp --n 9 --free 4 [options]
 //   adsd_cli decompose --hex table.tt --free 4 [options]
@@ -19,11 +19,9 @@
 //         --shared <s>      non-disjoint shared variables (default 0)
 //         --mode joint|separate (default joint)
 //         --solver <spec>   registry spec "name[,key=value,...]", e.g.
-//                           prop | "prop,replicas=4" | "ilp,budget=1.5"
+//                           prop | "prop,restarts=4" | "ilp,budget=1.5"
 //                           (see `adsd_cli info` for names and keys)
 //         --p/--rounds/--seed   framework knobs
-//         --replicas <r>    lockstep bSB replicas for the prop solver
-//                           (>= 1; shorthand for the replicas config key)
 //         --ilp-budget <s>  seconds per COP for the ilp solver (shorthand
 //                           for its budget config key)
 //         --threads <t>     worker threads for the partition fan-out
@@ -103,10 +101,10 @@ namespace {
 
 using namespace adsd;
 
-/// Builds the solver through the registry. The dedicated --replicas and
-/// --ilp-budget flags are shorthands overlaid onto the spec's config (the
-/// spec wins when both name the same key), and the table width n feeds the
-/// prop solver's paper defaults unless the spec pins its own.
+/// Builds the solver through the registry. The dedicated --ilp-budget flag
+/// is a shorthand overlaid onto the spec's config (the spec wins when both
+/// name the budget key), and the table width n feeds the prop solver's
+/// paper defaults unless the spec pins its own.
 std::unique_ptr<CoreCopSolver> make_solver(const CliArgs& args, unsigned n) {
   const SolverRegistry& registry = SolverRegistry::global();
   auto [name, config] =
@@ -119,10 +117,6 @@ std::unique_ptr<CoreCopSolver> make_solver(const CliArgs& args, unsigned n) {
   };
   if (takes("n") && !config.has("n")) {
     config.set("n", std::to_string(n));
-  }
-  if (takes("replicas") && args.has("replicas") && !config.has("replicas")) {
-    config.set("replicas",
-               std::to_string(args.get_positive_size("replicas", 1)));
   }
   if (takes("budget") && args.has("ilp-budget") && !config.has("budget")) {
     config.set("budget",
@@ -224,15 +218,14 @@ int cmd_list_solvers() {
   }
   solvers.print(std::cout);
 
-  // Host-global: the layout follows the model and the replica count, the
-  // ISA tier the CPU.
-  const kernels::SelectedForceKernel column_cop = kernels::select_force_kernel(
-      kernels::ForceKernel::kAuto, cpu_features(), /*replicas=*/1);
+  // Host-global: the layout follows the model, the ISA tier the CPU.
+  const kernels::SelectedForceKernel column_cop =
+      kernels::select_force_kernel(kernels::ForceKernel::kAuto, cpu_features());
   const kernels::SelectedForceKernel other = kernels::select_force_kernel(
-      kernels::ForceKernel::kAuto, cpu_features(), /*replicas=*/2);
+      kernels::ForceKernel::kAuto, cpu_features(), 1,
+      kernels::ModelShape::kGeneric);
   std::cout << "\nforce kernel (no setting picks it): " << column_cop.name
-            << " for an R = 1 column COP, " << other.name
-            << " otherwise\n";
+            << " for a column COP, " << other.name << " otherwise\n";
   return 0;
 }
 
@@ -254,7 +247,7 @@ InputDistribution load_distribution(const CliArgs& args, unsigned n) {
 int cmd_decompose(const CliArgs& args) {
   args.reject_unknown(
       {"function", "hex", "pla", "n", "m", "free", "shared", "mode",
-       "solver", "p", "rounds", "seed", "replicas", "ilp-budget",
+       "solver", "p", "rounds", "seed", "ilp-budget",
        "threads", "trace", "report", "qor", "metrics", "metrics-format",
        "postmortem", "log-level", "log-file", "obs-dir", "budget", "dist",
        "verilog", "testbench", "hex-out"});
