@@ -287,6 +287,19 @@ class BenchReport {
   std::vector<json::Value> records_;
 };
 
+/// Opens the file that --<flag> names for writing and prints "wrote
+/// <path>"; throws "cannot open --<flag> file '<path>'" when it cannot.
+inline std::ofstream open_artifact(const CliArgs& args, const char* flag) {
+  const std::string path = args.get_string(flag, "");
+  std::ofstream f(path);
+  if (!f) {
+    throw std::runtime_error(std::string("cannot open --") + flag +
+                             " file '" + path + "'");
+  }
+  std::cout << "wrote " << path << "\n";
+  return f;
+}
+
 /// Writes the artifacts requested via --trace / --report / --qor /
 /// --metrics to the given files, in exactly the formats adsd_cli emits
 /// (Chrome trace_event timeline, run report, qor.json, Prometheus text or
@@ -298,26 +311,16 @@ class BenchReport {
 /// <obs-dir>/<run_id>/ regardless of the per-artifact flags, each artifact
 /// stamped with the same run_id.
 inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
-  auto open = [&](const char* flag) {
-    const std::string path = args.get_string(flag, "");
-    std::ofstream f(path);
-    if (!f) {
-      throw std::runtime_error(std::string("cannot open --") + flag +
-                               " file '" + path + "'");
-    }
-    std::cout << "wrote " << path << "\n";
-    return f;
-  };
   if (args.has("trace")) {
-    auto f = open("trace");
+    auto f = open_artifact(args, "trace");
     ctx.tracer()->write_chrome_json(f);
   }
   if (args.has("report")) {
-    auto f = open("report");
+    auto f = open_artifact(args, "report");
     ctx.tracer()->write_report_json(f);
   }
   if (args.has("qor")) {
-    auto f = open("qor");
+    auto f = open_artifact(args, "qor");
     ctx.qor()->write_json(f);
   }
   if (args.has("metrics")) {
@@ -326,7 +329,7 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
       throw std::invalid_argument("--metrics-format must be prom or json");
     }
     ctx.flush_drop_metrics();
-    auto f = open("metrics");
+    auto f = open_artifact(args, "metrics");
     if (fmt == "json") {
       MetricsRegistry::global().write_json(f);
     } else {

@@ -25,13 +25,11 @@ struct DaltaParams {
   DecompMode mode = DecompMode::kJoint;
   std::uint64_t seed = 42;
 
-  /// Evaluate the P candidate partitions of one output concurrently.
-  bool parallel = true;
-
-  /// BDD-multiplicity partition screening (extension; see
-  /// core/partition_screen.hpp): when > 1, sample `screen_factor * P`
-  /// random partitions and keep the P of lowest column multiplicity before
-  /// spending solver time. 1 disables screening (the paper's behaviour).
+  /// Partition screening (extension; see core/partition_screen.hpp): when
+  /// > 1, sample `screen_factor * P` random partitions and keep the P under
+  /// which the output's matrix has the fewest distinct columns (counted
+  /// straight from the truth table) before spending solver time. 1
+  /// disables screening (the paper's behaviour).
   std::size_t screen_factor = 1;
 };
 
@@ -68,13 +66,14 @@ struct DaltaResult {
 /// The context overload is the primary entry point: ctx supplies the seed
 /// (params.seed is superseded), the thread pool, the deadline, and the
 /// recorders (trace spans under "dalta/", per-solve spans under "core/").
-/// Parallel evaluation requires both ctx.parallel() and params.parallel.
+/// The P candidates of an output are evaluated over ctx.pool() when
+/// ctx.parallel() holds and P > 1.
 DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
                       const DaltaParams& params, const CoreCopSolver& solver,
                       const RunContext& ctx);
 
-/// Convenience overload: builds a context from params (seed, parallel flag,
-/// shared pool, no deadline) — identical results to the context form.
+/// Convenience overload: builds a context from params.seed alone (shared
+/// pool, parallel, no deadline) — identical results to the context form.
 DaltaResult run_dalta(const TruthTable& exact, const InputDistribution& dist,
                       const DaltaParams& params, const CoreCopSolver& solver);
 

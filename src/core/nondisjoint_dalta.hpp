@@ -11,7 +11,7 @@
 namespace adsd {
 
 /// Parameters of the non-disjoint DALTA flow (the BA extension, ref. [10]):
-/// identical structure to DaltaParams plus the shared-set size. With
+/// DaltaParams without screening, plus the shared-set size. With
 /// shared_size = 0 the flow reduces exactly to run_dalta() (and produces
 /// identical results for the same seed, which the tests assert).
 struct NdDaltaParams {
@@ -21,7 +21,6 @@ struct NdDaltaParams {
   std::size_t rounds = 2;           // R
   DecompMode mode = DecompMode::kJoint;
   std::uint64_t seed = 42;
-  bool parallel = true;
 };
 
 struct NdOutputDecomposition {
@@ -38,6 +37,7 @@ struct NdDaltaResult {
   double seconds = 0.0;
   std::size_t cop_solves = 0;          // one per (partition, slice)
   std::size_t solver_iterations = 0;
+  std::size_t early_stops = 0;  // slice solves where the dynamic stop fired
 
   /// Total decomposed storage in bits across outputs.
   std::uint64_t total_size_bits() const;
@@ -47,7 +47,8 @@ struct NdDaltaResult {
 /// Non-disjoint approximate decomposition: per candidate partition, one
 /// column-based core COP per shared-assignment slice, each solved with
 /// `solver`; the slice objectives add up because slices cover disjoint
-/// input patterns.
+/// input patterns. run_dalta's outer loop runs it, with the trace, QoR and
+/// metric names under "dalta_nd".
 ///
 /// The context overload is the primary entry point (ctx supplies the seed,
 /// pool, deadline, and recorders; params.seed is superseded). Slice 0
@@ -58,8 +59,8 @@ NdDaltaResult run_dalta_nd(const TruthTable& exact,
                            const NdDaltaParams& params,
                            const CoreCopSolver& solver, const RunContext& ctx);
 
-/// Convenience overload: builds a context from params (seed, parallel
-/// flag, shared pool, no deadline) — identical results to the context form.
+/// Convenience overload: builds a context from params.seed alone (shared
+/// pool, parallel, no deadline) — identical results to the context form.
 NdDaltaResult run_dalta_nd(const TruthTable& exact,
                            const InputDistribution& dist,
                            const NdDaltaParams& params,

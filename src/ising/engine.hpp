@@ -199,6 +199,12 @@ IsingSolveResult run_engine(IsingEngine& engine);
 /// begin/observe/finish, hook dispatch, kernel reporting — is inherited.
 class EnsembleEngineBase : public IsingEngine {
  public:
+  // The force planes, the bipartite tiles' bound pointers and the tracker
+  // point into this engine's own buffers, so a copy (or a move) would
+  // compute from another engine's memory.
+  EnsembleEngineBase(const EnsembleEngineBase&) = delete;
+  EnsembleEngineBase& operator=(const EnsembleEngineBase&) = delete;
+
   std::size_t num_spins() const { return n_; }
 
   /// Resolved force-kernel name ("scalar" or "bipartite-<isa>").

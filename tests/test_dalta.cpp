@@ -30,7 +30,6 @@ DaltaParams small_params(DecompMode mode) {
   p.rounds = 1;
   p.mode = mode;
   p.seed = 7;
-  p.parallel = false;
   return p;
 }
 
@@ -117,9 +116,9 @@ TEST(Dalta, LutNetworkReproducesApproximation) {
 }
 
 TEST(Dalta, DeterministicAcrossParallelModes) {
-  // The pool workers keep per-thread scratch (the T reset's costs, the
-  // warm start's column words); the greedy and bSB solvers reach it, over
-  // two rounds.
+  // The pool workers keep per-thread scratch (each COP build's cells and
+  // COP, the T reset's costs, the warm start's column words); the greedy
+  // and bSB solvers reach it, over two rounds, in both flows.
   const auto exact = make_continuous_table(continuous_spec("tan"), 6, 4);
   const auto dist = InputDistribution::uniform(6);
   const AlternatingCoreSolver alternating(4);
@@ -127,17 +126,36 @@ TEST(Dalta, DeterministicAcrossParallelModes) {
   const auto prop = SolverRegistry::global().make_from_spec("prop,n=6");
   const std::vector<const CoreCopSolver*> solvers = {
       &alternating, greedy.get(), prop.get()};
+  auto options = [](bool parallel) {
+    RunContext::Options opts;
+    opts.seed = 7;
+    opts.parallel = parallel;
+    return opts;
+  };
   for (const CoreCopSolver* solver : solvers) {
     auto params = small_params(DecompMode::kJoint);
     params.rounds = 2;
-    params.parallel = false;
-    const auto serial = run_dalta(exact, dist, params, *solver);
-    params.parallel = true;
-    const auto parallel = run_dalta(exact, dist, params, *solver);
+    const auto serial =
+        run_dalta(exact, dist, params, *solver, RunContext(options(false)));
+    const auto parallel =
+        run_dalta(exact, dist, params, *solver, RunContext(options(true)));
     EXPECT_EQ(serial.approx, parallel.approx)
         << solver->name()
         << ": partition evaluation order must not affect the result";
     EXPECT_EQ(serial.med, parallel.med) << solver->name();
+
+    NdDaltaParams nd;
+    nd.free_size = 3;
+    nd.shared_size = 1;
+    nd.num_partitions = 6;
+    nd.rounds = 2;
+    const auto nd_serial =
+        run_dalta_nd(exact, dist, nd, *solver, RunContext(options(false)));
+    const auto nd_parallel =
+        run_dalta_nd(exact, dist, nd, *solver, RunContext(options(true)));
+    EXPECT_EQ(nd_serial.approx, nd_parallel.approx)
+        << solver->name() << " (non-disjoint)";
+    EXPECT_EQ(nd_serial.med, nd_parallel.med) << solver->name();
   }
 }
 
@@ -217,7 +235,6 @@ TEST(Dalta, NewRoundNeverMakesAnOutputWorse) {
             params.num_partitions = 2;
             params.rounds = 4;
             params.mode = mode;
-            params.parallel = false;
             med = run_dalta_nd(exact, dist, params, *solver, ctx).med;
           } else {
             DaltaParams params = small_params(mode);
@@ -689,7 +706,6 @@ TEST(NdDalta, ScoreOnceMatchesRescoring) {
         params.rounds = rounds;
         params.mode = mode;
         params.seed = 11;
-        params.parallel = false;
         const NdDaltaResult a = run_dalta_nd(exact, dist, params, *solver);
         const NdDaltaResult b = run_dalta_nd(exact, dist, params, rescored);
         EXPECT_EQ(a.approx, b.approx);
@@ -718,6 +734,102 @@ TEST(NdDalta, ScoreOnceMatchesRescoring) {
         }
       }
     }
+  }
+}
+
+
+/// FNV-1a over the table's output words, low byte first.
+std::uint64_t table_digest(const TruthTable& tt) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint64_t x = 0; x < tt.num_patterns(); ++x) {
+    const std::uint64_t w = tt.word(x);
+    for (unsigned b = 0; b < 64; b += 8) {
+      h = (h ^ ((w >> b) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(DaltaGolden, FixedSeedResults) {
+  // Exact results of both flows at a fixed seed: the MED's bits and a
+  // digest of the approximate table. Shared size 0 runs run_dalta, 1 and 2
+  // run_dalta_nd; two rounds, so the incumbent rule runs too. The tables
+  // are built from integer arithmetic, so no libm result enters a golden.
+  // A failure prints the row as it would be recorded.
+  struct Golden {
+    const char* function;
+    unsigned shared;
+    const char* spec;
+    DecompMode mode;
+    std::uint64_t med_bits;
+    std::uint64_t digest;
+  };
+  constexpr DecompMode kJ = DecompMode::kJoint;
+  constexpr DecompMode kS = DecompMode::kSeparate;
+  const Golden goldens[] = {
+      {"multiplier", 0, "dalta", kJ, 0x40245c0000000000, 0x83681c7c095ed2e7},
+      {"multiplier", 0, "dalta", kS, 0x40319c0000000000, 0x23f698b5e482d5a5},
+      {"multiplier", 0, "prop", kJ, 0x40233a0000000000, 0xdd773347760a3936},
+      {"multiplier", 0, "prop", kS, 0x402f980000000000, 0x278fd5a4f1900965},
+      {"multiplier", 1, "dalta", kJ, 0x401de00000000000, 0x8cf7bed835b56ac5},
+      {"multiplier", 1, "dalta", kS, 0x402d300000000000, 0xe13e3f37b3c197b5},
+      {"multiplier", 1, "prop", kJ, 0x401cec0000000000, 0xb511db0ca3b14eca},
+      {"multiplier", 1, "prop", kS, 0x402b700000000000, 0x204f773c3b503725},
+      {"multiplier", 2, "dalta", kJ, 0x4019740000000000, 0x2d2363a280f3c590},
+      {"multiplier", 2, "dalta", kS, 0x4022100000000000, 0x163f86f0ef82a565},
+      {"multiplier", 2, "prop", kJ, 0x4014440000000000, 0x195ac7abd6638f74},
+      {"multiplier", 2, "prop", kS, 0x4022100000000000, 0x163f86f0ef82a565},
+      {"brent-kung", 0, "dalta", kJ, 0x3ff1800000000000, 0x69a15ca528bebb25},
+      {"brent-kung", 0, "dalta", kS, 0x3ff4000000000000, 0xf037ed949f0deb25},
+      {"brent-kung", 0, "prop", kJ, 0x3ff1800000000000, 0x69a15ca528bebb25},
+      {"brent-kung", 0, "prop", kS, 0x3ff4000000000000, 0xf037ed949f0deb25},
+      {"brent-kung", 1, "dalta", kJ, 0x3fd6000000000000, 0xe70f5f7db78aa325},
+      {"brent-kung", 1, "dalta", kS, 0x3fe0000000000000, 0x9a8a56d352642b25},
+      {"brent-kung", 1, "prop", kJ, 0x3fd6000000000000, 0xe70f5f7db78aa325},
+      {"brent-kung", 1, "prop", kS, 0x3fe0000000000000, 0x9a8a56d352642b25},
+      {"brent-kung", 2, "dalta", kJ, 0x3fc6000000000000, 0xc6638f1c287c2f25},
+      {"brent-kung", 2, "dalta", kS, 0x3fd0000000000000, 0x2628e119541c7b25},
+      {"brent-kung", 2, "prop", kJ, 0x3fc6000000000000, 0xc6638f1c287c2f25},
+      {"brent-kung", 2, "prop", kS, 0x3fd0000000000000, 0x2628e119541c7b25},
+  };
+  constexpr unsigned kN = 8;
+  constexpr std::uint64_t kSeed = 5;
+  const InputDistribution dist = InputDistribution::uniform(kN);
+  for (const Golden& g : goldens) {
+    const TruthTable exact = make_benchmark_table(
+        g.function, kN, paper_output_bits(g.function, kN));
+    const auto solver = SolverRegistry::global().make_from_spec(
+        std::string(g.spec) + (std::string(g.spec) == "prop" ? ",n=8" : ""));
+    const RunContext ctx(kSeed);
+    double med = 0.0;
+    std::uint64_t digest = 0;
+    if (g.shared == 0) {
+      DaltaParams params;
+      params.free_size = 3;
+      params.num_partitions = 4;
+      params.rounds = 2;
+      params.mode = g.mode;
+      const DaltaResult res = run_dalta(exact, dist, params, *solver, ctx);
+      med = res.med;
+      digest = table_digest(res.approx);
+    } else {
+      NdDaltaParams params;
+      params.free_size = 3;
+      params.shared_size = g.shared;
+      params.num_partitions = 4;
+      params.rounds = 2;
+      params.mode = g.mode;
+      const NdDaltaResult res =
+          run_dalta_nd(exact, dist, params, *solver, ctx);
+      med = res.med;
+      digest = table_digest(res.approx);
+    }
+    std::uint64_t med_bits = 0;
+    std::memcpy(&med_bits, &med, sizeof med);
+    EXPECT_TRUE(med_bits == g.med_bits && digest == g.digest)
+        << std::hex << "{\"" << g.function << "\", " << g.shared << ", \""
+        << g.spec << "\", " << (g.mode == kJ ? "kJ" : "kS") << ", 0x"
+        << med_bits << ", 0x" << digest << "}, (MED " << med << ")";
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "boolean/error_metrics.hpp"
@@ -16,6 +17,7 @@
 #include "core/solver_registry.hpp"
 #include "funcs/continuous.hpp"
 #include "funcs/registry.hpp"
+#include "ising/bsb_batch.hpp"
 #include "ising/doch.hpp"
 #include "ising/exhaustive.hpp"
 #include "ising/model.hpp"
@@ -24,6 +26,17 @@
 
 namespace adsd {
 namespace {
+
+// An engine's planes and tracker point into its own buffers, so neither
+// oscillator engine may be copied or moved.
+static_assert(!std::is_copy_constructible_v<BsbBatchEngine> &&
+              !std::is_copy_assignable_v<BsbBatchEngine> &&
+              !std::is_move_constructible_v<BsbBatchEngine> &&
+              !std::is_move_assignable_v<BsbBatchEngine>);
+static_assert(!std::is_copy_constructible_v<DochEngine> &&
+              !std::is_copy_assignable_v<DochEngine> &&
+              !std::is_move_constructible_v<DochEngine> &&
+              !std::is_move_assignable_v<DochEngine>);
 
 IsingModel random_model(std::size_t n, double density, Rng& rng) {
   IsingModel m(n);

@@ -555,7 +555,6 @@ TEST(ForceKernelParity, DaltaResultBitIdenticalAcrossKernels) {
   params.num_partitions = 4;
   params.rounds = 1;
   params.seed = 7;
-  params.parallel = false;
 
   // No spec string sets the kernel; the options reach the CSR reference.
   auto options = IsingCoreSolver::Options::paper_defaults(7);

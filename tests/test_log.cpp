@@ -403,10 +403,10 @@ DaltaResult run_once(bool log, bool everything, std::size_t threads) {
   params.num_partitions = 6;
   params.rounds = 1;
   params.seed = 7;
-  params.parallel = threads > 1;
   RunContext::Options opts;
   opts.seed = 7;
   opts.threads = threads;
+  opts.parallel = threads > 1;
   opts.log = log || everything;
   opts.log_level = LogLevel::kDebug;
   opts.log_path = "log_test_identity.jsonl";

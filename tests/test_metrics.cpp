@@ -454,10 +454,10 @@ DaltaResult run_once(bool metrics, bool everything, std::size_t threads) {
   params.num_partitions = 6;
   params.rounds = 1;
   params.seed = 7;
-  params.parallel = threads > 1;
   RunContext::Options opts;
   opts.seed = 7;
   opts.threads = threads;
+  opts.parallel = threads > 1;
   opts.metrics = metrics || everything;
   opts.trace = everything;
   opts.qor = everything;

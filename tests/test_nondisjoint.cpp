@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "boolean/nondisjoint.hpp"
 #include "core/dalta.hpp"
 #include "core/nondisjoint_dalta.hpp"
@@ -192,33 +195,54 @@ TEST(NonDisjointLut, RejectsWrongSliceCount) {
 // ------------------------------------------------------------- Framework
 
 TEST(NdDalta, ZeroSharedReproducesDisjointDalta) {
-  // With shared_size = 0 the candidate partitions and the per-candidate
-  // COPs coincide with run_dalta's, so the results must be identical.
+  // With shared_size = 0 the candidate partitions, the per-candidate COPs
+  // and their seeds coincide with run_dalta's, so the results must be
+  // identical: looped, greedy, bSB and batched solvers, both modes, one
+  // and two rounds.
   const auto exact = make_continuous_table(continuous_spec("exp"), 6, 5);
   const auto dist = InputDistribution::uniform(6);
-  const AlternatingCoreSolver solver(4);
+  const AlternatingCoreSolver alternating(4);
+  const auto greedy = SolverRegistry::global().make_from_spec("dalta");
+  const auto prop = SolverRegistry::global().make_from_spec("prop,n=6");
+  const auto packed =
+      SolverRegistry::global().make_from_spec("prop,n=6,pack=4");
+  const std::vector<const CoreCopSolver*> solvers = {
+      &alternating, greedy.get(), prop.get(), packed.get()};
+  for (const CoreCopSolver* solver : solvers) {
+    for (const DecompMode mode : {DecompMode::kJoint, DecompMode::kSeparate}) {
+      for (const std::size_t rounds : {1u, 2u}) {
+        SCOPED_TRACE(solver->name() +
+                     (mode == DecompMode::kJoint ? " joint" : " separate") +
+                     " rounds=" + std::to_string(rounds));
+        DaltaParams dp;
+        dp.free_size = 2;
+        dp.num_partitions = 5;
+        dp.rounds = rounds;
+        dp.mode = mode;
+        dp.seed = 9;
 
-  DaltaParams dp;
-  dp.free_size = 2;
-  dp.num_partitions = 5;
-  dp.rounds = 1;
-  dp.mode = DecompMode::kJoint;
-  dp.seed = 9;
-  dp.parallel = false;
+        NdDaltaParams np;
+        np.free_size = 2;
+        np.shared_size = 0;
+        np.num_partitions = 5;
+        np.rounds = rounds;
+        np.mode = mode;
+        np.seed = 9;
 
-  NdDaltaParams np;
-  np.free_size = 2;
-  np.shared_size = 0;
-  np.num_partitions = 5;
-  np.rounds = 1;
-  np.mode = DecompMode::kJoint;
-  np.seed = 9;
-  np.parallel = false;
-
-  const auto rd = run_dalta(exact, dist, dp, solver);
-  const auto rn = run_dalta_nd(exact, dist, np, solver);
-  EXPECT_EQ(rd.approx, rn.approx);
-  EXPECT_DOUBLE_EQ(rd.med, rn.med);
+        const auto rd = run_dalta(exact, dist, dp, *solver);
+        const auto rn = run_dalta_nd(exact, dist, np, *solver);
+        EXPECT_EQ(rd.approx, rn.approx);
+        EXPECT_DOUBLE_EQ(rd.med, rn.med);
+        EXPECT_EQ(rd.cop_solves, rn.cop_solves);
+        EXPECT_EQ(rd.solver_iterations, rn.solver_iterations);
+        EXPECT_EQ(rd.early_stops, rn.early_stops);
+        ASSERT_EQ(rd.outputs.size(), rn.outputs.size());
+        for (std::size_t k = 0; k < rd.outputs.size(); ++k) {
+          EXPECT_EQ(rd.outputs[k].objective, rn.outputs[k].objective) << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(NdDalta, SharedVariablesReduceErrorOnAverage) {

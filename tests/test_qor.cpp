@@ -248,7 +248,6 @@ TEST(QorIntegration, TightDeadlineTriggersBudgetRescale) {
   params.num_partitions = 2;
   params.rounds = 1;
   params.seed = 3;
-  params.parallel = false;
 
   RunContext::Options opts;
   opts.seed = params.seed;

@@ -58,12 +58,12 @@ TEST(RunContext, DeadlineStopsDaltaSolvesEarly) {
   params.free_size = 3;
   params.num_partitions = 4;
   params.rounds = 1;
-  params.parallel = false;
   const auto solver = SolverRegistry::global().make_from_spec(
       "prop,n=7,stop=0,max-iter=100000");
 
   RunContext::Options opts;
   opts.seed = 7;
+  opts.parallel = false;
   opts.time_budget_s = 1e-9;  // expired before the first Euler step
   const RunContext tight(opts);
   const auto res = run_dalta(exact, dist, params, *solver, tight);

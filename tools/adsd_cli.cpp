@@ -70,7 +70,8 @@
 //                           triggers the dump
 //         --dist <file>     profile-driven input distribution (.dist format)
 //         --verilog <file>  write a synthesizable module
-//         --testbench <file> write a self-checking testbench (n <= 12)
+//         --testbench <file> write a self-checking testbench (n <= 12,
+//                           --shared 0; checked before the solve)
 //         --hex-out <file>  write the approximate table (.tt hex)
 //
 //   adsd_cli compare --exact a.tt --approx b.tt [--dist <file>]
@@ -265,6 +266,18 @@ int cmd_decompose(const CliArgs& args) {
   }
   const DecompMode mode =
       mode_name == "separate" ? DecompMode::kSeparate : DecompMode::kJoint;
+  // Checked before the solve: the testbench drives the disjoint flow's one
+  // m-bit module (the non-disjoint flow writes one module per output), and
+  // write_verilog_testbench embeds expectation tables of at most 12 inputs.
+  if (args.has("testbench") && shared > 0) {
+    throw std::invalid_argument(
+        "--testbench: needs --shared 0; the non-disjoint flow writes one "
+        "module per output");
+  }
+  if (args.has("testbench") && n > 12) {
+    throw std::invalid_argument("--testbench: supports up to 12 inputs, got " +
+                                std::to_string(n));
+  }
   // Shared with the bench harnesses: --seed/--threads, the recorder
   // switches, --log-level/--log-file, and the --obs-dir bundle.
   RunContext::Options ctx_opts = bench::context_options(args);
@@ -299,14 +312,12 @@ int cmd_decompose(const CliArgs& args) {
     flat_bits = net.total_flat_size_bits();
 
     if (args.has("verilog")) {
-      std::ofstream f(args.get_string("verilog", ""));
+      auto f = bench::open_artifact(args, "verilog");
       write_verilog(f, net, "adsd_approx_lut");
-      std::cout << "wrote " << args.get_string("verilog", "") << "\n";
     }
     if (args.has("testbench")) {
-      std::ofstream f(args.get_string("testbench", ""));
+      auto f = bench::open_artifact(args, "testbench");
       write_verilog_testbench(f, "adsd_approx_lut", n, m, approx);
-      std::cout << "wrote " << args.get_string("testbench", "") << "\n";
     }
   } else {
     NdDaltaParams params;
@@ -324,21 +335,19 @@ int cmd_decompose(const CliArgs& args) {
 
     if (args.has("verilog")) {
       // One module per output for the non-disjoint flow.
-      std::ofstream f(args.get_string("verilog", ""));
+      auto f = bench::open_artifact(args, "verilog");
       for (unsigned k = 0; k < m; ++k) {
         const auto lut = NonDisjointLut::from_setting(
             res.outputs[k].partition, res.outputs[k].setting);
         write_verilog(f, lut, "adsd_approx_lut_y" + std::to_string(k));
         f << "\n";
       }
-      std::cout << "wrote " << args.get_string("verilog", "") << "\n";
     }
   }
 
   if (args.has("hex-out")) {
-    std::ofstream f(args.get_string("hex-out", ""));
+    auto f = bench::open_artifact(args, "hex-out");
     write_hex(f, approx);
-    std::cout << "wrote " << args.get_string("hex-out", "") << "\n";
   }
   // One writer for every artifact flag — and, with --obs-dir, the full
   // run_id-keyed bundle (see bench/common.hpp).
