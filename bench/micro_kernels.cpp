@@ -42,13 +42,25 @@ namespace {
 
 using namespace adsd;
 
-ColumnCop make_cop(unsigned n, unsigned free_size, std::uint64_t seed) {
+/// The separate-mode COP of output n / 2 of exp under a random partition,
+/// under the uniform distribution (its sums are exact: ColumnCop::
+/// exact_sums) or, when `weighted`, under random pattern weights.
+ColumnCop make_cop(unsigned n, unsigned free_size, std::uint64_t seed,
+                   bool weighted = false) {
   const auto exact = make_continuous_table(continuous_spec("exp"), n, n);
-  const auto dist = InputDistribution::uniform(n);
   Rng rng(seed);
   const auto w = InputPartition::random(n, free_size, rng);
   const auto m = BooleanMatrix::from_function(exact, n / 2, w);
-  return ColumnCop::separate(m, matrix_probs(dist, w));
+  if (!weighted) {
+    return ColumnCop::separate(
+        m, matrix_probs(InputDistribution::uniform(n), w));
+  }
+  std::vector<double> weights(std::size_t{1} << n);
+  for (double& v : weights) {
+    v = rng.next_double(0.1, 3.0);
+  }
+  return ColumnCop::separate(
+      m, matrix_probs(InputDistribution::from_weights(std::move(weights)), w));
 }
 
 void BM_MatrixFromFunction(benchmark::State& state) {
@@ -358,12 +370,10 @@ void BM_Theorem3Reset(benchmark::State& state) {
 }
 BENCHMARK(BM_Theorem3Reset)->Arg(9)->Arg(16);
 
-void BM_ObjectiveEvaluation(benchmark::State& state) {
-  // One ColumnCop::objective() call (the warm start, the polish, the
-  // incumbent re-score and the greedy solver) on a random setting, so
-  // which cells pay their gain varies cell by cell.
-  const auto n = static_cast<unsigned>(state.range(0));
-  const auto cop = make_cop(n, n == 16 ? 7 : 4, 19);
+/// Times one ColumnCop::objective() call (the warm start, the polish, the
+/// incumbent re-score and the greedy solver) on a random setting, so
+/// which cells pay their gain varies cell by cell.
+void time_objective(benchmark::State& state, const ColumnCop& cop) {
   Rng rng(23);
   ColumnSetting s;
   s.v1 = BitVec(cop.rows());
@@ -380,7 +390,20 @@ void BM_ObjectiveEvaluation(benchmark::State& state) {
     benchmark::DoNotOptimize(cop.objective(s));
   }
 }
+
+void BM_ObjectiveEvaluation(benchmark::State& state) {
+  // A uniform COP: its sums are exact, so the certified masked sum runs.
+  const auto n = static_cast<unsigned>(state.range(0));
+  time_objective(state, make_cop(n, n == 16 ? 7 : 4, 19));
+}
 BENCHMARK(BM_ObjectiveEvaluation)->Arg(9)->Arg(16);
+
+void BM_ObjectiveEvaluationWeighted(benchmark::State& state) {
+  // A weighted COP: its sums round, so the row-major chain runs.
+  const auto n = static_cast<unsigned>(state.range(0));
+  time_objective(state, make_cop(n, n == 16 ? 7 : 4, 19, true));
+}
+BENCHMARK(BM_ObjectiveEvaluationWeighted)->Arg(9)->Arg(16);
 
 void BM_DominantColumnPair(benchmark::State& state) {
   // The warm start of every prop COP solve and of the greedy baseline.
@@ -410,8 +433,9 @@ void BM_ScreenMultiplicity(benchmark::State& state) {
 BENCHMARK(BM_ScreenMultiplicity)->Arg(9)->Arg(16);
 
 /// Sixteen joint-mode candidates of one output, as run_dalta builds them:
-/// the exp table, output n / 2 with D per pattern in +-2 bit weights, and
-/// 16 random partitions (free 4 at n = 9, 7 at n = 16).
+/// the exp table, output n / 2 with integer D per pattern in +-2 bit
+/// weights (and that bound on |D|, so the COPs' sums are certified exact),
+/// and 16 random partitions (free 4 at n = 9, 7 at n = 16).
 struct JointCandidates {
   TruthTable exact;
   InputDistribution dist;
@@ -436,8 +460,10 @@ struct JointCandidates {
   }
 
   CopSource source() const {
+    // Every D lies within the span drawn from, 2^(k+1).
     return CopSource{exact.output(k), dist, DecompMode::kJoint, d_by_input,
-                     static_cast<double>(std::uint64_t{1} << k)};
+                     static_cast<double>(std::uint64_t{1} << k),
+                     static_cast<double>(std::uint64_t{1} << (k + 1))};
   }
 };
 

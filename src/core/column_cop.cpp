@@ -10,6 +10,7 @@
 #include "core/cop_passes_impl.hpp"
 #include "ising/kernels/force_kernels.hpp"
 #include "support/cpu_features.hpp"
+#include "support/exact_sum.hpp"
 
 namespace adsd {
 
@@ -76,7 +77,18 @@ ColumnCop::ColumnCop(const BooleanMatrix& exact, std::vector<double> base,
       rows_(exact.rows()),
       cols_(exact.cols()),
       base_(std::move(base)),
-      gain_(std::move(gain)) {}
+      gain_(std::move(gain)) {
+  // The reference builds certify by scanning their own coefficients.
+  GridScan scan;
+  scan.add_all(base_);
+  scan.add_all(gain_);
+  certify(scan.exact());
+}
+
+void ColumnCop::certify(bool exact) {
+  exact_sums_ = exact;
+  base_total_ = exact ? passes().base_total(base_.data(), base_.size()) : 0.0;
+}
 
 ColumnCop ColumnCop::separate(const BooleanMatrix& exact,
                               const std::vector<double>& probs) {
@@ -178,11 +190,36 @@ void ColumnCop::regather(const CopSource& src, const CellPatterns& cells) {
   planes.base = base_.data();
   planes.gain = gain_.data();
   passes().build(planes);
+
+  // The O(1) certificate (DESIGN.md §4.2). A uniform distribution gives
+  // every cell p = 2^-n, so every base and gain is an integer multiple of
+  // p: p O and +-p in separate mode; p |D| and p q with |q| <= bw + 2 |D|
+  // in joint mode, for integer D and bit weight bw (d_bound's promise).
+  // Their magnitudes then sum to at most p r c times 2, or times
+  // 3 max|D| + bw, which must stay within 2^52 p. A rounded product here
+  // errs only past 2^53, so it never passes a bound the exact one fails;
+  // +inf and NaN fail it.
+  const double per_cell = src.mode == DecompMode::kJoint
+                              ? 3.0 * src.d_bound + src.bit_weight
+                              : 2.0;
+  certify(src.dist.is_uniform() &&
+          static_cast<double>(rows_ * cols_) * per_cell <= 0x1p52);
 }
 
 double ColumnCop::objective(const ColumnSetting& s) const {
   if (s.v1.size() != rows_ || s.v2.size() != rows_ || s.t.size() != cols_) {
     throw std::invalid_argument("ColumnCop::objective: setting shape");
+  }
+  if (exact_sums_) {
+    ObjectivePlanes planes;
+    planes.gain = gain_.data();
+    planes.v1 = s.v1.words().data();
+    planes.v2 = s.v2.words().data();
+    planes.t = s.t.words().data();
+    planes.r = rows_;
+    planes.c = cols_;
+    planes.base_total = base_total_;
+    return passes().objective(planes);
   }
   // cell_cost() summed row-major, branch-free: a word of row i's Ohat bits
   // is T's word ANDed with V2_i, or'ed with its complement ANDed with V1_i,

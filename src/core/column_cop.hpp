@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,14 +35,20 @@ void matrix_probs_into(const InputDistribution& dist, const InputPartition& w,
 
 /// What a one-pass COP build reads (ColumnCop::gather), fixed for one
 /// output of one round: the exact output column (2^n bits), the input
-/// distribution and, in joint mode, D per input pattern and the output's
-/// bit weight (1 << k).
+/// distribution and, in joint mode, D per input pattern, the output's bit
+/// weight (1 << k) and a bound on |D|.
 struct CopSource {
   const BitVec& output;
   const InputDistribution& dist;
   DecompMode mode;
   std::span<const double> d_by_input = {};  // joint mode only
   double bit_weight = 0.0;                  // joint mode only
+  /// Joint mode: at least max |D| over the patterns, given only when every
+  /// D is an integer (run_flow's are int64 differences; the bit weight,
+  /// 1 << k, is one too). It lets gather() certify a uniform COP's sums in
+  /// O(1) (ColumnCop::exact_sums); the default, +inf, certifies no joint
+  /// COP.
+  double d_bound = std::numeric_limits<double>::infinity();
 };
 
 /// The column-based core COP for one (component function, partition) pair:
@@ -95,8 +102,22 @@ class ColumnCop {
   std::size_t t_spin(std::size_t j) const { return 2 * rows_ + j; }
 
   /// True weighted error of a setting (ER in separate mode; the MED
-  /// contribution of this output in joint mode).
+  /// contribution of this output in joint mode): the sum of cell_cost()
+  /// over the cells, row-major. On a COP whose sums are exact
+  /// (exact_sums()) it is taken as the base total plus a masked sum of the
+  /// selected gains at the host's vector width (select_cop_passes), the
+  /// same double as the row-major chain, which every other COP runs.
   double objective(const ColumnSetting& s) const;
+
+  /// True when no sum over this COP's cells can round: every base and gain
+  /// is an integer multiple of one power of two 2^L and their magnitudes
+  /// sum to at most 2^(52+L) (the rule of IsingModel::exact_arithmetic(),
+  /// GridScan), so every partial sum is a representable multiple of 2^L
+  /// and any order of summation gives the exact sum. gather() derives it
+  /// in O(1) from its source: a uniform distribution, and in joint mode
+  /// r c (3 d_bound + bit_weight) <= 2^52 (DESIGN.md §4.2). separate() and
+  /// joint() scan their coefficients.
+  bool exact_sums() const { return exact_sums_; }
 
   /// Error contribution of one cell when the approximate value is `ohat`.
   double cell_cost(std::size_t i, std::size_t j, bool ohat) const {
@@ -159,11 +180,16 @@ class ColumnCop {
   /// gather() into this COP's storage.
   void regather(const CopSource& src, const CellPatterns& cells);
 
+  /// Sets exact_sums() and, when it holds, sums the base total.
+  void certify(bool exact);
+
   BooleanMatrix exact_;
   std::size_t rows_;
   std::size_t cols_;
   std::vector<double> base_;  // row-major r*c
   std::vector<double> gain_;  // row-major r*c
+  bool exact_sums_ = false;
+  double base_total_ = 0.0;  // sum of base_ when exact_sums_
 };
 
 }  // namespace adsd

@@ -16,6 +16,12 @@ void cop_reset_t_portable(const HalfStepPlanes& p) {
 bool cop_reset_v_portable(const HalfStepPlanes& p) {
   return cop_passes_impl::reset_v(p);
 }
+double cop_objective_portable(const ObjectivePlanes& p) {
+  return cop_passes_impl::objective(p);
+}
+double cop_base_total_portable(const double* base, std::size_t n) {
+  return cop_passes_impl::base_total(base, n);
+}
 
 }  // namespace
 
@@ -42,11 +48,13 @@ CopPasses select_cop_passes([[maybe_unused]] kernels::ForceKernel requested,
   if ((requested == ForceKernel::kAuto || requested == ForceKernel::kAvx512) &&
       cop_pass_tier_supported(ForceKernel::kAvx512, features)) {
     return {detail::cop_build_avx512, detail::cop_reset_t_avx512,
-            detail::cop_reset_v_avx512, ForceKernel::kAvx512};
+            detail::cop_reset_v_avx512, detail::cop_objective_avx512,
+            detail::cop_base_total_avx512, ForceKernel::kAvx512};
   }
 #endif
-  return {cop_build_portable, cop_reset_t_portable, cop_reset_v_portable,
-          ForceKernel::kScalar};
+  return {cop_build_portable,      cop_reset_t_portable,
+          cop_reset_v_portable,    cop_objective_portable,
+          cop_base_total_portable, ForceKernel::kScalar};
 }
 
 }  // namespace adsd

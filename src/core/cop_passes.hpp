@@ -47,14 +47,36 @@ struct HalfStepPlanes {
   std::size_t c = 0;
 };
 
-/// One build tier, one T-reset tier and one V-reset tier; the V reset
-/// returns true when it changed a V1 or V2 word. Every tier is compiled
-/// from one source (cop_passes_impl.hpp) for its ISA, with the same
-/// per-cell arithmetic and the same ascending sums at one rounding per
-/// operation, so all are bit-identical to the portable tier.
+/// Operands of the certified objective (ColumnCop::objective on a COP
+/// whose sums are exact, ColumnCop::exact_sums): base_total plus the gain
+/// of every cell whose Ohat bit is set, Ohat_ij = T_j ? V2_i : V1_i, with
+/// the setting in BitVec's word layout. The gains may be added in any
+/// order: on such a COP no partial sum rounds, so every order gives the
+/// exact sum, the one the row-major cell-cost chain reaches.
+struct ObjectivePlanes {
+  const double* gain = nullptr;       // r * c, row-major
+  const std::uint64_t* v1 = nullptr;  // ceil(r / 64) words
+  const std::uint64_t* v2 = nullptr;  // ceil(r / 64) words
+  const std::uint64_t* t = nullptr;   // ceil(c / 64) words
+  std::size_t r = 0;
+  std::size_t c = 0;
+  double base_total = 0.0;  // every cell's base, summed
+};
+
+/// One build tier, one T-reset tier, one V-reset tier, and the certified
+/// objective and base-total tiers; the V reset returns true when it
+/// changed a V1 or V2 word, and the base total sums `n` values. Every tier
+/// is compiled from one source (cop_passes_impl.hpp) for its ISA. The
+/// build and the resets run the same per-cell arithmetic and the same
+/// ascending sums at one rounding per operation, so all are bit-identical
+/// to the portable tier; the objective and the base total add in a tier's
+/// own order, which on the COPs they serve gives the exact sum in every
+/// tier.
 using CopBuildFn = void (*)(const CopBuildPlanes& planes);
 using TResetFn = void (*)(const HalfStepPlanes& planes);
 using VResetFn = bool (*)(const HalfStepPlanes& planes);
+using ObjectiveFn = double (*)(const ObjectivePlanes& planes);
+using BaseTotalFn = double (*)(const double* base, std::size_t n);
 
 /// The COP passes of one ISA tier: kScalar (portable, the x86-64
 /// baseline) or kAvx512. There is no AVX2 tier: measured against the
@@ -64,6 +86,8 @@ struct CopPasses {
   CopBuildFn build = nullptr;
   TResetFn reset_t = nullptr;
   VResetFn reset_v = nullptr;
+  ObjectiveFn objective = nullptr;
+  BaseTotalFn base_total = nullptr;
   kernels::ForceKernel isa = kernels::ForceKernel::kScalar;
 };
 

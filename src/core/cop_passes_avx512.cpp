@@ -15,6 +15,12 @@ void cop_reset_t_avx512(const HalfStepPlanes& p) {
 bool cop_reset_v_avx512(const HalfStepPlanes& p) {
   return cop_passes_impl::reset_v(p);
 }
+double cop_objective_avx512(const ObjectivePlanes& p) {
+  return cop_passes_impl::objective(p);
+}
+double cop_base_total_avx512(const double* base, std::size_t n) {
+  return cop_passes_impl::base_total(base, n);
+}
 
 }  // namespace adsd::detail
 

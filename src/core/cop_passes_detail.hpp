@@ -12,5 +12,7 @@ namespace adsd::detail {
 void cop_build_avx512(const CopBuildPlanes& p);
 void cop_reset_t_avx512(const HalfStepPlanes& p);
 bool cop_reset_v_avx512(const HalfStepPlanes& p);
+double cop_objective_avx512(const ObjectivePlanes& p);
+double cop_base_total_avx512(const double* base, std::size_t n);
 
 }  // namespace adsd::detail

@@ -7,6 +7,10 @@
 
 #include "core/cop_passes.hpp"
 
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
+
 // The COP passes (cop_passes.hpp), written once and compiled by each ISA
 // tier's translation unit with its own -m flags, as bipartite_pass.hpp is
 // for the force kernels. Everything here has internal linkage and reads
@@ -14,10 +18,13 @@
 // code of one tier can be shared with (and picked by the linker for)
 // another tier or a baseline caller. The loops are plain C++: each tier
 // gets what the compiler makes of them at its width (zmm or xmm
-// registers; BMI2's flag-free shifts for the bit gather). Vectorization
-// runs across independent cells and columns only, never across one sum's
-// terms, and the build pins -ffp-contract=off, so every tier rounds
-// exactly as the portable one.
+// registers; BMI2's flag-free shifts for the bit gather). In the build
+// and the resets, vectorization runs across independent cells and
+// columns only, never across one sum's terms, and the build pins
+// -ffp-contract=off, so every tier rounds exactly as the portable one.
+// The certified objective and its base total are the passes that split a
+// sum: they serve only COPs on which no partial sum rounds, and their
+// accumulators (MaskedSum) are the one piece written per tier.
 
 namespace adsd::cop_passes_impl {
 namespace {
@@ -219,6 +226,130 @@ inline bool reset_v(const HalfStepPlanes& p) {
     p.v2[w] = word2;
   }
   return moved;
+}
+
+#ifdef __AVX512F__
+
+/// The certified passes' accumulators at the AVX-512 tier: four zmm, each
+/// adding one 8-value group of a step, the group's byte of the mask (an
+/// Ohat byte in the objective) as the mask of its load. A masked-off lane
+/// reads nothing and adds +0.0, so a short step never touches memory past
+/// its row.
+class MaskedSum {
+ public:
+  /// Adds the values v[q], q < live <= 32, whose bit q of `bits` is set;
+  /// bits at and past `live` are clear.
+  void add(const double* v, std::uint64_t bits, std::size_t live) {
+    acc_[0] = plus(acc_[0], v, bits);
+    if (live > 8) {
+      acc_[1] = plus(acc_[1], v + 8, bits >> 8);
+    }
+    if (live > 16) {
+      acc_[2] = plus(acc_[2], v + 16, bits >> 16);
+    }
+    if (live > 24) {
+      acc_[3] = plus(acc_[3], v + 24, bits >> 24);
+    }
+  }
+
+  double total() const {
+    double lanes[8];
+    _mm512_storeu_pd(lanes, _mm512_add_pd(_mm512_add_pd(acc_[0], acc_[1]),
+                                          _mm512_add_pd(acc_[2], acc_[3])));
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  }
+
+ private:
+  static __m512d plus(__m512d acc, const double* v, std::uint64_t bits) {
+    return _mm512_add_pd(
+        acc, _mm512_maskz_loadu_pd(static_cast<__mmask8>(bits & 0xFF), v));
+  }
+
+  __m512d acc_[4] = {_mm512_setzero_pd(), _mm512_setzero_pd(),
+                     _mm512_setzero_pd(), _mm512_setzero_pd()};
+};
+
+#else
+
+/// The certified passes' accumulators at the portable tier: eight scalar
+/// chains, one per value of each 8-value group (a ninth for a group cut
+/// short by the row's end), every value ANDed with its mask bit spread to
+/// all 64 bits (a cleared value is +0.0).
+class MaskedSum {
+ public:
+  /// Adds the values v[q], q < live <= 32, whose bit q of `bits` is set.
+  void add(const double* v, std::uint64_t bits, std::size_t live) {
+    std::size_t q = 0;
+    for (; q + 8 <= live; q += 8) {
+      for (std::size_t l = 0; l < 8; ++l) {  // constant lanes: registers
+        acc_[l] += masked(v[q + l], bits >> (q + l));
+      }
+    }
+    for (; q < live; ++q) {
+      tail_ += masked(v[q], bits >> q);
+    }
+  }
+
+  double total() const {
+    return (((acc_[0] + acc_[1]) + (acc_[2] + acc_[3])) +
+            ((acc_[4] + acc_[5]) + (acc_[6] + acc_[7]))) +
+           tail_;
+  }
+
+ private:
+  /// v when bit 0 of `bits` is set, else +0.0.
+  static double masked(double v, std::uint64_t bits) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) &
+                                 (0 - (bits & 1)));
+  }
+
+  double acc_[8] = {};
+  double tail_ = 0.0;
+};
+
+#endif  // __AVX512F__
+
+/// The certified objective: base_total plus every gain whose Ohat bit is
+/// set, row by row in 32-column steps of the row's Ohat words (T's word
+/// ANDed with V2_i, or'ed with its complement ANDed with V1_i, cut at the
+/// row's end) into the tier's accumulators. On a COP whose sums are exact
+/// every order of these adds gives the exact sum, and all accumulators
+/// start at +0.0, so a zero total is +0.0 as on the row-major chain.
+inline double objective(const ObjectivePlanes& p) {
+  const std::size_t c = p.c;
+  MaskedSum sum;
+  for (std::size_t i = 0; i < p.r; ++i) {
+    const std::uint64_t on1 = 0 - ((p.v1[i >> 6] >> (i & 63)) & 1);
+    const std::uint64_t on2 = 0 - ((p.v2[i >> 6] >> (i & 63)) & 1);
+    const double* g = p.gain + i * c;
+    for (std::size_t j0 = 0; j0 < c; j0 += 64) {
+      const std::uint64_t tw = p.t[j0 >> 6];
+      const std::size_t live = std::min<std::size_t>(64, c - j0);
+      const std::uint64_t valid =
+          live == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << live) - 1;
+      const std::uint64_t ohat = ((tw & on2) | (~tw & on1)) & valid;
+      sum.add(g + j0, ohat, std::min<std::size_t>(32, live));
+      if (live > 32) {
+        sum.add(g + j0 + 32, ohat >> 32, live - 32);
+      }
+    }
+  }
+  return p.base_total + sum.total();
+}
+
+/// The certified COP's base total: every value of base[0, n) added into
+/// the tier's accumulators, 32 at a time. Exact there, in any order.
+inline double base_total(const double* base, std::size_t n) {
+  MaskedSum sum;
+  std::size_t k = 0;
+  for (; k + 32 <= n; k += 32) {
+    sum.add(base + k, 0xFFFFFFFF, 32);
+  }
+  if (k < n) {
+    sum.add(base + k, (std::uint64_t{1} << (n - k)) - 1, n - k);
+  }
+  return sum.total();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "core/dalta.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -237,15 +238,25 @@ typename Flow::Result run_flow(const TruthTable& exact,
       const unsigned k = m - 1 - kk;  // MSB -> LSB, as in the paper
       const TraceSpan output_trace(tracer, names.output_span);
 
+      // Joint mode's D are integers, so their range bounds |D| for the
+      // COPs' O(1) exact-sum certificate (ColumnCop::exact_sums).
+      double d_bound = std::numeric_limits<double>::infinity();
       if (params.mode == DecompMode::kJoint) {
         d_by_input.resize(patterns);
         const BitVec& gk = result.approx.output(k);
         const std::int64_t weight = std::int64_t{1} << k;
+        std::int64_t d_min = 0;
+        std::int64_t d_max = 0;
         for (std::uint64_t x = 0; x < patterns; ++x) {
           const std::int64_t rest =
               approx_words[x] - (gk.get(x) ? weight : 0);
-          d_by_input[x] = static_cast<double>(rest - exact_words[x]);
+          const std::int64_t d = rest - exact_words[x];
+          d_by_input[x] = static_cast<double>(d);
+          d_min = std::min(d_min, d);
+          d_max = std::max(d_max, d);
         }
+        d_bound = std::max(-static_cast<double>(d_min),
+                           static_cast<double>(d_max));
       }
 
       // The candidate partitions for this (round, output) are fixed by the
@@ -258,7 +269,8 @@ typename Flow::Result run_flow(const TruthTable& exact,
       // (ColumnCop::gather) over its cells into the calling thread's
       // scratch; it stays valid until that thread builds its next one.
       const CopSource source{exact.output(k), dist, params.mode, d_by_input,
-                             static_cast<double>(std::int64_t{1} << k)};
+                             static_cast<double>(std::int64_t{1} << k),
+                             d_bound};
       auto build_cop = [&](const Partition& w,
                            std::uint64_t sl) -> const ColumnCop& {
         EvalScratch& scratch = worker_scratch();

@@ -211,7 +211,8 @@ const SolverRegistry& SolverRegistry::global() {
 
     // Shared stop-key plumbing of the Ising entries: every one takes the
     // same stop / stop-interval / stop-window / stop-epsilon keys over
-    // paper-default dynamic-stop settings.
+    // paper-default dynamic-stop settings. A variance is never below a
+    // bound <= 0, so such an epsilon would run every solve to its cap.
     const auto apply_stop_keys = [](const SolverConfig& c,
                                     DynamicStopParams& stop,
                                     const DynamicStopParams& defaults) {
@@ -221,6 +222,10 @@ const SolverRegistry& SolverRegistry::global() {
           c.get_size("stop-interval", stop.sample_interval);
       stop.window = c.get_size("stop-window", stop.window);
       stop.epsilon = c.get_double("stop-epsilon", stop.epsilon);
+      if (!(stop.epsilon > 0.0)) {
+        bad_value("stop-epsilon", c.get_string("stop-epsilon", ""),
+                  "positive number");
+      }
     };
     const auto apply_shared_keys = [](const SolverConfig& c,
                                       IsingCoreSolver::Options& options) {

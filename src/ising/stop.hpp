@@ -8,7 +8,7 @@ namespace adsd {
 
 /// Parameters of the dynamic stop criterion (paper Sec. 3.3.1): sample the
 /// system energy every `sample_interval` iterations and stop once the
-/// variance over the last `window` samples drops below `epsilon`.
+/// variance over the last `window` samples drops below `epsilon` (> 0).
 ///
 /// The paper uses f = s = 20 for n = 9 and f = s = 10 for n = 16 with
 /// epsilon = 1e-8.

@@ -45,7 +45,7 @@ void QorRecorder::sample(std::string_view name, double value) {
   if (d.count == 0 || value > d.max) {
     d.max = value;
   }
-  d.sum += value;
+  d.sum.add(value);
   ++d.count;
 }
 
@@ -137,9 +137,10 @@ void QorRecorder::write_json(std::ostream& out) const {
     obj.emplace("count", num(d.count));
     obj.emplace("min", num(d.min));
     obj.emplace("max", num(d.max));
-    obj.emplace("sum", num(d.sum));
+    const double sum = d.sum.value();
+    obj.emplace("sum", num(sum));
     obj.emplace("mean", num(d.count > 0
-                                ? d.sum / static_cast<double>(d.count)
+                                ? sum / static_cast<double>(d.count)
                                 : 0.0));
     samples.emplace(name, json::Value::make_object(std::move(obj)));
   }

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/exact_sum.hpp"
+
 namespace adsd {
 
 /// Quality-of-result recorder for one solve run.
@@ -54,7 +56,8 @@ class QorRecorder {
 
   /// Distribution sample: tracks count / min / max / sum per name
   /// (per-solver objectives, Theorem-3 polish deltas, rescaled iteration
-  /// budgets, ...).
+  /// budgets, ...). The sum is kept exactly and rounded once where it is
+  /// written, so it does not depend on the order pool workers record in.
   void sample(std::string_view name, double value);
 
   /// One committed (round, output) decision of the DALTA outer loop.
@@ -126,7 +129,7 @@ class QorRecorder {
     std::size_t count = 0;
     double min = 0.0;
     double max = 0.0;
-    double sum = 0.0;
+    ExactSum sum;
   };
   struct Curve {
     std::string name;

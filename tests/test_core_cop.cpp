@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -612,36 +613,55 @@ TEST(ColumnCop, IdealBoundIsALowerBound) {
 
 TEST(ColumnCop, ObjectiveMatchesCellCostSum) {
   // objective() must be the row-major sum of cell_cost() bit for bit, in
-  // both modes. Row 0 has probability zero, so its base and gain entries
-  // are +-0.0; the widths put T in one partial word (5), one whole word
-  // (64) and several words (100, 512).
+  // both modes. Weighted: row 0 has probability zero, so its base and gain
+  // entries are +-0.0, and the sums round, so objective() runs the chain.
+  // Uniform: probabilities 2^-9 with integer D, so every sum is exact and
+  // objective() runs the certified masked sum. The widths put T in one
+  // partial word (5), one whole word (64) and several words (100, 512);
+  // 16 x 32 and 128 x 512 are the n = 9 and n = 16 shapes.
   Rng rng(15);
-  for (std::size_t c : {5u, 64u, 100u, 512u}) {
-    const std::size_t r = 3;
-    std::vector<double> probs(r * c);
-    for (std::size_t k = c; k < r * c; ++k) {
-      probs[k] = rng.next_double(0.0, 1.0 / static_cast<double>(r * c));
-    }
-    std::vector<double> d(r * c);
-    for (double& v : d) {
-      v = std::floor(rng.next_double(-6.0, 6.0));
-    }
-    const auto m = random_matrix(r, c, rng);
-    const ColumnCop cops[] = {ColumnCop::separate(m, probs),
-                              ColumnCop::joint(m, probs, d, 2.0)};
-    for (const ColumnCop& cop : cops) {
-      for (int trial = 0; trial < 8; ++trial) {
-        const auto s = random_setting(r, c, rng);
-        double want = 0.0;
-        for (std::size_t i = 0; i < r; ++i) {
-          for (std::size_t j = 0; j < c; ++j) {
-            want += cop.cell_cost(i, j, s.value(i, j));
-          }
+  struct Shape {
+    std::size_t r;
+    std::size_t c;
+  };
+  for (const Shape sh : {Shape{3, 5}, Shape{3, 64}, Shape{3, 100},
+                         Shape{3, 512}, Shape{16, 32}, Shape{128, 512}}) {
+    const std::size_t r = sh.r;
+    const std::size_t c = sh.c;
+    for (const bool uniform : {false, true}) {
+      std::vector<double> probs(r * c, 0x1p-9);
+      if (!uniform) {
+        for (std::size_t k = 0; k < r * c; ++k) {
+          probs[k] = k < c ? 0.0
+                           : rng.next_double(
+                                 0.0, 1.0 / static_cast<double>(r * c));
         }
-        const double got = cop.objective(s);
-        EXPECT_EQ(got, want) << "c=" << c << " trial " << trial;
-        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
-            << "c=" << c << " trial " << trial;
+      }
+      std::vector<double> d(r * c);
+      for (double& v : d) {
+        v = std::floor(rng.next_double(-6.0, 6.0));
+      }
+      const auto m = random_matrix(r, c, rng);
+      const ColumnCop cops[] = {ColumnCop::separate(m, probs),
+                                ColumnCop::joint(m, probs, d, 2.0)};
+      for (const ColumnCop& cop : cops) {
+        const std::string what = "r=" + std::to_string(r) +
+                                 " c=" + std::to_string(c) +
+                                 (uniform ? " uniform" : " weighted");
+        EXPECT_EQ(cop.exact_sums(), uniform) << what;
+        for (int trial = 0; trial < 8; ++trial) {
+          const auto s = random_setting(r, c, rng);
+          double want = 0.0;
+          for (std::size_t i = 0; i < r; ++i) {
+            for (std::size_t j = 0; j < c; ++j) {
+              want += cop.cell_cost(i, j, s.value(i, j));
+            }
+          }
+          const double got = cop.objective(s);
+          EXPECT_EQ(got, want) << what << " trial " << trial;
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << what << " trial " << trial;
+        }
       }
     }
   }
@@ -1243,6 +1263,8 @@ TEST(CopBuild, TierSelectionFallsBackDownTheChain) {
     EXPECT_NE(tier.build, nullptr);
     EXPECT_NE(tier.reset_t, nullptr);
     EXPECT_NE(tier.reset_v, nullptr);
+    EXPECT_NE(tier.objective, nullptr);
+    EXPECT_NE(tier.base_total, nullptr);
   }
 }
 
@@ -1455,6 +1477,325 @@ TEST(HalfSteps, FixpointExitKeepsTheFullLoopsResult) {
     }
   }
   EXPECT_GT(exits, 10u);  // the exit fired
+}
+
+// ------------------------------------------ exact sums (the certificate)
+
+/// D per input pattern for output k as run_flow builds it, and the bound
+/// it passes along: the approximate word without bit k minus the exact
+/// word, as integers.
+struct FlowD {
+  std::vector<double> d;
+  double bound = 0.0;
+};
+
+FlowD flow_d(const TruthTable& exact, const TruthTable& approx,
+                 unsigned k) {
+  FlowD out;
+  out.d.resize(exact.num_patterns());
+  const std::int64_t weight = std::int64_t{1} << k;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+    const auto word = static_cast<std::int64_t>(approx.word(x));
+    const std::int64_t d = word - (((word >> k) & 1) != 0 ? weight : 0) -
+                           static_cast<std::int64_t>(exact.word(x));
+    out.d[x] = static_cast<double>(d);
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
+  }
+  out.bound = std::max(-static_cast<double>(lo), static_cast<double>(hi));
+  return out;
+}
+
+/// Asserts that objective() equals the row-major cell-cost chain bit for
+/// bit on random settings (the first with every Ohat clear, the second
+/// with every Ohat set) and, on a certified COP, that so do the certified
+/// passes of every COP-pass tier the host runs: the base total against
+/// the row-major chain of the bases, and the objective fed the gains read
+/// back from the Ising plane and that base total.
+void expect_objective_is_the_chain(const ColumnCop& cop, Rng& rng,
+                                   const std::string& what) {
+  const std::size_t r = cop.rows();
+  const std::size_t c = cop.cols();
+  const IsingModel model = cop.to_ising();
+  std::vector<double> gain(r * c);
+  std::vector<double> base(r * c);
+  double base_total = 0.0;
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      gain[i * c + j] = plane_gain(model, cop, i, j);
+      base[i * c + j] = cop.cell_cost(i, j, false);
+      base_total += base[i * c + j];
+    }
+  }
+  const std::vector<CopPasses> tiers = host_cop_tiers();
+  std::size_t mismatches = 0;
+  std::size_t tier_runs = 0;
+  if (cop.exact_sums()) {
+    for (const CopPasses& tier : tiers) {
+      mismatches +=
+          !same_bits(tier.base_total(base.data(), base.size()), base_total);
+    }
+  }
+  for (int trial = 0; trial < 12; ++trial) {
+    ColumnSetting s = random_setting(r, c, rng);
+    if (trial < 2) {
+      s.v1 = BitVec(r, trial == 1);
+      s.v2 = BitVec(r, trial == 1);
+    }
+    double want = 0.0;
+    for (std::size_t i = 0; i < r; ++i) {
+      for (std::size_t j = 0; j < c; ++j) {
+        want += cop.cell_cost(i, j, s.value(i, j));
+      }
+    }
+    mismatches += !same_bits(cop.objective(s), want);
+    if (!cop.exact_sums()) {
+      continue;
+    }
+    ObjectivePlanes planes;
+    planes.gain = gain.data();
+    planes.v1 = s.v1.words().data();
+    planes.v2 = s.v2.words().data();
+    planes.t = s.t.words().data();
+    planes.r = r;
+    planes.c = c;
+    planes.base_total = base_total;
+    for (const CopPasses& tier : tiers) {
+      mismatches += !same_bits(tier.objective(planes), want);
+      ++tier_runs;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  EXPECT_EQ(tier_runs, cop.exact_sums() ? 12 * tiers.size() : std::size_t{0})
+      << what;
+}
+
+/// The cells of one candidate: a disjoint partition, or every slice of a
+/// non-disjoint one with `shared` shared bits.
+std::vector<CellPatterns> candidate_cells(unsigned n, unsigned free,
+                                          unsigned shared, Rng& rng) {
+  std::vector<CellPatterns> out;
+  if (shared == 0) {
+    out.emplace_back().assign(InputPartition::random(n, free, rng));
+    return out;
+  }
+  const NonDisjointPartition w =
+      NonDisjointPartition::random(n, free, shared, rng);
+  for (std::uint64_t sl = 0; sl < w.num_slices(); ++sl) {
+    slice_cells(w, sl, out.emplace_back());
+  }
+  return out;
+}
+
+struct CandidateShape {
+  unsigned n;
+  unsigned free;
+  unsigned shared;
+};
+
+TEST(ExactSums, FlowSourcesAreCertifiedAndMatchTheChain) {
+  // COPs gathered from sources shaped as run_flow builds them (uniform
+  // distribution; in joint mode integer D and their bound) are certified
+  // in both modes, for disjoint partitions and for the slices of one and
+  // two shared bits, and their objective is the row-major cell-cost chain
+  // bit for bit, through every COP-pass tier the host runs.
+  Rng rng(2810);
+  std::size_t certified = 0;
+  for (const CandidateShape sh :
+       {CandidateShape{5, 2, 0}, CandidateShape{9, 4, 0},
+        CandidateShape{9, 5, 0}, CandidateShape{12, 6, 0},
+        CandidateShape{16, 7, 0}, CandidateShape{9, 3, 1},
+        CandidateShape{9, 3, 2}, CandidateShape{11, 4, 1}}) {
+    const unsigned m = 6;
+    const TruthTable exact = random_table(sh.n, m, rng);
+    const TruthTable approx = random_table(sh.n, m, rng);
+    const InputDistribution dist = InputDistribution::uniform(sh.n);
+    const std::vector<CellPatterns> cells =
+        candidate_cells(sh.n, sh.free, sh.shared, rng);
+    for (const unsigned k : {0u, m - 1}) {
+      const FlowD dd = flow_d(exact, approx, k);
+      const double bw = static_cast<double>(std::uint64_t{1} << k);
+      for (const DecompMode mode :
+           {DecompMode::kJoint, DecompMode::kSeparate}) {
+        const CopSource src{exact.output(k), dist, mode, dd.d, bw, dd.bound};
+        for (std::size_t sl = 0; sl < cells.size(); ++sl) {
+          const ColumnCop cop = ColumnCop::gather(src, cells[sl]);
+          const std::string what =
+              "n=" + std::to_string(sh.n) + " free=" +
+              std::to_string(sh.free) + " shared=" +
+              std::to_string(sh.shared) + " slice=" + std::to_string(sl) +
+              " k=" + std::to_string(k) +
+              (mode == DecompMode::kJoint ? " joint" : " separate");
+          EXPECT_TRUE(cop.exact_sums()) << what;
+          certified += cop.exact_sums();
+          expect_objective_is_the_chain(cop, rng, what);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(certified, 4u * (5 + 2 + 4 + 2));
+}
+
+TEST(ExactSums, UncertifiedCopsKeepTheChain) {
+  // A weighted distribution (even beside run_flow's D bound), a
+  // non-integer D (a source without a bound) and integer D past the bound
+  // leave a COP uncertified, and its objective is still the row-major
+  // chain bit for bit. Sums on these COPs round, so a masked sum in
+  // another order would show.
+  Rng rng(2811);
+  for (const CandidateShape sh :
+       {CandidateShape{9, 4, 0}, CandidateShape{12, 6, 0},
+        CandidateShape{16, 7, 0}, CandidateShape{9, 3, 1}}) {
+    const unsigned m = 6;
+    const unsigned k = 3;
+    const double bw = 8.0;
+    const TruthTable exact = random_table(sh.n, m, rng);
+    const FlowD dd = flow_d(exact, random_table(sh.n, m, rng), k);
+    const InputDistribution uniform = InputDistribution::uniform(sh.n);
+    const InputDistribution weighted = weighted_dist(sh.n, rng);
+    std::vector<double> fractional = dd.d;
+    for (double& v : fractional) {
+      v += rng.next_double(-0.5, 0.5);
+    }
+    // Integers up to 2^45: r c (3 max|D| + bw) passes 2^52 from r c = 2^8.
+    std::vector<double> wide(dd.d.size());
+    double wide_bound = 0.0;
+    for (double& v : wide) {
+      v = static_cast<double>(
+          static_cast<std::int64_t>(rng.next_below(std::uint64_t{1} << 46)) -
+          (std::int64_t{1} << 45));
+      wide_bound = std::max(wide_bound, std::fabs(v));
+    }
+    const struct {
+      const char* name;
+      CopSource src;
+    } sources[] = {
+        {"weighted joint", {exact.output(k), weighted, DecompMode::kJoint,
+                            dd.d, bw, dd.bound}},
+        {"weighted separate",
+         {exact.output(k), weighted, DecompMode::kSeparate}},
+        {"fractional D", {exact.output(k), uniform, DecompMode::kJoint,
+                          fractional, bw}},
+        {"D past the bound", {exact.output(k), uniform, DecompMode::kJoint,
+                              wide, bw, wide_bound}},
+    };
+    for (const CellPatterns& cells :
+         candidate_cells(sh.n, sh.free, sh.shared, rng)) {
+      for (const auto& [name, src] : sources) {
+        const std::string what = "n=" + std::to_string(sh.n) +
+                                 " shared=" + std::to_string(sh.shared) +
+                                 " " + name;
+        const ColumnCop cop = ColumnCop::gather(src, cells);
+        EXPECT_FALSE(cop.exact_sums()) << what;
+        expect_objective_is_the_chain(cop, rng, what);
+      }
+    }
+  }
+}
+
+TEST(ExactSums, RegatherDropsTheCertificate) {
+  // One slot regathered from a certified source, then from uncertified
+  // ones (weighted; joint without a D bound), then from the certified one
+  // again: the flag follows the source every time, and every objective is
+  // the chain.
+  Rng rng(2812);
+  const unsigned n = 9;
+  const TruthTable exact = random_table(n, 5, rng);
+  const FlowD dd = flow_d(exact, random_table(n, 5, rng), 2);
+  const InputDistribution uniform = InputDistribution::uniform(n);
+  const InputDistribution weighted = weighted_dist(n, rng);
+  const CopSource certified{exact.output(2), uniform, DecompMode::kJoint,
+                            dd.d, 4.0, dd.bound};
+  const CopSource no_bound{exact.output(2), uniform, DecompMode::kJoint,
+                           dd.d, 4.0};
+  const CopSource heavy{exact.output(2), weighted, DecompMode::kJoint, dd.d,
+                        4.0, dd.bound};
+  CellPatterns cells;
+  cells.assign(InputPartition::random(n, 4, rng));
+  std::optional<ColumnCop> slot;
+  for (const auto& [src, want] :
+       {std::pair{&certified, true}, std::pair{&heavy, false},
+        std::pair{&certified, true}, std::pair{&no_bound, false},
+        std::pair{&no_bound, false}, std::pair{&certified, true}}) {
+    const ColumnCop& cop = ColumnCop::gather_into(*src, cells, slot);
+    EXPECT_EQ(cop.exact_sums(), want);
+    expect_objective_is_the_chain(cop, rng, want ? "certified" : "not");
+  }
+}
+
+TEST(ExactSums, GridScanAgreesWhereverGatherCertifies) {
+  // Wherever the O(1) derivation certifies a gathered COP, the reference
+  // build of the same cells (separate()/joint(), which scan their
+  // coefficients with GridScan) certifies it too: over sources shaped
+  // as run_flow builds them, and at the joint bound's edge, where
+  // r c (3 max|D| + bw) is exactly 2^52 at 16 x 32 (certified, and its
+  // objective still the chain) and one step past it (not).
+  Rng rng(2813);
+  std::size_t agreed = 0;
+  for (const CandidateShape sh :
+       {CandidateShape{5, 2, 0}, CandidateShape{9, 4, 0},
+        CandidateShape{12, 6, 0}, CandidateShape{16, 7, 0}}) {
+    const unsigned m = 7;
+    const TruthTable exact = random_table(sh.n, m, rng);
+    const InputPartition w = InputPartition::random(sh.n, sh.free, rng);
+    const PartitionIndexer idx(w);
+    CellPatterns cells;
+    cells.assign(w);
+    const InputDistribution dist = InputDistribution::uniform(sh.n);
+    std::vector<double> probs;
+    matrix_probs_into(dist, w, idx, probs);
+    BooleanMatrix matrix(1, 1);
+    const std::size_t c = w.num_cols();
+    std::vector<double> d_cells(w.num_rows() * c);
+    for (const unsigned k : {1u, m - 1}) {
+      BooleanMatrix::from_function_into(exact, k, w, idx, matrix);
+      const double bw = static_cast<double>(std::uint64_t{1} << k);
+      FlowD dd = flow_d(exact, random_table(sh.n, m, rng), k);
+      std::vector<FlowD> tables = {dd};
+      if (sh.n == 9 && k == 1) {
+        // r c = 2^9 and bw = 2: 2^9 (3 max|D| + 2) = 2^52 at max|D| =
+        // (2^43 - 2) / 3, and passes it at max|D| + 1.
+        const double edge = (0x1p43 - 2.0) / 3.0;
+        for (const double top : {edge, edge + 1.0}) {
+          FlowD wide;
+          wide.d = dd.d;
+          for (double& v : wide.d) {
+            v = std::floor(rng.next_double(-top, top));
+          }
+          wide.d[rng.next_below(wide.d.size())] = -top;
+          wide.bound = top;
+          tables.push_back(std::move(wide));
+        }
+      }
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        for (std::uint64_t x = 0; x < exact.num_patterns(); ++x) {
+          d_cells[idx.row_of(x) * c + idx.col_of(x)] = tables[t].d[x];
+        }
+        const std::string what = "n=" + std::to_string(sh.n) +
+                                 " k=" + std::to_string(k) +
+                                 " table=" + std::to_string(t);
+        const ColumnCop joint = ColumnCop::gather(
+            CopSource{exact.output(k), dist, DecompMode::kJoint,
+                      tables[t].d, bw, tables[t].bound},
+            cells);
+        const ColumnCop separate = ColumnCop::gather(
+            CopSource{exact.output(k), dist, DecompMode::kSeparate}, cells);
+        EXPECT_EQ(joint.exact_sums(), t < 2) << what;
+        EXPECT_TRUE(separate.exact_sums()) << what;
+        if (joint.exact_sums()) {
+          EXPECT_TRUE(
+              ColumnCop::joint(matrix, probs, d_cells, bw).exact_sums())
+              << what;
+          ++agreed;
+        }
+        EXPECT_TRUE(ColumnCop::separate(matrix, probs).exact_sums()) << what;
+        expect_objective_is_the_chain(joint, rng, what);
+      }
+    }
+  }
+  EXPECT_EQ(agreed, 4u * 2 + 1);
 }
 
 }  // namespace

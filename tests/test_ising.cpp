@@ -581,6 +581,15 @@ TEST(DynamicStop, BadParamsThrow) {
   p.enabled = true;
   p.window = 1;
   EXPECT_THROW(DynamicStopMonitor mon(p), std::invalid_argument);
+  // A variance is never below an epsilon <= 0 (or NaN): that stop could
+  // never fire. A disabled stop reads none of its settings.
+  p.window = 10;
+  for (const double eps : {0.0, -0.0, -1.0, std::nan("")}) {
+    p.epsilon = eps;
+    EXPECT_THROW(DynamicStopMonitor mon(p), std::invalid_argument) << eps;
+  }
+  p.enabled = false;
+  EXPECT_NO_THROW(DynamicStopMonitor mon(p));
 }
 
 // Property: on random instances bSB with the Theorem-free plain setup never

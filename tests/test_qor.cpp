@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dalta.hpp"
 #include "core/nondisjoint_dalta.hpp"
@@ -9,6 +15,7 @@
 #include "funcs/registry.hpp"
 #include "support/json.hpp"
 #include "support/qor.hpp"
+#include "support/rng.hpp"
 #include "support/run_context.hpp"
 
 namespace adsd {
@@ -32,6 +39,48 @@ TEST(QorRecorder, CountersAndSamplesAccumulate) {
   EXPECT_DOUBLE_EQ(s.at("max").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(s.at("sum").as_number(), 4.0);
   EXPECT_NEAR(s.at("mean").as_number(), 4.0 / 3.0, 1e-12);
+}
+
+TEST(QorRecorder, SampleSumIsOrderIndependent) {
+  // Pool workers record samples in the order they finish, so one set of
+  // values must write one sum and one mean whatever the order; a running
+  // double sum of these depends on it. The values span 60 binades.
+  Rng rng(29);
+  std::vector<double> values = {1e16, 1.0, -1e16, 0.1, 0.2, 0.3};
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(std::ldexp(rng.next_double(-1.0, 1.0),
+                                static_cast<int>(rng.next_below(60)) - 30));
+  }
+  const auto sum_and_mean = [](const std::vector<double>& order) {
+    QorRecorder qor;
+    for (const double v : order) {
+      qor.sample("s", v);
+    }
+    const json::Value doc = json::parse(qor.to_json());
+    const json::Value& s = doc.at("samples").at("s");
+    return std::pair{s.at("sum").as_number(), s.at("mean").as_number()};
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto [sum, mean] = sum_and_mean(values);
+  for (int shuffle = 0; shuffle < 4; ++shuffle) {
+    std::vector<double> order = values;
+    if (shuffle == 0) {
+      std::reverse(order.begin(), order.end());
+    } else {
+      for (std::size_t i = order.size() - 1; i > 0; --i) {
+        std::swap(order[i], order[rng.next_below(i + 1)]);
+      }
+    }
+    const auto [got_sum, got_mean] = sum_and_mean(order);
+    EXPECT_EQ(bits(got_sum), bits(sum)) << shuffle;
+    EXPECT_EQ(bits(got_mean), bits(mean)) << shuffle;
+  }
+  // The sum is the exact one rounded once: 1e16 + 1 - 1e16 is 1.
+  EXPECT_EQ(sum_and_mean({1e16, 1.0, -1e16}).first, 1.0);
+  EXPECT_EQ(sum_and_mean({1.0, 1e16, -1e16}).first, 1.0);
+  // 1e16 + 1 is a tie that rounds to even; the 1e-16 puts the exact sum
+  // past it, so the nearest double is 1e16 + 2 (as math.fsum reads).
+  EXPECT_EQ(sum_and_mean({1e-16, 1.0, 1e16}).first, 1e16 + 2.0);
 }
 
 TEST(QorRecorder, CurvesAreBoundedWithDropAccounting) {

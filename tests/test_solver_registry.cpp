@@ -212,11 +212,18 @@ TEST(SolverRegistry, MalformedValuesThrow) {
                std::invalid_argument);
   // Numbers must be finite and whole: NaN/inf parse under std::stod but
   // mean nothing to any key, so each fails naming the key. A zero restart
-  // count would run no start, so it fails too.
+  // count would run no start, and a stop epsilon <= 0 a stop that never
+  // fires, so they fail too.
   for (const auto& [name, key, value] :
        {std::tuple{"prop", "dt", "nan"}, std::tuple{"prop", "dt", "inf"},
         std::tuple{"prop", "dt", "0.5x"},
         std::tuple{"prop", "stop-epsilon", "nan"},
+        std::tuple{"prop", "stop-epsilon", "-1"},
+        std::tuple{"prop", "stop-epsilon", "0"},
+        std::tuple{"sa", "stop-epsilon", "-1"},
+        std::tuple{"sa", "stop-epsilon", "0"},
+        std::tuple{"doch", "stop-epsilon", "-1"},
+        std::tuple{"doch", "stop-epsilon", "0"},
         std::tuple{"doch", "rho", "nan"},
         std::tuple{"prop", "restarts", "0"},
         std::tuple{"doch", "restarts", "0"},
