@@ -16,7 +16,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -571,6 +573,25 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   const adsd::CliArgs args(argc, argv);
   std::vector<char*> bench_argv = bench::strip_harness_flags(argc, argv);
+  // The display reporter below captures times for --json and prints the
+  // console table, so a google-benchmark --benchmark_format (the flag or its
+  // BENCHMARK_FORMAT variable) would be silently ignored: reject it.
+  const char* env_format = std::getenv("BENCHMARK_FORMAT");
+  std::string format = env_format != nullptr ? env_format : "console";
+  constexpr std::string_view kFormatFlag = "--benchmark_format=";
+  for (const char* arg : bench_argv) {
+    if (std::string_view(arg).substr(0, kFormatFlag.size()) == kFormatFlag) {
+      format = arg + kFormatFlag.size();
+    }
+  }
+  if (format != "console") {
+    std::cerr << "error: --benchmark_format=" << format
+              << " is not supported: this harness prints the console table;"
+                 " for google-benchmark's JSON use --benchmark_out=<file>"
+                 " --benchmark_out_format=json, for the schema-v2 report"
+                 " --json <file>\n";
+    return 1;
+  }
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc,

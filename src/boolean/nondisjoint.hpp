@@ -44,6 +44,11 @@ class NonDisjointPartition {
     return std::uint64_t{1} << shared_vars_.size();
   }
 
+  /// The free and shared sets as integers (variable_mask): together they
+  /// name the split, whatever the listed orders.
+  std::uint64_t free_mask() const { return variable_mask(free_vars_); }
+  std::uint64_t shared_mask() const { return variable_mask(shared_vars_); }
+
   std::uint64_t row_of(std::uint64_t x) const;
   std::uint64_t col_of(std::uint64_t x) const;
   std::uint64_t slice_of(std::uint64_t x) const;

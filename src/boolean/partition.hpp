@@ -1,12 +1,42 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/rng.hpp"
 
 namespace adsd {
+
+/// Bit v set for each listed variable v (every v < 64).
+inline std::uint64_t variable_mask(const std::vector<unsigned>& vars) {
+  std::uint64_t mask = 0;
+  for (unsigned v : vars) {
+    mask |= std::uint64_t{1} << v;
+  }
+  return mask;
+}
+
+/// first[i] is the lowest index j with keys[j] == keys[i], so first[i] == i
+/// marks a first occurrence. Found by sorting (key, index) pairs:
+/// O(P log P) compares of integer keys.
+template <class Key>
+std::vector<std::size_t> first_occurrences(const std::vector<Key>& keys) {
+  std::vector<std::pair<Key, std::size_t>> order(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    order[i] = {keys[i], i};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::size_t> first(keys.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const bool repeat = k > 0 && order[k].first == order[k - 1].first;
+    first[order[k].second] = repeat ? first[order[k - 1].second]
+                                    : order[k].second;
+  }
+  return first;
+}
 
 /// A disjoint partition w = {A, B} of the n input variables.
 ///
@@ -46,6 +76,10 @@ class InputPartition {
   bool operator==(const InputPartition& other) const {
     return free_vars_ == other.free_vars_ && bound_vars_ == other.bound_vars_;
   }
+
+  /// The free set as one integer, bit v set for free variable v (n <= 63),
+  /// whatever the listed order: equal masks name the same split.
+  std::uint64_t free_mask() const { return variable_mask(free_vars_); }
 
   /// "A={...} B={...}" for logs.
   std::string to_string() const;

@@ -54,6 +54,15 @@ class CoreCopSolver {
   /// incumbent, alt's restarts) keep the default and are re-scored.
   virtual bool scores_returned_setting() const { return false; }
 
+  /// True when do_solve's setting and stats are a function of the COP
+  /// alone: no seed, no context, no deadline, no clock. Equal COPs then
+  /// solve to equal bits, so run_dalta and run_dalta_nd solve each distinct
+  /// candidate partition of an output-round once and copy its result to
+  /// the partition's repeats. `dalta`, `dalta-lit` and `exhaustive` claim
+  /// it. Seeded solvers keep the default and solve every draw under its
+  /// own seed, and so does a wrapper that does not forward the claim.
+  virtual bool depends_only_on_cop() const { return false; }
+
   /// True when the solver takes a batch as one call. Callers with many
   /// independent same-shape COPs (run_dalta's P candidates per
   /// output-round) then hand the whole batch to solve_batch() instead of
@@ -222,6 +231,7 @@ class ExhaustiveCoreSolver final : public CoreCopSolver {
  public:
   std::string name() const override { return "exhaustive"; }
   bool scores_returned_setting() const override { return true; }
+  bool depends_only_on_cop() const override { return true; }
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,
@@ -266,6 +276,7 @@ class HeuristicCoreSolver final : public CoreCopSolver {
 
   std::string name() const override { return "dalta-greedy"; }
   bool scores_returned_setting() const override { return true; }
+  bool depends_only_on_cop() const override { return true; }
 
  protected:
   ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/nondisjoint_dalta.hpp"
 #include "core/partition_screen.hpp"
@@ -58,6 +60,10 @@ struct FlowNames {
   const char* commits;
 };
 
+/// A drawn partition as integers: the masks of its free set and (in the
+/// non-disjoint flow) its shared set.
+using PartitionKey = std::pair<std::uint64_t, std::uint64_t>;
+
 /// The paper's flow (Sec. 2.4): a candidate is one input partition and one
 /// column COP, and the candidates may be screened by column multiplicity.
 struct DisjointFlow {
@@ -101,6 +107,8 @@ struct DisjointFlow {
     return partitions;
   }
 
+  /// Draws sort both sets, so equal free masks mean one COP, bit for bit.
+  static PartitionKey key(const Partition& w) { return {w.free_mask(), 0}; }
   static void fill(const Partition& w, std::uint64_t, CellPatterns& cells) {
     cells.assign(w);
   }
@@ -147,6 +155,11 @@ struct NonDisjointFlow {
     return partitions;
   }
 
+  /// Draws sort all three sets, so equal free and shared masks mean one
+  /// COP per slice, bit for bit.
+  static PartitionKey key(const Partition& w) {
+    return {w.free_mask(), w.shared_mask()};
+  }
   static void fill(const Partition& w, std::uint64_t sl, CellPatterns& cells) {
     slice_cells(w, sl, cells);
   }
@@ -333,11 +346,40 @@ typename Flow::Result run_flow(const TruthTable& exact,
           }
           candidates[p] = std::move(cand);
         }
-      } else if (ctx.parallel() && num_partitions > 1) {
-        ctx.pool().parallel_for(num_partitions, evaluate);
       } else {
+        // P draws with replacement repeat partitions (C(9,4) = 126 exist at
+        // n = 9), and a repeat builds its first occurrence's COP. A solver
+        // whose result is a function of the COP alone then solves only the
+        // first occurrences; each repeat copies its candidate after the
+        // join. Seeded solvers solve every draw under its own seed.
+        std::vector<std::size_t> first(num_partitions);
+        std::iota(first.begin(), first.end(), 0);
+        if (solver.depends_only_on_cop()) {
+          std::vector<PartitionKey> keys(num_partitions);
+          for (std::size_t p = 0; p < num_partitions; ++p) {
+            keys[p] = Flow::key(partitions[p]);
+          }
+          first = first_occurrences(keys);
+        }
+        std::vector<std::size_t> distinct;
+        distinct.reserve(num_partitions);
         for (std::size_t p = 0; p < num_partitions; ++p) {
-          evaluate(p);
+          if (first[p] == p) {
+            distinct.push_back(p);
+          }
+        }
+        if (ctx.parallel() && distinct.size() > 1) {
+          ctx.pool().parallel_for(
+              distinct.size(), [&](std::size_t i) { evaluate(distinct[i]); });
+        } else {
+          for (const std::size_t p : distinct) {
+            evaluate(p);
+          }
+        }
+        for (std::size_t p = 0; p < num_partitions; ++p) {
+          if (first[p] != p) {
+            candidates[p] = candidates[first[p]];
+          }
         }
       }
 

@@ -67,9 +67,22 @@ std::vector<InputPartition> PartitionScreener::screen(
   if (keep >= candidates.size()) {
     return candidates;
   }
+  // Candidates with one free set share a multiplicity, in any variable
+  // order: reordering a set permutes the rows of every column alike, or
+  // the columns, so the count of distinct columns stays. Each distinct
+  // free set is counted once, at its first occurrence; every candidate's
+  // width is still checked.
+  std::vector<std::uint64_t> keys(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].num_inputs() != num_inputs_) {
+      throw std::invalid_argument("PartitionScreener: partition width");
+    }
+    keys[i] = candidates[i].free_mask();
+  }
+  const std::vector<std::size_t> first = first_occurrences(keys);
   std::vector<std::size_t> mu(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    mu[i] = multiplicity(candidates[i]);
+    mu[i] = first[i] == i ? multiplicity(candidates[i]) : mu[first[i]];
   }
   std::vector<std::size_t> order(candidates.size());
   std::iota(order.begin(), order.end(), 0);

@@ -29,7 +29,8 @@ class PartitionScreener {
   std::size_t multiplicity(const InputPartition& w) const;
 
   /// Keeps the `keep` partitions of lowest multiplicity (stable order among
-  /// ties, so results stay deterministic).
+  /// ties, so results stay deterministic). Counts each distinct free set
+  /// once: repeats and reorderings of one split share its multiplicity.
   std::vector<InputPartition> screen(std::vector<InputPartition> candidates,
                                      std::size_t keep) const;
 

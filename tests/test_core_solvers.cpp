@@ -11,6 +11,7 @@
 #include "core/row_ilp.hpp"
 #include "core/solver_registry.hpp"
 #include "support/rng.hpp"
+#include "support/run_context.hpp"
 
 namespace adsd {
 namespace {
@@ -201,6 +202,55 @@ TEST(CoreSolvers, ScoringClaimsHoldBitForBit) {
   }
   for (const char* spec : {"prop", "alt", "ilp"}) {
     EXPECT_FALSE(reg(spec)->scores_returned_setting()) << spec;
+  }
+}
+
+TEST(CoreSolvers, CopOnlyClaimsHoldBitForBit) {
+  // DALTA copies a repeated partition's result when the solver claims that
+  // it depends on the COP alone, so a claiming spec must return the same
+  // setting and stats, bit for bit, under every seed and context: serial,
+  // pooled, and with a deadline. A seeded spec that claimed it would have
+  // its repeats copied instead of solved under their own seeds.
+  Rng rng(12);
+  RunContext::Options serial;
+  serial.parallel = false;
+  RunContext::Options pooled;
+  pooled.threads = 4;
+  RunContext::Options budgeted;
+  budgeted.time_budget_s = 60.0;
+  const RunContext serial_ctx(serial);
+  const RunContext pooled_ctx(pooled);
+  const RunContext budgeted_ctx(budgeted);
+  const RunContext* const contexts[] = {&serial_ctx, &pooled_ctx,
+                                        &budgeted_ctx};
+  for (const char* spec : {"dalta", "dalta-lit", "exhaustive"}) {
+    const auto solver = reg(spec);
+    EXPECT_TRUE(solver->depends_only_on_cop()) << spec;
+    for (int trial = 0; trial < 4; ++trial) {
+      const ColumnCop cop = small_separate_cop(rng, 4, 8);
+      CoreSolveStats want;
+      const ColumnSetting first = solver->solve(cop, serial_ctx, 1, &want);
+      for (const RunContext* ctx : contexts) {
+        for (const std::uint64_t seed : {1u, 2u, 77u, 1u << 20}) {
+          CoreSolveStats stats;
+          const ColumnSetting s = solver->solve(cop, *ctx, seed, &stats);
+          EXPECT_EQ(s.v1, first.v1) << spec << " seed " << seed;
+          EXPECT_EQ(s.v2, first.v2) << spec << " seed " << seed;
+          EXPECT_EQ(s.t, first.t) << spec << " seed " << seed;
+          EXPECT_EQ(std::memcmp(&stats.objective, &want.objective,
+                                sizeof(double)),
+                    0)
+              << spec;
+          EXPECT_EQ(stats.iterations, want.iterations) << spec;
+          EXPECT_EQ(stats.stopped_early, want.stopped_early) << spec;
+          EXPECT_EQ(stats.proven_optimal, want.proven_optimal) << spec;
+        }
+      }
+    }
+  }
+  for (const char* spec :
+       {"prop", "prop,pack=4", "sa", "doch", "alt", "ba", "ilp"}) {
+    EXPECT_FALSE(reg(spec)->depends_only_on_cop()) << spec;
   }
 }
 

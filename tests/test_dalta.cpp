@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -391,6 +393,34 @@ TEST(PartitionScreen, KeepsLowestMultiplicityCandidates) {
   }
   EXPECT_LE(screener.multiplicity(kept.front()), worst_kept);
   EXPECT_EQ(screener.multiplicity(kept.front()), best_possible);
+
+  // Repeats, and one split given in two variable orders: the screen counts
+  // each free set once, and keeps the stable ranking by every candidate's
+  // own multiplicity.
+  std::vector<InputPartition> repeated;
+  for (int i = 0; i < 24; ++i) {
+    repeated.push_back(candidates[static_cast<std::size_t>(rng.next_below(12))]);
+  }
+  repeated.push_back(InputPartition({4, 0, 2}, {6, 1, 5, 3}));
+  repeated.push_back(InputPartition({0, 2, 4}, {1, 3, 5, 6}));
+  repeated.push_back(InputPartition({2, 4, 0}, {3, 6, 5, 1}));
+  std::vector<std::size_t> mu(repeated.size());
+  for (std::size_t i = 0; i < repeated.size(); ++i) {
+    mu[i] = screener.multiplicity(repeated[i]);
+  }
+  EXPECT_EQ(mu[24], mu[25]);
+  EXPECT_EQ(mu[25], mu[26]);
+  std::vector<std::size_t> order(repeated.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return mu[a] < mu[b]; });
+  for (const std::size_t keep : {std::size_t{5}, std::size_t{16}}) {
+    const auto got = screener.screen(repeated, keep);
+    ASSERT_EQ(got.size(), keep);
+    for (std::size_t i = 0; i < keep; ++i) {
+      EXPECT_TRUE(got[i] == repeated[order[i]]) << keep << "/" << i;
+    }
+  }
 }
 
 TEST(PartitionScreen, KeepAllWhenBudgetCoversCandidates) {
@@ -635,108 +665,240 @@ bool same_double(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Passes every solve through to `inner`, forwarding both of its claims,
+/// and counts the solves that reach it.
+class CountingSolver final : public CoreCopSolver {
+ public:
+  explicit CountingSolver(const CoreCopSolver& inner) : inner_(inner) {}
+
+  std::string name() const override { return "counted/" + inner_.name(); }
+  bool scores_returned_setting() const override {
+    return inner_.scores_returned_setting();
+  }
+  bool depends_only_on_cop() const override {
+    return inner_.depends_only_on_cop();
+  }
+  std::size_t solves() const { return solves_.load(); }
+
+ protected:
+  ColumnSetting do_solve(const ColumnCop& cop, const RunContext& ctx,
+                         std::uint64_t seed,
+                         CoreSolveStats* stats) const override {
+    solves_.fetch_add(1);
+    return inner_.solve(cop, ctx, seed, stats);
+  }
+
+ private:
+  const CoreCopSolver& inner_;
+  mutable std::atomic<std::size_t> solves_{0};
+};
+
+/// A serial context and a 4-thread one at `seed`.
+std::vector<RunContext::Options> serial_and_pooled(std::uint64_t seed) {
+  RunContext::Options serial;
+  serial.seed = seed;
+  serial.parallel = false;
+  RunContext::Options pooled;
+  pooled.seed = seed;
+  pooled.threads = 4;
+  return {serial, pooled};
+}
+
+void expect_same_dalta(const DaltaResult& a, const DaltaResult& b) {
+  EXPECT_EQ(a.approx, b.approx);
+  EXPECT_TRUE(same_double(a.med, b.med));
+  EXPECT_TRUE(same_double(a.error_rate, b.error_rate));
+  EXPECT_EQ(a.cop_solves, b.cop_solves);
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+  EXPECT_EQ(a.early_stops, b.early_stops);
+  ASSERT_EQ(a.outputs.size(), b.outputs.size());
+  for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+    EXPECT_TRUE(a.outputs[k].partition == b.outputs[k].partition) << k;
+    EXPECT_EQ(a.outputs[k].setting.v1, b.outputs[k].setting.v1) << k;
+    EXPECT_EQ(a.outputs[k].setting.v2, b.outputs[k].setting.v2) << k;
+    EXPECT_EQ(a.outputs[k].setting.t, b.outputs[k].setting.t) << k;
+    EXPECT_TRUE(same_double(a.outputs[k].objective, b.outputs[k].objective))
+        << k;
+  }
+}
+
 TEST(Dalta, ScoreOnceMatchesRescoring) {
   // Solvers whose stats objective is their setting's objective() are not
   // scored again; the flow must end exactly where re-scoring every
   // candidate ends: the same outputs, objectives, MED and counters, in
-  // both modes and over one and two rounds.
+  // both modes and over one and two rounds. The last three cases draw more
+  // partitions than exist (C(6,3) = 20 for P = 32, C(5,2) = 10 for
+  // P = 16), so repeats are certain: solvers that depend on the COP alone
+  // solve each distinct one once, and the wrapper, which does not forward
+  // that claim, is the reference that solves every draw. Those run serial
+  // and on four threads.
   struct Case {
     const char* spec;
     unsigned n;
     unsigned free;
+    std::size_t partitions;
   };
-  for (const Case& cs : {Case{"dalta", 8, 3}, Case{"dalta-lit", 8, 3},
-                         Case{"ba", 8, 3}, Case{"exhaustive", 5, 2}}) {
+  for (const Case& cs :
+       {Case{"dalta", 8, 3, 4}, Case{"dalta-lit", 8, 3, 4}, Case{"ba", 8, 3, 4},
+        Case{"exhaustive", 5, 2, 4}, Case{"dalta", 6, 3, 32},
+        Case{"dalta-lit", 6, 3, 32}, Case{"exhaustive", 5, 2, 16}}) {
     const auto solver = SolverRegistry::global().make_from_spec(cs.spec);
     ASSERT_TRUE(solver->scores_returned_setting()) << cs.spec;
     const RescoredSolver rescored(*solver);
     ASSERT_FALSE(rescored.scores_returned_setting());
+    ASSERT_FALSE(rescored.depends_only_on_cop());
     const TruthTable exact =
         make_continuous_table(continuous_spec("exp"), cs.n, cs.n - 2);
     const InputDistribution dist = InputDistribution::uniform(cs.n);
     for (const DecompMode mode : {DecompMode::kJoint, DecompMode::kSeparate}) {
       for (const std::size_t rounds : {1u, 2u}) {
-        SCOPED_TRACE(std::string(cs.spec) +
+        SCOPED_TRACE(std::string(cs.spec) + " P=" +
+                     std::to_string(cs.partitions) +
                      (mode == DecompMode::kJoint ? " joint" : " separate") +
                      " rounds=" + std::to_string(rounds));
         DaltaParams params = small_params(mode);
         params.free_size = cs.free;
-        params.num_partitions = 4;
+        params.num_partitions = cs.partitions;
         params.rounds = rounds;
-        const DaltaResult a = run_dalta(exact, dist, params, *solver);
-        const DaltaResult b = run_dalta(exact, dist, params, rescored);
-        EXPECT_EQ(a.approx, b.approx);
-        EXPECT_TRUE(same_double(a.med, b.med));
-        EXPECT_TRUE(same_double(a.error_rate, b.error_rate));
-        EXPECT_EQ(a.cop_solves, b.cop_solves);
-        EXPECT_EQ(a.solver_iterations, b.solver_iterations);
-        EXPECT_EQ(a.early_stops, b.early_stops);
-        ASSERT_EQ(a.outputs.size(), b.outputs.size());
-        for (std::size_t k = 0; k < a.outputs.size(); ++k) {
-          EXPECT_TRUE(a.outputs[k].partition == b.outputs[k].partition) << k;
-          EXPECT_EQ(a.outputs[k].setting.v1, b.outputs[k].setting.v1) << k;
-          EXPECT_EQ(a.outputs[k].setting.v2, b.outputs[k].setting.v2) << k;
-          EXPECT_EQ(a.outputs[k].setting.t, b.outputs[k].setting.t) << k;
-          EXPECT_TRUE(
-              same_double(a.outputs[k].objective, b.outputs[k].objective))
-              << k;
+        if (cs.partitions == 4) {
+          expect_same_dalta(run_dalta(exact, dist, params, *solver),
+                            run_dalta(exact, dist, params, rescored));
+          continue;
+        }
+        for (const RunContext::Options& opts : serial_and_pooled(params.seed)) {
+          SCOPED_TRACE(opts.parallel ? "pooled" : "serial");
+          expect_same_dalta(
+              run_dalta(exact, dist, params, *solver, RunContext(opts)),
+              run_dalta(exact, dist, params, rescored, RunContext(opts)));
         }
       }
     }
+  }
+}
+
+TEST(Dalta, RepeatedPartitionsAreSolvedOnce) {
+  // With certain repeats, a pass-through that forwards the solver's claims
+  // sees fewer solves than the flow counts for the solvers that depend on
+  // the COP alone, and exactly as many for seeded prop; the results match
+  // a run that solves every draw.
+  struct Case {
+    const char* spec;
+    unsigned n;
+    unsigned free;
+    std::size_t partitions;
+    bool reuses;
+  };
+  for (const Case& cs : {Case{"dalta", 6, 3, 32, true},
+                         Case{"dalta-lit", 6, 3, 32, true},
+                         Case{"exhaustive", 5, 2, 16, true},
+                         Case{"prop,n=6", 6, 3, 32, false}}) {
+    const auto solver = SolverRegistry::global().make_from_spec(cs.spec);
+    ASSERT_EQ(solver->depends_only_on_cop(), cs.reuses) << cs.spec;
+    const RescoredSolver reference(*solver);
+    const TruthTable exact =
+        make_continuous_table(continuous_spec("exp"), cs.n, cs.n - 2);
+    const InputDistribution dist = InputDistribution::uniform(cs.n);
+    DaltaParams params = small_params(DecompMode::kJoint);
+    params.free_size = cs.free;
+    params.num_partitions = cs.partitions;
+    for (const RunContext::Options& opts : serial_and_pooled(params.seed)) {
+      SCOPED_TRACE(std::string(cs.spec) +
+                   (opts.parallel ? " pooled" : " serial"));
+      const CountingSolver counted(*solver);
+      const DaltaResult a =
+          run_dalta(exact, dist, params, counted, RunContext(opts));
+      expect_same_dalta(
+          a, run_dalta(exact, dist, params, reference, RunContext(opts)));
+      if (cs.reuses) {
+        EXPECT_LT(counted.solves(), a.cop_solves);
+      } else {
+        EXPECT_EQ(counted.solves(), a.cop_solves);
+      }
+    }
+  }
+}
+
+void expect_same_nd_dalta(const NdDaltaResult& a, const NdDaltaResult& b) {
+  EXPECT_EQ(a.approx, b.approx);
+  EXPECT_TRUE(same_double(a.med, b.med));
+  EXPECT_TRUE(same_double(a.error_rate, b.error_rate));
+  EXPECT_EQ(a.cop_solves, b.cop_solves);
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
+  EXPECT_EQ(a.early_stops, b.early_stops);
+  ASSERT_EQ(a.outputs.size(), b.outputs.size());
+  for (std::size_t k = 0; k < a.outputs.size(); ++k) {
+    const auto& pa = a.outputs[k].partition;
+    const auto& pb = b.outputs[k].partition;
+    EXPECT_EQ(pa.free_vars(), pb.free_vars()) << k;
+    EXPECT_EQ(pa.bound_vars(), pb.bound_vars()) << k;
+    EXPECT_EQ(pa.shared_vars(), pb.shared_vars()) << k;
+    const auto& sa = a.outputs[k].setting.slices;
+    const auto& sb = b.outputs[k].setting.slices;
+    ASSERT_EQ(sa.size(), sb.size()) << k;
+    for (std::size_t sl = 0; sl < sa.size(); ++sl) {
+      EXPECT_EQ(sa[sl].v1, sb[sl].v1) << k << "/" << sl;
+      EXPECT_EQ(sa[sl].v2, sb[sl].v2) << k << "/" << sl;
+      EXPECT_EQ(sa[sl].t, sb[sl].t) << k << "/" << sl;
+    }
+    EXPECT_TRUE(same_double(a.outputs[k].objective, b.outputs[k].objective))
+        << k;
   }
 }
 
 TEST(NdDalta, ScoreOnceMatchesRescoring) {
   // run_dalta_nd sums its slices' stats objectives for solvers that score
-  // their settings, and must end where re-scoring every slice ends.
-  const TruthTable exact = make_continuous_table(continuous_spec("exp"), 8, 6);
-  const InputDistribution dist = InputDistribution::uniform(8);
-  for (const char* spec : {"dalta", "dalta-lit"}) {
-    const auto solver = SolverRegistry::global().make_from_spec(spec);
-    const RescoredSolver rescored(*solver);
-    for (const DecompMode mode : {DecompMode::kJoint, DecompMode::kSeparate}) {
-      for (const std::size_t rounds : {1u, 2u}) {
-        SCOPED_TRACE(std::string(spec) +
-                     (mode == DecompMode::kJoint ? " joint" : " separate") +
-                     " rounds=" + std::to_string(rounds));
-        NdDaltaParams params;
-        params.free_size = 3;
-        params.shared_size = 1;
-        params.num_partitions = 4;
-        params.rounds = rounds;
-        params.mode = mode;
-        params.seed = 11;
-        const NdDaltaResult a = run_dalta_nd(exact, dist, params, *solver);
-        const NdDaltaResult b = run_dalta_nd(exact, dist, params, rescored);
-        EXPECT_EQ(a.approx, b.approx);
-        EXPECT_TRUE(same_double(a.med, b.med));
-        EXPECT_TRUE(same_double(a.error_rate, b.error_rate));
-        EXPECT_EQ(a.cop_solves, b.cop_solves);
-        EXPECT_EQ(a.solver_iterations, b.solver_iterations);
-        ASSERT_EQ(a.outputs.size(), b.outputs.size());
-        for (std::size_t k = 0; k < a.outputs.size(); ++k) {
-          const auto& pa = a.outputs[k].partition;
-          const auto& pb = b.outputs[k].partition;
-          EXPECT_EQ(pa.free_vars(), pb.free_vars()) << k;
-          EXPECT_EQ(pa.bound_vars(), pb.bound_vars()) << k;
-          EXPECT_EQ(pa.shared_vars(), pb.shared_vars()) << k;
-          const auto& sa = a.outputs[k].setting.slices;
-          const auto& sb = b.outputs[k].setting.slices;
-          ASSERT_EQ(sa.size(), sb.size()) << k;
-          for (std::size_t sl = 0; sl < sa.size(); ++sl) {
-            EXPECT_EQ(sa[sl].v1, sb[sl].v1) << k << "/" << sl;
-            EXPECT_EQ(sa[sl].v2, sb[sl].v2) << k << "/" << sl;
-            EXPECT_EQ(sa[sl].t, sb[sl].t) << k << "/" << sl;
+  // their settings, and must end where re-scoring every slice ends. At
+  // n = 6, free 2, shared 1 there are 60 partitions, so P = 64 repeats
+  // some for certain: each distinct one is solved once (fewer solves than
+  // slices, counted through a pass-through that forwards the claims), and
+  // the result still matches the wrapper that solves every draw, serial
+  // and on four threads.
+  struct Case {
+    unsigned n;
+    unsigned free;
+    std::size_t partitions;
+  };
+  for (const Case& cs : {Case{8, 3, 4}, Case{6, 2, 64}}) {
+    const TruthTable exact =
+        make_continuous_table(continuous_spec("exp"), cs.n, cs.n - 2);
+    const InputDistribution dist = InputDistribution::uniform(cs.n);
+    for (const char* spec : {"dalta", "dalta-lit"}) {
+      const auto solver = SolverRegistry::global().make_from_spec(spec);
+      const RescoredSolver rescored(*solver);
+      for (const DecompMode mode :
+           {DecompMode::kJoint, DecompMode::kSeparate}) {
+        for (const std::size_t rounds : {1u, 2u}) {
+          SCOPED_TRACE(std::string(spec) + " n=" + std::to_string(cs.n) +
+                       (mode == DecompMode::kJoint ? " joint" : " separate") +
+                       " rounds=" + std::to_string(rounds));
+          NdDaltaParams params;
+          params.free_size = cs.free;
+          params.shared_size = 1;
+          params.num_partitions = cs.partitions;
+          params.rounds = rounds;
+          params.mode = mode;
+          params.seed = 11;
+          if (cs.partitions == 4) {
+            expect_same_nd_dalta(run_dalta_nd(exact, dist, params, *solver),
+                                 run_dalta_nd(exact, dist, params, rescored));
+            continue;
           }
-          EXPECT_TRUE(
-              same_double(a.outputs[k].objective, b.outputs[k].objective))
-              << k;
+          for (const RunContext::Options& opts :
+               serial_and_pooled(params.seed)) {
+            SCOPED_TRACE(opts.parallel ? "pooled" : "serial");
+            const CountingSolver counted(*solver);
+            const NdDaltaResult a =
+                run_dalta_nd(exact, dist, params, counted, RunContext(opts));
+            expect_same_nd_dalta(
+                a, run_dalta_nd(exact, dist, params, rescored,
+                                RunContext(opts)));
+            EXPECT_LT(counted.solves(), a.cop_solves);
+          }
         }
       }
     }
   }
 }
-
 
 /// FNV-1a over the table's output words, low byte first.
 std::uint64_t table_digest(const TruthTable& tt) {
