@@ -6,7 +6,7 @@
 // one trajectory per COP.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
-// adsd_cli (see tools/trace_summary).
+// adsd_cli (see tools/obs_summary).
 
 #include <iostream>
 

@@ -7,7 +7,7 @@
 // Ising *formulation* from the bSB *search*.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
-// adsd_cli (see tools/trace_summary).
+// adsd_cli (see tools/obs_summary).
 
 #include <iostream>
 

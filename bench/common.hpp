@@ -303,9 +303,9 @@ inline std::ofstream open_artifact(const CliArgs& args, const char* flag) {
 /// Writes the artifacts requested via --trace / --report / --qor /
 /// --metrics to the given files, in exactly the formats adsd_cli emits
 /// (Chrome trace_event timeline, run report, qor.json, Prometheus text or
-/// adsd-metrics-v1 JSON per --metrics-format) — tools/trace_summary reads
-/// and validates the first two, tools/bench_diff compares qor.json files,
-/// tools/metrics_summary validates the metrics exposition. With --obs-dir,
+/// adsd-metrics-v1 JSON per --metrics-format) — tools/obs_summary reads
+/// and validates each of them, tools/bench_diff compares qor.json files.
+/// With --obs-dir,
 /// the full bundle (trace.json, report.json, qor.json, metrics.prom,
 /// metrics.json, flight.json — next to the logger's log.jsonl) lands under
 /// <obs-dir>/<run_id>/ regardless of the per-artifact flags, each artifact
@@ -328,7 +328,6 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
     if (fmt != "prom" && fmt != "json") {
       throw std::invalid_argument("--metrics-format must be prom or json");
     }
-    ctx.flush_drop_metrics();
     auto f = open_artifact(args, "metrics");
     if (fmt == "json") {
       MetricsRegistry::global().write_json(f);
@@ -341,12 +340,6 @@ inline void write_run_artifacts(const CliArgs& args, const RunContext& ctx) {
   if (bundle.empty()) {
     return;
   }
-  // Drain pending log records first so the log_* self-metrics in the
-  // snapshot below cover everything emitted up to this point.
-  if (Logger* log = Logger::armed()) {
-    log->flush();
-  }
-  ctx.flush_drop_metrics();
   const std::filesystem::path dir(bundle);
   auto open_in = [&](const char* file) {
     const std::string path = (dir / file).string();

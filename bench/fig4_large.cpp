@@ -14,7 +14,7 @@
 // (the literal one-shot DALTA reconstruction), --csv <file> (the table
 // as CSV), and the harness flags --threads (worker-pool width),
 // --trace/--report/--qor/--metrics [--metrics-format] <file> (the same
-// artifacts as adsd_cli; see tools/trace_summary), --log-level,
+// artifacts as adsd_cli; see tools/obs_summary), --log-level,
 // --log-file, --obs-dir, and --json <file> (per-benchmark MED/time
 // records as a schema-v2 bench report for tools/bench_diff). Any other
 // flag is an error.

@@ -315,10 +315,11 @@ void BM_LogOffPath(benchmark::State& state) {
 BENCHMARK(BM_LogOffPath);
 
 void BM_LogHotPath(benchmark::State& state) {
-  // Cost of one armed, level-enabled site: serialize an adsd-log-v1 line
-  // with three typed fields into the per-thread ring (the async sink
-  // drains off the timed path). The rate limiter is opened wide so every
-  // iteration takes the full serialize-and-publish path.
+  // Cost of one armed, level-enabled site: under the logger's mutex,
+  // serialize an adsd-log-v1 line with three typed fields, keep it in the
+  // tail ring, and write and flush it to the sink (here /dev/null, so the
+  // flush's write(2) is timed but no disk). The rate limiter is opened wide
+  // so every iteration takes the full serialize-and-write path.
   Logger::Options opts;
   opts.level = LogLevel::kDebug;
   opts.path = "/dev/null";

@@ -5,7 +5,7 @@
 // instances.
 //
 // Observability: --trace/--report <file> write the same JSON artifacts as
-// adsd_cli (see tools/trace_summary).
+// adsd_cli (see tools/obs_summary).
 
 #include <iostream>
 

@@ -108,7 +108,7 @@ SbSampleHook make_theorem3_hook(const ColumnCop& cop, const RunContext& ctx,
         m->counter("theorem3_anti_collapse_total").add(1);
       }
     }
-    trace_counter(ctx.tracer(), "ising/theorem3/degenerate_replicas",
+    trace_counter(ctx.tracer(), "ising/theorem3/degenerate",
                   degenerate ? 1.0 : 0.0);
   };
 }

@@ -17,6 +17,11 @@ namespace {
                            std::to_string(pos));
 }
 
+// parse_value() recurses once per open array or object, so the nesting
+// bound is what keeps adversarial input ("[[[[...") off the end of the
+// stack. The artifacts this parser reads nest fewer than ten levels.
+constexpr std::size_t kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {
@@ -73,9 +78,16 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth) +
+                         " levels");
+        }
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value::make_string(parse_string());
       case 't':
@@ -294,6 +306,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace
@@ -388,39 +401,46 @@ Value parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-namespace {
-
-void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
+void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
   for (const char c : s) {
     switch (c) {
       case '"':
-        out << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        out << "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        out << "\\n";
+        out += "\\n";
         break;
       case '\r':
-        out << "\\r";
+        out += "\\r";
         break;
       case '\t':
-        out << "\\t";
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
         } else {
-          out << c;
+          out.push_back(c);
         }
     }
   }
-  out << '"';
+  out.push_back('"');
 }
+
+void write_json_string(std::ostream& out, std::string_view s) {
+  std::string quoted;
+  append_json_string(quoted, s);
+  out << quoted;
+}
+
+namespace {
 
 void write_json_number(std::ostream& out, double v) {
   if (!std::isfinite(v)) {

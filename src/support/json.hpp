@@ -13,8 +13,9 @@ namespace adsd::json {
 /// Minimal read-only JSON document model: just enough to load and validate
 /// the observability artifacts this repo emits (Chrome trace_event files,
 /// run reports, metrics snapshots) without an external dependency. Parsing
-/// is strict RFC-8259 except that it accepts (and ignores) a UTF-8 BOM; on
-/// malformed input parse() throws std::runtime_error with a byte offset.
+/// is strict RFC-8259 except that it accepts (and ignores) a UTF-8 BOM and
+/// bounds nesting at 512 levels; on malformed or deeper input parse()
+/// throws std::runtime_error with a byte offset.
 class Value {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -61,8 +62,18 @@ class Value {
 };
 
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws std::runtime_error on malformed input.
+/// garbage rejected). Throws std::runtime_error on malformed input and on
+/// arrays or objects nested more than 512 deep.
 Value parse(std::string_view text);
+
+/// Writes `s` as a quoted JSON string: `"` and `\` escaped, \n \r \t by
+/// name, every other byte below 0x20 as \u00XX, all else verbatim. The one
+/// escaper behind every JSON writer in the repo (the document writer below,
+/// the trace exports and the log line serializer).
+void write_json_string(std::ostream& out, std::string_view s);
+
+/// write_json_string() appending to a string.
+void append_json_string(std::string& out, std::string_view s);
 
 /// Serializes a Value as RFC 8259 JSON. Object keys come out sorted (the
 /// document model is a std::map), so output is stable across runs — the

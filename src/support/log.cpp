@@ -2,62 +2,22 @@
 
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <mutex>
 #include <random>
 #include <stdexcept>
-#include <thread>
-#include <utility>
 
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 
 namespace adsd {
 
 namespace {
 
-// JSON string escaping for the hand-rolled line serializer (the json::Value
-// path would allocate a tree per record; log lines are flat and hot enough
-// to format directly, like trace.cpp does for Chrome events).
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     // JSON has no Inf/NaN; stringify like the qor writer does.
-    append_escaped(out, std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf"));
+    json::append_json_string(out,
+                             std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf"));
     return;
   }
   char buf[32];
@@ -135,56 +95,6 @@ bool TokenBucket::try_acquire(std::uint64_t now_ns, double rate_per_s,
   return ok;
 }
 
-/// SPSC ring of pre-serialized lines: the owning thread produces, the drain
-/// (writer thread or an explicit flush()) consumes. head_/tail_ are
-/// monotone; slot content is published by the head_ release store.
-struct Logger::ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity_in)
-      : capacity(capacity_in), slots(capacity_in) {}
-
-  const std::size_t capacity;
-  std::vector<std::string> slots;
-  std::atomic<std::uint64_t> head{0};  // next write (producer only)
-  std::atomic<std::uint64_t> tail{0};  // next read (consumer only)
-  std::uint32_t thread = 0;
-
-  bool push(std::string&& line) {
-    const std::uint64_t h = head.load(std::memory_order_relaxed);
-    if (h - tail.load(std::memory_order_acquire) >= capacity) {
-      return false;
-    }
-    slots[h % capacity] = std::move(line);
-    head.store(h + 1, std::memory_order_release);
-    return true;
-  }
-};
-
-struct Logger::Impl {
-  Options options;
-  std::ofstream file;
-  std::ostream* out = nullptr;
-
-  std::mutex buffers_mutex;
-  // Owned forever (cleared only when fully drained and closed with no
-  // producers left — i.e. never freed mid-flight); one entry per thread
-  // that ever logged while this logger was open.
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-
-  std::mutex run_mutex;
-  std::string run_id;
-  std::string parent_id;
-
-  std::mutex tail_mutex;
-  std::vector<std::string> tail_ring;  // circular, tail_head = oldest
-  std::size_t tail_head = 0;
-
-  std::mutex drain_mutex;
-  std::mutex wake_mutex;
-  std::condition_variable wake;
-  bool stop = false;
-  std::thread writer;
-};
-
 std::atomic<Logger*>& Logger::armed_ptr() {
   static std::atomic<Logger*> ptr{nullptr};
   return ptr;
@@ -197,33 +107,53 @@ Logger& Logger::global() {
   return *instance;
 }
 
-namespace {
-std::mutex g_arm_mutex;
-int g_arm_count = 0;
-}  // namespace
-
 void Logger::arm(const Options& options) {
-  std::lock_guard<std::mutex> lock(g_arm_mutex);
   Logger& logger = global();
-  if (g_arm_count == 0) {
-    logger.open(options);
-    armed_ptr().store(&logger, std::memory_order_release);
-  } else {
+  std::lock_guard<std::mutex> lock(logger.mutex_);
+  if (logger.arm_count_ > 0) {
     // Nested contexts join the open sink; only provenance refreshes.
-    logger.set_run(options.run_id, options.parent_id);
+    if (!options.run_id.empty()) {
+      logger.options_.run_id = options.run_id;
+    }
+    logger.options_.parent_id = options.parent_id;
+    ++logger.arm_count_;
+    return;
   }
-  ++g_arm_count;
+  std::FILE* sink = stderr;
+  if (!options.path.empty() && options.path != "-") {
+    sink = std::fopen(options.path.c_str(), "w");
+    if (sink == nullptr) {
+      throw std::runtime_error("cannot open log file: " + options.path);
+    }
+  }
+  logger.sink_ = sink;
+  logger.options_ = options;
+  logger.tail_.clear();
+  logger.tail_.reserve(options.tail_capacity);
+  logger.tail_head_ = 0;
+  logger.emitted_.store(0, std::memory_order_relaxed);
+  logger.rate_limited_.store(0, std::memory_order_relaxed);
+  logger.threshold_.store(static_cast<std::uint8_t>(options.level),
+                          std::memory_order_relaxed);
+  logger.arm_count_ = 1;
+  armed_ptr().store(&logger, std::memory_order_release);
 }
 
 void Logger::disarm() {
-  std::lock_guard<std::mutex> lock(g_arm_mutex);
-  if (g_arm_count <= 0) {
+  Logger& logger = global();
+  std::lock_guard<std::mutex> lock(logger.mutex_);
+  if (logger.arm_count_ <= 0 || --logger.arm_count_ > 0) {
     return;
   }
-  if (--g_arm_count == 0) {
-    armed_ptr().store(nullptr, std::memory_order_release);
-    global().close();
+  armed_ptr().store(nullptr, std::memory_order_release);
+  logger.threshold_.store(static_cast<std::uint8_t>(LogLevel::kOff),
+                          std::memory_order_relaxed);
+  if (logger.sink_ == stderr) {
+    std::fflush(stderr);
+  } else {
+    std::fclose(logger.sink_);
   }
+  logger.sink_ = nullptr;
 }
 
 std::string Logger::mint_run_id() {
@@ -245,98 +175,28 @@ std::string Logger::mint_run_id() {
   return std::string(buf);
 }
 
-void Logger::open(const Options& options) {
-  Impl* impl = new Impl();
-  impl->options = options;
-  if (!options.path.empty() && options.path != "-") {
-    impl->file.open(options.path, std::ios::out | std::ios::trunc);
-    if (!impl->file) {
-      delete impl;
-      throw std::runtime_error("cannot open log file: " + options.path);
-    }
-    impl->out = &impl->file;
-  } else {
-    impl->out = &std::clog;
-  }
-  impl->run_id = options.run_id;
-  impl->parent_id = options.parent_id;
-  impl->tail_ring.reserve(options.tail_capacity);
-  impl_.store(impl, std::memory_order_release);
-  exported_emitted_ = 0;
-  exported_dropped_ = 0;
-  exported_rate_limited_ = 0;
-  emitted_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  rate_limited_.store(0, std::memory_order_relaxed);
-  threshold_.store(static_cast<std::uint8_t>(options.level),
-                   std::memory_order_relaxed);
-  if (options.async) {
-    impl->writer = std::thread([this, impl] {
-      std::unique_lock<std::mutex> wake_lock(impl->wake_mutex);
-      while (!impl->stop) {
-        impl->wake.wait_for(wake_lock, std::chrono::milliseconds(50));
-        wake_lock.unlock();
-        drain_once();
-        wake_lock.lock();
-      }
-    });
-  }
-}
-
-void Logger::close() {
-  Impl* impl = impl_.load(std::memory_order_acquire);
-  if (impl == nullptr) {
-    return;
-  }
-  threshold_.store(static_cast<std::uint8_t>(LogLevel::kOff),
-                   std::memory_order_relaxed);
-  if (impl->writer.joinable()) {
-    {
-      std::lock_guard<std::mutex> wake_lock(impl->wake_mutex);
-      impl->stop = true;
-    }
-    impl->wake.notify_all();
-    impl->writer.join();
-  }
-  drain_once();
-  impl->out->flush();
-  impl_.store(nullptr, std::memory_order_release);
-  // The Impl (and its rings) is leaked on purpose: a producer that loaded
-  // armed() just before the close may still be completing one log() call.
-  // Bounded by arm cycles per process, each a few KiB.
-  closed_.push_back(impl);
-}
-
-Logger::ThreadBuffer& Logger::buffer_for_thread(Impl& impl) {
-  thread_local ThreadBuffer* cached = nullptr;
-  thread_local Impl* cached_impl = nullptr;
-  if (cached != nullptr && cached_impl == &impl) {
-    return *cached;
-  }
-  std::lock_guard<std::mutex> lock(impl.buffers_mutex);
-  impl.buffers.push_back(
-      std::make_unique<ThreadBuffer>(impl.options.ring_capacity));
-  cached = impl.buffers.back().get();
-  cached->thread = thread_ordinal();
-  cached_impl = &impl;
-  return *cached;
-}
-
 void Logger::log(LogSite& site, LogLevel level, std::string_view message,
                  std::initializer_list<LogField> fields) {
-  Impl* impl = impl_.load(std::memory_order_acquire);
-  if (impl == nullptr || level == LogLevel::kOff) {
+  if (level == LogLevel::kOff) {
     return;
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (sink_ == nullptr) {
+    return;  // the last disarm closed the sink after this call's armed()
+  }
+  MetricsRegistry* metrics = MetricsRegistry::armed();
 
   const std::uint64_t now_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  if (!site.bucket.try_acquire(now_ns, impl->options.site_rate_per_s,
-                               impl->options.site_burst)) {
+  if (!site.bucket.try_acquire(now_ns, options_.site_rate_per_s,
+                               options_.site_burst)) {
     site.suppressed.fetch_add(1, std::memory_order_relaxed);
     rate_limited_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics != nullptr) {
+      metrics->counter("log_rate_limited_total").add(1);
+    }
     return;
   }
   const std::uint64_t suppressed =
@@ -347,6 +207,8 @@ void Logger::log(LogSite& site, LogLevel level, std::string_view message,
           std::chrono::system_clock::now().time_since_epoch())
           .count();
 
+  // Formatted directly rather than through a json::Value tree: log lines
+  // are flat, and their strings go through the shared escaper.
   std::string line;
   line.reserve(192);
   line += "{\"schema\":\"adsd-log-v1\",\"ts\":";
@@ -358,18 +220,15 @@ void Logger::log(LogSite& site, LogLevel level, std::string_view message,
   line += "\",\"thread\":";
   line += std::to_string(thread_ordinal());
   line += ",\"component\":";
-  append_escaped(line, site.component);
+  json::append_json_string(line, site.component);
   line += ",\"run_id\":";
-  {
-    std::lock_guard<std::mutex> run_lock(impl->run_mutex);
-    append_escaped(line, impl->run_id);
-    if (!impl->parent_id.empty()) {
-      line += ",\"parent_id\":";
-      append_escaped(line, impl->parent_id);
-    }
+  json::append_json_string(line, options_.run_id);
+  if (!options_.parent_id.empty()) {
+    line += ",\"parent_id\":";
+    json::append_json_string(line, options_.parent_id);
   }
   line += ",\"msg\":";
-  append_escaped(line, message);
+  json::append_json_string(line, message);
   if (suppressed > 0) {
     line += ",\"suppressed\":";
     line += std::to_string(suppressed);
@@ -381,11 +240,11 @@ void Logger::log(LogSite& site, LogLevel level, std::string_view message,
       line.push_back(',');
     }
     first = false;
-    append_escaped(line, field.key);
+    json::append_json_string(line, field.key);
     line.push_back(':');
     switch (field.value.kind()) {
       case LogValue::Kind::kString:
-        append_escaped(line, field.value.string_value());
+        json::append_json_string(line, field.value.string_value());
         break;
       case LogValue::Kind::kInt:
         line += std::to_string(field.value.int_value());
@@ -403,106 +262,29 @@ void Logger::log(LogSite& site, LogLevel level, std::string_view message,
   }
   line += "}}";
 
-  // Tail replay ring first: a record that reaches the postmortem tail but
-  // is then ring-dropped is better than the reverse.
-  if (impl->options.tail_capacity > 0) {
-    std::lock_guard<std::mutex> tail_lock(impl->tail_mutex);
-    if (impl->tail_ring.size() < impl->options.tail_capacity) {
-      impl->tail_ring.push_back(line);
+  if (options_.tail_capacity > 0) {
+    if (tail_.size() < options_.tail_capacity) {
+      tail_.push_back(line);
     } else {
-      impl->tail_ring[impl->tail_head] = line;
-      impl->tail_head = (impl->tail_head + 1) % impl->options.tail_capacity;
+      tail_[tail_head_] = line;
+      tail_head_ = (tail_head_ + 1) % options_.tail_capacity;
     }
   }
-
-  if (!buffer_for_thread(*impl).push(std::move(line))) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  line.push_back('\n');
+  std::fwrite(line.data(), 1, line.size(), sink_);
+  std::fflush(sink_);
+  emitted_.fetch_add(1, std::memory_order_relaxed);
+  if (metrics != nullptr) {
+    metrics->counter("log_records_total").add(1);
   }
-  if (impl->options.async) {
-    impl->wake.notify_one();
-  }
-}
-
-void Logger::drain_once() {
-  Impl* impl = impl_.load(std::memory_order_acquire);
-  if (impl == nullptr) {
-    return;
-  }
-  std::lock_guard<std::mutex> drain_lock(impl->drain_mutex);
-  std::size_t buffer_count = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl->buffers_mutex);
-    buffer_count = impl->buffers.size();
-  }
-  std::uint64_t written = 0;
-  for (std::size_t i = 0; i < buffer_count; ++i) {
-    ThreadBuffer* buffer = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(impl->buffers_mutex);
-      buffer = impl->buffers[i].get();
-    }
-    std::uint64_t t = buffer->tail.load(std::memory_order_relaxed);
-    const std::uint64_t h = buffer->head.load(std::memory_order_acquire);
-    for (; t < h; ++t) {
-      std::string& slot = buffer->slots[t % buffer->capacity];
-      (*impl->out) << slot << '\n';
-      slot.clear();
-      ++written;
-      buffer->tail.store(t + 1, std::memory_order_release);
-    }
-  }
-  if (written > 0) {
-    emitted_.fetch_add(written, std::memory_order_relaxed);
-    impl->out->flush();
-  }
-  // Re-export drop/suppression totals as process metrics (the
-  // adsd_metrics_dropped_total discipline) so saturation shows up in a
-  // scrape, not just in this logger's own counters.
-  if (MetricsRegistry* m = MetricsRegistry::armed()) {
-    const auto export_delta = [&](std::uint64_t now, std::uint64_t& exported,
-                                  const char* name) {
-      if (now > exported) {
-        m->counter(name).add(now - exported);
-        exported = now;
-      }
-    };
-    export_delta(emitted_.load(std::memory_order_relaxed), exported_emitted_,
-                 "log_records_total");
-    export_delta(dropped_.load(std::memory_order_relaxed), exported_dropped_,
-                 "log_dropped_total");
-    export_delta(rate_limited_.load(std::memory_order_relaxed),
-                 exported_rate_limited_, "log_rate_limited_total");
-  }
-}
-
-void Logger::flush() {
-  drain_once();
-}
-
-void Logger::set_run(std::string run_id, std::string parent_id) {
-  Impl* impl = impl_.load(std::memory_order_acquire);
-  if (impl == nullptr) {
-    return;
-  }
-  std::lock_guard<std::mutex> run_lock(impl->run_mutex);
-  if (!run_id.empty()) {
-    impl->run_id = std::move(run_id);
-  }
-  impl->parent_id = std::move(parent_id);
 }
 
 std::vector<std::string> Logger::tail() const {
-  Impl* impl = impl_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  if (impl == nullptr) {
-    return out;
-  }
-  std::lock_guard<std::mutex> tail_lock(impl->tail_mutex);
-  const std::size_t size = impl->tail_ring.size();
-  out.reserve(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    out.push_back(impl->tail_ring[(impl->tail_head + i) % size]);
+  out.reserve(tail_.size());
+  for (std::size_t i = 0; i < tail_.size(); ++i) {
+    out.push_back(tail_[(tail_head_ + i) % tail_.size()]);
   }
   return out;
 }

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -126,15 +128,17 @@ struct LogSite {
 /// bit-identical with logging off or on (tests/test_log.cpp asserts this at
 /// 1 and 8 threads).
 ///
-/// Hot path (armed): the record is serialized to one `adsd-log-v1` JSON
-/// line on the calling thread, appended to that thread's lock-free SPSC
-/// ring, and drained to the sink (file or stderr) by an async writer
-/// thread. A full ring drops the whole record — never a torn line — and
-/// drops are counted and re-exported as `log_dropped_total` when metrics
-/// are armed. Per-site token buckets bound record rate; suppressions are
-/// counted (`log_rate_limited_total`) and surfaced on the next emitted
-/// record. The last tail_capacity serialized lines are retained in a ring
-/// that FlightRecorder postmortems replay as "log_tail".
+/// Armed: log() takes the logger's one mutex, applies the site's token
+/// bucket, serializes the record to one `adsd-log-v1` JSON line, keeps the
+/// line in the tail ring, and writes and flushes it to the sink (file or
+/// stderr) before returning. Lines never interleave, and every record whose
+/// log() call returned is in the file even if the process then crashes.
+/// While metrics are armed, each written record adds 1 to
+/// `log_records_total` and each suppressed one to `log_rate_limited_total`;
+/// suppressions are also surfaced on the site's next record. The tail ring
+/// (the last tail_capacity lines) outlives the disarm and is cleared by the
+/// next first arm, so a FlightRecorder postmortem written after the run's
+/// context is gone still replays it as "log_tail".
 ///
 /// Line schema (`adsd-log-v1`, one JSON object per line):
 ///   {"schema":"adsd-log-v1","ts":<unix seconds>,"level":"info",
@@ -143,7 +147,6 @@ struct LogSite {
 ///                                          "suppressed")
 class Logger {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 1024;  // per thread
   static constexpr std::size_t kDefaultTailCapacity = 64;
   static constexpr double kDefaultSiteRatePerS = 100.0;
   static constexpr double kDefaultSiteBurst = 20.0;
@@ -153,9 +156,6 @@ class Logger {
     LogLevel level = LogLevel::kInfo;
     /// JSONL destination; empty = stderr.
     std::string path;
-    /// Bound on buffered records per producing thread; a full ring drops
-    /// whole records (counted in dropped()).
-    std::size_t ring_capacity = kDefaultRingCapacity;
     /// Last-N serialized lines kept for FlightRecorder postmortem replay.
     std::size_t tail_capacity = kDefaultTailCapacity;
     /// Per-site token bucket: burst tokens refilled at rate_per_s.
@@ -164,17 +164,13 @@ class Logger {
     /// Provenance stamped into every record (see RunContext).
     std::string run_id;
     std::string parent_id;
-    /// false = no writer thread; records stay ring-buffered until flush()
-    /// (deterministic saturation tests). Production arms async.
-    bool async = true;
   };
 
   /// Arm/disarm refcount for the process-wide logger (RunContext holds one
   /// reference per log-enabled context; the CLI/bench flags arm through
-  /// RunContext). The first arm (0 -> 1) applies `options` — opens the
-  /// sink, spawns the writer; nested arms join the open logger and only
-  /// refresh run_id/parent_id. The last disarm drains every ring, flushes,
-  /// and closes the sink.
+  /// RunContext). The first arm (0 -> 1) applies `options`: it opens the
+  /// sink and clears the tail ring. Nested arms join the open logger and
+  /// only refresh run_id/parent_id. The last disarm closes the sink.
   static void arm(const Options& options);
   static void disarm();
 
@@ -200,34 +196,25 @@ class Logger {
     return static_cast<LogLevel>(threshold_.load(std::memory_order_relaxed));
   }
 
-  /// Serializes and enqueues one record. Call through ADSD_LOG_* so the
-  /// site carries its static LogSite; `fields` views need only outlive the
-  /// call.
+  /// Serializes one record and writes it to the sink. Call through
+  /// ADSD_LOG_* so the site carries its static LogSite; `fields` views need
+  /// only outlive the call. A call that loaded armed() before the last
+  /// disarm finds the sink closed and writes nothing.
   void log(LogSite& site, LogLevel level, std::string_view message,
            std::initializer_list<LogField> fields);
 
-  /// Refreshes the provenance stamped on subsequent records.
-  void set_run(std::string run_id, std::string parent_id);
-
-  /// Drains every thread ring to the sink on the calling thread and
-  /// flushes it. Safe concurrently with the writer thread and producers.
-  void flush();
-
-  /// Records fully emitted to the sink.
+  /// Records written to the sink since the last first arm.
   std::uint64_t emitted() const {
     return emitted_.load(std::memory_order_relaxed);
   }
-  /// Whole records dropped because a thread ring was full.
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  /// Records suppressed by per-site token buckets.
+  /// Records suppressed by per-site token buckets since the last first arm.
   std::uint64_t rate_limited() const {
     return rate_limited_.load(std::memory_order_relaxed);
   }
 
   /// Oldest-to-newest copy of the last-N serialized lines (each one a
-  /// complete `adsd-log-v1` JSON object) for postmortem replay.
+  /// complete `adsd-log-v1` JSON object) for postmortem replay. Still
+  /// readable after the last disarm, until the next first arm.
   std::vector<std::string> tail() const;
 
   Logger(const Logger&) = delete;
@@ -236,31 +223,22 @@ class Logger {
  private:
   Logger() = default;
 
-  struct ThreadBuffer;
-  struct Impl;
-
   static std::atomic<Logger*>& armed_ptr();
-
-  void open(const Options& options);
-  void close();
-  void drain_once();
-  ThreadBuffer& buffer_for_thread(Impl& impl);
 
   std::atomic<std::uint8_t> threshold_{
       static_cast<std::uint8_t>(LogLevel::kOff)};
   std::atomic<std::uint64_t> emitted_{0};
-  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> rate_limited_{0};
-  // Drain-time deltas already exported into MetricsRegistry.
-  std::uint64_t exported_emitted_ = 0;
-  std::uint64_t exported_dropped_ = 0;
-  std::uint64_t exported_rate_limited_ = 0;
-  // Atomic because producers that loaded armed() race the closing disarm;
-  // the pointed-to Impl is leaked on purpose (see close()).
-  std::atomic<Impl*> impl_{nullptr};
-  // Every closed Impl, so the deliberate leak stays reachable from the
-  // never-freed Logger. Appended by close() under the arm mutex.
-  std::vector<Impl*> closed_;
+
+  // The one mutex guards the arm count, the sink, the options log() stamps
+  // and the tail ring. It lives in the never-freed singleton, so a stale
+  // armed() pointer can always take it and find sink_ null.
+  mutable std::mutex mutex_;
+  int arm_count_ = 0;
+  std::FILE* sink_ = nullptr;  // null while disarmed
+  Options options_;
+  std::vector<std::string> tail_;  // circular once full, tail_head_ = oldest
+  std::size_t tail_head_ = 0;
 };
 
 }  // namespace adsd

@@ -740,23 +740,23 @@ std::string FlightRecorder::to_json_locked(std::string_view reason) const {
   root.emplace("total_recorded",
                Value::make_number(static_cast<double>(total_)));
   root.emplace("solves", Value::make_array(std::move(solves)));
-  // Last-N structured log records at dump time: each tail line is a
-  // complete adsd-log-v1 object the logger serialized, re-parsed here so
-  // the postmortem embeds them as objects, not strings. Lock order is
-  // flight mutex_ -> logger tail mutex; no logger path takes mutex_.
-  if (Logger* logger = Logger::armed()) {
-    std::vector<Value> tail;
-    for (const std::string& line : logger->tail()) {
-      try {
-        tail.push_back(json::parse(line));
-      } catch (const std::exception&) {
-        // A malformed line would mean a logger bug; drop it rather than
-        // losing the whole postmortem.
-      }
+  // The logger's last-N records: each tail line is a complete adsd-log-v1
+  // object the logger serialized, re-parsed here so the postmortem embeds
+  // them as objects, not strings. The tail outlives the last disarm, so a
+  // dump written after the run's context unwound (the CLI's exception
+  // path) still carries it. Lock order is flight mutex_ -> logger mutex;
+  // no logger path takes mutex_.
+  std::vector<Value> tail;
+  for (const std::string& line : Logger::global().tail()) {
+    try {
+      tail.push_back(json::parse(line));
+    } catch (const std::exception&) {
+      // A malformed line would mean a logger bug; drop it rather than
+      // losing the whole postmortem.
     }
-    if (!tail.empty()) {
-      root.emplace("log_tail", Value::make_array(std::move(tail)));
-    }
+  }
+  if (!tail.empty()) {
+    root.emplace("log_tail", Value::make_array(std::move(tail)));
   }
   std::ostringstream out;
   json::write(out, Value::make_object(std::move(root)));

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "support/json.hpp"
+#include "support/metrics.hpp"
 
 namespace adsd {
 namespace {
@@ -68,6 +69,9 @@ void QorRecorder::curve_point(std::uint64_t id, std::uint64_t iteration,
   }
   if (curve_points_ >= curve_capacity_) {
     ++dropped_;
+    if (MetricsRegistry* m = MetricsRegistry::armed()) {
+      m->counter("qor_dropped_total").add(1);
+    }
     return;
   }
   curves_[id].points.emplace_back(iteration, best_energy);

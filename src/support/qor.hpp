@@ -102,7 +102,9 @@ class QorRecorder {
   };
   void record_final(Final fin);
 
-  /// Curve points rejected because the capacity was exhausted.
+  /// Curve points rejected because the capacity was exhausted. Each
+  /// rejection also adds 1 to the `qor_dropped_total` metric while metrics
+  /// are armed.
   std::uint64_t dropped() const;
 
   /// Provenance stamped into the adsd-qor-v1 header ("run_id" /

@@ -29,12 +29,8 @@ std::uint64_t fnv1a(std::string_view s) {
 RunContext::RunContext(Options options)
     : options_(std::move(options)),
       deadline_(options_.time_budget_s),
-      trace_(options_.trace
-                 ? std::make_unique<TraceRecorder>(options_.trace_capacity)
-                 : nullptr),
-      qor_(options_.qor
-               ? std::make_unique<QorRecorder>(options_.qor_curve_capacity)
-               : nullptr) {
+      trace_(options_.trace ? std::make_unique<TraceRecorder>() : nullptr),
+      qor_(options_.qor ? std::make_unique<QorRecorder>() : nullptr) {
   // Provenance: every context has a run_id, minted here when the caller
   // didn't supply one, and stamped into each recorder so all artifacts of
   // this run join on it.
@@ -63,39 +59,11 @@ RunContext::RunContext(Options options)
 }
 
 RunContext::~RunContext() {
-  if (log_armed_) {
-    // Drain while metrics are still armed so the logger's final
-    // log_dropped_total / log_rate_limited_total deltas land in the scrape.
-    Logger::global().flush();
-  }
   if (metrics_ != nullptr) {
-    flush_drop_metrics();
     MetricsRegistry::disarm();
   }
   if (log_armed_) {
     Logger::disarm();
-  }
-}
-
-void RunContext::flush_drop_metrics() const {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  const auto export_delta = [&](std::atomic<std::uint64_t>& exported,
-                                std::uint64_t now, const char* name) {
-    const std::uint64_t previous =
-        exported.exchange(now, std::memory_order_relaxed);
-    if (now > previous) {
-      metrics_->counter(name).add(now - previous);
-    }
-  };
-  if (trace_ != nullptr) {
-    export_delta(exported_trace_drops_, trace_->dropped(),
-                 "trace_dropped_total");
-  }
-  if (qor_ != nullptr) {
-    export_delta(exported_qor_drops_, qor_->dropped(),
-                 "qor_dropped_total");
   }
 }
 

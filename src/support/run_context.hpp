@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -57,22 +56,19 @@ class RunContext {
     /// returns nullptr and every instrumentation site reduces to one
     /// pointer test. Tracing never perturbs results — recording only reads
     /// solver state, so a fixed-seed run is bit-identical either way.
+    /// The recorder holds TraceRecorder::kDefaultCapacity events per
+    /// thread; beyond that whole spans are dropped (and counted), never
+    /// torn.
     bool trace = false;
-
-    /// Bound on buffered events per recording thread when tracing is on;
-    /// beyond it whole spans are dropped (and counted), never torn.
-    std::size_t trace_capacity = TraceRecorder::kDefaultCapacity;
 
     /// Quality-of-result recording (per-output error rates, partition
     /// accept/try counts, bSB convergence curves, LUT-bit totals, with
     /// qor.json export). Same discipline as trace: off by default, qor()
     /// returns nullptr, and recording never perturbs results — fixed-seed
     /// runs are bit-identical either way.
+    /// Convergence curves hold QorRecorder::kDefaultCurveCapacity points;
+    /// beyond that points are dropped (and counted).
     bool qor = false;
-
-    /// Bound on stored convergence-curve points when QoR recording is on;
-    /// beyond it points are dropped (and counted).
-    std::size_t qor_curve_capacity = QorRecorder::kDefaultCurveCapacity;
 
     /// Always-on aggregate metrics (counters / gauges / latency histograms
     /// with Prometheus exposition; see support/metrics.hpp). Arms the
@@ -172,14 +168,6 @@ class RunContext {
   /// was off. Sites test the pointer and record through it directly.
   MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Re-exports this context's recorder drop counts (trace whole-span
-  /// drops, QoR curve-point drops) into the metrics registry as
-  /// *_dropped_total counters, so saturation is visible in a scrape, not
-  /// just in per-run JSON. Delta-tracked and idempotent; called
-  /// automatically at context destruction, and explicitly by exposition
-  /// writers that scrape mid-run. No-op without metrics armed.
-  void flush_drop_metrics() const;
-
   /// Process-wide fallback context used by convenience overloads that take
   /// no explicit context (seed 42, shared pool, no deadline).
   static const RunContext& fallback();
@@ -197,9 +185,6 @@ class RunContext {
   std::unique_ptr<QorRecorder> qor_;
   MetricsRegistry* metrics_ = nullptr;
   bool log_armed_ = false;  // this context holds one Logger::arm reference
-  // Last drop counts already exported, so repeated flushes add deltas.
-  mutable std::atomic<std::uint64_t> exported_trace_drops_{0};
-  mutable std::atomic<std::uint64_t> exported_qor_drops_{0};
   mutable std::unique_ptr<ThreadPool> owned_pool_;
   mutable std::mutex pool_mutex_;
 };

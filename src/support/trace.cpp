@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "support/json.hpp"
+#include "support/metrics.hpp"
 
 namespace adsd {
 
@@ -20,15 +22,13 @@ struct StringHash {
   }
 };
 
-void write_escaped(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    out << c;
+// One rejected event: the recorder's own count, reported in both exports,
+// and the process-wide trace_dropped_total while metrics are armed.
+void count_drop(std::atomic<std::uint64_t>& dropped) {
+  dropped.fetch_add(1, std::memory_order_relaxed);
+  if (MetricsRegistry* m = MetricsRegistry::armed()) {
+    m->counter("trace_dropped_total").add(1);
   }
-  out << '"';
 }
 
 double to_seconds(std::uint64_t ns) {
@@ -96,7 +96,7 @@ TraceRecorder::ThreadBuffer& TraceRecorder::local_buffer() {
 TraceRecorder::SpanToken TraceRecorder::begin(std::string_view name) {
   ThreadBuffer& buf = local_buffer();
   if (buf.events.size() + buf.reserved_ends + 2 > capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    count_drop(dropped_);
     return SpanToken{};
   }
   const std::uint32_t id = buf.intern(name);
@@ -126,7 +126,7 @@ void TraceRecorder::emit(EventType type, std::string_view name,
                          std::uint64_t ts_ns, double value) {
   ThreadBuffer& buf = local_buffer();
   if (buf.events.size() + buf.reserved_ends + 1 > capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    count_drop(dropped_);
     return;
   }
   buf.events.push_back(Event{ts_ns, value, buf.intern(name), type});
@@ -182,7 +182,7 @@ void TraceRecorder::write_chrome_json(std::ostream& out) const {
       }
       out << "\", \"pid\": 1, \"tid\": " << buf->tid << ", \"ts\": " << ts_us
           << ", \"name\": ";
-      write_escaped(out, buf->names[e.name]);
+      json::write_json_string(out, buf->names[e.name]);
       if (e.type == EventType::kInstant) {
         out << ", \"s\": \"t\"";
       } else if (e.type == EventType::kCounter) {
@@ -195,12 +195,12 @@ void TraceRecorder::write_chrome_json(std::ostream& out) const {
       << "\"otherData\": {";
   if (!run_id_.empty()) {
     out << "\"run_id\": ";
-    write_escaped(out, run_id_);
+    json::write_json_string(out, run_id_);
     out << ", ";
   }
   if (!parent_id_.empty()) {
     out << "\"parent_id\": ";
-    write_escaped(out, parent_id_);
+    json::write_json_string(out, parent_id_);
     out << ", ";
   }
   out << "\"dropped\": " << dropped_.load(std::memory_order_relaxed)
@@ -307,12 +307,12 @@ void TraceRecorder::write_report_json(std::ostream& out) const {
   out << "{\n\"meta\": {";
   if (!run_id_.empty()) {
     out << "\"run_id\": ";
-    write_escaped(out, run_id_);
+    json::write_json_string(out, run_id_);
     out << ", ";
   }
   if (!parent_id_.empty()) {
     out << "\"parent_id\": ";
-    write_escaped(out, parent_id_);
+    json::write_json_string(out, parent_id_);
     out << ", ";
   }
   out << "\"threads\": " << threads.size()
@@ -332,7 +332,7 @@ void TraceRecorder::write_report_json(std::ostream& out) const {
     }
     out << (first ? "\n " : ",\n ");
     first = false;
-    write_escaped(out, path);
+    json::write_json_string(out, path);
     out << ": {\"count\": " << durations.size() << ", \"total_s\": " << total
         << ", \"mean_s\": " << total / static_cast<double>(durations.size())
         << ", \"min_s\": " << durations.front()
@@ -348,7 +348,7 @@ void TraceRecorder::write_report_json(std::ostream& out) const {
   for (const auto& [name, c] : counters) {
     out << (first ? "\n " : ",\n ");
     first = false;
-    write_escaped(out, name);
+    json::write_json_string(out, name);
     out << ": {\"samples\": " << c.samples << ", \"first\": " << c.first
         << ", \"last\": " << c.last << ", \"min\": " << c.min
         << ", \"max\": " << c.max
@@ -361,7 +361,7 @@ void TraceRecorder::write_report_json(std::ostream& out) const {
   for (const auto& [name, count] : instants) {
     out << (first ? "\n " : ",\n ");
     first = false;
-    write_escaped(out, name);
+    json::write_json_string(out, name);
     out << ": " << count;
   }
   out << (first ? "},\n" : "\n},\n");

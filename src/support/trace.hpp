@@ -106,7 +106,8 @@ class TraceRecorder {
   /// registry lock; not for hot paths).
   std::size_t event_count() const;
 
-  /// Events rejected because a thread buffer was full.
+  /// Events rejected because a thread buffer was full. Each rejection also
+  /// adds 1 to the `trace_dropped_total` metric while metrics are armed.
   std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }

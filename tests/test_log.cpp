@@ -1,15 +1,18 @@
 // Tests for the structured logging layer (support/log.hpp): deterministic
-// token-bucket rate limiting, whole-record drop accounting under ring
-// saturation (and its re-export into MetricsRegistry), the adsd-log-v1 line
-// schema with run provenance, tail replay into flight postmortems, and the
-// off/on fixed-seed bit-identity contract at 1 and 8 threads.
+// token-bucket rate limiting, the self-metrics counted per written and
+// suppressed record, whole lines from concurrent writers, the adsd-log-v1
+// line schema with run provenance, tail replay into flight postmortems
+// (also after the last disarm), and the off/on fixed-seed bit-identity
+// contract at 1 and 8 threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dalta.hpp"
@@ -134,12 +137,11 @@ TEST(LoggerSchema, EmitsAdsdLogV1WithTypedFieldsAndProvenance) {
   opts.path = path;
   opts.run_id = "feedface00000001";
   opts.parent_id = "beadbead00000002";
-  opts.async = false;
   Logger::arm(opts);
   ADSD_LOG_DEBUG("tests/log", "all field kinds", {"s", "str\"esc"},
                  {"i", -3}, {"u", 7u}, {"d", 1.5}, {"b", true});
   ADSD_LOG_WARN("tests/other", "no fields");
-  Logger::disarm();  // last disarm drains and closes the sink
+  Logger::disarm();  // last disarm closes the sink
 
   const auto records = parse_jsonl(slurp(path));
   ASSERT_EQ(records.size(), 2u);
@@ -169,7 +171,6 @@ TEST(LoggerSchema, ThresholdFiltersBelowArmedLevel) {
   Logger::Options opts;
   opts.level = LogLevel::kWarn;
   opts.path = path;
-  opts.async = false;
   Logger::arm(opts);
   ADSD_LOG_DEBUG("tests/log", "filtered");
   ADSD_LOG_INFO("tests/log", "filtered");
@@ -194,7 +195,6 @@ TEST(LoggerRateLimit, BurstBoundsEmissionAndCountsSuppressions) {
   opts.path = path;
   opts.site_rate_per_s = 0.0;  // no refill: exactly `burst` records pass
   opts.site_burst = 2.0;
-  opts.async = false;
   Logger::arm(opts);
   Logger& logger = Logger::global();
   LogSite site{"tests/log", __FILE__, __LINE__};
@@ -214,7 +214,6 @@ TEST(LoggerRateLimit, SuppressionCountFoldsIntoNextEmittedRecord) {
   Logger::Options opts;
   opts.level = LogLevel::kDebug;
   opts.path = path;
-  opts.async = false;
   Logger::arm(opts);
   Logger& logger = Logger::global();
   LogSite site{"tests/log", __FILE__, __LINE__};
@@ -231,39 +230,8 @@ TEST(LoggerRateLimit, SuppressionCountFoldsIntoNextEmittedRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring saturation: whole records drop, drops are counted, and the counters
-// re-export into the process metrics registry at drain time.
-
-TEST(LoggerSaturation, FullRingDropsWholeRecordsAndCountsThem) {
-  const std::string path = "log_test_saturation.jsonl";
-  std::remove(path.c_str());
-  Logger::Options opts;
-  opts.level = LogLevel::kDebug;
-  opts.path = path;
-  opts.ring_capacity = 8;
-  opts.site_rate_per_s = 1e12;
-  opts.site_burst = 1e12;
-  opts.async = false;  // nothing drains until flush(): saturation is exact
-  Logger::arm(opts);
-  Logger& logger = Logger::global();
-  LogSite site{"tests/log", __FILE__, __LINE__};
-  for (int i = 0; i < 20; ++i) {
-    logger.log(site, LogLevel::kInfo, "saturate", {{"i", i}});
-  }
-  EXPECT_EQ(logger.dropped(), 12u);
-  EXPECT_EQ(logger.emitted(), 0u);  // still ring-buffered
-  logger.flush();
-  EXPECT_EQ(logger.emitted(), 8u);
-  Logger::disarm();
-  const auto records = parse_jsonl(slurp(path));
-  ASSERT_EQ(records.size(), 8u);
-  // The ring drops the newest records, never tears or reorders the oldest.
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_DOUBLE_EQ(records[i].at("fields").at("i").as_number(),
-                     static_cast<double>(i));
-  }
-  std::remove(path.c_str());
-}
+// Self-metrics: each written record adds 1 to log_records_total and each
+// suppressed one to log_rate_limited_total, at the site, with no flush.
 
 TEST(LoggerSaturation, DropAndSuppressionCountersReexportAsMetrics) {
   RunContext::Options ctx_opts;
@@ -272,30 +240,77 @@ TEST(LoggerSaturation, DropAndSuppressionCountersReexportAsMetrics) {
   MetricsRegistry& reg = MetricsRegistry::global();
   const std::uint64_t records_before =
       reg.counter("log_records_total").value();
-  const std::uint64_t dropped_before =
-      reg.counter("log_dropped_total").value();
+  const std::uint64_t limited_before =
+      reg.counter("log_rate_limited_total").value();
 
   Logger::Options opts;
   opts.level = LogLevel::kDebug;
   opts.path = "log_test_reexport.jsonl";
-  opts.ring_capacity = 8;
-  opts.site_rate_per_s = 1e12;
-  opts.site_burst = 1e12;
-  opts.async = false;
+  opts.site_rate_per_s = 0.0;  // no refill: exactly `burst` records pass
+  opts.site_burst = 3.0;
   Logger::arm(opts);
   Logger& logger = Logger::global();
   LogSite site{"tests/log", __FILE__, __LINE__};
-  for (int i = 0; i < 20; ++i) {
-    logger.log(site, LogLevel::kInfo, "saturate", {{"i", i}});
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    logger.log(site, LogLevel::kInfo, "limited", {{"i", i}});
+    const std::uint64_t written = std::min<std::uint64_t>(i, 3);
+    EXPECT_EQ(reg.counter("log_records_total").value() - records_before,
+              written);
+    EXPECT_EQ(reg.counter("log_rate_limited_total").value() - limited_before,
+              i - written);
   }
-  logger.flush();
-  EXPECT_EQ(reg.counter("log_records_total").value() - records_before, 8u);
-  EXPECT_EQ(reg.counter("log_dropped_total").value() - dropped_before, 12u);
-  // A second flush must not double-count (delta export).
-  logger.flush();
-  EXPECT_EQ(reg.counter("log_dropped_total").value() - dropped_before, 12u);
+  EXPECT_EQ(logger.emitted(), 3u);
+  EXPECT_EQ(logger.rate_limited(), 2u);
   Logger::disarm();
+  EXPECT_EQ(parse_jsonl(slurp("log_test_reexport.jsonl")).size(), 3u);
   std::remove("log_test_reexport.jsonl");
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent writers: the sink's lock keeps every line whole, and each
+// thread's records land in the order it wrote them.
+
+TEST(LoggerConcurrency, ThreadsWriteWholeLines) {
+  const std::string path = "log_test_concurrency.jsonl";
+  std::remove(path.c_str());
+  Logger::Options opts;
+  opts.level = LogLevel::kDebug;
+  opts.path = path;
+  opts.site_rate_per_s = 1e12;
+  opts.site_burst = 1e12;
+  Logger::arm(opts);
+  constexpr int kThreads = 8;
+  constexpr int kRecords = 200;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([t] {
+      for (int i = 0; i < kRecords; ++i) {
+        ADSD_LOG_INFO("tests/log", "concurrent", {"t", t}, {"i", i});
+      }
+    });
+  }
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  EXPECT_EQ(Logger::global().emitted(),
+            static_cast<std::uint64_t>(kThreads * kRecords));
+  Logger::disarm();
+
+  const auto records = parse_jsonl(slurp(path));
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kThreads * kRecords));
+  std::vector<int> next(kThreads, 0);
+  for (const json::Value& rec : records) {
+    EXPECT_EQ(rec.at("schema").as_string(), "adsd-log-v1");
+    const auto t = static_cast<int>(rec.at("fields").at("t").as_number());
+    ASSERT_GE(t, 0);
+    ASSERT_LT(t, kThreads);
+    EXPECT_EQ(rec.at("fields").at("i").as_number(), next[t]) << "thread " << t;
+    ++next[t];
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(next[t], kRecords) << "thread " << t;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -310,14 +325,12 @@ TEST(LoggerTail, KeepsLastNLinesForPostmortemReplay) {
   opts.tail_capacity = 3;
   opts.site_rate_per_s = 1e12;
   opts.site_burst = 1e12;
-  opts.async = false;
   Logger::arm(opts);
   Logger& logger = Logger::global();
   LogSite site{"tests/log", __FILE__, __LINE__};
   for (int i = 0; i < 5; ++i) {
     logger.log(site, LogLevel::kInfo, "tail " + std::to_string(i), {});
   }
-  logger.flush();
   const std::vector<std::string> tail = logger.tail();
   ASSERT_EQ(tail.size(), 3u);
   for (std::size_t i = 0; i < tail.size(); ++i) {
@@ -335,10 +348,8 @@ TEST(LoggerTail, FlightPostmortemEmbedsLogTail) {
   opts.level = LogLevel::kDebug;
   opts.path = path;
   opts.run_id = "c0ffee0000000001";
-  opts.async = false;
   Logger::arm(opts);
   ADSD_LOG_INFO("tests/log", "before the crash");
-  Logger::global().flush();
 
   FlightRecorder rec(4);
   FlightRecorder::SolveRecord solve;
@@ -347,23 +358,29 @@ TEST(LoggerTail, FlightPostmortemEmbedsLogTail) {
   solve.stop_reason = "deadline";
   solve.run_id = "c0ffee0000000001";
   rec.record(solve);
-  std::ostringstream out;
-  rec.write_json(out, "unit-test");
+  std::ostringstream armed_out;
+  rec.write_json(armed_out, "unit-test");
   Logger::disarm();
+  // A dump written after the last disarm (the CLI's exception path, once
+  // the run's context has unwound) still replays the tail.
+  std::ostringstream disarmed_out;
+  rec.write_json(disarmed_out, "exception");
 
-  const json::Value doc = json::parse(out.str());
-  EXPECT_EQ(doc.at("solves").as_array()[0].at("run_id").as_string(),
-            "c0ffee0000000001");
-  const auto& tail = doc.at("log_tail").as_array();
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].at("msg").as_string(), "before the crash");
-  EXPECT_EQ(tail[0].at("run_id").as_string(), "c0ffee0000000001");
+  for (const std::string& text : {armed_out.str(), disarmed_out.str()}) {
+    const json::Value doc = json::parse(text);
+    EXPECT_EQ(doc.at("solves").as_array()[0].at("run_id").as_string(),
+              "c0ffee0000000001");
+    const auto& tail = doc.at("log_tail").as_array();
+    ASSERT_EQ(tail.size(), 1u);
+    EXPECT_EQ(tail[0].at("msg").as_string(), "before the crash");
+    EXPECT_EQ(tail[0].at("run_id").as_string(), "c0ffee0000000001");
+  }
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
 // RunContext provenance: the context arms the logger, stamps its run_id on
-// every record, and drains on destruction.
+// every record, and closes the sink on destruction.
 
 TEST(LoggerRunContext, ContextArmsLoggerAndStampsRunId) {
   const std::string path = "log_test_ctx.jsonl";

@@ -17,6 +17,7 @@
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
+#include "support/trace.hpp"
 
 namespace adsd {
 namespace {
@@ -327,32 +328,26 @@ TEST(MetricsExposition, JsonSnapshotRoundTripsThroughParser) {
 }
 
 // ---------------------------------------------------------------------------
-// Drop re-export through RunContext (trace saturation visible in the
-// Prometheus exposition, not just per-run JSON).
+// Recorder drops are counted where they happen (trace saturation visible in
+// the Prometheus exposition, not just per-run JSON).
 
 TEST(MetricsDropExport, TraceSaturationShowsUpInExposition) {
-  const std::uint64_t before =
-      MetricsRegistry::global().counter("trace_dropped_total").value();
   RunContext::Options opts;
   opts.metrics = true;
-  opts.trace = true;
-  opts.trace_capacity = 16;
   const RunContext ctx(opts);
+  const std::uint64_t before =
+      MetricsRegistry::global().counter("trace_dropped_total").value();
   // Far more events than the per-thread buffer holds saturate it and
   // count drops.
+  TraceRecorder rec(/*capacity_per_thread=*/16);
   for (int i = 0; i < 100; ++i) {
-    ctx.tracer()->instant("sat");
+    rec.instant("sat");
   }
-  ASSERT_GT(ctx.tracer()->dropped(), 0u);
-  ctx.flush_drop_metrics();
-  const std::uint64_t after =
-      MetricsRegistry::global().counter("trace_dropped_total").value();
-  EXPECT_EQ(after - before, ctx.tracer()->dropped());
-
-  // Flushing again must not double-count (delta tracking).
-  ctx.flush_drop_metrics();
-  EXPECT_EQ(MetricsRegistry::global().counter("trace_dropped_total").value(),
-            after);
+  ASSERT_GT(rec.dropped(), 0u);
+  EXPECT_EQ(
+      MetricsRegistry::global().counter("trace_dropped_total").value() -
+          before,
+      rec.dropped());
 
   std::ostringstream out;
   MetricsRegistry::global().write_prometheus(out);

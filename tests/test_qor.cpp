@@ -14,6 +14,7 @@
 #include "core/solver_registry.hpp"
 #include "funcs/registry.hpp"
 #include "support/json.hpp"
+#include "support/metrics.hpp"
 #include "support/qor.hpp"
 #include "support/rng.hpp"
 #include "support/run_context.hpp"
@@ -84,6 +85,13 @@ TEST(QorRecorder, SampleSumIsOrderIndependent) {
 }
 
 TEST(QorRecorder, CurvesAreBoundedWithDropAccounting) {
+  // Each dropped point is also counted in qor_dropped_total while metrics
+  // are armed.
+  RunContext::Options opts;
+  opts.metrics = true;
+  const RunContext ctx(opts);
+  const std::uint64_t dropped_before =
+      MetricsRegistry::global().counter("qor_dropped_total").value();
   QorRecorder qor(/*curve_capacity=*/4);
   const std::uint64_t a = qor.begin_curve("a");
   const std::uint64_t b = qor.begin_curve("b");
@@ -93,6 +101,9 @@ TEST(QorRecorder, CurvesAreBoundedWithDropAccounting) {
   qor.curve_point(b, 0, 1.0);  // capacity shared across curves: dropped
   EXPECT_EQ(qor.dropped(), 2u);
   EXPECT_EQ(qor.curve_count(), 2u);
+  EXPECT_EQ(MetricsRegistry::global().counter("qor_dropped_total").value() -
+                dropped_before,
+            2u);
 
   const json::Value doc = json::parse(qor.to_json());
   const auto& curves = doc.at("curves").as_array();

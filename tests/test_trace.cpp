@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,6 +52,13 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("\"\\ud800\""), std::runtime_error);  // lone high
   EXPECT_THROW(json::parse("01"), std::runtime_error);
   EXPECT_THROW(json::parse(""), std::runtime_error);
+  // Adversarial nesting ends in a clean error, not a stack overflow.
+  EXPECT_THROW(json::parse(std::string(100000, '[')), std::runtime_error);
+  std::string deep_object;
+  for (int i = 0; i < 200000; ++i) {
+    deep_object += "{\"a\":";
+  }
+  EXPECT_THROW(json::parse(deep_object), std::runtime_error);
 }
 
 // Walks an exported Chrome trace and checks that every thread's B/E events
@@ -162,6 +170,29 @@ TEST(TraceRecorder, SaturationDropsWholeSpansAndCounts) {
   // The report carries the same drop count.
   const Value report = json::parse(rec.report_json());
   EXPECT_GT(report.at("meta").at("dropped").as_number(), 0.0);
+}
+
+TEST(TraceRecorder, ExportsEscapeControlCharacters) {
+  // Caller-supplied provenance and span names reach both exports verbatim
+  // through the shared JSON escaper, control characters included.
+  const std::string parent_id = "req\n\x01id";
+  RunContext::Options opts;
+  opts.trace = true;
+  opts.parent_id = parent_id;
+  const RunContext ctx(opts);
+  { const TraceSpan span(ctx.tracer(), "tab\tspan"); }
+  Value chrome;
+  ASSERT_NO_THROW(chrome = json::parse(ctx.tracer()->chrome_json()));
+  EXPECT_EQ(chrome.at("otherData").at("parent_id").as_string(), parent_id);
+  bool saw_span = false;
+  for (const Value& e : chrome.at("traceEvents").as_array()) {
+    saw_span |= e.at("name").as_string() == "tab\tspan";
+  }
+  EXPECT_TRUE(saw_span);
+  Value report;
+  ASSERT_NO_THROW(report = json::parse(ctx.tracer()->report_json()));
+  EXPECT_EQ(report.at("meta").at("parent_id").as_string(), parent_id);
+  EXPECT_TRUE(report.at("spans").contains("tab\tspan"));
 }
 
 TEST(TraceRecorder, DisabledPathRecordsNothing) {

@@ -42,7 +42,7 @@
 //                           its snapshot after the run: solve-latency
 //                           histograms, per-engine/kernel counters,
 //                           recorder drop counters (validate or
-//                           pretty-print with tools/metrics_summary)
+//                           pretty-print with tools/obs_summary)
 //         --metrics-format prom|json  exposition format for --metrics:
 //                           Prometheus text v0.0.4 (default) or the
 //                           adsd-metrics-v1 JSON snapshot
@@ -62,8 +62,8 @@
 //                           metrics.prom, metrics.json, and flight.json
 //                           under <dir>/<run_id>/ — every
 //                           artifact stamped with the same run_id
-//                           (validate the join with tools/log_summary
-//                           --expect-run-id et al.)
+//                           (validate the join with tools/obs_summary
+//                           <file> --expect-run-id <run_id>)
 //         --budget <s>      wall-clock budget in seconds for the whole
 //                           decompose; anytime solvers stop at the
 //                           deadline, and with --postmortem the overrun

@@ -1,9 +1,7 @@
 # CTest script: one adsd_cli decompose with --obs-dir, then the provenance
 # join gate — the bundle must land under exactly one run_id directory, every
-# artifact must exist, and each must pass its validator with
-# --expect-run-id <run_id> (log_summary for the JSONL stream, trace_summary
-# for trace/report/qor, metrics_summary for both metrics expositions and the
-# flight dump).
+# artifact must exist, and each must pass obs_summary --check
+# --expect-run-id <run_id>.
 
 set(OBS obs_bundle_test)
 file(REMOVE_RECURSE ${OBS})
@@ -29,23 +27,11 @@ foreach(artifact log.jsonl trace.json report.json qor.json metrics.prom
   if(NOT EXISTS ${DIR}/${artifact})
     message(FATAL_ERROR "obs bundle missing ${artifact} under ${DIR}")
   endif()
-endforeach()
-
-foreach(pair
-    "${LOG_SUMMARY};log.jsonl"
-    "${TRACE_SUMMARY};trace.json"
-    "${TRACE_SUMMARY};report.json"
-    "${TRACE_SUMMARY};qor.json"
-    "${METRICS_SUMMARY};metrics.prom"
-    "${METRICS_SUMMARY};metrics.json"
-    "${METRICS_SUMMARY};flight.json")
-  list(GET pair 0 tool)
-  list(GET pair 1 artifact)
   execute_process(
-    COMMAND ${tool} ${DIR}/${artifact} --check --expect-run-id ${RID}
+    COMMAND ${SUMMARY} ${DIR}/${artifact} --check --expect-run-id ${RID}
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
-            "${tool} rejected ${DIR}/${artifact} for run_id ${RID}")
+            "obs_summary rejected ${DIR}/${artifact} for run_id ${RID}")
   endif()
 endforeach()
